@@ -325,6 +325,8 @@ class FinCat:
         return FinCat(self.objects, self.morphisms, self.identity, self.comp, label=label)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FinCat):
             return NotImplemented
         return (
@@ -415,6 +417,15 @@ class FinFunctor:
             if not target.has_mor(n):
                 raise StructureError(f"{label}: {m} maps to unknown morphism {n}")
 
+    @classmethod
+    def _trusted(cls, source: FinCat, target: FinCat, omap: dict, mmap: dict, label: str):
+        """Wrap tables already known to be total and to land in ``target``,
+        skipping the constructor's checks.  Only for composites and search
+        results built here; the dicts are taken over, not copied."""
+        F = object.__new__(cls)
+        F.source, F.target, F.omap, F.mmap, F.label = source, target, omap, mmap, label
+        return F
+
     def ob(self, a: str) -> str:
         return self.omap[a]
 
@@ -423,13 +434,14 @@ class FinFunctor:
 
     def then(self, other: "FinFunctor") -> "FinFunctor":
         """other ∘ self (apply self first)."""
-        if other.source is not self.target and other.source != self.target:
+        if other.source != self.target:
             raise StructureError(f"cannot compose {self.label} with {other.label}")
-        return FinFunctor(
+        omap, mmap = other.omap, other.mmap
+        return FinFunctor._trusted(
             self.source,
             other.target,
-            {a: other.ob(x) for a, x in self.omap.items()},
-            {m: other.mor(n) for m, n in self.mmap.items()},
+            {a: omap[x] for a, x in self.omap.items()},
+            {m: mmap[n] for m, n in self.mmap.items()},
             label=f"{other.label}∘{self.label}",
         )
 
@@ -483,6 +495,8 @@ class FinFunctor:
         )
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FinFunctor):
             return NotImplemented
         return (
@@ -767,6 +781,10 @@ def chaotic_category(n: int) -> FinCat:
 
 _PARAM_RE = re.compile(r"^(discrete|chaotic)\((\d+)\)$")
 
+# Largest composition table a parametrised builtin may declare: chaotic(n)
+# has n³ entries and discrete(n) has n.  Checked before anything is built.
+BUILTIN_MAX_COMP = 125_000
+
 
 def builtin(name: str) -> FinCat:
     """Return a builtin category by name.
@@ -785,8 +803,18 @@ def builtin(name: str) -> FinCat:
         return validate_category(fixed[name]())
     m = _PARAM_RE.match(name.replace(" ", ""))
     if m:
-        maker = discrete_category if m.group(1) == "discrete" else chaotic_category
-        return validate_category(maker(int(m.group(2))))
+        kind, digits = m.groups()
+        if len(digits.lstrip("0")) > 9:  # far over the limit, and int() refuses 4300+ digits
+            raise BudgetExceeded(f"builtin {kind}(n) with a {len(digits)}-digit n is too large")
+        n = int(digits)
+        entries = n**3 if kind == "chaotic" else n
+        if entries > BUILTIN_MAX_COMP:
+            raise BudgetExceeded(
+                f"builtin {kind}({n}) needs {entries} composition entries,"
+                f" limit is {BUILTIN_MAX_COMP}"
+            )
+        maker = discrete_category if kind == "discrete" else chaotic_category
+        return validate_category(maker(n))
     raise UnknownBuiltin(f"no builtin category named {name!r}")
 
 
@@ -840,7 +868,110 @@ LEIBNIZ_GENERATORS = (
 
 
 # ---------------------------------------------------------------------------
-# Constrained enumeration (shared search engine)
+# Constrained enumeration: one backtracking engine
+#
+# Objects are assigned first, then the non-identity morphisms, each in source
+# order; an identity's image follows from its object's.  A composition
+# constraint (g, f, g∘f) with g, f non-identities is filed under the position
+# of whichever of g, f, g∘f is assigned last (an identity g∘f is known before
+# any morphism), so it is checked exactly once, as soon as its three images
+# are known: forward checking in the style of VF2 (Cordella et al. 2004).
+# Constraints with an identity factor hold in any lawful target.
+
+
+def _hom_profile(cat: FinCat, a: str):
+    outs = sorted(len(cat.hom(a, b)) for b in cat.objects)
+    ins = sorted(len(cat.hom(b, a)) for b in cat.objects)
+    return (len(cat.hom(a, a)), tuple(outs), tuple(ins))
+
+
+def _search(
+    src: FinCat,
+    dst: FinCat,
+    omap_choices: Mapping[str, Sequence[str]] | None,
+    mmap_choices: Mapping[str, Sequence[str]] | None,
+    limit: int | None,
+    injective: bool,
+) -> Iterator[FinFunctor]:
+    """Yield functors src → dst in index order, at most ``limit`` of them.
+
+    With ``injective``, only functors injective on objects and on morphisms
+    are kept (labelled ``iso``), and an object may only go to one with the
+    same hom profile.
+    """
+    if limit is not None and limit <= 0:
+        return
+    objs = src.objects
+    nonid = [m for m in src.morphisms if not src.is_identity(m.name)]
+    position = {m.name: i for i, m in enumerate(nonid)}
+    checks: list[list[tuple[str, str, str]]] = [[] for _ in nonid]
+    for (g, f), gf in src.comp.items():
+        if g in position and f in position:
+            checks[max(position[g], position[f], position.get(gf, -1))].append((g, f, gf))
+    allowed = {
+        m.name: set(mmap_choices[m.name])
+        for m in nonid
+        if mmap_choices and m.name in mmap_choices
+    }
+    obj_candidates = []
+    for a in objs:
+        base = omap_choices[a] if omap_choices and a in omap_choices else dst.objects
+        if injective:
+            profile = _hom_profile(src, a)
+            base = [x for x in base if _hom_profile(dst, x) == profile]
+        obj_candidates.append(base)
+
+    label = "iso" if injective else "functor"
+    dst_comp, dst_hom = dst.comp, dst.hom
+    # Entries past the current position are stale but never read: every
+    # check at a position reads only images assigned at or before it.
+    omap: dict[str, str] = {}
+    img: dict[str, str] = {}
+    # images in use on the current path; read only when injective
+    taken: set[str] = set()
+    used: set[str] = set()
+    count = 0
+
+    def assign_mors(idx):
+        nonlocal count
+        if idx == len(nonid):
+            count += 1
+            mmap = {m.name: img[m.name] for m in src.morphisms}
+            yield FinFunctor._trusted(src, dst, dict(omap), mmap, label)
+            return
+        m = nonid[idx]
+        name, cons, keep = m.name, checks[idx], allowed.get(m.name)
+        for cand in dst_hom(omap[m.dom], omap[m.cod]):
+            if (keep is not None and cand not in keep) or (injective and cand in used):
+                continue
+            img[name] = cand
+            if all(dst_comp[img[g], img[f]] == img[gf] for g, f, gf in cons):
+                used.add(cand)
+                yield from assign_mors(idx + 1)
+                used.discard(cand)
+                if count == limit:
+                    return
+
+    def assign_objs(idx):
+        if idx == len(objs):
+            used.clear()
+            for a in objs:
+                img[src.id_of(a)] = ident = dst.id_of(omap[a])
+                used.add(ident)
+            yield from assign_mors(0)
+            return
+        a = objs[idx]
+        for x in obj_candidates[idx]:
+            if injective and x in taken:
+                continue
+            omap[a] = x
+            taken.add(x)
+            yield from assign_objs(idx + 1)
+            taken.discard(x)
+            if count == limit:
+                return
+
+    yield from assign_objs(0)
 
 
 def enumerate_functors(
@@ -853,72 +984,11 @@ def enumerate_functors(
     """Yield functors src → dst in deterministic index order.
 
     ``omap_choices`` / ``mmap_choices`` restrict the candidate images of
-    particular objects / morphisms.  Identities are forced; composition is
-    checked incrementally, so the search prunes early.
+    particular objects / morphisms.  Identities are forced; each composition
+    constraint is checked once, as soon as its images are assigned, so the
+    search prunes early.
     """
-    objs = src.objects
-    nonid = [m for m in src.morphisms if not src.is_identity(m.name)]
-    count = 0
-
-    # identity-law pairs hold automatically in a lawful target; track the rest
-    tracked_pairs = [
-        (g, f, src.compose(g, f))
-        for g, f in src.composable_pairs()
-        if not (src.is_identity(g) or src.is_identity(f))
-    ]
-
-    def mor_candidates(m: Morphism, omap):
-        base = dst.hom(omap[m.dom], omap[m.cod])
-        if mmap_choices and m.name in mmap_choices:
-            allowed = set(mmap_choices[m.name])
-            return [c for c in base if c in allowed]
-        return list(base)
-
-    def assign_mors(omap, idx, assigned):
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
-        if idx == len(nonid):
-            count += 1
-            mmap = {m.name: assigned[m.name] for m in src.morphisms}
-            yield FinFunctor(src, dst, dict(omap), mmap)
-            return
-        m = nonid[idx]
-        for cand in mor_candidates(m, omap):
-            assigned[m.name] = cand
-            ok = True
-            for g, f, gf in tracked_pairs:
-                if m.name not in (g, f, gf):
-                    continue
-                ig, iff, igf = assigned.get(g), assigned.get(f), assigned.get(gf)
-                if ig is None or iff is None or igf is None:
-                    continue
-                if dst.compose(ig, iff) != igf:
-                    ok = False
-                    break
-            if ok:
-                yield from assign_mors(omap, idx + 1, assigned)
-            del assigned[m.name]
-            if limit is not None and count >= limit:
-                return
-
-    def assign_objs(idx, omap):
-        if limit is not None and count >= limit:
-            return
-        if idx == len(objs):
-            assigned = {src.id_of(a): dst.id_of(omap[a]) for a in objs}
-            yield from assign_mors(omap, 0, assigned)
-            return
-        a = objs[idx]
-        candidates = (
-            omap_choices[a] if omap_choices and a in omap_choices else dst.objects
-        )
-        for x in candidates:
-            omap[a] = x
-            yield from assign_objs(idx + 1, omap)
-            del omap[a]
-
-    yield from assign_objs(0, {})
+    yield from _search(src, dst, omap_choices, mmap_choices, limit, False)
 
 
 def enumerate_isomorphisms(
@@ -930,89 +1000,12 @@ def enumerate_isomorphisms(
 ) -> Iterator[FinFunctor]:
     """Yield isomorphisms of categories A ≅ B, optionally constrained.
 
-    Backtracks over object bijections (pruned by hom-count profiles) and
-    morphism bijections (pruned by incremental composition checks), in
-    index order.
+    The functor search restricted to bijections: objects go only to objects
+    with the same hom-count profile, and no image is used twice.
     """
     if A.n_objects != B.n_objects or A.n_morphisms != B.n_morphisms:
         return
-
-    def profile(cat: FinCat, a: str):
-        outs = sorted(len(cat.hom(a, b)) for b in cat.objects)
-        ins = sorted(len(cat.hom(b, a)) for b in cat.objects)
-        return (len(cat.hom(a, a)), tuple(outs), tuple(ins))
-
-    a_prof = {a: profile(A, a) for a in A.objects}
-    b_prof = {b: profile(B, b) for b in B.objects}
-
-    nonid = [m for m in A.morphisms if not A.is_identity(m.name)]
-    tracked = [
-        (g, f, A.compose(g, f))
-        for g, f in A.composable_pairs()
-        if not (A.is_identity(g) or A.is_identity(f))
-    ]
-    count = 0
-
-    def assign_mors(omap, idx, assigned, used):
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
-        if idx == len(nonid):
-            count += 1
-            mmap = {m.name: assigned[m.name] for m in A.morphisms}
-            yield FinFunctor(A, B, dict(omap), mmap, label="iso")
-            return
-        m = nonid[idx]
-        base = B.hom(omap[m.dom], omap[m.cod])
-        if mmap_choices and m.name in mmap_choices:
-            allowed = set(mmap_choices[m.name])
-            base = [c for c in base if c in allowed]
-        for cand in base:
-            if cand in used:
-                continue
-            assigned[m.name] = cand
-            used.add(cand)
-            ok = True
-            for g, f, gf in tracked:
-                if m.name not in (g, f, gf):
-                    continue
-                ig, iff, igf = assigned.get(g), assigned.get(f), assigned.get(gf)
-                if ig is None or iff is None or igf is None:
-                    continue
-                if B.compose(ig, iff) != igf:
-                    ok = False
-                    break
-            if ok:
-                yield from assign_mors(omap, idx + 1, assigned, used)
-            used.discard(cand)
-            del assigned[m.name]
-            if limit is not None and count >= limit:
-                return
-
-    def assign_objs(idx, omap, taken):
-        if limit is not None and count >= limit:
-            return
-        if idx == A.n_objects:
-            assigned = {A.id_of(a): B.id_of(omap[a]) for a in A.objects}
-            used = set(assigned.values())
-            yield from assign_mors(omap, 0, assigned, used)
-            return
-        a = A.objects[idx]
-        base = (
-            omap_choices[a]
-            if omap_choices and a in omap_choices
-            else B.objects
-        )
-        for b in base:
-            if b in taken or a_prof[a] != b_prof[b]:
-                continue
-            omap[a] = b
-            taken.add(b)
-            yield from assign_objs(idx + 1, omap, taken)
-            taken.discard(b)
-            del omap[a]
-
-    yield from assign_objs(0, {}, set())
+    yield from _search(A, B, omap_choices, mmap_choices, limit, True)
 
 
 def find_isomorphism(

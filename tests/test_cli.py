@@ -170,3 +170,10 @@ def test_suite_envelopes_are_deterministic(workdir):
 def test_suite_rejects_unknown_name(workdir):
     res = invoke(["suite", "everything"], workdir)
     assert res.exit_code == 2
+
+
+def test_oversized_builtin_exits_two(workdir):
+    (workdir / "huge.json").write_text(json.dumps({"base": "builtin:chaotic(1000)", "maps": []}))
+    res = invoke(["limit", "tower", "--tower", "huge.json"], workdir)
+    assert res.exit_code == 2
+    assert "BudgetExceeded" in res.output

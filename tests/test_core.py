@@ -2,6 +2,7 @@ import pytest
 
 from fincat.core import (
     AssociativityViolation,
+    BudgetExceeded,
     FinCat,
     FinFunctor,
     IdentityViolation,
@@ -15,6 +16,7 @@ from fincat.core import (
     builtin_functor,
     constant_functor,
     enumerate_functors,
+    enumerate_isomorphisms,
     enumerate_transformations,
     identity_functor,
     identity_nat,
@@ -22,6 +24,7 @@ from fincat.core import (
     validate_functor,
     validate_transformation,
 )
+from fincat.corpus import corpus_categories, corpus_functors
 from helpers import brute_force_functors, scan_associativity
 
 
@@ -175,22 +178,19 @@ def test_perturbed_component_not_natural():
 
 
 def test_enumerate_functors_matches_brute_force():
-    pairs = [
-        ("free_iso", "arrow"),
-        ("arrow", "arrow"),
-        ("parallel_pair", "arrow"),
-        ("arrow", "chaotic(2)"),
-    ]
-    for s, d in pairs:
-        src, dst = builtin(s), builtin(d)
-        mine = [(f.omap, f.mmap) for f in enumerate_functors(src, dst)]
-        theirs = [(f.omap, f.mmap) for f in brute_force_functors(src, dst)]
-        assert len(mine) == len(theirs)
-        assert {tuple(sorted(o.items())) for o, _ in mine} == {
-            tuple(sorted(o.items())) for o, _ in theirs
-        }
-        for fm in mine:
-            assert fm in theirs
+    # ordered lists: the engine's yield order is part of its contract
+    cats = corpus_categories()
+    for src in cats:
+        for dst in cats:
+            theirs = [(f.omap, f.mmap) for f in brute_force_functors(src, dst)]
+            assert [(f.omap, f.mmap) for f in enumerate_functors(src, dst)] == theirs
+            bijective = [
+                (o, m)
+                for o, m in theirs
+                if len(set(o.values())) == src.n_objects == dst.n_objects
+                and len(set(m.values())) == src.n_morphisms == dst.n_morphisms
+            ]
+            assert [(f.omap, f.mmap) for f in enumerate_isomorphisms(src, dst)] == bijective
 
 
 def test_functors_free_iso_to_arrow_are_the_two_constants():
@@ -235,3 +235,59 @@ def test_roundtrip_through_dict():
     cat = builtin("parallel_pair")
     again = validate_category(cat.to_dict())
     assert again == cat
+
+
+def test_then_rejects_a_functor_out_of_another_category():
+    F = builtin_functor("point_to_arrow_0")  # terminal → arrow
+    assert F.then(identity_functor(builtin("arrow"))) == F  # equal, not the same object
+    with pytest.raises(StructureError):
+        F.then(identity_functor(builtin("free_iso")))
+
+
+def test_nat_trans_rejects_non_parallel_functors():
+    one, two = builtin("terminal"), builtin("arrow")
+    F = constant_functor(one, two, "0")
+    with pytest.raises(StructureError):  # sources differ
+        NatTrans(F, identity_functor(two), {"*": "id_0"})
+    with pytest.raises(StructureError):  # targets differ
+        NatTrans(F, builtin_functor("point_to_iso"), {"*": "id_0"})
+
+
+def test_composites_equal_their_checked_construction():
+    fs = corpus_functors()
+    for F in fs:
+        for G in fs:
+            if G.source != F.target:
+                continue
+            H = F.then(G)
+            checked = FinFunctor(H.source, H.target, H.omap, H.mmap, label=H.label)
+            assert vars(H) == vars(checked)
+            assert H.omap == {a: G.ob(F.ob(a)) for a in F.source.objects}
+            assert H.mmap == {m.name: G.mor(F.mor(m.name)) for m in F.source.morphisms}
+
+
+def test_builtin_size_is_checked_before_construction(monkeypatch):
+    import fincat.core as core
+
+    class Built(Exception):
+        pass
+
+    def refuse(n):
+        raise Built(n)
+
+    monkeypatch.setattr(core, "chaotic_category", refuse)
+    monkeypatch.setattr(core, "discrete_category", refuse)
+    limit = core.BUILTIN_MAX_COMP
+    side = round(limit ** (1 / 3))
+    assert side**3 <= limit < (side + 1) ** 3
+    for name in [
+        "chaotic(1000)",
+        f"chaotic({side + 1})",
+        f"discrete({limit + 1})",
+        "chaotic(" + "9" * 5000 + ")",
+    ]:
+        with pytest.raises(BudgetExceeded):
+            builtin(name)
+    for name in [f"chaotic({side})", f"discrete({limit})", "chaotic(0003)"]:
+        with pytest.raises(Built):
+            builtin(name)
