@@ -162,12 +162,7 @@ class FinCat:
             m = by_name.get(i)
             if m is None or m.dom != a or m.cod != a:
                 raise StructureError(f"{self.label}: identity of {a} is not an endomorphism of {a}")
-        composable = {
-            (g.name, f.name)
-            for g in self.morphisms
-            for f in self.morphisms
-            if g.dom == f.cod
-        }
+        composable = set(self.composable_pairs())
         if set(self.comp) != composable:
             missing = composable - set(self.comp)
             extra = set(self.comp) - composable
@@ -284,9 +279,8 @@ class FinCat:
     def composable_pairs(self) -> Iterator[tuple[str, str]]:
         """Pairs (g, f) with dom g = cod f, in stored order."""
         for g in self.morphisms:
-            for f in self.morphisms:
-                if g.dom == f.cod:
-                    yield (g.name, f.name)
+            for f in self._into_table[g.dom]:
+                yield (g.name, f)
 
     @property
     def n_objects(self) -> int:
@@ -379,17 +373,13 @@ def validate_category(raw) -> FinCat:
         if right != m.name:
             raise IdentityViolation(m.name, "right", right)
     for h in cat.morphisms:
-        for g in cat.morphisms:
-            if h.dom != g.cod:
-                continue
-            hg = cat.compose(h.name, g.name)
-            for f in cat.morphisms:
-                if g.dom != f.cod:
-                    continue
-                left = cat.compose(h.name, cat.compose(g.name, f.name))
-                right = cat.compose(hg, f.name)
+        for g in cat.morphisms_into(h.dom):
+            hg = cat.compose(h.name, g)
+            for f in cat.morphisms_into(cat.dom(g)):
+                left = cat.compose(h.name, cat.compose(g, f))
+                right = cat.compose(hg, f)
                 if left != right:
-                    raise AssociativityViolation(h.name, g.name, f.name, left, right)
+                    raise AssociativityViolation(h.name, g, f, left, right)
     return cat
 
 

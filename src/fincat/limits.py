@@ -5,11 +5,14 @@ arrows, inserters, equifiers, idempotent splittings, cleavage-based
 pullbacks and tower limits are all built concretely with deterministic
 tuple naming, and each carries a certificate: its one-dimensional
 universal property is replayed against a declared finite set of cone
-vertices.
+vertices.  The replay files the apex's objects and morphisms once under
+their leg images (and, for objects, their structure-cell components), so
+the candidate factorizations of each cone are dictionary lookups.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     CleavageNotNormal,
@@ -41,7 +44,10 @@ from .funcat import (
 )
 
 
+@lru_cache(maxsize=1)
 def default_vertices() -> tuple[FinCat, ...]:
+    """The terminal category and the generic arrow, built once: categories
+    are immutable, so every certificate can share them."""
     return (builtin("terminal"), builtin("arrow"))
 
 
@@ -100,6 +106,64 @@ class LimitWitness:
 
 
 # ---------------------------------------------------------------------------
+# Universal-property replay
+
+
+def _tables(legs, cells=()):
+    """Lookup tables whose values at an object / a morphism form its key."""
+    return [F.omap for F in legs] + [c.components for c in cells], [F.mmap for F in legs]
+
+
+def _leg_index(apex: FinCat, legs, cells=()):
+    """Index the apex's objects and morphisms by their leg images, each
+    list in apex order; an object's key also carries the components of
+    ``cells`` at it.  Returns ``choices(X, cone_legs, cone_cells)``: for each
+    object and morphism of X, the apex elements lying over its cone images,
+    as the ``omap_choices`` / ``mmap_choices`` of a factorization search."""
+    obj_tables, mor_tables = _tables(legs, cells)
+    objects: dict[tuple, list[str]] = {}
+    morphisms: dict[tuple, list[str]] = {}
+    for o in apex.objects:
+        objects.setdefault(tuple(t[o] for t in obj_tables), []).append(o)
+    for m in apex.morphisms:
+        morphisms.setdefault(tuple(t[m.name] for t in mor_tables), []).append(m.name)
+
+    def choices(X: FinCat, cone_legs, cone_cells=()):
+        obj_tables, mor_tables = _tables(cone_legs, cone_cells)
+        omap_choices = {x: objects.get(tuple(t[x] for t in obj_tables), []) for x in X.objects}
+        mmap_choices = {
+            m.name: morphisms.get(tuple(t[m.name] for t in mor_tables), [])
+            for m in X.morphisms
+        }
+        return omap_choices, mmap_choices
+
+    return choices
+
+
+def _certify(kind, noun, apex, legs, cells, cones, vertices) -> Certificate:
+    """Replay the 1-dimensional universal property of (apex, legs, cells):
+    every cone ``(cone_legs, cone_cells)`` that ``cones(X)`` yields from a
+    test vertex X must factor through the apex exactly once."""
+    vertices = vertices or default_vertices()
+    choices = _leg_index(apex, legs, cells)
+    checked, failures = 0, []
+    for X in vertices:
+        for cone_legs, cone_cells in cones(X):
+            checked += 1
+            omap_choices, mmap_choices = choices(X, cone_legs, cone_cells)
+            hits = len(list(enumerate_functors(X, apex, omap_choices, mmap_choices, limit=2)))
+            if hits != 1:
+                failures.append(f"vertex {X.label}: {noun} has {hits} factorizations")
+    return Certificate(
+        kind=kind,
+        vertices=tuple(x.label for x in vertices),
+        cones_checked=checked,
+        ok=not failures,
+        failures=tuple(failures[:5]),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Strict pullback
 
 
@@ -151,46 +215,22 @@ def pullback_strict(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness
         {m.name: mor_parts[m.name][1] for m in morphisms},
         label="pb_proj2",
     )
-    cert = _certify_pullback(apex, p, q, F, G, vertices or default_vertices())
+    cert = _certify("pullback", "cone", apex, (p, q), (), _pullback_cones(F, G), vertices)
     return LimitWitness(apex, (p, q), (), cert, label=apex.label)
 
 
-def _factorization_count(apex, vertex, omap_choices, mmap_choices) -> int:
-    return len(list(enumerate_functors(vertex, apex, omap_choices, mmap_choices, limit=2)))
+def _pullback_cones(F: FinFunctor, G: FinFunctor):
+    """Cones (P, Q) over the cospan (F, G) from a vertex X: P∘F = Q∘G."""
 
-
-def _certify_pullback(apex, p, q, F, G, vertices) -> Certificate:
-    cones, failures = 0, []
-    for X in vertices:
+    def cones(X: FinCat):
         rights = list(enumerate_functors(X, G.source))
         for P in enumerate_functors(X, F.source):
             PF = P.then(F)
             for Q in rights:
-                if PF != Q.then(G):
-                    continue
-                cones += 1
-                omap_choices = {
-                    x: [o for o in apex.objects if p.ob(o) == P.ob(x) and q.ob(o) == Q.ob(x)]
-                    for x in X.objects
-                }
-                mmap_choices = {
-                    m.name: [
-                        n.name
-                        for n in apex.morphisms
-                        if p.mor(n.name) == P.mor(m.name) and q.mor(n.name) == Q.mor(m.name)
-                    ]
-                    for m in X.morphisms
-                }
-                hits = _factorization_count(apex, X, omap_choices, mmap_choices)
-                if hits != 1:
-                    failures.append(f"vertex {X.label}: cone has {hits} factorizations")
-    return Certificate(
-        kind="pullback",
-        vertices=tuple(x.label for x in vertices),
-        cones_checked=cones,
-        ok=not failures,
-        failures=tuple(failures[:5]),
-    )
+                if PF == Q.then(G):
+                    yield (P, Q), ()
+
+    return cones
 
 
 # ---------------------------------------------------------------------------
@@ -261,51 +301,19 @@ def isocomma(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness:
     phi = NatTrans(
         q.then(G), p.then(F), {o: obj_parts[o][2] for o in objects}, label="phi"
     )
-    cert = _certify_isocomma(apex, p, q, phi, F, G, vertices or default_vertices())
-    return LimitWitness(apex, (p, q), (phi,), cert, label=apex.label)
 
-
-def _certify_isocomma(apex, p, q, phi, F, G, vertices) -> Certificate:
-    cones, failures = 0, []
-    for X in vertices:
-        rights = list(enumerate_functors(X, G.source))
-        for P in enumerate_functors(X, F.source):
+    def isocones(X: FinCat):
+        """Isocones (P, Q, τ : Q∘G ≅ P∘F) from a vertex X."""
+        rights = list(enumerate_functors(X, B))
+        for P in enumerate_functors(X, A):
             for Q in rights:
                 for tau in enumerate_transformations(
                     Q.then(G), P.then(F), invertible_only=True
                 ):
-                    cones += 1
-                    omap_choices = {
-                        x: [
-                            o
-                            for o in apex.objects
-                            if p.ob(o) == P.ob(x)
-                            and q.ob(o) == Q.ob(x)
-                            and phi.component(o) == tau.component(x)
-                        ]
-                        for x in X.objects
-                    }
-                    mmap_choices = {
-                        m.name: [
-                            n.name
-                            for n in apex.morphisms
-                            if p.mor(n.name) == P.mor(m.name)
-                            and q.mor(n.name) == Q.mor(m.name)
-                        ]
-                        for m in X.morphisms
-                    }
-                    hits = _factorization_count(apex, X, omap_choices, mmap_choices)
-                    if hits != 1:
-                        failures.append(
-                            f"vertex {X.label}: isocone has {hits} factorizations"
-                        )
-    return Certificate(
-        kind="isocomma",
-        vertices=tuple(x.label for x in vertices),
-        cones_checked=cones,
-        ok=not failures,
-        failures=tuple(failures[:5]),
-    )
+                    yield (P, Q), (tau,)
+
+    cert = _certify("isocomma", "isocone", apex, (p, q), (phi,), isocones, vertices)
+    return LimitWitness(apex, (p, q), (phi,), cert, label=apex.label)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +368,7 @@ def pseudolimit_of_arrow(
     power_a = functor_category(free_iso, A, budget)
     cod_b = evaluation_functor(power_b, "1")
     dom_b = evaluation_functor(power_b, "0")
-    pb = pullback_strict(f, cod_b, vertices=vertices or default_vertices())
+    pb = pullback_strict(f, cod_b, vertices=vertices)
     L: TupleCat = pb.apex
     u, p = pb.projections
     v = p.then(dom_b)
@@ -509,7 +517,7 @@ def inserter(
         raise StructureError("endpoint restriction failed the discrete isofibration check")
     power2 = functor_category(builtin("two_discrete"), B, budget)
     pairing = functor_into_power([f, g], power2)
-    pb = pullback_strict(pairing, restriction, vertices=vertices or default_vertices())
+    pb = pullback_strict(pairing, restriction, vertices=vertices)
     apex: TupleCat = pb.apex
     to_a = pb.projections[0]
     power_arrow = functor_category(builtin("arrow"), B, budget)
@@ -538,7 +546,7 @@ def equifier(
         raise StructureError("fold restriction failed the discrete isofibration check")
     power_pp = functor_category(builtin("parallel_pair"), B, budget)
     pairing = cells_into_power([t1, t2], power_pp)
-    pb = pullback_strict(pairing, restriction, vertices=vertices or default_vertices())
+    pb = pullback_strict(pairing, restriction, vertices=vertices)
     to_a = pb.projections[0]
     return LimitWitness(pb.apex, (to_a,), (), pb.certificate, label="equifier")
 
@@ -623,7 +631,7 @@ def build_normal_pullback(
     if cleavage.fibration != f:
         raise StructureError("cleavage does not belong to the left leg")
     C = f.target
-    ic = isocomma(f, g, vertices=vertices or default_vertices())
+    ic = isocomma(f, g, vertices=vertices)
     P: TupleCat = ic.apex
     p, q = ic.projections
     phi = ic.structure_cells[0]
@@ -650,8 +658,8 @@ def build_normal_pullback(
     splitting = split_idempotent(e)
     i = splitting.inclusion
     proj1, proj2 = i.then(p), i.then(q)
-    cert = _certify_pullback(
-        splitting.apex, proj1, proj2, f, g, vertices or default_vertices()
+    cert = _certify(
+        "pullback", "cone", splitting.apex, (proj1, proj2), (), _pullback_cones(f, g), vertices
     )
     witness = LimitWitness(
         splitting.apex, (proj1, proj2), (), cert, label=f"pb_nif({f.label},{g.label})"
@@ -711,7 +719,7 @@ def strict_tower_limit(base: FinCat, maps, vertices=None) -> LimitWitness:
     apex: FinCat = base
     projections: list[FinFunctor] = [identity_functor(base)]
     for k, f in enumerate(maps):
-        pb = pullback_strict(projections[k], f, vertices=vertices or default_vertices())
+        pb = pullback_strict(projections[k], f, vertices=vertices)
         to_prev = pb.projections[0]
         projections = [to_prev.then(pr) for pr in projections]
         projections.append(pb.projections[1])
@@ -738,7 +746,6 @@ def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit
         for f, cl in zip(maps, cleavages):
             if cl.fibration != f:
                 raise StructureError("cleavage list does not match the tower maps")
-    verts = vertices or default_vertices()
 
     # pseudolimit as iterated isocomma
     P: FinCat = base
@@ -746,7 +753,7 @@ def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit
     projections: list[FinFunctor] = [identity_functor(base)]
     consecutive: list[NatTrans] = []  # π^{k+1}_k, re-whiskered as stages grow
     for k, f in enumerate(maps):
-        ic = isocomma(projections[k], f, vertices=verts)
+        ic = isocomma(projections[k], f, vertices=vertices)
         stage: TupleCat = ic.apex
         to_prev, to_new = ic.projections
         phi = ic.structure_cells[0]
@@ -795,7 +802,16 @@ def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit
         assert limit_projs[k + 1].then(f) == limit_projs[k]
 
     # Step 5: factorization and uniqueness against the test vertices
-    cert = _certify_tower(splitting.apex, limit_projs, base, maps, verts)
+    strict = strict_tower_limit(base, maps)
+
+    def strict_cones(X: FinCat):
+        """Strict cones S∘pr from a vertex X, one per S : X → strict limit."""
+        for S in enumerate_functors(X, strict.apex):
+            yield [S.then(pr) for pr in strict.projections], ()
+
+    cert = _certify(
+        "tower", "strict cone", splitting.apex, limit_projs, (), strict_cones, vertices
+    )
     witness = LimitWitness(splitting.apex, limit_projs, (), cert, label="tower_limit")
     return TowerLimit(
         base=base,
@@ -852,44 +868,6 @@ def _tower_idempotent(P, stages, cats, cone) -> FinFunctor:
     return FinFunctor(P, P, omap, mmap, label="tower_idempotent")
 
 
-def _certify_tower(apex, limit_projs, base, maps, vertices) -> Certificate:
-    cones, failures = 0, []
-    strict = strict_tower_limit(base, maps)
-    for X in vertices:
-        for S in enumerate_functors(X, strict.apex):
-            legs = [S.then(pr) for pr in strict.projections]
-            cones += 1
-            omap_choices = {
-                x: [
-                    o
-                    for o in apex.objects
-                    if all(pr.ob(o) == leg.ob(x) for pr, leg in zip(limit_projs, legs))
-                ]
-                for x in X.objects
-            }
-            mmap_choices = {
-                m.name: [
-                    mm.name
-                    for mm in apex.morphisms
-                    if all(
-                        pr.mor(mm.name) == leg.mor(m.name)
-                        for pr, leg in zip(limit_projs, legs)
-                    )
-                ]
-                for m in X.morphisms
-            }
-            hits = _factorization_count(apex, X, omap_choices, mmap_choices)
-            if hits != 1:
-                failures.append(f"vertex {X.label}: strict cone has {hits} factorizations")
-    return Certificate(
-        kind="tower",
-        vertices=tuple(x.label for x in vertices),
-        cones_checked=cones,
-        ok=not failures,
-        failures=tuple(failures[:5]),
-    )
-
-
 def tower_alignment_check(tl: TowerLimit) -> bool:
     """For every generalized element of the pseudolimit (all objects, i.e.
     cones from the terminal category, and all morphisms, i.e. cones from the
@@ -931,24 +909,5 @@ def find_isomorphism_over(w1: LimitWitness, w2: LimitWitness) -> FinFunctor | No
     """An isomorphism of apexes commuting with all projections."""
     if len(w1.projections) != len(w2.projections):
         return None
-    A, B = w1.apex, w2.apex
-    omap_choices = {
-        o: [
-            o2
-            for o2 in B.objects
-            if all(p2.ob(o2) == p1.ob(o) for p1, p2 in zip(w1.projections, w2.projections))
-        ]
-        for o in A.objects
-    }
-    mmap_choices = {
-        m.name: [
-            m2.name
-            for m2 in B.morphisms
-            if all(
-                p2.mor(m2.name) == p1.mor(m.name)
-                for p1, p2 in zip(w1.projections, w2.projections)
-            )
-        ]
-        for m in A.morphisms
-    }
-    return find_isomorphism(A, B, omap_choices, mmap_choices)
+    choices = _leg_index(w2.apex, w2.projections)
+    return find_isomorphism(w1.apex, w2.apex, *choices(w1.apex, w1.projections))

@@ -1,11 +1,20 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is written directly against the raw tables, with no calls
-into the construction code it checks.
+into the construction code it checks.  The certificate references replay a
+universal property by filtering the whole apex for every cone, as the
+library did before it indexed the apex by leg images; they take their
+cones from the enumerators, which are checked against brute force.
 """
 from itertools import product
 
-from fincat.core import FinCat, FinFunctor
+from fincat.core import (
+    FinCat,
+    FinFunctor,
+    enumerate_functors,
+    enumerate_transformations,
+    find_isomorphism,
+)
 
 
 def scan_associativity(cat: FinCat):
@@ -106,3 +115,148 @@ def brute_force_nat_transformations(F, G):
         if ok:
             out.append(parts)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Universal-property certificates by scanning the whole apex for every cone
+# (the library's code before it indexed the apex by leg images)
+
+
+def _certificate(kind, vertices, cones, failures):
+    from fincat.limits import Certificate
+
+    return Certificate(
+        kind=kind,
+        vertices=tuple(x.label for x in vertices),
+        cones_checked=cones,
+        ok=not failures,
+        failures=tuple(failures[:5]),
+    )
+
+
+def _factorization_count(apex, vertex, omap_choices, mmap_choices) -> int:
+    return len(list(enumerate_functors(vertex, apex, omap_choices, mmap_choices, limit=2)))
+
+
+def scan_certify_pullback(apex, p, q, F, G, vertices):
+    cones, failures = 0, []
+    for X in vertices:
+        rights = list(enumerate_functors(X, G.source))
+        for P in enumerate_functors(X, F.source):
+            PF = P.then(F)
+            for Q in rights:
+                if PF != Q.then(G):
+                    continue
+                cones += 1
+                omap_choices = {
+                    x: [o for o in apex.objects if p.ob(o) == P.ob(x) and q.ob(o) == Q.ob(x)]
+                    for x in X.objects
+                }
+                mmap_choices = {
+                    m.name: [
+                        n.name
+                        for n in apex.morphisms
+                        if p.mor(n.name) == P.mor(m.name) and q.mor(n.name) == Q.mor(m.name)
+                    ]
+                    for m in X.morphisms
+                }
+                hits = _factorization_count(apex, X, omap_choices, mmap_choices)
+                if hits != 1:
+                    failures.append(f"vertex {X.label}: cone has {hits} factorizations")
+    return _certificate("pullback", vertices, cones, failures)
+
+
+def scan_certify_isocomma(apex, p, q, phi, F, G, vertices):
+    cones, failures = 0, []
+    for X in vertices:
+        rights = list(enumerate_functors(X, G.source))
+        for P in enumerate_functors(X, F.source):
+            for Q in rights:
+                for tau in enumerate_transformations(
+                    Q.then(G), P.then(F), invertible_only=True
+                ):
+                    cones += 1
+                    omap_choices = {
+                        x: [
+                            o
+                            for o in apex.objects
+                            if p.ob(o) == P.ob(x)
+                            and q.ob(o) == Q.ob(x)
+                            and phi.component(o) == tau.component(x)
+                        ]
+                        for x in X.objects
+                    }
+                    mmap_choices = {
+                        m.name: [
+                            n.name
+                            for n in apex.morphisms
+                            if p.mor(n.name) == P.mor(m.name)
+                            and q.mor(n.name) == Q.mor(m.name)
+                        ]
+                        for m in X.morphisms
+                    }
+                    hits = _factorization_count(apex, X, omap_choices, mmap_choices)
+                    if hits != 1:
+                        failures.append(
+                            f"vertex {X.label}: isocone has {hits} factorizations"
+                        )
+    return _certificate("isocomma", vertices, cones, failures)
+
+
+def scan_certify_tower(apex, limit_projs, strict, vertices):
+    """``strict`` is the strict tower limit whose cones are replayed."""
+    cones, failures = 0, []
+    for X in vertices:
+        for S in enumerate_functors(X, strict.apex):
+            legs = [S.then(pr) for pr in strict.projections]
+            cones += 1
+            omap_choices = {
+                x: [
+                    o
+                    for o in apex.objects
+                    if all(pr.ob(o) == leg.ob(x) for pr, leg in zip(limit_projs, legs))
+                ]
+                for x in X.objects
+            }
+            mmap_choices = {
+                m.name: [
+                    mm.name
+                    for mm in apex.morphisms
+                    if all(
+                        pr.mor(mm.name) == leg.mor(m.name)
+                        for pr, leg in zip(limit_projs, legs)
+                    )
+                ]
+                for m in X.morphisms
+            }
+            hits = _factorization_count(apex, X, omap_choices, mmap_choices)
+            if hits != 1:
+                failures.append(f"vertex {X.label}: strict cone has {hits} factorizations")
+    return _certificate("tower", vertices, cones, failures)
+
+
+def scan_isomorphism_over(w1, w2):
+    """An isomorphism of apexes commuting with all projections, or None."""
+    if len(w1.projections) != len(w2.projections):
+        return None
+    A, B = w1.apex, w2.apex
+    omap_choices = {
+        o: [
+            o2
+            for o2 in B.objects
+            if all(p2.ob(o2) == p1.ob(o) for p1, p2 in zip(w1.projections, w2.projections))
+        ]
+        for o in A.objects
+    }
+    mmap_choices = {
+        m.name: [
+            m2.name
+            for m2 in B.morphisms
+            if all(
+                p2.mor(m2.name) == p1.mor(m.name)
+                for p1, p2 in zip(w1.projections, w2.projections)
+            )
+        ]
+        for m in A.morphisms
+    }
+    return find_isomorphism(A, B, omap_choices, mmap_choices)

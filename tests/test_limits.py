@@ -18,6 +18,8 @@ from fincat.equivalence import classify_equivalence
 from fincat.fibrations import classify_fibration, perturbed_cleavage
 from fincat.funcat import evaluation_functor, functor_category
 from fincat.limits import (
+    _certify,
+    _pullback_cones,
     build_normal_pullback,
     equifier,
     find_isomorphism_over,
@@ -64,6 +66,21 @@ def test_pullback_certificate_counts_cones():
     A = builtin("arrow")
     w = pullback_strict(identity_functor(A), identity_functor(A))
     assert w.certificate.cones_checked > 0
+
+
+@pytest.mark.parametrize("apex, hits", [("two_discrete", 2), ("discrete(0)", 0)])
+def test_certificate_reports_cones_that_do_not_factor_once(apex, hits):
+    # the pullback of 1 → 1 ← 1 is 1; two points over it, or none, are not
+    one = identity_functor(builtin("terminal"))
+    P = builtin(apex)
+    leg = to_terminal(P)
+    cert = _certify("pullback", "cone", P, (leg, leg), (), _pullback_cones(one, one), None)
+    assert not cert.ok
+    assert cert.cones_checked == 2
+    assert cert.failures == (
+        f"vertex terminal: cone has {hits} factorizations",
+        f"vertex arrow: cone has {hits} factorizations",
+    )
 
 
 # -- isocomma ----------------------------------------------------------------
