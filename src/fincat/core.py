@@ -119,6 +119,18 @@ class Morphism(NamedTuple):
     cod: str
 
 
+def composable_morphisms(morphisms) -> Iterator[tuple[Morphism, Morphism]]:
+    """Pairs (g, f) of a morphism list with dom g = cod f: for each g in
+    order, the morphisms into dom g in order.  Builders of composition
+    tables walk this instead of testing all pairs."""
+    into: dict[str, list[Morphism]] = {}
+    for m in morphisms:
+        into.setdefault(m.cod, []).append(m)
+    for g in morphisms:
+        for f in into.get(g.dom, ()):
+            yield g, f
+
+
 def _canon_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 

@@ -30,6 +30,7 @@ from .core import (
     builtin,
     builtin_functor,
     chaotic_category,
+    composable_morphisms,
     discrete_category,
     enumerate_functors,
     enumerate_transformations,
@@ -184,15 +185,12 @@ def arrow_hom_category(X: FinFunctor, A: FinFunctor) -> ArrowHom:
             (f"q{i}", f"q{i}", tuple(sorted(id0.items())), tuple(sorted(id1.items())))
         ]
     comp = {}
-    for m1 in morphisms:
+    for m1, m2 in composable_morphisms(morphisms):
         t0a, t1a = cells[m1.name]
-        for m2 in morphisms:
-            if m2.cod != m1.dom:
-                continue
-            t0b, t1b = cells[m2.name]
-            comp[(m1.name, m2.name)] = lookup[
-                _cell_key(m2.dom, m1.cod, t0b.then(t0a), t1b.then(t1a))
-            ]
+        t0b, t1b = cells[m2.name]
+        comp[(m1.name, m2.name)] = lookup[
+            _cell_key(m2.dom, m1.cod, t0b.then(t0a), t1b.then(t1a))
+        ]
     cat = FinCat(obj_names, morphisms, identity, comp, label=f"[{X.label},{A.label}]")
     return ArrowHom(category=cat, squares=squares, cells=cells, lookup=lookup)
 

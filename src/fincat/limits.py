@@ -24,6 +24,7 @@ from .core import (
     StructureError,
     builtin,
     builtin_functor,
+    composable_morphisms,
     enumerate_functors,
     enumerate_transformations,
     find_isomorphism,
@@ -191,13 +192,10 @@ def pullback_strict(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness
         name: f"({A.id_of(a)}|{B.id_of(b)})" for name, (a, b) in obj_parts.items()
     }
     comp = {}
-    for m1 in morphisms:
+    for m1, m2 in composable_morphisms(morphisms):
         g1, g2 = mor_parts[m1.name]
-        for m2 in morphisms:
-            if m1.dom != m2.cod:
-                continue
-            f1, f2 = mor_parts[m2.name]
-            comp[(m1.name, m2.name)] = f"({A.compose(g1, f1)}|{B.compose(g2, f2)})"
+        f1, f2 = mor_parts[m2.name]
+        comp[(m1.name, m2.name)] = f"({A.compose(g1, f1)}|{B.compose(g2, f2)})"
     apex = TupleCat(
         objects, morphisms, identity, comp,
         label=f"pb({F.label},{G.label})",
@@ -272,15 +270,12 @@ def isocomma(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness:
     }
     lookup = {(m.dom, m.cod, mor_parts[m.name]): m.name for m in morphisms}
     comp = {}
-    for m1 in morphisms:
+    for m1, m2 in composable_morphisms(morphisms):
         g1, g2 = mor_parts[m1.name]
-        for m2 in morphisms:
-            if m2.cod != m1.dom:
-                continue
-            f1, f2 = mor_parts[m2.name]
-            comp[(m1.name, m2.name)] = lookup[
-                (m2.dom, m1.cod, (A.compose(g1, f1), B.compose(g2, f2)))
-            ]
+        f1, f2 = mor_parts[m2.name]
+        comp[(m1.name, m2.name)] = lookup[
+            (m2.dom, m1.cod, (A.compose(g1, f1), B.compose(g2, f2)))
+        ]
     apex = TupleCat(
         objects, morphisms, identity, comp,
         label=f"isocomma({F.label},{G.label})",
@@ -578,7 +573,8 @@ def split_idempotent(e: FinFunctor) -> IdempotentSplitting:
     morphisms = [m for m in C.morphisms if m.name in kept]
     identity = {a: C.id_of(a) for a in objects}
     comp = {
-        (g, f): C.compose(g, f) for g in kept for f in kept if C.dom(g) == C.cod(f)
+        (g.name, f.name): C.compose(g.name, f.name)
+        for g, f in composable_morphisms(morphisms)
     }
     apex = FinCat(objects, morphisms, identity, comp, label=f"split({e.label})")
     inclusion = FinFunctor(

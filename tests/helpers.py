@@ -4,7 +4,10 @@ Everything here is written directly against the raw tables, with no calls
 into the construction code it checks.  The certificate references replay a
 universal property by filtering the whole apex for every cone, as the
 library did before it indexed the apex by leg images; they take their
-cones from the enumerators, which are checked against brute force.
+cones from the enumerators, which are checked against brute force.  The
+lifting-sweep references filter every candidate square, as the library did
+before it solved the square equation for the bottom map; they reuse the
+library's split-map selection, retractions, sections and greedy filler.
 """
 from itertools import product
 
@@ -14,6 +17,15 @@ from fincat.core import (
     enumerate_functors,
     enumerate_transformations,
     find_isomorphism,
+)
+from fincat.cosmos import (
+    NipResult,
+    _ArrowSpace,
+    _finset_filler,
+    _ser_arrow,
+    _ser_sq,
+    _split_epis,
+    _split_monos,
 )
 
 
@@ -260,3 +272,119 @@ def scan_isomorphism_over(w1, w2):
         for m in A.morphisms
     }
     return find_isomorphism(A, B, omap_choices, mmap_choices)
+
+
+# ---------------------------------------------------------------------------
+# Split-mono / split-epi lifting sweeps by filtering every candidate square
+# (the library's code before it solved the square equation for the bottom)
+
+
+class FilterArrowSpace(_ArrowSpace):
+    """The library's arrow space with each hom set filtered from all pairs
+    of level maps; its split-mono / split-epi selection, retractions and
+    sections run over these hom sets."""
+
+    def homs(self, X, Y):
+        key = (X, Y)
+        if key not in self._homs:
+            self._homs[key] = filter_arrow_homs(X, Y)
+        return self._homs[key]
+
+
+def _maps(a, b):
+    return list(product(range(b), repeat=a))
+
+
+def _after(g, f):
+    return tuple(g[x] for x in f)
+
+
+def filter_arrow_homs(X, Y):
+    """Commuting squares X → Y: every (f0, f1) with f1∘u = v∘f0."""
+    x0, x1, u = X
+    y0, y1, v = Y
+    out = []
+    for f0 in _maps(x0, y0):
+        left = _after(v, f0)
+        for f1 in _maps(x1, y1):
+            if _after(f1, u) == left:
+                out.append((f0, f1))
+    return out
+
+
+def filter_nip_finset(size_bound):
+    checked = 0
+    sizes = range(size_bound + 1)
+    quads = sorted(product(sizes, sizes, sizes, sizes), key=lambda q: (sum(q), q))
+    for a, b, c, d in quads:
+        monos = _split_monos(a, b)
+        epis = _split_epis(c, d)
+        if not monos or not epis:
+            continue
+        for i in monos:
+            for p in epis:
+                for top in _maps(a, c):
+                    pt = _after(p, top)
+                    for bottom in _maps(b, d):
+                        if _after(bottom, i) != pt:
+                            continue
+                        checked += 1
+                        if _finset_filler(i, a, b, p, c, d, top, bottom) is not None:
+                            continue
+                        if not any(
+                            _after(hh, i) == top and _after(p, hh) == bottom
+                            for hh in _maps(b, c)
+                        ):
+                            return NipResult(
+                                "finset", size_bound, False, checked,
+                                {
+                                    "i": list(i), "p": list(p),
+                                    "top": list(top), "bottom": list(bottom),
+                                    "sizes": [a, b, c, d],
+                                },
+                            )
+    return NipResult("finset", size_bound, True, checked, None)
+
+
+def filter_nip_finset_arrow(size_bound):
+    def after(g, f):
+        return (_after(g[0], f[0]), _after(g[1], f[1]))
+
+    space = FilterArrowSpace(size_bound)
+    objects = space.objects
+    mono_buckets, epi_buckets = {}, {}
+    for A in objects:
+        for B in objects:
+            s = A[0] + A[1] + B[0] + B[1]
+            for i in space.split_monos(A, B):
+                mono_buckets.setdefault(s, []).append((A, B, i))
+            for p in space.split_epis(A, B):
+                epi_buckets.setdefault(s, []).append((A, B, p))
+    checked = 0
+    for total in range(0, 8 * size_bound + 1):
+        for ms in range(0, total + 1):
+            for A, B, i in mono_buckets.get(ms, ()):
+                for C, D, p in epi_buckets.get(total - ms, ()):
+                    for top in space.homs(A, C):
+                        pt = after(p, top)
+                        for bottom in space.homs(B, D):
+                            if after(bottom, i) != pt:
+                                continue
+                            checked += 1
+                            if any(
+                                after(h, i) == top and after(p, h) == bottom
+                                for h in space.homs(B, C)
+                            ):
+                                continue
+                            return NipResult(
+                                "finset_arrow", size_bound, False, checked,
+                                {
+                                    "A": _ser_arrow(A), "B": _ser_arrow(B),
+                                    "C": _ser_arrow(C), "D": _ser_arrow(D),
+                                    "i": _ser_sq(i), "p": _ser_sq(p),
+                                    "top": _ser_sq(top), "bottom": _ser_sq(bottom),
+                                    "retraction_of_i": _ser_sq(space.retraction_of(i, A, B)),
+                                    "section_of_p": _ser_sq(space.section_of(p, C, D)),
+                                },
+                            )
+    return NipResult("finset_arrow", size_bound, True, checked, None)

@@ -135,6 +135,15 @@ def test_nip_command(workdir):
     assert payload(res)["result"]["all_fill"] is True
 
 
+@pytest.mark.parametrize(
+    "space, bound", [("finset", "-1"), ("finset-arrow", "-1"), ("finset-arrow", "4")]
+)
+def test_nip_command_refuses_bounds_out_of_range(workdir, space, bound):
+    res = invoke(["nip", "--space", space, "--size-bound", bound], workdir)
+    assert res.exit_code == 2
+    assert "StructureError" in res.output
+
+
 def test_nerve_command(workdir):
     res = invoke(["nerve", "--category", "arrow.json"], workdir)
     assert res.exit_code == 0

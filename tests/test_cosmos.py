@@ -71,6 +71,23 @@ def test_nip_rejects_oversized_bound():
         nip_square_filler("finset", 9)
     with pytest.raises(StructureError):
         nip_square_filler("mystery", 2)
+    with pytest.raises(StructureError, match="negative"):
+        nip_square_filler("finset", -1)
+
+
+def test_finset_arrow_above_bound_three_is_refused_before_construction(monkeypatch):
+    import fincat.cosmos as cosmos
+
+    def never(size_bound):
+        raise AssertionError(f"arrow space of bound {size_bound} was built")
+
+    monkeypatch.setattr(cosmos, "_ArrowSpace", never)
+    with pytest.raises(StructureError, match="exceeds the maximum 3"):
+        nip_square_filler("finset_arrow", 4)
+    with pytest.raises(StructureError, match="exceeds the maximum 3"):
+        nip_square_filler("finset_arrow", 4, maximum=9)
+    with pytest.raises(StructureError, match="negative"):
+        nip_square_filler("finset_arrow", -1)
 
 
 def test_split_enumeration_against_direct_counts():

@@ -1,0 +1,33 @@
+"""The lifting sweeps in ``fincat.cosmos``, which solve each square for its
+bottom map, against the sweeps that filter every candidate square, kept in
+``helpers`` as the reference: results, counts and counterexamples must be
+identical, and the arrow space's hom sets equal in order."""
+import pytest
+from helpers import filter_arrow_homs, filter_nip_finset, filter_nip_finset_arrow
+
+from fincat.cosmos import _ArrowSpace, nip_square_filler
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_finset_sweep_matches_the_filter(bound):
+    assert nip_square_filler("finset", bound).to_dict() == filter_nip_finset(bound).to_dict()
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_finset_arrow_sweep_matches_the_filter(bound):
+    res = nip_square_filler("finset_arrow", bound)
+    assert res.to_dict() == filter_nip_finset_arrow(bound).to_dict()
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_arrow_homs_match_the_filter_in_order(bound):
+    space = _ArrowSpace(bound)
+    for X in space.objects:
+        for Y in space.objects:
+            assert space.homs(X, Y) == filter_arrow_homs(X, Y), (X, Y)
+
+
+@pytest.mark.slow
+def test_finset_sweep_matches_the_filter_at_the_maximum_bound():
+    res = nip_square_filler("finset", 4)
+    assert res.to_dict() == filter_nip_finset(4).to_dict()
