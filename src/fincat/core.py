@@ -690,40 +690,62 @@ def validate_transformation(t: NatTrans, invertible: bool = False) -> NatTrans:
 # Builtin categories
 
 
-def _id_table(objects):
-    return {a: f"id_{a}" for a in objects}
+def thin_category(objects, morphisms, label: str) -> FinCat:
+    """The thin category (at most one morphism in each hom) on ``objects``
+    and ``morphisms``: the identity of a is the morphism a → a, and g∘f is
+    the morphism dom f → cod g.  Raises :class:`StructureError` when a hom
+    holds two morphisms or an identity or composite is missing."""
+    morphisms = [m if isinstance(m, Morphism) else Morphism(*m) for m in morphisms]
+    arrow_of: dict[tuple[str, str], str] = {}
+    for m in morphisms:
+        if (m.dom, m.cod) in arrow_of:
+            raise StructureError(
+                f"{label}: {arrow_of[m.dom, m.cod]} and {m.name} share the hom {m.dom} → {m.cod}"
+            )
+        arrow_of[m.dom, m.cod] = m.name
+    try:
+        identity = {a: arrow_of[a, a] for a in objects}
+        comp = {
+            (g.name, f.name): arrow_of[f.dom, g.cod] for g, f in composable_morphisms(morphisms)
+        }
+    except KeyError as exc:
+        a, b = exc.args[0]
+        raise StructureError(
+            f"{label}: no morphism {a} → {b} for an identity or composite"
+        ) from None
+    return FinCat(objects, morphisms, identity, comp, label=label)
 
 
-def _poset_cat(label, objects, nonid_arrows):
-    """Category with at most one morphism per hom; arrows given as (name, dom, cod)."""
-    morphisms = [Morphism(f"id_{a}", a, a) for a in objects]
-    morphisms += [Morphism(*t) for t in nonid_arrows]
-    arrow_of = {(m.dom, m.cod): m.name for m in morphisms}
-    comp = {}
-    for g in morphisms:
-        for f in morphisms:
-            if g.dom == f.cod:
-                key = (f.dom, g.cod)
-                if key not in arrow_of:
-                    raise StructureError(f"{label}: missing composite arrow {key}")
-                comp[(g.name, f.name)] = arrow_of[key]
-    return FinCat(objects, morphisms, _id_table(objects), comp, label=label)
+def thin_functor(source: FinCat, target: FinCat, omap, label: str) -> FinFunctor:
+    """The functor with object map ``omap`` sending each morphism to the
+    unique morphism between the images of its endpoints.  Raises
+    :class:`StructureError` when that hom of ``target`` is not a singleton."""
+    mmap = {}
+    for m in source.morphisms:
+        images = target.hom(omap[m.dom], omap[m.cod])
+        if len(images) != 1:
+            raise StructureError(
+                f"{label}: {m.name} has {len(images)} candidate images"
+                f" {omap[m.dom]} → {omap[m.cod]} in {target.label}, not one"
+            )
+        mmap[m.name] = images[0]
+    return FinFunctor(source, target, omap, mmap, label=label)
 
 
 def terminal_category() -> FinCat:
-    return _poset_cat("terminal", ["*"], [])
+    return thin_category(["*"], [("id_*", "*", "*")], "terminal")
 
 
 def discrete_category(n: int) -> FinCat:
     objs = [str(i) for i in range(n)]
-    morphisms = [Morphism(f"id_{a}", a, a) for a in objs]
-    comp = {(f"id_{a}", f"id_{a}"): f"id_{a}" for a in objs}
-    return FinCat(objs, morphisms, _id_table(objs), comp, label=f"discrete({n})")
+    return thin_category(objs, [(f"id_{a}", a, a) for a in objs], f"discrete({n})")
 
 
 def arrow_category() -> FinCat:
     """The generic arrow 0 → 1."""
-    return _poset_cat("arrow", ["0", "1"], [("a", "0", "1")])
+    return thin_category(
+        ["0", "1"], [("id_0", "0", "0"), ("id_1", "1", "1"), ("a", "0", "1")], "arrow"
+    )
 
 
 def parallel_pair_category() -> FinCat:
@@ -735,50 +757,28 @@ def parallel_pair_category() -> FinCat:
         Morphism("a0", "0", "1"),
         Morphism("a1", "0", "1"),
     ]
-    comp = {}
-    for g in morphisms:
-        for f in morphisms:
-            if g.dom == f.cod:
-                if f.name.startswith("id"):
-                    comp[(g.name, f.name)] = g.name
-                elif g.name.startswith("id"):
-                    comp[(g.name, f.name)] = f.name
-    return FinCat(objs, morphisms, _id_table(objs), comp, label="parallel_pair")
+    # a0 and a1 compose only with identities
+    comp = {
+        (g.name, f.name): g.name if f.name.startswith("id") else f.name
+        for g, f in composable_morphisms(morphisms)
+    }
+    return FinCat(objs, morphisms, {a: f"id_{a}" for a in objs}, comp, label="parallel_pair")
 
 
 def free_iso_category() -> FinCat:
     """Two objects joined by a pair of mutually inverse morphisms."""
-    objs = ["0", "1"]
-    morphisms = [
-        Morphism("id_0", "0", "0"),
-        Morphism("id_1", "1", "1"),
-        Morphism("to", "0", "1"),
-        Morphism("fro", "1", "0"),
-    ]
-    comp = {
-        ("id_0", "id_0"): "id_0",
-        ("id_1", "id_1"): "id_1",
-        ("to", "id_0"): "to",
-        ("id_1", "to"): "to",
-        ("fro", "id_1"): "fro",
-        ("id_0", "fro"): "fro",
-        ("fro", "to"): "id_0",
-        ("to", "fro"): "id_1",
-    }
-    return FinCat(objs, morphisms, _id_table(objs), comp, label="free_iso")
+    return thin_category(
+        ["0", "1"],
+        [("id_0", "0", "0"), ("id_1", "1", "1"), ("to", "0", "1"), ("fro", "1", "0")],
+        "free_iso",
+    )
 
 
 def chaotic_category(n: int) -> FinCat:
     """n objects with exactly one morphism between each ordered pair."""
     objs = [str(i) for i in range(n)]
-    morphisms = [Morphism(f"u{i}_{j}", str(i), str(j)) for i in range(n) for j in range(n)]
-    comp = {}
-    for g in morphisms:
-        for f in morphisms:
-            if g.dom == f.cod:
-                comp[(g.name, f.name)] = f"u{f.dom}_{g.cod}"
-    identity = {str(i): f"u{i}_{i}" for i in range(n)}
-    return FinCat(objs, morphisms, identity, comp, label=f"chaotic({n})")
+    morphisms = [(f"u{i}_{j}", str(i), str(j)) for i in range(n) for j in range(n)]
+    return thin_category(objs, morphisms, f"chaotic({n})")
 
 
 _PARAM_RE = re.compile(r"^(discrete|chaotic)\((\d+)\)$")
@@ -827,37 +827,17 @@ def builtin_functor(name: str) -> FinFunctor:
     Names: ``empty_to_terminal``, ``point_to_iso``, ``discrete_to_arrow``,
     ``collapse_parallel``, ``point_to_arrow_0``, ``point_to_arrow_1``.
     """
-    if name == "empty_to_terminal":
-        return FinFunctor(discrete_category(0), terminal_category(), {}, {}, label=name)
-    if name == "point_to_iso":
-        return FinFunctor(
-            terminal_category(), free_iso_category(), {"*": "0"}, {"id_*": "id_0"}, label=name
-        )
-    if name == "discrete_to_arrow":
-        return FinFunctor(
-            discrete_category(2),
-            arrow_category(),
-            {"0": "0", "1": "1"},
-            {"id_0": "id_0", "id_1": "id_1"},
-            label=name,
-        )
-    if name == "collapse_parallel":
-        return FinFunctor(
-            parallel_pair_category(),
-            arrow_category(),
-            {"0": "0", "1": "1"},
-            {"id_0": "id_0", "id_1": "id_1", "a0": "a", "a1": "a"},
-            label=name,
-        )
-    if name in ("point_to_arrow_0", "point_to_arrow_1"):
-        obj = name[-1]
-        return FinFunctor(
-            terminal_category(),
-            arrow_category(),
-            {"*": obj},
-            {"id_*": f"id_{obj}"},
-            label=name,
-        )
+    shapes = {
+        "empty_to_terminal": (lambda: discrete_category(0), terminal_category, {}),
+        "point_to_iso": (terminal_category, free_iso_category, {"*": "0"}),
+        "discrete_to_arrow": (lambda: discrete_category(2), arrow_category, {"0": "0", "1": "1"}),
+        "collapse_parallel": (parallel_pair_category, arrow_category, {"0": "0", "1": "1"}),
+        "point_to_arrow_0": (terminal_category, arrow_category, {"*": "0"}),
+        "point_to_arrow_1": (terminal_category, arrow_category, {"*": "1"}),
+    }
+    if name in shapes:
+        source, target, omap = shapes[name]
+        return thin_functor(source(), target(), omap, name)
     raise UnknownBuiltin(f"no builtin functor named {name!r}")
 
 

@@ -16,6 +16,8 @@ from .core import (
     builtin_functor,
     enumerate_functors,
     identity_functor,
+    thin_category,
+    thin_functor,
     validate_category,
     validate_functor,
 )
@@ -37,46 +39,21 @@ BUILTIN_NAMES = (
 def chain_poset(n: int) -> FinCat:
     """The linear order 0 < 1 < … < n-1 as a category."""
     objs = [str(i) for i in range(n)]
-    morphisms = [Morphism(f"id_{a}", a, a) for a in objs]
-    morphisms += [
-        Morphism(f"a{i}{j}", str(i), str(j)) for i in range(n) for j in range(i + 1, n)
-    ]
-    arrow_of = {(m.dom, m.cod): m.name for m in morphisms}
-    comp = {
-        (g.name, f.name): arrow_of[(f.dom, g.cod)]
-        for g in morphisms
-        for f in morphisms
-        if g.dom == f.cod
-    }
-    return FinCat(objs, morphisms, {a: f"id_{a}" for a in objs}, comp, label=f"chain({n})")
+    morphisms = [(f"id_{a}", a, a) for a in objs]
+    morphisms += [(f"a{i}{j}", str(i), str(j)) for i in range(n) for j in range(i + 1, n)]
+    return thin_category(objs, morphisms, f"chain({n})")
 
 
 def span_category() -> FinCat:
     objs = ["c", "l", "r"]
-    morphisms = [Morphism(f"id_{a}", a, a) for a in objs]
-    morphisms += [Morphism("sl", "c", "l"), Morphism("sr", "c", "r")]
-    arrow_of = {(m.dom, m.cod): m.name for m in morphisms}
-    comp = {
-        (g.name, f.name): arrow_of[(f.dom, g.cod)]
-        for g in morphisms
-        for f in morphisms
-        if g.dom == f.cod
-    }
-    return FinCat(objs, morphisms, {a: f"id_{a}" for a in objs}, comp, label="span")
+    morphisms = [(f"id_{a}", a, a) for a in objs] + [("sl", "c", "l"), ("sr", "c", "r")]
+    return thin_category(objs, morphisms, "span")
 
 
 def cospan_category() -> FinCat:
     objs = ["l", "c", "r"]
-    morphisms = [Morphism(f"id_{a}", a, a) for a in objs]
-    morphisms += [Morphism("tl", "l", "c"), Morphism("tr", "r", "c")]
-    arrow_of = {(m.dom, m.cod): m.name for m in morphisms}
-    comp = {
-        (g.name, f.name): arrow_of[(f.dom, g.cod)]
-        for g in morphisms
-        for f in morphisms
-        if g.dom == f.cod
-    }
-    return FinCat(objs, morphisms, {a: f"id_{a}" for a in objs}, comp, label="cospan")
+    morphisms = [(f"id_{a}", a, a) for a in objs] + [("tl", "l", "c"), ("tr", "r", "c")]
+    return thin_category(objs, morphisms, "cospan")
 
 
 def cyclic_group_category(n: int) -> FinCat:
@@ -112,35 +89,18 @@ def corpus_category(label: str) -> FinCat:
 
 
 def to_terminal_functor(cat: FinCat) -> FinFunctor:
-    one = builtin("terminal")
-    return FinFunctor(
-        cat,
-        one,
-        {a: "*" for a in cat.objects},
-        {m.name: "id_*" for m in cat.morphisms},
-        label=f"{cat.label}->1",
-    )
+    return thin_functor(cat, builtin("terminal"), {a: "*" for a in cat.objects}, f"{cat.label}->1")
 
 
 def chaotic_collapse() -> FinFunctor:
     """chaotic(3) → chaotic(2) sending object 2 to 0."""
     c3, c2 = builtin("chaotic(3)"), builtin("chaotic(2)")
-    omap = {"0": "0", "1": "1", "2": "0"}
-    mmap = {m.name: f"u{omap[m.dom]}_{omap[m.cod]}" for m in c3.morphisms}
-    return validate_functor(FinFunctor(c3, c2, omap, mmap, label="collapse32"))
+    return validate_functor(thin_functor(c3, c2, {"0": "0", "1": "1", "2": "0"}, "collapse32"))
 
 
 def iso_inclusion_into_chaotic() -> FinFunctor:
     iso, c2 = builtin("free_iso"), builtin("chaotic(2)")
-    return validate_functor(
-        FinFunctor(
-            iso,
-            c2,
-            {"0": "0", "1": "1"},
-            {"id_0": "u0_0", "id_1": "u1_1", "to": "u0_1", "fro": "u1_0"},
-            label="iso_into_chaotic",
-        )
-    )
+    return validate_functor(thin_functor(iso, c2, {"0": "0", "1": "1"}, "iso_into_chaotic"))
 
 
 def _sample_pair_functors(src: FinCat, dst: FinCat, per_pair: int = 2):

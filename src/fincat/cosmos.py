@@ -22,14 +22,15 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .core import (
+    LEIBNIZ_GENERATORS,
     EnumerationBudgetExceeded,
     FinCat,
-    FinFunctor,
     StructureError,
     builtin,
     builtin_functor,
     enumerate_functors,
     identity_functor,
+    thin_functor,
 )
 from .equivalence import EquivalenceWitness, classify_equivalence
 from .fibrations import classify_fibration
@@ -49,14 +50,6 @@ from .limits import (
     tower_limit,
 )
 from .wfs import leibniz_power
-
-LEIBNIZ_GENERATOR_NAMES = (
-    "empty_to_terminal",
-    "point_to_iso",
-    "discrete_to_arrow",
-    "collapse_parallel",
-)
-
 
 # ---------------------------------------------------------------------------
 # Fragment axiom checking
@@ -243,7 +236,7 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
         leg = strict_tower_limit(base, maps).projections[0]
         ok = pred(leg)
         stab.entries.append(ClauseEntry(desc, ok, "" if ok else "tower projection fails"))
-    for name in LEIBNIZ_GENERATOR_NAMES:
+    for name in LEIBNIZ_GENERATORS:
         j = builtin_functor(name)
         for p in chosen[:6]:
             desc = f"Leibniz power by {name} of {p.label} stays chosen"
@@ -259,10 +252,7 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
     one = builtin("terminal")
     for A in frag.objects:
         desc = f"{A.label} → terminal is chosen"
-        bang = FinFunctor(
-            A, one, {a: "*" for a in A.objects}, {m.name: "id_*" for m in A.morphisms}
-        )
-        ok = pred(bang)
+        ok = pred(thin_functor(A, one, {a: "*" for a in A.objects}, "functor"))
         stab.entries.append(ClauseEntry(desc, ok, "" if ok else "terminal map fails"))
     for p in chosen[:6]:
         for q in chosen[:6]:
@@ -630,29 +620,28 @@ def _ser_sq(f):
     return {"component0": list(f[0]), "component1": list(f[1])}
 
 
-NIP_MAX_BOUND = 4
-# At bound 4 the arrow space has 499 objects against 60 at bound 3, and
-# 249,001 object pairs to set up against 3,600: far beyond an interactive
-# run, so it is refused before the space is built.
-NIP_ARROW_MAX_BOUND = 3
+# The largest size bound each space accepts, checked before anything is
+# built.  At bound 4 the arrow space has 499 objects against 60 at bound 3,
+# and 249,001 object pairs to set up against 3,600: far beyond an
+# interactive run.
+NIP_MAX_BOUNDS = {"finset": 4, "finset_arrow": 3}
 
 
-def nip_square_filler(space: str, size_bound: int, maximum: int = NIP_MAX_BOUND) -> NipResult:
+def nip_square_filler(space: str, size_bound: int) -> NipResult:
     """Exhaustive (split mono, split epi) lifting search up to a size bound.
 
     ``space`` is ``finset`` or ``finset_arrow``.  Returns AllFill (as a
     result object) or the smallest counterexample in the enumeration order.
-    The bound must lie in ``0..maximum``, and in ``0..NIP_ARROW_MAX_BOUND``
-    for ``finset_arrow``.
+    The bound must lie in ``0..NIP_MAX_BOUNDS[space]``.
     """
     if size_bound < 0:
         raise StructureError(f"size bound {size_bound} is negative")
-    if space == "finset_arrow":
-        maximum = min(maximum, NIP_ARROW_MAX_BOUND)
-    if size_bound > maximum:
-        raise StructureError(f"size bound {size_bound} exceeds the maximum {maximum}")
+    if space not in NIP_MAX_BOUNDS:
+        raise StructureError(f"unknown space {space!r}")
+    if size_bound > NIP_MAX_BOUNDS[space]:
+        raise StructureError(
+            f"size bound {size_bound} exceeds the maximum {NIP_MAX_BOUNDS[space]}"
+        )
     if space == "finset":
         return _nip_finset(size_bound)
-    if space == "finset_arrow":
-        return _nip_finset_arrow(size_bound)
-    raise StructureError(f"unknown space {space!r}")
+    return _nip_finset_arrow(size_bound)

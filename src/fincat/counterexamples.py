@@ -36,6 +36,8 @@ from .core import (
     enumerate_transformations,
     identity_functor,
     terminal_category,
+    thin_category,
+    thin_functor,
     validate_functor,
 )
 from .cosmos import nip_square_filler
@@ -223,7 +225,7 @@ def default_arrow_test_objects() -> tuple[FinFunctor, ...]:
     two = discrete_category(2)
     return (
         identity_functor(one),
-        FinFunctor(two, one, {"0": "*", "1": "*"}, {"id_0": "id_*", "id_1": "id_*"}, label="2→1"),
+        thin_functor(two, one, {"0": "*", "1": "*"}, "2→1"),
     )
 
 
@@ -247,12 +249,9 @@ def groth_leibniz() -> Witness:
     restriction = precompose_functor(j, two)
     report = classify_fibration(restriction)
     fail = report.failures.get("grothendieck", (None, None, None, None))
-    lp = leibniz_power(j, FinFunctor(
-        two, builtin("terminal"),
-        {a: "*" for a in two.objects},
-        {m.name: "id_*" for m in two.morphisms},
-        label="arrow→1",
-    ))
+    lp = leibniz_power(
+        j, thin_functor(two, builtin("terminal"), {a: "*" for a in two.objects}, "arrow→1")
+    )
     same = find_arrow_isomorphism(lp.induced, restriction)
     locus = f"{fail[2]} -> {fail[3]} at {fail[0]}"
     claims = [
@@ -282,25 +281,19 @@ def groth_leibniz() -> Witness:
 # nip_cat2
 
 
-def _chaotic_functor(fn, src: FinCat, dst: FinCat) -> FinFunctor:
-    """Functor between chaotic categories induced by an object map."""
-    omap = {str(i): str(fn[i]) for i in range(src.n_objects)}
-    mmap = {
-        m.name: f"u{omap[m.dom]}_{omap[m.cod]}" for m in src.morphisms
-    }
-    return FinFunctor(src, dst, omap, mmap)
-
-
 def nip_cat2() -> Witness:
     res = nip_square_filler("finset_arrow", 3)
     claims = [Claim("unfillable square exists at size bound 3", True, not res.all_fill)]
     ce = res.counterexample
     if ce is not None:
         # lift the square to chaotic categories and replay it there
+        def on_objects(fn):
+            return {str(i): str(x) for i, x in enumerate(fn)}
+
         def chaotic_arrow(obj):
             src = chaotic_category(obj["source_size"])
             dst = chaotic_category(obj["target_size"])
-            return _chaotic_functor(obj["map"], src, dst)
+            return thin_functor(src, dst, on_objects(obj["map"]), "functor")
 
         A = chaotic_arrow(ce["A"])
         B = chaotic_arrow(ce["B"])
@@ -311,8 +304,8 @@ def nip_cat2() -> Witness:
             return ArrowMorphism(
                 source=src,
                 target=dst,
-                level0=_chaotic_functor(f["component0"], src.source, dst.source),
-                level1=_chaotic_functor(f["component1"], src.target, dst.target),
+                level0=thin_functor(src.source, dst.source, on_objects(f["component0"]), "functor"),
+                level1=thin_functor(src.target, dst.target, on_objects(f["component1"]), "functor"),
             ).validate()
 
         i = square(ce["i"], A, B)
@@ -394,70 +387,37 @@ def build_fy(k: int, alpha: int):
     for size in range(1, alpha):
         subsets.extend(combinations(range(k), size))
     subset_names = [_subset_name(s) for s in subsets]
-    s_objects = subset_names
-    s_morphisms = [
-        Morphism(f"c{i}_{j}", subset_names[i], subset_names[j])
-        for i in range(len(subsets))
-        for j in range(len(subsets))
-    ]
-    s_comp = {}
-    for g in s_morphisms:
-        for f in s_morphisms:
-            if g.dom == f.cod:
-                i = subset_names.index(f.dom)
-                j = subset_names.index(g.cod)
-                s_comp[(g.name, f.name)] = f"c{i}_{j}"
-    s_identity = {
-        subset_names[i]: f"c{i}_{i}" for i in range(len(subsets))
-    }
-    S = FinCat(s_objects, s_morphisms, s_identity, s_comp, label=f"S({k},<{alpha})")
+    S = thin_category(
+        subset_names,
+        [
+            (f"c{i}_{j}", subset_names[i], subset_names[j])
+            for i in range(len(subsets))
+            for j in range(len(subsets))
+        ],
+        f"S({k},<{alpha})",
+    )
 
-    pairs = [
-        (i, x) for i, subset in enumerate(subsets) for x in subset
-    ]
+    pairs = [(i, x) for i, subset in enumerate(subsets) for x in subset]
     p_objects = [f"({subset_names[i]},{x})" for i, x in pairs]
-    p_morphisms = []
-    for a, (i, x) in enumerate(pairs):
-        for b, (j, y) in enumerate(pairs):
-            if x == y:
-                p_morphisms.append(
-                    Morphism(f"w{a}_{b}", p_objects[a], p_objects[b])
-                )
-    index_of = {name: t for name, t in zip(p_objects, pairs)}
-    p_comp = {}
-    pos = {name: a for a, name in enumerate(p_objects)}
-    for g in p_morphisms:
-        for f in p_morphisms:
-            if g.dom == f.cod:
-                p_comp[(g.name, f.name)] = f"w{pos[f.dom]}_{pos[g.cod]}"
-    p_identity = {name: f"w{pos[name]}_{pos[name]}" for name in p_objects}
-    P = FinCat(p_objects, p_morphisms, p_identity, p_comp, label=f"P({k},<{alpha})")
+    P = thin_category(
+        p_objects,
+        [
+            (f"w{a}_{b}", p_objects[a], p_objects[b])
+            for a, (_, x) in enumerate(pairs)
+            for b, (_, y) in enumerate(pairs)
+            if x == y
+        ],
+        f"P({k},<{alpha})",
+    )
 
-    left_leg = FinFunctor(
-        P,
-        S,
-        {name: subset_names[index_of[name][0]] for name in p_objects},
-        {
-            m.name: f"c{index_of[m.dom][0]}_{index_of[m.cod][0]}"
-            for m in p_morphisms
-        },
-        label="pairs→subsets",
+    left_leg = thin_functor(
+        P, S, {name: subset_names[i] for name, (i, _) in zip(p_objects, pairs)}, "pairs→subsets"
     )
-    pi = FinFunctor(
-        P,
-        Y,
-        {name: str(index_of[name][1]) for name in p_objects},
-        {m.name: f"id_{index_of[m.dom][1]}" for m in p_morphisms},
-        label="pairs→points",
+    pi = thin_functor(
+        P, Y, {name: str(x) for name, (_, x) in zip(p_objects, pairs)}, "pairs→points"
     )
-    sigma = FinFunctor(
-        S, one, {a: "*" for a in S.objects}, {m.name: "id_*" for m in S.morphisms},
-        label="subsets→1",
-    )
-    bang = FinFunctor(
-        Y, one, {a: "*" for a in Y.objects}, {m.name: "id_*" for m in Y.morphisms},
-        label="points→1",
-    )
+    sigma = thin_functor(S, one, {a: "*" for a in S.objects}, "subsets→1")
+    bang = thin_functor(Y, one, {a: "*" for a in Y.objects}, "points→1")
     validate_functor(left_leg)
     validate_functor(pi)
     f = ArrowMorphism(source=left_leg, target=bang, level0=pi, level1=sigma).validate()

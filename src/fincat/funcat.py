@@ -19,6 +19,7 @@ from .core import (
     Morphism,
     NatTrans,
     StructureError,
+    composable_morphisms,
     enumerate_functors,
     enumerate_transformations,
 )
@@ -155,16 +156,10 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
                     identity.setdefault(fname, tname)
 
     comp: dict[tuple[str, str], str] = {}
-    by_name = {m.name: m for m in morphisms}
-    for g in morphisms:
-        tg = transformations[g.name]
-        for f in morphisms:
-            if g.dom != f.cod:
-                continue
-            tf = transformations[f.name]
-            composite = tf.then(tg)
-            comps = tuple(composite.component(a) for a in C.objects)
-            comp[(g.name, f.name)] = trans_lookup[(f.dom, g.cod, comps)]
+    for g, f in composable_morphisms(morphisms):
+        composite = transformations[f.name].then(transformations[g.name])
+        comps = tuple(composite.component(a) for a in C.objects)
+        comp[(g.name, f.name)] = trans_lookup[(f.dom, g.cod, comps)]
 
     fc = FunctorCat(
         names,
@@ -311,23 +306,25 @@ def product_category(A: FinCat, B: FinCat) -> FinCat:
     return FinCat(objects, morphisms, identity, comp, label=f"{A.label}×{B.label}")
 
 
-def product_projections(prod: FinCat, A: FinCat, B: FinCat) -> tuple[FinFunctor, FinFunctor]:
-    def split(name):
-        # names were assembled as "(left,right)" with balanced parentheses
-        depth = 0
-        for i, ch in enumerate(name):
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif ch == "," and depth == 1:
-                return name[1:i], name[i + 1 : -1]
-        raise StructureError(f"not a pair name: {name}")
+def split_pair_name(name: str) -> tuple[str, str]:
+    """The two halves of a name assembled as "(left,right)", where each half
+    has balanced parentheses and brackets."""
+    depth = 0
+    for i, ch in enumerate(name):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == "," and depth == 1:
+            return name[1:i], name[i + 1 : -1]
+    raise StructureError(f"not a pair name: {name}")
 
-    o1 = {o: split(o)[0] for o in prod.objects}
-    o2 = {o: split(o)[1] for o in prod.objects}
-    m1 = {m.name: split(m.name)[0] for m in prod.morphisms}
-    m2 = {m.name: split(m.name)[1] for m in prod.morphisms}
+
+def product_projections(prod: FinCat, A: FinCat, B: FinCat) -> tuple[FinFunctor, FinFunctor]:
+    o1 = {o: split_pair_name(o)[0] for o in prod.objects}
+    o2 = {o: split_pair_name(o)[1] for o in prod.objects}
+    m1 = {m.name: split_pair_name(m.name)[0] for m in prod.morphisms}
+    m2 = {m.name: split_pair_name(m.name)[1] for m in prod.morphisms}
     return (
         FinFunctor(prod, A, o1, m1, label="proj1"),
         FinFunctor(prod, B, o2, m2, label="proj2"),

@@ -25,6 +25,7 @@ from .core import (
     builtin,
     builtin_functor,
     composable_morphisms,
+    constant_functor,
     enumerate_functors,
     enumerate_transformations,
     find_isomorphism,
@@ -343,15 +344,9 @@ class PseudolimitOfArrow:
 def constant_iso_object(power: FunctorCat, b: str) -> str:
     """Name, in a power by the free isomorphism, of the constant functor at
     b (the generator maps to the identity)."""
-    I = power.source_category
-    B = power.target_category
-    F = FinFunctor(
-        I,
-        B,
-        {"0": b, "1": b},
-        {"id_0": B.id_of(b), "id_1": B.id_of(b), "to": B.id_of(b), "fro": B.id_of(b)},
+    return power.name_of_functor(
+        constant_functor(power.source_category, power.target_category, b)
     )
-    return power.name_of_functor(F)
 
 
 def pseudolimit_of_arrow(
@@ -865,10 +860,10 @@ def _tower_idempotent(P, stages, cats, cone) -> FinFunctor:
 
 
 def tower_alignment_check(tl: TowerLimit) -> bool:
-    """For every generalized element of the pseudolimit (all objects, i.e.
-    cones from the terminal category, and all morphisms, i.e. cones from the
-    generic arrow): the lifted-cone cells are all identities exactly when
-    the structure cells are all identities."""
+    """For every object of the pseudolimit (a cone from the terminal
+    category): the lifted-cone cells are all identities exactly when the
+    structure cells are all identities.  A morphism's alignment is that of
+    its endpoints, so objects are all there is to check."""
     P = tl.pseudolimit
     cats = [tl.base] + [f.source for f in tl.maps]
     for z in P.objects:
@@ -882,18 +877,6 @@ def tower_alignment_check(tl: TowerLimit) -> bool:
         )
         if alphas_id != pis_id:
             return False
-    for mor in P.morphisms:
-        for z in (mor.dom, mor.cod):
-            alphas_id = all(
-                cats[k].is_identity(tl.cone_cells[k].component(z))
-                for k in range(len(cats))
-            )
-            pis_id = all(
-                cats[n].is_identity(cell.component(z))
-                for (m, n), cell in tl.structure_cells.items()
-            )
-            if alphas_id != pis_id:
-                return False
     return True
 
 

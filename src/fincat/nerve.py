@@ -22,7 +22,7 @@ from .core import (
     StructureError,
     find_isomorphism,
 )
-from .funcat import DEFAULT_BUDGET, functor_category
+from .funcat import DEFAULT_BUDGET, functor_category, split_pair_name
 
 DEFAULT_WORD_BOUND = 4
 TOP_DIM = 3
@@ -219,18 +219,8 @@ def nerve_truncated(C: FinCat) -> TruncSSet:
     """Composable chains up to length 3, with composition faces and
     identity-insertion degeneracies."""
     chains1 = [(m.name,) for m in C.morphisms]
-    chains2 = [
-        (f, g)
-        for f in (m.name for m in C.morphisms)
-        for g in (m.name for m in C.morphisms)
-        if C.cod(f) == C.dom(g)
-    ]
-    chains3 = [
-        (f, g, h)
-        for (f, g) in chains2
-        for h in (m.name for m in C.morphisms)
-        if C.cod(g) == C.dom(h)
-    ]
+    chains2 = [(f.name, g) for f in C.morphisms for g in C.morphisms_from(f.cod)]
+    chains3 = [(f, g, h) for (f, g) in chains2 for h in C.morphisms_from(C.cod(g))]
 
     def name(chain):
         return "(" + ",".join(chain) + ")"
@@ -647,7 +637,7 @@ def _hom_sset_leveled(X: TruncSSet, NY: TruncSSet, dim: int):
         out = {}
         for d in range(TOP_DIM + 1):
             for s in Zfrom.simplices[d]:
-                alpha, x = _split_pair(s)
+                alpha, x = split_pair_name(s)
                 out[(d, s)] = mapping[(d, f"({word_map(alpha)},{x})")]
         return out
 
@@ -680,18 +670,6 @@ def _hom_sset_leveled(X: TruncSSet, NY: TruncSSet, dim: int):
                 table[f"T{k}_{j}"] = lookup[k + 1][key_of(moved)]
             degens[(k, i)] = table
     return names, faces, degens
-
-
-def _split_pair(name: str):
-    depth = 0
-    for i, ch in enumerate(name):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return name[1:i], name[i + 1 : -1]
-    raise StructureError(f"not a pair name: {name}")
 
 
 def _leveled_iso(levels1, faces1, degens1, levels2, faces2, degens2, dim: int):

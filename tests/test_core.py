@@ -20,6 +20,8 @@ from fincat.core import (
     enumerate_transformations,
     identity_functor,
     identity_nat,
+    thin_category,
+    thin_functor,
     validate_category,
     validate_functor,
     validate_transformation,
@@ -88,6 +90,32 @@ def test_comp_must_be_total():
     del partial[("g1", "g1")]
     with pytest.raises(StructureError):
         FinCat(z2.objects, z2.morphisms, z2.identity, partial)
+
+
+def test_thin_category_refuses_two_morphisms_in_one_hom():
+    with pytest.raises(StructureError, match="a0 and a1 share the hom 0 → 1"):
+        thin_category(
+            ["0", "1"],
+            [("id_0", "0", "0"), ("id_1", "1", "1"), ("a0", "0", "1"), ("a1", "0", "1")],
+            "parallel",
+        )
+
+
+def test_thin_category_refuses_a_missing_composite():
+    # 0 → 1 → 2 with no arrow 0 → 2
+    with pytest.raises(StructureError, match="no morphism 0 → 2"):
+        thin_category(
+            ["0", "1", "2"],
+            [("id_0", "0", "0"), ("id_1", "1", "1"), ("id_2", "2", "2"),
+             ("a", "0", "1"), ("b", "1", "2")],
+            "broken chain",
+        )
+
+
+def test_thin_functor_refuses_an_empty_hom():
+    # the arrow 0 → 1 cannot go to 1 → 0 in the generic arrow
+    with pytest.raises(StructureError, match="a has 0 candidate images 1 → 0"):
+        thin_functor(builtin("arrow"), builtin("arrow"), {"0": "1", "1": "0"}, "swap")
 
 
 def test_builtin_free_iso_counts():

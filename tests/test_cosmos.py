@@ -84,8 +84,6 @@ def test_finset_arrow_above_bound_three_is_refused_before_construction(monkeypat
     monkeypatch.setattr(cosmos, "_ArrowSpace", never)
     with pytest.raises(StructureError, match="exceeds the maximum 3"):
         nip_square_filler("finset_arrow", 4)
-    with pytest.raises(StructureError, match="exceeds the maximum 3"):
-        nip_square_filler("finset_arrow", 4, maximum=9)
     with pytest.raises(StructureError, match="negative"):
         nip_square_filler("finset_arrow", -1)
 
