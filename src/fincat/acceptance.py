@@ -36,7 +36,6 @@ from .wfs import (
     LiftingProblem,
     canonical_test_square,
     compute_wf,
-    exhaustive_fillers,
     factorize_wfs,
     has_filler,
     minimal_retract_witness,

@@ -25,7 +25,6 @@ from .core import (
     NotInvertible,
     NotNatural,
     StructureError,
-    validate_category,
 )
 from .cosmos import CosmosFragment, check_fragment, nip_square_filler
 from .counterexamples import run_counterexample
@@ -56,7 +55,6 @@ from .serialize import (
     load_json,
     load_sset,
     load_transformation,
-    transformation_from_node,
 )
 from .wfs import LiftingProblem, compute_wf, factorize_wfs, leibniz_power, solve_lifting
 
@@ -206,12 +204,17 @@ def lift(ctx, square_path):
     def worker():
         data = load_json(square_path)
         base = Path(square_path).parent
-        problem = LiftingProblem(
-            left=functor_from_node(data["i"], base),
-            right=functor_from_node(data["p"], base),
-            top=functor_from_node(data["top"], base),
-            bottom=functor_from_node(data["bottom"], base),
-        ).validate()
+        if not isinstance(data, dict):
+            raise StructureError("square: expected a JSON object")
+        edges = []  # left, right, top, bottom
+        for key in ("i", "p", "top", "bottom"):
+            if key not in data:
+                raise StructureError(f"square: missing {key!r}")
+            try:
+                edges.append(functor_from_node(data[key], base))
+            except StructureError as exc:
+                raise StructureError(f"{key}: {exc}") from exc
+        problem = LiftingProblem(*edges).validate()
         filler = solve_lifting(problem)
         return {
             "filler": functor_summary(filler),

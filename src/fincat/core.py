@@ -196,10 +196,6 @@ class FinCat:
     def obj_index(self) -> dict[str, int]:
         return {a: i for i, a in enumerate(self.objects)}
 
-    @cached_property
-    def mor_index(self) -> dict[str, int]:
-        return {m.name: i for i, m in enumerate(self.morphisms)}
-
     def mor(self, name: str) -> Morphism:
         return self._by_name[name]
 
@@ -218,15 +214,6 @@ class FinCat:
     def compose(self, g: str, f: str) -> str:
         """g∘f: first f, then g."""
         return self.comp[(g, f)]
-
-    def compose_path(self, names: Sequence[str]) -> str:
-        """Compose a path given in diagrammatic order (first arrow first)."""
-        if not names:
-            raise ValueError("empty path needs an explicit identity")
-        acc = names[0]
-        for nxt in names[1:]:
-            acc = self.compose(nxt, acc)
-        return acc
 
     @cached_property
     def _hom_table(self) -> dict[tuple[str, str], tuple[str, ...]]:
@@ -460,22 +447,8 @@ class FinFunctor:
             and len(set(self.mmap.values())) == self.source.n_morphisms == self.target.n_morphisms
         )
 
-    def inverse_functor(self) -> "FinFunctor":
-        if not self.is_isomorphism():
-            raise StructureError(f"{self.label} is not an isomorphism of categories")
-        return FinFunctor(
-            self.target,
-            self.source,
-            {x: a for a, x in self.omap.items()},
-            {n: m for m, n in self.mmap.items()},
-            label=f"{self.label}⁻¹",
-        )
-
     def injective_on_objects(self) -> bool:
         return len(set(self.omap.values())) == self.source.n_objects
-
-    def bijective_on_objects(self) -> bool:
-        return self.injective_on_objects() and len(self.omap) == self.target.n_objects
 
     def to_dict(self) -> dict:
         return {
@@ -971,6 +944,49 @@ def enumerate_functors(
     search prunes early.
     """
     yield from _search(src, dst, omap_choices, mmap_choices, limit, False)
+
+
+def enumerate_lifts(
+    src: FinCat,
+    dst: FinCat,
+    under: Sequence[tuple[FinFunctor, FinFunctor]] = (),
+    over: tuple[FinFunctor, FinFunctor] | None = None,
+    limit: int | None = None,
+) -> Iterator[FinFunctor]:
+    """Yield the functors G : src → dst with G∘i = top for every ``(i, top)``
+    in ``under`` and p∘G = bottom for ``over = (p, bottom)``, in the order of
+    :func:`enumerate_functors`.
+
+    The candidate images start as the fibres of ``over`` (one pass over
+    ``dst``) and each ``under`` pair narrows them to its forced values, so
+    the result is the subsequence of the unconstrained enumeration that
+    solves the lifting problem.  When two constraints disagree a candidate
+    list empties and nothing is searched.  Since i keeps identities, a
+    morphism forced onto an identity meets that identity's forced value,
+    so the search, which sets identities from their objects, never has to
+    check them.
+    """
+    omap_choices: dict[str, Sequence[str]] = {a: dst.objects for a in src.objects}
+    mmap_choices: dict[str, list[str]] = {}
+    if over is not None:
+        p, bottom = over
+        obj_fibres: dict[str, list[str]] = {}
+        mor_fibres: dict[str, list[str]] = {}
+        for x in dst.objects:
+            obj_fibres.setdefault(p.omap[x], []).append(x)
+        for n in dst.morphisms:
+            mor_fibres.setdefault(p.mmap[n.name], []).append(n.name)
+        omap_choices = {a: obj_fibres.get(bottom.omap[a], []) for a in src.objects}
+        mmap_choices = {m.name: mor_fibres.get(bottom.mmap[m.name], []) for m in src.morphisms}
+    for i, top in under:
+        for a, b in i.omap.items():
+            x = top.omap[a]
+            omap_choices[b] = [x] if x in omap_choices[b] else []
+        for m, n in i.mmap.items():
+            x = top.mmap[m]
+            mmap_choices[n] = [x] if x in mmap_choices.get(n, (x,)) else []
+    if all(omap_choices.values()) and all(mmap_choices.values()):
+        yield from enumerate_functors(src, dst, omap_choices, mmap_choices, limit)
 
 
 def enumerate_isomorphisms(

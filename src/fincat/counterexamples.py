@@ -33,6 +33,7 @@ from .core import (
     composable_morphisms,
     discrete_category,
     enumerate_functors,
+    enumerate_lifts,
     enumerate_transformations,
     identity_functor,
     terminal_category,
@@ -41,7 +42,7 @@ from .core import (
     validate_functor,
 )
 from .cosmos import nip_square_filler
-from .equivalence import EquivalenceWitness, classify_equivalence
+from .equivalence import EquivalenceWitness, classify_equivalence, find_sections
 from .fibrations import classify_fibration
 from .funcat import precompose_functor
 from .wfs import find_arrow_isomorphism, leibniz_power
@@ -113,19 +114,17 @@ class ArrowMorphism:
 
 
 def arrow_sections(f: ArrowMorphism) -> list[ArrowMorphism]:
-    """All sections of f in the arrow category: levelwise sections whose
-    pair is again a commuting square."""
-    from .equivalence import find_sections
-
-    out = []
-    for s0 in find_sections(f.level0):
-        for s1 in find_sections(f.level1):
-            candidate = ArrowMorphism(
-                source=f.target, target=f.source, level0=s0, level1=s1
-            )
-            if candidate.level0.then(f.source) == f.target.then(candidate.level1):
-                out.append(candidate.validate())
-    return out
+    """All sections of f in the arrow category: for each section s0 of
+    level 0, the sections s1 of level 1 with s1∘v = u∘s0."""
+    u, v = f.source, f.target
+    ident = identity_functor(v.target)
+    return [
+        ArrowMorphism(source=v, target=u, level0=s0, level1=s1)
+        for s0 in find_sections(f.level0)
+        for s1 in enumerate_lifts(
+            v.target, u.target, under=[(v, s0.then(u))], over=(f.level1, ident)
+        )
+    ]
 
 
 @dataclass
@@ -161,8 +160,7 @@ def arrow_hom_category(X: FinFunctor, A: FinFunctor) -> ArrowHom:
     squares = [
         (s0, s1)
         for s0 in enumerate_functors(X.source, A.source)
-        for s1 in enumerate_functors(X.target, A.target)
-        if s0.then(A) == X.then(s1)
+        for s1 in enumerate_lifts(X.target, A.target, under=[(X, s0.then(A))])
     ]
     obj_names = [f"q{i}" for i in range(len(squares))]
     morphisms, cells, lookup = [], {}, {}
@@ -357,16 +355,18 @@ def nip_cat2() -> Witness:
 def _arrow_fillers(i: ArrowMorphism, p: ArrowMorphism, top: ArrowMorphism, bottom: ArrowMorphism):
     """Fillers (h0, h1) of an arrow-category square, by exhaustion."""
     B, C = i.target, p.source
-    out = []
-    for h0 in enumerate_functors(B.source, C.source):
-        if i.level0.then(h0) != top.level0 or h0.then(p.level0) != bottom.level0:
-            continue
-        for h1 in enumerate_functors(B.target, C.target):
-            if i.level1.then(h1) != top.level1 or h1.then(p.level1) != bottom.level1:
-                continue
-            if h0.then(C) == B.then(h1):
-                out.append((h0, h1))
-    return out
+    return [
+        (h0, h1)
+        for h0 in enumerate_lifts(
+            B.source, C.source, under=[(i.level0, top.level0)], over=(p.level0, bottom.level0)
+        )
+        for h1 in enumerate_lifts(
+            B.target,
+            C.target,
+            under=[(i.level1, top.level1), (B, h0.then(C))],
+            over=(p.level1, bottom.level1),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
-    FinCat,
     FinFunctor,
     NatTrans,
     WitnessInvalid,
-    enumerate_functors,
+    enumerate_lifts,
     identity_functor,
-    identity_nat,
     validate_transformation,
 )
 
@@ -106,36 +104,14 @@ def _eso_choices(F: FinFunctor):
 
 def find_sections(F: FinFunctor, limit: int | None = None) -> Iterator[FinFunctor]:
     """All G with F∘G equal (on the nose) to the identity of the target."""
-    A, B = F.source, F.target
-    omap_choices = {
-        b: [a for a in A.objects if F.ob(a) == b] for b in B.objects
-    }
-    mmap_choices = {
-        m.name: [n.name for n in A.morphisms if F.mor(n.name) == m.name]
-        for m in B.morphisms
-    }
-    yield from enumerate_functors(B, A, omap_choices, mmap_choices, limit=limit)
+    B = F.target
+    yield from enumerate_lifts(B, F.source, over=(F, identity_functor(B)), limit=limit)
 
 
 def find_retractions(F: FinFunctor, limit: int | None = None) -> Iterator[FinFunctor]:
     """All R with R∘F equal (on the nose) to the identity of the source."""
-    A, B = F.source, F.target
-    omap_choices: dict[str, list[str]] = {}
-    for b in B.objects:
-        pre = sorted({a for a in A.objects if F.ob(a) == b}, key=A.obj_index.get)
-        if len(pre) > 1:
-            # R(F a) = a would force two values at once
-            return
-        if pre:
-            omap_choices[b] = pre
-    mmap_choices: dict[str, list[str]] = {}
-    for m in B.morphisms:
-        pre = {n.name for n in A.morphisms if F.mor(n.name) == m.name}
-        if len(pre) > 1:
-            return
-        if pre:
-            mmap_choices[m.name] = sorted(pre)
-    yield from enumerate_functors(B, A, omap_choices, mmap_choices, limit=limit)
+    A = F.source
+    yield from enumerate_lifts(F.target, A, under=[(F, identity_functor(A))], limit=limit)
 
 
 def _witness_from_section(F: FinFunctor, G: FinFunctor) -> tuple[NatTrans, NatTrans]:

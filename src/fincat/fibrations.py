@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .core import (
     CleavageNotNormal,
-    FinCat,
     FinFunctor,
     NatTrans,
     NotIsofibration,

@@ -54,9 +54,6 @@ class FunctorCat(FinCat):
     def functor_named(self, name: str) -> FinFunctor:
         return self.functors[name]
 
-    def transformation_named(self, name: str) -> NatTrans:
-        return self.transformations[name]
-
     def name_of_functor(self, F: FinFunctor) -> str:
         return self._functor_names[F.key]
 

@@ -27,6 +27,7 @@ from .core import (
     composable_morphisms,
     constant_functor,
     enumerate_functors,
+    enumerate_lifts,
     enumerate_transformations,
     find_isomorphism,
     identity_functor,
@@ -222,12 +223,9 @@ def _pullback_cones(F: FinFunctor, G: FinFunctor):
     """Cones (P, Q) over the cospan (F, G) from a vertex X: P∘F = Q∘G."""
 
     def cones(X: FinCat):
-        rights = list(enumerate_functors(X, G.source))
         for P in enumerate_functors(X, F.source):
-            PF = P.then(F)
-            for Q in rights:
-                if PF == Q.then(G):
-                    yield (P, Q), ()
+            for Q in enumerate_lifts(X, G.source, over=(G, P.then(F))):
+                yield (P, Q), ()
 
     return cones
 

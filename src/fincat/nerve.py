@@ -20,7 +20,6 @@ from .core import (
     FinFunctor,
     Morphism,
     StructureError,
-    find_isomorphism,
 )
 from .funcat import DEFAULT_BUDGET, functor_category, split_pair_name
 

@@ -63,12 +63,20 @@ def category_from_node(node, base: Path) -> FinCat:
     return cat
 
 
+def _name_table(data: dict, key: str) -> dict:
+    table = data[key]
+    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+        raise StructureError(f"{key}: expected an object of strings")
+    return table
+
+
 def functor_from_node(node, base: Path) -> FinFunctor:
     data, _ = _resolve(node, base)
     try:
         source = category_from_node(data["source"], base)
         target = category_from_node(data["target"], base)
-        F = FinFunctor(source, target, data["omap"], data["mmap"], label=data.get("label", "functor"))
+        omap, mmap = _name_table(data, "omap"), _name_table(data, "mmap")
+        F = FinFunctor(source, target, omap, mmap, label=data.get("label", "functor"))
     except KeyError as exc:
         raise StructureError(f"malformed functor data: missing {exc}") from exc
     return validate_functor(F)

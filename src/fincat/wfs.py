@@ -9,14 +9,12 @@ from dataclasses import dataclass
 
 from .core import (
     CleavageNotNormal,
-    FinCat,
     FinFunctor,
-    NatTrans,
     NotNormalCleavage,
     StructureError,
     WitnessInvalid,
-    enumerate_functors,
     enumerate_isomorphisms,
+    enumerate_lifts,
     find_isomorphism,
     identity_functor,
 )
@@ -149,32 +147,17 @@ def solve_lifting(
 
 
 def exhaustive_fillers(problem: LiftingProblem, limit=None):
-    """All diagonal fillers, by constrained enumeration.
-
-    Constraints from the bottom edge (fibers of the right leg) intersect
-    with those from the top edge (forced on the image of the left edge);
-    when the left edge identifies points with conflicting top images the
-    intersection empties out and no filler exists through them.
-    """
+    """All diagonal fillers, by constrained enumeration: functors fixed on
+    the image of the left edge and lying over the bottom edge.  When the left
+    edge identifies points with conflicting top images there is none."""
     problem.validate()
-    i, p = problem.left, problem.right
-    B, C = problem.left.target, problem.right.source
-    omap_choices = {
-        b: [c for c in C.objects if p.ob(c) == problem.bottom.ob(b)] for b in B.objects
-    }
-    mmap_choices = {
-        m.name: [n.name for n in C.morphisms if p.mor(n.name) == problem.bottom.mor(m.name)]
-        for m in B.morphisms
-    }
-    for a in i.source.objects:
-        forced = problem.top.ob(a)
-        omap_choices[i.ob(a)] = [c for c in omap_choices[i.ob(a)] if c == forced]
-    for m in i.source.morphisms:
-        forced = problem.top.mor(m.name)
-        mmap_choices[i.mor(m.name)] = [
-            n for n in mmap_choices[i.mor(m.name)] if n == forced
-        ]
-    yield from enumerate_functors(B, C, omap_choices, mmap_choices, limit=limit)
+    yield from enumerate_lifts(
+        problem.left.target,
+        problem.right.source,
+        under=[(problem.left, problem.top)],
+        over=(problem.right, problem.bottom),
+        limit=limit,
+    )
 
 
 def has_filler(problem: LiftingProblem) -> bool:

@@ -8,6 +8,8 @@ cones from the enumerators, which are checked against brute force.  The
 lifting-sweep references filter every candidate square, as the library did
 before it solved the square equation for the bottom map; they reuse the
 library's split-map selection, retractions, sections and greedy filler.
+The lifting-problem references build their own choice tables or filter
+every candidate functor, as the library did before ``enumerate_lifts``.
 """
 from itertools import product
 
@@ -388,3 +390,104 @@ def filter_nip_finset_arrow(size_bound):
                                 },
                             )
     return NipResult("finset_arrow", size_bound, True, checked, None)
+
+
+# ---------------------------------------------------------------------------
+# Lifting problems by hand-built choice tables and by filtering candidate
+# functors (the library's code before it had one lifting enumerator)
+
+
+def filter_exhaustive_fillers(problem, limit=None):
+    problem.validate()
+    i, p = problem.left, problem.right
+    B, C = problem.left.target, problem.right.source
+    omap_choices = {
+        b: [c for c in C.objects if p.ob(c) == problem.bottom.ob(b)] for b in B.objects
+    }
+    mmap_choices = {
+        m.name: [n.name for n in C.morphisms if p.mor(n.name) == problem.bottom.mor(m.name)]
+        for m in B.morphisms
+    }
+    for a in i.source.objects:
+        forced = problem.top.ob(a)
+        omap_choices[i.ob(a)] = [c for c in omap_choices[i.ob(a)] if c == forced]
+    for m in i.source.morphisms:
+        forced = problem.top.mor(m.name)
+        mmap_choices[i.mor(m.name)] = [
+            n for n in mmap_choices[i.mor(m.name)] if n == forced
+        ]
+    yield from enumerate_functors(B, C, omap_choices, mmap_choices, limit=limit)
+
+
+def filter_find_sections(F, limit=None):
+    A, B = F.source, F.target
+    omap_choices = {
+        b: [a for a in A.objects if F.ob(a) == b] for b in B.objects
+    }
+    mmap_choices = {
+        m.name: [n.name for n in A.morphisms if F.mor(n.name) == m.name]
+        for m in B.morphisms
+    }
+    yield from enumerate_functors(B, A, omap_choices, mmap_choices, limit=limit)
+
+
+def filter_find_retractions(F, limit=None):
+    A, B = F.source, F.target
+    omap_choices = {}
+    for b in B.objects:
+        pre = sorted({a for a in A.objects if F.ob(a) == b}, key=A.obj_index.get)
+        if len(pre) > 1:
+            return
+        if pre:
+            omap_choices[b] = pre
+    mmap_choices = {}
+    for m in B.morphisms:
+        pre = {n.name for n in A.morphisms if F.mor(n.name) == m.name}
+        if len(pre) > 1:
+            return
+        if pre:
+            mmap_choices[m.name] = sorted(pre)
+    yield from enumerate_functors(B, A, omap_choices, mmap_choices, limit=limit)
+
+
+def filter_arrow_sections(f):
+    """Pairs (s0, s1) of levelwise sections of the arrow-category morphism
+    ``f`` that commute with its source and target arrows."""
+    return [
+        (s0, s1)
+        for s0 in filter_find_sections(f.level0)
+        for s1 in filter_find_sections(f.level1)
+        if s0.then(f.source) == f.target.then(s1)
+    ]
+
+
+def filter_arrow_squares(X, A):
+    return [
+        (s0, s1)
+        for s0 in enumerate_functors(X.source, A.source)
+        for s1 in enumerate_functors(X.target, A.target)
+        if s0.then(A) == X.then(s1)
+    ]
+
+
+def filter_arrow_fillers(i, p, top, bottom):
+    B, C = i.target, p.source
+    out = []
+    for h0 in enumerate_functors(B.source, C.source):
+        if i.level0.then(h0) != top.level0 or h0.then(p.level0) != bottom.level0:
+            continue
+        for h1 in enumerate_functors(B.target, C.target):
+            if i.level1.then(h1) != top.level1 or h1.then(p.level1) != bottom.level1:
+                continue
+            if h0.then(C) == B.then(h1):
+                out.append((h0, h1))
+    return out
+
+
+def filter_pullback_cones(F, G, X):
+    rights = list(enumerate_functors(X, G.source))
+    for P in enumerate_functors(X, F.source):
+        PF = P.then(F)
+        for Q in rights:
+            if PF == Q.then(G):
+                yield P, Q

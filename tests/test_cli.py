@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -186,3 +190,42 @@ def test_oversized_builtin_exits_two(workdir):
     res = invoke(["limit", "tower", "--tower", "huge.json"], workdir)
     assert res.exit_code == 2
     assert "BudgetExceeded" in res.output
+
+
+def _without_p(square):
+    del square["p"]
+
+
+def _mmap_as_list(square):
+    square["i"]["mmap"] = list(square["i"]["mmap"])
+
+
+def _mmap_entry_as_list(square):
+    mmap = square["i"]["mmap"]
+    first = next(iter(mmap))
+    mmap[first] = [mmap[first]]
+
+
+@pytest.mark.parametrize(
+    "mutate, detail",
+    [
+        (_without_p, "square: missing 'p'"),
+        (_mmap_as_list, "i: mmap: expected an object of strings"),
+        (_mmap_entry_as_list, "i: mmap: expected an object of strings"),
+    ],
+)
+def test_malformed_square_exits_two_with_a_located_error(tmp_path, mutate, detail):
+    samples = Path(__file__).resolve().parent.parent / "sample_data"
+    square = json.loads((samples / "square.json").read_text())
+    mutate(square)
+    (tmp_path / "square.json").write_text(json.dumps(square))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "fincat.cli", "lift", "--square", "square.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    error = json.loads(res.stderr.strip().splitlines()[-1])
+    assert (error["error"], error["detail"]) == ("StructureError", detail)

@@ -17,6 +17,7 @@ from fincat.core import (
     constant_functor,
     enumerate_functors,
     enumerate_isomorphisms,
+    enumerate_lifts,
     enumerate_transformations,
     identity_functor,
     identity_nat,
@@ -26,7 +27,7 @@ from fincat.core import (
     validate_functor,
     validate_transformation,
 )
-from fincat.corpus import corpus_categories, corpus_functors
+from fincat.corpus import chaotic_collapse, corpus_categories, corpus_functors
 from helpers import brute_force_functors, scan_associativity
 
 
@@ -219,6 +220,64 @@ def test_enumerate_functors_matches_brute_force():
                 and len(set(m.values())) == src.n_morphisms == dst.n_morphisms
             ]
             assert [(f.omap, f.mmap) for f in enumerate_isomorphisms(src, dst)] == bijective
+
+
+def test_lifts_over_a_functor_are_exactly_its_fibres():
+    functors = corpus_functors()
+    solved = 0
+    for p in functors:
+        bottoms = [b for b in functors if b.target == p.target][:3]
+        for bottom in bottoms:
+            B, C = bottom.source, p.source
+            ours = [(G.omap, G.mmap) for G in enumerate_lifts(B, C, over=(p, bottom))]
+            theirs = [
+                (G.omap, G.mmap) for G in enumerate_functors(B, C) if G.then(p) == bottom
+            ]
+            assert ours == theirs, (p.label, bottom.label)
+            solved += bool(ours)
+    assert solved > 100
+
+
+def test_lifts_under_two_functors_meet_both():
+    c2, c3, one = builtin("chaotic(2)"), builtin("chaotic(3)"), builtin("terminal")
+    under = [
+        (constant_functor(one, c2, "0"), constant_functor(one, c3, "1")),
+        (constant_functor(one, c2, "1"), constant_functor(one, c3, "2")),
+    ]
+    first = list(enumerate_lifts(c2, c3, under=under[:1]))
+    assert [G.omap for G in first] == [{"0": "1", "1": x} for x in ("0", "1", "2")]
+    both = list(enumerate_lifts(c2, c3, under=under))
+    assert [G.omap for G in both] == [{"0": "1", "1": "2"}]
+
+
+def test_conflicting_lifts_are_refused_without_a_search(monkeypatch):
+    import fincat.core as core
+
+    collapse = chaotic_collapse()  # 0, 1, 2 ↦ 0, 1, 0
+    c3 = collapse.source
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(core, "enumerate_functors", no_search)
+    # G∘collapse = 1 would send object 0 of chaotic(2) to both 0 and 2
+    under = [(collapse, identity_functor(c3))]
+    assert list(enumerate_lifts(collapse.target, c3, under=under)) == []
+
+
+def test_a_morphism_forced_onto_an_identity_meets_its_identity():
+    # the arrow collapsed onto the point, topped by the generator of Z/2:
+    # G(id_*) would have to be both g0 (from id_0) and g1 (from a)
+    point = builtin("terminal")
+    z2 = cyclic_monoid(2, "Z2")
+    collapse = thin_functor(builtin("arrow"), point, {"0": "*", "1": "*"}, "2→1")
+    top = FinFunctor(
+        builtin("arrow"), z2, {"0": "*", "1": "*"}, {"id_0": "g0", "id_1": "g0", "a": "g1"}
+    )
+    assert list(enumerate_lifts(point, z2, under=[(collapse, top)])) == []
+    ident = constant_functor(builtin("arrow"), z2, "*")
+    lifts = enumerate_lifts(point, z2, under=[(collapse, ident)])
+    assert [G.mmap for G in lifts] == [{"id_*": "g0"}]
 
 
 def test_functors_free_iso_to_arrow_are_the_two_constants():

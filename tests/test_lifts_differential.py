@@ -1,0 +1,169 @@
+"""Every lifting-problem search of the library, solved by
+``core.enumerate_lifts``, against the code it replaced, kept in ``helpers``
+as the reference: hand-built choice tables, or every candidate functor
+generated and filtered by the square equation.  The ordered outputs must be
+identical."""
+import pytest
+from helpers import (
+    filter_arrow_fillers,
+    filter_arrow_sections,
+    filter_arrow_squares,
+    filter_exhaustive_fillers,
+    filter_find_retractions,
+    filter_find_sections,
+    filter_pullback_cones,
+)
+
+from fincat.core import (
+    FinFunctor,
+    builtin,
+    builtin_functor,
+    constant_functor,
+    discrete_category,
+    identity_functor,
+)
+from fincat.corpus import (
+    chaotic_collapse,
+    corpus_cospans_normal_left,
+    corpus_functors,
+    iso_inclusion_into_chaotic,
+    to_terminal_functor,
+)
+from fincat.counterexamples import (
+    ArrowMorphism,
+    _arrow_fillers,
+    arrow_hom_category,
+    arrow_sections,
+    build_fy,
+    default_arrow_test_objects,
+)
+from fincat.equivalence import find_retractions, find_sections
+from fincat.funcat import evaluation_functor, functor_category
+from fincat.limits import _pullback_cones, default_vertices
+from fincat.wfs import LiftingProblem, canonical_test_square, exhaustive_fillers
+
+FY_CASES = [(k, alpha) for k in range(5) for alpha in (2, 3, 4)]
+
+
+def tables(functors):
+    return [(F.omap, F.mmap) for F in functors]
+
+
+def pair_tables(pairs):
+    return [(tables([a])[0], tables([b])[0]) for a, b in pairs]
+
+
+@pytest.mark.parametrize("k,alpha", FY_CASES)
+def test_arrow_sections_match_the_filter(k, alpha):
+    f = build_fy(k, alpha)
+    ours = [(s.level0, s.level1) for s in arrow_sections(f)]
+    assert pair_tables(ours) == pair_tables(filter_arrow_sections(f))
+    assert bool(ours) == (k < alpha)
+
+
+@pytest.mark.parametrize("k,alpha", FY_CASES)
+def test_arrow_hom_squares_match_the_filter(k, alpha):
+    f = build_fy(k, alpha)
+    for X in default_arrow_test_objects():
+        for A in (f.source, f.target):
+            squares = arrow_hom_category(X, A).squares
+            assert pair_tables(squares) == pair_tables(filter_arrow_squares(X, A))
+
+
+def test_sections_and_retractions_match_the_choice_tables():
+    functors = corpus_functors()
+    assert len(functors) > 300
+    for F in functors:
+        assert tables(find_sections(F)) == tables(filter_find_sections(F)), F.label
+        assert tables(find_retractions(F)) == tables(filter_find_retractions(F)), F.label
+
+
+def wfs_squares():
+    """The lifting problems of ``test_wfs`` and the canonical squares of
+    two functors inside and one outside the right class."""
+    chaos, iso, one = builtin("chaotic(2)"), builtin("free_iso"), builtin("terminal")
+    to_one = to_terminal_functor(chaos)
+    point = builtin_functor("point_to_iso")
+    power = functor_category(iso, builtin("arrow"))
+    c0 = next(o for o in power.objects if power.functor_named(o).ob("1") == "0")
+    return [
+        LiftingProblem(identity_functor(chaos), to_one, identity_functor(chaos), to_one),
+        LiftingProblem(
+            point, identity_functor(iso), constant_functor(one, iso, "0"), identity_functor(iso)
+        ),
+        LiftingProblem(
+            point,
+            evaluation_functor(power, "1"),
+            constant_functor(one, power, c0),
+            constant_functor(iso, builtin("arrow"), "0"),
+        ),
+        LiftingProblem(
+            identity_functor(one), to_one, constant_functor(one, chaos, "0"), identity_functor(one)
+        ),
+        LiftingProblem(
+            point, to_one, constant_functor(one, chaos, "1"), to_terminal_functor(iso)
+        ),
+        canonical_test_square(to_one),
+        canonical_test_square(chaotic_collapse()),
+        canonical_test_square(point),
+    ]
+
+
+def test_exhaustive_fillers_match_the_choice_tables():
+    counts = []
+    for square in wfs_squares():
+        ours = tables(exhaustive_fillers(square))
+        assert ours == tables(filter_exhaustive_fillers(square))
+        assert tables(exhaustive_fillers(square, limit=1)) == ours[:1]
+        counts.append(len(ours))
+    assert 0 in counts and max(counts) > 1
+
+
+def test_pullback_cones_match_the_filter():
+    cospans = corpus_cospans_normal_left()
+    assert len(cospans) == 48
+    total = 0
+    for F, G in cospans:
+        cones = _pullback_cones(F, G)
+        for X in default_vertices():
+            ours = [legs for legs, _cells in cones(X)]
+            assert pair_tables(ours) == pair_tables(filter_pullback_cones(F, G, X))
+            total += len(ours)
+    assert total > 0
+
+
+def empty_arrow():
+    empty = discrete_category(0)
+    return identity_functor(empty)
+
+
+def from_empty(X):
+    return FinFunctor(discrete_category(0), X, {}, {}, label="empty")
+
+
+def test_arrow_fillers_match_the_filter():
+    """Against the empty arrow on the left and the terminal arrow on the
+    right, the fillers of a square B → C are all commuting squares B → C, so
+    the level-1 search must honour the square equation with level 0."""
+    arrows = default_arrow_test_objects() + (chaotic_collapse(), iso_inclusion_into_chaotic())
+    one = identity_functor(builtin("terminal"))
+    nonempty = 0
+    for B in arrows:
+        for C in arrows:
+            i = ArrowMorphism(
+                empty_arrow(), B, from_empty(B.source), from_empty(B.target)
+            ).validate()
+            p = ArrowMorphism(
+                C, one, to_terminal_functor(C.source), to_terminal_functor(C.target)
+            ).validate()
+            top = ArrowMorphism(
+                empty_arrow(), C, from_empty(C.source), from_empty(C.target)
+            ).validate()
+            bottom = ArrowMorphism(
+                B, one, to_terminal_functor(B.source), to_terminal_functor(B.target)
+            ).validate()
+            ours = _arrow_fillers(i, p, top, bottom)
+            assert pair_tables(ours) == pair_tables(filter_arrow_fillers(i, p, top, bottom))
+            assert pair_tables(ours) == pair_tables(arrow_hom_category(B, C).squares)
+            nonempty += bool(ours)
+    assert nonempty
