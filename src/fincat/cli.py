@@ -353,8 +353,15 @@ def limit_tower(ctx, tower_path):
     def worker():
         data = load_json(tower_path)
         base_dir = Path(tower_path).parent
+        if not isinstance(data, dict):
+            raise StructureError("tower: expected a JSON object")
+        if "base" not in data:
+            raise StructureError("tower: missing 'base'")
+        nodes = data.get("maps", [])
+        if not isinstance(nodes, list):
+            raise StructureError("tower: maps: expected a list")
         base = category_from_node(data["base"], base_dir)
-        maps = [functor_from_node(node, base_dir) for node in data.get("maps", [])]
+        maps = [functor_from_node(node, base_dir) for node in nodes]
         if len(maps) > ctx.obj["tower_bound"]:
             raise StructureError(
                 f"tower length {len(maps)} exceeds the bound {ctx.obj['tower_bound']}"
@@ -413,6 +420,12 @@ def cosmos_check(ctx, fragment_path):
     def worker():
         data = load_json(fragment_path)
         base = Path(fragment_path).parent
+        if not isinstance(data, dict):
+            raise StructureError("fragment: expected a JSON object")
+        if "objects" not in data:
+            raise StructureError("fragment: missing 'objects'")
+        if not isinstance(data["objects"], list):
+            raise StructureError("fragment: objects: expected a list")
         frag = CosmosFragment(
             objects=tuple(category_from_node(n, base) for n in data["objects"]),
             chosen=data.get("chosen", "normal"),

@@ -10,6 +10,8 @@ before it solved the square equation for the bottom map; they reuse the
 library's split-map selection, retractions, sections and greedy filler.
 The lifting-problem references build their own choice tables or filter
 every candidate functor, as the library did before ``enumerate_lifts``.
+The associativity reference scans every composable triple, as
+``validate_category`` did before it checked only at a generating set.
 """
 from itertools import product
 
@@ -32,7 +34,10 @@ from fincat.cosmos import (
 
 
 def scan_associativity(cat: FinCat):
-    """Return the first violating triple (h, g, f) or None."""
+    """Return the first violation (h, g, f, h∘(g∘f), (h∘g)∘f) of
+    associativity over every composable triple, or None.  Triples come in
+    the order h, then g into dom h, then f into dom g, each in stored order:
+    the order in which ``validate_category`` reports the first one."""
     for h in cat.morphisms:
         for g in cat.morphisms:
             if h.dom != g.cod:
@@ -43,8 +48,44 @@ def scan_associativity(cat: FinCat):
                 left = cat.comp[(h.name, cat.comp[(g.name, f.name)])]
                 right = cat.comp[(cat.comp[(h.name, g.name)], f.name)]
                 if left != right:
-                    return (h.name, g.name, f.name)
+                    return (h.name, g.name, f.name, left, right)
     return None
+
+
+def relabeled(cat: FinCat, rng) -> FinCat:
+    """``cat`` with objects and morphisms renamed at random and the
+    morphisms in a shuffled order, as the benchmark writes its inputs."""
+    objs = {a: f"x{k}" for a, k in zip(cat.objects, rng.sample(range(cat.n_objects), cat.n_objects))}
+    names = {
+        m.name: f"m{k}" for m, k in zip(cat.morphisms, rng.sample(range(cat.n_morphisms), cat.n_morphisms))
+    }
+    objects = list(objs.values())
+    morphisms = [(names[m.name], objs[m.dom], objs[m.cod]) for m in cat.morphisms]
+    rng.shuffle(objects)
+    rng.shuffle(morphisms)
+    return FinCat(
+        objects,
+        morphisms,
+        {objs[a]: names[i] for a, i in cat.identity.items()},
+        {(names[g], names[f]): names[gf] for (g, f), gf in cat.comp.items()},
+        label=f"{cat.label}-relabeled",
+    )
+
+
+def composition_closure(cat: FinCat, generators) -> set[str]:
+    """The identities and ``generators`` closed under composition, by a
+    direct fixed-point search over the raw table."""
+    closed = set(cat.identity.values()) | set(generators)
+    todo = list(closed)
+    while todo:
+        a = todo.pop()
+        for b in list(closed):
+            for pair in ((a, b), (b, a)):
+                c = cat.comp.get(pair)
+                if c is not None and c not in closed:
+                    closed.add(c)
+                    todo.append(c)
+    return closed
 
 
 def brute_force_functors(src: FinCat, dst: FinCat):

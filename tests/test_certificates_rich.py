@@ -1,7 +1,7 @@
 """Universal properties replayed against a richer set of cone vertices, and
 serializer round-trips."""
 from fincat.core import FinFunctor, builtin, identity_functor, validate_functor
-from fincat.corpus import chaotic_collapse, corpus_category, to_terminal_functor
+from fincat.corpus import chaotic_collapse, to_terminal_functor
 from fincat.funcat import evaluation_functor, functor_category, precompose_functor
 from fincat.limits import (
     build_normal_pullback,
@@ -10,7 +10,6 @@ from fincat.limits import (
     tower_limit,
 )
 from fincat.serialize import functor_to_dict, functor_from_node
-from pathlib import Path
 
 RICH = (
     builtin("terminal"),

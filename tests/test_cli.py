@@ -206,6 +206,25 @@ def _mmap_entry_as_list(square):
     mmap[first] = [mmap[first]]
 
 
+def _exit_two_with(tmp_path, sample, mutate, argv, detail):
+    """Run the CLI in a fresh process on a mutated copy of a sample file and
+    check that it exits 2 with ``detail`` on stderr and no traceback."""
+    samples = Path(__file__).resolve().parent.parent / "sample_data"
+    data = json.loads((samples / sample).read_text())
+    mutate(data)
+    (tmp_path / sample).write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "fincat.cli", *argv, sample],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    error = json.loads(res.stderr.strip().splitlines()[-1])
+    assert (error["error"], error["detail"]) == ("StructureError", detail)
+
+
 @pytest.mark.parametrize(
     "mutate, detail",
     [
@@ -215,17 +234,34 @@ def _mmap_entry_as_list(square):
     ],
 )
 def test_malformed_square_exits_two_with_a_located_error(tmp_path, mutate, detail):
-    samples = Path(__file__).resolve().parent.parent / "sample_data"
-    square = json.loads((samples / "square.json").read_text())
-    mutate(square)
-    (tmp_path / "square.json").write_text(json.dumps(square))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run(
-        [sys.executable, "-m", "fincat.cli", "lift", "--square", "square.json"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert res.returncode == 2
-    assert "Traceback" not in res.stderr
-    error = json.loads(res.stderr.strip().splitlines()[-1])
-    assert (error["error"], error["detail"]) == ("StructureError", detail)
+    _exit_two_with(tmp_path, "square.json", mutate, ["lift", "--square"], detail)
+
+
+@pytest.mark.parametrize(
+    "sample, mutate, argv, detail",
+    [
+        (
+            "tower.json",
+            lambda tower: tower.pop("base"),
+            ["limit", "tower", "--tower"],
+            "tower: missing 'base'",
+        ),
+        (
+            "tower.json",
+            lambda tower: tower.update(maps=3),
+            ["limit", "tower", "--tower"],
+            "tower: maps: expected a list",
+        ),
+        (
+            "fragment.json",
+            lambda fragment: fragment.pop("objects"),
+            ["cosmos-check", "--fragment"],
+            "fragment: missing 'objects'",
+        ),
+    ],
+    ids=["tower-without-base", "tower-maps-as-int", "fragment-without-objects"],
+)
+def test_malformed_tower_or_fragment_exits_two_with_a_located_error(
+    tmp_path, sample, mutate, argv, detail
+):
+    _exit_two_with(tmp_path, sample, mutate, argv, detail)

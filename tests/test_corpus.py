@@ -4,7 +4,6 @@ from fincat.corpus import (
     corpus_categories,
     corpus_cospans_normal_left,
     corpus_functors,
-    corpus_normal_isofibrations,
     corpus_towers,
 )
 from fincat.fibrations import classify_fibration

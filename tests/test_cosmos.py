@@ -5,10 +5,6 @@ from fincat.cosmos import (
     CosmosFragment,
     check_fragment,
     nip_square_filler,
-    _compose,
-    _functions,
-    _is_injective,
-    _is_surjective,
     _split_epis,
     _split_monos,
 )

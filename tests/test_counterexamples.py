@@ -4,7 +4,6 @@ from fincat.core import BudgetExceeded, UnknownName, builtin, identity_functor, 
 from fincat.counterexamples import (
     ArrowMorphism,
     arrow_hom_category,
-    arrow_hom_postcompose,
     arrow_normal_on_test_set,
     arrow_sections,
     build_fy,

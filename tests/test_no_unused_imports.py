@@ -1,12 +1,15 @@
-"""Every name a module of the package imports is used in that module.
-``__init__.py`` is left out: it imports names to re-export them."""
+"""Every name a module of the package or of the test suite imports is used
+in that module.  The package's ``__init__.py`` is left out: it imports names
+to re-export them."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fincat"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "fincat"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +32,8 @@ def test_the_scan_sees_an_unused_import():
     ]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "module", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}"
+)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []

@@ -51,6 +51,19 @@ def test_sample_command_passes(args):
     assert body["pass"] is True
 
 
+def test_nonassociative_table_is_refuted():
+    # cyclic(3) with g1∘g1 set to g1: the boundary and identity laws hold,
+    # so the associativity check is what refutes it
+    res = invoke(["validate", "nonassociative.json"])
+    assert res.exit_code == 1
+    body = json.loads(res.output.strip().splitlines()[-1])
+    assert body["pass"] is False
+    assert body["result"] == {
+        "error": "AssociativityViolation",
+        "detail": "comp(g1,comp(g1,g2)) = g1 but comp(comp(g1,g1),g2) = g0",
+    }
+
+
 def test_loop_complex_exceeds_word_bound():
     # the free loop has no 2-simplices, so its classifying category cannot
     # stabilize below any bound

@@ -8,10 +8,8 @@ from fincat.core import (
     builtin_functor,
     constant_functor,
     identity_functor,
-    validate_functor,
 )
 from fincat.equivalence import (
-    EquivalenceWitness,
     classify_equivalence,
     find_retractions,
     witness_from_parts,
