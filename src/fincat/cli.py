@@ -426,6 +426,13 @@ def cosmos_check(ctx, fragment_path):
             raise StructureError("fragment: missing 'objects'")
         if not isinstance(data["objects"], list):
             raise StructureError("fragment: objects: expected a list")
+        for key in ("chosen", "label"):
+            if key in data and not isinstance(data[key], str):
+                raise StructureError(f"fragment: {key}: expected a string")
+        for key in ("power_budget", "tower_bound"):
+            value = data.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise StructureError(f"fragment: {key}: expected a non-negative integer")
         frag = CosmosFragment(
             objects=tuple(category_from_node(n, base) for n in data["objects"]),
             chosen=data.get("chosen", "normal"),

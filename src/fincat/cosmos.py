@@ -15,6 +15,17 @@ counterexample is returned.  Only commuting squares are enumerated: the
 bottom map is solved from ``bottom∘i = p∘top`` (fixed on the image of i,
 free elsewhere), and in arrows a square is filled iff its (top, bottom)
 pair lies in the set of (h∘i, p∘h) over the fillers h.
+
+Both sweeps work on integers.  A map a → b is its index in
+``_functions(a, b)``, the lexicographic order of image tuples, so f has
+index Σ f(x)·b^(a-1-x).  Composition reads ``after(a, b, c)[g][f]``, a table
+built on first use for each size triple the sweep touches; the maps g with
+g∘f = t come from an extension table built from it, in ascending index
+order.  Retractions of i are the extensions of the identity along i, and
+sections of p the fibre of p∘- over the identity.  An arrow (x0, x1, u)
+holds u as an index and a hom of arrows is a pair of indices.  Only a
+counterexample is decoded back to image lists.  The tables belong to one
+sweep call and are freed when it returns.
 """
 from __future__ import annotations
 
@@ -308,79 +319,108 @@ def _towers(frag: CosmosFragment, chosen, cap: int = 8):
 
 
 def _functions(a: int, b: int):
-    """All functions {0..a-1} → {0..b-1} as image tuples."""
+    """All functions {0..a-1} → {0..b-1} as image tuples, in lexicographic
+    order; the sweeps encode a map by its position in this list."""
     if a == 0:
         return [()]
     return list(iproduct(range(b), repeat=a))
 
 
-def _is_injective(f) -> bool:
-    return len(set(f)) == len(f)
+def _identity(n: int) -> int:
+    """The index of the identity of {0..n-1}."""
+    code = 0
+    for x in range(n):
+        code = code * n + x
+    return code
 
 
-def _is_surjective(f, cod: int) -> bool:
-    return set(f) == set(range(cod))
+class _SetMaps:
+    """Index-encoded maps between finite sets, composed through tables that
+    are built on first use, one per size triple a sweep touches.  Each sweep
+    call owns one instance, so the tables are freed when it returns."""
+
+    def __init__(self):
+        self._after: dict[tuple, list] = {}
+        self._before: dict[tuple, list] = {}
+        self._extensions: dict[tuple, list] = {}
+        self._retractions: dict[tuple, dict] = {}
+        self._sections: dict[tuple, dict] = {}
+
+    def after(self, a: int, b: int, c: int) -> list:
+        """``after(a, b, c)[g][f]`` is g∘f, for f : a → b and g : b → c."""
+        table = self._after.get((a, b, c))
+        if table is None:
+            table = self._after[a, b, c] = []
+            for g in _functions(b, c):
+                # g∘f for every f, extended one digit of f at a time
+                row = [0]
+                for _ in range(a):
+                    row = [x * c + y for x in row for y in g]
+                table.append(row)
+        return table
+
+    def before(self, a: int, b: int, c: int) -> list:
+        """``before(a, b, c)[f][g]`` is g∘f: the transpose of ``after``."""
+        table = self._before.get((a, b, c))
+        if table is None:
+            rows = self.after(a, b, c)
+            table = self._before[a, b, c] = [
+                [row[f] for row in rows] for f in range(b**a)
+            ]
+        return table
+
+    def extensions(self, a: int, b: int, d: int) -> list:
+        """``extensions(a, b, d)[f][t]`` lists the g : b → d with g∘f = t in
+        ascending order; a t that no g reaches is absent."""
+        table = self._extensions.get((a, b, d))
+        if table is None:
+            table = self._extensions[a, b, d] = [{} for _ in range(b**a)]
+            for g, row in enumerate(self.after(a, b, d)):
+                for over_f, t in zip(table, row):
+                    over_f.setdefault(t, []).append(g)
+        return table
+
+    def values(self, f: int, a: int, b: int) -> list:
+        """f(0), …, f(a-1): f composed with each point of {0..a-1}."""
+        return self.after(1, a, b)[f]
+
+    def retractions(self, a: int, b: int) -> dict:
+        """Each i : a → b that has a retraction, in ascending order, with its
+        retractions r : b → a (r∘i = id): the extensions of the identity
+        along i."""
+        out = self._retractions.get((a, b))
+        if out is None:
+            one = _identity(a)
+            out = self._retractions[a, b] = {
+                i: over_i[one]
+                for i, over_i in enumerate(self.extensions(a, b, a))
+                if one in over_i
+            }
+        return out
+
+    def sections(self, c: int, d: int) -> dict:
+        """Each p : c → d that has a section, in ascending order, with its
+        sections s : d → c (p∘s = id): the fibre of p∘- over the identity."""
+        out = self._sections.get((c, d))
+        if out is None:
+            one = _identity(d)
+            out = self._sections[c, d] = {}
+            for p, row in enumerate(self.after(d, c, d)):
+                fibre = [s for s, t in enumerate(row) if t == one]
+                if fibre:
+                    out[p] = fibre
+        return out
 
 
-def _compose(g, f):
-    return tuple([g[x] for x in f])
-
-
-def _extensions(f, t, b: int, d: int):
-    """All g : b → d with g∘f = t, in the order of ``_functions(b, d)``.
-
-    g is fixed on the image of f and free elsewhere; there is none when f
-    merges two points that t keeps apart.
-    """
-    g = [None] * b
-    for x, y in zip(f, t):
-        if g[x] is None:
-            g[x] = y
-        elif g[x] != y:
-            return
-    free = [y for y, v in enumerate(g) if v is None]
-    if not free:
-        yield tuple(g)
-        return
-    for values in iproduct(range(d), repeat=len(free)):
-        for y, v in zip(free, values):
-            g[y] = v
-        yield tuple(g)
-
-
-def _split_monos(a: int, b: int):
-    """Injective maps with a retraction: any injection with nonempty domain,
-    and the empty map only onto the empty set."""
-    if a == 0:
-        return [()] if b == 0 else []
-    return [f for f in _functions(a, b) if _is_injective(f)]
-
-
-def _split_epis(c: int, d: int):
-    return [f for f in _functions(c, d) if _is_surjective(f, d)]
-
-
-def _finset_filler(i, a, b, p, c, d, top, bottom):
-    """Greedy filler for a (split mono, split epi) square in finite sets."""
-    h = []
-    preimage = {}
-    for x, y in enumerate(i):
-        preimage[y] = x
-    for y in range(b):
-        if y in preimage:
-            h.append(top[preimage[y]] if a else 0)
-        else:
-            target = bottom[y]
-            pick = next((z for z in range(c) if p[z] == target), None)
-            if pick is None:
-                return None
-            h.append(pick)
-    h = tuple(h)
-    if _compose(h, i) != tuple(top):
-        return None
-    if _compose(p, h) != tuple(bottom):
-        return None
-    return h
+def _spread(image, b: int, c: int) -> list:
+    """``_spread(image, b, c)[t]``, for an injection i with the given values
+    and any t : a → c, is the map b → c that is t∘i⁻¹ on the image of i and
+    0 elsewhere."""
+    row = [0]
+    for y in image:
+        weight = c ** (b - 1 - y)
+        row = [x + v * weight for x in row for v in range(c)]
+    return row
 
 
 @dataclass
@@ -402,41 +442,62 @@ class NipResult:
 
 
 def _nip_finset(size_bound: int) -> NipResult:
+    maps = _SetMaps()
     checked = 0
     sizes = range(size_bound + 1)
     quads = sorted(
         iproduct(sizes, sizes, sizes, sizes), key=lambda q: (sum(q), q)
     )
     for a, b, c, d in quads:
-        monos = _split_monos(a, b)
-        epis = _split_epis(c, d)
+        monos = maps.retractions(a, b)
+        epis = maps.sections(c, d)
         if not monos or not epis:
             continue
-        tops = _functions(a, c)
+        # per p: p∘top by top, p∘h by h, and s∘bottom by bottom for the
+        # least section s of p
+        sides = [
+            (
+                p,
+                maps.after(a, c, d)[p],
+                maps.after(b, c, d)[p],
+                maps.after(b, d, c)[sections[0]],
+            )
+            for p, sections in epis.items()
+        ]
+        tops = range(c**a)
         for i in monos:
-            for p in epis:
+            over_i = maps.extensions(a, b, d)[i]
+            on_i = maps.before(a, b, c)[i]
+            spread = _spread(maps.values(i, a, b), b, c)
+            for p, p_top, p_h, least in sides:
                 for top in tops:
-                    for bottom in _extensions(i, _compose(p, top), b, d):
+                    for bottom in over_i.get(p_top[top], ()):
                         checked += 1
-                        h = _finset_filler(i, a, b, p, c, d, top, bottom)
-                        if h is None:
-                            # greedy construction failed: fall back to search
-                            found = any(
-                                _compose(hh, i) == top and _compose(p, hh) == bottom
-                                for hh in _functions(b, c)
+                        # greedy filler: top through i on the image of i, the
+                        # least p-preimage of bottom elsewhere
+                        g = least[bottom]
+                        h = spread[top] + g - spread[on_i[g]]
+                        if on_i[h] == top and p_h[h] == bottom:
+                            continue
+                        # greedy construction failed: fall back to search
+                        found = any(
+                            on_i[hh] == top and p_h[hh] == bottom
+                            for hh in range(c**b)
+                        )
+                        if not found:
+                            return NipResult(
+                                "finset",
+                                size_bound,
+                                False,
+                                checked,
+                                {
+                                    "i": list(_functions(a, b)[i]),
+                                    "p": list(_functions(c, d)[p]),
+                                    "top": list(_functions(a, c)[top]),
+                                    "bottom": list(_functions(b, d)[bottom]),
+                                    "sizes": [a, b, c, d],
+                                },
                             )
-                            if not found:
-                                return NipResult(
-                                    "finset",
-                                    size_bound,
-                                    False,
-                                    checked,
-                                    {
-                                        "i": list(i), "p": list(p),
-                                        "top": list(top), "bottom": list(bottom),
-                                        "sizes": [a, b, c, d],
-                                    },
-                                )
     return NipResult("finset", size_bound, True, checked, None)
 
 
@@ -445,7 +506,7 @@ def _arrow_objects(size_bound: int):
     out = []
     for x0 in range(size_bound + 1):
         for x1 in range(size_bound + 1):
-            for u in _functions(x0, x1):
+            for u in range(x1**x0):
                 out.append((x0, x1, u))
     return sorted(out, key=lambda o: (o[0] + o[1], o))
 
@@ -454,101 +515,104 @@ def _arrow_size(X):
     return X[0] + X[1]
 
 
+def _decode_arrow(X):
+    x0, x1, u = X
+    return (x0, x1, _functions(x0, x1)[u])
+
+
+def _decode_hom(f, X, Y):
+    """The level maps of a hom X → Y as image tuples."""
+    return (_functions(X[0], Y[0])[f[0]], _functions(X[1], Y[1])[f[1]])
+
+
 class _ArrowSpace:
-    """Memoized hom/split data for arrows of finite sets up to a bound."""
+    """Memoized hom/split data for arrows of finite sets up to a bound.  An
+    object is (x0, x1, u) with u : x0 → x1 and a hom is a pair (f0, f1)
+    with f1∘u = v∘f0, all maps index-encoded in the space's own tables."""
 
     def __init__(self, size_bound: int):
         self.objects = _arrow_objects(size_bound)
+        self.maps = _SetMaps()
         self._homs: dict[tuple, list] = {}
+
+    def _completions(self, X, Y):
+        """f0 ↦ the f1 with (f0, f1) a hom X → Y, in ascending order."""
+        x0, x1, u = X
+        y0, y1, v = Y
+        v_after = self.maps.after(x0, y0, y1)[v]
+        over_u = self.maps.extensions(x0, x1, y1)[u]
+        return lambda f0: over_u.get(v_after[f0], ())
 
     def homs(self, X, Y):
         key = (X, Y)
         if key not in self._homs:
-            x0, x1, u = X
-            y0, y1, v = Y
+            completions = self._completions(X, Y)
             self._homs[key] = [
-                (f0, f1)
-                for f0 in _functions(x0, y0)
-                for f1 in _extensions(u, _compose(v, f0), x1, y1)
+                (f0, f1) for f0 in range(Y[0] ** X[0]) for f1 in completions(f0)
             ]
         return self._homs[key]
 
-    def _retraction_candidates(self, f, x: int, y: int):
-        """Functions r : y → x with r∘f = id, enumerated componentwise."""
-        image = {v: k for k, v in enumerate(f)}
-        slots = [[image[z]] if z in image else list(range(x)) for z in range(y)]
-        if x == 0 and y > 0:
-            return
-        for pick in iproduct(*slots) if slots else [()]:
-            yield tuple(pick)
-
-    def retraction_of(self, i, X, Y):
-        """A commuting retraction pair for a levelwise-injective square, or
-        None."""
+    def _back_sides(self, X, Y):
+        """For level maps m0 : y0 → x0 and m1 : y1 → x1 back from Y to X:
+        u∘m0 by m0 and m1∘v by m1; (m0, m1) is a hom Y → X iff they agree."""
         x0, x1, u = X
         y0, y1, v = Y
-        for r0 in self._retraction_candidates(i[0], x0, y0):
-            for r1 in self._retraction_candidates(i[1], x1, y1):
-                if _compose(u, r0) == _compose(r1, v):
-                    return (r0, r1)
+        return self.maps.after(y0, x0, x1)[u], self.maps.before(y0, y1, x1)[v]
+
+    def _first_back(self, f, X, Y, backs):
+        """The first hom (m0, m1) : Y → X with m0 in ``backs(x0, y0)[f0]``
+        and m1 in ``backs(x1, y1)[f1]``, or None."""
+        u_after, before_v = self._back_sides(X, Y)
+        for m0 in backs(X[0], Y[0]).get(f[0], ()):
+            for m1 in backs(X[1], Y[1]).get(f[1], ()):
+                if u_after[m0] == before_v[m1]:
+                    return (m0, m1)
         return None
+
+    def _with_back(self, X, Y, backs):
+        """The homs f : X → Y, in order, for which ``_first_back`` finds a
+        hom back, decided by meeting the sets of u∘m0 and m1∘v."""
+        u_after, before_v = self._back_sides(X, Y)
+        back1 = backs(X[1], Y[1])
+        completions = self._completions(X, Y)
+        via1: dict[int, set] = {}
+        out = []
+        for f0, m0s in backs(X[0], Y[0]).items():
+            via0 = {u_after[m0] for m0 in m0s}
+            for f1 in completions(f0):
+                s1 = via1.get(f1)
+                if s1 is None:
+                    s1 = via1[f1] = {before_v[m1] for m1 in back1.get(f1, ())}
+                if not via0.isdisjoint(s1):
+                    out.append((f0, f1))
+        return out
+
+    def retraction(self, i, X, Y):
+        """The first commuting retraction pair of i : X → Y, or None."""
+        return self._first_back(i, X, Y, self.maps.retractions)
 
     def split_monos(self, X, Y):
-        """Monos with a retraction; componentwise injectivity is forced, so
-        only injective squares are examined."""
-        x0, x1, _ = X
-        y0, y1, _ = Y
-        if x0 > y0 or x1 > y1:
+        """Monos with a commuting retraction; a retraction forces
+        componentwise injectivity, so larger sources are skipped at once."""
+        if X[0] > Y[0] or X[1] > Y[1]:
             return []
-        out = []
-        for i in self.homs(X, Y):
-            if not (_is_injective(i[0]) and _is_injective(i[1])):
-                continue
-            if self.retraction_of(i, X, Y) is not None:
-                out.append(i)
-        return out
+        return self._with_back(X, Y, self.maps.retractions)
 
-    def _section_candidates(self, f, x: int, y: int):
-        """Functions s : y → x with f∘s = id."""
-        fibers = [[z for z in range(x) if f[z] == w] for w in range(y)]
-        if any(not fib for fib in fibers):
-            return
-        for pick in iproduct(*fibers) if fibers else [()]:
-            yield tuple(pick)
-
-    def section_of(self, p, X, Y):
-        """A commuting section pair for a levelwise-surjective square, or
-        None."""
-        x0, x1, u = X
-        y0, y1, v = Y
-        for s0 in self._section_candidates(p[0], x0, y0):
-            for s1 in self._section_candidates(p[1], x1, y1):
-                if _compose(u, s0) == _compose(s1, v):
-                    return (s0, s1)
-        return None
+    def section(self, p, X, Y):
+        """The first commuting section pair of p : X → Y, or None."""
+        return self._first_back(p, X, Y, self.maps.sections)
 
     def split_epis(self, X, Y):
-        x0, x1, _ = X
-        y0, y1, _ = Y
-        if x0 < y0 or x1 < y1:
+        if X[0] < Y[0] or X[1] < Y[1]:
             return []
-        out = []
-        for p in self.homs(X, Y):
-            if not (_is_surjective(p[0], y0) and _is_surjective(p[1], y1)):
-                continue
-            if self.section_of(p, X, Y) is not None:
-                out.append(p)
-        return out
-
-
-def _arrow_compose(g, f):
-    return (_compose(g[0], f[0]), _compose(g[1], f[1]))
+        return self._with_back(X, Y, self.maps.sections)
 
 
 def _nip_finset_arrow(size_bound: int) -> NipResult:
     """Search squares in ascending combined size so the first counterexample
     found is a smallest one in the documented order."""
     space = _ArrowSpace(size_bound)
+    maps = space.maps
     objects = space.objects
     max_size = 4 * size_bound
 
@@ -570,46 +634,66 @@ def _nip_finset_arrow(size_bound: int) -> NipResult:
             if not monos or not epis:
                 continue
             for A, B, i in monos:
+                a0, a1, _ = A
+                b0, b1, _ = B
                 # homs(B, D) filed by bottom∘i, per D, each list in homs order
                 bottoms: dict[tuple, dict] = {}
                 for C, D, p in epis:
+                    c0, c1, _ = C
+                    d0, d1, _ = D
                     index = bottoms.get(D)
                     if index is None:
                         index = bottoms[D] = {}
+                        i0 = maps.before(a0, b0, d0)[i[0]]
+                        i1 = maps.before(a1, b1, d1)[i[1]]
                         for bottom in space.homs(B, D):
-                            index.setdefault(_arrow_compose(bottom, i), []).append(bottom)
+                            key = (i0[bottom[0]], i1[bottom[1]])
+                            index.setdefault(key, []).append(bottom)
+                    p0 = maps.after(a0, c0, d0)[p[0]]
+                    p1 = maps.after(a1, c1, d1)[p[1]]
                     # the (top, bottom) pairs with a filler, built at the
                     # first square of this (i, p)
                     filled = None
                     for top in space.homs(A, C):
-                        for bottom in index.get(_arrow_compose(p, top), ()):
+                        for bottom in index.get((p0[top[0]], p1[top[1]]), ()):
                             checked += 1
                             if filled is None:
-                                filled = {
-                                    (_arrow_compose(h, i), _arrow_compose(p, h))
-                                    for h in space.homs(B, C)
-                                }
-                            if (top, bottom) not in filled:
+                                filled = _filled_squares(space, i, p, A, B, C, D)
+                            if (top[0], top[1], bottom[0], bottom[1]) not in filled:
                                 return NipResult(
                                     "finset_arrow",
                                     size_bound,
                                     False,
                                     checked,
                                     {
-                                        "A": _ser_arrow(A), "B": _ser_arrow(B),
-                                        "C": _ser_arrow(C), "D": _ser_arrow(D),
-                                        "i": _ser_sq(i), "p": _ser_sq(p),
-                                        "top": _ser_sq(top),
-                                        "bottom": _ser_sq(bottom),
+                                        "A": _ser_arrow(_decode_arrow(A)),
+                                        "B": _ser_arrow(_decode_arrow(B)),
+                                        "C": _ser_arrow(_decode_arrow(C)),
+                                        "D": _ser_arrow(_decode_arrow(D)),
+                                        "i": _ser_sq(_decode_hom(i, A, B)),
+                                        "p": _ser_sq(_decode_hom(p, C, D)),
+                                        "top": _ser_sq(_decode_hom(top, A, C)),
+                                        "bottom": _ser_sq(_decode_hom(bottom, B, D)),
                                         "retraction_of_i": _ser_sq(
-                                            space.retraction_of(i, A, B)
+                                            _decode_hom(space.retraction(i, A, B), B, A)
                                         ),
                                         "section_of_p": _ser_sq(
-                                            space.section_of(p, C, D)
+                                            _decode_hom(space.section(p, C, D), D, C)
                                         ),
                                     },
                                 )
     return NipResult("finset_arrow", size_bound, True, checked, None)
+
+
+def _filled_squares(space, i, p, A, B, C, D):
+    """The (top, bottom) = (h∘i, p∘h) over every h : B → C, each as the
+    four level indices (top0, top1, bottom0, bottom1)."""
+    maps = space.maps
+    i0 = maps.before(A[0], B[0], C[0])[i[0]]
+    i1 = maps.before(A[1], B[1], C[1])[i[1]]
+    p0 = maps.after(B[0], C[0], D[0])[p[0]]
+    p1 = maps.after(B[1], C[1], D[1])[p[1]]
+    return {(i0[h0], i1[h1], p0[h0], p1[h1]) for h0, h1 in space.homs(B, C)}
 
 
 def _ser_arrow(X):

@@ -6,8 +6,9 @@ universal property by filtering the whole apex for every cone, as the
 library did before it indexed the apex by leg images; they take their
 cones from the enumerators, which are checked against brute force.  The
 lifting-sweep references filter every candidate square, as the library did
-before it solved the square equation for the bottom map; they reuse the
-library's split-map selection, retractions, sections and greedy filler.
+before it solved the square equation for the bottom map, on maps as image
+tuples as it had them before it encoded maps by index, with its tuple-level
+split-map selection, retractions, sections and greedy filler.
 The lifting-problem references build their own choice tables or filter
 every candidate functor, as the library did before ``enumerate_lifts``.
 The associativity reference scans every composable triple, as
@@ -22,15 +23,7 @@ from fincat.core import (
     enumerate_transformations,
     find_isomorphism,
 )
-from fincat.cosmos import (
-    NipResult,
-    _ArrowSpace,
-    _finset_filler,
-    _ser_arrow,
-    _ser_sq,
-    _split_epis,
-    _split_monos,
-)
+from fincat.cosmos import NipResult, _ser_arrow, _ser_sq
 
 
 def scan_associativity(cat: FinCat):
@@ -322,24 +315,67 @@ def scan_isomorphism_over(w1, w2):
 # (the library's code before it solved the square equation for the bottom)
 
 
-class FilterArrowSpace(_ArrowSpace):
-    """The library's arrow space with each hom set filtered from all pairs
-    of level maps; its split-mono / split-epi selection, retractions and
-    sections run over these hom sets."""
-
-    def homs(self, X, Y):
-        key = (X, Y)
-        if key not in self._homs:
-            self._homs[key] = filter_arrow_homs(X, Y)
-        return self._homs[key]
-
-
 def _maps(a, b):
     return list(product(range(b), repeat=a))
 
 
 def _after(g, f):
     return tuple(g[x] for x in f)
+
+
+def arrow_compose(g, f):
+    return (_after(g[0], f[0]), _after(g[1], f[1]))
+
+
+def extensions(f, t, b, d):
+    """All g : b → d with g∘f = t, in the order of ``_maps(b, d)``: g is
+    fixed on the image of f and free elsewhere."""
+    g = [None] * b
+    for x, y in zip(f, t):
+        if g[x] is None:
+            g[x] = y
+        elif g[x] != y:
+            return
+    free = [y for y, v in enumerate(g) if v is None]
+    for values in product(range(d), repeat=len(free)):
+        for y, v in zip(free, values):
+            g[y] = v
+        yield tuple(g)
+
+
+def split_monos(a, b):
+    """Injective maps with a retraction: any injection with nonempty domain,
+    and the empty map only onto the empty set."""
+    if a == 0:
+        return [()] if b == 0 else []
+    return [f for f in _maps(a, b) if len(set(f)) == len(f)]
+
+
+def split_epis(c, d):
+    return [f for f in _maps(c, d) if set(f) == set(range(d))]
+
+
+def finset_filler(i, a, b, p, c, d, top, bottom):
+    """Greedy filler for a (split mono, split epi) square in finite sets."""
+    h = []
+    preimage = {}
+    for x, y in enumerate(i):
+        preimage[y] = x
+    for y in range(b):
+        if y in preimage:
+            h.append(top[preimage[y]] if a else 0)
+        else:
+            target = bottom[y]
+            pick = next((z for z in range(c) if p[z] == target), None)
+            if pick is None:
+                return None
+            h.append(pick)
+    h = tuple(h)
+    if _after(h, i) != tuple(top):
+        return None
+    if _after(p, h) != tuple(bottom):
+        return None
+    return h
 
 
 def filter_arrow_homs(X, Y):
@@ -355,13 +391,97 @@ def filter_arrow_homs(X, Y):
     return out
 
 
+class FilterArrowSpace:
+    """Arrows of finite sets with maps as image tuples, as the library had
+    them before it encoded maps by index: each hom set is filtered from all
+    pairs of level maps, and split monos and epis from the hom sets by their
+    retraction and section candidates."""
+
+    def __init__(self, size_bound):
+        sizes = range(size_bound + 1)
+        objects = [(x0, x1, u) for x0 in sizes for x1 in sizes for u in _maps(x0, x1)]
+        self.objects = sorted(objects, key=lambda o: (o[0] + o[1], o))
+        self._homs = {}
+
+    def homs(self, X, Y):
+        key = (X, Y)
+        if key not in self._homs:
+            self._homs[key] = filter_arrow_homs(X, Y)
+        return self._homs[key]
+
+    def _retraction_candidates(self, f, x, y):
+        """Functions r : y → x with r∘f = id, enumerated componentwise."""
+        image = {v: k for k, v in enumerate(f)}
+        slots = [[image[z]] if z in image else list(range(x)) for z in range(y)]
+        if x == 0 and y > 0:
+            return
+        yield from product(*slots)
+
+    def retraction_of(self, i, X, Y):
+        """A commuting retraction pair for a levelwise-injective square, or
+        None."""
+        x0, x1, u = X
+        y0, y1, v = Y
+        for r0 in self._retraction_candidates(i[0], x0, y0):
+            for r1 in self._retraction_candidates(i[1], x1, y1):
+                if _after(u, r0) == _after(r1, v):
+                    return (r0, r1)
+        return None
+
+    def split_monos(self, X, Y):
+        """Monos with a retraction; componentwise injectivity is forced, so
+        only injective squares are examined."""
+        x0, x1, _ = X
+        y0, y1, _ = Y
+        if x0 > y0 or x1 > y1:
+            return []
+        return [
+            i
+            for i in self.homs(X, Y)
+            if len(set(i[0])) == len(i[0])
+            and len(set(i[1])) == len(i[1])
+            and self.retraction_of(i, X, Y) is not None
+        ]
+
+    def _section_candidates(self, f, x, y):
+        """Functions s : y → x with f∘s = id."""
+        fibers = [[z for z in range(x) if f[z] == w] for w in range(y)]
+        if any(not fib for fib in fibers):
+            return
+        yield from product(*fibers)
+
+    def section_of(self, p, X, Y):
+        """A commuting section pair for a levelwise-surjective square, or
+        None."""
+        x0, x1, u = X
+        y0, y1, v = Y
+        for s0 in self._section_candidates(p[0], x0, y0):
+            for s1 in self._section_candidates(p[1], x1, y1):
+                if _after(u, s0) == _after(s1, v):
+                    return (s0, s1)
+        return None
+
+    def split_epis(self, X, Y):
+        x0, x1, _ = X
+        y0, y1, _ = Y
+        if x0 < y0 or x1 < y1:
+            return []
+        return [
+            p
+            for p in self.homs(X, Y)
+            if set(p[0]) == set(range(y0))
+            and set(p[1]) == set(range(y1))
+            and self.section_of(p, X, Y) is not None
+        ]
+
+
 def filter_nip_finset(size_bound):
     checked = 0
     sizes = range(size_bound + 1)
     quads = sorted(product(sizes, sizes, sizes, sizes), key=lambda q: (sum(q), q))
     for a, b, c, d in quads:
-        monos = _split_monos(a, b)
-        epis = _split_epis(c, d)
+        monos = split_monos(a, b)
+        epis = split_epis(c, d)
         if not monos or not epis:
             continue
         for i in monos:
@@ -372,7 +492,7 @@ def filter_nip_finset(size_bound):
                         if _after(bottom, i) != pt:
                             continue
                         checked += 1
-                        if _finset_filler(i, a, b, p, c, d, top, bottom) is not None:
+                        if finset_filler(i, a, b, p, c, d, top, bottom) is not None:
                             continue
                         if not any(
                             _after(hh, i) == top and _after(p, hh) == bottom
@@ -390,9 +510,6 @@ def filter_nip_finset(size_bound):
 
 
 def filter_nip_finset_arrow(size_bound):
-    def after(g, f):
-        return (_after(g[0], f[0]), _after(g[1], f[1]))
-
     space = FilterArrowSpace(size_bound)
     objects = space.objects
     mono_buckets, epi_buckets = {}, {}
@@ -409,13 +526,13 @@ def filter_nip_finset_arrow(size_bound):
             for A, B, i in mono_buckets.get(ms, ()):
                 for C, D, p in epi_buckets.get(total - ms, ()):
                     for top in space.homs(A, C):
-                        pt = after(p, top)
+                        pt = arrow_compose(p, top)
                         for bottom in space.homs(B, D):
-                            if after(bottom, i) != pt:
+                            if arrow_compose(bottom, i) != pt:
                                 continue
                             checked += 1
                             if any(
-                                after(h, i) == top and after(p, h) == bottom
+                                arrow_compose(h, i) == top and arrow_compose(p, h) == bottom
                                 for h in space.homs(B, C)
                             ):
                                 continue

@@ -265,3 +265,32 @@ def test_malformed_tower_or_fragment_exits_two_with_a_located_error(
     tmp_path, sample, mutate, argv, detail
 ):
     _exit_two_with(tmp_path, sample, mutate, argv, detail)
+
+
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("power_budget", "x", "fragment: power_budget: expected a non-negative integer"),
+        ("power_budget", True, "fragment: power_budget: expected a non-negative integer"),
+        ("tower_bound", None, "fragment: tower_bound: expected a non-negative integer"),
+        ("tower_bound", -1, "fragment: tower_bound: expected a non-negative integer"),
+        ("label", [1], "fragment: label: expected a string"),
+        ("chosen", 3, "fragment: chosen: expected a string"),
+    ],
+    ids=[
+        "power-budget-as-string",
+        "power-budget-as-bool",
+        "tower-bound-null",
+        "tower-bound-negative",
+        "label-as-list",
+        "chosen-as-int",
+    ],
+)
+def test_mistyped_fragment_field_exits_two_with_a_located_error(tmp_path, field, value, detail):
+    _exit_two_with(
+        tmp_path,
+        "fragment.json",
+        lambda fragment: fragment.update({field: value}),
+        ["cosmos-check", "--fragment"],
+        detail,
+    )

@@ -1,12 +1,12 @@
 import pytest
+from helpers import FilterArrowSpace, arrow_compose
 
 from fincat.core import StructureError, builtin
 from fincat.cosmos import (
     CosmosFragment,
+    _SetMaps,
     check_fragment,
     nip_square_filler,
-    _split_epis,
-    _split_monos,
 )
 
 
@@ -40,18 +40,16 @@ def test_finset_arrow_counterexample_at_bound_three():
     def as_sq(f):
         return (tuple(f["component0"]), tuple(f["component1"]))
 
-    from fincat.cosmos import _ArrowSpace, _arrow_compose
-
-    space = _ArrowSpace(3)
+    space = FilterArrowSpace(3)
     i, p = as_sq(ce["i"]), as_sq(ce["p"])
     top, bottom = as_sq(ce["top"]), as_sq(ce["bottom"])
-    assert _arrow_compose(p, top) == _arrow_compose(bottom, i)
+    assert arrow_compose(p, top) == arrow_compose(bottom, i)
     assert i in space.split_monos(as_obj(A), as_obj(B))
     assert p in space.split_epis(as_obj(C), as_obj(D))
     fillers = [
         h
         for h in space.homs(as_obj(B), as_obj(C))
-        if _arrow_compose(h, i) == top and _arrow_compose(p, h) == bottom
+        if arrow_compose(h, i) == top and arrow_compose(p, h) == bottom
     ]
     assert fillers == []
 
@@ -85,13 +83,14 @@ def test_finset_arrow_above_bound_three_is_refused_before_construction(monkeypat
 
 
 def test_split_enumeration_against_direct_counts():
+    maps = _SetMaps()
     # split monos 2 → 3: all injections; independent count 3!/(3-2)! = 6
-    assert len(_split_monos(2, 3)) == 6
-    # the empty map splits only onto the empty set
-    assert _split_monos(0, 0) == [()]
-    assert _split_monos(0, 2) == []
+    assert len(maps.retractions(2, 3)) == 6
+    # the empty map (index 0) splits only onto the empty set
+    assert list(maps.retractions(0, 0)) == [0]
+    assert list(maps.retractions(0, 2)) == []
     # split epis 3 → 2: surjections; independent count 2^3 - 2 = 6
-    assert len(_split_epis(3, 2)) == 6
+    assert len(maps.sections(3, 2)) == 6
 
 
 def test_fragment_normal_class_passes_all_clauses():

@@ -1,7 +1,8 @@
 """The lifting sweeps in ``fincat.cosmos``, which solve each square for its
 bottom map, against the sweeps that filter every candidate square, kept in
 ``helpers`` as the reference: results, counts and counterexamples must be
-identical, and the arrow space's hom sets equal in order.  At bound 4 the
+identical, and the arrow space's hom sets, decoded from their indices,
+equal in order.  At bound 4 the
 sweep is compared with a digest of the reference's result."""
 import hashlib
 import json
@@ -9,7 +10,7 @@ import json
 import pytest
 from helpers import filter_arrow_homs, filter_nip_finset, filter_nip_finset_arrow
 
-from fincat.cosmos import _ArrowSpace, nip_square_filler
+from fincat.cosmos import _ArrowSpace, _decode_arrow, _decode_hom, nip_square_filler
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3])
@@ -28,7 +29,8 @@ def test_arrow_homs_match_the_filter_in_order(bound):
     space = _ArrowSpace(bound)
     for X in space.objects:
         for Y in space.objects:
-            assert space.homs(X, Y) == filter_arrow_homs(X, Y), (X, Y)
+            decoded = [_decode_hom(f, X, Y) for f in space.homs(X, Y)]
+            assert decoded == filter_arrow_homs(_decode_arrow(X), _decode_arrow(Y)), (X, Y)
 
 
 # SHA-256 of ``json.dumps(filter_nip_finset(4).to_dict(), sort_keys=True)``,
