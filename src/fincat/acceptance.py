@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .core import builtin, find_isomorphism, identity_functor
+from .core import builtin, enumerate_functors, find_isomorphism, identity_functor
 from .corpus import (
     corpus_categories,
     corpus_cospans_normal_left,
@@ -41,7 +41,6 @@ from .wfs import (
     minimal_retract_witness,
     solve_lifting,
 )
-from .core import enumerate_functors
 
 
 @dataclass

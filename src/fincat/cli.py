@@ -19,6 +19,7 @@ import click
 from .core import (
     AssociativityViolation,
     BoundaryViolation,
+    BudgetExceeded,
     FinCatError,
     IdentityViolation,
     NotFunctorial,
@@ -69,9 +70,27 @@ _LAW_ERRORS = (
 
 
 @click.group()
-@click.option("--budget", default=DEFAULT_BUDGET, show_default=True, help="Functor enumeration budget.")
-@click.option("--tower-bound", default=4, show_default=True, help="Maximal tower length.")
-@click.option("--word-bound", default=DEFAULT_WORD_BOUND, show_default=True, help="Word length bound for classifying categories.")
+@click.option(
+    "--budget",
+    type=click.IntRange(min=0),
+    default=DEFAULT_BUDGET,
+    show_default=True,
+    help="Functor enumeration budget.",
+)
+@click.option(
+    "--tower-bound",
+    type=click.IntRange(min=0),
+    default=4,
+    show_default=True,
+    help="Maximal tower length.",
+)
+@click.option(
+    "--word-bound",
+    type=click.IntRange(min=0),
+    default=DEFAULT_WORD_BOUND,
+    show_default=True,
+    help="Word length bound for classifying categories.",
+)
 @click.option("--pretty", is_flag=True, help="Indent the JSON payload.")
 @click.pass_context
 def main(ctx, budget, tower_bound, word_bound, pretty):
@@ -441,6 +460,18 @@ def cosmos_check(ctx, fragment_path):
             label=data.get("label", Path(fragment_path).stem),
         )
         report = check_fragment(frag)
+        skipped = sum(clause.budget_errors for clause in report.clauses.values())
+        if skipped:
+            first = next(
+                entry
+                for clause in report.clauses.values()
+                for entry in clause.entries
+                if entry.witness.startswith("skipped: ")
+            )
+            raise BudgetExceeded(
+                f"fragment {frag.label}: the budget skipped {skipped} checks,"
+                f" first {first.description}: {first.witness.removeprefix('skipped: ')}"
+            )
         return report.to_dict(), report.passed
 
     _run(ctx, "cosmos-check", {"fragment": fragment_path}, worker)

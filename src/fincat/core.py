@@ -7,10 +7,12 @@ once built; no operation mutates its arguments.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import re
 from functools import cached_property
+from operator import getitem
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -326,7 +328,11 @@ class FinCat:
         return hashlib.sha256(self.key.encode()).hexdigest()
 
     def relabel(self, label: str) -> "FinCat":
-        return FinCat(self.objects, self.morphisms, self.identity, self.comp, label=label)
+        """The same category under another label, of the same class and
+        with the same extra data (such as a tuple category's parts)."""
+        out = copy.copy(self)
+        out.label = label
+        return out
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -786,6 +792,72 @@ def thin_functor(source: FinCat, target: FinCat, omap, label: str) -> FinFunctor
             )
         mmap[m.name] = images[0]
     return FinFunctor(source, target, omap, mmap, label=label)
+
+
+class TupleCat(FinCat):
+    """A category whose morphisms are tuples of morphisms of ``factors``,
+    composed one component at a time, with lookup from parts to names.
+
+    ``objects`` lists ``(name, parts)``: the parts are one object of each
+    factor, then any structure the caller carries along (an isocomma's γ, a
+    functor's morphism images).  ``morphisms`` lists ``(name, dom, cod,
+    parts)`` with one morphism of each factor as parts.  The identity of an
+    object is its endomorphism whose parts are the factors' identities, and
+    g∘f is the morphism dom f → cod g whose parts are the componentwise
+    composites.  Raises :class:`StructureError` when two morphisms share
+    endpoints and parts, or when an identity or a composite is missing."""
+
+    def __init__(self, factors, objects, morphisms, label: str):
+        self.factors: tuple[FinCat, ...] = tuple(factors)
+        objects = list(objects)
+        self.obj_parts: dict[str, tuple] = dict(objects)
+        self.mor_parts: dict[str, tuple] = {}
+        self._obj_lookup = {parts: name for name, parts in objects}
+        lookup: dict[tuple, str] = {}
+        mors = []
+        for name, dom, cod, parts in morphisms:
+            if (dom, cod, parts) in lookup:
+                raise StructureError(
+                    f"{label}: {lookup[dom, cod, parts]} and {name} have the same parts"
+                )
+            lookup[dom, cod, parts] = name
+            self.mor_parts[name] = parts
+            mors.append(Morphism(name, dom, cod))
+        self._mor_lookup = lookup
+        identities = [X.identity for X in self.factors]
+        comps = [X.comp for X in self.factors]
+        mor_parts = self.mor_parts
+        try:
+            identity = {
+                o: lookup[o, o, tuple(map(getitem, identities, parts))]
+                for o, parts in self.obj_parts.items()
+            }
+            comp = {}
+            for g, f in composable_morphisms(mors):
+                pairs = zip(mor_parts[g.name], mor_parts[f.name])
+                comp[g.name, f.name] = lookup[f.dom, g.cod, tuple(map(getitem, comps, pairs))]
+        except KeyError as exc:
+            raise StructureError(
+                f"{label}: an identity or composite is missing (no entry {exc.args[0]})"
+            ) from None
+        super().__init__([name for name, _ in objects], mors, identity, comp, label=label)
+
+    def obj_named(self, parts: tuple) -> str:
+        return self._obj_lookup[tuple(parts)]
+
+    def mor_named(self, dom: str, cod: str, parts: tuple) -> str:
+        return self._mor_lookup[(dom, cod, tuple(parts))]
+
+    def projection(self, k: int, label: str) -> FinFunctor:
+        """The functor to factor k taking each object and morphism to its
+        k-th part."""
+        return FinFunctor._trusted(
+            self,
+            self.factors[k],
+            {o: parts[k] for o, parts in self.obj_parts.items()},
+            {m: parts[k] for m, parts in self.mor_parts.items()},
+            label,
+        )
 
 
 def terminal_category() -> FinCat:

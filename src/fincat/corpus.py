@@ -22,7 +22,7 @@ from .core import (
     validate_functor,
 )
 from .fibrations import classify_fibration
-from .funcat import product_category
+from .funcat import product_category, product_projections
 
 BUILTIN_NAMES = (
     "terminal",
@@ -180,8 +180,6 @@ def corpus_towers() -> tuple[tuple[FinCat, tuple[FinFunctor, ...]], ...]:
     c2, c3 = builtin("chaotic(2)"), builtin("chaotic(3)")
     two = builtin("arrow")
     square = corpus_category("square")
-    from .funcat import product_projections
-
     proj1, _ = product_projections(square, two, two)
     iso = builtin("free_iso")
     towers = (

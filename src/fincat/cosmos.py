@@ -51,7 +51,6 @@ from .funcat import (
     postcompose_functor,
     product_category,
     product_functor,
-    product_projections,
 )
 from .limits import (
     build_normal_pullback,
@@ -179,8 +178,7 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
     for A in frag.objects:
         for B in frag.objects:
             desc = f"product {A.label}×{B.label}"
-            prod = product_category(A, B)
-            p1, p2 = product_projections(prod, A, B)
+            product_category(A, B)
             limits.entries.append(ClauseEntry(desc, True))
             desc = f"power [{A.label},{B.label}]"
             try:

@@ -19,18 +19,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from operator import getitem
 
 from .core import (
     BudgetExceeded,
-    FinCat,
     FinFunctor,
-    Morphism,
     StructureError,
+    TupleCat,
     UnknownName,
     builtin,
     builtin_functor,
     chaotic_category,
-    composable_morphisms,
     discrete_category,
     enumerate_functors,
     enumerate_lifts,
@@ -129,41 +128,35 @@ def arrow_sections(f: ArrowMorphism) -> list[ArrowMorphism]:
 
 @dataclass
 class ArrowHom:
-    """The category of commuting squares X → A, with the indexing of its
-    objects by functor pairs and of its morphisms by transformation pairs."""
+    """The category of commuting squares X → A, with the square (s0, s1)
+    behind each object: object ``q{i}`` is ``squares[i]``."""
 
-    category: FinCat
+    category: TupleCat
     squares: list
-    cells: dict
-    lookup: dict
-
-    def object_of(self, s0_key: str, s1_key: str) -> str:
-        return self._square_index[(s0_key, s1_key)]
-
-    def __post_init__(self):
-        self._square_index = {
-            (s0.key, s1.key): f"q{i}" for i, (s0, s1) in enumerate(self.squares)
-        }
 
 
-def _cell_key(dom, cod, t0, t1):
+def _square_parts(X: FinFunctor, s0: FinFunctor, s1: FinFunctor) -> tuple[str, ...]:
+    """The parts of a square (s0, s1) out of X: the object images of s0 and
+    of s1, then their morphism images."""
+    X0, X1 = X.source, X.target
     return (
-        dom,
-        cod,
-        tuple(sorted(t0.components.items())),
-        tuple(sorted(t1.components.items())),
+        tuple(s0.omap[x] for x in X0.objects)
+        + tuple(s1.omap[y] for y in X1.objects)
+        + tuple(s0.mmap[m.name] for m in X0.morphisms)
+        + tuple(s1.mmap[m.name] for m in X1.morphisms)
     )
 
 
 def arrow_hom_category(X: FinFunctor, A: FinFunctor) -> ArrowHom:
-    """Commuting squares X → A and their compatible transformation pairs."""
+    """Commuting squares X → A and their compatible transformation pairs
+    (t0, t1), each morphism the tuple of the components of t0 and of t1."""
+    X0, X1 = X.source, X.target
     squares = [
         (s0, s1)
-        for s0 in enumerate_functors(X.source, A.source)
-        for s1 in enumerate_lifts(X.target, A.target, under=[(X, s0.then(A))])
+        for s0 in enumerate_functors(X0, A.source)
+        for s1 in enumerate_lifts(X1, A.target, under=[(X, s0.then(A))])
     ]
-    obj_names = [f"q{i}" for i in range(len(squares))]
-    morphisms, cells, lookup = [], {}, {}
+    morphisms = []
     for i, (s0, s1) in enumerate(squares):
         for j, (r0, r1) in enumerate(squares):
             pairs = [
@@ -173,49 +166,36 @@ def arrow_hom_category(X: FinFunctor, A: FinFunctor) -> ArrowHom:
                 if t0.whisker_post(A).components == t1.whisker_pre(X).components
             ]
             for k, (t0, t1) in enumerate(pairs):
-                name = f"m{i}_{j}_{k}"
-                morphisms.append(Morphism(name, f"q{i}", f"q{j}"))
-                cells[name] = (t0, t1)
-                lookup[_cell_key(f"q{i}", f"q{j}", t0, t1)] = name
-    identity = {}
-    for i, (s0, s1) in enumerate(squares):
-        id0 = {a: s0.target.id_of(s0.ob(a)) for a in s0.source.objects}
-        id1 = {a: s1.target.id_of(s1.ob(a)) for a in s1.source.objects}
-        identity[f"q{i}"] = lookup[
-            (f"q{i}", f"q{i}", tuple(sorted(id0.items())), tuple(sorted(id1.items())))
-        ]
-    comp = {}
-    for m1, m2 in composable_morphisms(morphisms):
-        t0a, t1a = cells[m1.name]
-        t0b, t1b = cells[m2.name]
-        comp[(m1.name, m2.name)] = lookup[
-            _cell_key(m2.dom, m1.cod, t0b.then(t0a), t1b.then(t1a))
-        ]
-    cat = FinCat(obj_names, morphisms, identity, comp, label=f"[{X.label},{A.label}]")
-    return ArrowHom(category=cat, squares=squares, cells=cells, lookup=lookup)
+                parts = tuple(t0.components[x] for x in X0.objects) + tuple(
+                    t1.components[y] for y in X1.objects
+                )
+                morphisms.append((f"m{i}_{j}_{k}", f"q{i}", f"q{j}", parts))
+    cat = TupleCat(
+        (A.source,) * X0.n_objects + (A.target,) * X1.n_objects,
+        [(f"q{i}", _square_parts(X, s0, s1)) for i, (s0, s1) in enumerate(squares)],
+        morphisms,
+        label=f"[{X.label},{A.label}]",
+    )
+    return ArrowHom(category=cat, squares=squares)
 
 
 def arrow_hom_postcompose(X: FinFunctor, f: ArrowMorphism) -> FinFunctor:
-    """Postcomposition with f between hom-categories of squares."""
+    """Postcomposition with f between hom-categories of squares: level 0 of
+    f acts on the components of t0, level 1 on those of t1."""
     src = arrow_hom_category(X, f.source)
-    dst = arrow_hom_category(X, f.target)
-    omap = {}
-    for i, (s0, s1) in enumerate(src.squares):
-        omap[f"q{i}"] = dst.object_of(s0.then(f.level0).key, s1.then(f.level1).key)
-    mmap = {}
-    for m in src.category.morphisms:
-        t0, t1 = src.cells[m.name]
-        mmap[m.name] = dst.lookup[
-            _cell_key(
-                omap[m.dom],
-                omap[m.cod],
-                t0.whisker_post(f.level0),
-                t1.whisker_post(f.level1),
-            )
-        ]
-    return FinFunctor(
-        src.category, dst.category, omap, mmap, label=f"[{X.label},f]"
-    )
+    dst = arrow_hom_category(X, f.target).category
+    omap = {
+        f"q{i}": dst.obj_named(_square_parts(X, s0.then(f.level0), s1.then(f.level1)))
+        for i, (s0, s1) in enumerate(src.squares)
+    }
+    levels = (f.level0.mmap,) * X.source.n_objects + (f.level1.mmap,) * X.target.n_objects
+    mmap = {
+        m.name: dst.mor_named(
+            omap[m.dom], omap[m.cod], tuple(map(getitem, levels, src.category.mor_parts[m.name]))
+        )
+        for m in src.category.morphisms
+    }
+    return FinFunctor(src.category, dst, omap, mmap, label=f"[{X.label},f]")
 
 
 def default_arrow_test_objects() -> tuple[FinFunctor, ...]:

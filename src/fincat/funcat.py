@@ -2,24 +2,23 @@
 between them.
 
 ``functor_category(C, D)`` enumerates every functor C → D and every natural
-transformation between them, producing an ordinary :class:`FinCat` whose
-objects are named by their image tuples.  Enumeration is guarded by an
-explicit budget: the number of raw candidates is estimated up front and
-``EnumerationBudgetExceeded`` reports both the bound and the requirement,
-so blowups are loud rather than slow.
+transformation between them, producing a :class:`~fincat.core.TupleCat`
+whose objects are named by their image tuples and whose morphisms are
+tuples of components.  Binary products are tuple categories too, so every
+name maps back to its parts by lookup, never by parsing.  Enumeration is
+guarded by an explicit budget: the number of raw candidates is estimated up
+front and ``EnumerationBudgetExceeded`` reports both the bound and the
+requirement, so blowups are loud rather than slow.
 """
 from __future__ import annotations
-
-from functools import cached_property
 
 from .core import (
     EnumerationBudgetExceeded,
     FinCat,
     FinFunctor,
-    Morphism,
     NatTrans,
     StructureError,
-    composable_morphisms,
+    TupleCat,
     enumerate_functors,
     enumerate_transformations,
 )
@@ -27,9 +26,11 @@ from .core import (
 DEFAULT_BUDGET = 20_000
 
 
-class FunctorCat(FinCat):
-    """A functor category together with the indexing of its objects by
-    actual functors and its morphisms by actual transformations."""
+class FunctorCat(TupleCat):
+    """The power D^C: its objects are the functors C → D, whose parts are
+    their object images, then their morphism images, and its morphisms the
+    natural transformations, each the tuple of its components at the
+    objects of C, composed one component at a time."""
 
     def __init__(self, *args, source_category=None, target_category=None,
                  functors=None, transformations=None, **kwargs):
@@ -39,27 +40,22 @@ class FunctorCat(FinCat):
         self.functors: dict[str, FinFunctor] = functors or {}
         self.transformations: dict[str, NatTrans] = transformations or {}
 
-    @cached_property
-    def _functor_names(self) -> dict[str, str]:
-        return {F.key: name for name, F in self.functors.items()}
-
-    @cached_property
-    def _trans_names(self) -> dict[tuple, str]:
-        out = {}
-        for name, t in self.transformations.items():
-            key = (t.source.key, t.target.key, tuple(sorted(t.components.items())))
-            out[key] = name
-        return out
-
     def functor_named(self, name: str) -> FinFunctor:
         return self.functors[name]
 
     def name_of_functor(self, F: FinFunctor) -> str:
-        return self._functor_names[F.key]
+        return self.obj_named(_functor_parts(self.source_category, F))
 
     def name_of_transformation(self, t: NatTrans) -> str:
-        key = (t.source.key, t.target.key, tuple(sorted(t.components.items())))
-        return self._trans_names[key]
+        return self.mor_named(
+            self.name_of_functor(t.source),
+            self.name_of_functor(t.target),
+            tuple(t.components[a] for a in self.source_category.objects),
+        )
+
+
+def _functor_parts(C: FinCat, F: FinFunctor) -> tuple[str, ...]:
+    return tuple(F.omap[a] for a in C.objects) + tuple(F.mmap[m.name] for m in C.morphisms)
 
 
 def _object_name(C: FinCat, F: FinFunctor) -> str:
@@ -135,34 +131,20 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
                     budget, required, f"power {D.label}^{C.label}"
                 )
 
-    morphisms: list[Morphism] = []
+    morphisms = []
     transformations: dict[str, NatTrans] = {}
-    trans_lookup: dict[tuple, str] = {}
-    identity: dict[str, str] = {}
     for i, (fname, F) in enumerate(zip(names, functor_list)):
         for j, (gname, G) in enumerate(zip(names, functor_list)):
             for t in enumerate_transformations(F, G):
                 comps = tuple(t.component(a) for a in C.objects)
                 tname = f"[{','.join(comps)}]{i}>{j}"
-                morphisms.append(Morphism(tname, fname, gname))
+                morphisms.append((tname, fname, gname, comps))
                 transformations[tname] = t
-                trans_lookup[(fname, gname, comps)] = tname
-                if i == j and all(
-                    D.is_identity(t.component(a)) for a in C.objects
-                ):
-                    identity.setdefault(fname, tname)
-
-    comp: dict[tuple[str, str], str] = {}
-    for g, f in composable_morphisms(morphisms):
-        composite = transformations[f.name].then(transformations[g.name])
-        comps = tuple(composite.component(a) for a in C.objects)
-        comp[(g.name, f.name)] = trans_lookup[(f.dom, g.cod, comps)]
 
     fc = FunctorCat(
-        names,
+        [D] * C.n_objects,
+        [(name, _functor_parts(C, F)) for name, F in functors.items()],
         morphisms,
-        identity,
-        comp,
         label=f"[{C.label},{D.label}]",
         source_category=C,
         target_category=D,
@@ -176,14 +158,7 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
 
 def evaluation_functor(fc: FunctorCat, at: str) -> FinFunctor:
     """Evaluate a functor category at an object of its source."""
-    D = fc.target_category
-    return FinFunctor(
-        fc,
-        D,
-        {name: F.ob(at) for name, F in fc.functors.items()},
-        {name: t.component(at) for name, t in fc.transformations.items()},
-        label=f"ev_{at}",
-    )
+    return fc.projection(fc.source_category.obj_index[at], f"ev_{at}")
 
 
 def precompose_functor(j: FinFunctor, D: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
@@ -284,23 +259,18 @@ def cells_into_power(cells: list[NatTrans], power: FunctorCat) -> FinFunctor:
 # Binary products
 
 
-def product_category(A: FinCat, B: FinCat) -> FinCat:
+def product_category(A: FinCat, B: FinCat) -> TupleCat:
     """The product category with objects (a,b) and morphisms (m,n)."""
-    objects = [f"({a},{b})" for a in A.objects for b in B.objects]
-    morphisms = [
-        Morphism(f"({m.name},{n.name})", f"({m.dom},{n.dom})", f"({m.cod},{n.cod})")
-        for m in A.morphisms
-        for n in B.morphisms
-    ]
-    identity = {
-        f"({a},{b})": f"({A.id_of(a)},{B.id_of(b)})" for a in A.objects for b in B.objects
-    }
-    comp = {}
-    for g1, f1 in A.composable_pairs():
-        c1 = A.compose(g1, f1)
-        for g2, f2 in B.composable_pairs():
-            comp[(f"({g1},{g2})", f"({f1},{f2})")] = f"({c1},{B.compose(g2, f2)})"
-    return FinCat(objects, morphisms, identity, comp, label=f"{A.label}×{B.label}")
+    return TupleCat(
+        (A, B),
+        [(f"({a},{b})", (a, b)) for a in A.objects for b in B.objects],
+        [
+            (f"({m.name},{n.name})", f"({m.dom},{n.dom})", f"({m.cod},{n.cod})", (m.name, n.name))
+            for m in A.morphisms
+            for n in B.morphisms
+        ],
+        label=f"{A.label}×{B.label}",
+    )
 
 
 def split_pair_name(name: str) -> tuple[str, str]:
@@ -317,32 +287,27 @@ def split_pair_name(name: str) -> tuple[str, str]:
     raise StructureError(f"not a pair name: {name}")
 
 
-def product_projections(prod: FinCat, A: FinCat, B: FinCat) -> tuple[FinFunctor, FinFunctor]:
-    o1 = {o: split_pair_name(o)[0] for o in prod.objects}
-    o2 = {o: split_pair_name(o)[1] for o in prod.objects}
-    m1 = {m.name: split_pair_name(m.name)[0] for m in prod.morphisms}
-    m2 = {m.name: split_pair_name(m.name)[1] for m in prod.morphisms}
-    return (
-        FinFunctor(prod, A, o1, m1, label="proj1"),
-        FinFunctor(prod, B, o2, m2, label="proj2"),
-    )
+def product_projections(prod: TupleCat, A: FinCat, B: FinCat) -> tuple[FinFunctor, FinFunctor]:
+    """The legs of ``prod = product_category(A, B)`` to A and to B."""
+    return prod.projection(0, "proj1"), prod.projection(1, "proj2")
 
 
-def product_functor(F: FinFunctor, G: FinFunctor, prod_src: FinCat, prod_dst: FinCat) -> FinFunctor:
-    """F×G : A×B → C×D acting componentwise on pair names."""
+def product_functor(
+    F: FinFunctor, G: FinFunctor, prod_src: TupleCat, prod_dst: TupleCat
+) -> FinFunctor:
+    """F×G : A×B → C×D acting componentwise."""
     p1, p2 = product_projections(prod_src, F.source, G.source)
     return pair_functor(p1.then(F), p2.then(G), prod_dst)
 
 
-def pair_functor(F: FinFunctor, G: FinFunctor, prod: FinCat) -> FinFunctor:
+def pair_functor(F: FinFunctor, G: FinFunctor, prod: TupleCat) -> FinFunctor:
     """⟨F, G⟩ : X → A×B for parallel-source F : X → A and G : X → B."""
     if F.source != G.source:
         raise StructureError("pairing needs a common source")
     X = F.source
-    return FinFunctor(
-        X,
-        prod,
-        {x: f"({F.ob(x)},{G.ob(x)})" for x in X.objects},
-        {m.name: f"({F.mor(m.name)},{G.mor(m.name)})" for m in X.morphisms},
-        label=f"⟨{F.label},{G.label}⟩",
-    )
+    omap = {x: prod.obj_named((F.ob(x), G.ob(x))) for x in X.objects}
+    mmap = {
+        m.name: prod.mor_named(omap[m.dom], omap[m.cod], (F.mor(m.name), G.mor(m.name)))
+        for m in X.morphisms
+    }
+    return FinFunctor(X, prod, omap, mmap, label=f"⟨{F.label},{G.label}⟩")

@@ -22,6 +22,7 @@ from .core import (
     NatTrans,
     NotIdempotent,
     StructureError,
+    TupleCat,
     builtin,
     builtin_functor,
     composable_morphisms,
@@ -52,27 +53,6 @@ def default_vertices() -> tuple[FinCat, ...]:
     """The terminal category and the generic arrow, built once: categories
     are immutable, so every certificate can share them."""
     return (builtin("terminal"), builtin("arrow"))
-
-
-class TupleCat(FinCat):
-    """A category whose objects/morphisms are named tuples of parts, with
-    reverse lookup from parts to names."""
-
-    def __init__(self, *args, obj_parts=None, mor_parts=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.obj_parts: dict[str, tuple] = obj_parts or {}
-        self.mor_parts: dict[str, tuple] = mor_parts or {}
-        self._obj_lookup = {v: k for k, v in self.obj_parts.items()}
-        self._mor_lookup = {}
-        for name, parts in self.mor_parts.items():
-            m = self.mor(name)
-            self._mor_lookup[(m.dom, m.cod, parts)] = name
-
-    def obj_named(self, parts: tuple) -> str:
-        return self._obj_lookup[tuple(parts)]
-
-    def mor_named(self, dom: str, cod: str, parts: tuple) -> str:
-        return self._mor_lookup[(dom, cod, tuple(parts))]
 
 
 @dataclass
@@ -172,49 +152,28 @@ def _certify(kind, noun, apex, legs, cells, cones, vertices) -> Certificate:
 
 def pullback_strict(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness:
     """The strict pullback of the cospan (F : A→C, G : B→C): the subcategory
-    of A×B where both images agree."""
+    of A×B where both images agree.  B's objects and morphisms are filed by
+    their G-images, so each one of A meets only those over its F-image."""
     if F.target != G.target:
         raise StructureError("pullback needs a cospan")
     A, B = F.source, G.source
-    obj_parts, objects = {}, []
-    for a in A.objects:
-        for b in B.objects:
-            if F.ob(a) == G.ob(b):
-                name = f"({a}|{b})"
-                objects.append(name)
-                obj_parts[name] = (a, b)
-    morphisms, mor_parts = [], {}
-    for m in A.morphisms:
-        for n in B.morphisms:
-            if F.mor(m.name) == G.mor(n.name):
-                name = f"({m.name}|{n.name})"
-                morphisms.append(Morphism(name, f"({m.dom}|{n.dom})", f"({m.cod}|{n.cod})"))
-                mor_parts[name] = (m.name, n.name)
-    identity = {
-        name: f"({A.id_of(a)}|{B.id_of(b)})" for name, (a, b) in obj_parts.items()
-    }
-    comp = {}
-    for m1, m2 in composable_morphisms(morphisms):
-        g1, g2 = mor_parts[m1.name]
-        f1, f2 = mor_parts[m2.name]
-        comp[(m1.name, m2.name)] = f"({A.compose(g1, f1)}|{B.compose(g2, f2)})"
+    objects_over: dict[str, list[str]] = {}
+    for b in B.objects:
+        objects_over.setdefault(G.ob(b), []).append(b)
+    morphisms_over: dict[str, list[Morphism]] = {}
+    for n in B.morphisms:
+        morphisms_over.setdefault(G.mor(n.name), []).append(n)
     apex = TupleCat(
-        objects, morphisms, identity, comp,
+        (A, B),
+        [(f"({a}|{b})", (a, b)) for a in A.objects for b in objects_over.get(F.ob(a), ())],
+        [
+            (f"({m.name}|{n.name})", f"({m.dom}|{n.dom})", f"({m.cod}|{n.cod})", (m.name, n.name))
+            for m in A.morphisms
+            for n in morphisms_over.get(F.mor(m.name), ())
+        ],
         label=f"pb({F.label},{G.label})",
-        obj_parts=obj_parts, mor_parts=mor_parts,
     )
-    p = FinFunctor(
-        apex, A,
-        {o: obj_parts[o][0] for o in objects},
-        {m.name: mor_parts[m.name][0] for m in morphisms},
-        label="pb_proj1",
-    )
-    q = FinFunctor(
-        apex, B,
-        {o: obj_parts[o][1] for o in objects},
-        {m.name: mor_parts[m.name][1] for m in morphisms},
-        label="pb_proj2",
-    )
+    p, q = apex.projection(0, "pb_proj1"), apex.projection(1, "pb_proj2")
     cert = _certify("pullback", "cone", apex, (p, q), (), _pullback_cones(F, G), vertices)
     return LimitWitness(apex, (p, q), (), cert, label=apex.label)
 
@@ -240,60 +199,25 @@ def isocomma(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness:
     if F.target != G.target:
         raise StructureError("isocomma needs a cospan")
     A, B, C = F.source, G.source, F.target
-    objects, obj_parts = [], {}
-    for a in A.objects:
-        for b in B.objects:
-            for gamma in C.hom(G.ob(b), F.ob(a)):
-                if not C.is_iso(gamma):
-                    continue
-                name = f"({a}|{b}|{gamma})"
-                objects.append(name)
-                obj_parts[name] = (a, b, gamma)
-    idx = {name: i for i, name in enumerate(objects)}
-    morphisms, mor_parts = [], {}
-    for dname in objects:
-        a, b, gamma = obj_parts[dname]
-        for cname in objects:
-            a2, b2, gamma2 = obj_parts[cname]
+    objects = [
+        (f"({a}|{b}|{gamma})", (a, b, gamma))
+        for a in A.objects
+        for b in B.objects
+        for gamma in C.hom(G.ob(b), F.ob(a))
+        if C.is_iso(gamma)
+    ]
+    morphisms = []
+    for i, (dname, (a, b, gamma)) in enumerate(objects):
+        for j, (cname, (a2, b2, gamma2)) in enumerate(objects):
             for m in A.hom(a, a2):
                 fm = F.mor(m)
                 for n in B.hom(b, b2):
-                    if C.compose(gamma2, G.mor(n)) != C.compose(fm, gamma):
-                        continue
-                    name = f"({m}|{n})@{idx[dname]}>{idx[cname]}"
-                    morphisms.append(Morphism(name, dname, cname))
-                    mor_parts[name] = (m, n)
-    identity = {
-        name: f"({A.id_of(parts[0])}|{B.id_of(parts[1])})@{idx[name]}>{idx[name]}"
-        for name, parts in obj_parts.items()
-    }
-    lookup = {(m.dom, m.cod, mor_parts[m.name]): m.name for m in morphisms}
-    comp = {}
-    for m1, m2 in composable_morphisms(morphisms):
-        g1, g2 = mor_parts[m1.name]
-        f1, f2 = mor_parts[m2.name]
-        comp[(m1.name, m2.name)] = lookup[
-            (m2.dom, m1.cod, (A.compose(g1, f1), B.compose(g2, f2)))
-        ]
-    apex = TupleCat(
-        objects, morphisms, identity, comp,
-        label=f"isocomma({F.label},{G.label})",
-        obj_parts=obj_parts, mor_parts=mor_parts,
-    )
-    p = FinFunctor(
-        apex, A,
-        {o: obj_parts[o][0] for o in objects},
-        {m.name: mor_parts[m.name][0] for m in morphisms},
-        label="ic_proj1",
-    )
-    q = FinFunctor(
-        apex, B,
-        {o: obj_parts[o][1] for o in objects},
-        {m.name: mor_parts[m.name][1] for m in morphisms},
-        label="ic_proj2",
-    )
+                    if C.compose(gamma2, G.mor(n)) == C.compose(fm, gamma):
+                        morphisms.append((f"({m}|{n})@{i}>{j}", dname, cname, (m, n)))
+    apex = TupleCat((A, B), objects, morphisms, label=f"isocomma({F.label},{G.label})")
+    p, q = apex.projection(0, "ic_proj1"), apex.projection(1, "ic_proj2")
     phi = NatTrans(
-        q.then(G), p.then(F), {o: obj_parts[o][2] for o in objects}, label="phi"
+        q.then(G), p.then(F), {o: parts[2] for o, parts in apex.obj_parts.items()}, label="phi"
     )
 
     def isocones(X: FinCat):

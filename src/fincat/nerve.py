@@ -20,6 +20,8 @@ from .core import (
     FinFunctor,
     Morphism,
     StructureError,
+    composable_morphisms,
+    validate_functor,
 )
 from .funcat import DEFAULT_BUDGET, functor_category, split_pair_name
 
@@ -482,30 +484,26 @@ def _classifying_data(
     roots = sorted(rep, key=lambda r: (index[rep[r]],))
     morphisms = []
     names = {}
+    word_of = {}
     for root in roots:
         w = rep[root]
         dom, cod = word_endpoints(w)
         nm = word_name(w)
         morphisms.append(Morphism(nm, dom, cod))
         names[root] = nm
+        word_of[nm] = w
     identity = {}
     for v in vertices:
         identity[v] = names[uf.find(index[(v, ())])]
     comp = {}
-    for r1 in roots:
-        w1 = rep[r1]
-        d1, c1 = word_endpoints(w1)
-        for r2 in roots:
-            w2 = rep[r2]
-            d2, c2 = word_endpoints(w2)
-            if c2 != d1:
-                continue
-            glued = (w2[0], w2[1] + w1[1])
-            if len(glued[1]) > bound:
-                raise BoundExceeded(
-                    f"composite of {word_name(w2)} and {word_name(w1)} escapes the bound {bound}"
-                )
-            comp[(names[r1], names[r2])] = names[uf.find(index[glued])]
+    for g, f in composable_morphisms(morphisms):
+        w1, w2 = word_of[g.name], word_of[f.name]
+        glued = (w2[0], w2[1] + w1[1])
+        if len(glued[1]) > bound:
+            raise BoundExceeded(
+                f"composite of {f.name} and {g.name} escapes the bound {bound}"
+            )
+        comp[(g.name, f.name)] = names[uf.find(index[glued])]
     cat = FinCat(
         vertices,
         morphisms,
@@ -536,8 +534,6 @@ def classifying_functor(
 
     omap = {v: smap[(0, v)] for v in PX.objects}
     mmap = {m.name: push(m.name, m.dom) for m in PX.morphisms}
-    from .core import validate_functor
-
     return validate_functor(FinFunctor(PX, PY, omap, mmap, label="Π(map)"))
 
 

@@ -13,7 +13,16 @@ import hashlib
 import json
 from pathlib import Path
 
-from .core import FinCat, FinFunctor, NatTrans, StructureError, validate_category, validate_functor, validate_transformation
+from .core import (
+    FinCat,
+    FinFunctor,
+    NatTrans,
+    StructureError,
+    builtin,
+    validate_category,
+    validate_functor,
+    validate_transformation,
+)
 from .nerve import TruncSSet, sset_from_dict, validate_sset
 
 
@@ -54,8 +63,6 @@ def load_category(path) -> FinCat:
 def category_from_node(node, base: Path) -> FinCat:
     # "builtin:<name>" references the builtin library directly
     if isinstance(node, str) and node.startswith("builtin:"):
-        from .core import builtin
-
         return builtin(node.split(":", 1)[1])
     data, src = _resolve(node, base)
     cat = validate_category(data)

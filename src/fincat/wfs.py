@@ -12,6 +12,7 @@ from .core import (
     FinFunctor,
     NotNormalCleavage,
     StructureError,
+    TupleCat,
     WitnessInvalid,
     enumerate_isomorphisms,
     enumerate_lifts,
@@ -34,7 +35,6 @@ from .funcat import DEFAULT_BUDGET, postcompose_functor, precompose_functor
 from .limits import (
     LimitWitness,
     PseudolimitOfArrow,
-    TupleCat,
     pseudolimit_injective_witness,
     pseudolimit_of_arrow,
     pullback_strict,

@@ -206,9 +206,10 @@ def _mmap_entry_as_list(square):
     mmap[first] = [mmap[first]]
 
 
-def _exit_two_with(tmp_path, sample, mutate, argv, detail):
+def _exit_two_with(tmp_path, sample, mutate, argv, detail, error="StructureError"):
     """Run the CLI in a fresh process on a mutated copy of a sample file and
-    check that it exits 2 with ``detail`` on stderr and no traceback."""
+    check that it exits 2 with ``error`` and ``detail`` on stderr and no
+    traceback."""
     samples = Path(__file__).resolve().parent.parent / "sample_data"
     data = json.loads((samples / sample).read_text())
     mutate(data)
@@ -221,8 +222,8 @@ def _exit_two_with(tmp_path, sample, mutate, argv, detail):
     )
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    error = json.loads(res.stderr.strip().splitlines()[-1])
-    assert (error["error"], error["detail"]) == ("StructureError", detail)
+    reported = json.loads(res.stderr.strip().splitlines()[-1])
+    assert (reported["error"], reported["detail"]) == (error, detail)
 
 
 @pytest.mark.parametrize(
@@ -293,4 +294,36 @@ def test_mistyped_fragment_field_exits_two_with_a_located_error(tmp_path, field,
         lambda fragment: fragment.update({field: value}),
         ["cosmos-check", "--fragment"],
         detail,
+    )
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--tower-bound", "--word-bound"])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "arrow.json"], ["cosmos-check", "--fragment", "fragment.json"]],
+    ids=["validate", "cosmos-check"],
+)
+def test_negative_global_bound_exits_two(workdir, flag, argv):
+    res = invoke([flag, "-1", *argv], workdir)
+    assert res.exit_code == 2
+    assert "-1 is not in the range x>=0" in res.output
+
+
+@pytest.mark.parametrize(
+    "argv, mutate",
+    [
+        (["--budget", "0"], lambda fragment: None),
+        ([], lambda fragment: fragment.update(power_budget=0)),
+    ],
+    ids=["global-budget", "fragment-budget"],
+)
+def test_budget_skipped_cosmos_check_exits_two(tmp_path, argv, mutate):
+    _exit_two_with(
+        tmp_path,
+        "fragment.json",
+        mutate,
+        [*argv, "cosmos-check", "--fragment"],
+        "fragment core-fragment: the budget skipped 69 checks, first [terminal,-] applied to"
+        " terminal->terminal@0: power terminal^terminal needs 1 candidates, budget is 0",
+        error="BudgetExceeded",
     )

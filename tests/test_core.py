@@ -11,6 +11,7 @@ from fincat.core import (
     NotFunctorial,
     NotNatural,
     StructureError,
+    TupleCat,
     UnknownBuiltin,
     builtin,
     builtin_functor,
@@ -110,6 +111,28 @@ def test_thin_category_refuses_a_missing_composite():
             [("id_0", "0", "0"), ("id_1", "1", "1"), ("id_2", "2", "2"),
              ("a", "0", "1"), ("b", "1", "2")],
             "broken chain",
+        )
+
+
+def test_tuple_category_refuses_a_missing_composite_and_shared_parts():
+    chain = thin_category(
+        ["0", "1", "2"],
+        [("id_0", "0", "0"), ("id_1", "1", "1"), ("id_2", "2", "2"),
+         ("a01", "0", "1"), ("a12", "1", "2"), ("a02", "0", "2")],
+        "chain",
+    )
+    objects = [(o, (o,)) for o in chain.objects]
+    identities = [(f"i{o}", o, o, (f"id_{o}",)) for o in chain.objects]
+    # f and g are there but their composite, with part a02, is not
+    with pytest.raises(StructureError, match="an identity or composite is missing"):
+        TupleCat(
+            (chain,), objects, identities + [("f", "0", "1", ("a01",)), ("g", "1", "2", ("a12",))],
+            "broken",
+        )
+    with pytest.raises(StructureError, match="f and h have the same parts"):
+        TupleCat(
+            (chain,), objects, identities + [("f", "0", "1", ("a01",)), ("h", "0", "1", ("a01",))],
+            "twice",
         )
 
 

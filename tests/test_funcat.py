@@ -141,6 +141,14 @@ def test_product_category_and_projections():
     validate_functor(paired)
 
 
+def test_relabel_keeps_a_product_and_its_projections():
+    prod = product_category(builtin("arrow"), builtin("arrow"))
+    square = prod.relabel("square")
+    assert (type(square), square.label, prod.label) == (type(prod), "square", "arrow×arrow")
+    assert square == prod
+    validate_functor(product_projections(square, builtin("arrow"), builtin("arrow"))[1])
+
+
 def test_power_object_names_for_discrete_source_are_tuples():
     fc = functor_category(builtin("two_discrete"), builtin("arrow"))
     assert set(fc.objects) == {"(0,0)", "(0,1)", "(1,0)", "(1,1)"}
