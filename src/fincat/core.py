@@ -141,9 +141,10 @@ class FinCat:
     """A finite category: objects, morphisms, identities, and a composition
     table ``comp[(g, f)] = g∘f`` defined on exactly the composable pairs.
 
-    The constructor performs structural checks only (well-formed names,
-    identity endpoints, totality of ``comp``).  The category *laws* are
-    checked by :func:`validate_category`.
+    The constructor normalizes and copies its tables and checks nothing:
+    the builders of this package make lawful tables by construction.
+    :func:`validate_category` checks a table read from outside, its shape
+    first and then the category laws.
     """
 
     def __init__(self, objects, morphisms, identity, comp, label: str = "cat"):
@@ -157,47 +158,6 @@ class FinCat:
         else:
             self.comp = {tuple(k): v for k, v in comp}
         self.label = label
-        self._check_structure()
-
-    def _check_structure(self):
-        if len(set(self.objects)) != len(self.objects):
-            raise StructureError(f"{self.label}: duplicate object names")
-        names = [m.name for m in self.morphisms]
-        if len(set(names)) != len(names):
-            raise StructureError(f"{self.label}: duplicate morphism names")
-        by_name = {m.name: m for m in self.morphisms}
-        objs = set(self.objects)
-        for m in self.morphisms:
-            if m.dom not in objs or m.cod not in objs:
-                raise StructureError(f"{self.label}: morphism {m.name} has unknown endpoint")
-        if set(self.identity) != objs:
-            raise StructureError(f"{self.label}: identity map must cover exactly the objects")
-        for a, i in self.identity.items():
-            m = by_name.get(i)
-            if m is None or m.dom != a or m.cod != a:
-                raise StructureError(f"{self.label}: identity of {a} is not an endomorphism of {a}")
-
-        def composable(pair) -> bool:
-            if len(pair) != 2:
-                return False
-            g, f = by_name.get(pair[0]), by_name.get(pair[1])
-            return g is not None and f is not None and g.dom == f.cod
-
-        # comp's keys are distinct, so all composable and as many as the
-        # composable pairs means exactly the composable pairs
-        into = self._into_table
-        n_pairs = sum(len(into[m.dom]) for m in self.morphisms)
-        if len(self.comp) != n_pairs or not all(composable(p) for p in self.comp):
-            composable_set = set(self.composable_pairs())
-            missing = composable_set - set(self.comp)
-            extra = set(self.comp) - composable_set
-            raise StructureError(
-                f"{self.label}: comp must be defined on exactly the composable pairs"
-                f" (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
-            )
-        for pair, value in self.comp.items():
-            if value not in by_name:
-                raise StructureError(f"{self.label}: comp{pair} = {value} is not a morphism")
 
     # -- lookups ------------------------------------------------------------
 
@@ -353,6 +313,50 @@ class FinCat:
         return f"FinCat({self.label!r}, {self.n_objects} objects, {self.n_morphisms} morphisms)"
 
 
+def _check_structure(cat: FinCat) -> None:
+    """Raise :class:`StructureError` unless the tables are shaped like a
+    category: distinct names, known endpoints, total ``identity`` and ``comp``."""
+    label = cat.label
+    if len(set(cat.objects)) != len(cat.objects):
+        raise StructureError(f"{label}: duplicate object names")
+    names = [m.name for m in cat.morphisms]
+    if len(set(names)) != len(names):
+        raise StructureError(f"{label}: duplicate morphism names")
+    by_name = {m.name: m for m in cat.morphisms}
+    objs = set(cat.objects)
+    for m in cat.morphisms:
+        if m.dom not in objs or m.cod not in objs:
+            raise StructureError(f"{label}: morphism {m.name} has unknown endpoint")
+    if set(cat.identity) != objs:
+        raise StructureError(f"{label}: identity map must cover exactly the objects")
+    for a, i in cat.identity.items():
+        m = by_name.get(i)
+        if m is None or m.dom != a or m.cod != a:
+            raise StructureError(f"{label}: identity of {a} is not an endomorphism of {a}")
+
+    def composable(pair) -> bool:
+        if len(pair) != 2:
+            return False
+        g, f = by_name.get(pair[0]), by_name.get(pair[1])
+        return g is not None and f is not None and g.dom == f.cod
+
+    # comp's keys are distinct, so all composable and as many as the
+    # composable pairs means exactly the composable pairs
+    into = cat._into_table
+    n_pairs = sum(len(into[m.dom]) for m in cat.morphisms)
+    if len(cat.comp) != n_pairs or not all(composable(p) for p in cat.comp):
+        composable_set = set(cat.composable_pairs())
+        missing = composable_set - set(cat.comp)
+        extra = set(cat.comp) - composable_set
+        raise StructureError(
+            f"{label}: comp must be defined on exactly the composable pairs"
+            f" (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
+        )
+    for pair, value in cat.comp.items():
+        if value not in by_name:
+            raise StructureError(f"{label}: comp{pair} = {value} is not a morphism")
+
+
 def _generators(cat: FinCat) -> list[str]:
     """A generating set of ``cat``, chosen greedily: walk ``cat.morphisms``
     in order and keep a morphism unless it is already a composite
@@ -428,10 +432,11 @@ def _associative_at_generators(cat: FinCat) -> bool:
 
 
 def validate_category(raw) -> FinCat:
-    """Check all category laws and return the verified category.
+    """Check a category's shape and laws and return the verified category.
 
     Accepts either a :class:`FinCat` or a raw dict in the file format
     (``objects`` / ``morphisms`` / ``identity`` / ``comp``).  Raises
+    :class:`StructureError` on a malformed table, then
     :class:`BoundaryViolation`, :class:`IdentityViolation` or
     :class:`AssociativityViolation` with the offending entry.
 
@@ -439,10 +444,10 @@ def validate_category(raw) -> FinCat:
     (:func:`_associative_at_generators`); when that check fails, the scan
     of every composable triple finds the first violating triple to report.
     """
-    if isinstance(raw, FinCat):
-        cat = raw
-    else:
-        try:
+    try:
+        if isinstance(raw, FinCat):
+            cat = raw
+        else:
             comp = {(e["g"], e["f"]): e["gf"] for e in raw["comp"]}
             cat = FinCat(
                 raw["objects"],
@@ -451,8 +456,9 @@ def validate_category(raw) -> FinCat:
                 comp,
                 label=raw.get("label", "cat"),
             )
-        except (KeyError, TypeError) as exc:
-            raise StructureError(f"malformed category data: {exc}") from exc
+        _check_structure(cat)
+    except (KeyError, TypeError) as exc:
+        raise StructureError(f"malformed category data: {exc}") from exc
 
     for (g, f), gf in cat.comp.items():
         if cat.dom(gf) != cat.dom(f):
@@ -476,7 +482,8 @@ def validate_category(raw) -> FinCat:
 
 
 class FinFunctor:
-    """A map of finite categories, given by object and morphism tables."""
+    """A map of finite categories, given by object and morphism tables.  The
+    constructor copies them and checks nothing (see :func:`validate_functor`)."""
 
     def __init__(self, source: FinCat, target: FinCat, omap, mmap, label: str = "functor"):
         self.source = source
@@ -484,25 +491,6 @@ class FinFunctor:
         self.omap: dict[str, str] = dict(omap)
         self.mmap: dict[str, str] = dict(mmap)
         self.label = label
-        if set(self.omap) != set(source.objects):
-            raise StructureError(f"{label}: object map must cover exactly the source objects")
-        if set(self.mmap) != {m.name for m in source.morphisms}:
-            raise StructureError(f"{label}: morphism map must cover exactly the source morphisms")
-        for a, x in self.omap.items():
-            if x not in target.obj_index:
-                raise StructureError(f"{label}: {a} maps to unknown object {x}")
-        for m, n in self.mmap.items():
-            if not target.has_mor(n):
-                raise StructureError(f"{label}: {m} maps to unknown morphism {n}")
-
-    @classmethod
-    def _trusted(cls, source: FinCat, target: FinCat, omap: dict, mmap: dict, label: str):
-        """Wrap tables already known to be total and to land in ``target``,
-        skipping the constructor's checks.  Only for composites and search
-        results built here; the dicts are taken over, not copied."""
-        F = object.__new__(cls)
-        F.source, F.target, F.omap, F.mmap, F.label = source, target, omap, mmap, label
-        return F
 
     def ob(self, a: str) -> str:
         return self.omap[a]
@@ -515,7 +503,7 @@ class FinFunctor:
         if other.source != self.target:
             raise StructureError(f"cannot compose {self.label} with {other.label}")
         omap, mmap = other.omap, other.mmap
-        return FinFunctor._trusted(
+        return FinFunctor(
             self.source,
             other.target,
             {a: omap[x] for a, x in self.omap.items()},
@@ -603,8 +591,19 @@ def constant_functor(source: FinCat, target: FinCat, obj: str, label=None) -> Fi
 
 
 def validate_functor(F: FinFunctor) -> FinFunctor:
-    """Check functor laws exhaustively; raises :class:`NotFunctorial`."""
-    src, dst = F.source, F.target
+    """Check that the tables are total and land in the target
+    (:class:`StructureError`), then the laws (:class:`NotFunctorial`)."""
+    src, dst, label = F.source, F.target, F.label
+    if set(F.omap) != set(src.objects):
+        raise StructureError(f"{label}: object map must cover exactly the source objects")
+    if set(F.mmap) != {m.name for m in src.morphisms}:
+        raise StructureError(f"{label}: morphism map must cover exactly the source morphisms")
+    for a, x in F.omap.items():
+        if x not in dst.obj_index:
+            raise StructureError(f"{label}: {a} maps to unknown object {x}")
+    for m, n in F.mmap.items():
+        if not dst.has_mor(n):
+            raise StructureError(f"{label}: {m} maps to unknown morphism {n}")
     for m in src.morphisms:
         n = dst.mor(F.mor(m.name))
         if n.dom != F.ob(m.dom) or n.cod != F.ob(m.cod):
@@ -628,21 +627,14 @@ def validate_functor(F: FinFunctor) -> FinFunctor:
 
 class NatTrans:
     """A natural transformation between parallel functors, stored as a
-    components table indexed by source objects."""
+    components table indexed by source objects.  The constructor copies it
+    and checks nothing (see :func:`validate_transformation`)."""
 
     def __init__(self, source: FinFunctor, target: FinFunctor, components, label: str = "nat"):
         self.source = source
         self.target = target
         self.components: dict[str, str] = dict(components)
         self.label = label
-        if source.source != target.source or source.target != target.target:
-            raise StructureError(f"{label}: functors are not parallel")
-        if set(self.components) != set(source.source.objects):
-            raise StructureError(f"{label}: components must cover exactly the source objects")
-        cat = source.target
-        for a, c in self.components.items():
-            if not cat.has_mor(c):
-                raise StructureError(f"{label}: component at {a} is not a morphism")
 
     @property
     def category(self) -> FinCat:
@@ -729,9 +721,17 @@ def identity_nat(F: FinFunctor) -> NatTrans:
 
 
 def validate_transformation(t: NatTrans, invertible: bool = False) -> NatTrans:
-    """Check boundaries and naturality; optionally require invertibility."""
-    F, G = t.source, t.target
+    """Check parallelism and total components (:class:`StructureError`),
+    then boundaries and naturality; optionally require invertibility."""
+    F, G, label = t.source, t.target, t.label
+    if F.source != G.source or F.target != G.target:
+        raise StructureError(f"{label}: functors are not parallel")
+    if set(t.components) != set(F.source.objects):
+        raise StructureError(f"{label}: components must cover exactly the source objects")
     cat = t.category
+    for a, c in t.components.items():
+        if not cat.has_mor(c):
+            raise StructureError(f"{label}: component at {a} is not a morphism")
     for a in F.source.objects:
         c = cat.mor(t.component(a))
         if c.dom != F.ob(a) or c.cod != G.ob(a):
@@ -756,7 +756,9 @@ def thin_category(objects, morphisms, label: str) -> FinCat:
     """The thin category (at most one morphism in each hom) on ``objects``
     and ``morphisms``: the identity of a is the morphism a → a, and g∘f is
     the morphism dom f → cod g.  Raises :class:`StructureError` when a hom
-    holds two morphisms or an identity or composite is missing."""
+    holds two morphisms or an identity or composite is missing.  The result
+    is lawful by construction: with one morphism per hom, both sides of
+    every law are the morphism between the same two objects."""
     morphisms = [m if isinstance(m, Morphism) else Morphism(*m) for m in morphisms]
     arrow_of: dict[tuple[str, str], str] = {}
     for m in morphisms:
@@ -781,7 +783,9 @@ def thin_category(objects, morphisms, label: str) -> FinCat:
 def thin_functor(source: FinCat, target: FinCat, omap, label: str) -> FinFunctor:
     """The functor with object map ``omap`` sending each morphism to the
     unique morphism between the images of its endpoints.  Raises
-    :class:`StructureError` when that hom of ``target`` is not a singleton."""
+    :class:`StructureError` when that hom of ``target`` is not a singleton.
+    Between lawful categories the result is a functor by construction:
+    both sides of each law lie in one of those singleton homs."""
     mmap = {}
     for m in source.morphisms:
         images = target.hom(omap[m.dom], omap[m.cod])
@@ -805,7 +809,10 @@ class TupleCat(FinCat):
     object is its endomorphism whose parts are the factors' identities, and
     g∘f is the morphism dom f → cod g whose parts are the componentwise
     composites.  Raises :class:`StructureError` when two morphisms share
-    endpoints and parts, or when an identity or a composite is missing."""
+    endpoints and parts, or when an identity or a composite is missing.
+    With lawful factors the result is lawful by construction, since names
+    are determined by endpoints and parts and each law holds part by part;
+    its projections are functors for the same reason."""
 
     def __init__(self, factors, objects, morphisms, label: str):
         self.factors: tuple[FinCat, ...] = tuple(factors)
@@ -851,7 +858,7 @@ class TupleCat(FinCat):
     def projection(self, k: int, label: str) -> FinFunctor:
         """The functor to factor k taking each object and morphism to its
         k-th part."""
-        return FinFunctor._trusted(
+        return FinFunctor(
             self,
             self.factors[k],
             {o: parts[k] for o, parts in self.obj_parts.items()},
@@ -930,7 +937,7 @@ def builtin(name: str) -> FinCat:
         "free_iso": free_iso_category,
     }
     if name in fixed:
-        return validate_category(fixed[name]())
+        return fixed[name]()
     m = _PARAM_RE.match(name.replace(" ", ""))
     if m:
         kind, digits = m.groups()
@@ -944,7 +951,7 @@ def builtin(name: str) -> FinCat:
                 f" limit is {BUILTIN_MAX_COMP}"
             )
         maker = discrete_category if kind == "discrete" else chaotic_category
-        return validate_category(maker(n))
+        return maker(n)
     raise UnknownBuiltin(f"no builtin category named {name!r}")
 
 
@@ -1046,8 +1053,7 @@ def _search(
         nonlocal count
         if idx == len(nonid):
             count += 1
-            mmap = {m.name: img[m.name] for m in src.morphisms}
-            yield FinFunctor._trusted(src, dst, dict(omap), mmap, label)
+            yield FinFunctor(src, dst, omap, {m.name: img[m.name] for m in src.morphisms}, label)
             return
         m = nonid[idx]
         name, cons, keep = m.name, checks[idx], allowed.get(m.name)

@@ -38,7 +38,6 @@ from .core import (
     terminal_category,
     thin_category,
     thin_functor,
-    validate_functor,
 )
 from .cosmos import nip_square_filler
 from .equivalence import EquivalenceWitness, classify_equivalence, find_sections
@@ -398,10 +397,7 @@ def build_fy(k: int, alpha: int):
     )
     sigma = thin_functor(S, one, {a: "*" for a in S.objects}, "subsets→1")
     bang = thin_functor(Y, one, {a: "*" for a in Y.objects}, "points→1")
-    validate_functor(left_leg)
-    validate_functor(pi)
-    f = ArrowMorphism(source=left_leg, target=bang, level0=pi, level1=sigma).validate()
-    return f
+    return ArrowMorphism(source=left_leg, target=bang, level0=pi, level1=sigma).validate()
 
 
 def fy_family(k: int, alpha: int) -> Witness:

@@ -133,6 +133,12 @@ def classify_fibration(p: FinFunctor, grothendieck: bool = True) -> FibrationRep
     The cartesian-lift scan is cubic in the morphism count and can be
     switched off where only the iso-lifting flags matter; the flag is then
     reported as None.
+
+    ``normal`` equals ``representable``.  A normal cleavage needs every iso
+    lift, so it needs representability.  Conversely, once every iso out of
+    p(e) lifts, :func:`build_normal_cleavage` cannot fail: it lifts the
+    identity of p(e) to the identity of e, a lift because p preserves
+    identities, and every other iso to its first lift, which exists.
     """
     E, B = p.source, p.target
     representable, discrete = True, True
@@ -170,22 +176,15 @@ def classify_fibration(p: FinFunctor, grothendieck: bool = True) -> FibrationRep
     else:
         grothendieck = None
 
-    normal = representable
-    if representable:
-        try:
-            build_normal_cleavage(p)
-        except NotIsofibration:
-            normal = False
-    else:
+    if not representable:
         failures.setdefault("normal", failures.get("representable"))
-        normal = False
 
     return FibrationReport(
         functor=p,
         representable=representable,
         discrete=discrete,
         grothendieck=grothendieck,
-        normal=normal,
+        normal=representable,
         failures=failures,
     )
 

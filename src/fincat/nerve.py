@@ -84,24 +84,31 @@ class TruncSSet:
 def sset_from_dict(data: dict, label: str = "sset") -> TruncSSet:
     try:
         simplices = tuple(tuple(level) for level in data["simplices"])
-        faces = {}
-        for key, table in data["faces"].items():
-            d, i = (int(part) for part in key.split(","))
-            faces[(d, i)] = dict(table)
-        degeneracies = {}
-        for key, table in data["degeneracies"].items():
-            d, i = (int(part) for part in key.split(","))
-            degeneracies[(d, i)] = dict(table)
+        for dim, level in enumerate(simplices):
+            if not all(isinstance(s, str) for s in level):
+                raise StructureError(f"simplices {dim}: expected a list of strings")
+        tables = []
+        for kind in ("faces", "degeneracies"):
+            if not isinstance(data[kind], dict):
+                raise StructureError(f"{kind}: expected an object of tables")
+            tables.append({})
+            for key, table in data[kind].items():
+                d, i = (int(part) for part in key.split(","))
+                tables[-1][(d, i)] = dict(table)
     except (KeyError, ValueError, TypeError) as exc:
         raise StructureError(f"malformed simplicial data: {exc}") from exc
-    return TruncSSet(simplices, faces, degeneracies, label=label)
+    return TruncSSet(simplices, *tables, label=label)
 
 
 def validate_sset(X: TruncSSet) -> TruncSSet:
-    """Check totality of the tables and all simplicial identities that fit
-    inside the truncation."""
+    """Check that names are distinct in each dimension, totality of the
+    tables and all simplicial identities that fit inside the truncation."""
     if len(X.simplices) != TOP_DIM + 1:
         raise StructureError("expected simplex lists for dimensions 0..3")
+    for dim, level in enumerate(X.simplices):
+        if len(set(level)) != len(level):
+            twice = next(s for k, s in enumerate(level) if s in level[:k])
+            raise StructureError(f"simplices {dim}: {twice} is listed twice")
     for dim in range(1, TOP_DIM + 1):
         for i in range(dim + 1):
             table = X.faces.get((dim, i))
@@ -439,24 +446,11 @@ def _classifying_data(
             new = (anchor, gens[:pos] + dst + gens[pos + m :])
             if len(new[1]) <= bound:
                 uf.union(word_idx, index[new])
-        if m == 0:
-            for pos in range(len(gens) + 1):
-                if vertex_at(word, pos) != rel_anchor:
-                    continue
-                new = (anchor, gens[:pos] + dst + gens[pos:])
-                if len(new[1]) <= bound:
-                    uf.union(word_idx, index[new])
 
     for wi, word in enumerate(words):
         for rel_anchor, lhs, rhs in relations:
-            if lhs:
-                apply_rewrites(wi, word, lhs, rhs, rel_anchor)
-            else:
-                apply_rewrites(wi, word, (), rhs, rel_anchor)
-            if rhs:
-                apply_rewrites(wi, word, rhs, lhs, rel_anchor)
-            else:
-                apply_rewrites(wi, word, (), lhs, rel_anchor)
+            apply_rewrites(wi, word, lhs, rhs, rel_anchor)
+            apply_rewrites(wi, word, rhs, lhs, rel_anchor)
 
     # classes and shortest representatives
     classes: dict[int, list[int]] = {}
@@ -492,6 +486,10 @@ def _classifying_data(
         morphisms.append(Morphism(nm, dom, cod))
         names[root] = nm
         word_of[nm] = w
+    # an edge whose name contains '·' can spell the name of another word
+    label = label or f"Π({X.label})"
+    if len(word_of) != len(morphisms):
+        raise StructureError(f"{label}: duplicate morphism names")
     identity = {}
     for v in vertices:
         identity[v] = names[uf.find(index[(v, ())])]
@@ -509,7 +507,7 @@ def _classifying_data(
         morphisms,
         identity,
         comp,
-        label=label or f"Π({X.label})",
+        label=label,
     )
     class_of_word = {w: names[uf.find(i)] for w, i in index.items()}
     return cat, class_of_word
@@ -523,17 +521,16 @@ def classifying_functor(
     PX, x_classes = _classifying_data(X, bound)
     PY, y_classes = _classifying_data(Y, bound)
     ygens = set(Y.nondegenerate(1))
+    # words come shortest first, so a class's first word is its representative
+    rep = {name: word for word, name in reversed(x_classes.items())}
 
-    def push(mor_name: str, dom: str) -> str:
-        if mor_name.startswith("id@"):
-            word = ()
-        else:
-            word = tuple(mor_name[1:-1].split("·"))
-        image = tuple(g for g in (smap[(1, g)] for g in word) if g in ygens)
-        return y_classes[(smap[(0, dom)], image)]
+    def push(mor_name: str) -> str:
+        anchor, gens = rep[mor_name]
+        image = tuple(g for g in (smap[(1, g)] for g in gens) if g in ygens)
+        return y_classes[(smap[(0, anchor)], image)]
 
     omap = {v: smap[(0, v)] for v in PX.objects}
-    mmap = {m.name: push(m.name, m.dom) for m in PX.morphisms}
+    mmap = {m.name: push(m.name) for m in PX.morphisms}
     return validate_functor(FinFunctor(PX, PY, omap, mmap, label="Π(map)"))
 
 

@@ -102,7 +102,8 @@ def transformation_from_node(node, base: Path) -> NatTrans:
     try:
         source = functor_from_node(data["source"], base)
         target = functor_from_node(data["target"], base)
-        t = NatTrans(source, target, data["components"], label=data.get("label", "nat"))
+        components = _name_table(data, "components")
+        t = NatTrans(source, target, components, label=data.get("label", "nat"))
     except KeyError as exc:
         raise StructureError(f"malformed transformation data: missing {exc}") from exc
     return validate_transformation(t)

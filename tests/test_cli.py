@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from fincat.cli import main
 from fincat.core import FinCat, Morphism, builtin
 from fincat.funcat import evaluation_functor, functor_category
+from fincat.nerve import standard_simplex
 from fincat.serialize import functor_to_dict
 
 
@@ -327,3 +328,130 @@ def test_budget_skipped_cosmos_check_exits_two(tmp_path, argv, mutate):
         " terminal->terminal@0: power terminal^terminal needs 1 candidates, budget is 0",
         error="BudgetExceeded",
     )
+
+
+def _first_simplex_as_list(dim):
+    def mutate(sset):
+        sset["simplices"][dim][0] = [sset["simplices"][dim][0]]
+
+    return mutate
+
+
+def _first_simplex_twice(dim):
+    def mutate(sset):
+        sset["simplices"][dim].append(sset["simplices"][dim][0])
+
+    return mutate
+
+
+def _triangle_boundary_with_an_edge_named_as_a_path(sset):
+    """∂Δ[2] with its edge 02 renamed 01·12: in the classifying category
+    that edge and the path 01 then 12 would both be named [01·12]."""
+    whole = standard_simplex(2).to_dict()
+
+    def rename(s):
+        return "01·12" if s == "02" else s
+
+    sset["simplices"] = [
+        [rename(s) for s in level if len(set(s)) < 3] for level in whole["simplices"]
+    ]
+    for kind in ("faces", "degeneracies"):
+        sset[kind] = {
+            key: {rename(s): rename(t) for s, t in table.items() if len(set(s)) < 3}
+            for key, table in whole[kind].items()
+        }
+
+
+@pytest.mark.parametrize(
+    "sample, mutate, argv, detail",
+    [
+        (
+            "arrow_identity.json",
+            lambda functor: functor["omap"].pop("1"),
+            ["classify", "--functor"],
+            "arrow_identity: object map must cover exactly the source objects",
+        ),
+        (
+            "arrow_identity.json",
+            lambda functor: functor["mmap"].update(a="zz"),
+            ["classify", "--functor"],
+            "arrow_identity: a maps to unknown morphism zz",
+        ),
+        (
+            "identity_cell.json",
+            lambda cell: cell["components"].pop("1"),
+            ["limit", "equifier", "--t1", "identity_cell.json", "--t2"],
+            "identity_cell: components must cover exactly the source objects",
+        ),
+        (
+            "identity_cell.json",
+            lambda cell: cell["components"].update({"1": ["id_1"]}),
+            ["limit", "equifier", "--t1", "identity_cell.json", "--t2"],
+            "components: expected an object of strings",
+        ),
+        (
+            "interval_sset.json",
+            _first_simplex_as_list(1),
+            ["classify-sset", "--sset"],
+            "simplices 1: expected a list of strings",
+        ),
+        (
+            "interval_sset.json",
+            _first_simplex_as_list(2),
+            ["classify-sset", "--sset"],
+            "simplices 2: expected a list of strings",
+        ),
+        (
+            "interval_sset.json",
+            lambda sset: sset.update(faces=[]),
+            ["classify-sset", "--sset"],
+            "faces: expected an object of tables",
+        ),
+        (
+            "interval_sset.json",
+            _first_simplex_twice(0),
+            ["classify-sset", "--sset"],
+            "simplices 0: 0 is listed twice",
+        ),
+        (
+            "interval_sset.json",
+            _first_simplex_twice(0),
+            [
+                "powers-check",
+                "--category",
+                str(Path(__file__).resolve().parent.parent / "sample_data" / "arrow.json"),
+                "--sset",
+            ],
+            "simplices 0: 0 is listed twice",
+        ),
+        (
+            "interval_sset.json",
+            _first_simplex_twice(1),
+            ["classify-sset", "--sset"],
+            "simplices 1: (id_0) is listed twice",
+        ),
+        (
+            "interval_sset.json",
+            _triangle_boundary_with_an_edge_named_as_a_path,
+            ["classify-sset", "--sset"],
+            "Π(interval_sset): duplicate morphism names",
+        ),
+    ],
+    ids=[
+        "omap-misses-an-object",
+        "mmap-names-an-unknown-morphism",
+        "components-miss-an-object",
+        "component-as-list",
+        "sset-list-named-edge",
+        "sset-list-named-triangle",
+        "sset-faces-as-list",
+        "sset-vertex-twice",
+        "powers-sset-vertex-twice",
+        "sset-edge-twice",
+        "sset-edge-named-as-a-path",
+    ],
+)
+def test_malformed_functor_cell_or_sset_exits_two_with_a_located_error(
+    tmp_path, sample, mutate, argv, detail
+):
+    _exit_two_with(tmp_path, sample, mutate, argv, detail)

@@ -90,8 +90,8 @@ def test_comp_must_be_total():
     z2 = cyclic_monoid(2, "z2")
     partial = dict(z2.comp)
     del partial[("g1", "g1")]
-    with pytest.raises(StructureError):
-        FinCat(z2.objects, z2.morphisms, z2.identity, partial)
+    with pytest.raises(StructureError, match="z2: comp must be defined on exactly the composable"):
+        validate_category(FinCat(z2.objects, z2.morphisms, z2.identity, partial, label="z2"))
 
 
 def test_thin_category_refuses_two_morphisms_in_one_hom():
@@ -357,10 +357,10 @@ def test_then_rejects_a_functor_out_of_another_category():
 def test_nat_trans_rejects_non_parallel_functors():
     one, two = builtin("terminal"), builtin("arrow")
     F = constant_functor(one, two, "0")
-    with pytest.raises(StructureError):  # sources differ
-        NatTrans(F, identity_functor(two), {"*": "id_0"})
-    with pytest.raises(StructureError):  # targets differ
-        NatTrans(F, builtin_functor("point_to_iso"), {"*": "id_0"})
+    with pytest.raises(StructureError, match="functors are not parallel"):  # sources differ
+        validate_transformation(NatTrans(F, identity_functor(two), {"*": "id_0"}))
+    with pytest.raises(StructureError, match="functors are not parallel"):  # targets differ
+        validate_transformation(NatTrans(F, builtin_functor("point_to_iso"), {"*": "id_0"}))
 
 
 def test_composites_equal_their_checked_construction():

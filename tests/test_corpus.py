@@ -1,11 +1,21 @@
-from fincat.core import NatTrans, builtin, constant_functor, validate_functor
+import pytest
+
+from fincat.core import (
+    NatTrans,
+    builtin,
+    constant_functor,
+    validate_category,
+    validate_functor,
+)
 from fincat.corpus import (
     chaotic_collapse,
     corpus_categories,
     corpus_cospans_normal_left,
     corpus_functors,
     corpus_towers,
+    iso_inclusion_into_chaotic,
 )
+from fincat.counterexamples import build_fy
 from fincat.fibrations import classify_fibration
 from fincat.funcat import evaluation_functor, functor_category
 from fincat.limits import equifier
@@ -15,7 +25,29 @@ def test_corpus_categories_all_validated_and_bounded():
     cats = corpus_categories()
     assert len(cats) >= 12
     for c in cats:
+        assert validate_category(c) is c
         assert c.n_objects <= 6 and c.n_morphisms <= 24
+
+
+BUILTIN_NAMES = ["terminal", "two_discrete", "arrow", "parallel_pair", "free_iso"] + [
+    f"{kind}({n})" for kind in ("discrete", "chaotic") for n in range(4)
+]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_categories_are_lawful(name):
+    # builtin() checks nothing: its tables are lawful by construction
+    validate_category(builtin(name))
+
+
+def test_library_built_functors_are_lawful():
+    validate_functor(chaotic_collapse())
+    validate_functor(iso_inclusion_into_chaotic())
+    for k in range(5):
+        for alpha in (2, 3, 4):
+            f = build_fy(k, alpha)
+            validate_functor(f.source)  # the two legs out of P(k, <alpha)
+            validate_functor(f.level0)
 
 
 def test_corpus_functors_are_functorial():

@@ -10,6 +10,7 @@ from fincat.core import (
     constant_functor,
     identity_functor,
 )
+from fincat.corpus import corpus_functors
 from fincat.fibrations import (
     Cleavage,
     build_normal_cleavage,
@@ -78,6 +79,16 @@ def test_discrete_implies_representable_on_samples():
             assert rep.representable
         if rep.representable:
             assert rep.normal  # objectwise lifts always admit a normal choice here
+
+
+def test_normal_cleavage_exists_exactly_for_representable_functors():
+    for F in corpus_functors():
+        try:
+            build_normal_cleavage(F)
+            built = True
+        except NotIsofibration:
+            built = False
+        assert built == classify_fibration(F, grothendieck=False).representable, F
 
 
 def test_build_normal_cleavage_identity_functor():

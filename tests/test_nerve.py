@@ -1,6 +1,6 @@
 import pytest
 
-from fincat.core import BoundExceeded, builtin, find_isomorphism
+from fincat.core import BoundExceeded, FinCat, builtin, find_isomorphism
 from fincat.corpus import corpus_categories
 from fincat.funcat import product_category
 from fincat.nerve import (
@@ -169,6 +169,24 @@ def test_classifying_functor_of_mono_is_injective_on_objects():
         assert F.injective_on_objects()
 
 
+def test_classifying_functor_reads_an_edge_named_with_a_dot():
+    data = standard_simplex(1).to_dict()
+
+    def rename(s):
+        return "0·1" if s == "01" else s
+
+    data["simplices"] = [[rename(s) for s in level] for level in data["simplices"]]
+    for kind in ("faces", "degeneracies"):
+        data[kind] = {
+            key: {rename(s): rename(t) for s, t in table.items()}
+            for key, table in data[kind].items()
+        }
+    X = validate_sset(sset_from_dict(data))
+    identity = {(dim, s): s for dim, level in enumerate(X.simplices) for s in level}
+    F = classifying_functor(identity, X, X)
+    assert F.mmap == {"id@0": "id@0", "id@1": "id@1", "[0·1]": "[0·1]"}
+
+
 def test_powers_comparison_for_point():
     rep = check_powers_iso(standard_simplex(0), builtin("arrow"), dim=2)
     assert rep.ok
@@ -221,3 +239,40 @@ def test_sset_roundtrip_serialization():
     again = validate_sset(sset_from_dict(X.to_dict()))
     assert again.simplices == X.simplices
     assert again.faces == X.faces
+
+
+def retract_without_its_idempotent() -> TruncSSet:
+    """The nerve of f : a → b, g : b → a with g∘f = 1_a and e = f∘g, less
+    every simplex that has the edge (e) as an iterated face: e is then the
+    word (g)·(f) and no shorter edge."""
+    mors = [
+        ("id_a", "a", "a"), ("id_b", "b", "b"), ("f", "a", "b"), ("g", "b", "a"), ("e", "b", "b")
+    ]
+    comp = {
+        ("id_a", "id_a"): "id_a", ("id_a", "g"): "g", ("f", "id_a"): "f", ("f", "g"): "e",
+        ("g", "id_b"): "g", ("g", "f"): "id_a", ("g", "e"): "g",
+        ("id_b", "id_b"): "id_b", ("id_b", "f"): "f", ("id_b", "e"): "e",
+        ("e", "id_b"): "e", ("e", "f"): "f", ("e", "e"): "e",
+    }
+    N = nerve_truncated(FinCat(["a", "b"], mors, {"a": "id_a", "b": "id_b"}, comp, label="R"))
+    dropped = {"(e)"}
+    for dim in (2, 3):
+        dropped |= {
+            s for s in N.simplices[dim] if any(N.face(dim, i, s) in dropped for i in range(dim + 1))
+        }
+
+    def keep(tables):
+        return {k: {s: t for s, t in tab.items() if s not in dropped} for k, tab in tables.items()}
+
+    simplices = tuple(tuple(s for s in level if s not in dropped) for level in N.simplices)
+    return TruncSSet(simplices, keep(N.faces), keep(N.degeneracies), label="R-e")
+
+
+def test_classifying_category_reports_a_composite_escaping_the_bound():
+    X = validate_sset(retract_without_its_idempotent())
+    assert [len(level) for level in X.simplices] == [2, 4, 7, 11]
+    with pytest.raises(BoundExceeded) as info:
+        classifying_category(X, 3)
+    assert str(info.value) == "composite of [(g)·(f)] and [(g)·(f)] escapes the bound 3"
+    cat = classifying_category(X, 4)
+    assert [m.name for m in cat.morphisms] == ["id@a", "id@b", "[(f)]", "[(g)]", "[(g)·(f)]"]
