@@ -448,11 +448,18 @@ def validate_category(raw) -> FinCat:
         if isinstance(raw, FinCat):
             cat = raw
         else:
+            identity = raw["identity"]
+            # dict() would also take a list of pairs, or fail on a string
+            # with a ValueError
+            if not isinstance(identity, Mapping) or not all(
+                isinstance(i, str) for i in identity.values()
+            ):
+                raise StructureError("identity: expected an object of morphism names")
             comp = {(e["g"], e["f"]): e["gf"] for e in raw["comp"]}
             cat = FinCat(
                 raw["objects"],
                 [(m["name"], m["dom"], m["cod"]) for m in raw["morphisms"]],
-                raw["identity"],
+                identity,
                 comp,
                 label=raw.get("label", "cat"),
             )

@@ -8,11 +8,18 @@ universal property is replayed against a declared finite set of cone
 vertices.  The replay files the apex's objects and morphisms once under
 their leg images (and, for objects, their structure-cell components), so
 the candidate factorizations of each cone are dictionary lookups.
+
+A certificate is replayed on its first read and cached, so a limit built
+only for its apex or projections (the pullback inside a pseudolimit of an
+arrow, a tower's stage isocommas) replays nothing.  Every certificate the
+program reports is read, and so still replayed: the CLI ``limit *``
+envelopes and the acceptance tower criterion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .core import (
     CleavageNotNormal,
@@ -79,13 +86,20 @@ class Certificate:
 @dataclass
 class LimitWitness:
     """A constructed limit: apex, projections, structure 2-cells, and the
-    certificate for its tested universal property."""
+    certificate for its tested universal property.
+
+    ``certify`` replays that property; ``certificate`` runs it on first
+    read and keeps the result, so an unread certificate costs nothing."""
 
     apex: FinCat
     projections: tuple[FinFunctor, ...]
     structure_cells: tuple[NatTrans, ...]
-    certificate: Certificate
+    certify: Callable[[], Certificate] = field(repr=False, compare=False)
     label: str = "limit"
+
+    @cached_property
+    def certificate(self) -> Certificate:
+        return self.certify()
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +188,14 @@ def pullback_strict(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness
         label=f"pb({F.label},{G.label})",
     )
     p, q = apex.projection(0, "pb_proj1"), apex.projection(1, "pb_proj2")
-    cert = _certify("pullback", "cone", apex, (p, q), (), _pullback_cones(F, G), vertices)
-    return LimitWitness(apex, (p, q), (), cert, label=apex.label)
+    cones = _pullback_cones(F, G)
+    return LimitWitness(
+        apex,
+        (p, q),
+        (),
+        lambda: _certify("pullback", "cone", apex, (p, q), (), cones, vertices),
+        label=apex.label,
+    )
 
 
 def _pullback_cones(F: FinFunctor, G: FinFunctor):
@@ -230,8 +250,13 @@ def isocomma(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness:
                 ):
                     yield (P, Q), (tau,)
 
-    cert = _certify("isocomma", "isocone", apex, (p, q), (phi,), isocones, vertices)
-    return LimitWitness(apex, (p, q), (phi,), cert, label=apex.label)
+    return LimitWitness(
+        apex,
+        (p, q),
+        (phi,),
+        lambda: _certify("isocomma", "isocone", apex, (p, q), (phi,), isocones, vertices),
+        label=apex.label,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +465,7 @@ def inserter(
         label="insertion",
     )
     return LimitWitness(
-        apex, (to_a,), (cell,), pb.certificate, label=f"ins({f.label},{g.label})"
+        apex, (to_a,), (cell,), lambda: pb.certificate, label=f"ins({f.label},{g.label})"
     )
 
 
@@ -460,7 +485,7 @@ def equifier(
     pairing = cells_into_power([t1, t2], power_pp)
     pb = pullback_strict(pairing, restriction, vertices=vertices)
     to_a = pb.projections[0]
-    return LimitWitness(pb.apex, (to_a,), (), pb.certificate, label="equifier")
+    return LimitWitness(pb.apex, (to_a,), (), lambda: pb.certificate, label="equifier")
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +595,13 @@ def build_normal_pullback(
 
     splitting = split_idempotent(e)
     i = splitting.inclusion
-    proj1, proj2 = i.then(p), i.then(q)
-    cert = _certify(
-        "pullback", "cone", splitting.apex, (proj1, proj2), (), _pullback_cones(f, g), vertices
-    )
+    apex, legs, cones = splitting.apex, (i.then(p), i.then(q)), _pullback_cones(f, g)
     witness = LimitWitness(
-        splitting.apex, (proj1, proj2), (), cert, label=f"pb_nif({f.label},{g.label})"
+        apex,
+        legs,
+        (),
+        lambda: _certify("pullback", "cone", apex, legs, (), cones, vertices),
+        label=f"pb_nif({f.label},{g.label})",
     )
     return NormalPullback(
         left=f,
@@ -627,18 +653,18 @@ def _tower_cats(base: FinCat, maps) -> list[FinCat]:
     return cats
 
 
-def strict_tower_limit(base: FinCat, maps, vertices=None) -> LimitWitness:
+def strict_tower_limit(base: FinCat, maps) -> LimitWitness:
     """Oracle: the strict tower limit via iterated strict pullbacks."""
     apex: FinCat = base
     projections: list[FinFunctor] = [identity_functor(base)]
     for k, f in enumerate(maps):
-        pb = pullback_strict(projections[k], f, vertices=vertices)
+        pb = pullback_strict(projections[k], f)
         to_prev = pb.projections[0]
         projections = [to_prev.then(pr) for pr in projections]
         projections.append(pb.projections[1])
         apex = pb.apex
     cert = Certificate(kind="strict-tower", vertices=(), cones_checked=0, ok=True)
-    return LimitWitness(apex, tuple(projections), (), cert, label="strict_tower")
+    return LimitWitness(apex, tuple(projections), (), lambda: cert, label="strict_tower")
 
 
 def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit:
@@ -714,18 +740,21 @@ def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit
     for k, f in enumerate(maps):
         assert limit_projs[k + 1].then(f) == limit_projs[k]
 
-    # Step 5: factorization and uniqueness against the test vertices
-    strict = strict_tower_limit(base, maps)
+    # Step 5: factorization and uniqueness against the test vertices,
+    # replayed when the certificate is read
+    def certify() -> Certificate:
+        strict = strict_tower_limit(base, maps)
 
-    def strict_cones(X: FinCat):
-        """Strict cones S∘pr from a vertex X, one per S : X → strict limit."""
-        for S in enumerate_functors(X, strict.apex):
-            yield [S.then(pr) for pr in strict.projections], ()
+        def strict_cones(X: FinCat):
+            """Strict cones S∘pr from a vertex X, one per S : X → strict limit."""
+            for S in enumerate_functors(X, strict.apex):
+                yield [S.then(pr) for pr in strict.projections], ()
 
-    cert = _certify(
-        "tower", "strict cone", splitting.apex, limit_projs, (), strict_cones, vertices
-    )
-    witness = LimitWitness(splitting.apex, limit_projs, (), cert, label="tower_limit")
+        return _certify(
+            "tower", "strict cone", splitting.apex, limit_projs, (), strict_cones, vertices
+        )
+
+    witness = LimitWitness(splitting.apex, limit_projs, (), certify, label="tower_limit")
     return TowerLimit(
         base=base,
         maps=maps,

@@ -362,9 +362,34 @@ def _triangle_boundary_with_an_edge_named_as_a_path(sset):
         }
 
 
+def _identity_as_values(cat):
+    cat["identity"] = list(cat["identity"].values())
+
+
+def _identity_as_string(cat):
+    cat["identity"] = cat["identity"]["0"]
+
+
+def _identity_as_pairs(cat):
+    cat["identity"] = [[a, i] for a, i in cat["identity"].items()]
+
+
+_IDENTITY_CASES = [
+    (
+        "arrow.json",
+        mutate,
+        argv,
+        "identity: expected an object of morphism names",
+    )
+    for mutate in (_identity_as_values, _identity_as_string, _identity_as_pairs)
+    for argv in (["validate"], ["nerve", "--category"])
+]
+
+
 @pytest.mark.parametrize(
     "sample, mutate, argv, detail",
     [
+        *_IDENTITY_CASES,
         (
             "arrow_identity.json",
             lambda functor: functor["omap"].pop("1"),
@@ -438,6 +463,11 @@ def _triangle_boundary_with_an_edge_named_as_a_path(sset):
         ),
     ],
     ids=[
+        *(
+            f"identity-as-{shape}-{command}"
+            for shape in ("values", "string", "pairs")
+            for command in ("validate", "nerve")
+        ),
         "omap-misses-an-object",
         "mmap-names-an-unknown-morphism",
         "components-miss-an-object",

@@ -1,5 +1,6 @@
 import pytest
 
+from fincat import limits
 from fincat.core import (
     CleavageNotNormal,
     FinFunctor,
@@ -35,6 +36,7 @@ from fincat.limits import (
     tower_alignment_check,
     tower_limit,
 )
+from fincat.wfs import compute_wf, factorize_wfs
 
 
 def to_terminal(cat):
@@ -363,3 +365,72 @@ def test_tower_rejects_non_normal_cleavage():
     cl = perturbed_cleavage(f)
     with pytest.raises(CleavageNotNormal):
         tower_limit(builtin("terminal"), [f], cleavages=[cl])
+
+
+# -- certificates are replayed on first read -----------------------------------
+
+
+@pytest.fixture()
+def replays(monkeypatch):
+    """The kinds of the universal-property replays run from here on."""
+    kinds = []
+    real = limits._certify
+
+    def counting(*args):
+        kinds.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(limits, "_certify", counting)
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: factorize_wfs(to_terminal(builtin("arrow"))).pseudolimit.witness, "pullback"),
+        (
+            lambda: build_normal_pullback(
+                to_terminal(builtin("chaotic(2)")), identity_functor(builtin("terminal"))
+            ).witness,
+            "pullback",
+        ),
+        (
+            lambda: tower_limit(
+                builtin("terminal"),
+                [to_terminal(builtin("chaotic(2)")), identity_functor(builtin("chaotic(2)"))],
+            ).witness,
+            "tower",
+        ),
+        (lambda: inserter(*[identity_functor(builtin("arrow"))] * 2), "pullback"),
+        (lambda: equifier(*[identity_nat(identity_functor(builtin("arrow")))] * 2), "pullback"),
+    ],
+    ids=["factorize_wfs", "build_normal_pullback", "tower_limit", "inserter", "equifier"],
+)
+def test_certificate_is_replayed_once_on_first_read(replays, build, kind):
+    w = build()
+    assert replays == []
+    cert = w.certificate
+    assert cert.ok and cert.cones_checked > 0
+    assert w.certificate is cert
+    assert replays == [kind]
+
+
+def test_compute_wf_replays_no_certificate(replays):
+    assert compute_wf(to_terminal(builtin("arrow"))).ok
+    assert replays == []
+
+
+def test_tower_limit_builds_its_strict_oracle_only_when_certifying(monkeypatch):
+    built = []
+    real = limits.strict_tower_limit
+
+    def counting(base, maps):
+        built.append(len(maps))
+        return real(base, maps)
+
+    monkeypatch.setattr(limits, "strict_tower_limit", counting)
+    tl = tower_limit(builtin("terminal"), [to_terminal(builtin("chaotic(2)"))])
+    assert built == []
+    assert tl.witness.certificate.ok
+    assert tl.witness.certificate is tl.witness.certificate
+    assert built == [1]
