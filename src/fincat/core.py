@@ -448,6 +448,10 @@ def validate_category(raw) -> FinCat:
         if isinstance(raw, FinCat):
             cat = raw
         else:
+            # a string or an object would be taken as its characters or keys
+            objects = raw["objects"]
+            if not isinstance(objects, list) or not all(isinstance(a, str) for a in objects):
+                raise StructureError("objects: expected a list of object names")
             identity = raw["identity"]
             # dict() would also take a list of pairs, or fail on a string
             # with a ValueError
@@ -455,13 +459,16 @@ def validate_category(raw) -> FinCat:
                 isinstance(i, str) for i in identity.values()
             ):
                 raise StructureError("identity: expected an object of morphism names")
+            label = raw.get("label", "cat")
+            if not isinstance(label, str):
+                raise StructureError("label: expected a string")
             comp = {(e["g"], e["f"]): e["gf"] for e in raw["comp"]}
             cat = FinCat(
-                raw["objects"],
+                objects,
                 [(m["name"], m["dom"], m["cod"]) for m in raw["morphisms"]],
                 identity,
                 comp,
-                label=raw.get("label", "cat"),
+                label=label,
             )
         _check_structure(cat)
     except (KeyError, TypeError) as exc:
@@ -1114,45 +1121,66 @@ def enumerate_functors(
     yield from _search(src, dst, omap_choices, mmap_choices, limit, False)
 
 
+def functor_position(F: FinFunctor) -> tuple[int, ...]:
+    """F's place in the order in which :func:`enumerate_functors` yields the
+    functors ``F.source → F.target``: the index of each object image in
+    ``dst.objects``, then the index of each non-identity morphism image in
+    its ``dst.hom``.  The search yields in increasing order of this key."""
+    src, dst = F.source, F.target
+    return tuple(dst.obj_index[F.omap[a]] for a in src.objects) + tuple(
+        dst.hom(F.omap[m.dom], F.omap[m.cod]).index(F.mmap[m.name])
+        for m in src.morphisms
+        if not src.is_identity(m.name)
+    )
+
+
 def enumerate_lifts(
     src: FinCat,
     dst: FinCat,
     under: Sequence[tuple[FinFunctor, FinFunctor]] = (),
-    over: tuple[FinFunctor, FinFunctor] | None = None,
+    over: Sequence[tuple[FinFunctor, FinFunctor]] = (),
     limit: int | None = None,
 ) -> Iterator[FinFunctor]:
     """Yield the functors G : src → dst with G∘i = top for every ``(i, top)``
-    in ``under`` and p∘G = bottom for ``over = (p, bottom)``, in the order of
-    :func:`enumerate_functors`.
+    in ``under`` and p∘G = bottom for every ``(p, bottom)`` in ``over``, in
+    the order of :func:`enumerate_functors`.
 
-    The candidate images start as the fibres of ``over`` (one pass over
-    ``dst``) and each ``under`` pair narrows them to its forced values, so
-    the result is the subsequence of the unconstrained enumeration that
-    solves the lifting problem.  When two constraints disagree a candidate
-    list empties and nothing is searched.  Since i keeps identities, a
-    morphism forced onto an identity meets that identity's forced value,
-    so the search, which sets identities from their objects, never has to
-    check them.
+    The candidate images are the intersection of the fibres of the ``over``
+    pairs (one pass over ``dst`` each), narrowed by each ``under`` pair to
+    its forced values; every list keeps ``dst`` order, so the result is the
+    subsequence of the unconstrained enumeration that solves the lifting
+    problem.  When two constraints disagree a candidate list empties and
+    nothing is searched.  Since i keeps identities, a morphism forced onto
+    an identity meets that identity's forced value, so the search, which
+    sets identities from their objects, never has to check them.
     """
-    omap_choices: dict[str, Sequence[str]] = {a: dst.objects for a in src.objects}
-    mmap_choices: dict[str, list[str]] = {}
-    if over is not None:
-        p, bottom = over
+    omap_choices: dict[str, Sequence[str]] = {}
+    mmap_choices: dict[str, Sequence[str]] = {}
+
+    def narrow(choices: dict[str, Sequence[str]], key: str, allowed: Sequence[str]) -> None:
+        # lists are replaced, never changed in place, so they may be shared
+        if key in choices:
+            keep = set(allowed)
+            choices[key] = [x for x in choices[key] if x in keep]
+        else:
+            choices[key] = allowed
+
+    for p, bottom in over:
         obj_fibres: dict[str, list[str]] = {}
         mor_fibres: dict[str, list[str]] = {}
         for x in dst.objects:
             obj_fibres.setdefault(p.omap[x], []).append(x)
         for n in dst.morphisms:
             mor_fibres.setdefault(p.mmap[n.name], []).append(n.name)
-        omap_choices = {a: obj_fibres.get(bottom.omap[a], []) for a in src.objects}
-        mmap_choices = {m.name: mor_fibres.get(bottom.mmap[m.name], []) for m in src.morphisms}
+        for a in src.objects:
+            narrow(omap_choices, a, obj_fibres.get(bottom.omap[a], ()))
+        for m in src.morphisms:
+            narrow(mmap_choices, m.name, mor_fibres.get(bottom.mmap[m.name], ()))
     for i, top in under:
         for a, b in i.omap.items():
-            x = top.omap[a]
-            omap_choices[b] = [x] if x in omap_choices[b] else []
+            narrow(omap_choices, b, (top.omap[a],))
         for m, n in i.mmap.items():
-            x = top.mmap[m]
-            mmap_choices[n] = [x] if x in mmap_choices.get(n, (x,)) else []
+            narrow(mmap_choices, n, (top.mmap[m],))
     if all(omap_choices.values()) and all(mmap_choices.values()):
         yield from enumerate_functors(src, dst, omap_choices, mmap_choices, limit)
 

@@ -34,6 +34,7 @@ from .core import (
     enumerate_functors,
     enumerate_lifts,
     enumerate_transformations,
+    functor_position,
     identity_functor,
     terminal_category,
     thin_category,
@@ -112,17 +113,24 @@ class ArrowMorphism:
 
 
 def arrow_sections(f: ArrowMorphism) -> list[ArrowMorphism]:
-    """All sections of f in the arrow category: for each section s0 of
-    level 0, the sections s1 of level 1 with s1∘v = u∘s0."""
+    """All sections (s0, s1) of f in the arrow category, sorted s0-major in
+    the order of :func:`enumerate_functors`.
+
+    The search runs over the sections s1 of level 1, which are few; for each
+    s1, the s0 : B0 → A0 are the functors lying over both (level 0, 1_B0)
+    and (u, s1∘v), so the many sections of level 0 that no s1 extends are
+    never built."""
     u, v = f.source, f.target
-    ident = identity_functor(v.target)
-    return [
-        ArrowMorphism(source=v, target=u, level0=s0, level1=s1)
-        for s0 in find_sections(f.level0)
-        for s1 in enumerate_lifts(
-            v.target, u.target, under=[(v, s0.then(u))], over=(f.level1, ident)
+    ident = identity_functor(v.source)
+    pairs = [
+        (s0, s1)
+        for s1 in find_sections(f.level1)
+        for s0 in enumerate_lifts(
+            v.source, u.source, over=[(f.level0, ident), (u, v.then(s1))]
         )
     ]
+    pairs.sort(key=lambda pair: (functor_position(pair[0]), functor_position(pair[1])))
+    return [ArrowMorphism(source=v, target=u, level0=s0, level1=s1) for s0, s1 in pairs]
 
 
 @dataclass
@@ -337,13 +345,13 @@ def _arrow_fillers(i: ArrowMorphism, p: ArrowMorphism, top: ArrowMorphism, botto
     return [
         (h0, h1)
         for h0 in enumerate_lifts(
-            B.source, C.source, under=[(i.level0, top.level0)], over=(p.level0, bottom.level0)
+            B.source, C.source, under=[(i.level0, top.level0)], over=[(p.level0, bottom.level0)]
         )
         for h1 in enumerate_lifts(
             B.target,
             C.target,
             under=[(i.level1, top.level1), (B, h0.then(C))],
-            over=(p.level1, bottom.level1),
+            over=[(p.level1, bottom.level1)],
         )
     ]
 

@@ -105,7 +105,7 @@ def _eso_choices(F: FinFunctor):
 def find_sections(F: FinFunctor, limit: int | None = None) -> Iterator[FinFunctor]:
     """All G with F∘G equal (on the nose) to the identity of the target."""
     B = F.target
-    yield from enumerate_lifts(B, F.source, over=(F, identity_functor(B)), limit=limit)
+    yield from enumerate_lifts(B, F.source, over=[(F, identity_functor(B))], limit=limit)
 
 
 def find_retractions(F: FinFunctor, limit: int | None = None) -> Iterator[FinFunctor]:

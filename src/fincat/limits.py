@@ -203,7 +203,7 @@ def _pullback_cones(F: FinFunctor, G: FinFunctor):
 
     def cones(X: FinCat):
         for P in enumerate_functors(X, F.source):
-            for Q in enumerate_lifts(X, G.source, over=(G, P.then(F))):
+            for Q in enumerate_lifts(X, G.source, over=[(G, P.then(F))]):
                 yield (P, Q), ()
 
     return cones

@@ -155,7 +155,7 @@ def exhaustive_fillers(problem: LiftingProblem, limit=None):
         problem.left.target,
         problem.right.source,
         under=[(problem.left, problem.top)],
-        over=(problem.right, problem.bottom),
+        over=[(problem.right, problem.bottom)],
         limit=limit,
     )
 

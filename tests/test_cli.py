@@ -374,14 +374,28 @@ def _identity_as_pairs(cat):
     cat["identity"] = [[a, i] for a, i in cat["identity"].items()]
 
 
-_IDENTITY_CASES = [
-    (
-        "arrow.json",
-        mutate,
-        argv,
-        "identity: expected an object of morphism names",
+def _objects_as_string(cat):
+    cat["objects"] = "".join(cat["objects"])
+
+
+def _objects_as_object(cat):
+    cat["objects"] = {a: i for i, a in enumerate(cat["objects"], 1)}
+
+
+def _label_as_list(cat):
+    cat["label"] = [1]
+
+
+_CATEGORY_SHAPE_CASES = [
+    ("arrow.json", mutate, argv, detail)
+    for mutate, detail in (
+        (_identity_as_values, "identity: expected an object of morphism names"),
+        (_identity_as_string, "identity: expected an object of morphism names"),
+        (_identity_as_pairs, "identity: expected an object of morphism names"),
+        (_objects_as_string, "objects: expected a list of object names"),
+        (_objects_as_object, "objects: expected a list of object names"),
+        (_label_as_list, "label: expected a string"),
     )
-    for mutate in (_identity_as_values, _identity_as_string, _identity_as_pairs)
     for argv in (["validate"], ["nerve", "--category"])
 ]
 
@@ -389,7 +403,7 @@ _IDENTITY_CASES = [
 @pytest.mark.parametrize(
     "sample, mutate, argv, detail",
     [
-        *_IDENTITY_CASES,
+        *_CATEGORY_SHAPE_CASES,
         (
             "arrow_identity.json",
             lambda functor: functor["omap"].pop("1"),
@@ -464,8 +478,15 @@ _IDENTITY_CASES = [
     ],
     ids=[
         *(
-            f"identity-as-{shape}-{command}"
-            for shape in ("values", "string", "pairs")
+            f"{shape}-{command}"
+            for shape in (
+                "identity-as-values",
+                "identity-as-string",
+                "identity-as-pairs",
+                "objects-as-string",
+                "objects-as-object",
+                "label-as-list",
+            )
             for command in ("validate", "nerve")
         ),
         "omap-misses-an-object",

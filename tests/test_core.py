@@ -20,6 +20,7 @@ from fincat.core import (
     enumerate_isomorphisms,
     enumerate_lifts,
     enumerate_transformations,
+    functor_position,
     identity_functor,
     identity_nat,
     thin_category,
@@ -245,6 +246,14 @@ def test_enumerate_functors_matches_brute_force():
             assert [(f.omap, f.mmap) for f in enumerate_isomorphisms(src, dst)] == bijective
 
 
+def test_functors_are_yielded_in_increasing_position():
+    cats = corpus_categories()
+    for src in cats:
+        for dst in cats:
+            positions = [functor_position(F) for F in enumerate_functors(src, dst)]
+            assert positions == sorted(set(positions)), (src.label, dst.label)
+
+
 def test_lifts_over_a_functor_are_exactly_its_fibres():
     functors = corpus_functors()
     solved = 0
@@ -252,13 +261,37 @@ def test_lifts_over_a_functor_are_exactly_its_fibres():
         bottoms = [b for b in functors if b.target == p.target][:3]
         for bottom in bottoms:
             B, C = bottom.source, p.source
-            ours = [(G.omap, G.mmap) for G in enumerate_lifts(B, C, over=(p, bottom))]
+            ours = [(G.omap, G.mmap) for G in enumerate_lifts(B, C, over=[(p, bottom)])]
             theirs = [
                 (G.omap, G.mmap) for G in enumerate_functors(B, C) if G.then(p) == bottom
             ]
             assert ours == theirs, (p.label, bottom.label)
             solved += bool(ours)
     assert solved > 100
+
+
+def test_lifts_over_two_functors_meet_both():
+    functors = corpus_functors()
+    solved = 0
+    for p1 in functors:
+        for p2 in [p for p in functors if p.source == p1.source and p != p1][:2]:
+            for b1 in [b for b in functors if b.target == p1.target][:2]:
+                for b2 in [
+                    b for b in functors if b.source == b1.source and b.target == p2.target
+                ][:2]:
+                    B, C = b1.source, p1.source
+                    ours = [
+                        (G.omap, G.mmap)
+                        for G in enumerate_lifts(B, C, over=[(p1, b1), (p2, b2)])
+                    ]
+                    theirs = [
+                        (G.omap, G.mmap)
+                        for G in enumerate_functors(B, C)
+                        if G.then(p1) == b1 and G.then(p2) == b2
+                    ]
+                    assert ours == theirs, (p1.label, p2.label, b1.label, b2.label)
+                    solved += bool(ours)
+    assert solved > 0
 
 
 def test_lifts_under_two_functors_meet_both():

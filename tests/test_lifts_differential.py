@@ -21,6 +21,7 @@ from fincat.core import (
     constant_functor,
     discrete_category,
     identity_functor,
+    thin_functor,
 )
 from fincat.corpus import (
     chaotic_collapse,
@@ -59,6 +60,20 @@ def test_arrow_sections_match_the_filter(k, alpha):
     ours = [(s.level0, s.level1) for s in arrow_sections(f)]
     assert pair_tables(ours) == pair_tables(filter_arrow_sections(f))
     assert bool(ours) == (k < alpha)
+
+
+def test_arrow_sections_keep_the_s0_major_order():
+    """The swap of two points over the identity of the point: its sections
+    are (0, 1) and (1, 0), which the search over s1 finds in the reverse
+    order, so only the sort restores the filter's s0-major order."""
+    two = discrete_category(2)
+    swap = thin_functor(two, two, {"0": "1", "1": "0"}, "swap")
+    collapse = to_terminal_functor(two)
+    one = identity_functor(collapse.target)
+    f = ArrowMorphism(source=swap, target=one, level0=collapse, level1=collapse).validate()
+    ours = [(s.level0, s.level1) for s in arrow_sections(f)]
+    assert [(s0.omap["*"], s1.omap["*"]) for s0, s1 in ours] == [("0", "1"), ("1", "0")]
+    assert pair_tables(ours) == pair_tables(filter_arrow_sections(f))
 
 
 @pytest.mark.parametrize("k,alpha", FY_CASES)
