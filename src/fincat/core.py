@@ -822,11 +822,18 @@ class TupleCat(FinCat):
     parts)`` with one morphism of each factor as parts.  The identity of an
     object is its endomorphism whose parts are the factors' identities, and
     g∘f is the morphism dom f → cod g whose parts are the componentwise
-    composites.  Raises :class:`StructureError` when two morphisms share
-    endpoints and parts, or when an identity or a composite is missing.
-    With lawful factors the result is lawful by construction, since names
-    are determined by endpoints and parts and each law holds part by part;
-    its projections are functors for the same reason."""
+    composites.  With lawful factors the result is lawful by construction,
+    since names are determined by endpoints and parts and each law holds
+    part by part; its projections are functors for the same reason.
+
+    Composites are computed on first use: :meth:`compose` finds g∘f from
+    the parts through the factors' ``compose`` and remembers it, and the
+    first read of ``comp`` (a digest, ``==``, :func:`validate_category`, a
+    search) fills the whole table once, from the factors' tables; after
+    that ``compose`` reads the table.  The constructor raises
+    :class:`StructureError` when two morphisms share endpoints and parts or
+    an identity is missing; a missing composite raises it from the first
+    ``compose`` of that pair or the first read of ``comp``."""
 
     def __init__(self, factors, objects, morphisms, label: str):
         self.factors: tuple[FinCat, ...] = tuple(factors)
@@ -846,22 +853,56 @@ class TupleCat(FinCat):
             mors.append(Morphism(name, dom, cod))
         self._mor_lookup = lookup
         identities = [X.identity for X in self.factors]
-        comps = [X.comp for X in self.factors]
-        mor_parts = self.mor_parts
         try:
             identity = {
                 o: lookup[o, o, tuple(map(getitem, identities, parts))]
                 for o, parts in self.obj_parts.items()
             }
-            comp = {}
-            for g, f in composable_morphisms(mors):
+        except KeyError as exc:
+            raise self._missing(exc) from None
+        # FinCat.__init__ would store a ``comp``, which here is filled on
+        # first read
+        self.objects = tuple(name for name, _ in objects)
+        self.morphisms = tuple(mors)
+        self.identity = identity
+        self.label = label
+        # g∘f by (g, f): the composites found so far, then the whole table
+        self._composites: dict[tuple[str, str], str] = {}
+
+    def _missing(self, exc: KeyError) -> StructureError:
+        return StructureError(
+            f"{self.label}: an identity or composite is missing (no entry {exc.args[0]})"
+        )
+
+    def compose(self, g: str, f: str) -> str:
+        try:
+            return self._composites[g, f]
+        except KeyError:
+            pass
+        mg, mf = self._by_name[g], self._by_name[f]
+        if mg.dom != mf.cod:
+            raise KeyError((g, f))
+        parts = zip(self.factors, self.mor_parts[g], self.mor_parts[f])
+        try:
+            gf = self._mor_lookup[mf.dom, mg.cod, tuple(X.compose(a, b) for X, a, b in parts)]
+        except KeyError as exc:
+            raise self._missing(exc) from None
+        self._composites[g, f] = gf
+        return gf
+
+    @cached_property
+    def comp(self) -> dict[tuple[str, str], str]:
+        lookup, mor_parts = self._mor_lookup, self.mor_parts
+        comps = [X.comp for X in self.factors]
+        comp = {}
+        try:
+            for g, f in composable_morphisms(self.morphisms):
                 pairs = zip(mor_parts[g.name], mor_parts[f.name])
                 comp[g.name, f.name] = lookup[f.dom, g.cod, tuple(map(getitem, comps, pairs))]
         except KeyError as exc:
-            raise StructureError(
-                f"{label}: an identity or composite is missing (no entry {exc.args[0]})"
-            ) from None
-        super().__init__([name for name, _ in objects], mors, identity, comp, label=label)
+            raise self._missing(exc) from None
+        self._composites = comp
+        return comp
 
     def obj_named(self, parts: tuple) -> str:
         return self._obj_lookup[tuple(parts)]
@@ -1101,7 +1142,13 @@ def _search(
             if count == limit:
                 return
 
-    yield from assign_objs(0)
+    # each closure holds itself through its cell; emptying the cells lets
+    # reference counting free the search state when the search ends or is
+    # dropped, without waiting for the cycle collector
+    try:
+        yield from assign_objs(0)
+    finally:
+        del assign_objs, assign_mors
 
 
 def enumerate_functors(
@@ -1255,4 +1302,7 @@ def enumerate_transformations(
             if limit is not None and count >= limit:
                 return
 
-    yield from assign(0, {})
+    try:
+        yield from assign(0, {})
+    finally:
+        del assign  # a self-referring closure (see _search)

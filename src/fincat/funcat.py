@@ -91,7 +91,10 @@ def _estimate_functor_candidates(C: FinCat, D: FinCat, budget: int) -> int:
             rec(idx + 1, omap)
             del omap[a]
 
-    rec(0, {})
+    try:
+        rec(0, {})
+    finally:
+        del rec  # a self-referring closure (see core._search)
     return total
 
 

@@ -776,35 +776,27 @@ def _tower_idempotent(P, stages, cats, cone) -> FinFunctor:
     identities."""
     n = len(stages) - 1
 
-    def pack_obj(images):
-        o = images[0]
+    def chain(images):
+        """The object of each stage that the cone images pack into."""
+        objs = [images[0]]
         for k in range(1, n + 1):
             stage: TupleCat = stages[k]
-            o = stage.obj_named((o, images[k], cats[k - 1].id_of(images[k - 1])))
-        return o
+            cell = cats[k - 1].id_of(images[k - 1])
+            objs.append(stage.obj_named((objs[-1], images[k], cell)))
+        return objs
 
-    def pack_mor(dom_images, cod_images, mors):
+    chains = {z: chain([q.ob(z) for q in cone]) for z in P.objects}
+
+    def pack_mor(dom_chain, cod_chain, mors):
         m = mors[0]
-        dom_o, cod_o = dom_images[0], cod_images[0]
         for k in range(1, n + 1):
             stage: TupleCat = stages[k]
-            dom_k = stage.obj_named(
-                (dom_o, dom_images[k], cats[k - 1].id_of(dom_images[k - 1]))
-            )
-            cod_k = stage.obj_named(
-                (cod_o, cod_images[k], cats[k - 1].id_of(cod_images[k - 1]))
-            )
-            m = stage.mor_named(dom_k, cod_k, (m, mors[k]))
-            dom_o, cod_o = dom_k, cod_k
+            m = stage.mor_named(dom_chain[k], cod_chain[k], (m, mors[k]))
         return m
 
-    omap = {z: pack_obj([q.ob(z) for q in cone]) for z in P.objects}
+    omap = {z: objs[-1] for z, objs in chains.items()}
     mmap = {
-        m.name: pack_mor(
-            [q.ob(m.dom) for q in cone],
-            [q.ob(m.cod) for q in cone],
-            [q.mor(m.name) for q in cone],
-        )
+        m.name: pack_mor(chains[m.dom], chains[m.cod], [q.mor(m.name) for q in cone])
         for m in P.morphisms
     }
     return FinFunctor(P, P, omap, mmap, label="tower_idempotent")

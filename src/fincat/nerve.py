@@ -583,7 +583,10 @@ def truncated_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
             if limit is not None and len(results) >= limit:
                 return
 
-    rec(0, {})
+    try:
+        rec(0, {})
+    finally:
+        del rec  # a self-referring closure (see core._search)
     return results
 
 
@@ -708,7 +711,10 @@ def _leveled_iso(levels1, faces1, degens1, levels2, faces2, degens2, dim: int):
             del assign[(d, a)]
         return None
 
-    return rec(0, 0, set())
+    try:
+        return rec(0, 0, set())
+    finally:
+        del rec  # a self-referring closure (see core._search)
 
 
 @dataclass

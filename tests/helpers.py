@@ -13,12 +13,16 @@ The lifting-problem references build their own choice tables or filter
 every candidate functor, as the library did before ``enumerate_lifts``.
 The associativity reference scans every composable triple, as
 ``validate_category`` did before it checked only at a generating set.
+The tuple-category reference composes every composable pair from the
+factors' tables, as ``TupleCat`` did in its constructor before it composed
+on first use.
 """
 from itertools import product
 
 from fincat.core import (
     FinCat,
     FinFunctor,
+    TupleCat,
     enumerate_functors,
     enumerate_transformations,
     find_isomorphism,
@@ -63,6 +67,35 @@ def relabeled(cat: FinCat, rng) -> FinCat:
         {(names[g], names[f]): names[gf] for (g, f), gf in cat.comp.items()},
         label=f"{cat.label}-relabeled",
     )
+
+
+def componentwise_composites(cat: TupleCat, tables=None) -> dict:
+    """The composition table of a tuple category, in its stored order: for
+    each g, each f into dom g, g∘f is the morphism dom f → cod g whose parts
+    are the factors' composites of the parts.  A factor that is itself a
+    tuple category is composed the same way (``tables`` memoizes factors by
+    identity); other factors are read from their stored tables."""
+    tables = {} if tables is None else tables
+    if id(cat) in tables:
+        return tables[id(cat)]
+    factor_comps = [
+        componentwise_composites(X, tables) if isinstance(X, TupleCat) else X.comp
+        for X in cat.factors
+    ]
+    named = {(m.dom, m.cod, cat.mor_parts[m.name]): m.name for m in cat.morphisms}
+    into = {}
+    for f in cat.morphisms:
+        into.setdefault(f.cod, []).append(f)
+    comp = {}
+    for g in cat.morphisms:
+        for f in into.get(g.dom, ()):
+            parts = tuple(
+                table[a, b]
+                for table, a, b in zip(factor_comps, cat.mor_parts[g.name], cat.mor_parts[f.name])
+            )
+            comp[g.name, f.name] = named[f.dom, g.cod, parts]
+    tables[id(cat)] = comp
+    return comp
 
 
 def composition_closure(cat: FinCat, generators) -> set[str]:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fincat.core import (
@@ -124,12 +126,16 @@ def test_tuple_category_refuses_a_missing_composite_and_shared_parts():
     )
     objects = [(o, (o,)) for o in chain.objects]
     identities = [(f"i{o}", o, o, (f"id_{o}",)) for o in chain.objects]
-    # f and g are there but their composite, with part a02, is not
-    with pytest.raises(StructureError, match="an identity or composite is missing"):
-        TupleCat(
-            (chain,), objects, identities + [("f", "0", "1", ("a01",)), ("g", "1", "2", ("a12",))],
-            "broken",
-        )
+    # f and g are there but their composite, with part a02, is not.
+    # Composites are computed on first use, so the gap shows when the
+    # table is checked or the pair is first composed.
+    missing = re.escape("broken: an identity or composite is missing (no entry ('0', '2', ('a02',)))")
+    broken = [("f", "0", "1", ("a01",)), ("g", "1", "2", ("a12",))]
+    with pytest.raises(StructureError, match=missing):
+        validate_category(TupleCat((chain,), objects, identities + broken, "broken"))
+    with pytest.raises(StructureError, match=missing):
+        TupleCat((chain,), objects, identities + broken, "broken").compose("g", "f")
+    # shared parts are refused at construction
     with pytest.raises(StructureError, match="f and h have the same parts"):
         TupleCat(
             (chain,), objects, identities + [("f", "0", "1", ("a01",)), ("h", "0", "1", ("a01",))],
