@@ -12,7 +12,8 @@ import hashlib
 import json
 import re
 from functools import cached_property
-from operator import getitem
+from json.encoder import encode_basestring_ascii
+from operator import getitem, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -135,6 +136,26 @@ def composable_morphisms(morphisms) -> Iterator[tuple[Morphism, Morphism]]:
 
 def _canon_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+class _JsonStrings(dict):
+    """Each name's JSON string literal, as :func:`_canon_json` writes it,
+    encoded on first lookup."""
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = encode_basestring_ascii(name)
+        return text
+
+
+def _rows(comp: Mapping[tuple[str, str], str]) -> dict[str, dict[str, str]]:
+    """A composition table by rows: ``rows[g][f] = g∘f``."""
+    rows: dict[str, dict[str, str]] = {}
+    for (g, f), gf in comp.items():
+        try:
+            rows[g][f] = gf
+        except KeyError:
+            rows[g] = {f: gf}
+    return rows
 
 
 class FinCat:
@@ -280,8 +301,37 @@ class FinCat:
 
     @cached_property
     def key(self) -> str:
-        """Canonical serialization; equal categories have equal keys."""
-        return _canon_json(self.to_dict())
+        """Canonical serialization; equal categories have equal keys.
+
+        This is the canonical JSON of :meth:`to_dict` (sorted keys, no
+        spaces, ASCII escapes), written directly: each name is encoded once,
+        and the composites are written by rows, g in name order and f in
+        name order within a row, which is the order of
+        ``sorted(comp.items())``."""
+        name = _JsonStrings().__getitem__
+
+        def entries(table: dict[str, str], middle: str, between: str) -> str:
+            """K + middle + V for each entry in key order, joined by ``between``."""
+            keys = sorted(table)
+            values = map(name, map(table.__getitem__, keys))
+            return between.join(map(middle.join, zip(map(name, keys), values)))
+
+        rows = _rows(self.comp)
+        # an entry {"f":F,"g":G,"gf":GF} is F + ',"g":G,"gf":' + GF between
+        # the '{"f":' and '}' that all entries share
+        comp = '},{"f":'.join(
+            entries(rows[g], f',"g":{name(g)},"gf":', '},{"f":') for g in sorted(rows)
+        )
+        morphisms = ",".join(
+            f'{{"cod":{name(m.cod)},"dom":{name(m.dom)},"name":{name(m.name)}}}'
+            for m in self.morphisms
+        )
+        return (
+            '{"comp":[' + ('{"f":' + comp + "}" if rows else "")
+            + '],"identity":{' + entries(self.identity, ":", ",")
+            + '},"morphisms":[' + morphisms
+            + '],"objects":[' + ",".join(map(name, self.objects)) + "]}"
+        )
 
     @cached_property
     def digest(self) -> str:
@@ -289,7 +339,9 @@ class FinCat:
 
     def relabel(self, label: str) -> "FinCat":
         """The same category under another label, of the same class and
-        with the same extra data (such as a tuple category's parts)."""
+        with the same extra data (such as a tuple category's parts).  The
+        copy shares the tables of ``self``: the two compare equal without a
+        scan, and a tuple category's composites are filled once for both."""
         out = copy.copy(self)
         out.label = label
         return out
@@ -299,6 +351,9 @@ class FinCat:
             return True
         if not isinstance(other, FinCat):
             return NotImplemented
+        # a relabelled copy shares its source's tables (see relabel)
+        if self.morphisms is other.morphisms and self.identity is other.identity:
+            return True
         return (
             self.objects == other.objects
             and self.morphisms == other.morphisms
@@ -418,25 +473,41 @@ def _associative_at_generators(cat: FinCat) -> bool:
 
     So once the generators lie in T, T contains their closure under
     composition, which holds every left-extended word s1∘(…∘(sk∘1)) and
-    hence, by the choice of the generators, every morphism."""
-    comp = cat.comp
+    hence, by the choice of the generators, every morphism.
+
+    For each s and h the test is two row gathers: the row of h∘s read at
+    the f into dom s against the row of h read at the s∘f."""
+    rows = _rows(cat.comp)
     for s in _generators(cat):
         m = cat.mor(s)
-        hs = [(h, comp[(h, s)]) for h in cat.morphisms_from(m.cod)]
-        sf = [(f, comp[(s, f)]) for f in cat.morphisms_into(m.dom)]
-        for h, h_s in hs:
-            for f, s_f in sf:
-                if comp[(h_s, f)] != comp[(h, s_f)]:
-                    return False
+        # dom s has its identity, so ``into`` is never empty; with one entry
+        # both getters return a name rather than a tuple
+        into = cat.morphisms_into(m.dom)
+        at_f = itemgetter(*into)
+        at_sf = itemgetter(*map(rows[s].__getitem__, into))
+        for h in cat.morphisms_from(m.cod):
+            row_h = rows[h]
+            if at_f(rows[row_h[s]]) != at_sf(row_h):
+                return False
     return True
+
+
+def _refuse_non_strings(where: str, entries, fields: tuple[str, ...]) -> None:
+    """Raise :class:`StructureError` at the first value of ``fields`` in the
+    entries of a raw list that is not a string, such as ``morphisms[2].name``."""
+    for k, entry in enumerate(entries):
+        for field in fields:
+            if not isinstance(entry[field], str):
+                raise StructureError(f"{where}[{k}].{field}: expected a string")
 
 
 def validate_category(raw) -> FinCat:
     """Check a category's shape and laws and return the verified category.
 
     Accepts either a :class:`FinCat` or a raw dict in the file format
-    (``objects`` / ``morphisms`` / ``identity`` / ``comp``).  Raises
-    :class:`StructureError` on a malformed table, then
+    (``objects`` / ``morphisms`` / ``identity`` / ``comp``), whose names
+    must all be strings.  Raises :class:`StructureError` on a malformed
+    table, located where it can be (``comp[3].gf: expected a string``), then
     :class:`BoundaryViolation`, :class:`IdentityViolation` or
     :class:`AssociativityViolation` with the offending entry.
 
@@ -462,14 +533,21 @@ def validate_category(raw) -> FinCat:
             label = raw.get("label", "cat")
             if not isinstance(label, str):
                 raise StructureError("label: expected a string")
-            comp = {(e["g"], e["f"]): e["gf"] for e in raw["comp"]}
-            cat = FinCat(
-                objects,
-                [(m["name"], m["dom"], m["cod"]) for m in raw["morphisms"]],
-                identity,
-                comp,
-                label=label,
-            )
+            # a name of another type would reach the key's string encoder,
+            # and a list would fail unlocated as an unhashable comp key
+            morphisms = []
+            for m in raw["morphisms"]:
+                name, dom, cod = m["name"], m["dom"], m["cod"]
+                if not (isinstance(name, str) and isinstance(dom, str) and isinstance(cod, str)):
+                    _refuse_non_strings("morphisms", raw["morphisms"], ("name", "dom", "cod"))
+                morphisms.append((name, dom, cod))
+            comp = {}
+            for e in raw["comp"]:
+                g, f, gf = e["g"], e["f"], e["gf"]
+                if not (isinstance(g, str) and isinstance(f, str) and isinstance(gf, str)):
+                    _refuse_non_strings("comp", raw["comp"], ("g", "f", "gf"))
+                comp[g, f] = gf
+            cat = FinCat(objects, morphisms, identity, comp, label=label)
         _check_structure(cat)
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed category data: {exc}") from exc
@@ -868,6 +946,9 @@ class TupleCat(FinCat):
         self.label = label
         # g∘f by (g, f): the composites found so far, then the whole table
         self._composites: dict[tuple[str, str], str] = {}
+        # the whole table once filled, in a list that relabelled copies
+        # share, so that the first of them to read ``comp`` fills it for all
+        self._filled: list[dict[tuple[str, str], str]] = []
 
     def _missing(self, exc: KeyError) -> StructureError:
         return StructureError(
@@ -892,17 +973,19 @@ class TupleCat(FinCat):
 
     @cached_property
     def comp(self) -> dict[tuple[str, str], str]:
-        lookup, mor_parts = self._mor_lookup, self.mor_parts
-        comps = [X.comp for X in self.factors]
-        comp = {}
-        try:
-            for g, f in composable_morphisms(self.morphisms):
-                pairs = zip(mor_parts[g.name], mor_parts[f.name])
-                comp[g.name, f.name] = lookup[f.dom, g.cod, tuple(map(getitem, comps, pairs))]
-        except KeyError as exc:
-            raise self._missing(exc) from None
-        self._composites = comp
-        return comp
+        if not self._filled:
+            lookup, mor_parts = self._mor_lookup, self.mor_parts
+            comps = [X.comp for X in self.factors]
+            comp = {}
+            try:
+                for g, f in composable_morphisms(self.morphisms):
+                    pairs = zip(mor_parts[g.name], mor_parts[f.name])
+                    comp[g.name, f.name] = lookup[f.dom, g.cod, tuple(map(getitem, comps, pairs))]
+            except KeyError as exc:
+                raise self._missing(exc) from None
+            self._filled.append(comp)
+        self._composites = self._filled[0]
+        return self._composites
 
     def obj_named(self, parts: tuple) -> str:
         return self._obj_lookup[tuple(parts)]

@@ -103,14 +103,17 @@ _CACHE: dict[tuple[str, str], FunctorCat] = {}
 
 def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> FunctorCat:
     """The category of functors C → D and natural transformations, with
-    vertical composition.  Results are cached by content."""
+    vertical composition, labelled ``[C.label,D.label]``.  Results are
+    cached by content; a power cached for content-equal categories under
+    other labels comes back relabelled."""
     cache_key = (C.digest, D.digest)
+    label = f"[{C.label},{D.label}]"
     cached = _CACHE.get(cache_key)
     if cached is not None:
         required = cached._budget_required
         if required > budget:
             raise EnumerationBudgetExceeded(budget, required, f"power {D.label}^{C.label}")
-        return cached
+        return cached if cached.label == label else cached.relabel(label)
 
     required = _estimate_functor_candidates(C, D, budget)
     if required > budget:
@@ -148,7 +151,7 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
         [D] * C.n_objects,
         [(name, _functor_parts(C, F)) for name, F in functors.items()],
         morphisms,
-        label=f"[{C.label},{D.label}]",
+        label=label,
         source_category=C,
         target_category=D,
         functors=functors,

@@ -15,8 +15,10 @@ The associativity reference scans every composable triple, as
 ``validate_category`` did before it checked only at a generating set.
 The tuple-category reference composes every composable pair from the
 factors' tables, as ``TupleCat`` did in its constructor before it composed
-on first use.
+on first use.  The key reference dumps ``to_dict()`` as canonical JSON, as
+``FinCat.key`` did before it wrote its text directly.
 """
+import json
 from itertools import product
 
 from fincat.core import (
@@ -28,6 +30,12 @@ from fincat.core import (
     find_isomorphism,
 )
 from fincat.cosmos import NipResult, _ser_arrow, _ser_sq
+
+
+def canonical_key(cat: FinCat) -> str:
+    """``cat.to_dict()`` as JSON with sorted keys and no spaces: what
+    ``FinCat.key`` must equal byte for byte."""
+    return json.dumps(cat.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def scan_associativity(cat: FinCat):

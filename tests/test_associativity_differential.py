@@ -124,3 +124,87 @@ def test_chaotic_30_checks_under_a_tenth_of_its_triples(seed):
         for s in _generators(cat)
     )
     assert checks < 30**4 // 10
+
+
+def group_between_ends(n: int) -> FinCat:
+    """Objects s → * → t with the cyclic group of order n at *, arrows
+    a_k : s → *, b_k : * → t and c_k : s → t, composing by adding indices
+    mod n.  Into s and out of t there is only the identity, so the check at
+    the generator a_0 reads a single f, and the one at b_0 a single h."""
+    parts = {"g": ("*", "*"), "a": ("s", "*"), "b": ("*", "t"), "c": ("s", "t")}
+    morphisms = [Morphism("id_s", "s", "s"), Morphism("id_t", "t", "t")]
+    morphisms += [Morphism(f"{x}{k}", *parts[x]) for x in "gabc" for k in range(n)]
+    identity = {"s": "id_s", "*": "g0", "t": "id_t"}
+    comp = {}
+    for i in range(n):
+        for j in range(n):
+            for g, f, gf in (("g", "g", "g"), ("g", "a", "a"), ("b", "g", "b"), ("b", "a", "c")):
+                comp[(f"{g}{i}", f"{f}{j}")] = f"{gf}{(i + j) % n}"
+    for m in morphisms:
+        comp[(identity[m.cod], m.name)] = comp[(m.name, identity[m.dom])] = m.name
+    return FinCat(["s", "*", "t"], morphisms, identity, comp, label=f"ends({n})")
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_objects_with_only_their_identity_in_or_out(n):
+    cat = group_between_ends(n)
+    gens = _generators(cat)
+    assert {"a0", "b0"} <= set(gens)
+    assert [len(cat.morphisms_into("s")), len(cat.morphisms_from("t"))] == [1, 1]
+    assert_agrees(cat)
+    assert verdict(cat) is None
+    broken = 0
+    for bad in mutations(cat):
+        assert_agrees(bad)
+        broken += reference(bad) is not None
+    assert broken > 0 or n == 1
+
+
+def coproduct(A: FinCat, B: FinCat) -> FinCat:
+    """A and B side by side, A's morphisms stored first, names prefixed."""
+    objects, morphisms, identity, comp = [], [], {}, {}
+    for tag, cat in (("A", A), ("B", B)):
+        objects += [f"{tag}.{a}" for a in cat.objects]
+        morphisms += [
+            Morphism(f"{tag}.{m.name}", f"{tag}.{m.dom}", f"{tag}.{m.cod}") for m in cat.morphisms
+        ]
+        identity.update({f"{tag}.{a}": f"{tag}.{i}" for a, i in cat.identity.items()})
+        comp.update(
+            {(f"{tag}.{g}", f"{tag}.{f}"): f"{tag}.{gf}" for (g, f), gf in cat.comp.items()}
+        )
+    return FinCat(objects, morphisms, identity, comp, label=f"{A.label}+{B.label}")
+
+
+def failing_generators(cat: FinCat) -> list[str]:
+    """The generators at which (h∘s)∘f = h∘(s∘f) fails for some h and f,
+    found by a scan of the raw table."""
+    comp = cat.comp
+    return [
+        s
+        for s in _generators(cat)
+        if any(
+            comp[(comp[(h.name, s)], f.name)] != comp[(h.name, comp[(s, f.name)])]
+            for h in cat.morphisms
+            if h.dom == cat.cod(s)
+            for f in cat.morphisms
+            if f.cod == cat.dom(s)
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "first", [cyclic_group_category(3), group_between_ends(2)], ids=lambda c: c.label
+)
+@pytest.mark.parametrize("n", range(3, 6))
+def test_violations_seen_only_at_the_last_generator(first, n):
+    """Broken tables of the coproduct of ``first`` and cyclic(n) whose only
+    failing generator is the last one, cyclic(n)'s: every other generator
+    passes its check, so the test must read to its end."""
+    cat = coproduct(first, cyclic_group_category(n))
+    seen = 0
+    for bad in mutations(cat):
+        if failing_generators(bad) == _generators(bad)[-1:]:
+            seen += 1
+            assert verdict(bad) is not None
+            assert_agrees(bad)
+    assert seen > 0

@@ -386,6 +386,21 @@ def _label_as_list(cat):
     cat["label"] = [1]
 
 
+def _morphism_named_by_an_integer(cat):
+    """arrow.json with its morphism a, the third, renamed 5 everywhere."""
+    for m in cat["morphisms"]:
+        if m["name"] == "a":
+            m["name"] = 5
+    for e in cat["comp"]:
+        for key in ("g", "f", "gf"):
+            if e[key] == "a":
+                e[key] = 5
+
+
+def _composite_as_list(cat):
+    cat["comp"][0]["gf"] = [cat["comp"][0]["gf"]]
+
+
 _CATEGORY_SHAPE_CASES = [
     ("arrow.json", mutate, argv, detail)
     for mutate, detail in (
@@ -395,6 +410,8 @@ _CATEGORY_SHAPE_CASES = [
         (_objects_as_string, "objects: expected a list of object names"),
         (_objects_as_object, "objects: expected a list of object names"),
         (_label_as_list, "label: expected a string"),
+        (_morphism_named_by_an_integer, "morphisms[2].name: expected a string"),
+        (_composite_as_list, "comp[0].gf: expected a string"),
     )
     for argv in (["validate"], ["nerve", "--category"])
 ]
@@ -486,6 +503,8 @@ _CATEGORY_SHAPE_CASES = [
                 "objects-as-string",
                 "objects-as-object",
                 "label-as-list",
+                "morphism-named-by-an-integer",
+                "composite-as-list",
             )
             for command in ("validate", "nerve")
         ),

@@ -79,6 +79,18 @@ def test_budget_check_applies_to_cached_results():
         functor_category(builtin("free_iso"), builtin("arrow"), budget=1)
 
 
+def test_cached_power_takes_the_labels_of_its_arguments():
+    """Powers are cached by content, which leaves labels out: a power first
+    built for content-equal categories under other labels comes back under
+    the labels asked for, and equal to the cached one."""
+    C, D = builtin("two_discrete"), builtin("arrow")
+    first = functor_category(C.relabel("pair"), D.relabel("interval"))
+    second = functor_category(C, D)
+    assert (first.label, second.label) == ("[pair,interval]", "[two_discrete,arrow]")
+    assert second == first and type(second) is type(first)
+    assert functor_category(C.relabel("pair"), D.relabel("interval")).label == "[pair,interval]"
+
+
 def test_evaluation_functor_is_functorial():
     fc = functor_category(builtin("free_iso"), builtin("chaotic(2)"))
     for at in ["0", "1"]:
@@ -147,6 +159,13 @@ def test_relabel_keeps_a_product_and_its_projections():
     assert (type(square), square.label, prod.label) == (type(prod), "square", "arrow×arrow")
     assert square == prod
     validate_functor(product_projections(square, builtin("arrow"), builtin("arrow"))[1])
+
+
+def test_relabelled_tuple_category_shares_its_table():
+    prod = product_category(builtin("arrow"), builtin("arrow"))
+    square = prod.relabel("square")
+    assert square == prod and "comp" not in vars(prod) and "comp" not in vars(square)
+    assert prod.comp is square.comp
 
 
 def test_power_object_names_for_discrete_source_are_tuples():
