@@ -265,22 +265,6 @@ def classify_equivalence(F: FinFunctor):
     return validate_witness(w)
 
 
-def retract_witness(F: FinFunctor) -> EquivalenceWitness:
-    """Witness with identity counit; requires a section."""
-    w = classify_equivalence(F)
-    if isinstance(w, NotEquivalence):
-        raise WitnessInvalid(f"{F.label} is not an equivalence: {w.reason}")
-    if not w.has_section:
-        raise WitnessInvalid(f"{F.label} has no section")
-    if w.counit.is_identity():
-        return w
-    section = next(find_sections(F, limit=1))
-    unit, counit = _witness_from_section(F, section)
-    return validate_witness(
-        EquivalenceWitness(F, section, unit, counit, "retract", w.has_section, w.has_retraction)
-    )
-
-
 def injective_witness(F: FinFunctor) -> EquivalenceWitness:
     """Witness with identity unit; requires a retraction."""
     w = classify_equivalence(F)
@@ -291,17 +275,3 @@ def injective_witness(F: FinFunctor) -> EquivalenceWitness:
     # injective is the preferred normalization, so the stored unit is identity
     assert w.unit.is_identity()
     return w
-
-
-def witness_from_parts(F, inverse, kind, has_section, has_retraction) -> EquivalenceWitness:
-    """Assemble and verify a witness from a known inverse of the given kind.
-    Used where the inverse is available by construction."""
-    if kind == "retract":
-        unit, counit = _witness_from_section(F, inverse)
-    elif kind == "injective":
-        unit, counit = _witness_from_retraction(F, inverse)
-    else:
-        raise WitnessInvalid(f"unknown kind {kind}")
-    return validate_witness(
-        EquivalenceWitness(F, inverse, unit, counit, kind, has_section, has_retraction)
-    )

@@ -210,35 +210,6 @@ def build_normal_cleavage(p: FinFunctor) -> Cleavage:
     return Cleavage(fibration=p, lift=table, normal=True).check()
 
 
-def perturbed_cleavage(p: FinFunctor) -> Cleavage | None:
-    """A deliberately non-normal cleavage: every identity downstairs whose
-    lift set allows it lifts to a non-identity upstairs.  Returns None when
-    no identity instance can be perturbed."""
-    E, B = p.source, p.target
-    table: dict[tuple[str, str], str] = {}
-    perturbed = False
-    for e in E.objects:
-        pe = p.ob(e)
-        for beta in B.isos:
-            if B.dom(beta) != pe:
-                continue
-            lifts = _iso_lifts(p, e, beta)
-            if not lifts:
-                raise NotIsofibration(e, beta)
-            pick = lifts[0]
-            if B.is_identity(beta):
-                bad = [m for m in lifts if not E.is_identity(m)]
-                if bad:
-                    pick = bad[0]
-                    perturbed = True
-                else:
-                    pick = E.id_of(e)
-            table[(e, beta)] = pick
-    if not perturbed:
-        return None
-    return Cleavage(fibration=p, lift=table, normal=False)
-
-
 def lift_iso_2cell(
     cl: Cleavage, t: FinFunctor, beta: NatTrans, label: str = "lifted"
 ) -> tuple[FinFunctor, NatTrans]:

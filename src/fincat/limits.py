@@ -358,16 +358,6 @@ def pseudolimit_of_arrow(
         )
     w = FinFunctor(power_a, L, w_omap, w_mmap, label="w")
 
-    # structural equations, exact
-    assert d.then(u) == identity_functor(A)
-    assert d.then(v) == f
-    assert all(B.is_identity(c) for c in lam.whisker_pre(d).components.values())
-    assert all(A.is_identity(c) for c in delta.whisker_post(u).components.values())
-    assert delta.whisker_post(v).components == lam.components
-    assert p.then(cod_b) == u.then(f)
-    assert w.then(u) == evaluation_functor(power_a, "1")
-    assert w.then(p) == f_power
-
     return PseudolimitOfArrow(
         arrow=f,
         apex=L,
@@ -381,29 +371,6 @@ def pseudolimit_of_arrow(
         source_power=power_a,
         target_power=power_b,
         witness=pb,
-    )
-
-
-def pseudolimit_retract_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
-    """Adjoint equivalence for the source projection: unit is the diagonal
-    cell, counit an identity."""
-    A = pl.arrow.source
-    counit = NatTrans(
-        pl.diagonal.then(pl.to_source),
-        identity_functor(A),
-        {a: A.id_of(a) for a in A.objects},
-        label="counit",
-    )
-    return validate_witness(
-        EquivalenceWitness(
-            forward=pl.to_source,
-            inverse=pl.diagonal,
-            unit=pl.diagonal_cell,
-            counit=counit,
-            kind="retract",
-            has_section=True,
-            has_retraction=pl.to_source.is_isomorphism(),
-        )
     )
 
 

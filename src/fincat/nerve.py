@@ -17,11 +17,9 @@ from itertools import product as iproduct
 from .core import (
     BoundExceeded,
     FinCat,
-    FinFunctor,
     Morphism,
     StructureError,
     composable_morphisms,
-    validate_functor,
 )
 from .funcat import DEFAULT_BUDGET, functor_category, split_pair_name
 
@@ -269,44 +267,6 @@ def nerve_truncated(C: FinCat) -> TruncSSet:
     return TruncSSet(simplices, faces, degeneracies, label=f"N({C.label})")
 
 
-def coskeletal_filler_check(X: TruncSSet) -> bool:
-    """Every boundary-compatible quadruple of 2-simplices has exactly one
-    3-simplex filling it.  True for nerves; checked exhaustively."""
-    by_faces = {}
-    for s in X.simplices[3]:
-        key = tuple(X.face(3, i, s) for i in range(4))
-        by_faces.setdefault(key, []).append(s)
-    if any(len(v) > 1 for v in by_faces.values()):
-        return False
-
-    lvl2 = X.simplices[2]
-    idx = {}
-    for t in lvl2:
-        idx.setdefault((X.face(2, 2, t)), []).append(t)
-
-    for f3 in lvl2:
-        # d_2 f_2 = d_2 f_3
-        for f2 in lvl2:
-            if X.face(2, 2, f2) != X.face(2, 2, f3):
-                continue
-            for f1 in lvl2:
-                if X.face(2, 1, f1) != X.face(2, 1, f2):
-                    continue
-                if X.face(2, 2, f1) != X.face(2, 1, f3):
-                    continue
-                for f0 in lvl2:
-                    if X.face(2, 2, f0) != X.face(2, 0, f3):
-                        continue
-                    if X.face(2, 1, f0) != X.face(2, 0, f2):
-                        continue
-                    if X.face(2, 0, f0) != X.face(2, 0, f1):
-                        continue
-                    fillers = by_faces.get((f0, f1, f2, f3), [])
-                    if len(fillers) != 1:
-                        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Classifying category by bounded congruence closure
 
@@ -511,27 +471,6 @@ def _classifying_data(
     )
     class_of_word = {w: names[uf.find(i)] for w, i in index.items()}
     return cat, class_of_word
-
-
-def classifying_functor(
-    smap: dict, X: TruncSSet, Y: TruncSSet, bound: int = DEFAULT_WORD_BOUND
-) -> FinFunctor:
-    """The functor between classifying categories induced by a truncated
-    simplicial map (given as {(dim, name): name})."""
-    PX, x_classes = _classifying_data(X, bound)
-    PY, y_classes = _classifying_data(Y, bound)
-    ygens = set(Y.nondegenerate(1))
-    # words come shortest first, so a class's first word is its representative
-    rep = {name: word for word, name in reversed(x_classes.items())}
-
-    def push(mor_name: str) -> str:
-        anchor, gens = rep[mor_name]
-        image = tuple(g for g in (smap[(1, g)] for g in gens) if g in ygens)
-        return y_classes[(smap[(0, anchor)], image)]
-
-    omap = {v: smap[(0, v)] for v in PX.objects}
-    mmap = {m.name: push(m.name) for m in PX.morphisms}
-    return validate_functor(FinFunctor(PX, PY, omap, mmap, label="Π(map)"))
 
 
 # ---------------------------------------------------------------------------

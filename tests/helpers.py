@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here is written directly against the raw tables, with no calls
-into the construction code it checks.  The certificate references replay a
+The oracles are written directly against the raw tables, with no calls
+into the construction code they check.  The certificate references replay a
 universal property by filtering the whole apex for every cone, as the
 library did before it indexed the apex by leg images; they take their
 cones from the enumerators, which are checked against brute force.  The
@@ -9,6 +9,11 @@ lifting-sweep references filter every candidate square, as the library did
 before it solved the square equation for the bottom map, on maps as image
 tuples as it had them before it encoded maps by index, with its tuple-level
 split-map selection, retractions, sections and greedy filler.
+The filled-set reference decides a pair of a split mono and a split epi
+in arrows as the arrow sweep did before it read the pair off its fibres:
+it looks every square of the pair up in the set of (h∘i, p∘h) over the
+fillers h.  It reads the hom sets of the library's index-encoded arrow
+space, which ``test_nip_encoding`` checks against the tuple reference.
 The lifting-problem references build their own choice tables or filter
 every candidate functor, as the library did before ``enumerate_lifts``.
 The associativity reference scans every composable triple, as
@@ -17,6 +22,8 @@ The tuple-category reference composes every composable pair from the
 factors' tables, as ``TupleCat`` did in its constructor before it composed
 on first use.  The key reference dumps ``to_dict()`` as canonical JSON, as
 ``FinCat.key`` did before it wrote its text directly.
+The last section holds constructions that only the tests use, built from
+the library's own parts.
 """
 import json
 from itertools import product
@@ -24,12 +31,33 @@ from itertools import product
 from fincat.core import (
     FinCat,
     FinFunctor,
+    NatTrans,
+    NotIsofibration,
     TupleCat,
+    WitnessInvalid,
     enumerate_functors,
     enumerate_transformations,
     find_isomorphism,
+    identity_functor,
+    validate_functor,
 )
-from fincat.cosmos import NipResult, _ser_arrow, _ser_sq
+from fincat.cosmos import (
+    NipResult,
+    _ser_arrow,
+    _ser_sq,
+)
+from fincat.equivalence import (
+    EquivalenceWitness,
+    NotEquivalence,
+    _witness_from_retraction,
+    _witness_from_section,
+    classify_equivalence,
+    find_sections,
+    validate_witness,
+)
+from fincat.fibrations import Cleavage, _iso_lifts
+from fincat.limits import PseudolimitOfArrow
+from fincat.nerve import DEFAULT_WORD_BOUND, TruncSSet, _classifying_data
 
 
 def canonical_key(cat: FinCat) -> str:
@@ -591,6 +619,34 @@ def filter_nip_finset_arrow(size_bound):
     return NipResult("finset_arrow", size_bound, True, checked, None)
 
 
+def filled_squares(space, i, p, A, B, C, D):
+    """The (top, bottom) = (h∘i, p∘h) over every h : B → C, each as the
+    four level indices (top0, top1, bottom0, bottom1)."""
+    maps = space.maps
+    i0 = maps.before(A[0], B[0], C[0])[i[0]]
+    i1 = maps.before(A[1], B[1], C[1])[i[1]]
+    p0 = maps.after(B[0], C[0], D[0])[p[0]]
+    p1 = maps.after(B[1], C[1], D[1])[p[1]]
+    return {(i0[h0], i1[h1], p0[h0], p1[h1]) for h0, h1 in space.homs(B, C)}
+
+
+def filled_pair_squares(space, i, p, A, B, C, D):
+    """The squares of i : A → B against p : C → D in sweep order, tops in
+    hom order and under each the bottoms with bottom∘i = p∘top in hom
+    order, each as (top, bottom, whether it lies in ``filled_squares``)."""
+    maps = space.maps
+    i0 = maps.before(A[0], B[0], D[0])[i[0]]
+    i1 = maps.before(A[1], B[1], D[1])[i[1]]
+    p0 = maps.after(A[0], C[0], D[0])[p[0]]
+    p1 = maps.after(A[1], C[1], D[1])[p[1]]
+    filled = filled_squares(space, i, p, A, B, C, D)
+    for top in space.homs(A, C):
+        key = (p0[top[0]], p1[top[1]])
+        for bottom in space.homs(B, D):
+            if (i0[bottom[0]], i1[bottom[1]]) == key:
+                yield top, bottom, (*top, *bottom) in filled
+
+
 # ---------------------------------------------------------------------------
 # Lifting problems by hand-built choice tables and by filtering candidate
 # functors (the library's code before it had one lifting enumerator)
@@ -690,3 +746,147 @@ def filter_pullback_cones(F, G, X):
         for Q in rights:
             if PF == Q.then(G):
                 yield P, Q
+
+
+# ---------------------------------------------------------------------------
+# Constructions only the tests use, on the library's own types: a retract
+# witness of the pseudolimit's source projection, retract witnesses and
+# witnesses assembled from a known inverse, a deliberately non-normal
+# cleavage, the coskeletality check of a 3-truncated nerve, and the functor
+# between classifying categories induced by a simplicial map
+
+
+def pseudolimit_retract_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
+    """Adjoint equivalence for the source projection: unit is the diagonal
+    cell, counit an identity."""
+    A = pl.arrow.source
+    counit = NatTrans(
+        pl.diagonal.then(pl.to_source),
+        identity_functor(A),
+        {a: A.id_of(a) for a in A.objects},
+        label="counit",
+    )
+    return validate_witness(
+        EquivalenceWitness(
+            forward=pl.to_source,
+            inverse=pl.diagonal,
+            unit=pl.diagonal_cell,
+            counit=counit,
+            kind="retract",
+            has_section=True,
+            has_retraction=pl.to_source.is_isomorphism(),
+        )
+    )
+
+def retract_witness(F: FinFunctor) -> EquivalenceWitness:
+    """Witness with identity counit; requires a section."""
+    w = classify_equivalence(F)
+    if isinstance(w, NotEquivalence):
+        raise WitnessInvalid(f"{F.label} is not an equivalence: {w.reason}")
+    if not w.has_section:
+        raise WitnessInvalid(f"{F.label} has no section")
+    if w.counit.is_identity():
+        return w
+    section = next(find_sections(F, limit=1))
+    unit, counit = _witness_from_section(F, section)
+    return validate_witness(
+        EquivalenceWitness(F, section, unit, counit, "retract", w.has_section, w.has_retraction)
+    )
+
+def witness_from_parts(F, inverse, kind, has_section, has_retraction) -> EquivalenceWitness:
+    """Assemble and verify a witness from a known inverse of the given kind.
+    Used where the inverse is available by construction."""
+    if kind == "retract":
+        unit, counit = _witness_from_section(F, inverse)
+    elif kind == "injective":
+        unit, counit = _witness_from_retraction(F, inverse)
+    else:
+        raise WitnessInvalid(f"unknown kind {kind}")
+    return validate_witness(
+        EquivalenceWitness(F, inverse, unit, counit, kind, has_section, has_retraction)
+    )
+
+def perturbed_cleavage(p: FinFunctor) -> Cleavage | None:
+    """A deliberately non-normal cleavage: every identity downstairs whose
+    lift set allows it lifts to a non-identity upstairs.  Returns None when
+    no identity instance can be perturbed."""
+    E, B = p.source, p.target
+    table: dict[tuple[str, str], str] = {}
+    perturbed = False
+    for e in E.objects:
+        pe = p.ob(e)
+        for beta in B.isos:
+            if B.dom(beta) != pe:
+                continue
+            lifts = _iso_lifts(p, e, beta)
+            if not lifts:
+                raise NotIsofibration(e, beta)
+            pick = lifts[0]
+            if B.is_identity(beta):
+                bad = [m for m in lifts if not E.is_identity(m)]
+                if bad:
+                    pick = bad[0]
+                    perturbed = True
+                else:
+                    pick = E.id_of(e)
+            table[(e, beta)] = pick
+    if not perturbed:
+        return None
+    return Cleavage(fibration=p, lift=table, normal=False)
+
+def coskeletal_filler_check(X: TruncSSet) -> bool:
+    """Every boundary-compatible quadruple of 2-simplices has exactly one
+    3-simplex filling it.  True for nerves; checked exhaustively."""
+    by_faces = {}
+    for s in X.simplices[3]:
+        key = tuple(X.face(3, i, s) for i in range(4))
+        by_faces.setdefault(key, []).append(s)
+    if any(len(v) > 1 for v in by_faces.values()):
+        return False
+
+    lvl2 = X.simplices[2]
+    idx = {}
+    for t in lvl2:
+        idx.setdefault((X.face(2, 2, t)), []).append(t)
+
+    for f3 in lvl2:
+        # d_2 f_2 = d_2 f_3
+        for f2 in lvl2:
+            if X.face(2, 2, f2) != X.face(2, 2, f3):
+                continue
+            for f1 in lvl2:
+                if X.face(2, 1, f1) != X.face(2, 1, f2):
+                    continue
+                if X.face(2, 2, f1) != X.face(2, 1, f3):
+                    continue
+                for f0 in lvl2:
+                    if X.face(2, 2, f0) != X.face(2, 0, f3):
+                        continue
+                    if X.face(2, 1, f0) != X.face(2, 0, f2):
+                        continue
+                    if X.face(2, 0, f0) != X.face(2, 0, f1):
+                        continue
+                    fillers = by_faces.get((f0, f1, f2, f3), [])
+                    if len(fillers) != 1:
+                        return False
+    return True
+
+def classifying_functor(
+    smap: dict, X: TruncSSet, Y: TruncSSet, bound: int = DEFAULT_WORD_BOUND
+) -> FinFunctor:
+    """The functor between classifying categories induced by a truncated
+    simplicial map (given as {(dim, name): name})."""
+    PX, x_classes = _classifying_data(X, bound)
+    PY, y_classes = _classifying_data(Y, bound)
+    ygens = set(Y.nondegenerate(1))
+    # words come shortest first, so a class's first word is its representative
+    rep = {name: word for word, name in reversed(x_classes.items())}
+
+    def push(mor_name: str) -> str:
+        anchor, gens = rep[mor_name]
+        image = tuple(g for g in (smap[(1, g)] for g in gens) if g in ygens)
+        return y_classes[(smap[(0, anchor)], image)]
+
+    omap = {v: smap[(0, v)] for v in PX.objects}
+    mmap = {m.name: push(m.name) for m in PX.morphisms}
+    return validate_functor(FinFunctor(PX, PY, omap, mmap, label="Π(map)"))

@@ -8,11 +8,9 @@ from fincat.equivalence import (
     find_retractions,
     find_sections,
     injective_witness,
-    retract_witness,
     validate_witness,
-    witness_from_parts,
 )
-from helpers import brute_force_functors, is_equivalence_bf
+from helpers import brute_force_functors, is_equivalence_bf, retract_witness, witness_from_parts
 
 
 def test_identity_is_isomorphism_all_kinds():

@@ -16,8 +16,8 @@ from fincat.fibrations import (
     build_normal_cleavage,
     classify_fibration,
     lift_iso_2cell,
-    perturbed_cleavage,
 )
+from helpers import perturbed_cleavage
 
 
 def to_terminal(cat):

@@ -9,11 +9,10 @@ from fincat.funcat import product_category
 from fincat.limits import pseudolimit_of_arrow, split_idempotent
 from fincat.nerve import (
     classifying_category,
-    coskeletal_filler_check,
     nerve_truncated,
     sset_product,
 )
-from helpers import is_equivalence_bf
+from helpers import coskeletal_filler_check, is_equivalence_bf
 
 
 def test_equivalence_classifier_agrees_with_oracle_on_all_corpus_functors():

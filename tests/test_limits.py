@@ -16,8 +16,9 @@ from fincat.core import (
     validate_transformation,
 )
 from fincat.equivalence import classify_equivalence
-from fincat.fibrations import classify_fibration, perturbed_cleavage
-from fincat.funcat import evaluation_functor, functor_category
+from fincat.corpus import corpus_functors
+from fincat.fibrations import classify_fibration
+from fincat.funcat import evaluation_functor, functor_category, postcompose_functor
 from fincat.limits import (
     _certify,
     _pullback_cones,
@@ -28,7 +29,6 @@ from fincat.limits import (
     isocomma,
     pseudolimit_injective_witness,
     pseudolimit_of_arrow,
-    pseudolimit_retract_witness,
     pullback_along_normal_isofibration,
     pullback_strict,
     split_idempotent,
@@ -37,6 +37,7 @@ from fincat.limits import (
     tower_limit,
 )
 from fincat.wfs import compute_wf, factorize_wfs
+from helpers import perturbed_cleavage, pseudolimit_retract_witness
 
 
 def to_terminal(cat):
@@ -143,6 +144,30 @@ def test_pseudolimit_is_the_pullback_of_cod():
     assert pl.apex == pb.apex
     assert pl.to_source == pb.projections[0]
     assert pl.power_projection == pb.projections[1]
+
+
+def test_pseudolimit_structural_equations_hold_on_the_corpus():
+    """The equations of the pseudolimit's parts, over every corpus functor
+    f : A → B: u∘d = 1 and v∘d = f for the diagonal d, u = to_source and
+    v = to_target; λd and uδ are identities and vδ = λ for the cell λ and
+    the diagonal cell δ; cod∘p = f∘u for the power projection p; and
+    u∘w = ev_1 and p∘w = f^I for the comparison w out of A^I."""
+    free_iso = builtin("free_iso")
+    for f in corpus_functors():
+        A, B = f.source, f.target
+        pl = pseudolimit_of_arrow(f)
+        d, u, v, p, w = (
+            pl.diagonal, pl.to_source, pl.to_target, pl.power_projection, pl.power_comparison
+        )
+        lam, delta = pl.cell, pl.diagonal_cell
+        assert d.then(u) == identity_functor(A), f.label
+        assert d.then(v) == f, f.label
+        assert all(B.is_identity(c) for c in lam.whisker_pre(d).components.values()), f.label
+        assert all(A.is_identity(c) for c in delta.whisker_post(u).components.values()), f.label
+        assert delta.whisker_post(v).components == lam.components, f.label
+        assert p.then(evaluation_functor(pl.target_power, "1")) == u.then(f), f.label
+        assert w.then(u) == evaluation_functor(pl.source_power, "1"), f.label
+        assert w.then(p) == postcompose_functor(f, free_iso), f.label
 
 
 def test_pseudolimit_of_collapse_has_two_objects():

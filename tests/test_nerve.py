@@ -7,8 +7,6 @@ from fincat.nerve import (
     TruncSSet,
     check_powers_iso,
     classifying_category,
-    classifying_functor,
-    coskeletal_filler_check,
     nerve_truncated,
     sset_from_dict,
     sset_product,
@@ -16,6 +14,7 @@ from fincat.nerve import (
     truncated_sset_maps,
     validate_sset,
 )
+from helpers import classifying_functor, coskeletal_filler_check
 
 
 def free_loop_sset() -> TruncSSet:

@@ -1,16 +1,32 @@
 """The lifting sweeps in ``fincat.cosmos``, which solve each square for its
-bottom map, against the sweeps that filter every candidate square, kept in
-``helpers`` as the reference: results, counts and counterexamples must be
-identical, and the arrow space's hom sets, decoded from their indices,
-equal in order.  At bound 4 the
-sweep is compared with a digest of the reference's result."""
+bottom map and decide each arrow pair by its fibres, against the sweeps
+that filter every candidate square, kept in ``helpers`` as the reference:
+results, counts and counterexamples must be identical, and the arrow
+space's hom sets, decoded from their indices, equal in order.  Each arrow
+pair's verdict and square count are compared with the filled-set reference,
+which looks every square of the pair up among the (h∘i, p∘h) over the
+fillers h, as the arrow sweep did before.  At bound 4 the finset sweep is
+compared with a digest of the reference's result."""
 import hashlib
 import json
 
 import pytest
-from helpers import filter_arrow_homs, filter_nip_finset, filter_nip_finset_arrow
+from helpers import (
+    filled_pair_squares,
+    filter_arrow_homs,
+    filter_nip_finset,
+    filter_nip_finset_arrow,
+)
 
-from fincat.cosmos import _ArrowSpace, _decode_arrow, _decode_hom, nip_square_filler
+from fincat.cosmos import (
+    _ArrowSpace,
+    _decide_pair,
+    _decode_arrow,
+    _decode_hom,
+    _first_unfilled,
+    _split_pairs,
+    nip_square_filler,
+)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3])
@@ -22,6 +38,39 @@ def test_finset_sweep_matches_the_filter(bound):
 def test_finset_arrow_sweep_matches_the_filter(bound):
     res = nip_square_filler("finset_arrow", bound)
     assert res.to_dict() == filter_nip_finset_arrow(bound).to_dict()
+
+
+# Every pair at bound 2 (the largest combined size is 16), and at bound 3
+# every pair up to combined size 13, the size of the sweep's counterexample;
+# 48 of the latter are refused.
+@pytest.mark.parametrize("bound, max_size", [(2, 16), (3, 13)])
+def test_each_arrow_pair_is_decided_as_the_filled_set_reference_decides_it(bound, max_size):
+    space = _ArrowSpace(bound)
+    refused = 0
+    for mono, epi in _split_pairs(space, max_size):
+        (A, B, i, _), (C, D, p, _) = mono, epi
+        squares = list(filled_pair_squares(space, i, p, A, B, C, D))
+        fills = all(filled for _, _, filled in squares)
+        assert _decide_pair(space, mono, epi) == (fills, len(squares)), (mono, epi)
+        if not fills:
+            refused += 1
+            k = next(k for k, (_, _, filled) in enumerate(squares) if not filled)
+            replay = (k + 1, *squares[k][:2])
+            assert _first_unfilled(space, mono, epi) == replay, (mono, epi)
+    assert refused == (0 if bound == 2 else 48)
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_every_fibre_of_a_split_epi_has_a_full_point_over_it(bound):
+    """For a section s of p, S(s1 e) = F(e): the reason ``_decide_pair``
+    needs no check over the fibres of u_B outside the image of i1."""
+    space = _ArrowSpace(bound)
+    for C in space.objects:
+        for D in space.objects:
+            for p in space.split_epis(C, D):
+                full, _ = space.epi_fibres(p, C, D)
+                p1 = space.maps.values(p[1], C[1], D[1])
+                assert {e for e, f in zip(p1, full) if f} == set(range(D[1])), (C, D, p)
 
 
 @pytest.mark.parametrize("bound", [2, 3])

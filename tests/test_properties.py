@@ -24,12 +24,11 @@ from fincat.equivalence import (
     classify_equivalence,
     find_sections,
     validate_witness,
-    witness_from_parts,
 )
 from fincat.fibrations import classify_fibration
 from fincat.funcat import functor_category
 from fincat.wfs import leibniz_power
-from helpers import brute_force_functors, is_equivalence_bf, scan_associativity
+from helpers import brute_force_functors, is_equivalence_bf, scan_associativity, witness_from_parts
 
 SMALL = [c for c in corpus_categories() if c.n_morphisms <= 6]
 MEDIUM = [c for c in corpus_categories() if c.n_morphisms <= 12]

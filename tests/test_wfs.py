@@ -12,9 +12,8 @@ from fincat.core import (
 from fincat.equivalence import (
     classify_equivalence,
     find_retractions,
-    witness_from_parts,
 )
-from fincat.fibrations import classify_fibration, perturbed_cleavage
+from fincat.fibrations import classify_fibration
 from fincat.funcat import evaluation_functor, functor_category, precompose_functor
 from fincat.wfs import (
     LiftingProblem,
@@ -28,6 +27,7 @@ from fincat.wfs import (
     minimal_retract_witness,
     solve_lifting,
 )
+from helpers import perturbed_cleavage, witness_from_parts
 
 
 def to_terminal(cat):
