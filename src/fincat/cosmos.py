@@ -21,9 +21,19 @@ square of the pair fills iff, for every top and every a whose fibre
 u_B⁻¹(i1 a) has points outside the image of i0, the c = top1(a) is full:
 p0 maps u_C⁻¹(c) onto u_D⁻¹(p1 c).  Fibres outside the image of i1 always
 fill through a section of p, and a product over the fibres counts the
-squares.  Only a pair refused is replayed square by square, in sweep
-order, to find its first unfilled square.  ``squares_checked`` counts the
-squares of every pair decided, and those replayed of the refused pair.
+squares.  The verdict reads only the mono's source and fibre summary and
+the epi's ends and fibre summary, so each pass of the sweep (one combined
+size, one mono size) decides each distinct mono class once against the
+epi classes, weighting each class's count by the number of epis in it.
+Only a pair refused is replayed square by square, in sweep order, to find
+its first unfilled square.  ``squares_checked`` counts the squares of
+every pair decided, and those replayed of the refused pair.
+
+The split maps themselves come from shared masks: a hom f : X → Y has a
+hom back iff the set of u∘m0 over the level-0 retractions (or sections)
+m0 of f0 meets the set of m1∘v over those m1 of f1.  The first set
+depends only on (X, y0) and the second only on (Y, x1), so each is one
+bitmask in a table shared by every object pair with those parts.
 
 Both sweeps work on integers.  A map a → b is its index in
 ``_functions(a, b)``, the lexicographic order of image tuples, so f has
@@ -419,6 +429,14 @@ class _SetMaps:
         return out
 
 
+def _bits(values) -> int:
+    """The bitmask with a bit set at each of the values."""
+    mask = 0
+    for v in values:
+        mask |= 1 << v
+    return mask
+
+
 def _spread(image, b: int, c: int) -> list:
     """``_spread(image, b, c)[t]``, for an injection i with the given values
     and any t : a → c, is the map b → c that is t∘i⁻¹ on the image of i and
@@ -533,17 +551,19 @@ def _decode_hom(f, X, Y):
 
 
 class _ArrowSpace:
-    """Memoized hom/split data for arrows of finite sets up to a bound.  An
-    object is (x0, x1, u) with u : x0 → x1 and a hom is a pair (f0, f1)
-    with f1∘u = v∘f0, all maps index-encoded in the space's own tables."""
+    """Homs, split maps and fibre data for arrows of finite sets up to a
+    bound, memoized in the space's own tables.  An object is (x0, x1, u)
+    with u : x0 → x1 and a hom is a pair (f0, f1) with f1∘u = v∘f0, all
+    maps index-encoded."""
 
     def __init__(self, size_bound: int):
         self.objects = _arrow_objects(size_bound)
         self.maps = _SetMaps()
-        self._homs: dict[tuple, list] = {}
         self._tops: dict[tuple, list] = {}
         self._fibre_sizes: dict[tuple, list] = {}
         self._summaries: dict[tuple, tuple] = {}
+        self._masks: dict[tuple, dict] = {}
+        self._source_masks: tuple = (None, {})
 
     def _completions(self, X, Y):
         """f0 ↦ the f1 with (f0, f1) a hom X → Y, in ascending order."""
@@ -554,13 +574,11 @@ class _ArrowSpace:
         return lambda f0: over_u.get(v_after[f0], ())
 
     def homs(self, X, Y):
-        key = (X, Y)
-        if key not in self._homs:
-            completions = self._completions(X, Y)
-            self._homs[key] = [
-                (f0, f1) for f0 in range(Y[0] ** X[0]) for f1 in completions(f0)
-            ]
-        return self._homs[key]
+        """The homs X → Y in order, built afresh on each call: the sweep
+        reads them only through ``top_levels`` and the replay of a refused
+        pair."""
+        completions = self._completions(X, Y)
+        return [(f0, f1) for f0 in range(Y[0] ** X[0]) for f1 in completions(f0)]
 
     def _back_sides(self, X, Y):
         """For level maps m0 : y0 → x0 and m1 : y1 → x1 back from Y to X:
@@ -579,23 +597,51 @@ class _ArrowSpace:
                     return (m0, m1)
         return None
 
+    def _back_masks(self, X, Y, backs):
+        """f0 ↦ the set of u∘m0 over the m0 in ``backs(x0, y0)[f0]``, and
+        f1 ↦ the set of m1∘v over the m1 in ``backs(x1, y1)[f1]``, each a
+        bitmask over the maps y0 → x1.  The first table depends only on
+        (X, y0) and the second only on (Y, x1), so each serves every object
+        pair that shares it: at bound 3, 600 tables for the 3,600 pairs.
+        The sweep visits the pairs source by source, so the first kind is
+        kept for the latest X only."""
+        x0, x1, u = X
+        y0, y1, v = Y
+        source, masks0 = self._source_masks
+        if source != X:
+            masks0 = {}
+            self._source_masks = (X, masks0)
+        via0 = masks0.get((backs, y0))
+        if via0 is None:
+            u_after = self.maps.after(y0, x0, x1)[u]
+            via0 = masks0[backs, y0] = {
+                f0: _bits(u_after[m0] for m0 in m0s) for f0, m0s in backs(x0, y0).items()
+            }
+        via1 = self._masks.get((backs, x1, Y))
+        if via1 is None:
+            before_v = self.maps.before(y0, y1, x1)[v]
+            via1 = self._masks[backs, x1, Y] = {
+                f1: _bits(before_v[m1] for m1 in m1s) for f1, m1s in backs(x1, y1).items()
+            }
+        return via0, via1
+
     def _with_back(self, X, Y, backs):
         """The homs f : X → Y, in order, for which ``_first_back`` finds a
-        hom back, decided by meeting the sets of u∘m0 and m1∘v."""
-        u_after, before_v = self._back_sides(X, Y)
-        back1 = backs(X[1], Y[1])
+        hom back: those whose sets of u∘m0 and m1∘v meet."""
+        via0, via1 = self._back_masks(X, Y, backs)
         completions = self._completions(X, Y)
-        via1: dict[int, set] = {}
-        out = []
-        for f0, m0s in backs(X[0], Y[0]).items():
-            via0 = {u_after[m0] for m0 in m0s}
-            for f1 in completions(f0):
-                s1 = via1.get(f1)
-                if s1 is None:
-                    s1 = via1[f1] = {before_v[m1] for m1 in back1.get(f1, ())}
-                if not via0.isdisjoint(s1):
-                    out.append((f0, f1))
-        return out
+        return [
+            (f0, f1)
+            for f0, mask in via0.items()
+            for f1 in completions(f0)
+            if mask & via1.get(f1, 0)
+        ]
+
+    def drop_masks(self):
+        """Free the mask tables of ``_with_back``; they are built again on
+        demand."""
+        self._masks.clear()
+        self._source_masks = (None, {})
 
     def retraction(self, i, X, Y):
         """The first commuting retraction pair of i : X → Y, or None."""
@@ -689,40 +735,108 @@ class _ArrowSpace:
         return self._summaries.setdefault(summary, summary)
 
 
-def _split_pairs(space, max_size: int):
-    """Each (mono, epi) of combined size at most ``max_size``, ascending in
-    that size and then in the mono's size.  A mono is (A, B, i, its
-    ``mono_fibres``) for a split mono i : A → B, an epi (C, D, p, its
-    ``epi_fibres``) for a split epi p : C → D."""
+def _split_buckets(space):
+    """The split monos and split epis of the space, each bucketed by
+    combined size in sweep order.  A mono is (A, B, i, its ``mono_fibres``)
+    for a split mono i : A → B, an epi (C, D, p, its ``epi_fibres``) for a
+    split epi p : C → D.  A mono's summary reads i only through i1, so it
+    is computed once per i1 of each (A, B).  The mask tables behind the
+    split maps are freed once the buckets are built."""
     mono_buckets: dict[int, list] = {}
     epi_buckets: dict[int, list] = {}
     for A in space.objects:
         for B in space.objects:
             s = _arrow_size(A) + _arrow_size(B)
+            summaries: dict[int, tuple] = {}
             for i in space.split_monos(A, B):
-                mono_buckets.setdefault(s, []).append((A, B, i, space.mono_fibres(i, A, B)))
+                summary = summaries.get(i[1])
+                if summary is None:
+                    summary = summaries[i[1]] = space.mono_fibres(i, A, B)
+                mono_buckets.setdefault(s, []).append((A, B, i, summary))
             for p in space.split_epis(A, B):
                 epi_buckets.setdefault(s, []).append((A, B, p, space.epi_fibres(p, A, B)))
+    space.drop_masks()
+    return mono_buckets, epi_buckets
+
+
+def _passes(space, max_size: int):
+    """The nonempty passes (monos, epis, classes) of the sweep, in order:
+    combined size ascending and then the monos' size, each pass pairing a
+    mono bucket with an epi bucket.  ``classes`` lists, for each distinct
+    (C, D, epi summary) of the epis in first-seen order, its first epi and
+    the number of epis that share it."""
+    mono_buckets, epi_buckets = _split_buckets(space)
+    epi_classes: dict[int, list] = {}
     for total in range(max_size + 1):
         for ms in range(total + 1):
-            epis = epi_buckets.get(total - ms, ())
-            for mono in mono_buckets.get(ms, ()):
+            monos, epis = mono_buckets.get(ms), epi_buckets.get(total - ms)
+            if not monos or not epis:
+                continue
+            classes = epi_classes.get(total - ms)
+            if classes is None:
+                shared: dict[tuple, list] = {}
                 for epi in epis:
-                    yield mono, epi
+                    shared.setdefault((epi[0], epi[1], epi[3]), [epi, 0])[1] += 1
+                classes = epi_classes[total - ms] = list(shared.values())
+            yield monos, epis, classes
+
+
+def _split_pairs(space, max_size: int):
+    """Each (mono, epi) of combined size at most ``max_size``, ascending in
+    that size and then in the mono's size, as ``_split_buckets`` gives
+    them."""
+    for monos, epis, _ in _passes(space, max_size):
+        for mono in monos:
+            for epi in epis:
+                yield mono, epi
+
+
+def _decide_pass(space, monos, epis, classes):
+    """Walk the pairs of one pass in sweep order, monos outer, epis inner:
+    the squares of the pairs that fill before the first refused pair, and
+    that pair, or None.  ``_decide_pair`` reads only A and the summary of a
+    mono and only (C, D) and the summary of an epi, so each distinct
+    (A, mono summary) is decided once against the epi classes; when every
+    class fills, its squares are Σ count × multiplicity over the classes.
+    Only a mono whose key some class refuses is walked epi by epi."""
+    squares = 0
+    decided: dict[tuple, int | None] = {}
+    for mono in monos:
+        key = (mono[0], mono[3])
+        if key not in decided:
+            total = 0
+            for first, n in classes:
+                fills, count = _decide_pair(space, mono, first)
+                if not fills:
+                    total = None
+                    break
+                total += count * n
+            decided[key] = total
+        total = decided[key]
+        if total is not None:
+            squares += total
+            continue
+        for epi in epis:
+            fills, count = _decide_pair(space, mono, epi)
+            if not fills:
+                return squares, (mono, epi)
+            squares += count
+    return squares, None
 
 
 def _nip_finset_arrow(size_bound: int) -> NipResult:
-    """Decide the pairs (i, p) in ascending combined size, each at once by
-    its fibres, and replay the squares of the first pair refused, so the
-    counterexample found is a smallest one in the documented order and
-    ``squares_checked`` the squares up to it."""
+    """Decide the pairs (i, p) in ascending combined size, by class within
+    each pass (``_decide_pass``), and replay the squares of the first pair
+    refused, so the counterexample found is a smallest one in the
+    documented order and ``squares_checked`` the squares up to it."""
     space = _ArrowSpace(size_bound)
     checked = 0
-    for mono, epi in _split_pairs(space, 8 * size_bound):
-        fills, squares = _decide_pair(space, mono, epi)
-        if fills:
-            checked += squares
+    for monos, epis, classes in _passes(space, 8 * size_bound):
+        squares, refused = _decide_pass(space, monos, epis, classes)
+        checked += squares
+        if refused is None:
             continue
+        mono, epi = refused
         squares, top, bottom = _first_unfilled(space, mono, epi)
         checked += squares
         (A, B, i, _), (C, D, p, _) = mono, epi
@@ -796,11 +910,12 @@ def _first_unfilled(space, mono, epi):
     i1 = maps.before(a1, b1, d1)[i[1]]
     p0_top = maps.after(a0, c0, d0)[p[0]]
     p1_top = maps.after(a1, c1, d1)[p[1]]
+    bottoms = space.homs(B, D)
     checked = 0
     for top in space.homs(A, C):
         t1 = maps.values(top[1], a1, c1)
         key = (p0_top[top[0]], p1_top[top[1]])
-        for bottom in space.homs(B, D):
+        for bottom in bottoms:
             if (i0[bottom[0]], i1[bottom[1]]) != key:
                 continue
             checked += 1

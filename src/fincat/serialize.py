@@ -77,13 +77,20 @@ def _name_table(data: dict, key: str) -> dict:
     return table
 
 
+def _label(data: dict, default: str) -> str:
+    label = data.get("label", default)
+    if not isinstance(label, str):
+        raise StructureError("label: expected a string")
+    return label
+
+
 def functor_from_node(node, base: Path) -> FinFunctor:
     data, _ = _resolve(node, base)
     try:
         source = category_from_node(data["source"], base)
         target = category_from_node(data["target"], base)
         omap, mmap = _name_table(data, "omap"), _name_table(data, "mmap")
-        F = FinFunctor(source, target, omap, mmap, label=data.get("label", "functor"))
+        F = FinFunctor(source, target, omap, mmap, label=_label(data, "functor"))
     except KeyError as exc:
         raise StructureError(f"malformed functor data: missing {exc}") from exc
     return validate_functor(F)
@@ -103,7 +110,7 @@ def transformation_from_node(node, base: Path) -> NatTrans:
         source = functor_from_node(data["source"], base)
         target = functor_from_node(data["target"], base)
         components = _name_table(data, "components")
-        t = NatTrans(source, target, components, label=data.get("label", "nat"))
+        t = NatTrans(source, target, components, label=_label(data, "nat"))
     except KeyError as exc:
         raise StructureError(f"malformed transformation data: missing {exc}") from exc
     return validate_transformation(t)

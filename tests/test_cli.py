@@ -434,6 +434,18 @@ _CATEGORY_SHAPE_CASES = [
             "arrow_identity: a maps to unknown morphism zz",
         ),
         (
+            "arrow_to_terminal.json",
+            lambda functor: functor.update(label=[1, {"x": 2}]),
+            ["wf", "--functor"],
+            "label: expected a string",
+        ),
+        (
+            "identity_cell.json",
+            lambda cell: cell.update(label=[1, {"x": 2}]),
+            ["limit", "equifier", "--t1", "identity_cell.json", "--t2"],
+            "label: expected a string",
+        ),
+        (
             "identity_cell.json",
             lambda cell: cell["components"].pop("1"),
             ["limit", "equifier", "--t1", "identity_cell.json", "--t2"],
@@ -510,6 +522,8 @@ _CATEGORY_SHAPE_CASES = [
         ),
         "omap-misses-an-object",
         "mmap-names-an-unknown-morphism",
+        "functor-label-as-list",
+        "transformation-label-as-list",
         "components-miss-an-object",
         "component-as-list",
         "sset-list-named-edge",

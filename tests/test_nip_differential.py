@@ -9,6 +9,7 @@ fillers h, as the arrow sweep did before.  At bound 4 the finset sweep is
 compared with a digest of the reference's result."""
 import hashlib
 import json
+from itertools import chain, groupby
 
 import pytest
 from helpers import (
@@ -21,9 +22,12 @@ from helpers import (
 from fincat.cosmos import (
     _ArrowSpace,
     _decide_pair,
+    _decide_pass,
     _decode_arrow,
     _decode_hom,
     _first_unfilled,
+    _passes,
+    _split_buckets,
     _split_pairs,
     nip_square_filler,
 )
@@ -58,6 +62,57 @@ def test_each_arrow_pair_is_decided_as_the_filled_set_reference_decides_it(bound
             replay = (k + 1, *squares[k][:2])
             assert _first_unfilled(space, mono, epi) == replay, (mono, epi)
     assert refused == (0 if bound == 2 else 48)
+
+
+def _pass_of(pair):
+    """(combined size, mono size) of a pair: the pass that holds it."""
+    (A, B, _, _), (C, D, _, _) = pair
+    ms = A[0] + A[1] + B[0] + B[1]
+    return ms + C[0] + C[1] + D[0] + D[1], ms
+
+
+def _ordered_walk(space, pairs):
+    """The squares of the pairs before the first refused one, and that pair."""
+    squares = 0
+    for mono, epi in pairs:
+        fills, count = _decide_pair(space, mono, epi)
+        if not fills:
+            return squares, (mono, epi)
+        squares += count
+    return squares, None
+
+
+# Each pass is compared with the walk of its pairs in ``_split_pairs``
+# order; where a mono is refused, the pass is decided again from the mono
+# after it, so every refused mono up to the sizes of the pair test above
+# ends one comparison: at bound 3, two monos hold the 48 refused pairs.
+@pytest.mark.parametrize("bound, max_size", [(2, 16), (3, 13)])
+def test_each_pass_decided_by_class_equals_its_ordered_walk(bound, max_size):
+    space = _ArrowSpace(bound)
+    walks = groupby(_split_pairs(space, max_size), key=_pass_of)
+    refused = []
+    for (monos, epis, classes), (_, pairs) in zip(_passes(space, max_size), walks, strict=True):
+        pairs = list(pairs)
+        assert pairs == [(mono, epi) for mono in monos for epi in epis]
+        assert sum(n for _, n in classes) == len(epis)
+        while True:
+            decided = _decide_pass(space, monos, epis, classes)
+            assert decided == _ordered_walk(space, pairs), _pass_of(pairs[0])
+            if decided[1] is None:
+                break
+            refused.append(decided[1])
+            monos = monos[monos.index(decided[1][0]) + 1 :]
+            pairs = [(mono, epi) for mono in monos for epi in epis]
+    assert len(refused) == (0 if bound == 2 else 2)
+
+
+def test_monos_that_share_their_ends_and_level_1_map_share_one_summary():
+    space = _ArrowSpace(3)
+    mono_buckets, _ = _split_buckets(space)
+    shared = {}
+    for A, B, i, summary in chain.from_iterable(mono_buckets.values()):
+        assert summary == space.mono_fibres(i, A, B), (A, B, i)
+        assert shared.setdefault((A, B, i[1]), summary) is summary, (A, B, i)
 
 
 @pytest.mark.parametrize("bound", [2, 3])

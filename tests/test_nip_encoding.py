@@ -95,12 +95,22 @@ def test_split_maps_decode_to_the_tuple_reference_in_order(bound):
 
 
 def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeypatch):
-    built = []
+    built, spaces, masks = [], [], []
 
     class RecordedSetMaps(_SetMaps):
         def __init__(self):
             super().__init__()
             built.append(weakref.ref(self))
+
+    class MaskTables(dict):
+        pass
+
+    class RecordedArrowSpace(_ArrowSpace):
+        def __init__(self, size_bound):
+            super().__init__(size_bound)
+            self._masks = MaskTables()
+            spaces.append(weakref.ref(self))
+            masks.append(weakref.ref(self._masks))
 
     def module_state():
         return {
@@ -110,12 +120,16 @@ def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeyp
         }
 
     monkeypatch.setattr(cosmos, "_SetMaps", RecordedSetMaps)
+    monkeypatch.setattr(cosmos, "_ArrowSpace", RecordedArrowSpace)
     state = module_state()
-    first = nip_square_filler("finset", 4)
-    gc.collect()
-    assert len(built) == 1 and built[0]() is None
-    second = nip_square_filler("finset", 4)
-    gc.collect()
-    assert len(built) == 2 and built[1]() is None
-    assert first.to_dict() == second.to_dict()
+    for space, bound in (("finset", 4), ("finset_arrow", 3)):
+        first = nip_square_filler(space, bound)
+        gc.collect()
+        assert built[-1]() is None
+        second = nip_square_filler(space, bound)
+        gc.collect()
+        assert built[-1]() is None
+        assert first.to_dict() == second.to_dict()
+    assert len(built) == 4 and len(spaces) == len(masks) == 2
+    assert all(ref() is None for ref in built + spaces + masks)
     assert module_state() == state
