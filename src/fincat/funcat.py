@@ -4,13 +4,17 @@ between them.
 ``functor_category(C, D)`` enumerates every functor C → D and every natural
 transformation between them, producing a :class:`~fincat.core.TupleCat`
 whose objects are named by their image tuples and whose morphisms are
-tuples of components.  Binary products are tuple categories too, so every
-name maps back to its parts by lookup, never by parsing.  Enumeration is
-guarded by an explicit budget: the number of raw candidates is estimated up
-front and ``EnumerationBudgetExceeded`` reports both the bound and the
-requirement, so blowups are loud rather than slow.
+tuples of components.  A power keeps only these names and parts, builds
+the functor of an object on demand, and maps to other powers part by part.
+Binary products are tuple categories too, so every name maps back to its
+parts by lookup, never by parsing.  Enumeration is guarded by an explicit
+budget: the number of raw candidates is estimated up front and
+``EnumerationBudgetExceeded`` reports both the bound and the requirement,
+so blowups are loud rather than slow.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 from .core import (
     EnumerationBudgetExceeded,
@@ -30,32 +34,40 @@ class FunctorCat(TupleCat):
     """The power D^C: its objects are the functors C → D, whose parts are
     their object images, then their morphism images, and its morphisms the
     natural transformations, each the tuple of its components at the
-    objects of C, composed one component at a time."""
+    objects of C, composed one component at a time.  Only this module
+    reads that layout; :meth:`functor_named` builds the functor of an
+    object when asked, and :meth:`mor_image` reads one morphism image."""
 
-    def __init__(self, *args, source_category=None, target_category=None,
-                 functors=None, transformations=None, **kwargs):
+    def __init__(self, *args, source_category=None, target_category=None, **kwargs):
         super().__init__(*args, **kwargs)
         self.source_category: FinCat = source_category
         self.target_category: FinCat = target_category
-        self.functors: dict[str, FinFunctor] = functors or {}
-        self.transformations: dict[str, NatTrans] = transformations or {}
+
+    @cached_property
+    def _mor_slot(self) -> dict[str, int]:
+        """Where the image of each morphism of C sits in an object's parts."""
+        C = self.source_category
+        return {m.name: C.n_objects + k for k, m in enumerate(C.morphisms)}
 
     def functor_named(self, name: str) -> FinFunctor:
-        return self.functors[name]
+        C, parts = self.source_category, self.obj_parts[name]
+        mmap = dict(zip(self._mor_slot, parts[C.n_objects :]))
+        return FinFunctor(C, self.target_category, dict(zip(C.objects, parts)), mmap)
+
+    def mor_image(self, name: str, m: str) -> str:
+        """The image of the morphism m of C under the functor named ``name``."""
+        return self.obj_parts[name][self._mor_slot[m]]
+
+    def name_of_images(self, omap, mmap) -> str:
+        """The name of the functor with these object and morphism images."""
+        return self.obj_named(_functor_parts(self.source_category, omap, mmap))
 
     def name_of_functor(self, F: FinFunctor) -> str:
-        return self.obj_named(_functor_parts(self.source_category, F))
-
-    def name_of_transformation(self, t: NatTrans) -> str:
-        return self.mor_named(
-            self.name_of_functor(t.source),
-            self.name_of_functor(t.target),
-            tuple(t.components[a] for a in self.source_category.objects),
-        )
+        return self.name_of_images(F.omap, F.mmap)
 
 
-def _functor_parts(C: FinCat, F: FinFunctor) -> tuple[str, ...]:
-    return tuple(F.omap[a] for a in C.objects) + tuple(F.mmap[m.name] for m in C.morphisms)
+def _functor_parts(C: FinCat, omap, mmap) -> tuple[str, ...]:
+    return tuple(omap[a] for a in C.objects) + tuple(mmap[m.name] for m in C.morphisms)
 
 
 def _object_name(C: FinCat, F: FinFunctor) -> str:
@@ -121,7 +133,6 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
 
     functor_list = list(enumerate_functors(C, D))
     names = [_object_name(C, F) for F in functor_list]
-    functors = dict(zip(names, functor_list))
 
     # transformation candidate estimate before enumerating them
     for F in functor_list:
@@ -138,24 +149,19 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
                 )
 
     morphisms = []
-    transformations: dict[str, NatTrans] = {}
     for i, (fname, F) in enumerate(zip(names, functor_list)):
         for j, (gname, G) in enumerate(zip(names, functor_list)):
             for t in enumerate_transformations(F, G):
                 comps = tuple(t.component(a) for a in C.objects)
-                tname = f"[{','.join(comps)}]{i}>{j}"
-                morphisms.append((tname, fname, gname, comps))
-                transformations[tname] = t
+                morphisms.append((f"[{','.join(comps)}]{i}>{j}", fname, gname, comps))
 
     fc = FunctorCat(
         [D] * C.n_objects,
-        [(name, _functor_parts(C, F)) for name, F in functors.items()],
+        [(name, _functor_parts(C, F.omap, F.mmap)) for name, F in zip(names, functor_list)],
         morphisms,
         label=label,
         source_category=C,
         target_category=D,
-        functors=functors,
-        transformations=transformations,
     )
     fc._budget_required = required
     _CACHE[cache_key] = fc
@@ -168,29 +174,41 @@ def evaluation_functor(fc: FunctorCat, at: str) -> FinFunctor:
 
 
 def precompose_functor(j: FinFunctor, D: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
-    """Restriction D^Y → D^X induced by j : X → Y."""
-    power_y = functor_category(j.target, D, budget)
-    power_x = functor_category(j.source, D, budget)
+    """Restriction D^Y → D^X induced by j : X → Y: the parts of F∘j, and the
+    components of t·j, are F's parts and t's components gathered at j's
+    images."""
+    X, Y = j.source, j.target
+    power_y, power_x = functor_category(Y, D, budget), functor_category(X, D, budget)
+    at_objects = [Y.obj_index[j.ob(x)] for x in X.objects]
+    at_parts = at_objects + [power_y._mor_slot[j.mor(m.name)] for m in X.morphisms]
     omap = {
-        name: power_x.name_of_functor(j.then(F)) for name, F in power_y.functors.items()
+        name: power_x.obj_named([parts[k] for k in at_parts])
+        for name, parts in power_y.obj_parts.items()
     }
     mmap = {
-        name: power_x.name_of_transformation(t.whisker_pre(j))
-        for name, t in power_y.transformations.items()
+        m.name: power_x.mor_named(
+            omap[m.dom], omap[m.cod], [power_y.mor_parts[m.name][k] for k in at_objects]
+        )
+        for m in power_y.morphisms
     }
     return FinFunctor(power_y, power_x, omap, mmap, label=f"{D.label}^{j.label}")
 
 
 def postcompose_functor(p: FinFunctor, X: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
-    """The map A^X → B^X induced by p : A → B."""
+    """The map A^X → B^X induced by p : A → B: p's object map on the object
+    parts, its morphism map on the morphism parts and on each component."""
     power_a = functor_category(X, p.source, budget)
     power_b = functor_category(X, p.target, budget)
+    n, p_omap, p_mmap = X.n_objects, p.omap, p.mmap
     omap = {
-        name: power_b.name_of_functor(F.then(p)) for name, F in power_a.functors.items()
+        name: power_b.obj_named([p_omap[x] for x in parts[:n]] + [p_mmap[x] for x in parts[n:]])
+        for name, parts in power_a.obj_parts.items()
     }
     mmap = {
-        name: power_b.name_of_transformation(t.whisker_post(p))
-        for name, t in power_a.transformations.items()
+        m.name: power_b.mor_named(
+            omap[m.dom], omap[m.cod], [p_mmap[c] for c in power_a.mor_parts[m.name]]
+        )
+        for m in power_a.morphisms
     }
     return FinFunctor(power_a, power_b, omap, mmap, label=f"{p.label}^{X.label}")
 
@@ -205,22 +223,15 @@ def functor_into_power(fs: list[FinFunctor], power: FunctorCat) -> FinFunctor:
         raise StructureError("pairing target must be a power by a discrete category")
     D = power.target_category
 
-    def ob_name(x):
-        F = FinFunctor(
-            C,
-            D,
-            {c: fs[k].ob(x) for k, c in enumerate(C.objects)},
-            {C.id_of(c): D.id_of(fs[k].ob(x)) for k, c in enumerate(C.objects)},
-        )
-        return power.name_of_functor(F)
-
-    omap = {x: ob_name(x) for x in X.objects}
-    mmap = {}
-    for m in X.morphisms:
-        src = power.functor_named(omap[m.dom])
-        dst = power.functor_named(omap[m.cod])
-        t = NatTrans(src, dst, {c: fs[k].mor(m.name) for k, c in enumerate(C.objects)})
-        mmap[m.name] = power.name_of_transformation(t)
+    omap = {}
+    for x in X.objects:
+        images = {c: F.ob(x) for c, F in zip(C.objects, fs)}
+        identities = {i: D.id_of(images[c]) for c, i in C.identity.items()}
+        omap[x] = power.name_of_images(images, identities)
+    mmap = {
+        m.name: power.mor_named(omap[m.dom], omap[m.cod], tuple(F.mor(m.name) for F in fs))
+        for m in X.morphisms
+    }
     return FinFunctor(X, power, omap, mmap, label="pairing")
 
 
@@ -234,30 +245,17 @@ def cells_into_power(cells: list[NatTrans], power: FunctorCat) -> FinFunctor:
         raise StructureError("2-cells must be parallel")
     h, k = t0.source, t0.target
     X = h.source
-    C = power.source_category  # the generic parallel pair 0 ⇉ 1
-    D = power.target_category
-
-    def ob_name(x):
-        F = FinFunctor(
-            C,
-            D,
-            {"0": h.ob(x), "1": k.ob(x)},
-            {
-                "id_0": D.id_of(h.ob(x)),
-                "id_1": D.id_of(k.ob(x)),
-                "a0": t0.component(x),
-                "a1": t1.component(x),
-            },
-        )
-        return power.name_of_functor(F)
-
-    omap = {x: ob_name(x) for x in X.objects}
-    mmap = {}
-    for m in X.morphisms:
-        src = power.functor_named(omap[m.dom])
-        dst = power.functor_named(omap[m.cod])
-        t = NatTrans(src, dst, {"0": h.mor(m.name), "1": k.mor(m.name)})
-        mmap[m.name] = power.name_of_transformation(t)
+    D = power.target_category  # the power by the generic parallel pair 0 ⇉ 1
+    omap = {}
+    for x in X.objects:
+        hx, kx, a0, a1 = h.ob(x), k.ob(x), t0.component(x), t1.component(x)
+        arrows = {"id_0": D.id_of(hx), "id_1": D.id_of(kx), "a0": a0, "a1": a1}
+        omap[x] = power.name_of_images({"0": hx, "1": kx}, arrows)
+    # components at 0 and at 1
+    mmap = {
+        m.name: power.mor_named(omap[m.dom], omap[m.cod], (h.mor(m.name), k.mor(m.name)))
+        for m in X.morphisms
+    }
     return FinFunctor(X, power, omap, mmap, label="cell-pairing")
 
 

@@ -33,7 +33,6 @@ from .core import (
     builtin,
     builtin_functor,
     composable_morphisms,
-    constant_functor,
     enumerate_functors,
     enumerate_lifts,
     enumerate_transformations,
@@ -50,6 +49,7 @@ from .funcat import (
     evaluation_functor,
     functor_category,
     functor_into_power,
+    pair_functor,
     postcompose_functor,
     precompose_functor,
 )
@@ -291,8 +291,9 @@ class PseudolimitOfArrow:
 def constant_iso_object(power: FunctorCat, b: str) -> str:
     """Name, in a power by the free isomorphism, of the constant functor at
     b (the generator maps to the identity)."""
-    return power.name_of_functor(
-        constant_functor(power.source_category, power.target_category, b)
+    C, ident = power.source_category, power.target_category.id_of(b)
+    return power.name_of_images(
+        {a: b for a in C.objects}, {m.name: ident for m in C.morphisms}
     )
 
 
@@ -309,12 +310,12 @@ def pseudolimit_of_arrow(
     L: TupleCat = pb.apex
     u, p = pb.projections
     v = p.then(dom_b)
-    lam = NatTrans(
-        v,
-        u.then(f),
-        {o: power_b.functor_named(L.obj_parts[o][1]).mor("to") for o in L.objects},
-        label="lambda",
-    )
+    # an object of L is a pair (a, ω) of an object of A and an iso ω of B
+    # ending at f a; a transformation of B^I is named by its components at
+    # 0 and at 1
+    iso_at = p.omap
+    lam_parts = {o: power_b.mor_image(iso_at[o], "to") for o in L.objects}
+    lam = NatTrans(v, u.then(f), lam_parts, label="lambda")
 
     # diagonal: a ↦ (a, identity iso at f a)
     d_omap, d_mmap = {}, {}
@@ -322,41 +323,29 @@ def pseudolimit_of_arrow(
         d_omap[a] = L.obj_named((a, constant_iso_object(power_b, f.ob(a))))
     for m in A.morphisms:
         fm = f.mor(m.name)
-        src = power_b.functor_named(L.obj_parts[d_omap[m.dom]][1])
-        dst = power_b.functor_named(L.obj_parts[d_omap[m.cod]][1])
-        t = NatTrans(src, dst, {"0": fm, "1": fm})
+        src, dst = d_omap[m.dom], d_omap[m.cod]
         d_mmap[m.name] = L.mor_named(
-            d_omap[m.dom], d_omap[m.cod], (m.name, power_b.name_of_transformation(t))
+            src, dst, (m.name, power_b.mor_named(iso_at[src], iso_at[dst], (fm, fm)))
         )
     d = FinFunctor(A, L, d_omap, d_mmap, label="diagonal")
 
     # diagonal cell 1 ≅ d∘u with components (id_a, [iso, id])
     delta_parts = {}
     for o in L.objects:
-        a, omega = L.obj_parts[o]
+        a, omega = u.omap[o], iso_at[o]
         target_obj = d_omap[a]
-        src = power_b.functor_named(omega)
-        dst = power_b.functor_named(L.obj_parts[target_obj][1])
-        t = NatTrans(src, dst, {"0": src.mor("to"), "1": B.id_of(f.ob(a))})
-        delta_parts[o] = L.mor_named(
-            o, target_obj, (A.id_of(a), power_b.name_of_transformation(t))
+        t = power_b.mor_named(
+            omega, iso_at[target_obj], (power_b.mor_image(omega, "to"), B.id_of(f.ob(a)))
         )
+        delta_parts[o] = L.mor_named(o, target_obj, (A.id_of(a), t))
     delta = NatTrans(identity_functor(L), u.then(d), delta_parts, label="delta")
 
     # comparison out of the source iso-power: an iso of A lands on
     # (its codomain, its image iso)
-    f_power = postcompose_functor(f, free_iso, budget)
-    w_omap = {
-        name: L.obj_named((F.ob("1"), f_power.ob(name)))
-        for name, F in power_a.functors.items()
-    }
-    w_mmap = {}
-    for name, t in power_a.transformations.items():
-        mo = power_a.mor(name)
-        w_mmap[name] = L.mor_named(
-            w_omap[mo.dom], w_omap[mo.cod], (t.component("1"), f_power.mor(name))
-        )
-    w = FinFunctor(power_a, L, w_omap, w_mmap, label="w")
+    pairing = pair_functor(
+        evaluation_functor(power_a, "1"), postcompose_functor(f, free_iso, budget), L
+    )
+    w = FinFunctor(power_a, L, pairing.omap, pairing.mmap, label="w")
 
     return PseudolimitOfArrow(
         arrow=f,
@@ -425,10 +414,11 @@ def inserter(
     apex: TupleCat = pb.apex
     to_a = pb.projections[0]
     power_arrow = functor_category(builtin("arrow"), B, budget)
+    arrow_at = pb.projections[1].omap
     cell = NatTrans(
         to_a.then(f),
         to_a.then(g),
-        {o: power_arrow.functor_named(apex.obj_parts[o][1]).mor("a") for o in apex.objects},
+        {o: power_arrow.mor_image(arrow_at[o], "a") for o in apex.objects},
         label="insertion",
     )
     return LimitWitness(

@@ -90,7 +90,6 @@ def factorize_wfs(
     by the target projection."""
     pl = pseudolimit_of_arrow(f, budget, vertices)
     d, v = pl.diagonal, pl.to_target
-    assert d.then(v) == f
     witness = pseudolimit_injective_witness(pl)
     cleavage = build_normal_cleavage(v)
     return Factorization(
@@ -218,8 +217,6 @@ def leibniz_power(
         for m in power_ay.morphisms
     }
     induced = FinFunctor(power_ay, apex, omap, mmap, label=f"leibniz({j.label},{p.label})")
-    assert induced.then(pb.projections[0]) == a_j
-    assert induced.then(pb.projections[1]) == p_y
     report = classify_fibration(induced)
     return LeibnizPower(
         injective_on_objects=j,

@@ -22,6 +22,9 @@ The tuple-category reference composes every composable pair from the
 factors' tables, as ``TupleCat`` did in its constructor before it composed
 on first use.  The key reference dumps ``to_dict()`` as canonical JSON, as
 ``FinCat.key`` did before it wrote its text directly.
+The power-map references build every image in a power as a functor or a
+transformation and name it from its parts, as the library did when each
+power kept a functor per object and a transformation per morphism.
 The last section holds constructions that only the tests use, built from
 the library's own parts.
 """
@@ -56,6 +59,7 @@ from fincat.equivalence import (
     validate_witness,
 )
 from fincat.fibrations import Cleavage, _iso_lifts
+from fincat.funcat import DEFAULT_BUDGET, FunctorCat, functor_category
 from fincat.limits import PseudolimitOfArrow
 from fincat.nerve import DEFAULT_WORD_BOUND, TruncSSet, _classifying_data
 
@@ -746,6 +750,134 @@ def filter_pullback_cones(F, G, X):
         for Q in rights:
             if PF == Q.then(G):
                 yield P, Q
+
+
+# ---------------------------------------------------------------------------
+# Maps between powers through their functors and transformations, as the
+# library built them when each power kept a FinFunctor per object and a
+# NatTrans per morphism: every image is built as a functor or a
+# transformation and then named from its parts
+
+
+# by the content of C and D, as the power cache is
+_ENUMERATED: dict[tuple[str, str], tuple[dict[str, FinFunctor], dict[str, NatTrans]]] = {}
+
+
+def _enumerated(power: FunctorCat):
+    C, D = power.source_category, power.target_category
+    key = C.digest, D.digest
+    if key not in _ENUMERATED:
+        functors = dict(zip(power.objects, enumerate_functors(C, D)))
+        listed = list(functors.values())
+        ts = (t for F in listed for G in listed for t in enumerate_transformations(F, G))
+        _ENUMERATED[key] = functors, dict(zip((m.name for m in power.morphisms), ts))
+    return _ENUMERATED[key]
+
+
+def power_functors(power: FunctorCat) -> dict[str, FinFunctor]:
+    """Each object's functor, in the order the power enumerated them."""
+    return _enumerated(power)[0]
+
+
+def power_transformations(power: FunctorCat) -> dict[str, NatTrans]:
+    """Each morphism's transformation, in the order the power enumerated them."""
+    return _enumerated(power)[1]
+
+
+def name_of_functor(power: FunctorCat, F: FinFunctor) -> str:
+    C = power.source_category
+    return power.obj_named(
+        tuple(F.omap[a] for a in C.objects) + tuple(F.mmap[m.name] for m in C.morphisms)
+    )
+
+
+def name_of_transformation(power: FunctorCat, t: NatTrans) -> str:
+    return power.mor_named(
+        name_of_functor(power, t.source),
+        name_of_functor(power, t.target),
+        tuple(t.components[a] for a in power.source_category.objects),
+    )
+
+
+def precompose_reference(j: FinFunctor, D: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
+    power_y = functor_category(j.target, D, budget)
+    power_x = functor_category(j.source, D, budget)
+    omap = {
+        name: name_of_functor(power_x, j.then(F)) for name, F in power_functors(power_y).items()
+    }
+    mmap = {
+        name: name_of_transformation(power_x, t.whisker_pre(j))
+        for name, t in power_transformations(power_y).items()
+    }
+    return FinFunctor(power_y, power_x, omap, mmap, label=f"{D.label}^{j.label}")
+
+
+def postcompose_reference(p: FinFunctor, X: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
+    power_a = functor_category(X, p.source, budget)
+    power_b = functor_category(X, p.target, budget)
+    omap = {
+        name: name_of_functor(power_b, F.then(p)) for name, F in power_functors(power_a).items()
+    }
+    mmap = {
+        name: name_of_transformation(power_b, t.whisker_post(p))
+        for name, t in power_transformations(power_a).items()
+    }
+    return FinFunctor(power_a, power_b, omap, mmap, label=f"{p.label}^{X.label}")
+
+
+def functor_into_power_reference(fs: list[FinFunctor], power: FunctorCat) -> FinFunctor:
+    X, C, D = fs[0].source, power.source_category, power.target_category
+    functors = power_functors(power)
+
+    def ob_name(x):
+        F = FinFunctor(
+            C,
+            D,
+            {c: fs[k].ob(x) for k, c in enumerate(C.objects)},
+            {C.id_of(c): D.id_of(fs[k].ob(x)) for k, c in enumerate(C.objects)},
+        )
+        return name_of_functor(power, F)
+
+    omap = {x: ob_name(x) for x in X.objects}
+    mmap = {}
+    for m in X.morphisms:
+        t = NatTrans(
+            functors[omap[m.dom]],
+            functors[omap[m.cod]],
+            {c: fs[k].mor(m.name) for k, c in enumerate(C.objects)},
+        )
+        mmap[m.name] = name_of_transformation(power, t)
+    return FinFunctor(X, power, omap, mmap, label="pairing")
+
+
+def cells_into_power_reference(cells: list[NatTrans], power: FunctorCat) -> FinFunctor:
+    t0, t1 = cells
+    h, k = t0.source, t0.target
+    X, C, D = h.source, power.source_category, power.target_category
+    functors = power_functors(power)
+
+    def ob_name(x):
+        F = FinFunctor(
+            C,
+            D,
+            {"0": h.ob(x), "1": k.ob(x)},
+            {
+                "id_0": D.id_of(h.ob(x)),
+                "id_1": D.id_of(k.ob(x)),
+                "a0": t0.component(x),
+                "a1": t1.component(x),
+            },
+        )
+        return name_of_functor(power, F)
+
+    omap = {x: ob_name(x) for x in X.objects}
+    mmap = {}
+    for m in X.morphisms:
+        t = NatTrans(
+            functors[omap[m.dom]], functors[omap[m.cod]], {"0": h.mor(m.name), "1": k.mor(m.name)}
+        )
+        mmap[m.name] = name_of_transformation(power, t)
+    return FinFunctor(X, power, omap, mmap, label="cell-pairing")
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 isocommas, binary products, powers and the hom-categories of squares — and
 the functors out of them, against SHA-256 digests of ``label + key``
 recorded when each builder wrote its own identity, composition and lookup
-tables: the shared tuple builder must reproduce them exactly.  A power's
-name lookups must also invert its enumeration."""
+tables: the shared tuple builder must reproduce them exactly.  The functor
+a power builds from an object's parts must also be the one its enumeration
+yielded there, and be named by that object."""
 import hashlib
 
 import pytest
 
-from fincat.core import EnumerationBudgetExceeded
+from fincat.core import EnumerationBudgetExceeded, enumerate_functors
 from fincat.corpus import corpus_categories, corpus_cospans_normal_left
 from fincat.counterexamples import (
     arrow_hom_category,
@@ -105,11 +106,15 @@ def test_tuple_constructions_match_their_recorded_digests(name):
 
 
 def test_power_name_lookups_invert_the_enumeration():
+    """A power builds the functor of each object from its parts, and that
+    functor is the one the search yielded at the object's position, and is
+    named by it."""
     n_powers = 0
     for power in powers():
         n_powers += 1
-        for name, F in power.functors.items():
-            assert power.name_of_functor(F) == name
-        for name, t in power.transformations.items():
-            assert power.name_of_transformation(t) == name
+        enumerated = enumerate_functors(power.source_category, power.target_category)
+        for name, F in zip(power.objects, enumerated, strict=True):
+            built = power.functor_named(name)
+            assert built == F
+            assert power.name_of_functor(built) == name
     assert n_powers > 100

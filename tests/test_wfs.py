@@ -14,7 +14,13 @@ from fincat.equivalence import (
     find_retractions,
 )
 from fincat.fibrations import classify_fibration
-from fincat.funcat import evaluation_functor, functor_category, precompose_functor
+from fincat.corpus import corpus_functors
+from fincat.funcat import (
+    evaluation_functor,
+    functor_category,
+    postcompose_functor,
+    precompose_functor,
+)
 from fincat.wfs import (
     LiftingProblem,
     canonical_test_square,
@@ -56,6 +62,13 @@ def test_factorize_point_into_arrow():
     assert fac.left.then(fac.right) == f
     assert classify_fibration(fac.right).normal
     assert "injective" in classify_equivalence(fac.left).kinds
+
+
+def test_factorization_legs_compose_to_the_arrow_on_the_corpus():
+    """right ∘ left = f for the factorization of every corpus functor f."""
+    for f in corpus_functors():
+        fac = factorize_wfs(f)
+        assert fac.left.then(fac.right) == f, f.label
 
 
 def test_factorize_non_isofibration_still_splits():
@@ -177,6 +190,19 @@ def test_leibniz_reproduces_full_subcategory_inclusion():
     assert pair is not None
     assert res.report.discrete
     assert not res.report.grothendieck
+
+
+def test_leibniz_legs_are_restriction_and_postcomposition_on_the_corpus():
+    """The induced map A^Y → B^Y ×_{B^X} A^X followed by the pullback's legs
+    is A^j and p^Y, for each generating inclusion j : X → Y and every corpus
+    functor p : A → B."""
+    inclusions = ["empty_to_terminal", "point_to_iso", "discrete_to_arrow", "collapse_parallel"]
+    for j in map(builtin_functor, inclusions):
+        for p in corpus_functors():
+            res = leibniz_power(j, p)
+            to_restriction, to_postcomposite = res.pullback.projections
+            assert res.induced.then(to_restriction) == precompose_functor(j, p.source), p.label
+            assert res.induced.then(to_postcomposite) == postcompose_functor(p, j.target), p.label
 
 
 def test_leibniz_by_point_into_iso_matches_comparison_map():
