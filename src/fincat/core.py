@@ -1123,15 +1123,50 @@ LEIBNIZ_GENERATORS = (
 
 
 # ---------------------------------------------------------------------------
-# Constrained enumeration: one backtracking engine
+# Constrained enumeration: one backtracking driver
 #
-# Objects are assigned first, then the non-identity morphisms, each in source
-# order; an identity's image follows from its object's.  A composition
-# constraint (g, f, g∘f) with g, f non-identities is filed under the position
-# of whichever of g, f, g∘f is assigned last (an identity g∘f is known before
-# any morphism), so it is checked exactly once, as soon as its three images
-# are known: forward checking in the style of VF2 (Cordella et al. 2004).
-# Constraints with an identity factor hold in any lawful target.
+# Every search of the package (functors, isomorphisms, transformations,
+# simplicial maps, leveled bijections) assigns positions 0..n-1 in a fixed
+# order and runs on :func:`_backtrack`, which keeps one candidate generator
+# per assigned position on an explicit stack, so no search deepens Python's
+# call stack.  A search supplies ``candidates(k)``, a generator over the
+# values of position k: before each of its yields it writes that value into
+# the search's own state, after the yield it undoes what the next candidate
+# would not overwrite, and it reads no state past position k.
+#
+# In the functor search, objects are assigned first, then the non-identity
+# morphisms, each in source order; an identity's image follows from its
+# object's.  A composition constraint (g, f, g∘f) with g, f non-identities
+# is filed under the position of whichever of g, f, g∘f is assigned last (an
+# identity g∘f is known before any morphism), so it is checked exactly once,
+# as soon as its three images are known: forward checking in the style of
+# VF2 (Cordella et al. 2004).  Constraints with an identity factor hold in
+# any lawful target.
+
+_EXHAUSTED = object()
+
+
+def _backtrack(n: int, candidates, limit: int | None) -> Iterator[None]:
+    """Walk positions 0..n-1 depth first on a stack of ``candidates(k)``
+    generators, yielding once per complete assignment and at most ``limit``
+    times (never when ``limit <= 0``)."""
+    if limit is not None and limit <= 0:
+        return
+    if n == 0:
+        yield
+        return
+    count = 0
+    stack = [candidates(0)]
+    while stack:
+        if next(stack[-1], _EXHAUSTED) is _EXHAUSTED:
+            stack.pop()
+        elif len(stack) < n:
+            stack.append(candidates(len(stack)))
+        else:
+            yield
+            count += 1
+            if count == limit:
+                return
 
 
 def _hom_profile(cat: FinCat, a: str):
@@ -1154,8 +1189,6 @@ def _search(
     are kept (labelled ``iso``), and an object may only go to one with the
     same hom profile.
     """
-    if limit is not None and limit <= 0:
-        return
     objs = src.objects
     nonid = [m for m in src.morphisms if not src.is_identity(m.name)]
     position = {m.name: i for i, m in enumerate(nonid)}
@@ -1177,61 +1210,43 @@ def _search(
         obj_candidates.append(base)
 
     label = "iso" if injective else "functor"
-    dst_comp, dst_hom = dst.comp, dst.hom
-    # Entries past the current position are stale but never read: every
-    # check at a position reads only images assigned at or before it.
+    n_objs = len(objs)
+    src_id, dst_id, dst_comp, dst_hom = src.identity, dst.identity, dst.comp, dst.hom
     omap: dict[str, str] = {}
     img: dict[str, str] = {}
-    # images in use on the current path; read only when injective
+    # object and morphism images in use on the current path; read only when
+    # injective
     taken: set[str] = set()
     used: set[str] = set()
-    count = 0
 
-    def assign_mors(idx):
-        nonlocal count
-        if idx == len(nonid):
-            count += 1
-            yield FinFunctor(src, dst, omap, {m.name: img[m.name] for m in src.morphisms}, label)
+    def candidates(k):
+        if k < n_objs:
+            a = objs[k]
+            id_a = src_id[a]
+            for x in obj_candidates[k]:
+                if injective and x in taken:
+                    continue
+                omap[a] = x
+                img[id_a] = ident = dst_id[x]
+                taken.add(x)
+                used.add(ident)
+                yield
+                taken.discard(x)
+                used.discard(ident)
             return
-        m = nonid[idx]
-        name, cons, keep = m.name, checks[idx], allowed.get(m.name)
+        m = nonid[k - n_objs]
+        name, cons, keep = m.name, checks[k - n_objs], allowed.get(m.name)
         for cand in dst_hom(omap[m.dom], omap[m.cod]):
             if (keep is not None and cand not in keep) or (injective and cand in used):
                 continue
             img[name] = cand
             if all(dst_comp[img[g], img[f]] == img[gf] for g, f, gf in cons):
                 used.add(cand)
-                yield from assign_mors(idx + 1)
+                yield
                 used.discard(cand)
-                if count == limit:
-                    return
 
-    def assign_objs(idx):
-        if idx == len(objs):
-            used.clear()
-            for a in objs:
-                img[src.id_of(a)] = ident = dst.id_of(omap[a])
-                used.add(ident)
-            yield from assign_mors(0)
-            return
-        a = objs[idx]
-        for x in obj_candidates[idx]:
-            if injective and x in taken:
-                continue
-            omap[a] = x
-            taken.add(x)
-            yield from assign_objs(idx + 1)
-            taken.discard(x)
-            if count == limit:
-                return
-
-    # each closure holds itself through its cell; emptying the cells lets
-    # reference counting free the search state when the search ends or is
-    # dropped, without waiting for the cycle collector
-    try:
-        yield from assign_objs(0)
-    finally:
-        del assign_objs, assign_mors
+    for _ in _backtrack(n_objs + len(nonid), candidates, limit):
+        yield FinFunctor(src, dst, omap, {m.name: img[m.name] for m in src.morphisms}, label)
 
 
 def enumerate_functors(
@@ -1351,41 +1366,26 @@ def enumerate_transformations(
     """Yield natural transformations F ⇒ G in deterministic order."""
     if F.source != G.source or F.target != G.target:
         raise StructureError("transformations need a parallel pair")
-    cat = F.target
-    objs = F.source.objects
-    mors = [m for m in F.source.morphisms if not F.source.is_identity(m.name)]
-    count = 0
+    cat, src = F.target, F.source
+    objs, at, comp = src.objects, src.obj_index, cat.comp
+    bases = [cat.hom(F.ob(a), G.ob(a)) for a in objs]
+    if invertible_only:
+        bases = [[c for c in base if cat.is_iso(c)] for base in bases]
+    # the naturality square of m : a → b is checked once, when the later of
+    # its components is assigned
+    squares: list[list[tuple[str, str, str, str]]] = [[] for _ in objs]
+    for m in src.morphisms:
+        if not src.is_identity(m.name):
+            square = (m.dom, m.cod, G.mor(m.name), F.mor(m.name))
+            squares[max(at[m.dom], at[m.cod])].append(square)
+    parts: dict[str, str] = {}
 
-    def candidates(a):
-        base = cat.hom(F.ob(a), G.ob(a))
-        if invertible_only:
-            base = [c for c in base if cat.is_iso(c)]
-        return base
-
-    def natural_so_far(parts, m: Morphism):
-        ca, cb = parts.get(m.dom), parts.get(m.cod)
-        if ca is None or cb is None:
-            return True
-        return cat.compose(G.mor(m.name), ca) == cat.compose(cb, F.mor(m.name))
-
-    def assign(idx, parts):
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
-        if idx == len(objs):
-            count += 1
-            yield NatTrans(F, G, dict(parts))
-            return
-        a = objs[idx]
-        for c in candidates(a):
+    def candidates(k):
+        a = objs[k]
+        for c in bases[k]:
             parts[a] = c
-            if all(natural_so_far(parts, m) for m in mors if a in (m.dom, m.cod)):
-                yield from assign(idx + 1, parts)
-            del parts[a]
-            if limit is not None and count >= limit:
-                return
+            if all(comp[gm, parts[d]] == comp[parts[e], fm] for d, e, gm, fm in squares[k]):
+                yield
 
-    try:
-        yield from assign(0, {})
-    finally:
-        del assign  # a self-referring closure (see _search)
+    for _ in _backtrack(len(objs), candidates, limit):
+        yield NatTrans(F, G, parts)

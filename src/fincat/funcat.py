@@ -15,6 +15,7 @@ so blowups are loud rather than slow.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product
 
 from .core import (
     EnumerationBudgetExceeded,
@@ -84,29 +85,16 @@ def _estimate_functor_candidates(C: FinCat, D: FinCat, budget: int) -> int:
         return omap_space
     nonid = [m for m in C.morphisms if not C.is_identity(m.name)]
     total = 0
-
-    def rec(idx, omap):
-        nonlocal total
+    for images in product(D.objects, repeat=C.n_objects):
+        omap = dict(zip(C.objects, images))
+        prod = 1
+        for m in nonid:
+            prod *= len(D.hom(omap[m.dom], omap[m.cod]))
+            if prod == 0:
+                break
+        total += max(prod, 1)
         if total > budget:
-            return
-        if idx == C.n_objects:
-            prod = 1
-            for m in nonid:
-                prod *= len(D.hom(omap[m.dom], omap[m.cod]))
-                if prod == 0:
-                    break
-            total += max(prod, 1)
-            return
-        a = C.objects[idx]
-        for x in D.objects:
-            omap[a] = x
-            rec(idx + 1, omap)
-            del omap[a]
-
-    try:
-        rec(0, {})
-    finally:
-        del rec  # a self-referring closure (see core._search)
+            break
     return total
 
 

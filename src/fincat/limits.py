@@ -40,7 +40,7 @@ from .core import (
     identity_functor,
     identity_nat,
 )
-from .equivalence import EquivalenceWitness, validate_witness
+from .equivalence import EquivalenceWitness
 from .fibrations import Cleavage, build_normal_cleavage, classify_fibration, lift_iso_2cell
 from .funcat import (
     DEFAULT_BUDGET,
@@ -379,16 +379,14 @@ def pseudolimit_injective_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
         pl.diagonal_cell.inverse().components,
         label="counit",
     )
-    return validate_witness(
-        EquivalenceWitness(
-            forward=pl.diagonal,
-            inverse=pl.to_source,
-            unit=unit,
-            counit=counit,
-            kind="injective",
-            has_section=pl.diagonal.is_isomorphism(),
-            has_retraction=True,
-        )
+    return EquivalenceWitness(
+        forward=pl.diagonal,
+        inverse=pl.to_source,
+        unit=unit,
+        counit=counit,
+        kind="injective",
+        has_section=pl.diagonal.is_isomorphism(),
+        has_retraction=True,
     )
 
 

@@ -19,6 +19,7 @@ from .core import (
     FinCat,
     Morphism,
     StructureError,
+    _backtrack,
     composable_morphisms,
 )
 from .funcat import DEFAULT_BUDGET, functor_category, split_pair_name
@@ -496,37 +497,24 @@ def truncated_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
             table.setdefault(key, []).append(w)
         w_index[dim] = table
 
-    results = []
+    assigned: dict[tuple[int, str], str] = {}
 
-    def candidates(dim, s, assigned):
-        source = degeneracy_of[(dim, s)]
+    def candidates(k):
+        dim, s = slot = slots[k]
+        source = degeneracy_of[slot]
         if source is not None:
             i, t = source
-            return [W.degeneracy(dim - 1, i, assigned[(dim - 1, t)])]
-        if dim == 0:
-            return list(W.simplices[0])
-        wanted = tuple(assigned[(dim - 1, Z.face(dim, i, s))] for i in range(dim + 1))
-        return w_index[dim].get(wanted, [])
+            values = [W.degeneracy(dim - 1, i, assigned[(dim - 1, t)])]
+        elif dim == 0:
+            values = W.simplices[0]
+        else:
+            wanted = tuple(assigned[(dim - 1, Z.face(dim, i, s))] for i in range(dim + 1))
+            values = w_index[dim].get(wanted, ())
+        for w in values:
+            assigned[slot] = w
+            yield
 
-    def rec(k, assigned):
-        if limit is not None and len(results) >= limit:
-            return
-        if k == len(slots):
-            results.append(dict(assigned))
-            return
-        dim, s = slots[k]
-        for w in candidates(dim, s, assigned):
-            assigned[(dim, s)] = w
-            rec(k + 1, assigned)
-            del assigned[(dim, s)]
-            if limit is not None and len(results) >= limit:
-                return
-
-    try:
-        rec(0, {})
-    finally:
-        del rec  # a self-referring closure (see core._search)
-    return results
+    return [dict(assigned) for _ in _backtrack(len(slots), candidates, limit)]
 
 
 def _leveled_from_sset(X: TruncSSet, dim: int):
@@ -612,48 +600,31 @@ def _leveled_iso(levels1, faces1, degens1, levels2, faces2, degens2, dim: int):
     if any(len(levels1[d]) != len(levels2[d]) for d in range(dim + 1)):
         return None
 
-    assign = {}
+    slots = [(d, a) for d in range(dim + 1) for a in levels1[d]]
+    assign: dict[tuple[int, str], str] = {}
+    used: set[tuple[int, str]] = set()
 
-    def compatible(d, a, b):
-        for i in range(d + 1):
-            if d >= 1:
-                fa = faces1[(d, i)][a]
-                fb = faces2[(d, i)][b]
-                if assign.get((d - 1, fa)) != fb:
-                    return False
-        return True
-
-    def rec(d, k, used):
-        if d > dim:
-            # degeneracy tables must also match
-            for (dd, i), table in degens1.items():
-                if dd + 1 > dim:
-                    continue
-                for s, v in table.items():
-                    if assign[(dd + 1, v)] != degens2[(dd, i)][assign[(dd, s)]]:
-                        return None
-            return dict(assign)
-        if k == len(levels1[d]):
-            return rec(d + 1, 0, set())
-        a = levels1[d][k]
+    def candidates(k):
+        d, a = slots[k]
+        faces = [(faces1[(d, i)][a], faces2[(d, i)]) for i in range(d + 1)] if d else []
         for b in levels2[d]:
-            if (d, b) in used:
-                continue
-            if not compatible(d, a, b):
+            if (d, b) in used or any(assign.get((d - 1, fa)) != f2[b] for fa, f2 in faces):
                 continue
             assign[(d, a)] = b
             used.add((d, b))
-            res = rec(d, k + 1, used)
-            if res is not None:
-                return res
+            yield
             used.discard((d, b))
-            del assign[(d, a)]
-        return None
 
-    try:
-        return rec(0, 0, set())
-    finally:
-        del rec  # a self-referring closure (see core._search)
+    for _ in _backtrack(len(slots), candidates, None):
+        # degeneracy tables must also match
+        if all(
+            assign[(dd + 1, v)] == degens2[(dd, i)][assign[(dd, s)]]
+            for (dd, i), table in degens1.items()
+            if dd + 1 <= dim
+            for s, v in table.items()
+        ):
+            return dict(assign)
+    return None
 
 
 @dataclass

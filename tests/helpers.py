@@ -25,19 +25,26 @@ on first use.  The key reference dumps ``to_dict()`` as canonical JSON, as
 The power-map references build every image in a power as a functor or a
 transformation and name it from its parts, as the library did when each
 power kept a functor per object and a transformation per morphism.
+The search references recurse one frame per position, as the functor,
+isomorphism, transformation, simplicial-map and leveled-bijection searches
+and the power's size estimate did before they ran on one explicit stack.
 The last section holds constructions that only the tests use, built from
 the library's own parts.
 """
 import json
 from itertools import product
+from typing import Iterator, Mapping, Sequence
 
 from fincat.core import (
     FinCat,
     FinFunctor,
+    Morphism,
     NatTrans,
     NotIsofibration,
+    StructureError,
     TupleCat,
     WitnessInvalid,
+    _hom_profile,
     enumerate_functors,
     enumerate_transformations,
     find_isomorphism,
@@ -61,7 +68,7 @@ from fincat.equivalence import (
 from fincat.fibrations import Cleavage, _iso_lifts
 from fincat.funcat import DEFAULT_BUDGET, FunctorCat, functor_category
 from fincat.limits import PseudolimitOfArrow
-from fincat.nerve import DEFAULT_WORD_BOUND, TruncSSet, _classifying_data
+from fincat.nerve import DEFAULT_WORD_BOUND, TOP_DIM, TruncSSet, _classifying_data
 
 
 def canonical_key(cat: FinCat) -> str:
@@ -878,6 +885,289 @@ def cells_into_power_reference(cells: list[NatTrans], power: FunctorCat) -> FinF
         )
         mmap[m.name] = name_of_transformation(power, t)
     return FinFunctor(X, power, omap, mmap, label="cell-pairing")
+
+
+# ---------------------------------------------------------------------------
+# The backtracking searches as recursions of nested generators or functions,
+# one frame per position (the library's code before every search ran on
+# core._backtrack's explicit stack)
+
+
+def recursive_search(
+    src: FinCat,
+    dst: FinCat,
+    omap_choices: Mapping[str, Sequence[str]] | None,
+    mmap_choices: Mapping[str, Sequence[str]] | None,
+    limit: int | None,
+    injective: bool,
+) -> Iterator[FinFunctor]:
+    """Yield functors src → dst in index order, at most ``limit`` of them.
+
+    With ``injective``, only functors injective on objects and on morphisms
+    are kept (labelled ``iso``), and an object may only go to one with the
+    same hom profile.
+    """
+    if limit is not None and limit <= 0:
+        return
+    objs = src.objects
+    nonid = [m for m in src.morphisms if not src.is_identity(m.name)]
+    position = {m.name: i for i, m in enumerate(nonid)}
+    checks: list[list[tuple[str, str, str]]] = [[] for _ in nonid]
+    for (g, f), gf in src.comp.items():
+        if g in position and f in position:
+            checks[max(position[g], position[f], position.get(gf, -1))].append((g, f, gf))
+    allowed = {
+        m.name: set(mmap_choices[m.name])
+        for m in nonid
+        if mmap_choices and m.name in mmap_choices
+    }
+    obj_candidates = []
+    for a in objs:
+        base = omap_choices[a] if omap_choices and a in omap_choices else dst.objects
+        if injective:
+            profile = _hom_profile(src, a)
+            base = [x for x in base if _hom_profile(dst, x) == profile]
+        obj_candidates.append(base)
+
+    label = "iso" if injective else "functor"
+    dst_comp, dst_hom = dst.comp, dst.hom
+    # Entries past the current position are stale but never read: every
+    # check at a position reads only images assigned at or before it.
+    omap: dict[str, str] = {}
+    img: dict[str, str] = {}
+    # images in use on the current path; read only when injective
+    taken: set[str] = set()
+    used: set[str] = set()
+    count = 0
+
+    def assign_mors(idx):
+        nonlocal count
+        if idx == len(nonid):
+            count += 1
+            yield FinFunctor(src, dst, omap, {m.name: img[m.name] for m in src.morphisms}, label)
+            return
+        m = nonid[idx]
+        name, cons, keep = m.name, checks[idx], allowed.get(m.name)
+        for cand in dst_hom(omap[m.dom], omap[m.cod]):
+            if (keep is not None and cand not in keep) or (injective and cand in used):
+                continue
+            img[name] = cand
+            if all(dst_comp[img[g], img[f]] == img[gf] for g, f, gf in cons):
+                used.add(cand)
+                yield from assign_mors(idx + 1)
+                used.discard(cand)
+                if count == limit:
+                    return
+
+    def assign_objs(idx):
+        if idx == len(objs):
+            used.clear()
+            for a in objs:
+                img[src.id_of(a)] = ident = dst.id_of(omap[a])
+                used.add(ident)
+            yield from assign_mors(0)
+            return
+        a = objs[idx]
+        for x in obj_candidates[idx]:
+            if injective and x in taken:
+                continue
+            omap[a] = x
+            taken.add(x)
+            yield from assign_objs(idx + 1)
+            taken.discard(x)
+            if count == limit:
+                return
+
+    # each closure holds itself through its cell; emptying the cells lets
+    # reference counting free the search state when the search ends or is
+    # dropped, without waiting for the cycle collector
+    try:
+        yield from assign_objs(0)
+    finally:
+        del assign_objs, assign_mors
+
+
+def recursive_transformations(
+    F: FinFunctor,
+    G: FinFunctor,
+    invertible_only: bool = False,
+    limit: int | None = None,
+) -> Iterator[NatTrans]:
+    """Yield natural transformations F ⇒ G in deterministic order."""
+    if F.source != G.source or F.target != G.target:
+        raise StructureError("transformations need a parallel pair")
+    cat = F.target
+    objs = F.source.objects
+    mors = [m for m in F.source.morphisms if not F.source.is_identity(m.name)]
+    count = 0
+
+    def candidates(a):
+        base = cat.hom(F.ob(a), G.ob(a))
+        if invertible_only:
+            base = [c for c in base if cat.is_iso(c)]
+        return base
+
+    def natural_so_far(parts, m: Morphism):
+        ca, cb = parts.get(m.dom), parts.get(m.cod)
+        if ca is None or cb is None:
+            return True
+        return cat.compose(G.mor(m.name), ca) == cat.compose(cb, F.mor(m.name))
+
+    def assign(idx, parts):
+        nonlocal count
+        if limit is not None and count >= limit:
+            return
+        if idx == len(objs):
+            count += 1
+            yield NatTrans(F, G, dict(parts))
+            return
+        a = objs[idx]
+        for c in candidates(a):
+            parts[a] = c
+            if all(natural_so_far(parts, m) for m in mors if a in (m.dom, m.cod)):
+                yield from assign(idx + 1, parts)
+            del parts[a]
+            if limit is not None and count >= limit:
+                return
+
+    try:
+        yield from assign(0, {})
+    finally:
+        del assign  # a self-referring closure (see recursive_search)
+
+
+def recursive_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
+    """All maps of truncated simplicial sets Z → W, as dicts
+    {(dim, simplex): simplex}.  Degenerate simplices are forced; the rest
+    backtrack over face-compatible candidates."""
+    slots = []
+    degeneracy_of = {}
+    for dim in range(TOP_DIM + 1):
+        for s in Z.simplices[dim]:
+            slots.append((dim, s))
+            degeneracy_of[(dim, s)] = Z.degeneracy_source(dim, s)
+
+    w_index: dict[int, dict[tuple, list[str]]] = {}
+    for dim in range(1, TOP_DIM + 1):
+        table: dict[tuple, list[str]] = {}
+        for w in W.simplices[dim]:
+            key = tuple(W.face(dim, i, w) for i in range(dim + 1))
+            table.setdefault(key, []).append(w)
+        w_index[dim] = table
+
+    results = []
+
+    def candidates(dim, s, assigned):
+        source = degeneracy_of[(dim, s)]
+        if source is not None:
+            i, t = source
+            return [W.degeneracy(dim - 1, i, assigned[(dim - 1, t)])]
+        if dim == 0:
+            return list(W.simplices[0])
+        wanted = tuple(assigned[(dim - 1, Z.face(dim, i, s))] for i in range(dim + 1))
+        return w_index[dim].get(wanted, [])
+
+    def rec(k, assigned):
+        if limit is not None and len(results) >= limit:
+            return
+        if k == len(slots):
+            results.append(dict(assigned))
+            return
+        dim, s = slots[k]
+        for w in candidates(dim, s, assigned):
+            assigned[(dim, s)] = w
+            rec(k + 1, assigned)
+            del assigned[(dim, s)]
+            if limit is not None and len(results) >= limit:
+                return
+
+    try:
+        rec(0, {})
+    finally:
+        del rec  # a self-referring closure (see recursive_search)
+    return results
+
+
+def recursive_leveled_iso(levels1, faces1, degens1, levels2, faces2, degens2, dim: int):
+    """Backtracking isomorphism of leveled systems respecting faces and
+    degeneracies within range."""
+    if any(len(levels1[d]) != len(levels2[d]) for d in range(dim + 1)):
+        return None
+
+    assign = {}
+
+    def compatible(d, a, b):
+        for i in range(d + 1):
+            if d >= 1:
+                fa = faces1[(d, i)][a]
+                fb = faces2[(d, i)][b]
+                if assign.get((d - 1, fa)) != fb:
+                    return False
+        return True
+
+    def rec(d, k, used):
+        if d > dim:
+            # degeneracy tables must also match
+            for (dd, i), table in degens1.items():
+                if dd + 1 > dim:
+                    continue
+                for s, v in table.items():
+                    if assign[(dd + 1, v)] != degens2[(dd, i)][assign[(dd, s)]]:
+                        return None
+            return dict(assign)
+        if k == len(levels1[d]):
+            return rec(d + 1, 0, set())
+        a = levels1[d][k]
+        for b in levels2[d]:
+            if (d, b) in used:
+                continue
+            if not compatible(d, a, b):
+                continue
+            assign[(d, a)] = b
+            used.add((d, b))
+            res = rec(d, k + 1, used)
+            if res is not None:
+                return res
+            used.discard((d, b))
+            del assign[(d, a)]
+        return None
+
+    try:
+        return rec(0, 0, set())
+    finally:
+        del rec  # a self-referring closure (see recursive_search)
+
+
+def recursive_functor_estimate(C: FinCat, D: FinCat, budget: int) -> int:
+    omap_space = D.n_objects ** C.n_objects if C.n_objects else 1
+    if omap_space > budget:
+        return omap_space
+    nonid = [m for m in C.morphisms if not C.is_identity(m.name)]
+    total = 0
+
+    def rec(idx, omap):
+        nonlocal total
+        if total > budget:
+            return
+        if idx == C.n_objects:
+            prod = 1
+            for m in nonid:
+                prod *= len(D.hom(omap[m.dom], omap[m.cod]))
+                if prod == 0:
+                    break
+            total += max(prod, 1)
+            return
+        a = C.objects[idx]
+        for x in D.objects:
+            omap[a] = x
+            rec(idx + 1, omap)
+            del omap[a]
+
+    try:
+        rec(0, {})
+    finally:
+        del rec  # a self-referring closure (see recursive_search)
+    return total
 
 
 # ---------------------------------------------------------------------------

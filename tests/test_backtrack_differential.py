@@ -1,0 +1,171 @@
+"""Every backtracking search of the library, run on ``core._backtrack``'s
+explicit stack, against the recursion it replaced, kept in ``helpers`` as
+the reference: functors, isomorphisms and transformations, with choice
+tables and limits, truncated simplicial maps, the leveled bijection of the
+powers comparison and a power's size estimate.  Each search must yield the
+same values in the same order, each table with the same key order."""
+from itertools import groupby
+
+import pytest
+from helpers import (
+    recursive_functor_estimate,
+    recursive_leveled_iso,
+    recursive_search,
+    recursive_sset_maps,
+    recursive_transformations,
+)
+
+from fincat.core import (
+    builtin,
+    discrete_category,
+    enumerate_functors,
+    enumerate_isomorphisms,
+    enumerate_transformations,
+)
+from fincat.corpus import corpus_categories, corpus_functors
+from fincat.funcat import _estimate_functor_candidates, functor_category
+from fincat.nerve import (
+    _hom_sset_leveled,
+    _leveled_from_sset,
+    _leveled_iso,
+    classifying_category,
+    nerve_truncated,
+    sset_product,
+    standard_simplex,
+    truncated_sset_maps,
+)
+
+LIMITS = [0, 1, None]
+
+
+def functor_tables(functors):
+    return [(F.label, list(F.omap.items()), list(F.mmap.items())) for F in functors]
+
+
+def choice_tables(src, dst):
+    """No choices, and choices that reverse the first object's candidates
+    and pin the first non-identity morphism to its image under the first
+    functor src → dst."""
+    first = next(enumerate_functors(src, dst, limit=1), None)
+    nonid = [m.name for m in src.morphisms if not src.is_identity(m.name)]
+    omap_choices = {src.objects[0]: dst.objects[::-1]} if src.objects else None
+    mmap_choices = {nonid[0]: [first.mmap[nonid[0]]]} if first and nonid else None
+    return [(None, None), (omap_choices, mmap_choices)]
+
+
+# with the empty category, whose searches have no positions
+CATEGORIES = (discrete_category(0), *corpus_categories())
+CATEGORY_PAIRS = [(A, B) for A in CATEGORIES for B in CATEGORIES]
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_functor_search_matches_the_recursion(limit):
+    for A, B in CATEGORY_PAIRS:
+        for omap_choices, mmap_choices in choice_tables(A, B):
+            ours = enumerate_functors(A, B, omap_choices, mmap_choices, limit)
+            reference = recursive_search(A, B, omap_choices, mmap_choices, limit, False)
+            assert functor_tables(ours) == functor_tables(reference), (A.label, B.label)
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_isomorphism_search_matches_the_recursion(limit):
+    for A, B in CATEGORY_PAIRS:
+        if A.n_objects != B.n_objects or A.n_morphisms != B.n_morphisms:
+            continue
+        for omap_choices, mmap_choices in choice_tables(A, B):
+            ours = enumerate_isomorphisms(A, B, omap_choices, mmap_choices, limit)
+            reference = recursive_search(A, B, omap_choices, mmap_choices, limit, True)
+            assert functor_tables(ours) == functor_tables(reference), (A.label, B.label)
+
+
+def parallel_pairs():
+    """Every ordered pair of corpus functors with the same source and
+    target, and the empty functor into the terminal category with itself."""
+    def ends(F):
+        return (F.source.key, F.target.key)
+
+    empty = next(enumerate_functors(discrete_category(0), builtin("terminal")))
+    functors = [empty, *corpus_functors()]
+    for _, group in groupby(sorted(functors, key=ends), key=ends):
+        group = list(group)
+        yield from ((F, G) for F in group for G in group)
+
+
+@pytest.mark.parametrize("invertible_only", [False, True])
+@pytest.mark.parametrize("limit", LIMITS)
+def test_transformation_search_matches_the_recursion(invertible_only, limit):
+    for F, G in parallel_pairs():
+        ours = enumerate_transformations(F, G, invertible_only, limit)
+        reference = recursive_transformations(F, G, invertible_only, limit)
+        assert [list(t.components.items()) for t in ours] == [
+            list(t.components.items()) for t in reference
+        ], (F.label, G.label)
+
+
+SSET_SOURCES = [
+    standard_simplex(0),
+    standard_simplex(1),
+    standard_simplex(2),
+    sset_product(standard_simplex(1), standard_simplex(1)),
+    nerve_truncated(builtin("parallel_pair")),
+]
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_simplicial_maps_match_the_recursion(limit):
+    for C in corpus_categories():
+        if C.n_morphisms > 5:
+            continue
+        W = nerve_truncated(C)
+        for Z in SSET_SOURCES:
+            ours = truncated_sset_maps(Z, W, limit)
+            reference = recursive_sset_maps(Z, W, limit)
+            assert [list(f.items()) for f in ours] == [list(f.items()) for f in reference]
+
+
+def powers_sides(X, Y, dim):
+    """The two leveled systems that ``check_powers_iso`` compares."""
+    left = _hom_sset_leveled(X, nerve_truncated(Y), dim)
+    right = _leveled_from_sset(nerve_truncated(functor_category(classifying_category(X), Y)), dim)
+    return left, right
+
+
+@pytest.mark.parametrize("Y", ["terminal", "arrow", "free_iso", "chaotic(2)", "two_discrete"])
+@pytest.mark.parametrize("dim", [0, 1, 2])
+def test_leveled_bijection_matches_the_recursion(Y, dim):
+    X = standard_simplex(1)
+    left, right = powers_sides(X, builtin(Y), dim)
+    for a, b in [(left, right), (right, left), (left, left)]:
+        ours = _leveled_iso(*a, *b, dim)
+        reference = recursive_leveled_iso(*a, *b, dim)
+        assert ours is not None
+        assert list(ours.items()) == list(reference.items())
+
+
+def test_leveled_bijection_matches_the_recursion_when_a_degeneracy_refuses():
+    """With one side's levels listed in reverse, the first face-compatible
+    bijections send a degenerate simplex to a nondegenerate one and fail at
+    the leaf, and both searches go on to the same bijection."""
+    refused = 0
+    for C in corpus_categories():
+        if C.n_morphisms > 5:
+            continue
+        levels, faces, degens = _leveled_from_sset(nerve_truncated(C), 2)
+        backwards = [level[::-1] for level in levels]
+        for dim in (1, 2):
+            ours = _leveled_iso(levels, faces, degens, backwards, faces, degens, dim)
+            reference = recursive_leveled_iso(levels, faces, degens, backwards, faces, degens, dim)
+            assert list(ours.items()) == list(reference.items())
+            refused += ours != _leveled_iso(levels, faces, {}, backwards, faces, {}, dim)
+    assert refused
+
+
+def test_power_estimate_matches_the_recursion():
+    """At budgets below the number of object maps, at that number (where
+    the count may stop part way), and up to the count's full size."""
+    for A, B in CATEGORY_PAIRS:
+        full = recursive_functor_estimate(A, B, float("inf"))
+        for budget in sorted({0, 1, B.n_objects ** A.n_objects, full // 3, full - 1, full}):
+            assert _estimate_functor_candidates(A, B, budget) == recursive_functor_estimate(
+                A, B, budget
+            ), (A.label, B.label, budget)

@@ -207,6 +207,16 @@ def _mmap_entry_as_list(square):
     mmap[first] = [mmap[first]]
 
 
+def _run_fresh(cwd, argv):
+    """Run the CLI with ``argv`` in a fresh process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fincat.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def _exit_two_with(tmp_path, sample, mutate, argv, detail, error="StructureError"):
     """Run the CLI in a fresh process on a mutated copy of a sample file and
     check that it exits 2 with ``error`` and ``detail`` on stderr and no
@@ -215,12 +225,7 @@ def _exit_two_with(tmp_path, sample, mutate, argv, detail, error="StructureError
     data = json.loads((samples / sample).read_text())
     mutate(data)
     (tmp_path / sample).write_text(json.dumps(data))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run(
-        [sys.executable, "-m", "fincat.cli", *argv, sample],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    res = _run_fresh(tmp_path, [*argv, sample])
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     reported = json.loads(res.stderr.strip().splitlines()[-1])
@@ -539,3 +544,36 @@ def test_malformed_functor_cell_or_sset_exits_two_with_a_located_error(
     tmp_path, sample, mutate, argv, detail
 ):
     _exit_two_with(tmp_path, sample, mutate, argv, detail)
+
+
+def test_classify_runs_the_identity_of_chaotic_32_without_a_recursion_limit(tmp_path):
+    """The functor searches behind ``classify`` assign one position per
+    object and per non-identity morphism, here 32 + 992, on an explicit
+    stack: the run ends with exit 0 and no traceback."""
+    cat = builtin("chaotic(32)")
+    identity = {
+        "source": "builtin:chaotic(32)",
+        "target": "builtin:chaotic(32)",
+        "omap": {a: a for a in cat.objects},
+        "mmap": {m.name: m.name for m in cat.morphisms},
+    }
+    (tmp_path / "id32.json").write_text(json.dumps(identity))
+    res = _run_fresh(tmp_path, ["classify", "--functor", "id32.json"])
+    assert res.returncode == 0
+    assert "Traceback" not in res.stderr
+    result = json.loads(res.stdout.strip().splitlines()[-1])["result"]
+    assert result["equivalence"]["is_equivalence"] is True
+
+
+def test_powers_check_of_the_interval_into_chaotic_4_finds_the_bijection(tmp_path):
+    """The leveled bijection has one position per simplex, 4368 here, on an
+    explicit stack: the run ends with exit 0, equal counts and a bijection."""
+    samples = Path(__file__).resolve().parent.parent / "sample_data"
+    (tmp_path / "chaotic4.json").write_text(json.dumps(builtin("chaotic(4)").to_dict()))
+    sset = str(samples / "interval_sset.json")
+    res = _run_fresh(tmp_path, ["powers-check", "--sset", sset, "--category", "chaotic4.json"])
+    assert res.returncode == 0
+    assert "Traceback" not in res.stderr
+    result = json.loads(res.stdout.strip().splitlines()[-1])["result"]
+    assert result["left_counts"] == result["right_counts"] == [16, 256, 4096]
+    assert result["bijection_found"] is True

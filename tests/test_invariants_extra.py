@@ -4,7 +4,7 @@ import pytest
 from fincat.core import builtin, enumerate_functors, identity_functor, find_isomorphism
 from fincat.corpus import corpus_categories, corpus_functors
 from fincat.cosmos import nip_square_filler
-from fincat.equivalence import EquivalenceWitness, classify_equivalence
+from fincat.equivalence import EquivalenceWitness, classify_equivalence, validate_witness
 from fincat.funcat import product_category
 from fincat.limits import pseudolimit_of_arrow, split_idempotent
 from fincat.nerve import (
@@ -16,10 +16,15 @@ from helpers import coskeletal_filler_check, is_equivalence_bf
 
 
 def test_equivalence_classifier_agrees_with_oracle_on_all_corpus_functors():
+    """Every witness the classifier builds is valid, and an injective one
+    has an identity unit."""
     for F in corpus_functors():
         expected = is_equivalence_bf(F)
         got = classify_equivalence(F)
         assert isinstance(got, EquivalenceWitness) == expected, F.label
+        if expected:
+            validate_witness(got)
+            assert got.kind != "injective" or got.unit.is_identity(), F.label
 
 
 def test_all_idempotents_on_small_corpus_categories_split():

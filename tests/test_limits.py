@@ -15,7 +15,7 @@ from fincat.core import (
     validate_functor,
     validate_transformation,
 )
-from fincat.equivalence import classify_equivalence
+from fincat.equivalence import classify_equivalence, validate_witness
 from fincat.corpus import corpus_functors
 from fincat.fibrations import classify_fibration
 from fincat.funcat import evaluation_functor, functor_category, postcompose_functor
@@ -150,8 +150,9 @@ def test_pseudolimit_structural_equations_hold_on_the_corpus():
     """The equations of the pseudolimit's parts, over every corpus functor
     f : A → B: u∘d = 1 and v∘d = f for the diagonal d, u = to_source and
     v = to_target; λd and uδ are identities and vδ = λ for the cell λ and
-    the diagonal cell δ; cod∘p = f∘u for the power projection p; and
-    u∘w = ev_1 and p∘w = f^I for the comparison w out of A^I."""
+    the diagonal cell δ; cod∘p = f∘u for the power projection p;
+    u∘w = ev_1 and p∘w = f^I for the comparison w out of A^I; and the
+    diagonal's injective witness is valid."""
     free_iso = builtin("free_iso")
     for f in corpus_functors():
         A, B = f.source, f.target
@@ -168,6 +169,7 @@ def test_pseudolimit_structural_equations_hold_on_the_corpus():
         assert p.then(evaluation_functor(pl.target_power, "1")) == u.then(f), f.label
         assert w.then(u) == evaluation_functor(pl.source_power, "1"), f.label
         assert w.then(p) == postcompose_functor(f, free_iso), f.label
+        validate_witness(pseudolimit_injective_witness(pl))
 
 
 def test_pseudolimit_of_collapse_has_two_objects():

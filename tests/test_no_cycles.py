@@ -1,7 +1,8 @@
 """The search engines keep no reference cycles: with the cycle collector
 off, what a caller passes to a search is freed by reference counting as
-soon as the caller drops it, whether the search ran out, found its answer
-or was abandoned after one result."""
+soon as the caller drops it, whether the search ran out, found its answer,
+stopped at its limit or was abandoned with its stack of candidate
+generators part way down."""
 import gc
 import weakref
 
@@ -10,6 +11,7 @@ import pytest
 from fincat.core import (
     builtin,
     enumerate_functors,
+    enumerate_isomorphisms,
     enumerate_transformations,
     find_isomorphism,
     identity_functor,
@@ -54,12 +56,28 @@ def run_enumerate_transformations(cat):
     list(enumerate_transformations(F, F))
 
 
+def abandon_enumerate_transformations(cat):
+    F = identity_functor(cat)
+    search = enumerate_transformations(F, F)
+    next(search)
+
+
+def abandon_enumerate_isomorphisms(cat):
+    search = enumerate_isomorphisms(cat, cat)
+    next(search)
+    next(search)
+
+
 def run_functor_estimate(cat):
     _estimate_functor_candidates(builtin("arrow"), cat, 1_000)
 
 
 def run_truncated_sset_maps(sset):
     assert truncated_sset_maps(standard_simplex(1), sset)
+
+
+def run_truncated_sset_maps_to_limit(sset):
+    assert len(truncated_sset_maps(standard_simplex(1), sset, limit=1)) == 1
 
 
 def run_leveled_iso(faces):
@@ -72,8 +90,17 @@ SEARCHES = {
     "enumerate_functors abandoned": (lambda: builtin("chaotic(3)"), abandon_enumerate_functors),
     "find_isomorphism": (lambda: builtin("chaotic(3)"), run_find_isomorphism),
     "enumerate_transformations": (lambda: builtin("chaotic(3)"), run_enumerate_transformations),
+    "enumerate_transformations abandoned": (
+        lambda: builtin("chaotic(3)"), abandon_enumerate_transformations
+    ),
+    "enumerate_isomorphisms abandoned": (
+        lambda: builtin("chaotic(3)"), abandon_enumerate_isomorphisms
+    ),
     "functor_category estimate": (lambda: builtin("chaotic(3)"), run_functor_estimate),
     "truncated_sset_maps": (lambda: nerve_truncated(builtin("chaotic(2)")), run_truncated_sset_maps),
+    "truncated_sset_maps to its limit": (
+        lambda: nerve_truncated(builtin("chaotic(2)")), run_truncated_sset_maps_to_limit
+    ),
     "_leveled_iso": (lambda: Faces(_leveled_from_sset(standard_simplex(2), 2)[1]), run_leveled_iso),
 }
 
