@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from functools import cached_property
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from operator import getitem, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -1371,6 +1372,8 @@ def enumerate_transformations(
     bases = [cat.hom(F.ob(a), G.ob(a)) for a in objs]
     if invertible_only:
         bases = [[c for c in base if cat.is_iso(c)] for base in bases]
+    if not all(bases):
+        return
     # the naturality square of m : a → b is checked once, when the later of
     # its components is assigned
     squares: list[list[tuple[str, str, str, str]]] = [[] for _ in objs]
@@ -1389,3 +1392,15 @@ def enumerate_transformations(
 
     for _ in _backtrack(len(objs), candidates, limit):
         yield NatTrans(F, G, parts)
+
+
+def _natural_parts(comp, homs, squares) -> list[tuple[str, ...]]:
+    """The component tuples of ``product(*homs)``, position 0 outermost as
+    in :func:`enumerate_transformations`, that make every naturality square
+    ``(d, e, g, f)`` commute: g∘t[d] == t[e]∘f in the table ``comp``."""
+    candidates = product(*homs)
+    if not squares:
+        return list(candidates)
+    return [
+        t for t in candidates if all(comp[g, t[d]] == comp[t[e], f] for d, e, g, f in squares)
+    ]

@@ -27,13 +27,13 @@ from .core import (
     StructureError,
     TupleCat,
     UnknownName,
+    _natural_parts,
     builtin,
     builtin_functor,
     chaotic_category,
     discrete_category,
     enumerate_functors,
     enumerate_lifts,
-    enumerate_transformations,
     functor_position,
     identity_functor,
     terminal_category,
@@ -156,29 +156,69 @@ def _square_parts(X: FinFunctor, s0: FinFunctor, s1: FinFunctor) -> tuple[str, .
 
 def arrow_hom_category(X: FinFunctor, A: FinFunctor) -> ArrowHom:
     """Commuting squares X → A and their compatible transformation pairs
-    (t0, t1), each morphism the tuple of the components of t0 and of t1."""
+    (t0, t1), each morphism the tuple of the components of t0 and of t1.
+
+    A pair of squares (i, j) is searched only when each component of a
+    t0 : s0_i ⇒ s0_j has a hom to choose from: per object x of X0 and
+    object a of A0, a bitmask marks the squares j with a hom a → s0_j(x),
+    and the masks at s0_i(x) are AND-ed.  Since t1 equals A·t0 on the image
+    of X and is free elsewhere, the t1 of a pair are listed once and filed
+    by their components at the image of X, and each t0 reads its partners
+    from that file in t1 order."""
     X0, X1 = X.source, X.target
+    A0, A1 = A.source, A.target
     squares = [
         (s0, s1)
-        for s0 in enumerate_functors(X0, A.source)
-        for s1 in enumerate_lifts(X1, A.target, under=[(X, s0.then(A))])
+        for s0 in enumerate_functors(X0, A0)
+        for s1 in enumerate_lifts(X1, A1, under=[(X, s0.then(A))])
     ]
+    reach = []
+    for x in X0.objects:
+        into = {}
+        for j, (r0, _) in enumerate(squares):
+            into[r0.omap[x]] = into.get(r0.omap[x], 0) | 1 << j
+        # the masks of distinct b are disjoint, so their sum is their union
+        reach.append(
+            {a: sum(mask for b, mask in into.items() if A0.hom(a, b)) for a in A0.objects}
+        )
+    levels = []
+    for C, Z in ((X0, A0), (X1, A1)):
+        at = C.obj_index
+        natural = [
+            (at[m.dom], at[m.cod], m.name) for m in C.morphisms if not C.is_identity(m.name)
+        ]
+        levels.append((C.objects, Z, Z.comp if natural else None, natural))
+
+    def transformations(level, s, r):
+        """The component tuples of the transformations s ⇒ r at ``level``."""
+        objects, Z, comp, natural = levels[level]
+        homs = [Z.hom(s.omap[a], r.omap[a]) for a in objects]
+        return _natural_parts(comp, homs, [(d, e, r.mmap[m], s.mmap[m]) for d, e, m in natural])
+
+    pins = [X1.obj_index[X.omap[x]] for x in X0.objects]
+    everyone = (1 << len(squares)) - 1
     morphisms = []
     for i, (s0, s1) in enumerate(squares):
-        for j, (r0, r1) in enumerate(squares):
-            pairs = [
-                (t0, t1)
-                for t0 in enumerate_transformations(s0, r0)
-                for t1 in enumerate_transformations(s1, r1)
-                if t0.whisker_post(A).components == t1.whisker_pre(X).components
-            ]
-            for k, (t0, t1) in enumerate(pairs):
-                parts = tuple(t0.components[x] for x in X0.objects) + tuple(
-                    t1.components[y] for y in X1.objects
-                )
-                morphisms.append((f"m{i}_{j}_{k}", f"q{i}", f"q{j}", parts))
+        mask = everyone
+        for x_reach, x in zip(reach, X0.objects):
+            mask &= x_reach[s0.omap[x]]
+        for j in range(len(squares)):
+            if not mask >> j & 1:
+                continue
+            r0, r1 = squares[j]
+            t0s = transformations(0, s0, r0)
+            if not t0s:
+                continue
+            partners: dict[tuple, list] = {}
+            for t1 in transformations(1, s1, r1):
+                partners.setdefault(tuple(t1[p] for p in pins), []).append(t1)
+            k = 0
+            for t0 in t0s:
+                for t1 in partners.get(tuple(A.mmap[c] for c in t0), ()):
+                    morphisms.append((f"m{i}_{j}_{k}", f"q{i}", f"q{j}", t0 + t1))
+                    k += 1
     cat = TupleCat(
-        (A.source,) * X0.n_objects + (A.target,) * X1.n_objects,
+        (A0,) * X0.n_objects + (A1,) * X1.n_objects,
         [(f"q{i}", _square_parts(X, s0, s1)) for i, (s0, s1) in enumerate(squares)],
         morphisms,
         label=f"[{X.label},{A.label}]",

@@ -8,12 +8,17 @@ tuples of components.  A power keeps only these names and parts, builds
 the functor of an object on demand, and maps to other powers part by part.
 Binary products are tuple categories too, so every name maps back to its
 parts by lookup, never by parsing.  Enumeration is guarded by an explicit
-budget: the number of raw candidates is estimated up front and
-``EnumerationBudgetExceeded`` reports both the bound and the requirement,
-so blowups are loud rather than slow.
+budget: the number of raw candidates is counted up front (the object and
+morphism images of the functors, then for each ordered pair of functors
+the product of its component homs), and ``EnumerationBudgetExceeded``
+reports both the bound and the requirement, so blowups are loud rather
+than slow.  The transformations of a pair are the tuples of that counted
+product that pass C's naturality squares, so the candidates checked are
+the ones the budget counted.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import product
 
@@ -24,8 +29,8 @@ from .core import (
     NatTrans,
     StructureError,
     TupleCat,
+    _natural_parts,
     enumerate_functors,
-    enumerate_transformations,
 )
 
 DEFAULT_BUDGET = 20_000
@@ -121,31 +126,44 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
 
     functor_list = list(enumerate_functors(C, D))
     names = [_object_name(C, F) for F in functor_list]
+    parts = [_functor_parts(C, F.omap, F.mmap) for F in functor_list]
+    n = C.n_objects
 
-    # transformation candidate estimate before enumerating them
-    for F in functor_list:
-        for G in functor_list:
-            prod = 1
-            for a in C.objects:
-                prod *= len(D.hom(F.ob(a), G.ob(a)))
-                if prod == 0:
-                    break
-            required += max(prod, 1)
+    # one pass over the ordered pairs: count each pair's candidate product
+    # against the budget and keep the pairs with no empty component hom
+    kept = []
+    for i, F in enumerate(parts):
+        for j, G in enumerate(parts):
+            homs = [D.hom(x, y) for x, y in zip(F[:n], G[:n])]
+            candidates = math.prod(map(len, homs))
+            required += max(candidates, 1)
             if required > budget:
                 raise EnumerationBudgetExceeded(
                     budget, required, f"power {D.label}^{C.label}"
                 )
+            if candidates:
+                kept.append((i, j, homs))
 
+    # each pair's candidates are its product of homs, filtered by the
+    # naturality square of every non-identity m : a → b, filed by the
+    # indices of a and b and the slot of m's image in a functor's parts
+    at = C.obj_index
+    squares = [
+        (at[m.dom], at[m.cod], n + k)
+        for k, m in enumerate(C.morphisms)
+        if not C.is_identity(m.name)
+    ]
+    comp = D.comp if squares and kept else None
     morphisms = []
-    for i, (fname, F) in enumerate(zip(names, functor_list)):
-        for j, (gname, G) in enumerate(zip(names, functor_list)):
-            for t in enumerate_transformations(F, G):
-                comps = tuple(t.component(a) for a in C.objects)
-                morphisms.append((f"[{','.join(comps)}]{i}>{j}", fname, gname, comps))
+    for i, j, homs in kept:
+        F, G = parts[i], parts[j]
+        natural = _natural_parts(comp, homs, [(d, e, G[s], F[s]) for d, e, s in squares])
+        for comps in natural:
+            morphisms.append((f"[{','.join(comps)}]{i}>{j}", names[i], names[j], comps))
 
     fc = FunctorCat(
         [D] * C.n_objects,
-        [(name, _functor_parts(C, F.omap, F.mmap)) for name, F in zip(names, functor_list)],
+        list(zip(names, parts)),
         morphisms,
         label=label,
         source_category=C,

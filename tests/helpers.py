@@ -25,6 +25,11 @@ on first use.  The key reference dumps ``to_dict()`` as canonical JSON, as
 The power-map references build every image in a power as a functor or a
 transformation and name it from its parts, as the library did when each
 power kept a functor per object and a transformation per morphism.
+The transformation-pair references run one transformation search per
+ordered pair, as ``functor_category`` did before it filtered each pair's
+candidate product by naturality, and as ``arrow_hom_category`` did before
+it prefiltered its pairs of squares and filed each t1 by its components on
+the image of X: they keep every t0 and every t1 whose whiskers agree.
 The search references recurse one frame per position, as the functor,
 isomorphism, transformation, simplicial-map and leveled-bijection searches
 and the power's size estimate did before they ran on one explicit stack.
@@ -36,6 +41,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from fincat.core import (
+    EnumerationBudgetExceeded,
     FinCat,
     FinFunctor,
     Morphism,
@@ -66,7 +72,13 @@ from fincat.equivalence import (
     validate_witness,
 )
 from fincat.fibrations import Cleavage, _iso_lifts
-from fincat.funcat import DEFAULT_BUDGET, FunctorCat, functor_category
+from fincat.funcat import (
+    DEFAULT_BUDGET,
+    FunctorCat,
+    _estimate_functor_candidates,
+    _object_name,
+    functor_category,
+)
 from fincat.limits import PseudolimitOfArrow
 from fincat.nerve import DEFAULT_WORD_BOUND, TOP_DIM, TruncSSet, _classifying_data
 
@@ -804,6 +816,58 @@ def name_of_transformation(power: FunctorCat, t: NatTrans) -> str:
         name_of_functor(power, t.target),
         tuple(t.components[a] for a in power.source_category.objects),
     )
+
+
+def power_morphisms_reference(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> list:
+    """The morphisms ``(name, dom, cod, parts)`` of the power D^C, one
+    transformation search per ordered pair of functors, after the budget
+    has counted every pair's candidates; raises the same
+    ``EnumerationBudgetExceeded`` at the same count."""
+    what = f"power {D.label}^{C.label}"
+    required = _estimate_functor_candidates(C, D, budget)
+    if required > budget:
+        raise EnumerationBudgetExceeded(budget, required, what)
+    functor_list = list(enumerate_functors(C, D))
+    names = [_object_name(C, F) for F in functor_list]
+    for F in functor_list:
+        for G in functor_list:
+            prod = 1
+            for a in C.objects:
+                prod *= len(D.hom(F.ob(a), G.ob(a)))
+                if prod == 0:
+                    break
+            required += max(prod, 1)
+            if required > budget:
+                raise EnumerationBudgetExceeded(budget, required, what)
+    morphisms = []
+    for i, (fname, F) in enumerate(zip(names, functor_list)):
+        for j, (gname, G) in enumerate(zip(names, functor_list)):
+            for t in enumerate_transformations(F, G):
+                comps = tuple(t.component(a) for a in C.objects)
+                morphisms.append((f"[{','.join(comps)}]{i}>{j}", fname, gname, comps))
+    return morphisms
+
+
+def arrow_hom_morphisms_reference(X: FinFunctor, A: FinFunctor, squares) -> list:
+    """The morphisms ``(name, dom, cod, parts)`` of the hom-category of
+    commuting squares X → A over ``squares``: for every ordered pair of
+    squares, every t0 and every t1 whose whiskers A·t0 and t1·X agree."""
+    X0, X1 = X.source, X.target
+    morphisms = []
+    for i, (s0, s1) in enumerate(squares):
+        for j, (r0, r1) in enumerate(squares):
+            pairs = [
+                (t0, t1)
+                for t0 in enumerate_transformations(s0, r0)
+                for t1 in enumerate_transformations(s1, r1)
+                if t0.whisker_post(A).components == t1.whisker_pre(X).components
+            ]
+            for k, (t0, t1) in enumerate(pairs):
+                parts = tuple(t0.components[x] for x in X0.objects) + tuple(
+                    t1.components[y] for y in X1.objects
+                )
+                morphisms.append((f"m{i}_{j}_{k}", f"q{i}", f"q{j}", parts))
+    return morphisms
 
 
 def precompose_reference(j: FinFunctor, D: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:

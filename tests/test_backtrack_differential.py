@@ -16,7 +16,9 @@ from helpers import (
 )
 
 from fincat.core import (
+    StructureError,
     builtin,
+    constant_functor,
     discrete_category,
     enumerate_functors,
     enumerate_isomorphisms,
@@ -100,6 +102,41 @@ def test_transformation_search_matches_the_recursion(invertible_only, limit):
         assert [list(t.components.items()) for t in ours] == [
             list(t.components.items()) for t in reference
         ], (F.label, G.label)
+
+
+def empty_hom_pairs():
+    """Constant pairs with an empty component hom (1 → 0 in the arrow, 0 → 1
+    in two discrete objects), and the constant pair 0 → 1 in the arrow,
+    whose components are not invertible, from sources with and without
+    naturality squares."""
+    arrow, two = builtin("arrow"), builtin("two_discrete")
+    for X in (builtin("terminal"), builtin("chaotic(2)"), arrow):
+        yield constant_functor(X, arrow, "1"), constant_functor(X, arrow, "0")
+        yield constant_functor(X, two, "0"), constant_functor(X, two, "1")
+        yield constant_functor(X, arrow, "0"), constant_functor(X, arrow, "1")
+
+
+@pytest.mark.parametrize("invertible_only", [False, True])
+@pytest.mark.parametrize("limit", LIMITS)
+def test_transformation_search_with_empty_homs_matches_the_recursion(invertible_only, limit):
+    found = 0
+    for F, G in empty_hom_pairs():
+        ours = enumerate_transformations(F, G, invertible_only, limit)
+        ours = [list(t.components.items()) for t in ours]
+        reference = recursive_transformations(F, G, invertible_only, limit)
+        assert ours == [list(t.components.items()) for t in reference], (F.label, G.label)
+        found += len(ours)
+    # only the non-invertible pair 0 → 1 has a transformation, one per source
+    assert found == (0 if invertible_only or limit == 0 else 3)
+
+
+def test_transformation_search_refuses_a_non_parallel_pair_before_reading_homs():
+    arrow = builtin("arrow")
+    F = constant_functor(builtin("terminal"), arrow, "1")
+    G = constant_functor(builtin("chaotic(2)"), arrow, "0")
+    for search in (enumerate_transformations, recursive_transformations):
+        with pytest.raises(StructureError, match="parallel pair"):
+            list(search(F, G))
 
 
 SSET_SOURCES = [

@@ -8,6 +8,7 @@ from fincat.core import (
     builtin,
     builtin_functor,
     constant_functor,
+    enumerate_functors,
     find_isomorphism,
     identity_functor,
     identity_nat,
@@ -16,7 +17,12 @@ from fincat.core import (
     validate_transformation,
 )
 from fincat.equivalence import classify_equivalence, validate_witness
-from fincat.corpus import corpus_functors
+from fincat.corpus import (
+    corpus_categories,
+    corpus_cospans_normal_left,
+    corpus_functors,
+    corpus_towers,
+)
 from fincat.fibrations import classify_fibration
 from fincat.funcat import evaluation_functor, functor_category, postcompose_functor
 from fincat.limits import (
@@ -295,7 +301,43 @@ def test_split_rejects_non_idempotent():
         split_idempotent(swap)
 
 
+def assert_splits(s, case):
+    """The splitting equations: r∘i = 1 on the apex and i∘r = e."""
+    assert s.inclusion.then(s.retraction) == identity_functor(s.apex), case
+    assert s.retraction.then(s.inclusion) == s.idempotent, case
+
+
+def test_split_idempotent_equations_hold_on_the_corpus():
+    """Every idempotent endofunctor of every corpus category splits: r∘i = 1
+    and i∘r = e (the idempotents of the normal pullbacks and the towers are
+    checked with them below)."""
+    idempotents = [
+        e for C in corpus_categories() for e in enumerate_functors(C, C) if e.then(e) == e
+    ]
+    assert len(idempotents) == 108
+    for e in idempotents:
+        assert_splits(split_idempotent(e), e.label)
+
+
 # -- pullback along a normal isofibration -------------------------------------
+
+
+def test_normal_pullback_equations_hold_on_the_corpus():
+    """Over every corpus cospan with a normal left leg f: the straightened
+    comparison x satisfies f∘x = g∘q for the isocomma's right leg q, the
+    isocomma's cell φ whiskered by the induced idempotent e has identity
+    components, and e splits."""
+    cospans = corpus_cospans_normal_left()
+    assert len(cospans) == 48
+    for f, g in cospans:
+        np = build_normal_pullback(f, g)
+        case = (f.label, g.label)
+        _, q = np.isocomma.projections
+        phi = np.isocomma.structure_cells[0]
+        assert np.comparison.then(f) == q.then(g), case
+        whisked = phi.whisker_pre(np.idempotent)
+        assert all(f.target.is_identity(c) for c in whisked.components.values()), case
+        assert_splits(np.splitting, case)
 
 
 def test_normal_pullback_of_identity_leg():
@@ -384,6 +426,26 @@ def test_chaotic_tower_matches_strict_limit():
     assert find_isomorphism(tl.witness.apex, c3) is not None
     assert tl.witness.certificate.ok
     assert tower_alignment_check(tl)
+
+
+def test_tower_limit_equations_hold_on_the_corpus():
+    """Over every corpus tower: the lifted cone is strict (f_k∘q_{k+1} =
+    q_k), each cone cell whiskered by the induced idempotent has identity
+    components, the idempotent splits, and the split cone is strict."""
+    towers = corpus_towers()
+    assert [len(maps) for _, maps in towers] == [0, 1, 2, 2, 3, 4]
+    for base, maps in towers:
+        tl = tower_limit(base, maps)
+        case = [f.label for f in maps]
+        for k, f in enumerate(maps):
+            assert tl.cone[k + 1].then(f) == tl.cone[k], case
+        for alpha in tl.cone_cells:
+            whisked = alpha.whisker_pre(tl.idempotent)
+            assert all(whisked.category.is_identity(c) for c in whisked.components.values()), case
+        assert_splits(tl.splitting, case)
+        projections = tl.witness.projections
+        for k, f in enumerate(maps):
+            assert projections[k + 1].then(f) == projections[k], case
 
 
 def test_tower_rejects_non_normal_cleavage():
