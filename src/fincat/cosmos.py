@@ -22,12 +22,19 @@ u_B⁻¹(i1 a) has points outside the image of i0, the c = top1(a) is full:
 p0 maps u_C⁻¹(c) onto u_D⁻¹(p1 c).  Fibres outside the image of i1 always
 fill through a section of p, and a product over the fibres counts the
 squares.  The verdict reads only the mono's source and fibre summary and
-the epi's ends and fibre summary, so each pass of the sweep (one combined
-size, one mono size) decides each distinct mono class once against the
-epi classes, weighting each class's count by the number of epis in it.
-Only a pair refused is replayed square by square, in sweep order, to find
-its first unfilled square.  ``squares_checked`` counts the squares of
-every pair decided, and those replayed of the refused pair.
+the epi's source, fibre summary and the fibre sizes of its target as a
+multiset, and an isomorphism of targets keeps all of these.  So the split
+maps are listed once per source and isomorphism class of target, from
+the class's first object, and filed as runs: a run is a map, standing
+for every map of its bucket with the same source, class of target and
+summary, and their number.  Each pass of the sweep (one combined size,
+one mono size) decides each distinct (source, mono summary) once against
+the epi runs and weighs each count by the runs' multiplicities
+(``_decide_pass``).  Only a pass that some run refuses is listed again
+map by map, for its exact objects in sweep order, and walked up to its
+first refused pair (``_walk_pass``), whose squares are replayed one by
+one to find the first unfilled square.  ``squares_checked`` counts the
+squares of every pair decided, and those replayed of the refused pair.
 
 The split maps themselves come from shared masks: a hom f : X → Y has a
 hom back iff the set of u∘m0 over the level-0 retractions (or sections)
@@ -48,6 +55,7 @@ sweep call and are freed when it returns.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -564,6 +572,14 @@ class _ArrowSpace:
         self._summaries: dict[tuple, tuple] = {}
         self._masks: dict[tuple, dict] = {}
         self._source_masks: tuple = (None, {})
+        # Arrows are isomorphic iff they share x0, x1 and the sorted sizes
+        # of the nonempty fibres of u; each class is represented by its
+        # first member in object order (at bound 3, 18 for 60 objects).
+        self.representatives: dict[tuple, tuple] = {}
+        firsts: dict[tuple, tuple] = {}
+        for X in self.objects:
+            key = (X[0], X[1], tuple(sorted(n for n in self.fibre_sizes(X) if n)))
+            self.representatives[X] = firsts.setdefault(key, X)
 
     def _completions(self, X, Y):
         """f0 ↦ the f1 with (f0, f1) a hom X → Y, in ascending order."""
@@ -692,16 +708,17 @@ class _ArrowSpace:
 
     def mono_fibres(self, i, A, B):
         """For a split mono i : A → B, the pairs (a, |N(i1 a)|) with N(i1 a)
-        nonempty, and |u_B⁻¹ y| for each y outside the image of i1.  Inside
-        u_B⁻¹(i1 a) the image of i0 is i0(u_A⁻¹ a), as i0 and i1 are
-        injective, so |N(i1 a)| = |u_B⁻¹(i1 a)| - |u_A⁻¹ a|."""
+        nonempty, and the sizes |u_B⁻¹ y| over the y outside the image of
+        i1, sorted.  Inside u_B⁻¹(i1 a) the image of i0 is i0(u_A⁻¹ a), as
+        i0 and i1 are injective, so |N(i1 a)| = |u_B⁻¹(i1 a)| - |u_A⁻¹ a|.
+        Sorting makes the summary invariant under isomorphisms of B."""
         over_a, over_b = self.fibre_sizes(A), self.fibre_sizes(B)
         i1 = self.maps.values(i[1], A[1], B[1])
         needs = tuple(
             (a, over_b[y] - over_a[a]) for a, y in enumerate(i1) if over_b[y] > over_a[a]
         )
         hit = set(i1)
-        outside = tuple(over_b[y] for y in range(B[1]) if y not in hit)
+        outside = tuple(sorted(over_b[y] for y in range(B[1]) if y not in hit))
         return self._shared(needs, outside)
 
     def free_points(self, i, A, B):
@@ -730,113 +747,166 @@ class _ArrowSpace:
         return self._shared(full, width)
 
     def _shared(self, *summary) -> tuple:
-        """One tuple for all equal summaries: at bound 3, 108 distinct ones
+        """One tuple for all equal summaries: at bound 3, 105 distinct ones
         serve the 6,209 split maps."""
         return self._summaries.setdefault(summary, summary)
 
 
+def _split_monos(space, A, B):
+    """The split monos i : A → B in order, each as (A, B, i, its
+    ``mono_fibres``).  A summary reads i only through i1, so it is
+    computed once per i1."""
+    out = []
+    summaries: dict[int, tuple] = {}
+    for i in space.split_monos(A, B):
+        summary = summaries.get(i[1])
+        if summary is None:
+            summary = summaries[i[1]] = space.mono_fibres(i, A, B)
+        out.append((A, B, i, summary))
+    return out
+
+
+def _split_epis(space, C, D):
+    """The split epis p : C → D in order, each as (C, D, p, its
+    ``epi_fibres``)."""
+    return [(C, D, p, space.epi_fibres(p, C, D)) for p in space.split_epis(C, D)]
+
+
+def _runs(maps) -> list:
+    """For each distinct summary of a list of split maps of one object
+    pair, in first-seen order, its first map and the number of maps that
+    share it: the pair's runs."""
+    runs: dict[tuple, list] = {}
+    for f in maps:
+        runs.setdefault(f[3], [f, 0])[1] += 1
+    return list(runs.values())
+
+
 def _split_buckets(space):
-    """The split monos and split epis of the space, each bucketed by
-    combined size in sweep order.  A mono is (A, B, i, its ``mono_fibres``)
-    for a split mono i : A → B, an epi (C, D, p, its ``epi_fibres``) for a
-    split epi p : C → D.  A mono's summary reads i only through i1, so it
-    is computed once per i1 of each (A, B).  The mask tables behind the
-    split maps are freed once the buckets are built."""
+    """The runs of split monos and split epis of the space, bucketed by
+    combined size.  A run is [(X, R, f, summary), multiplicity]: f is the
+    first split map X → R with that summary, R represents a class of
+    targets, and the multiplicity counts the maps X → B with that summary
+    over every B in the class.
+
+    The maps are listed once per source and class of target, from the
+    class's representative.  An isomorphism φ : R ≅ B carries the split
+    monos A → R bijectively onto those A → B by i ↦ φ∘i, and the split
+    epis likewise.  It keeps each a's |N(i1 a)|, and each c's fullness
+    and |F(p1 c)|, and only permutes the fibres of u_B outside the image
+    of i1, which a mono summary lists sorted.  So A → B has the runs of
+    A → R, and ``_decide_pair``, which reads the fibres of the epi's
+    target only as a multiset, decides a run for every map in it.  At
+    bound 3 that lists the maps of 1,080 pairs (A, R) for the 3,600 pairs
+    (A, B).  The mask tables behind the split maps are freed once the
+    buckets are built."""
+    members = Counter(space.representatives.values())
     mono_buckets: dict[int, list] = {}
     epi_buckets: dict[int, list] = {}
     for A in space.objects:
-        for B in space.objects:
-            s = _arrow_size(A) + _arrow_size(B)
-            summaries: dict[int, tuple] = {}
-            for i in space.split_monos(A, B):
-                summary = summaries.get(i[1])
-                if summary is None:
-                    summary = summaries[i[1]] = space.mono_fibres(i, A, B)
-                mono_buckets.setdefault(s, []).append((A, B, i, summary))
-            for p in space.split_epis(A, B):
-                epi_buckets.setdefault(s, []).append((A, B, p, space.epi_fibres(p, A, B)))
+        for R, k in members.items():
+            s = _arrow_size(A) + _arrow_size(R)
+            for split, buckets in ((_split_monos, mono_buckets), (_split_epis, epi_buckets)):
+                runs = _runs(split(space, A, R))
+                if runs:
+                    buckets.setdefault(s, []).extend([f, n * k] for f, n in runs)
     space.drop_masks()
     return mono_buckets, epi_buckets
 
 
 def _passes(space, max_size: int):
-    """The nonempty passes (monos, epis, classes) of the sweep, in order:
+    """The nonempty passes (mono runs, epi runs) of the sweep, in order:
     combined size ascending and then the monos' size, each pass pairing a
-    mono bucket with an epi bucket.  ``classes`` lists, for each distinct
-    (C, D, epi summary) of the epis in first-seen order, its first epi and
-    the number of epis that share it."""
+    mono bucket of ``_split_buckets`` with an epi bucket.  A pass is
+    decided by its runs (``_decide_pass``); only a pass that some run
+    refuses has its maps listed again one by one (``_listed``) and walked
+    (``_walk_pass``)."""
     mono_buckets, epi_buckets = _split_buckets(space)
-    epi_classes: dict[int, list] = {}
     for total in range(max_size + 1):
         for ms in range(total + 1):
             monos, epis = mono_buckets.get(ms), epi_buckets.get(total - ms)
-            if not monos or not epis:
-                continue
-            classes = epi_classes.get(total - ms)
-            if classes is None:
-                shared: dict[tuple, list] = {}
-                for epi in epis:
-                    shared.setdefault((epi[0], epi[1], epi[3]), [epi, 0])[1] += 1
-                classes = epi_classes[total - ms] = list(shared.values())
-            yield monos, epis, classes
+            if monos and epis:
+                yield monos, epis
 
 
-def _split_pairs(space, max_size: int):
-    """Each (mono, epi) of combined size at most ``max_size``, ascending in
-    that size and then in the mono's size, as ``_split_buckets`` gives
-    them."""
-    for monos, epis, _ in _passes(space, max_size):
-        for mono in monos:
-            for epi in epis:
-                yield mono, epi
+def _listed(space, runs, split):
+    """The split maps behind a bucket's runs, map by map and in sweep
+    order: the object pairs (A, B) in order, each pair's maps as ``split``
+    lists them.  Only the pairs whose (A, representative of B) has runs
+    are listed, as no other pair of the bucket has a split map."""
+    sources = {(f[0], f[1]) for f, _ in runs}
+    reps = space.representatives
+    for A in space.objects:
+        for B in space.objects:
+            if (A, reps[B]) in sources:
+                yield from split(space, A, B)
 
 
-def _decide_pass(space, monos, epis, classes):
-    """Walk the pairs of one pass in sweep order, monos outer, epis inner:
-    the squares of the pairs that fill before the first refused pair, and
-    that pair, or None.  ``_decide_pair`` reads only A and the summary of a
-    mono and only (C, D) and the summary of an epi, so each distinct
-    (A, mono summary) is decided once against the epi classes; when every
-    class fills, its squares are Σ count × multiplicity over the classes.
-    Only a mono whose key some class refuses is walked epi by epi."""
+def _decide_pass(space, monos, epis):
+    """Decide one pass run by run: the squares of the mono runs before the
+    first that some epi run refuses, and that run's map, or None.
+    ``_decide_pair`` reads only A and the summary of a mono, so each
+    distinct (A, mono summary) is decided once against the epi runs from
+    their first maps; when every epi run fills, a mono run of
+    multiplicity m adds m × Σ count × n over the epi runs of
+    multiplicity n.  On a refused pass ``_walk_pass`` runs it again with
+    each of the pass's monos a run of one, in sweep order."""
     squares = 0
     decided: dict[tuple, int | None] = {}
-    for mono in monos:
+    for mono, m in monos:
         key = (mono[0], mono[3])
         if key not in decided:
             total = 0
-            for first, n in classes:
-                fills, count = _decide_pair(space, mono, first)
+            for epi, n in epis:
+                fills, count = _decide_pair(space, mono, epi)
                 if not fills:
                     total = None
                     break
                 total += count * n
             decided[key] = total
         total = decided[key]
-        if total is not None:
-            squares += total
-            continue
-        for epi in epis:
-            fills, count = _decide_pair(space, mono, epi)
-            if not fills:
-                return squares, (mono, epi)
-            squares += count
+        if total is None:
+            return squares, mono
+        squares += total * m
     return squares, None
 
 
+def _walk_pass(space, monos, epis, classes):
+    """Walk the pairs of a pass map by map, in sweep order, monos outer,
+    epis inner: the squares of the pairs that fill before the first
+    refused pair, and that pair, or None.  ``classes`` are the pass's epi
+    runs.  Each mono is a run of one for ``_decide_pass``, and only the
+    first mono whose key some epi run refuses is walked epi by epi, so
+    ``monos`` and ``epis`` are read only up to the refused pair."""
+    squares, mono = _decide_pass(space, ([m, 1] for m in monos), classes)
+    if mono is None:
+        return squares, None
+    for epi in epis:
+        fills, count = _decide_pair(space, mono, epi)
+        if not fills:
+            return squares, (mono, epi)
+        squares += count
+    raise AssertionError("a mono refused by a run is refused by an epi of the run")
+
+
 def _nip_finset_arrow(size_bound: int) -> NipResult:
-    """Decide the pairs (i, p) in ascending combined size, by class within
-    each pass (``_decide_pass``), and replay the squares of the first pair
-    refused, so the counterexample found is a smallest one in the
+    """Decide the pairs (i, p) in ascending combined size, each pass by
+    its runs (``_decide_pass``).  Only a pass that some run refuses is
+    listed again map by map for its exact objects and walked in sweep
+    order (``_walk_pass``), and the squares of its first refused pair are
+    replayed, so the counterexample found is a smallest one in the
     documented order and ``squares_checked`` the squares up to it."""
     space = _ArrowSpace(size_bound)
     checked = 0
-    for monos, epis, classes in _passes(space, 8 * size_bound):
-        squares, refused = _decide_pass(space, monos, epis, classes)
-        checked += squares
+    for mono_runs, epi_runs in _passes(space, 8 * size_bound):
+        squares, refused = _decide_pass(space, mono_runs, epi_runs)
         if refused is None:
+            checked += squares
             continue
-        mono, epi = refused
+        monos = _listed(space, mono_runs, _split_monos)
+        epis = _listed(space, epi_runs, _split_epis)
+        squares, (mono, epi) = _walk_pass(space, monos, epis, epi_runs)
+        checked += squares
         squares, top, bottom = _first_unfilled(space, mono, epi)
         checked += squares
         (A, B, i, _), (C, D, p, _) = mono, epi
@@ -864,7 +934,8 @@ def _nip_finset_arrow(size_bound: int) -> NipResult:
 def _decide_pair(space, mono, epi) -> tuple[bool, int]:
     """Whether every square of a split mono i : A → B against a split epi
     p : C → D has a filler, and how many squares there are, read off the
-    fibres of u_B; ``mono`` and ``epi`` are as ``_split_pairs`` gives them.
+    fibres of u_B; ``mono`` and ``epi`` are as ``_split_monos`` and
+    ``_split_epis`` give them.
 
     A filler h is forced on the images of i0 and i1, where it commutes
     already, and chosen fibre by fibre of u_B elsewhere.  Over y = i1(a),

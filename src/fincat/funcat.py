@@ -113,11 +113,11 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
     other labels comes back relabelled."""
     cache_key = (C.digest, D.digest)
     label = f"[{C.label},{D.label}]"
+    # a cached power that the budget refuses is counted afresh, so the
+    # refusal names the count at which it first passes the budget, as on
+    # a first build, not the power's whole count
     cached = _CACHE.get(cache_key)
-    if cached is not None:
-        required = cached._budget_required
-        if required > budget:
-            raise EnumerationBudgetExceeded(budget, required, f"power {D.label}^{C.label}")
+    if cached is not None and cached._budget_required <= budget:
         return cached if cached.label == label else cached.relabel(label)
 
     required = _estimate_functor_candidates(C, D, budget)

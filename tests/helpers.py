@@ -14,6 +14,9 @@ in arrows as the arrow sweep did before it read the pair off its fibres:
 it looks every square of the pair up in the set of (h∘i, p∘h) over the
 fillers h.  It reads the hom sets of the library's index-encoded arrow
 space, which ``test_nip_encoding`` checks against the tuple reference.
+The split-pair reference lists the split maps of every object pair, as
+the arrow sweep did before it listed them once per isomorphism class of
+target.
 The lifting-problem references build their own choice tables or filter
 every candidate functor, as the library did before ``enumerate_lifts``.
 The associativity reference scans every composable triple, as
@@ -59,8 +62,11 @@ from fincat.core import (
 )
 from fincat.cosmos import (
     NipResult,
+    _arrow_size,
     _ser_arrow,
     _ser_sq,
+    _split_epis,
+    _split_monos,
 )
 from fincat.equivalence import (
     EquivalenceWitness,
@@ -668,6 +674,26 @@ def filled_pair_squares(space, i, p, A, B, C, D):
         for bottom in space.homs(B, D):
             if (i0[bottom[0]], i1[bottom[1]]) == key:
                 yield top, bottom, (*top, *bottom) in filled
+
+
+def split_pairs(space, max_size):
+    """Each (mono, epi) of the arrow sweep up to combined size
+    ``max_size``, map by map in sweep order: combined size ascending, then
+    the mono's size, and each side's maps listed pair by pair over every
+    object pair (A, B) in order, as the sweep listed them before it listed
+    them once per class of target."""
+    buckets = {}
+    for A in space.objects:
+        for B in space.objects:
+            s = _arrow_size(A) + _arrow_size(B)
+            monos, epis = buckets.setdefault(s, ([], []))
+            monos += _split_monos(space, A, B)
+            epis += _split_epis(space, A, B)
+    for total in range(max_size + 1):
+        for ms in range(total + 1):
+            for mono in buckets.get(ms, ([], []))[0]:
+                for epi in buckets.get(total - ms, ([], []))[1]:
+                    yield mono, epi
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+import fincat.funcat as funcat
 from fincat.core import (
     EnumerationBudgetExceeded,
     builtin,
@@ -77,6 +78,20 @@ def test_budget_check_applies_to_cached_results():
     functor_category(builtin("free_iso"), builtin("arrow"))
     with pytest.raises(EnumerationBudgetExceeded):
         functor_category(builtin("free_iso"), builtin("arrow"), budget=1)
+
+
+def test_refusal_names_the_same_count_before_and_after_the_power_is_cached(monkeypatch):
+    """A power refused by the budget is counted up to the candidate that
+    passes it, whether or not a larger budget built it earlier."""
+    monkeypatch.setattr(funcat, "_CACHE", {})
+    C, D = builtin("arrow"), builtin("chaotic(3)")
+    message = "needs 21 candidates, budget is 20"
+    with pytest.raises(EnumerationBudgetExceeded, match=message):
+        functor_category(C, D, 20)
+    functor_category(C, D)
+    assert (C.digest, D.digest) in funcat._CACHE
+    with pytest.raises(EnumerationBudgetExceeded, match=message):
+        functor_category(C, D, 20)
 
 
 def test_cached_power_takes_the_labels_of_its_arguments():

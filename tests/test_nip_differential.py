@@ -5,10 +5,14 @@ results, counts and counterexamples must be identical, and the arrow
 space's hom sets, decoded from their indices, equal in order.  Each arrow
 pair's verdict and square count are compared with the filled-set reference,
 which looks every square of the pair up among the (h∘i, p∘h) over the
-fillers h, as the arrow sweep did before.  At bound 4 the finset sweep is
+fillers h, as the arrow sweep did before.  Each pass decided by runs,
+the split maps listed once per isomorphism class of target, is compared
+with its maps listed pair by pair, and the runs of every object pair with
+those of its target's representative.  At bound 4 the finset sweep is
 compared with a digest of the reference's result."""
 import hashlib
 import json
+from collections import Counter
 from itertools import chain, groupby
 
 import pytest
@@ -17,6 +21,7 @@ from helpers import (
     filter_arrow_homs,
     filter_nip_finset,
     filter_nip_finset_arrow,
+    split_pairs,
 )
 
 from fincat.cosmos import (
@@ -26,9 +31,13 @@ from fincat.cosmos import (
     _decode_arrow,
     _decode_hom,
     _first_unfilled,
+    _listed,
     _passes,
+    _runs,
     _split_buckets,
-    _split_pairs,
+    _split_epis,
+    _split_monos,
+    _walk_pass,
     nip_square_filler,
 )
 
@@ -51,7 +60,7 @@ def test_finset_arrow_sweep_matches_the_filter(bound):
 def test_each_arrow_pair_is_decided_as_the_filled_set_reference_decides_it(bound, max_size):
     space = _ArrowSpace(bound)
     refused = 0
-    for mono, epi in _split_pairs(space, max_size):
+    for mono, epi in split_pairs(space, max_size):
         (A, B, i, _), (C, D, p, _) = mono, epi
         squares = list(filled_pair_squares(space, i, p, A, B, C, D))
         fills = all(filled for _, _, filled in squares)
@@ -82,21 +91,32 @@ def _ordered_walk(space, pairs):
     return squares, None
 
 
-# Each pass is compared with the walk of its pairs in ``_split_pairs``
-# order; where a mono is refused, the pass is decided again from the mono
-# after it, so every refused mono up to the sizes of the pair test above
-# ends one comparison: at bound 3, two monos hold the 48 refused pairs.
+# Each pass's runs are compared with its maps listed pair by pair in
+# ``split_pairs`` order, and the walk of its exact maps with the walk of
+# its pairs in that order; where a mono is refused, the pass is walked
+# again from the mono after it, so every refused mono up to the sizes of
+# the pair test above ends one comparison: at bound 3, two monos hold the
+# 48 refused pairs.
 @pytest.mark.parametrize("bound, max_size", [(2, 16), (3, 13)])
 def test_each_pass_decided_by_class_equals_its_ordered_walk(bound, max_size):
     space = _ArrowSpace(bound)
-    walks = groupby(_split_pairs(space, max_size), key=_pass_of)
+    walks = groupby(split_pairs(space, max_size), key=_pass_of)
     refused = []
-    for (monos, epis, classes), (_, pairs) in zip(_passes(space, max_size), walks, strict=True):
+    for (mono_runs, epi_runs), (_, pairs) in zip(_passes(space, max_size), walks, strict=True):
         pairs = list(pairs)
+        monos = list(_listed(space, mono_runs, _split_monos))
+        epis = list(_listed(space, epi_runs, _split_epis))
         assert pairs == [(mono, epi) for mono in monos for epi in epis]
-        assert sum(n for _, n in classes) == len(epis)
+        assert sum(m for _, m in mono_runs) == len(monos)
+        assert sum(n for _, n in epi_runs) == len(epis)
+        walk = _ordered_walk(space, pairs)
+        by_runs = _decide_pass(space, mono_runs, epi_runs)
+        if walk[1] is None:
+            assert by_runs == walk, _pass_of(pairs[0])
+        else:
+            assert by_runs[1] is not None, _pass_of(pairs[0])
         while True:
-            decided = _decide_pass(space, monos, epis, classes)
+            decided = _walk_pass(space, monos, epis, epi_runs)
             assert decided == _ordered_walk(space, pairs), _pass_of(pairs[0])
             if decided[1] is None:
                 break
@@ -109,10 +129,48 @@ def test_each_pass_decided_by_class_equals_its_ordered_walk(bound, max_size):
 def test_monos_that_share_their_ends_and_level_1_map_share_one_summary():
     space = _ArrowSpace(3)
     mono_buckets, _ = _split_buckets(space)
+    for (A, R, i, summary), _ in chain.from_iterable(mono_buckets.values()):
+        assert summary == space.mono_fibres(i, A, R), (A, R, i)
     shared = {}
-    for A, B, i, summary in chain.from_iterable(mono_buckets.values()):
-        assert summary == space.mono_fibres(i, A, B), (A, B, i)
-        assert shared.setdefault((A, B, i[1]), summary) is summary, (A, B, i)
+    for A in space.objects:
+        for B in space.objects:
+            for _, _, i, summary in _split_monos(space, A, B):
+                assert summary == space.mono_fibres(i, A, B), (A, B, i)
+                assert shared.setdefault((A, B, i[1]), summary) is summary, (A, B, i)
+
+
+def _isomorphic(space, X, Y):
+    """Whether some hom X → Y is a bijection on both levels."""
+    maps = space.maps
+    return X[:2] == Y[:2] and any(
+        sorted(maps.values(f0, X[0], Y[0])) == list(range(Y[0]))
+        and sorted(maps.values(f1, X[1], Y[1])) == list(range(Y[1]))
+        for f0, f1 in space.homs(X, Y)
+    )
+
+
+# The representatives are one per isomorphism class, and the split maps
+# from any A to an object B have the summaries of those from A to the
+# representative of B, each as often: what lets the sweep list the maps
+# once per class of target and count each run once per member.
+@pytest.mark.parametrize("bound, classes", [(2, 8), (3, 18)])
+def test_split_maps_to_isomorphic_targets_have_equal_runs(bound, classes):
+    space = _ArrowSpace(bound)
+    reps = space.representatives
+    distinct = list(dict.fromkeys(reps.values()))
+    assert len(distinct) == classes
+    for X in space.objects:
+        assert reps[X] == next(Y for Y in space.objects if _isomorphic(space, X, Y)), X
+    for k, R in enumerate(distinct):
+        assert not any(_isomorphic(space, R, S) for S in distinct[k + 1 :]), R
+    for A in space.objects:
+        for B in space.objects:
+            for split in (_split_monos, _split_epis):
+                maps, at_rep = split(space, A, B), split(space, A, reps[B])
+                assert Counter(f[3] for f in maps) == Counter(f[3] for f in at_rep), (A, B)
+                runs = _runs(at_rep)
+                assert sum(n for _, n in runs) == len(maps), (A, B)
+                assert {f[3]: n for f, n in runs} == Counter(f[3] for f in maps), (A, B)
 
 
 @pytest.mark.parametrize("bound", [2, 3])

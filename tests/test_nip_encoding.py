@@ -3,7 +3,8 @@
 image-tuple maps in ``helpers``: indices round-trip, every compose-table
 entry is the composite, every extension list is the tuple extensions in
 order, and the arrow space's split monos, split epis, retractions and
-sections decode to the tuple reference's.  A sweep builds its own tables
+sections decode to the tuple reference's.  A sweep builds its own tables,
+among them its isomorphism classes of arrows and its runs of split maps,
 and frees them when it returns."""
 import gc
 import weakref
@@ -95,22 +96,31 @@ def test_split_maps_decode_to_the_tuple_reference_in_order(bound):
 
 
 def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeypatch):
-    built, spaces, masks = [], [], []
+    built, spaces, masks, classes, runs = [], [], [], [], []
 
     class RecordedSetMaps(_SetMaps):
         def __init__(self):
             super().__init__()
             built.append(weakref.ref(self))
 
-    class MaskTables(dict):
+    class Tables(dict):
         pass
 
     class RecordedArrowSpace(_ArrowSpace):
         def __init__(self, size_bound):
             super().__init__(size_bound)
-            self._masks = MaskTables()
+            self._masks = Tables()
+            self.representatives = Tables(self.representatives)
             spaces.append(weakref.ref(self))
             masks.append(weakref.ref(self._masks))
+            classes.append(weakref.ref(self.representatives))
+
+    split_buckets = cosmos._split_buckets
+
+    def recorded_buckets(space):
+        buckets = tuple(Tables(side) for side in split_buckets(space))
+        runs.extend(weakref.ref(side) for side in buckets)
+        return buckets
 
     def module_state():
         return {
@@ -122,6 +132,7 @@ def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeyp
     monkeypatch.setattr(cosmos, "_SetMaps", RecordedSetMaps)
     monkeypatch.setattr(cosmos, "_ArrowSpace", RecordedArrowSpace)
     state = module_state()
+    monkeypatch.setattr(cosmos, "_split_buckets", recorded_buckets)
     for space, bound in (("finset", 4), ("finset_arrow", 3)):
         first = nip_square_filler(space, bound)
         gc.collect()
@@ -130,6 +141,7 @@ def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeyp
         gc.collect()
         assert built[-1]() is None
         assert first.to_dict() == second.to_dict()
-    assert len(built) == 4 and len(spaces) == len(masks) == 2
-    assert all(ref() is None for ref in built + spaces + masks)
+    assert len(built) == 4 and len(spaces) == len(masks) == len(classes) == 2
+    assert len(runs) == 4
+    assert all(ref() is None for ref in built + spaces + masks + classes + runs)
     assert module_state() == state
