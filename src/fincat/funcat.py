@@ -68,9 +68,6 @@ class FunctorCat(TupleCat):
         """The name of the functor with these object and morphism images."""
         return self.obj_named(_functor_parts(self.source_category, omap, mmap))
 
-    def name_of_functor(self, F: FinFunctor) -> str:
-        return self.name_of_images(F.omap, F.mmap)
-
 
 def _functor_parts(C: FinCat, omap, mmap) -> tuple[str, ...]:
     return tuple(omap[a] for a in C.objects) + tuple(mmap[m.name] for m in C.morphisms)
@@ -297,7 +294,7 @@ def split_pair_name(name: str) -> tuple[str, str]:
     raise StructureError(f"not a pair name: {name}")
 
 
-def product_projections(prod: TupleCat, A: FinCat, B: FinCat) -> tuple[FinFunctor, FinFunctor]:
+def product_projections(prod: TupleCat) -> tuple[FinFunctor, FinFunctor]:
     """The legs of ``prod = product_category(A, B)`` to A and to B."""
     return prod.projection(0, "proj1"), prod.projection(1, "proj2")
 
@@ -306,7 +303,7 @@ def product_functor(
     F: FinFunctor, G: FinFunctor, prod_src: TupleCat, prod_dst: TupleCat
 ) -> FinFunctor:
     """F×G : A×B → C×D acting componentwise."""
-    p1, p2 = product_projections(prod_src, F.source, G.source)
+    p1, p2 = product_projections(prod_src)
     return pair_functor(p1.then(F), p2.then(G), prod_dst)
 
 

@@ -44,9 +44,6 @@ class TruncSSet:
     def degeneracy(self, dim: int, i: int, s: str) -> str:
         return self.degeneracies[(dim, i)][s]
 
-    def dim_count(self, dim: int) -> int:
-        return len(self.simplices[dim])
-
     def degenerate_names(self, dim: int) -> set[str]:
         """Simplices of the given dimension that are degeneracy images."""
         if dim == 0:
@@ -284,25 +281,6 @@ class RewriteSystem:
     bound: int
     endpoints: dict
 
-    def check(self) -> "RewriteSystem":
-        """Both sides of every relation must traverse the same endpoints."""
-
-        def walk(anchor, gens):
-            at = anchor
-            for g in gens:
-                dom, cod = self.endpoints[g]
-                if dom != at:
-                    raise StructureError(f"relation side breaks at {g}")
-                at = cod
-            return at
-
-        for anchor, lhs, rhs in self.relations:
-            if walk(anchor, lhs) != walk(anchor, rhs):
-                raise StructureError(
-                    f"relation sides at {anchor} have different endpoints"
-                )
-        return self
-
 
 def rewrite_system(X: TruncSSet, bound: int = DEFAULT_WORD_BOUND) -> RewriteSystem:
     """The presentation the classifying category is computed from."""
@@ -323,7 +301,7 @@ def rewrite_system(X: TruncSSet, bound: int = DEFAULT_WORD_BOUND) -> RewriteSyst
         relations=tuple(relations),
         bound=bound,
         endpoints=endpoints,
-    ).check()
+    )
 
 
 class _UnionFind:
@@ -517,18 +495,6 @@ def truncated_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
     return [dict(assigned) for _ in _backtrack(len(slots), candidates, limit)]
 
 
-def _leveled_from_sset(X: TruncSSet, dim: int):
-    """(levels, faces, degens) of a truncated sset restricted to ≤ dim."""
-    levels = [list(X.simplices[d]) for d in range(dim + 1)]
-    faces = {
-        (d, i): dict(X.faces[(d, i)]) for d in range(1, dim + 1) for i in range(d + 1)
-    }
-    degens = {
-        (d, i): dict(X.degeneracies[(d, i)]) for d in range(dim) for i in range(d + 1)
-    }
-    return levels, faces, degens
-
-
 def _hom_sset_leveled(X: TruncSSet, NY: TruncSSet, dim: int):
     """The hom simplicial set [X, NY] up to the given dimension: level k is
     the set of maps Δ[k]×X → NY; faces/degeneracies act by precomposition
@@ -675,9 +641,9 @@ def check_powers_iso(
     PX = classifying_category(X, word_bound)
     fc = functor_category(PX, Y, budget)
     right = nerve_truncated(fc)
-    right_levels, right_faces, right_degens = _leveled_from_sset(right, dim)
+    right_levels = right.simplices[: dim + 1]
     iso = _leveled_iso(
-        left_levels, left_faces, left_degens, right_levels, right_faces, right_degens, dim
+        left_levels, left_faces, left_degens, right_levels, right.faces, right.degeneracies, dim
     )
     return PowersReport(
         dims=dim,

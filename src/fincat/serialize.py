@@ -126,16 +126,6 @@ def load_sset(path) -> TruncSSet:
     return validate_sset(sset_from_dict(load_json(path), label=path.stem))
 
 
-def functor_to_dict(F: FinFunctor) -> dict:
-    return {
-        "source": F.source.to_dict(),
-        "target": F.target.to_dict(),
-        "omap": dict(F.omap),
-        "mmap": dict(F.mmap),
-        "label": F.label,
-    }
-
-
 def functor_summary(F: FinFunctor) -> dict:
     """Compact form: endpoint digests plus the maps."""
     return {

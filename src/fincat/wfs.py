@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from .core import (
     CleavageNotNormal,
     FinFunctor,
-    NotNormalCleavage,
     StructureError,
     TupleCat,
     WitnessInvalid,
@@ -110,39 +109,48 @@ def solve_lifting(
     """Diagonal filler for a square with an injective equivalence on the
     left and a normal isofibration on the right.
 
-    The filler is built by lifting the whiskered counit-inverse through the
-    cleavage; normality then forces agreement with the top edge.
+    The square is checked, and so are a witness and a cleavage the caller
+    passes; the ones built here are lawful by construction.  The filler is
+    built by lifting the whiskered counit-inverse through the cleavage;
+    normality then forces agreement with the top edge.
     """
     problem.validate()
     i, p = problem.left, problem.right
     if witness is None:
-        w = classify_equivalence(i)
-        if not isinstance(w, EquivalenceWitness) or not w.has_retraction:
+        witness = classify_equivalence(i)
+        if not isinstance(witness, EquivalenceWitness) or not witness.has_retraction:
             raise WitnessInvalid(f"{i.label} is not an injective equivalence")
-        witness = w
-    if witness.forward != i:
-        raise WitnessInvalid("witness does not belong to the left edge")
-    if witness.kind != "injective" or not witness.unit.is_identity():
-        raise WitnessInvalid("witness must be injective-normalized (identity unit)")
-    validate_witness(witness)
+    else:
+        if witness.forward != i:
+            raise WitnessInvalid("witness does not belong to the left edge")
+        if witness.kind != "injective" or not witness.unit.is_identity():
+            raise WitnessInvalid("witness must be injective-normalized (identity unit)")
+        validate_witness(witness)
     if cleavage is None:
         cleavage = build_normal_cleavage(p)
+    else:
+        _check_cleavage(cleavage, p, "filler construction")
+    return _filler(problem, witness, cleavage)
+
+
+def _check_cleavage(cleavage: Cleavage, p: FinFunctor, use: str) -> None:
+    """A caller's cleavage must belong to p, be normal and lift every iso."""
     if cleavage.fibration != p:
         raise CleavageNotNormal("cleavage does not belong to the right edge")
     if not cleavage.normal:
-        raise CleavageNotNormal("filler construction needs a normal cleavage")
+        raise CleavageNotNormal(f"{use} needs a normal cleavage")
     cleavage.check()
 
-    r = witness.inverse
+
+def _filler(
+    problem: LiftingProblem, witness: EquivalenceWitness, cleavage: Cleavage
+) -> FinFunctor:
+    """The lift of bottom·η through the cleavage at r∘top, for the
+    injective witness (i, r) with η : 1 ≅ i∘r."""
     eta = witness.counit.inverse()  # 1_B ≅ i∘r with η·i and r·η identities
-    t = r.then(problem.top)
+    t = witness.inverse.then(problem.top)
     beta = eta.whisker_post(problem.bottom)
-    h, _theta = lift_iso_2cell(cleavage, t, beta, label="filler")
-    if h.then(p) != problem.bottom:
-        raise CleavageNotNormal("lift failed to project onto the bottom edge")
-    if i.then(h) != problem.top:
-        raise CleavageNotNormal("normality failed: filler does not restrict to the top edge")
-    return h
+    return lift_iso_2cell(cleavage, t, beta, label="filler")[0]
 
 
 def exhaustive_fillers(problem: LiftingProblem, limit=None):
@@ -172,7 +180,7 @@ def canonical_test_square(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> Liftin
         right=f,
         top=identity_functor(f.source),
         bottom=fac.right,
-    ).validate()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +311,19 @@ def minimal_retract_witness(
     """For a normal isofibration f, solve the square (diagonal, f, 1,
     right leg) and package the retract diagram through the factorization."""
     if cleavage is None:
-        report = classify_fibration(f)
-        if not report.normal:
-            raise NotNormalCleavage(f"{f.label} is not a normal isofibration")
+        if not classify_fibration(f).normal:
+            raise CleavageNotNormal(f"{f.label} is not a normal isofibration")
         cleavage = build_normal_cleavage(f)
-    if not cleavage.normal:
-        raise NotNormalCleavage("retract presentation needs a normal cleavage")
+    else:
+        _check_cleavage(cleavage, f, "retract presentation")
     fac = factorize_wfs(f, budget)
     problem = LiftingProblem(
         left=fac.left,
         right=f,
         top=identity_functor(f.source),
         bottom=fac.right,
-    ).validate()
-    w = solve_lifting(problem, witness=fac.left_witness, cleavage=cleavage)
+    )
+    w = _filler(problem, fac.left_witness, cleavage)
     A = f.source
     equations = {
         "section_then_filler_is_identity": fac.left.then(w) == identity_functor(A),

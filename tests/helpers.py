@@ -36,8 +36,9 @@ the image of X: they keep every t0 and every t1 whose whiskers agree.
 The search references recurse one frame per position, as the functor,
 isomorphism, transformation, simplicial-map and leveled-bijection searches
 and the power's size estimate did before they ran on one explicit stack.
-The last section holds constructions that only the tests use, built from
-the library's own parts.
+The last two sections hold constructions that only the tests use, built
+from the library's own parts, and the checks of built values that the
+library dropped once the corpus tests ran them.
 """
 import json
 from itertools import product
@@ -68,6 +69,7 @@ from fincat.cosmos import (
     _split_epis,
     _split_monos,
 )
+from fincat.counterexamples import ArrowMorphism
 from fincat.equivalence import (
     EquivalenceWitness,
     NotEquivalence,
@@ -86,7 +88,7 @@ from fincat.funcat import (
     functor_category,
 )
 from fincat.limits import PseudolimitOfArrow
-from fincat.nerve import DEFAULT_WORD_BOUND, TOP_DIM, TruncSSet, _classifying_data
+from fincat.nerve import DEFAULT_WORD_BOUND, TOP_DIM, RewriteSystem, TruncSSet, _classifying_data
 
 
 def canonical_key(cat: FinCat) -> str:
@@ -1402,3 +1404,68 @@ def classifying_functor(
     omap = {v: smap[(0, v)] for v in PX.objects}
     mmap = {m.name: push(m.name) for m in PX.morphisms}
     return validate_functor(FinFunctor(PX, PY, omap, mmap, label="Π(map)"))
+
+
+# ---------------------------------------------------------------------------
+# Small constructions and checks that only the tests use.  The library
+# builds these values lawful, so it no longer calls the checks itself: the
+# corpus tests run them on what it builds.
+
+
+def constant_functor(source: FinCat, target: FinCat, obj: str, label=None) -> FinFunctor:
+    return FinFunctor(
+        source,
+        target,
+        {a: obj for a in source.objects},
+        {m.name: target.id_of(obj) for m in source.morphisms},
+        label=label or f"const_{obj}",
+    )
+
+
+def is_invertible(t: NatTrans) -> bool:
+    cat = t.category
+    return all(cat.is_iso(c) for c in t.components.values())
+
+
+def lift_from(cl: Cleavage, e: str, beta: str) -> str:
+    """The cleavage's lift of an iso with domain p(e), as an iso with domain e."""
+    return cl.lift[(e, beta)]
+
+
+def dim_count(X: TruncSSet, dim: int) -> int:
+    return len(X.simplices[dim])
+
+
+def functor_to_dict(F: FinFunctor) -> dict:
+    return {
+        "source": F.source.to_dict(),
+        "target": F.target.to_dict(),
+        "omap": dict(F.omap),
+        "mmap": dict(F.mmap),
+        "label": F.label,
+    }
+
+
+def check_rewrite_system(rs: RewriteSystem) -> RewriteSystem:
+    """Both sides of every relation must traverse the same endpoints."""
+
+    def walk(anchor, gens):
+        at = anchor
+        for g in gens:
+            dom, cod = rs.endpoints[g]
+            if dom != at:
+                raise StructureError(f"relation side breaks at {g}")
+            at = cod
+        return at
+
+    for anchor, lhs, rhs in rs.relations:
+        if walk(anchor, lhs) != walk(anchor, rhs):
+            raise StructureError(f"relation sides at {anchor} have different endpoints")
+    return rs
+
+
+def check_arrow_square(f: ArrowMorphism) -> ArrowMorphism:
+    """f, once its square level1∘u = v∘level0 is seen to commute."""
+    if f.level0.then(f.target) != f.source.then(f.level1):
+        raise StructureError("arrow-category square does not commute")
+    return f

@@ -8,6 +8,7 @@ from itertools import groupby
 
 import pytest
 from helpers import (
+    constant_functor,
     recursive_functor_estimate,
     recursive_leveled_iso,
     recursive_search,
@@ -18,7 +19,6 @@ from helpers import (
 from fincat.core import (
     StructureError,
     builtin,
-    constant_functor,
     discrete_category,
     enumerate_functors,
     enumerate_isomorphisms,
@@ -28,7 +28,6 @@ from fincat.corpus import corpus_categories, corpus_functors
 from fincat.funcat import _estimate_functor_candidates, functor_category
 from fincat.nerve import (
     _hom_sset_leveled,
-    _leveled_from_sset,
     _leveled_iso,
     classifying_category,
     nerve_truncated,
@@ -160,10 +159,16 @@ def test_simplicial_maps_match_the_recursion(limit):
             assert [list(f.items()) for f in ours] == [list(f.items()) for f in reference]
 
 
+def leveled(X, dim):
+    """The levels of X up to dim and its face and degeneracy tables, as
+    ``check_powers_iso`` passes the nerve of the power."""
+    return X.simplices[: dim + 1], X.faces, X.degeneracies
+
+
 def powers_sides(X, Y, dim):
     """The two leveled systems that ``check_powers_iso`` compares."""
     left = _hom_sset_leveled(X, nerve_truncated(Y), dim)
-    right = _leveled_from_sset(nerve_truncated(functor_category(classifying_category(X), Y)), dim)
+    right = leveled(nerve_truncated(functor_category(classifying_category(X), Y)), dim)
     return left, right
 
 
@@ -187,7 +192,7 @@ def test_leveled_bijection_matches_the_recursion_when_a_degeneracy_refuses():
     for C in corpus_categories():
         if C.n_morphisms > 5:
             continue
-        levels, faces, degens = _leveled_from_sset(nerve_truncated(C), 2)
+        levels, faces, degens = leveled(nerve_truncated(C), 2)
         backwards = [level[::-1] for level in levels]
         for dim in (1, 2):
             ours = _leveled_iso(levels, faces, degens, backwards, faces, degens, dim)

@@ -9,7 +9,8 @@ from fincat.limits import (
     pullback_strict,
     tower_limit,
 )
-from fincat.serialize import functor_to_dict, functor_from_node
+from fincat.serialize import functor_from_node
+from helpers import functor_to_dict
 
 RICH = (
     builtin("terminal"),

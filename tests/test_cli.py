@@ -11,7 +11,7 @@ from fincat.cli import main
 from fincat.core import FinCat, Morphism, builtin
 from fincat.funcat import evaluation_functor, functor_category
 from fincat.nerve import standard_simplex
-from fincat.serialize import functor_to_dict
+from helpers import functor_to_dict
 
 
 @pytest.fixture()
@@ -207,6 +207,23 @@ def _mmap_entry_as_list(square):
     mmap[first] = [mmap[first]]
 
 
+def _not_commuting(square):
+    """p : arrow → arrow constant at 0 and bottom the identity: p∘top is
+    constant and bottom∘i is not."""
+    arrow = square["i"]["target"]
+    square["p"] = {
+        "source": arrow,
+        "target": arrow,
+        "omap": {"0": "0", "1": "0"},
+        "mmap": {"id_0": "id_0", "id_1": "id_0", "a": "id_0"},
+    }
+    square["bottom"] = square["i"]
+
+
+def _top_into_the_base(square):
+    square["top"] = square["p"]
+
+
 def _run_fresh(cwd, argv):
     """Run the CLI with ``argv`` in a fresh process."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -238,6 +255,8 @@ def _exit_two_with(tmp_path, sample, mutate, argv, detail, error="StructureError
         (_without_p, "square: missing 'p'"),
         (_mmap_as_list, "i: mmap: expected an object of strings"),
         (_mmap_entry_as_list, "i: mmap: expected an object of strings"),
+        (_not_commuting, "square does not commute"),
+        (_top_into_the_base, "top edge has wrong endpoints"),
     ],
 )
 def test_malformed_square_exits_two_with_a_located_error(tmp_path, mutate, detail):

@@ -17,7 +17,6 @@ from fincat.core import (
     UnknownBuiltin,
     builtin,
     builtin_functor,
-    constant_functor,
     enumerate_functors,
     enumerate_isomorphisms,
     enumerate_lifts,
@@ -32,7 +31,7 @@ from fincat.core import (
     validate_transformation,
 )
 from fincat.corpus import chaotic_collapse, corpus_categories, corpus_functors
-from helpers import brute_force_functors, scan_associativity
+from helpers import brute_force_functors, constant_functor, is_invertible, scan_associativity
 
 
 def cyclic_monoid(n, label):
@@ -215,7 +214,7 @@ def test_transformation_between_endpoint_functors_of_arrow():
     F1 = constant_functor(one, two, "1")
     t = NatTrans(F0, F1, {"*": "a"})
     validate_transformation(t)
-    assert not t.is_invertible()
+    assert not is_invertible(t)
 
 
 def test_perturbed_component_not_natural():

@@ -3,7 +3,6 @@ import pytest
 from fincat.core import (
     NatTrans,
     builtin,
-    constant_functor,
     validate_category,
     validate_functor,
 )
@@ -19,6 +18,7 @@ from fincat.counterexamples import build_fy
 from fincat.fibrations import classify_fibration
 from fincat.funcat import evaluation_functor, functor_category
 from fincat.limits import equifier
+from helpers import constant_functor
 
 
 def test_corpus_categories_all_validated_and_bounded():

@@ -1,14 +1,17 @@
 import pytest
 
 from fincat.core import BudgetExceeded, UnknownName, builtin, identity_functor, validate_category
+from fincat.cosmos import nip_square_filler
 from fincat.counterexamples import (
     ArrowMorphism,
+    _chaotic_square,
     arrow_hom_category,
     arrow_normal_on_test_set,
     arrow_sections,
     build_fy,
     run_counterexample,
 )
+from helpers import check_arrow_square
 
 
 def test_groth_leibniz_witness_passes():
@@ -54,11 +57,21 @@ def test_unknown_name():
 
 
 def test_fy_structure_is_lawful():
-    f = build_fy(3, 3)
-    validate_category(f.source.source)
-    validate_category(f.source.target)
-    f.validate()
-    assert f.level0.source is f.source.source
+    for k in range(5):
+        for alpha in (2, 3, 4):
+            f = build_fy(k, alpha)
+            validate_category(f.source.source)
+            validate_category(f.source.target)
+            check_arrow_square(f)
+            assert f.level0.source is f.source.source
+
+
+def test_nip_cat2_replays_a_square_of_commuting_squares():
+    """Each edge of the finite-set counterexample, lifted to chaotic
+    categories, is a commuting square of functors."""
+    ce = nip_square_filler("finset_arrow", 3).counterexample
+    for edge in _chaotic_square(ce):
+        check_arrow_square(edge)
 
 
 def test_fy_normality_fails_for_perturbed_square():
@@ -69,12 +82,14 @@ def test_fy_normality_fails_for_perturbed_square():
     iso = builtin("free_iso")
     one = terminal_category()
     inclusion = builtin_functor("point_to_iso")
-    square = ArrowMorphism(
-        source=identity_functor(one),
-        target=identity_functor(iso),
-        level0=inclusion,
-        level1=inclusion,
-    ).validate()
+    square = check_arrow_square(
+        ArrowMorphism(
+            source=identity_functor(one),
+            target=identity_functor(iso),
+            level0=inclusion,
+            level1=inclusion,
+        )
+    )
     assert not arrow_normal_on_test_set(square)
 
 
@@ -93,10 +108,12 @@ def test_arrow_hom_category_of_terminal_object_is_hom_like():
 
 def test_arrow_sections_of_identity():
     two = builtin("arrow")
-    ident = ArrowMorphism(
-        source=identity_functor(two),
-        target=identity_functor(two),
-        level0=identity_functor(two),
-        level1=identity_functor(two),
-    ).validate()
+    ident = check_arrow_square(
+        ArrowMorphism(
+            source=identity_functor(two),
+            target=identity_functor(two),
+            level0=identity_functor(two),
+            level1=identity_functor(two),
+        )
+    )
     assert arrow_sections(ident)

@@ -21,7 +21,7 @@ from fincat.funcat import (
     product_category,
     product_projections,
 )
-from helpers import brute_force_functors, brute_force_nat_transformations
+from helpers import brute_force_functors, brute_force_nat_transformations, constant_functor
 
 
 def test_power_by_terminal_is_the_category_itself():
@@ -145,7 +145,7 @@ def test_functor_into_power_pairs_correctly():
 
 
 def test_cells_into_power_roundtrips_through_restriction():
-    from fincat.core import NatTrans, constant_functor
+    from fincat.core import NatTrans
 
     one, two = builtin("terminal"), builtin("arrow")
     F0 = constant_functor(one, two, "0")
@@ -161,7 +161,7 @@ def test_product_category_and_projections():
     prod = product_category(A, B)
     validate_category(prod)
     assert prod.n_objects == 4 and prod.n_morphisms == 12
-    p1, p2 = product_projections(prod, A, B)
+    p1, p2 = product_projections(prod)
     validate_functor(p1)
     validate_functor(p2)
     paired = pair_functor(identity_functor(A), identity_functor(A), product_category(A, A))
@@ -173,7 +173,7 @@ def test_relabel_keeps_a_product_and_its_projections():
     square = prod.relabel("square")
     assert (type(square), square.label, prod.label) == (type(prod), "square", "arrow×arrow")
     assert square == prod
-    validate_functor(product_projections(square, builtin("arrow"), builtin("arrow"))[1])
+    validate_functor(product_projections(square)[1])
 
 
 def test_relabelled_tuple_category_shares_its_table():

@@ -1,6 +1,4 @@
 """Exhaustive invariant sweeps that go beyond the sampled property tests."""
-import pytest
-
 from fincat.core import builtin, enumerate_functors, identity_functor, find_isomorphism
 from fincat.corpus import corpus_categories, corpus_functors
 from fincat.cosmos import nip_square_filler
@@ -68,7 +66,6 @@ def test_collapse_to_terminal_projection_kinds():
     assert isinstance(wd, EquivalenceWitness) and wd.has_retraction
 
 
-@pytest.mark.slow
 def test_finset_all_fill_at_the_maximum_bound():
     res = nip_square_filler("finset", 4)
     assert res.all_fill

@@ -5,6 +5,8 @@ generated and filtered by the square equation.  The ordered outputs must be
 identical."""
 import pytest
 from helpers import (
+    check_arrow_square,
+    constant_functor,
     filter_arrow_fillers,
     filter_arrow_sections,
     filter_arrow_squares,
@@ -18,7 +20,6 @@ from fincat.core import (
     FinFunctor,
     builtin,
     builtin_functor,
-    constant_functor,
     discrete_category,
     identity_functor,
     thin_functor,
@@ -70,7 +71,7 @@ def test_arrow_sections_keep_the_s0_major_order():
     swap = thin_functor(two, two, {"0": "1", "1": "0"}, "swap")
     collapse = to_terminal_functor(two)
     one = identity_functor(collapse.target)
-    f = ArrowMorphism(source=swap, target=one, level0=collapse, level1=collapse).validate()
+    f = check_arrow_square(ArrowMorphism(source=swap, target=one, level0=collapse, level1=collapse))
     ours = [(s.level0, s.level1) for s in arrow_sections(f)]
     assert [(s0.omap["*"], s1.omap["*"]) for s0, s1 in ours] == [("0", "1"), ("1", "0")]
     assert pair_tables(ours) == pair_tables(filter_arrow_sections(f))
@@ -165,18 +166,18 @@ def test_arrow_fillers_match_the_filter():
     nonempty = 0
     for B in arrows:
         for C in arrows:
-            i = ArrowMorphism(
-                empty_arrow(), B, from_empty(B.source), from_empty(B.target)
-            ).validate()
-            p = ArrowMorphism(
-                C, one, to_terminal_functor(C.source), to_terminal_functor(C.target)
-            ).validate()
-            top = ArrowMorphism(
-                empty_arrow(), C, from_empty(C.source), from_empty(C.target)
-            ).validate()
-            bottom = ArrowMorphism(
-                B, one, to_terminal_functor(B.source), to_terminal_functor(B.target)
-            ).validate()
+            i = check_arrow_square(
+                ArrowMorphism(empty_arrow(), B, from_empty(B.source), from_empty(B.target))
+            )
+            p = check_arrow_square(
+                ArrowMorphism(C, one, to_terminal_functor(C.source), to_terminal_functor(C.target))
+            )
+            top = check_arrow_square(
+                ArrowMorphism(empty_arrow(), C, from_empty(C.source), from_empty(C.target))
+            )
+            bottom = check_arrow_square(
+                ArrowMorphism(B, one, to_terminal_functor(B.source), to_terminal_functor(B.target))
+            )
             ours = _arrow_fillers(i, p, top, bottom)
             assert pair_tables(ours) == pair_tables(filter_arrow_fillers(i, p, top, bottom))
             assert pair_tables(ours) == pair_tables(arrow_hom_category(B, C).squares)

@@ -7,7 +7,6 @@ from fincat.core import (
     NotIdempotent,
     builtin,
     builtin_functor,
-    constant_functor,
     enumerate_functors,
     find_isomorphism,
     identity_functor,
@@ -43,7 +42,7 @@ from fincat.limits import (
     tower_limit,
 )
 from fincat.wfs import compute_wf, factorize_wfs
-from helpers import perturbed_cleavage, pseudolimit_retract_witness
+from helpers import constant_functor, perturbed_cleavage, pseudolimit_retract_witness
 
 
 def to_terminal(cat):
@@ -323,10 +322,12 @@ def test_split_idempotent_equations_hold_on_the_corpus():
 
 
 def test_normal_pullback_equations_hold_on_the_corpus():
-    """Over every corpus cospan with a normal left leg f: the straightened
-    comparison x satisfies f∘x = g∘q for the isocomma's right leg q, the
-    isocomma's cell φ whiskered by the induced idempotent e has identity
-    components, and e splits."""
+    """Over every corpus cospan with a normal left leg f: the isocomma's
+    cell φ, which the cleavage lifts, is an invertible transformation, and
+    so is the lifted cell ξ : x ≅ p out of the functor x; the straightened
+    comparison x satisfies f∘x = g∘q for the isocomma's right leg q, φ
+    whiskered by the induced idempotent e has identity components, and e
+    splits."""
     cospans = corpus_cospans_normal_left()
     assert len(cospans) == 48
     for f, g in cospans:
@@ -334,6 +335,9 @@ def test_normal_pullback_equations_hold_on_the_corpus():
         case = (f.label, g.label)
         _, q = np.isocomma.projections
         phi = np.isocomma.structure_cells[0]
+        validate_transformation(phi, invertible=True)
+        validate_functor(np.comparison)
+        validate_transformation(np.comparison_cell, invertible=True)
         assert np.comparison.then(f) == q.then(g), case
         whisked = phi.whisker_pre(np.idempotent)
         assert all(f.target.is_identity(c) for c in whisked.components.values()), case
@@ -429,15 +433,22 @@ def test_chaotic_tower_matches_strict_limit():
 
 
 def test_tower_limit_equations_hold_on_the_corpus():
-    """Over every corpus tower: the lifted cone is strict (f_k∘q_{k+1} =
-    q_k), each cone cell whiskered by the induced idempotent has identity
-    components, the idempotent splits, and the split cone is strict."""
+    """Over every corpus tower: each cell π^{k+1}_k∘α_k that the cleavage
+    lifts is an invertible transformation, and so is each lifted cone cell
+    α_{k+1} : q_{k+1} ≅ p_{k+1} out of the functor q_{k+1}; the lifted cone
+    is strict (f_k∘q_{k+1} = q_k), each cone cell whiskered by the induced
+    idempotent has identity components, the idempotent splits, and the
+    split cone is strict."""
     towers = corpus_towers()
     assert [len(maps) for _, maps in towers] == [0, 1, 2, 2, 3, 4]
     for base, maps in towers:
         tl = tower_limit(base, maps)
         case = [f.label for f in maps]
         for k, f in enumerate(maps):
+            lifted = tl.cone_cells[k].then(tl.structure_cells[(k + 1, k)])
+            validate_transformation(lifted, invertible=True)
+            validate_functor(tl.cone[k + 1])
+            validate_transformation(tl.cone_cells[k + 1], invertible=True)
             assert tl.cone[k + 1].then(f) == tl.cone[k], case
         for alpha in tl.cone_cells:
             whisked = alpha.whisker_pre(tl.idempotent)

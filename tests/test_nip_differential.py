@@ -200,7 +200,6 @@ def test_arrow_homs_match_the_filter_in_order(bound):
 FINSET_4_DIGEST = "63c52e5621df6db6ca2467c9910516f8ed311dbe2bdd247b41967361552ccbf0"
 
 
-@pytest.mark.slow
 def test_finset_sweep_matches_the_filter_at_the_maximum_bound():
     res = nip_square_filler("finset", 4).to_dict()
     digest = hashlib.sha256(json.dumps(res, sort_keys=True).encode()).hexdigest()

@@ -18,7 +18,6 @@ from fincat.core import (
 )
 from fincat.funcat import _estimate_functor_candidates
 from fincat.nerve import (
-    _leveled_from_sset,
     _leveled_iso,
     nerve_truncated,
     standard_simplex,
@@ -81,7 +80,8 @@ def run_truncated_sset_maps_to_limit(sset):
 
 
 def run_leveled_iso(faces):
-    levels, _, degens = _leveled_from_sset(standard_simplex(2), 2)
+    X = standard_simplex(2)
+    levels, degens = X.simplices, X.degeneracies
     assert _leveled_iso(levels, faces, degens, levels, faces, degens, 2) is not None
 
 
@@ -101,7 +101,7 @@ SEARCHES = {
     "truncated_sset_maps to its limit": (
         lambda: nerve_truncated(builtin("chaotic(2)")), run_truncated_sset_maps_to_limit
     ),
-    "_leveled_iso": (lambda: Faces(_leveled_from_sset(standard_simplex(2), 2)[1]), run_leveled_iso),
+    "_leveled_iso": (lambda: Faces(standard_simplex(2).faces), run_leveled_iso),
 }
 
 

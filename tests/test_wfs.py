@@ -3,17 +3,17 @@ import pytest
 from fincat.core import (
     CleavageNotNormal,
     FinFunctor,
-    NotNormalCleavage,
+    StructureError,
     builtin,
     builtin_functor,
-    constant_functor,
     identity_functor,
+    validate_transformation,
 )
 from fincat.equivalence import (
     classify_equivalence,
     find_retractions,
 )
-from fincat.fibrations import classify_fibration
+from fincat.fibrations import Cleavage, build_normal_cleavage, classify_fibration
 from fincat.corpus import corpus_functors
 from fincat.funcat import (
     evaluation_functor,
@@ -33,7 +33,7 @@ from fincat.wfs import (
     minimal_retract_witness,
     solve_lifting,
 )
-from helpers import perturbed_cleavage, witness_from_parts
+from helpers import constant_functor, perturbed_cleavage, witness_from_parts
 
 
 def to_terminal(cat):
@@ -65,10 +65,20 @@ def test_factorize_point_into_arrow():
 
 
 def test_factorization_legs_compose_to_the_arrow_on_the_corpus():
-    """right ∘ left = f for the factorization of every corpus functor f."""
+    """right ∘ left = f for the factorization of every corpus functor f, so
+    its canonical square commutes.  The cell right·η that a filler of that
+    square lifts, for η : 1 ≅ left∘r of the left leg's witness, is an
+    invertible transformation, and when f is a normal isofibration the
+    filler that ``solve_lifting`` builds fills the square."""
     for f in corpus_functors():
         fac = factorize_wfs(f)
         assert fac.left.then(fac.right) == f, f.label
+        square = canonical_test_square(f)
+        square.validate()
+        eta = fac.left_witness.counit.inverse()
+        validate_transformation(eta.whisker_post(fac.right), invertible=True)
+        if classify_fibration(f, grothendieck=False).normal:
+            assert square.is_filler(solve_lifting(square, witness=fac.left_witness)), f.label
 
 
 def test_factorize_non_isofibration_still_splits():
@@ -261,5 +271,20 @@ def test_minimal_retract_for_chaotic_over_terminal():
 
 
 def test_minimal_retract_rejects_non_isofibration():
-    with pytest.raises(NotNormalCleavage):
+    with pytest.raises(CleavageNotNormal):
         minimal_retract_witness(builtin_functor("point_to_iso"))
+
+
+def test_minimal_retract_checks_a_callers_cleavage():
+    """A cleavage the caller passes is checked: one that is not normal, one
+    of another functor and one that lifts an iso to a non-lift are refused."""
+    p = to_terminal(builtin("chaotic(2)"))
+    with pytest.raises(CleavageNotNormal, match="retract presentation needs a normal cleavage"):
+        minimal_retract_witness(p, cleavage=perturbed_cleavage(p))
+    other = build_normal_cleavage(to_terminal(builtin("chaotic(3)")))
+    with pytest.raises(CleavageNotNormal, match="does not belong"):
+        minimal_retract_witness(p, cleavage=other)
+    good = build_normal_cleavage(p)
+    wrong = {(e, b): p.source.id_of("1" if e == "0" else "0") for e, b in good.lift}
+    with pytest.raises(StructureError, match="is not a lift"):
+        minimal_retract_witness(p, cleavage=Cleavage(p, wrong, normal=True))
