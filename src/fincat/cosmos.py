@@ -23,14 +23,16 @@ p0 maps u_C⁻¹(c) onto u_D⁻¹(p1 c).  Fibres outside the image of i1 always
 fill through a section of p, and a product over the fibres counts the
 squares.  The verdict reads only the mono's source and fibre summary and
 the epi's source, fibre summary and the fibre sizes of its target as a
-multiset, and an isomorphism of targets keeps all of these.  So the split
-maps are listed once per source and isomorphism class of target, from
-the class's first object, and filed as runs: a run is a map, standing
-for every map of its bucket with the same source, class of target and
-summary, and their number.  Each pass of the sweep (one combined size,
-one mono size) decides each distinct (source, mono summary) once against
-the epi runs and weighs each count by the runs' multiplicities
-(``_decide_pass``).  Only a pass that some run refuses is listed again
+multiset.  An isomorphism of targets keeps all of these, and one of
+sources carries the split maps out of the source onto those out of an
+isomorphic one with the same verdicts and counts.  So the split maps are
+listed once per pair of isomorphism classes of source and target,
+between the classes' first objects, and filed as runs: a run is a map,
+standing for the maps of its bucket between the same classes whose
+verdicts it shares, and their number.  Each pass of the sweep (one
+combined size, one mono size) decides each distinct (source, mono
+summary) once against the epi runs and weighs each count by the runs'
+multiplicities (``_decide_pass``).  Only a pass that some run refuses is listed again
 map by map, for its exact objects in sweep order, and walked up to its
 first refused pair (``_walk_pass``), whose squares are replayed one by
 one to find the first unfilled square.  ``squares_checked`` counts the
@@ -574,7 +576,9 @@ class _ArrowSpace:
         self._source_masks: tuple = (None, {})
         # Arrows are isomorphic iff they share x0, x1 and the sorted sizes
         # of the nonempty fibres of u; each class is represented by its
-        # first member in object order (at bound 3, 18 for 60 objects).
+        # first member in object order (at bound 3, 18 for 60 objects, and
+        # at bound 4, 38 for 499), and the sweep lists split maps between
+        # representatives only.
         self.representatives: dict[tuple, tuple] = {}
         firsts: dict[tuple, tuple] = {}
         for X in self.objects:
@@ -618,7 +622,8 @@ class _ArrowSpace:
         f1 ↦ the set of m1∘v over the m1 in ``backs(x1, y1)[f1]``, each a
         bitmask over the maps y0 → x1.  The first table depends only on
         (X, y0) and the second only on (Y, x1), so each serves every object
-        pair that shares it: at bound 3, 600 tables for the 3,600 pairs.
+        pair that shares it: a bound-3 sweep builds 224 tables for the 347
+        object pairs whose split maps it lists and whose sizes allow any.
         The sweep visits the pairs source by source, so the first kind is
         kept for the latest X only."""
         x0, x1, u = X
@@ -747,8 +752,8 @@ class _ArrowSpace:
         return self._shared(full, width)
 
     def _shared(self, *summary) -> tuple:
-        """One tuple for all equal summaries: at bound 3, 105 distinct ones
-        serve the 6,209 split maps."""
+        """One tuple for all equal summaries: a bound-3 sweep lists 565
+        split maps with 61 distinct ones."""
         return self._summaries.setdefault(summary, summary)
 
 
@@ -784,32 +789,41 @@ def _runs(maps) -> list:
 
 def _split_buckets(space):
     """The runs of split monos and split epis of the space, bucketed by
-    combined size.  A run is [(X, R, f, summary), multiplicity]: f is the
-    first split map X → R with that summary, R represents a class of
-    targets, and the multiplicity counts the maps X → B with that summary
-    over every B in the class.
+    combined size.  A run is [(S, R, f, summary), multiplicity]: S and R
+    represent classes of sources and of targets, f is the first split map
+    S → R with that summary, and the multiplicity counts the maps A → B
+    that the run's maps stand for, over every A in the class of S and
+    every B in the class of R.
 
-    The maps are listed once per source and class of target, from the
-    class's representative.  An isomorphism φ : R ≅ B carries the split
-    monos A → R bijectively onto those A → B by i ↦ φ∘i, and the split
-    epis likewise.  It keeps each a's |N(i1 a)|, and each c's fullness
-    and |F(p1 c)|, and only permutes the fibres of u_B outside the image
-    of i1, which a mono summary lists sorted.  So A → B has the runs of
-    A → R, and ``_decide_pair``, which reads the fibres of the epi's
-    target only as a multiset, decides a run for every map in it.  At
-    bound 3 that lists the maps of 1,080 pairs (A, R) for the 3,600 pairs
-    (A, B).  The mask tables behind the split maps are freed once the
-    buckets are built."""
+    The maps are listed once per pair of classes, between their
+    representatives.  An isomorphism φ : R ≅ B carries the split monos
+    S → R bijectively onto those S → B by i ↦ φ∘i, and the split epis
+    likewise.  It keeps each a's |N(i1 a)|, and each c's fullness and
+    |F(p1 c)|, and only permutes the fibres of u_B outside the image of
+    i1, which a mono summary lists sorted.  So S → B has the runs of
+    S → R, and ``_decide_pair``, which reads the fibres of the epi's
+    target only as a multiset, decides a run for every map in it.  An
+    isomorphism ψ : S ≅ A carries the split maps out of A bijectively onto
+    those out of S by i ↦ i∘ψ.  That re-indexes the summaries by ψ, but
+    composing with ψ carries ``top_levels(A, C)`` onto
+    ``top_levels(S, C)``, and composing with ψ⁻¹ carries
+    ``top_levels(M, A)`` onto ``top_levels(M, S)``, so against every map
+    on the other side i∘ψ gets the verdict and the count of i.  The maps
+    out of A are never derived from those out of S: the runs are listed
+    from S alone, and a run of n maps S → R stands for n × |class of S| ×
+    |class of R| maps.  At bound 3 that lists the maps of 324 pairs
+    (S, R) for the 3,600 pairs (A, B).  The mask tables behind the split
+    maps are freed once the buckets are built."""
     members = Counter(space.representatives.values())
     mono_buckets: dict[int, list] = {}
     epi_buckets: dict[int, list] = {}
-    for A in space.objects:
+    for S, j in members.items():
         for R, k in members.items():
-            s = _arrow_size(A) + _arrow_size(R)
+            s = _arrow_size(S) + _arrow_size(R)
             for split, buckets in ((_split_monos, mono_buckets), (_split_epis, epi_buckets)):
-                runs = _runs(split(space, A, R))
+                runs = _runs(split(space, S, R))
                 if runs:
-                    buckets.setdefault(s, []).extend([f, n * k] for f, n in runs)
+                    buckets.setdefault(s, []).extend([f, n * j * k] for f, n in runs)
     space.drop_masks()
     return mono_buckets, epi_buckets
 
@@ -832,22 +846,24 @@ def _passes(space, max_size: int):
 def _listed(space, runs, split):
     """The split maps behind a bucket's runs, map by map and in sweep
     order: the object pairs (A, B) in order, each pair's maps as ``split``
-    lists them.  Only the pairs whose (A, representative of B) has runs
-    are listed, as no other pair of the bucket has a split map."""
+    lists them.  Only the pairs whose (representative of A,
+    representative of B) has runs are listed, as no other pair of the
+    bucket has a split map."""
     sources = {(f[0], f[1]) for f, _ in runs}
     reps = space.representatives
     for A in space.objects:
         for B in space.objects:
-            if (A, reps[B]) in sources:
+            if (reps[A], reps[B]) in sources:
                 yield from split(space, A, B)
 
 
 def _decide_pass(space, monos, epis):
     """Decide one pass run by run: the squares of the mono runs before the
     first that some epi run refuses, and that run's map, or None.
-    ``_decide_pair`` reads only A and the summary of a mono, so each
-    distinct (A, mono summary) is decided once against the epi runs from
-    their first maps; when every epi run fills, a mono run of
+    ``_decide_pair`` reads only the source and the summary of a mono, so
+    each distinct (source, mono summary) is decided once against the epi
+    runs from their first maps (from a bucket, every source is a class's
+    representative); when every epi run fills, a mono run of
     multiplicity m adds m × Σ count × n over the epi runs of
     multiplicity n.  On a refused pass ``_walk_pass`` runs it again with
     each of the pass's monos a run of one, in sweep order."""
@@ -1011,9 +1027,12 @@ def _ser_sq(f):
 
 
 # The largest size bound each space accepts, checked before anything is
-# built.  At bound 4 the arrow space has 499 objects against 60 at bound 3,
-# and 249,001 object pairs to set up against 3,600: far beyond an
-# interactive run.
+# built: the bounds at which the tests compare each sweep with its filtering
+# reference.  At bound 4 the arrow space has 499 objects in 38 classes
+# against 60 in 18 at bound 3.  Its sweep would list the split maps of
+# 1,444 pairs of classes against 324 (about 0.1 s on a 2-core x86 host),
+# but the reference lists those of every pair of objects, 249,001 against
+# 3,600.
 NIP_MAX_BOUNDS = {"finset": 4, "finset_arrow": 3}
 
 

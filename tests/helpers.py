@@ -683,7 +683,7 @@ def split_pairs(space, max_size):
     ``max_size``, map by map in sweep order: combined size ascending, then
     the mono's size, and each side's maps listed pair by pair over every
     object pair (A, B) in order, as the sweep listed them before it listed
-    them once per class of target."""
+    them by isomorphism classes."""
     buckets = {}
     for A in space.objects:
         for B in space.objects:

@@ -11,6 +11,8 @@ from fincat.core import (
     find_isomorphism,
     identity_functor,
     identity_nat,
+    thin_category,
+    thin_functor,
     validate_category,
     validate_functor,
     validate_transformation,
@@ -321,16 +323,52 @@ def test_split_idempotent_equations_hold_on_the_corpus():
 # -- pullback along a normal isofibration -------------------------------------
 
 
+def thin_on(objects, arrows, label):
+    """The thin category on ``objects`` with a morphism a → b for each
+    (a, b) in ``arrows`` and each identity."""
+    homs = {(a, a) for a in objects} | set(arrows)
+    return thin_category(
+        objects, [(f"{a}>{b}" if a != b else f"id_{a}", a, b) for a, b in sorted(homs)], label
+    )
+
+
+def cospans_over_isos():
+    """Cospans (f, g) into 0 ≅ 1 → 2, f a normal isofibration.  Unlike the
+    corpus cospans, whose common targets are discrete, the target has both
+    non-identity isos and morphisms that are not isos: the isocomma cells
+    and the lifted cells have non-identity components, and a cell from a
+    non-invertible γ would be seen."""
+    T = thin_on(["0", "1", "2"], [("0", "1"), ("1", "0"), ("0", "2"), ("1", "2")], "iso_then_arrow")
+    cover = thin_on(
+        ["0", "1", "2", "3"],
+        [(a, b) for a in "012" for b in "0123" if a != b],
+        "chaotic3_then_arrow",
+    )
+    lefts = [
+        identity_functor(T),
+        thin_functor(cover, T, {"0": "0", "1": "1", "2": "1", "3": "2"}, "fold"),
+    ]
+    rights = [
+        identity_functor(T),
+        thin_functor(builtin("terminal"), T, {"*": "1"}, "point_1"),
+        thin_functor(builtin("free_iso"), T, {"0": "1", "1": "0"}, "swap"),
+        thin_functor(builtin("arrow"), T, {"0": "0", "1": "2"}, "arrow_0_2"),
+    ]
+    return [(f, g) for f in lefts for g in rights]
+
+
 def test_normal_pullback_equations_hold_on_the_corpus():
-    """Over every corpus cospan with a normal left leg f: the isocomma's
-    cell φ, which the cleavage lifts, is an invertible transformation, and
-    so is the lifted cell ξ : x ≅ p out of the functor x; the straightened
-    comparison x satisfies f∘x = g∘q for the isocomma's right leg q, φ
-    whiskered by the induced idempotent e has identity components, and e
-    splits."""
+    """Over every corpus cospan with a normal left leg f, and the cospans
+    over isos above: the isocomma's cell φ, which the cleavage lifts,
+    is an invertible transformation, and so is the lifted cell ξ : x ≅ p
+    out of the functor x; the straightened comparison x satisfies
+    f∘x = g∘q for the isocomma's right leg q, φ whiskered by the induced
+    idempotent e has identity components, and e splits."""
     cospans = corpus_cospans_normal_left()
     assert len(cospans) == 48
-    for f, g in cospans:
+    over_isos = cospans_over_isos()
+    assert all(classify_fibration(f).normal for f, _ in over_isos)
+    for f, g in [*cospans, *over_isos]:
         np = build_normal_pullback(f, g)
         case = (f.label, g.label)
         _, q = np.isocomma.projections

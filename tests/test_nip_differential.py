@@ -6,10 +6,12 @@ space's hom sets, decoded from their indices, equal in order.  Each arrow
 pair's verdict and square count are compared with the filled-set reference,
 which looks every square of the pair up among the (h∘i, p∘h) over the
 fillers h, as the arrow sweep did before.  Each pass decided by runs,
-the split maps listed once per isomorphism class of target, is compared
-with its maps listed pair by pair, and the runs of every object pair with
-those of its target's representative.  At bound 4 the finset sweep is
-compared with a digest of the reference's result."""
+the split maps listed once per pair of isomorphism classes of source and
+target, is compared with its maps listed pair by pair; the runs of every
+object pair with those of its target's representative; and the verdicts
+of the maps out of every source with those out of its representative.
+Every sweep up to its largest bound is compared with a recorded digest of
+its result, the finset sweep at bound 4 with the reference's."""
 import hashlib
 import json
 from collections import Counter
@@ -173,6 +175,43 @@ def test_split_maps_to_isomorphic_targets_have_equal_runs(bound, classes):
                 assert {f[3]: n for f, n in runs} == Counter(f[3] for f in maps), (A, B)
 
 
+# For an isomorphism ψ : S ≅ A, i ↦ i∘ψ carries the split maps out of A onto
+# those out of S, and composing with ψ carries ``top_levels(A, C)`` onto
+# ``top_levels(S, C)``: so against every run of the other side, in every
+# pass, the maps A → R decide as the maps S → R do, each verdict and count
+# as often.  This is what lets the sweep list the maps from the
+# representative S of a class of sources only and count each run once per
+# member; the summaries themselves differ, as ψ re-indexes A1.
+@pytest.mark.parametrize("bound", [2, 3])
+def test_split_maps_from_isomorphic_sources_decide_alike(bound):
+    space = _ArrowSpace(bound)
+    reps = space.representatives
+    mono_buckets, epi_buckets = _split_buckets(space)
+    mono_runs = list(chain.from_iterable(mono_buckets.values()))
+    epi_runs = list(chain.from_iterable(epi_buckets.values()))
+    classes = set(reps.values())
+    assert all(f[0] in classes and f[1] in classes for f, _ in mono_runs + epi_runs)
+
+    def verdicts(maps, others, decide):
+        return Counter((j, decide(f, g)) for f in maps for j, (g, _) in enumerate(others))
+
+    sides = (
+        (_split_monos, epi_runs, lambda mono, epi: _decide_pair(space, mono, epi)),
+        (_split_epis, mono_runs, lambda epi, mono: _decide_pair(space, mono, epi)),
+    )
+    compared = 0
+    for A in space.objects:
+        S = reps[A]
+        if S == A:
+            continue
+        for R in dict.fromkeys(reps.values()):
+            for split, others, decide in sides:
+                from_a = verdicts(split(space, A, R), others, decide)
+                assert from_a == verdicts(split(space, S, R), others, decide), (A, S, R)
+                compared += from_a.total()
+    assert compared == (270 if bound == 2 else 75_033)
+
+
 @pytest.mark.parametrize("bound", [2, 3])
 def test_every_fibre_of_a_split_epi_has_a_full_point_over_it(bound):
     """For a section s of p, S(s1 e) = F(e): the reason ``_decide_pair``
@@ -195,12 +234,26 @@ def test_arrow_homs_match_the_filter_in_order(bound):
             assert decoded == filter_arrow_homs(_decode_arrow(X), _decode_arrow(Y)), (X, Y)
 
 
-# SHA-256 of ``json.dumps(filter_nip_finset(4).to_dict(), sort_keys=True)``,
-# recorded from the reference (it takes about 100 s to replay).
-FINSET_4_DIGEST = "63c52e5621df6db6ca2467c9910516f8ed311dbe2bdd247b41967361552ccbf0"
+# SHA-256 of ``json.dumps(nip_square_filler(space, bound).to_dict(),
+# sort_keys=True)``, recorded before the arrow sweep listed its split maps
+# once per class of source; ``finset`` at bound 4 is the reference's
+# (``filter_nip_finset(4)`` takes about 100 s to replay), and the arrow
+# digests at bounds 2 and 3 are those the CI steps check on the CLI.
+SWEEP_DIGESTS = {
+    ("finset", 0): "1085de8d54126cf6a73efbf475c1011a0d038ba65c0f6d20f76ee4ee9886a1da",
+    ("finset", 1): "091d4c449b33494ef12c9ff7a728d2690231ec628e045dd5c354da6b37e75652",
+    ("finset", 2): "b8e30d8227a9dcaaf35086b1b3b70019ac8d68ccae28b27db9d8c949f5f24348",
+    ("finset", 3): "2ef177f76e519e7dd6d236dcb5827731d5ab3635a08281b169058aa8f229d6e3",
+    ("finset", 4): "63c52e5621df6db6ca2467c9910516f8ed311dbe2bdd247b41967361552ccbf0",
+    ("finset_arrow", 0): "90fe68928c90b3a690f39eb35e2b4f9c9f906c1b8c48d896f15ebb9bbf77db51",
+    ("finset_arrow", 1): "be86fd74065fc7458a008a09280043846db3294d0830514e7ce994dedfd2ce06",
+    ("finset_arrow", 2): "0d6e9f70767ad5d97a370ee5a1fcd8152b84d645b5cacbab7b24925b65cfccc1",
+    ("finset_arrow", 3): "a4ed891f44ae0d46a1c24aa716da7766814f7b23ecc9499c09b4a48d2bb178c7",
+}
 
 
-def test_finset_sweep_matches_the_filter_at_the_maximum_bound():
-    res = nip_square_filler("finset", 4).to_dict()
+@pytest.mark.parametrize("space, bound", list(SWEEP_DIGESTS))
+def test_sweep_reproduces_its_recorded_digest(space, bound):
+    res = nip_square_filler(space, bound).to_dict()
     digest = hashlib.sha256(json.dumps(res, sort_keys=True).encode()).hexdigest()
-    assert digest == FINSET_4_DIGEST
+    assert digest == SWEEP_DIGESTS[space, bound]
