@@ -29,7 +29,6 @@ from .limits import (
     equifier,
     isocomma,
     pseudolimit_of_arrow,
-    pullback_along_normal_isofibration,
     pullback_strict,
     split_idempotent,
     tower_limit,
@@ -72,7 +71,6 @@ __all__ = [
     "equifier",
     "isocomma",
     "pseudolimit_of_arrow",
-    "pullback_along_normal_isofibration",
     "pullback_strict",
     "split_idempotent",
     "tower_limit",

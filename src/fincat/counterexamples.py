@@ -248,10 +248,10 @@ def default_arrow_test_objects() -> tuple[FinFunctor, ...]:
     )
 
 
-def arrow_normal_on_test_set(f: ArrowMorphism, test_objects=None) -> bool:
+def arrow_normal_on_test_set(f: ArrowMorphism) -> bool:
     """Whether postcomposition with f is a normal isofibration of
-    hom-categories for every declared test object."""
-    for X in test_objects or default_arrow_test_objects():
+    hom-categories for every default test object."""
+    for X in default_arrow_test_objects():
         report = classify_fibration(arrow_hom_postcompose(X, f), grothendieck=False)
         if not (report.representable and report.normal):
             return False

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
-    CleavageNotNormal,
     FinFunctor,
     NatTrans,
     NotIsofibration,
@@ -44,23 +43,6 @@ class Cleavage:
         E = self.fibration.source
         B = self.fibration.target
         return E.inverse(self.lift[(e, B.inverse(beta))])
-
-    def check(self) -> "Cleavage":
-        """Verify totality, projection, and (if flagged) normality."""
-        p = self.fibration
-        E, B = p.source, p.target
-        for e in E.objects:
-            for beta in B.isos:
-                if B.dom(beta) != p.ob(e):
-                    continue
-                got = self.lift.get((e, beta))
-                if got is None:
-                    raise StructureError(f"cleavage missing a lift at ({e}, {beta})")
-                if E.dom(got) != e or not E.is_iso(got) or p.mor(got) != beta:
-                    raise StructureError(f"cleavage entry ({e}, {beta}) -> {got} is not a lift")
-                if self.normal and B.is_identity(beta) and not E.is_identity(got):
-                    raise CleavageNotNormal(f"identity at {e} lifts to {got}")
-        return self
 
 
 @dataclass

@@ -4,10 +4,12 @@ Strict pullbacks act as the oracle limit; isocommas, pseudolimits of
 arrows, inserters, equifiers, idempotent splittings, cleavage-based
 pullbacks and tower limits are all built concretely with deterministic
 tuple naming, and each carries a certificate: its one-dimensional
-universal property is replayed against a declared finite set of cone
-vertices.  The replay files the apex's objects and morphisms once under
-their leg images (and, for objects, their structure-cell components), so
-the candidate factorizations of each cone are dictionary lookups.
+universal property is replayed against a fixed set of cone vertices, the
+terminal category and the generic arrow.  The cleavage-based pullback and
+the tower limit lift through the normal cleavages they build themselves.
+The replay files the apex's objects and morphisms once under their leg
+images (and, for objects, their structure-cell components), so the
+candidate factorizations of each cone are dictionary lookups.
 
 A certificate is replayed on its first read and cached, so a limit built
 only for its apex or projections (the pullback inside a pseudolimit of an
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .core import (
-    CleavageNotNormal,
     FinCat,
     FinFunctor,
     Morphism,
@@ -137,11 +138,11 @@ def _leg_index(apex: FinCat, legs, cells=()):
     return choices
 
 
-def _certify(kind, noun, apex, legs, cells, cones, vertices) -> Certificate:
+def _certify(kind, noun, apex, legs, cells, cones) -> Certificate:
     """Replay the 1-dimensional universal property of (apex, legs, cells):
     every cone ``(cone_legs, cone_cells)`` that ``cones(X)`` yields from a
     test vertex X must factor through the apex exactly once."""
-    vertices = vertices or default_vertices()
+    vertices = default_vertices()
     choices = _leg_index(apex, legs, cells)
     checked, failures = 0, []
     for X in vertices:
@@ -164,7 +165,7 @@ def _certify(kind, noun, apex, legs, cells, cones, vertices) -> Certificate:
 # Strict pullback
 
 
-def pullback_strict(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness:
+def pullback_strict(F: FinFunctor, G: FinFunctor) -> LimitWitness:
     """The strict pullback of the cospan (F : A→C, G : B→C): the subcategory
     of A×B where both images agree.  B's objects and morphisms are filed by
     their G-images, so each one of A meets only those over its F-image."""
@@ -193,7 +194,7 @@ def pullback_strict(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness
         apex,
         (p, q),
         (),
-        lambda: _certify("pullback", "cone", apex, (p, q), (), cones, vertices),
+        lambda: _certify("pullback", "cone", apex, (p, q), (), cones),
         label=apex.label,
     )
 
@@ -213,7 +214,7 @@ def _pullback_cones(F: FinFunctor, G: FinFunctor):
 # Isocomma
 
 
-def isocomma(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness:
+def isocomma(F: FinFunctor, G: FinFunctor) -> LimitWitness:
     """The isocomma of (F : A→C, G : B→C): objects (a, b, γ : G b ≅ F a),
     with the invertible structure cell φ : G∘q ⇒ F∘p."""
     if F.target != G.target:
@@ -254,7 +255,7 @@ def isocomma(F: FinFunctor, G: FinFunctor, vertices=None) -> LimitWitness:
         apex,
         (p, q),
         (phi,),
-        lambda: _certify("isocomma", "isocone", apex, (p, q), (phi,), isocones, vertices),
+        lambda: _certify("isocomma", "isocone", apex, (p, q), (phi,), isocones),
         label=apex.label,
     )
 
@@ -297,16 +298,14 @@ def constant_iso_object(power: FunctorCat, b: str) -> str:
     )
 
 
-def pseudolimit_of_arrow(
-    f: FinFunctor, budget: int = DEFAULT_BUDGET, vertices=None
-) -> PseudolimitOfArrow:
+def pseudolimit_of_arrow(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> PseudolimitOfArrow:
     A, B = f.source, f.target
     free_iso = builtin("free_iso")
     power_b = functor_category(free_iso, B, budget)
     power_a = functor_category(free_iso, A, budget)
     cod_b = evaluation_functor(power_b, "1")
     dom_b = evaluation_functor(power_b, "0")
-    pb = pullback_strict(f, cod_b, vertices=vertices)
+    pb = pullback_strict(f, cod_b)
     L: TupleCat = pb.apex
     u, p = pb.projections
     v = p.then(dom_b)
@@ -394,9 +393,7 @@ def pseudolimit_injective_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
 # Inserter and equifier
 
 
-def inserter(
-    f: FinFunctor, g: FinFunctor, budget: int = DEFAULT_BUDGET, vertices=None
-) -> LimitWitness:
+def inserter(f: FinFunctor, g: FinFunctor, budget: int = DEFAULT_BUDGET) -> LimitWitness:
     """Universal object inserting a 2-cell f∘P ⇒ g∘P, built as a pullback of
     the endpoint restriction out of the arrow power."""
     if f.source != g.source or f.target != g.target:
@@ -408,7 +405,7 @@ def inserter(
         raise StructureError("endpoint restriction failed the discrete isofibration check")
     power2 = functor_category(builtin("two_discrete"), B, budget)
     pairing = functor_into_power([f, g], power2)
-    pb = pullback_strict(pairing, restriction, vertices=vertices)
+    pb = pullback_strict(pairing, restriction)
     apex: TupleCat = pb.apex
     to_a = pb.projections[0]
     power_arrow = functor_category(builtin("arrow"), B, budget)
@@ -424,9 +421,7 @@ def inserter(
     )
 
 
-def equifier(
-    t1: NatTrans, t2: NatTrans, budget: int = DEFAULT_BUDGET, vertices=None
-) -> LimitWitness:
+def equifier(t1: NatTrans, t2: NatTrans, budget: int = DEFAULT_BUDGET) -> LimitWitness:
     """Universal object over which two parallel 2-cells agree, built as a
     pullback of the fold restriction out of the arrow power."""
     if t1.source != t2.source or t1.target != t2.target:
@@ -438,7 +433,7 @@ def equifier(
         raise StructureError("fold restriction failed the discrete isofibration check")
     power_pp = functor_category(builtin("parallel_pair"), B, budget)
     pairing = cells_into_power([t1, t2], power_pp)
-    pb = pullback_strict(pairing, restriction, vertices=vertices)
+    pb = pullback_strict(pairing, restriction)
     to_a = pb.projections[0]
     return LimitWitness(pb.apex, (to_a,), (), lambda: pb.certificate, label="equifier")
 
@@ -508,21 +503,13 @@ class NormalPullback:
     witness: LimitWitness
 
 
-def build_normal_pullback(
-    f: FinFunctor,
-    g: FinFunctor,
-    cleavage: Cleavage | None = None,
-    vertices=None,
-) -> NormalPullback:
+def build_normal_pullback(f: FinFunctor, g: FinFunctor) -> NormalPullback:
     """Pullback of g along the normal isofibration f, computed without
-    strict pullbacks: straighten the isocomma through the cleavage and
-    split the induced idempotent."""
-    if cleavage is None:
-        cleavage = build_normal_cleavage(f)
-    if cleavage.fibration != f:
-        raise StructureError("cleavage does not belong to the left leg")
+    strict pullbacks: straighten the isocomma through f's normal cleavage
+    and split the induced idempotent."""
+    cleavage = build_normal_cleavage(f)
     C = f.target
-    ic = isocomma(f, g, vertices=vertices)
+    ic = isocomma(f, g)
     P: TupleCat = ic.apex
     p, q = ic.projections
     phi = ic.structure_cells[0]
@@ -537,11 +524,6 @@ def build_normal_pullback(
         _, n = P.mor_parts[m.name]
         e_mmap[m.name] = P.mor_named(e_omap[m.dom], e_omap[m.cod], (x.mor(m.name), n))
     e = FinFunctor(P, P, e_omap, e_mmap, label="idempotent")
-    if e.then(e) != e:
-        raise CleavageNotNormal(
-            "induced endofunctor is not idempotent; the cleavage lifts some "
-            "identity to a non-identity"
-        )
 
     splitting = split_idempotent(e)
     i = splitting.inclusion
@@ -550,7 +532,7 @@ def build_normal_pullback(
         apex,
         legs,
         (),
-        lambda: _certify("pullback", "cone", apex, legs, (), cones, vertices),
+        lambda: _certify("pullback", "cone", apex, legs, (), cones),
         label=f"pb_nif({f.label},{g.label})",
     )
     return NormalPullback(
@@ -564,12 +546,6 @@ def build_normal_pullback(
         splitting=splitting,
         witness=witness,
     )
-
-
-def pullback_along_normal_isofibration(
-    f: FinFunctor, g: FinFunctor, cleavage: Cleavage | None = None, vertices=None
-) -> LimitWitness:
-    return build_normal_pullback(f, g, cleavage, vertices).witness
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +593,7 @@ def strict_tower_limit(base: FinCat, maps) -> LimitWitness:
     return LimitWitness(apex, tuple(projections), (), lambda: cert, label="strict_tower")
 
 
-def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit:
+def tower_limit(base: FinCat, maps) -> TowerLimit:
     """Limit of a finite tower of normal isofibrations.
 
     The tower's pseudolimit is realized as an iterated isocomma; a strict
@@ -628,13 +604,7 @@ def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit
     maps = tuple(maps)
     cats = _tower_cats(base, maps)
     n = len(maps)
-    if cleavages is None:
-        cleavages = tuple(build_normal_cleavage(f) for f in maps)
-    else:
-        cleavages = tuple(cleavages)
-        for f, cl in zip(maps, cleavages):
-            if cl.fibration != f:
-                raise StructureError("cleavage list does not match the tower maps")
+    cleavages = tuple(build_normal_cleavage(f) for f in maps)
 
     # pseudolimit as iterated isocomma
     P: FinCat = base
@@ -642,7 +612,7 @@ def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit
     projections: list[FinFunctor] = [identity_functor(base)]
     consecutive: list[NatTrans] = []  # π^{k+1}_k, re-whiskered as stages grow
     for k, f in enumerate(maps):
-        ic = isocomma(projections[k], f, vertices=vertices)
+        ic = isocomma(projections[k], f)
         stage: TupleCat = ic.apex
         to_prev, to_new = ic.projections
         phi = ic.structure_cells[0]
@@ -676,8 +646,6 @@ def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit
 
     # Step 3: induced idempotent with identity structure data
     e = _tower_idempotent(P, stages, cats, cone) if n else identity_functor(P)
-    if e.then(e) != e:
-        raise CleavageNotNormal("tower idempotent fails e∘e = e")
 
     # Step 4: split; the split cone is strict over the whole tower
     splitting = split_idempotent(e)
@@ -694,9 +662,7 @@ def tower_limit(base: FinCat, maps, cleavages=None, vertices=None) -> TowerLimit
             for S in enumerate_functors(X, strict.apex):
                 yield [S.then(pr) for pr in strict.projections], ()
 
-        return _certify(
-            "tower", "strict cone", splitting.apex, limit_projs, (), strict_cones, vertices
-        )
+        return _certify("tower", "strict cone", splitting.apex, limit_projs, (), strict_cones)
 
     witness = LimitWitness(splitting.apex, limit_projs, (), certify, label="tower_limit")
     return TowerLimit(

@@ -329,9 +329,7 @@ def _edge_to_word(X: TruncSSet, edge: str, generators: set[str]):
     return ()
 
 
-def classifying_category(
-    X: TruncSSet, bound: int = DEFAULT_WORD_BOUND, label: str | None = None
-) -> FinCat:
+def classifying_category(X: TruncSSet, bound: int = DEFAULT_WORD_BOUND) -> FinCat:
     """The category presented by the nondegenerate 1-simplices modulo the
     triangle relations of the 2-simplices, computed by congruence closure
     over words of length at most ``bound``.
@@ -339,13 +337,11 @@ def classifying_category(
     Raises :class:`BoundExceeded` when some maximal-length word has no
     shorter representative or when class composition escapes the bound.
     """
-    cat, _ = _classifying_data(X, bound, label)
+    cat, _ = _classifying_data(X, bound)
     return cat
 
 
-def _classifying_data(
-    X: TruncSSet, bound: int = DEFAULT_WORD_BOUND, label: str | None = None
-):
+def _classifying_data(X: TruncSSet, bound: int = DEFAULT_WORD_BOUND):
     """(quotient category, word → morphism-name map)."""
     vertices = list(X.simplices[0])
     system = rewrite_system(X, bound)
@@ -426,7 +422,7 @@ def _classifying_data(
         names[root] = nm
         word_of[nm] = w
     # an edge whose name contains '·' can spell the name of another word
-    label = label or f"Π({X.label})"
+    label = f"Π({X.label})"
     if len(word_of) != len(morphisms):
         raise StructureError(f"{label}: duplicate morphism names")
     identity = {}
@@ -634,6 +630,8 @@ def check_powers_iso(
 ) -> PowersReport:
     """Compare [X, N Y] with N [Π X, Y] up to the given dimension (≤ 2),
     looking for a bijection compatible with all faces and degeneracies."""
+    if dim < 0:
+        raise StructureError(f"dimension {dim} is negative")
     if dim > 2:
         raise StructureError("comparison is supported up to dimension 2")
     NY = nerve_truncated(Y)

@@ -82,12 +82,10 @@ class Factorization:
     pseudolimit: PseudolimitOfArrow
 
 
-def factorize_wfs(
-    f: FinFunctor, budget: int = DEFAULT_BUDGET, vertices=None
-) -> Factorization:
+def factorize_wfs(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Factor f through the pseudolimit of the arrow: the diagonal followed
     by the target projection."""
-    pl = pseudolimit_of_arrow(f, budget, vertices)
+    pl = pseudolimit_of_arrow(f, budget)
     d, v = pl.diagonal, pl.to_target
     witness = pseudolimit_injective_witness(pl)
     cleavage = build_normal_cleavage(v)
@@ -101,18 +99,15 @@ def factorize_wfs(
     )
 
 
-def solve_lifting(
-    problem: LiftingProblem,
-    witness: EquivalenceWitness | None = None,
-    cleavage: Cleavage | None = None,
-) -> FinFunctor:
+def solve_lifting(problem: LiftingProblem, witness: EquivalenceWitness | None = None) -> FinFunctor:
     """Diagonal filler for a square with an injective equivalence on the
     left and a normal isofibration on the right.
 
-    The square is checked, and so are a witness and a cleavage the caller
-    passes; the ones built here are lawful by construction.  The filler is
-    built by lifting the whiskered counit-inverse through the cleavage;
-    normality then forces agreement with the top edge.
+    The square is checked, and so is a witness the caller passes; the
+    witness and the right edge's normal cleavage built here are lawful by
+    construction.  The filler is built by lifting the whiskered
+    counit-inverse through the cleavage; normality then forces agreement
+    with the top edge.
     """
     problem.validate()
     i, p = problem.left, problem.right
@@ -126,20 +121,7 @@ def solve_lifting(
         if witness.kind != "injective" or not witness.unit.is_identity():
             raise WitnessInvalid("witness must be injective-normalized (identity unit)")
         validate_witness(witness)
-    if cleavage is None:
-        cleavage = build_normal_cleavage(p)
-    else:
-        _check_cleavage(cleavage, p, "filler construction")
-    return _filler(problem, witness, cleavage)
-
-
-def _check_cleavage(cleavage: Cleavage, p: FinFunctor, use: str) -> None:
-    """A caller's cleavage must belong to p, be normal and lift every iso."""
-    if cleavage.fibration != p:
-        raise CleavageNotNormal("cleavage does not belong to the right edge")
-    if not cleavage.normal:
-        raise CleavageNotNormal(f"{use} needs a normal cleavage")
-    cleavage.check()
+    return _filler(problem, witness, build_normal_cleavage(p))
 
 
 def _filler(
@@ -171,10 +153,10 @@ def has_filler(problem: LiftingProblem) -> bool:
     return next(exhaustive_fillers(problem, limit=1), None) is not None
 
 
-def canonical_test_square(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> LiftingProblem:
+def canonical_test_square(f: FinFunctor) -> LiftingProblem:
     """The square whose fillers detect membership in the right class: the
     factorization's diagonal against f itself."""
-    fac = factorize_wfs(f, budget)
+    fac = factorize_wfs(f)
     return LiftingProblem(
         left=fac.left,
         right=f,
@@ -199,9 +181,7 @@ class LeibnizPower:
     report: FibrationReport
 
 
-def leibniz_power(
-    j: FinFunctor, p: FinFunctor, budget: int = DEFAULT_BUDGET, vertices=None
-) -> LeibnizPower:
+def leibniz_power(j: FinFunctor, p: FinFunctor, budget: int = DEFAULT_BUDGET) -> LeibnizPower:
     """For j : X → Y and p : A → B, the induced map A^Y → B^Y ×_{B^X} A^X
     together with its isofibration report."""
     if not j.injective_on_objects():
@@ -210,7 +190,7 @@ def leibniz_power(
     A, B = p.source, p.target
     p_x = postcompose_functor(p, X, budget)
     b_j = precompose_functor(j, B, budget)
-    pb = pullback_strict(p_x, b_j, vertices=vertices)
+    pb = pullback_strict(p_x, b_j)
     apex: TupleCat = pb.apex
     a_j = precompose_functor(j, A, budget)
     p_y = postcompose_functor(p, Y, budget)
@@ -256,11 +236,11 @@ class WfComparison:
         return all(self.biconditionals.values())
 
 
-def compute_wf(f: FinFunctor, budget: int = DEFAULT_BUDGET, vertices=None) -> WfComparison:
+def compute_wf(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> WfComparison:
     """Compute the induced map out of the iso-power and check that it is an
     isofibration (resp. normal) exactly when f is; when either holds it
     must moreover be a retract equivalence."""
-    pl = pseudolimit_of_arrow(f, budget, vertices)
+    pl = pseudolimit_of_arrow(f, budget)
     w = pl.power_comparison
     # only the iso-lifting flags enter the biconditionals
     rf = classify_fibration(f, grothendieck=False)
@@ -303,20 +283,13 @@ class RetractCertificate:
         return all(self.equations.values())
 
 
-def minimal_retract_witness(
-    f: FinFunctor,
-    cleavage: Cleavage | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> RetractCertificate:
+def minimal_retract_witness(f: FinFunctor) -> RetractCertificate:
     """For a normal isofibration f, solve the square (diagonal, f, 1,
     right leg) and package the retract diagram through the factorization."""
-    if cleavage is None:
-        if not classify_fibration(f).normal:
-            raise CleavageNotNormal(f"{f.label} is not a normal isofibration")
-        cleavage = build_normal_cleavage(f)
-    else:
-        _check_cleavage(cleavage, f, "retract presentation")
-    fac = factorize_wfs(f, budget)
+    if not classify_fibration(f).normal:
+        raise CleavageNotNormal(f"{f.label} is not a normal isofibration")
+    cleavage = build_normal_cleavage(f)
+    fac = factorize_wfs(f)
     problem = LiftingProblem(
         left=fac.left,
         right=f,

@@ -45,6 +45,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from fincat.core import (
+    CleavageNotNormal,
     EnumerationBudgetExceeded,
     FinCat,
     FinFunctor,
@@ -1444,6 +1445,25 @@ def functor_to_dict(F: FinFunctor) -> dict:
         "mmap": dict(F.mmap),
         "label": F.label,
     }
+
+
+def check_cleavage(cl: Cleavage) -> Cleavage:
+    """Every iso out of the image of every object lifts to an iso over it,
+    and, if the cleavage is flagged normal, every identity to an identity."""
+    p = cl.fibration
+    E, B = p.source, p.target
+    for e in E.objects:
+        for beta in B.isos:
+            if B.dom(beta) != p.ob(e):
+                continue
+            got = cl.lift.get((e, beta))
+            if got is None:
+                raise StructureError(f"cleavage missing a lift at ({e}, {beta})")
+            if E.dom(got) != e or not E.is_iso(got) or p.mor(got) != beta:
+                raise StructureError(f"cleavage entry ({e}, {beta}) -> {got} is not a lift")
+            if cl.normal and B.is_identity(beta) and not E.is_identity(got):
+                raise CleavageNotNormal(f"identity at {e} lifts to {got}")
+    return cl
 
 
 def check_rewrite_system(rs: RewriteSystem) -> RewriteSystem:

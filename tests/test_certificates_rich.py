@@ -1,11 +1,23 @@
 """Universal properties replayed against a richer set of cone vertices, and
 serializer round-trips."""
-from fincat.core import FinFunctor, builtin, identity_functor, validate_functor
+import pytest
+
+from fincat import limits
+from fincat.core import (
+    FinFunctor,
+    builtin,
+    identity_functor,
+    identity_nat,
+    validate_functor,
+)
 from fincat.corpus import chaotic_collapse, to_terminal_functor
 from fincat.funcat import evaluation_functor, functor_category, precompose_functor
 from fincat.limits import (
     build_normal_pullback,
+    equifier,
+    inserter,
     isocomma,
+    pseudolimit_of_arrow,
     pullback_strict,
     tower_limit,
 )
@@ -18,41 +30,71 @@ RICH = (
     builtin("free_iso"),
     builtin("parallel_pair"),
 )
+RICH_LABELS = tuple(c.label for c in RICH)
 
 
-def test_pullback_certificate_with_rich_vertices():
+@pytest.fixture()
+def rich(monkeypatch):
+    """Certificates replayed from here on test against RICH."""
+    monkeypatch.setattr(limits, "default_vertices", lambda: RICH)
+
+
+def test_pullback_certificate_with_rich_vertices(rich):
     two = builtin("arrow")
     power = functor_category(builtin("free_iso"), two)
     cod = evaluation_functor(power, "1")
-    w = pullback_strict(cod, cod, vertices=RICH)
-    assert w.certificate.ok
-    assert w.certificate.cones_checked >= 10
-    assert set(w.certificate.vertices) == {c.label for c in RICH}
+    cert = pullback_strict(cod, cod).certificate
+    assert cert.ok
+    assert cert.cones_checked >= 10
+    assert cert.vertices == RICH_LABELS
 
 
-def test_isocomma_certificate_with_rich_vertices():
+def test_isocomma_certificate_with_rich_vertices(rich):
     chaos = builtin("chaotic(2)")
-    w = isocomma(identity_functor(chaos), identity_functor(chaos), vertices=RICH)
-    assert w.certificate.ok
-    assert w.certificate.cones_checked > 20
+    cert = isocomma(identity_functor(chaos), identity_functor(chaos)).certificate
+    assert cert.ok
+    assert cert.cones_checked > 20
+    assert cert.vertices == RICH_LABELS
 
 
-def test_normal_pullback_certificate_with_rich_vertices():
+def test_normal_pullback_certificate_with_rich_vertices(rich):
     chaos = builtin("chaotic(2)")
     f = to_terminal_functor(chaos)
-    np = build_normal_pullback(f, f, vertices=RICH)
-    assert np.witness.certificate.ok
+    cert = build_normal_pullback(f, f).witness.certificate
+    assert cert.ok
+    assert cert.vertices == RICH_LABELS
 
 
-def test_tower_certificate_with_rich_vertices():
+def test_tower_certificate_with_rich_vertices(rich):
     one = builtin("terminal")
-    tl = tower_limit(
-        one,
-        [to_terminal_functor(builtin("chaotic(2)")), chaotic_collapse()],
-        vertices=RICH,
-    )
-    assert tl.witness.certificate.ok
-    assert tl.witness.certificate.cones_checked > 5
+    tl = tower_limit(one, [to_terminal_functor(builtin("chaotic(2)")), chaotic_collapse()])
+    cert = tl.witness.certificate
+    assert cert.ok
+    assert cert.cones_checked > 5
+    assert cert.vertices == RICH_LABELS
+
+
+def test_pseudolimit_certificate_with_rich_vertices(rich):
+    cert = pseudolimit_of_arrow(to_terminal_functor(builtin("chaotic(2)"))).witness.certificate
+    assert cert.ok
+    assert cert.cones_checked == 14
+    assert cert.vertices == RICH_LABELS
+
+
+def test_inserter_certificate_with_rich_vertices(rich):
+    chaos = builtin("chaotic(2)")
+    cert = inserter(identity_functor(chaos), identity_functor(chaos)).certificate
+    assert cert.ok
+    assert cert.cones_checked == 14
+    assert cert.vertices == RICH_LABELS
+
+
+def test_equifier_certificate_with_rich_vertices(rich):
+    t = identity_nat(identity_functor(builtin("arrow")))
+    cert = equifier(t, t).certificate
+    assert cert.ok
+    assert cert.cones_checked == 10
+    assert cert.vertices == RICH_LABELS
 
 
 def test_functor_round_trip_through_serialization(tmp_path):

@@ -596,3 +596,15 @@ def test_powers_check_of_the_interval_into_chaotic_4_finds_the_bijection(tmp_pat
     result = json.loads(res.stdout.strip().splitlines()[-1])["result"]
     assert result["left_counts"] == result["right_counts"] == [16, 256, 4096]
     assert result["bijection_found"] is True
+
+
+def test_powers_check_refuses_a_negative_dimension(workdir):
+    sset = str(Path(__file__).resolve().parent.parent / "sample_data" / "interval_sset.json")
+    argv = ["powers-check", "--sset", sset, "--category", "arrow.json", "--dim", "-1"]
+    res = invoke(argv, workdir)
+    assert res.exit_code == 2
+    assert json.loads(res.output.strip().splitlines()[-1]) == {
+        "command": "powers-check",
+        "error": "StructureError",
+        "detail": "dimension -1 is negative",
+    }

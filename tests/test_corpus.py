@@ -18,7 +18,7 @@ from fincat.counterexamples import build_fy
 from fincat.fibrations import classify_fibration
 from fincat.funcat import evaluation_functor, functor_category
 from fincat.limits import equifier
-from helpers import constant_functor
+from helpers import check_cleavage, constant_functor
 
 
 def test_corpus_categories_all_validated_and_bounded():
@@ -98,7 +98,7 @@ def test_cod_projection_cleavage_lifts_are_evident_squares():
     power = functor_category(builtin("free_iso"), chaos)
     cod = evaluation_functor(power, "1")
     cl = build_normal_cleavage(cod)
-    cl.check()
+    check_cleavage(cl)
     for (e, beta), lifted in cl.lift.items():
         # the chosen lift projects onto the downstairs isomorphism and is
         # the first valid candidate in morphism order

@@ -16,7 +16,7 @@ from fincat.fibrations import (
     classify_fibration,
     lift_iso_2cell,
 )
-from helpers import constant_functor, lift_from, perturbed_cleavage
+from helpers import check_cleavage, constant_functor, lift_from, perturbed_cleavage
 
 
 def to_terminal(cat):
@@ -91,7 +91,7 @@ def test_normal_cleavage_exists_exactly_for_representable_functors():
             cl = None
         assert (cl is not None) == classify_fibration(F, grothendieck=False).representable, F
         if cl is not None:
-            cl.check()
+            check_cleavage(cl)
 
 
 def test_build_normal_cleavage_identity_functor():
@@ -102,7 +102,7 @@ def test_build_normal_cleavage_identity_functor():
         for beta in iso.isos:
             if iso.dom(beta) == e:
                 assert lift_from(cl, e, beta) == beta
-    cl.check()
+    check_cleavage(cl)
 
 
 def test_build_normal_cleavage_chaotic_over_terminal():
@@ -130,7 +130,7 @@ def test_perturbed_cleavage_is_not_normal():
     assert bad
     strict = Cleavage(cl.fibration, cl.lift, normal=True)
     with pytest.raises(CleavageNotNormal):
-        strict.check()
+        check_cleavage(strict)
 
 
 def test_perturbed_cleavage_impossible_for_discrete_fibration():

@@ -2,7 +2,6 @@ import pytest
 
 from fincat import limits
 from fincat.core import (
-    CleavageNotNormal,
     FinFunctor,
     NotIdempotent,
     builtin,
@@ -36,7 +35,6 @@ from fincat.limits import (
     isocomma,
     pseudolimit_injective_witness,
     pseudolimit_of_arrow,
-    pullback_along_normal_isofibration,
     pullback_strict,
     split_idempotent,
     strict_tower_limit,
@@ -44,7 +42,7 @@ from fincat.limits import (
     tower_limit,
 )
 from fincat.wfs import compute_wf, factorize_wfs
-from helpers import constant_functor, perturbed_cleavage, pseudolimit_retract_witness
+from helpers import constant_functor, pseudolimit_retract_witness
 
 
 def to_terminal(cat):
@@ -84,7 +82,7 @@ def test_certificate_reports_cones_that_do_not_factor_once(apex, hits):
     one = identity_functor(builtin("terminal"))
     P = builtin(apex)
     leg = to_terminal(P)
-    cert = _certify("pullback", "cone", P, (leg, leg), (), _pullback_cones(one, one), None)
+    cert = _certify("pullback", "cone", P, (leg, leg), (), _pullback_cones(one, one))
     assert not cert.ok
     assert cert.cones_checked == 2
     assert cert.failures == (
@@ -391,7 +389,7 @@ def test_normal_pullback_of_identity_leg():
         {"0": "0", "1": "1"},
         {"id_0": "u0_0", "id_1": "u1_1", "to": "u0_1", "fro": "u1_0"},
     )
-    w = pullback_along_normal_isofibration(f, g)
+    w = build_normal_pullback(f, g).witness
     assert find_isomorphism(w.apex, B) is not None
     assert w.certificate.ok
 
@@ -400,7 +398,7 @@ def test_normal_pullback_to_terminal_recovers_other_leg():
     chaos = builtin("chaotic(2)")
     f = to_terminal(chaos)
     g = identity_functor(builtin("terminal"))
-    w = pullback_along_normal_isofibration(f, g)
+    w = build_normal_pullback(f, g).witness
     assert find_isomorphism(w.apex, chaos) is not None
 
 
@@ -413,15 +411,6 @@ def test_normal_pullback_matches_strict_oracle():
     assert np.idempotent.then(np.idempotent) == np.idempotent
     iso = find_isomorphism_over(np.witness, strict)
     assert iso is not None
-
-
-def test_normal_pullback_rejects_non_normal_cleavage():
-    chaos = builtin("chaotic(2)")
-    f = to_terminal(chaos)
-    cl = perturbed_cleavage(f)
-    assert cl is not None
-    with pytest.raises(CleavageNotNormal):
-        build_normal_pullback(f, identity_functor(builtin("terminal")), cleavage=cl)
 
 
 # -- tower limits --------------------------------------------------------------
@@ -495,14 +484,6 @@ def test_tower_limit_equations_hold_on_the_corpus():
         projections = tl.witness.projections
         for k, f in enumerate(maps):
             assert projections[k + 1].then(f) == projections[k], case
-
-
-def test_tower_rejects_non_normal_cleavage():
-    chaos = builtin("chaotic(2)")
-    f = to_terminal(chaos)
-    cl = perturbed_cleavage(f)
-    with pytest.raises(CleavageNotNormal):
-        tower_limit(builtin("terminal"), [f], cleavages=[cl])
 
 
 # -- certificates are replayed on first read -----------------------------------

@@ -3,7 +3,6 @@ import pytest
 from fincat.core import (
     CleavageNotNormal,
     FinFunctor,
-    StructureError,
     builtin,
     builtin_functor,
     identity_functor,
@@ -13,7 +12,7 @@ from fincat.equivalence import (
     classify_equivalence,
     find_retractions,
 )
-from fincat.fibrations import Cleavage, build_normal_cleavage, classify_fibration
+from fincat.fibrations import classify_fibration
 from fincat.corpus import corpus_functors
 from fincat.funcat import (
     evaluation_functor,
@@ -33,7 +32,7 @@ from fincat.wfs import (
     minimal_retract_witness,
     solve_lifting,
 )
-from helpers import constant_functor, perturbed_cleavage, witness_from_parts
+from helpers import constant_functor, witness_from_parts
 
 
 def to_terminal(cat):
@@ -135,20 +134,6 @@ def test_solve_lifting_point_into_iso_against_cod():
     assert square.is_filler(h)
     everyone = list(exhaustive_fillers(square))
     assert any(h == cand for cand in everyone)
-
-
-def test_solve_lifting_rejects_non_normal_cleavage():
-    chaos = builtin("chaotic(2)")
-    p = to_terminal(chaos)
-    bad = perturbed_cleavage(p)
-    square = LiftingProblem(
-        left=identity_functor(builtin("terminal")),
-        right=p,
-        top=constant_functor(builtin("terminal"), chaos, "0"),
-        bottom=identity_functor(builtin("terminal")),
-    ).validate()
-    with pytest.raises(CleavageNotNormal):
-        solve_lifting(square, cleavage=bad)
 
 
 def test_canonical_square_detects_right_class():
@@ -273,18 +258,3 @@ def test_minimal_retract_for_chaotic_over_terminal():
 def test_minimal_retract_rejects_non_isofibration():
     with pytest.raises(CleavageNotNormal):
         minimal_retract_witness(builtin_functor("point_to_iso"))
-
-
-def test_minimal_retract_checks_a_callers_cleavage():
-    """A cleavage the caller passes is checked: one that is not normal, one
-    of another functor and one that lifts an iso to a non-lift are refused."""
-    p = to_terminal(builtin("chaotic(2)"))
-    with pytest.raises(CleavageNotNormal, match="retract presentation needs a normal cleavage"):
-        minimal_retract_witness(p, cleavage=perturbed_cleavage(p))
-    other = build_normal_cleavage(to_terminal(builtin("chaotic(3)")))
-    with pytest.raises(CleavageNotNormal, match="does not belong"):
-        minimal_retract_witness(p, cleavage=other)
-    good = build_normal_cleavage(p)
-    wrong = {(e, b): p.source.id_of("1" if e == "0" else "0") for e, b in good.lift}
-    with pytest.raises(StructureError, match="is not a lift"):
-        minimal_retract_witness(p, cleavage=Cleavage(p, wrong, normal=True))
