@@ -11,7 +11,7 @@ import copy
 import hashlib
 import json
 import re
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from operator import getitem, itemgetter
@@ -882,11 +882,14 @@ class TupleCat(FinCat):
     since names are determined by endpoints and parts and each law holds
     part by part; its projections are functors for the same reason.
 
+    Inverses and composites are read off the factors.  m is invertible
+    exactly when the morphism cod m → dom m whose parts are the factors'
+    inverses of m's parts exists, and that morphism is its inverse.
     Composites are computed on first use: :meth:`compose` finds g∘f from
     the parts through the factors' ``compose`` and remembers it, and the
     first read of ``comp`` (a digest, ``==``, :func:`validate_category`, a
-    search) fills the whole table once, from the factors' tables; after
-    that ``compose`` reads the table.  The constructor raises
+    search) fills the whole table once, g by g, from each factor's row at
+    g's part; after that ``compose`` reads the table.  The constructor raises
     :class:`StructureError` when two morphisms share endpoints and parts or
     an identity is missing; a missing composite raises it from the first
     ``compose`` of that pair or the first read of ``comp``."""
@@ -908,6 +911,7 @@ class TupleCat(FinCat):
             self.mor_parts[name] = parts
             mors.append(Morphism(name, dom, cod))
         self._mor_lookup = lookup
+        self.label = label
         identities = [X.identity for X in self.factors]
         try:
             identity = {
@@ -921,7 +925,6 @@ class TupleCat(FinCat):
         self.objects = tuple(name for name, _ in objects)
         self.morphisms = tuple(mors)
         self.identity = identity
-        self.label = label
         # g∘f by (g, f): the composites found so far, then the whole table
         self._composites: dict[tuple[str, str], str] = {}
         # the whole table once filled, in a list that relabelled copies
@@ -952,18 +955,35 @@ class TupleCat(FinCat):
     @cached_property
     def comp(self) -> dict[tuple[str, str], str]:
         if not self._filled:
-            lookup, mor_parts = self._mor_lookup, self.mor_parts
-            comps = [X.comp for X in self.factors]
+            lookup, mor_parts, by_name = self._mor_lookup, self.mor_parts, self._by_name
+            factor_rows = [_rows(X.comp) for X in self.factors]
             comp = {}
             try:
-                for g, f in composable_morphisms(self.morphisms):
-                    pairs = zip(mor_parts[g.name], mor_parts[f.name])
-                    comp[g.name, f.name] = lookup[f.dom, g.cod, tuple(map(getitem, comps, pairs))]
+                for g in self.morphisms:
+                    # each factor's row at g's part, read at f's parts
+                    rows = list(map(getitem, factor_rows, mor_parts[g.name]))
+                    for f in self._into_table[g.dom]:
+                        parts = tuple(map(getitem, rows, mor_parts[f]))
+                        comp[g.name, f] = lookup[by_name[f].dom, g.cod, parts]
             except KeyError as exc:
                 raise self._missing(exc) from None
             self._filled.append(comp)
         self._composites = self._filled[0]
         return self._composites
+
+    @cached_property
+    def _inverse(self) -> dict[str, str]:
+        inverses = [X._inverse for X in self.factors]
+        inv: dict[str, str] = {}
+        for m in self.morphisms:
+            try:
+                parts = tuple(map(getitem, inverses, self.mor_parts[m.name]))
+            except KeyError:  # a part is not invertible
+                continue
+            n = self._mor_lookup.get((m.cod, m.dom, parts))
+            if n is not None:
+                inv[m.name] = n
+        return inv
 
     def obj_named(self, parts: tuple) -> str:
         return self._obj_lookup[tuple(parts)]
@@ -1039,21 +1059,32 @@ _PARAM_RE = re.compile(r"^(discrete|chaotic)\((\d+)\)$")
 BUILTIN_MAX_COMP = 125_000
 
 
+_FIXED_BUILTINS = {
+    "terminal": terminal_category,
+    "two_discrete": lambda: discrete_category(2).relabel("two_discrete"),
+    "arrow": arrow_category,
+    "parallel_pair": parallel_pair_category,
+    "free_iso": free_iso_category,
+}
+
+
+@cache
+def _fixed_builtin(name: str) -> FinCat:
+    return _FIXED_BUILTINS[name]()
+
+
 def builtin(name: str) -> FinCat:
     """Return a builtin category by name.
 
     Names: ``terminal``, ``discrete(n)``, ``two_discrete``, ``arrow``,
-    ``parallel_pair``, ``free_iso``, ``chaotic(n)``.
+    ``parallel_pair``, ``free_iso``, ``chaotic(n)``.  The five fixed
+    categories are built once and shared, with their digests and derived
+    tables, since categories are immutable; ``discrete(n)`` and
+    ``chaotic(n)`` are built on each call, so no large table outlives its
+    use.
     """
-    fixed = {
-        "terminal": terminal_category,
-        "two_discrete": lambda: discrete_category(2).relabel("two_discrete"),
-        "arrow": arrow_category,
-        "parallel_pair": parallel_pair_category,
-        "free_iso": free_iso_category,
-    }
-    if name in fixed:
-        return fixed[name]()
+    if name in _FIXED_BUILTINS:
+        return _fixed_builtin(name)
     m = _PARAM_RE.match(name.replace(" ", ""))
     if m:
         kind, digits = m.groups()

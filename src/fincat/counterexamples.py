@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from operator import getitem
 
@@ -239,6 +240,7 @@ def arrow_hom_postcompose(X: FinFunctor, f: ArrowMorphism) -> FinFunctor:
     return FinFunctor(src.category, dst, omap, mmap, label=f"[{X.label},f]")
 
 
+@cache
 def default_arrow_test_objects() -> tuple[FinFunctor, ...]:
     one = terminal_category()
     two = discrete_category(2)

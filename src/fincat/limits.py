@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .core import (
     FinCat,
@@ -56,10 +56,8 @@ from .funcat import (
 )
 
 
-@lru_cache(maxsize=1)
 def default_vertices() -> tuple[FinCat, ...]:
-    """The terminal category and the generic arrow, built once: categories
-    are immutable, so every certificate can share them."""
+    """The terminal category and the generic arrow, the shared builtins."""
     return (builtin("terminal"), builtin("arrow"))
 
 

@@ -346,6 +346,9 @@ def _classifying_data(X: TruncSSet, bound: int = DEFAULT_WORD_BOUND):
     vertices = list(X.simplices[0])
     system = rewrite_system(X, bound)
     generators = list(system.generators)
+    # the representative check below sees only words of length bound > 0
+    if bound == 0 and generators:
+        raise BoundExceeded(f"generator {generators[0]} is a word longer than the bound 0")
     gen_dom = {e: dom for e, (dom, _) in system.endpoints.items()}
     gen_cod = {e: cod for e, (_, cod) in system.endpoints.items()}
 

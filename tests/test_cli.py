@@ -608,3 +608,21 @@ def test_powers_check_refuses_a_negative_dimension(workdir):
         "error": "StructureError",
         "detail": "dimension -1 is negative",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify-sset", "--sset", "interval_sset.json"],
+        ["powers-check", "--sset", "interval_sset.json", "--category", "arrow.json", "--dim", "0"],
+    ],
+    ids=["classify-sset", "powers-check"],
+)
+def test_word_bound_zero_refuses_the_first_generator(argv):
+    res = invoke(["--word-bound", "0", *argv], Path(__file__).resolve().parent.parent / "sample_data")
+    assert res.exit_code == 2
+    assert payload(res) == {
+        "command": argv[0],
+        "error": "BoundExceeded",
+        "detail": "generator (a) is a word longer than the bound 0",
+    }

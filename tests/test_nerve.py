@@ -280,3 +280,13 @@ def test_classifying_category_reports_a_composite_escaping_the_bound():
     assert str(info.value) == "composite of [(g)·(f)] and [(g)·(f)] escapes the bound 3"
     cat = classifying_category(X, 4)
     assert [m.name for m in cat.morphisms] == ["id@a", "id@b", "[(f)]", "[(g)]", "[(g)·(f)]"]
+
+
+def test_word_bound_zero_refuses_the_first_generator():
+    with pytest.raises(BoundExceeded) as info:
+        classifying_category(standard_simplex(1), 0)
+    assert str(info.value) == "generator 01 is a word longer than the bound 0"
+    # with no nondegenerate edge there is no generator to refuse
+    for X in (standard_simplex(0), sset_product(standard_simplex(0), standard_simplex(0))):
+        P = classifying_category(X, 0)
+        assert P.n_objects == P.n_morphisms == 1

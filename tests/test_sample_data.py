@@ -7,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from fincat.cli import main
+from fincat.core import _FIXED_BUILTINS, builtin
+from fincat.corpus import corpus_functors
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_data"
 
@@ -21,29 +23,29 @@ def invoke(args):
         os.chdir(prev)
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["validate", "arrow.json"],
-        ["classify", "--functor", "cod_iso_power.json"],
-        ["factorize", "--functor", "arrow_to_terminal.json"],
-        ["lift", "--square", "square.json"],
-        ["limit", "pullback", "--f", "arrow_to_terminal.json", "--g", "arrow_to_terminal.json"],
-        ["limit", "isocomma", "--f", "arrow_to_terminal.json", "--g", "arrow_to_terminal.json"],
-        ["limit", "pseudolimit", "--f", "arrow_to_terminal.json"],
-        ["limit", "inserter", "--f", "arrow_identity.json", "--g", "arrow_identity.json"],
-        ["limit", "equifier", "--t1", "identity_cell.json", "--t2", "identity_cell.json"],
-        ["limit", "split", "--e", "arrow_identity.json"],
-        ["limit", "pullback-nif", "--f", "arrow_to_terminal.json", "--g", "arrow_to_terminal.json"],
-        ["limit", "tower", "--tower", "tower.json"],
-        ["leibniz", "--j", "endpoint_inclusion.json", "--p", "arrow_to_terminal.json"],
-        ["wf", "--functor", "arrow_to_terminal.json"],
-        ["cosmos-check", "--fragment", "fragment.json"],
-        ["classify-sset", "--sset", "interval_sset.json"],
-        ["powers-check", "--sset", "interval_sset.json", "--category", "arrow.json"],
-        ["nerve", "--category", "arrow.json"],
-    ],
-)
+README_COMMANDS = [
+    ["validate", "arrow.json"],
+    ["classify", "--functor", "cod_iso_power.json"],
+    ["factorize", "--functor", "arrow_to_terminal.json"],
+    ["lift", "--square", "square.json"],
+    ["limit", "pullback", "--f", "arrow_to_terminal.json", "--g", "arrow_to_terminal.json"],
+    ["limit", "isocomma", "--f", "arrow_to_terminal.json", "--g", "arrow_to_terminal.json"],
+    ["limit", "pseudolimit", "--f", "arrow_to_terminal.json"],
+    ["limit", "inserter", "--f", "arrow_identity.json", "--g", "arrow_identity.json"],
+    ["limit", "equifier", "--t1", "identity_cell.json", "--t2", "identity_cell.json"],
+    ["limit", "split", "--e", "arrow_identity.json"],
+    ["limit", "pullback-nif", "--f", "arrow_to_terminal.json", "--g", "arrow_to_terminal.json"],
+    ["limit", "tower", "--tower", "tower.json"],
+    ["leibniz", "--j", "endpoint_inclusion.json", "--p", "arrow_to_terminal.json"],
+    ["wf", "--functor", "arrow_to_terminal.json"],
+    ["cosmos-check", "--fragment", "fragment.json"],
+    ["classify-sset", "--sset", "interval_sset.json"],
+    ["powers-check", "--sset", "interval_sset.json", "--category", "arrow.json"],
+    ["nerve", "--category", "arrow.json"],
+]
+
+
+@pytest.mark.parametrize("args", README_COMMANDS)
 def test_sample_command_passes(args):
     res = invoke(args)
     assert res.exit_code == 0, res.output
@@ -83,3 +85,28 @@ def test_constructions_are_reproducible_across_fresh_runs():
 
     first, second = build(), build()
     assert first == second
+
+
+FIXED_BUILTINS = ("terminal", "two_discrete", "arrow", "parallel_pair", "free_iso")
+
+
+def test_shared_builtins_stay_as_built():
+    """The fixed builtins are shared by every caller, which is safe only
+    while nothing changes a category in place: after the corpus, the
+    acceptance suite and the README commands have used them, each still
+    equals a fresh build."""
+    for name in FIXED_BUILTINS:
+        assert builtin(name) is builtin(name)
+    # parametrised builtins may be large, so none is kept
+    for name in ("chaotic(2)", "discrete(2)"):
+        assert builtin(name) is not builtin(name)
+    corpus_functors()
+    assert invoke(["suite", "acceptance"]).exit_code == 0
+    for args in README_COMMANDS:
+        assert invoke(args).exit_code == 0, args
+    for name in FIXED_BUILTINS:
+        shared, fresh = builtin(name), _FIXED_BUILTINS[name]()
+        assert shared is not fresh
+        assert shared.label == fresh.label
+        assert shared.to_dict() == fresh.to_dict()
+        assert shared.digest == fresh.digest
