@@ -882,14 +882,14 @@ class TupleCat(FinCat):
     since names are determined by endpoints and parts and each law holds
     part by part; its projections are functors for the same reason.
 
-    Inverses and composites are read off the factors.  m is invertible
-    exactly when the morphism cod m → dom m whose parts are the factors'
-    inverses of m's parts exists, and that morphism is its inverse.
+    Inverses are read off the factors: m is invertible exactly when the
+    morphism cod m → dom m whose parts are the factors' inverses of m's
+    parts exists, and that morphism is its inverse.
     Composites are computed on first use: :meth:`compose` finds g∘f from
     the parts through the factors' ``compose`` and remembers it, and the
     first read of ``comp`` (a digest, ``==``, :func:`validate_category`, a
-    search) fills the whole table once, g by g, from each factor's row at
-    g's part; after that ``compose`` reads the table.  The constructor raises
+    search) fills the whole table once, from the factors' tables; after
+    that ``compose`` reads the table.  The constructor raises
     :class:`StructureError` when two morphisms share endpoints and parts or
     an identity is missing; a missing composite raises it from the first
     ``compose`` of that pair or the first read of ``comp``."""
@@ -955,16 +955,13 @@ class TupleCat(FinCat):
     @cached_property
     def comp(self) -> dict[tuple[str, str], str]:
         if not self._filled:
-            lookup, mor_parts, by_name = self._mor_lookup, self.mor_parts, self._by_name
-            factor_rows = [_rows(X.comp) for X in self.factors]
+            lookup, mor_parts = self._mor_lookup, self.mor_parts
+            comps = [X.comp for X in self.factors]
             comp = {}
             try:
-                for g in self.morphisms:
-                    # each factor's row at g's part, read at f's parts
-                    rows = list(map(getitem, factor_rows, mor_parts[g.name]))
-                    for f in self._into_table[g.dom]:
-                        parts = tuple(map(getitem, rows, mor_parts[f]))
-                        comp[g.name, f] = lookup[by_name[f].dom, g.cod, parts]
+                for g, f in composable_morphisms(self.morphisms):
+                    pairs = zip(mor_parts[g.name], mor_parts[f.name])
+                    comp[g.name, f.name] = lookup[f.dom, g.cod, tuple(map(getitem, comps, pairs))]
             except KeyError as exc:
                 raise self._missing(exc) from None
             self._filled.append(comp)

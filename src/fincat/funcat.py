@@ -15,11 +15,6 @@ reports both the bound and the requirement, so blowups are loud rather
 than slow.  The transformations of a pair are the tuples of that counted
 product that pass C's naturality squares, so the candidates checked are
 the ones the budget counted.
-
-The iso-power, by the free isomorphism I, is listed from the isomorphisms
-of D: a functor I → D is an isomorphism ω with its inverse, and a
-transformation ω ⇒ ω' is fixed by its component t0, since naturality gives
-t1 = ω'∘t0∘ω⁻¹.  It is counted against the budget as any other power.
 """
 from __future__ import annotations
 
@@ -35,7 +30,6 @@ from .core import (
     StructureError,
     TupleCat,
     _natural_parts,
-    builtin,
     enumerate_functors,
 )
 
@@ -79,24 +73,12 @@ def _functor_parts(C: FinCat, omap, mmap) -> tuple[str, ...]:
     return tuple(omap[a] for a in C.objects) + tuple(mmap[m.name] for m in C.morphisms)
 
 
-def _object_name(C: FinCat, parts: tuple[str, ...]) -> str:
-    """The name of the functor with these parts: its object images, then
-    its images of C's non-identity morphisms."""
-    n = C.n_objects
-    objs = ",".join(parts[:n])
-    nonid = [x for m, x in zip(C.morphisms, parts[n:]) if not C.is_identity(m.name)]
+def _object_name(C: FinCat, F: FinFunctor) -> str:
+    objs = ",".join(F.ob(a) for a in C.objects)
+    nonid = [m.name for m in C.morphisms if not C.is_identity(m.name)]
     if nonid:
-        return f"({objs};{','.join(nonid)})"
+        return f"({objs};{','.join(F.mor(m) for m in nonid)})"
     return f"({objs})"
-
-
-def _iso_functor_parts(D: FinCat) -> list[tuple[str, ...]]:
-    """The parts of the functors free_iso → D in the order of
-    :func:`enumerate_functors`: an isomorphism ω : x → y and its inverse,
-    by x, then y, then ω in hom order."""
-    at = D.obj_index
-    isos = sorted(map(D.mor, D.isos), key=lambda w: (at[w.dom], at[w.cod]))
-    return [(x, y, D.id_of(x), D.id_of(y), w, D.inverse(w)) for w, x, y in isos]
 
 
 def _estimate_functor_candidates(C: FinCat, D: FinCat, budget: int) -> int:
@@ -125,9 +107,7 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
     """The category of functors C → D and natural transformations, with
     vertical composition, labelled ``[C.label,D.label]``.  Results are
     cached by content; a power cached for content-equal categories under
-    other labels comes back relabelled.  When C is the free isomorphism its
-    functors and transformations are read off D's isomorphisms (see the
-    module docstring), in the order of the general search."""
+    other labels comes back relabelled."""
     cache_key = (C.digest, D.digest)
     label = f"[{C.label},{D.label}]"
     # a cached power that the budget refuses is counted afresh, so the
@@ -141,12 +121,9 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
     if required > budget:
         raise EnumerationBudgetExceeded(budget, required, f"power {D.label}^{C.label}")
 
-    iso = C.digest == builtin("free_iso").digest
-    if iso:
-        parts = _iso_functor_parts(D)
-    else:
-        parts = [_functor_parts(C, F.omap, F.mmap) for F in enumerate_functors(C, D)]
-    names = [_object_name(C, p) for p in parts]
+    functor_list = list(enumerate_functors(C, D))
+    names = [_object_name(C, F) for F in functor_list]
+    parts = [_functor_parts(C, F.omap, F.mmap) for F in functor_list]
     n = C.n_objects
 
     # one pass over the ordered pairs: count each pair's candidate product
@@ -177,11 +154,7 @@ def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> Func
     morphisms = []
     for i, j, homs in kept:
         F, G = parts[i], parts[j]
-        if iso:
-            # naturality at ω fixes t1 = ω'∘t0∘ω⁻¹, and then it holds at ω⁻¹
-            natural = [(t0, comp[G[4], comp[t0, F[5]]]) for t0 in homs[0]]
-        else:
-            natural = _natural_parts(comp, homs, [(d, e, G[s], F[s]) for d, e, s in squares])
+        natural = _natural_parts(comp, homs, [(d, e, G[s], F[s]) for d, e, s in squares])
         for comps in natural:
             morphisms.append((f"[{','.join(comps)}]{i}>{j}", names[i], names[j], comps))
 

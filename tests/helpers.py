@@ -33,10 +33,6 @@ ordered pair, as ``functor_category`` did before it filtered each pair's
 candidate product by naturality, and as ``arrow_hom_category`` did before
 it prefiltered its pairs of squares and filed each t1 by its components on
 the image of X: they keep every t0 and every t1 whose whiskers agree.
-The power references list every power's functors by the general search,
-as ``functor_category`` did for the free isomorphism before it listed
-that power's functors as isomorphisms and its transformations by their
-first component.
 The search references recurse one frame per position, as the functor,
 isomorphism, transformation, simplicial-map and leveled-bijection searches
 and the power's size estimate did before they ran on one explicit stack.
@@ -89,7 +85,6 @@ from fincat.funcat import (
     DEFAULT_BUDGET,
     FunctorCat,
     _estimate_functor_candidates,
-    _functor_parts,
     _object_name,
     functor_category,
 )
@@ -852,15 +847,6 @@ def name_of_transformation(power: FunctorCat, t: NatTrans) -> str:
     )
 
 
-def power_objects_reference(C: FinCat, D: FinCat) -> list:
-    """The objects ``(name, parts)`` of the power D^C, one per functor of
-    the general search, in its order."""
-    return [
-        (_object_name(C, parts), parts)
-        for parts in (_functor_parts(C, F.omap, F.mmap) for F in enumerate_functors(C, D))
-    ]
-
-
 def power_morphisms_reference(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> list:
     """The morphisms ``(name, dom, cod, parts)`` of the power D^C, one
     transformation search per ordered pair of functors, after the budget
@@ -871,7 +857,7 @@ def power_morphisms_reference(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET
     if required > budget:
         raise EnumerationBudgetExceeded(budget, required, what)
     functor_list = list(enumerate_functors(C, D))
-    names = [name for name, _ in power_objects_reference(C, D)]
+    names = [_object_name(C, F) for F in functor_list]
     for F in functor_list:
         for G in functor_list:
             prod = 1

@@ -2,22 +2,10 @@
 transformations from its candidate product, against the references in
 ``helpers`` that run one transformation search per ordered pair: the same
 morphisms (name, domain, codomain, parts) in the same order, and the same
-refusal message when the budget is exceeded.
-
-The power by the free isomorphism lists its functors as isomorphisms and
-each pair's transformations by their first component; the general functor
-search, listed in ``helpers``, is the reference for its objects too."""
-import random
-
+refusal message when the budget is exceeded."""
 import pytest
-from helpers import (
-    arrow_hom_morphisms_reference,
-    power_morphisms_reference,
-    power_objects_reference,
-    relabeled,
-)
+from helpers import arrow_hom_morphisms_reference, power_morphisms_reference
 
-from fincat import funcat
 from fincat.core import (
     EnumerationBudgetExceeded,
     builtin,
@@ -48,36 +36,6 @@ def test_power_morphisms_match_one_search_per_pair():
         for D in cats:
             ours = morphism_table(functor_category(C, D))
             assert ours == power_morphisms_reference(C, D), (C.label, D.label)
-
-
-def test_iso_power_matches_the_general_listing(monkeypatch):
-    """Every corpus category and three relabelings as the base, under the
-    free isomorphism and a relabelled copy of it, at every budget from 0 to
-    120 and at the default: the same objects and morphisms, or the same
-    refusal."""
-    monkeypatch.setattr(funcat, "_CACHE", {})
-    rng = random.Random(30)
-    exponents = (builtin("free_iso"), builtin("free_iso").relabel("I"))
-    powers = refusals = 0
-    for D0 in corpus_categories():
-        for D in (D0, *(relabeled(D0, rng) for _ in range(3))):
-            for budget in (*range(121), funcat.DEFAULT_BUDGET):
-                for C in exponents:
-                    funcat._CACHE.clear()
-                    try:
-                        reference = power_morphisms_reference(C, D, budget)
-                    except EnumerationBudgetExceeded as exc:
-                        with pytest.raises(EnumerationBudgetExceeded) as ours:
-                            functor_category(C, D, budget)
-                        assert str(ours.value) == str(exc)
-                        refusals += 1
-                        continue
-                    power = functor_category(C, D, budget)
-                    objects = [(o, power.obj_parts[o]) for o in power.objects]
-                    assert objects == power_objects_reference(C, D), (D.label, budget)
-                    assert morphism_table(power) == reference, (D.label, budget)
-                    powers += 1
-    assert powers > 0 and refusals > 0
 
 
 # (exponent, base, budget): each refused by the count of transformation

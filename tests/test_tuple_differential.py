@@ -2,8 +2,7 @@
 ``helpers`` is the reference.  For every tuple category the corpus builds,
 ``compose`` must agree with it on every composable pair while the table is
 still unfilled, and the table filled by the first read of ``comp`` must
-equal it, in the same order.  So the fill, which reads each factor's row
-at g's part, equals the composites taken one pair at a time.
+equal it, in the same order.
 
 Tuple categories also find their inverses by parts; the generic scan of
 ``FinCat._inverse``, which composes every candidate in hom(cod m, dom m),
@@ -138,7 +137,7 @@ def test_inverses_by_parts_match_the_generic_scan(name):
 def test_a_tuple_category_not_closed_under_composition_is_refused():
     """The square of the arrow without its diagonal (a,a), whose composite
     (id_1,a)∘(a,id_0) is then missing: the fill and ``compose`` both refuse
-    it with the message of the pair-by-pair fill."""
+    it, naming the missing entry."""
     square = product_category(builtin("arrow"), builtin("arrow"))
     morphisms = [
         (m.name, m.dom, m.cod, square.mor_parts[m.name])
