@@ -30,9 +30,11 @@ transformation and name it from its parts, as the library did when each
 power kept a functor per object and a transformation per morphism.
 The transformation-pair references run one transformation search per
 ordered pair, as ``functor_category`` did before it filtered each pair's
-candidate product by naturality, and as ``arrow_hom_category`` did before
-it prefiltered its pairs of squares and filed each t1 by its components on
-the image of X: they keep every t0 and every t1 whose whiskers agree.
+candidate product by naturality.  The hom-category [X, A] of commuting
+squares and postcomposition with a square, which the library reads in
+closed form for its two test objects X, are built from every commuting
+square and, per ordered pair of squares, every t0 and every t1 whose
+whiskers agree.
 The search references recurse one frame per position, as the functor,
 isomorphism, transformation, simplicial-map and leveled-bijection searches
 and the power's size estimate did before they ran on one explicit stack.
@@ -41,6 +43,7 @@ from the library's own parts, and the checks of built values that the
 library dropped once the corpus tests ran them.
 """
 import json
+from functools import cache
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
@@ -56,10 +59,13 @@ from fincat.core import (
     TupleCat,
     WitnessInvalid,
     _hom_profile,
+    discrete_category,
     enumerate_functors,
     enumerate_transformations,
     find_isomorphism,
     identity_functor,
+    terminal_category,
+    thin_functor,
     validate_functor,
 )
 from fincat.cosmos import (
@@ -80,7 +86,7 @@ from fincat.equivalence import (
     find_sections,
     validate_witness,
 )
-from fincat.fibrations import Cleavage, _iso_lifts
+from fincat.fibrations import Cleavage, _iso_lifts, classify_fibration
 from fincat.funcat import (
     DEFAULT_BUDGET,
     FunctorCat,
@@ -877,11 +883,24 @@ def power_morphisms_reference(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET
     return morphisms
 
 
-def arrow_hom_morphisms_reference(X: FinFunctor, A: FinFunctor, squares) -> list:
-    """The morphisms ``(name, dom, cod, parts)`` of the hom-category of
-    commuting squares X → A over ``squares``: for every ordered pair of
-    squares, every t0 and every t1 whose whiskers A·t0 and t1·X agree."""
+def _square_parts(X: FinFunctor, s0: FinFunctor, s1: FinFunctor) -> tuple[str, ...]:
+    """A square (s0, s1) out of X by its object images, then its morphism images."""
     X0, X1 = X.source, X.target
+    return (
+        tuple(s0.omap[x] for x in X0.objects)
+        + tuple(s1.omap[y] for y in X1.objects)
+        + tuple(s0.mmap[m.name] for m in X0.morphisms)
+        + tuple(s1.mmap[m.name] for m in X1.morphisms)
+    )
+
+
+def arrow_hom_reference(X: FinFunctor, A: FinFunctor) -> tuple[TupleCat, list]:
+    """The hom-category [X, A] of commuting squares X → A and the squares
+    behind its objects, object ``q{i}`` the i-th of :func:`filter_arrow_squares`:
+    for every ordered pair of squares, every t0 and every t1 whose whiskers
+    A·t0 and t1·X agree."""
+    X0, X1 = X.source, X.target
+    squares = filter_arrow_squares(X, A)
     morphisms = []
     for i, (s0, s1) in enumerate(squares):
         for j, (r0, r1) in enumerate(squares):
@@ -896,7 +915,42 @@ def arrow_hom_morphisms_reference(X: FinFunctor, A: FinFunctor, squares) -> list
                     t1.components[y] for y in X1.objects
                 )
                 morphisms.append((f"m{i}_{j}_{k}", f"q{i}", f"q{j}", parts))
-    return morphisms
+    cat = TupleCat(
+        (A.source,) * X0.n_objects + (A.target,) * X1.n_objects,
+        [(f"q{i}", _square_parts(X, s0, s1)) for i, (s0, s1) in enumerate(squares)],
+        morphisms,
+        label=f"[{X.label},{A.label}]",
+    )
+    return cat, squares
+
+
+def arrow_hom_postcompose_reference(X: FinFunctor, f: ArrowMorphism) -> FinFunctor:
+    """Postcomposition [X, f.source] → [X, f.target] with the square f:
+    level 0 of f acts on the components of t0, level 1 on those of t1."""
+    src, squares = arrow_hom_reference(X, f.source)
+    dst, _ = arrow_hom_reference(X, f.target)
+    omap = {
+        f"q{i}": dst.obj_named(_square_parts(X, s0.then(f.level0), s1.then(f.level1)))
+        for i, (s0, s1) in enumerate(squares)
+    }
+    levels = (f.level0,) * X.source.n_objects + (f.level1,) * X.target.n_objects
+    mmap = {
+        m.name: dst.mor_named(
+            omap[m.dom],
+            omap[m.cod],
+            tuple(F.mor(c) for F, c in zip(levels, src.mor_parts[m.name])),
+        )
+        for m in src.morphisms
+    }
+    return FinFunctor(src, dst, omap, mmap, label=f"[{X.label},f]")
+
+
+def arrow_normal_reference(f: ArrowMorphism) -> bool:
+    """Whether each test object's postcomposition with f is a normal isofibration."""
+    return all(
+        classify_fibration(arrow_hom_postcompose_reference(X, f), grothendieck=False).normal
+        for X in default_arrow_test_objects()
+    )
 
 
 def precompose_reference(j: FinFunctor, D: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
@@ -1411,6 +1465,17 @@ def classifying_functor(
 # Small constructions and checks that only the tests use.  The library
 # builds these values lawful, so it no longer calls the checks itself: the
 # corpus tests run them on what it builds.
+
+
+@cache
+def default_arrow_test_objects() -> tuple[FinFunctor, ...]:
+    """The test objects X of the normality check on squares: 1 → 1 and 2 → 1."""
+    one = terminal_category()
+    two = discrete_category(2)
+    return (
+        identity_functor(one),
+        thin_functor(two, one, {"0": "*", "1": "*"}, "2→1"),
+    )
 
 
 def constant_functor(source: FinCat, target: FinCat, obj: str, label=None) -> FinFunctor:

@@ -1,11 +1,18 @@
 import pytest
 
-from fincat.core import BudgetExceeded, UnknownName, builtin, identity_functor, validate_category
+from fincat.core import (
+    BudgetExceeded,
+    UnknownName,
+    builtin,
+    builtin_functor,
+    identity_functor,
+    validate_category,
+)
+from fincat.corpus import corpus_category, to_terminal_functor
 from fincat.cosmos import nip_square_filler
 from fincat.counterexamples import (
     ArrowMorphism,
     _chaotic_square,
-    arrow_hom_category,
     arrow_normal_on_test_set,
     arrow_sections,
     build_fy,
@@ -74,36 +81,25 @@ def test_nip_cat2_replays_a_square_of_commuting_squares():
         check_arrow_square(edge)
 
 
-def test_fy_normality_fails_for_perturbed_square():
-    # sanity: the test-set normality check is not vacuous; a non-isofibration
-    # square fails it
-    from fincat.core import FinFunctor, builtin_functor, terminal_category
-
-    iso = builtin("free_iso")
-    one = terminal_category()
+def point_into_iso():
+    """Level 0 is the point into the free isomorphism, not an isofibration."""
     inclusion = builtin_functor("point_to_iso")
-    square = check_arrow_square(
-        ArrowMorphism(
-            source=identity_functor(one),
-            target=identity_functor(iso),
-            level0=inclusion,
-            level1=inclusion,
-        )
-    )
-    assert not arrow_normal_on_test_set(square)
+    one, iso = identity_functor(inclusion.source), identity_functor(inclusion.target)
+    return ArrowMorphism(one, iso, inclusion, inclusion)
 
 
-def test_arrow_hom_category_of_terminal_object_is_hom_like():
-    one = builtin("terminal")
-    two = builtin("arrow")
-    from fincat.core import FinFunctor
+def diagonal_of_cyclic_2():
+    """1 over (cyclic(2) → 1): level 0 is the identity, but the map of kernel
+    pairs is the diagonal cyclic(2) → cyclic(2)², which lifts no (g, 1)."""
+    group = corpus_category("cyclic(2)")
+    bang = to_terminal_functor(group)
+    return ArrowMorphism(identity_functor(group), bang, identity_functor(group), bang)
 
-    X = identity_functor(one)
-    A = FinFunctor(two, one, {a: "*" for a in two.objects}, {m.name: "id_*" for m in two.morphisms})
-    hom = arrow_hom_category(X, A)
-    validate_category(hom.category)
-    # squares 1 → (arrow → 1) are just objects of the arrow category
-    assert hom.category.n_objects == 2
+
+@pytest.mark.parametrize("build", [point_into_iso, diagonal_of_cyclic_2])
+def test_fy_normality_fails_for_perturbed_square(build):
+    # sanity: the test-set normality check is not vacuous
+    assert not arrow_normal_on_test_set(check_arrow_square(build()))
 
 
 def test_arrow_sections_of_identity():

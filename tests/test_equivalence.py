@@ -1,6 +1,17 @@
+import random
+
 import pytest
 
-from fincat.core import FinFunctor, WitnessInvalid, builtin, builtin_functor, identity_functor
+from fincat.core import (
+    FinCat,
+    FinFunctor,
+    WitnessInvalid,
+    builtin,
+    builtin_functor,
+    chaotic_category,
+    identity_functor,
+)
+from fincat.corpus import cyclic_group_category
 from fincat.equivalence import (
     EquivalenceWitness,
     NotEquivalence,
@@ -10,7 +21,16 @@ from fincat.equivalence import (
     injective_witness,
     validate_witness,
 )
-from helpers import brute_force_functors, is_equivalence_bf, retract_witness, witness_from_parts
+from fincat.funcat import pair_functor, product_category
+from helpers import (
+    brute_force_functors,
+    constant_functor,
+    filter_find_retractions,
+    filter_find_sections,
+    is_equivalence_bf,
+    retract_witness,
+    witness_from_parts,
+)
 
 
 def test_identity_is_isomorphism_all_kinds():
@@ -121,3 +141,44 @@ def test_every_section_yields_valid_retract_witness():
         w = witness_from_parts(F, G, "retract", True, False)
         validate_witness(w)
         assert w.counit.is_identity()
+
+
+def shuffled(cat: FinCat, rng) -> FinCat:
+    """``cat`` with its object and morphism lists in a random order."""
+    objects = list(cat.objects)
+    morphisms = [(m.name, m.dom, m.cod) for m in cat.morphisms]
+    rng.shuffle(objects)
+    rng.shuffle(morphisms)
+    return FinCat(objects, morphisms, dict(cat.identity), dict(cat.comp), label=cat.label)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_witness_inverse_is_the_first_retraction_or_section(seed):
+    """The inclusion at one object of C into C × chaotic(n), and the
+    projection back, with the product's lists shuffled, for C a group or
+    the free isomorphism.  A retraction read off the first isomorphisms of
+    essential surjectivity, by conjugation, differs from the first one the
+    search finds on some of these products, so the witness's inverse is
+    pinned to the search's first retraction when F is injective on objects,
+    and otherwise to its first section."""
+    rng = random.Random(seed)
+    for C in (cyclic_group_category(2), cyclic_group_category(3), builtin("free_iso")):
+        for n in (2, 3):
+            chaos = chaotic_category(n)
+            prod = product_category(C, chaos)
+            P = shuffled(prod, rng)
+            point = constant_functor(C, chaos, rng.choice(chaos.objects))
+            inclusion = pair_functor(identity_functor(C), point, prod)
+            projection = prod.projection(0, "proj1")
+            for F in (
+                FinFunctor(C, P, inclusion.omap, inclusion.mmap, label="inclusion"),
+                FinFunctor(P, C, projection.omap, projection.mmap, label="projection"),
+            ):
+                images = set(F.omap.values())
+                onto = images == set(F.target.objects)
+                injective = len(images) == F.source.n_objects
+                w = classify_equivalence(F)
+                assert (w.has_section, w.has_retraction) == (onto, injective)
+                search = filter_find_retractions if injective else filter_find_sections
+                first = next(search(F))
+                assert (w.inverse.omap, w.inverse.mmap) == (first.omap, first.mmap)

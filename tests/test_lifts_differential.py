@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     check_arrow_square,
     constant_functor,
+    default_arrow_test_objects,
     filter_arrow_fillers,
     filter_arrow_sections,
     filter_arrow_squares,
@@ -34,10 +35,8 @@ from fincat.corpus import (
 from fincat.counterexamples import (
     ArrowMorphism,
     _arrow_fillers,
-    arrow_hom_category,
     arrow_sections,
     build_fy,
-    default_arrow_test_objects,
 )
 from fincat.equivalence import find_retractions, find_sections
 from fincat.funcat import evaluation_functor, functor_category
@@ -75,15 +74,6 @@ def test_arrow_sections_keep_the_s0_major_order():
     ours = [(s.level0, s.level1) for s in arrow_sections(f)]
     assert [(s0.omap["*"], s1.omap["*"]) for s0, s1 in ours] == [("0", "1"), ("1", "0")]
     assert pair_tables(ours) == pair_tables(filter_arrow_sections(f))
-
-
-@pytest.mark.parametrize("k,alpha", FY_CASES)
-def test_arrow_hom_squares_match_the_filter(k, alpha):
-    f = build_fy(k, alpha)
-    for X in default_arrow_test_objects():
-        for A in (f.source, f.target):
-            squares = arrow_hom_category(X, A).squares
-            assert pair_tables(squares) == pair_tables(filter_arrow_squares(X, A))
 
 
 def test_sections_and_retractions_match_the_choice_tables():
@@ -180,6 +170,6 @@ def test_arrow_fillers_match_the_filter():
             )
             ours = _arrow_fillers(i, p, top, bottom)
             assert pair_tables(ours) == pair_tables(filter_arrow_fillers(i, p, top, bottom))
-            assert pair_tables(ours) == pair_tables(arrow_hom_category(B, C).squares)
+            assert pair_tables(ours) == pair_tables(filter_arrow_squares(B, C))
             nonempty += bool(ours)
     assert nonempty

@@ -24,8 +24,9 @@ from fincat.corpus import (
     span_category,
     to_terminal_functor,
 )
-from fincat.counterexamples import build_fy, default_arrow_test_objects
+from fincat.counterexamples import build_fy
 from fincat.funcat import functor_category
+from helpers import default_arrow_test_objects
 
 GOLDEN = {
     "terminal": "53784263aa9f90e00a5507f13a0d42d66cc0e35c1a49a3dcfd9eafa59df8b4fe",

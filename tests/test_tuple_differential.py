@@ -18,7 +18,6 @@ from fincat.corpus import (
     corpus_functors,
     corpus_towers,
 )
-from fincat.counterexamples import arrow_hom_category, build_fy, default_arrow_test_objects
 from fincat.funcat import DEFAULT_BUDGET, functor_category, product_category
 from fincat.limits import isocomma, pseudolimit_of_arrow, pullback_strict, tower_limit
 
@@ -54,15 +53,6 @@ def pseudolimit_apexes():
         yield [pseudolimit_of_arrow(f).apex]
 
 
-def arrow_homs():
-    for k in range(5):
-        for alpha in (2, 3, 4):
-            f = build_fy(k, alpha)
-            for X in default_arrow_test_objects():
-                for A in (f.source, f.target):
-                    yield [arrow_hom_category(X, A).category]
-
-
 def tower_stages():
     """Each tower's stages, from its pseudolimit down: stage k is the
     first factor of stage k + 1."""
@@ -80,7 +70,6 @@ CONSTRUCTIONS = {
     "functor_category": (powers, 193),
     "pullback_strict": (lambda: limits(pullback_strict), 48),
     "isocomma": (lambda: limits(isocomma), 48),
-    "arrow_hom_category": (arrow_homs, 60),
     "tower_stages": (tower_stages, 12),
 }
 
@@ -116,7 +105,6 @@ INVERSES = {
     "isocomma": (lambda: limits(isocomma), 48),
     "pseudolimit_of_arrow": (pseudolimit_apexes, 502),
     "tower_stages": (tower_stages, 12),
-    "arrow_hom_category": (arrow_homs, 60),
 }
 
 
