@@ -18,7 +18,7 @@ from fincat.counterexamples import (
     build_fy,
     run_counterexample,
 )
-from helpers import check_arrow_square
+from helpers import arrow_hom_reference, check_arrow_square
 
 
 def test_groth_leibniz_witness_passes():
@@ -96,10 +96,20 @@ def diagonal_of_cyclic_2():
     return ArrowMorphism(identity_functor(group), bang, identity_functor(group), bang)
 
 
-@pytest.mark.parametrize("build", [point_into_iso, diagonal_of_cyclic_2])
-def test_fy_normality_fails_for_perturbed_square(build):
+def test_fy_normality_fails_for_perturbed_square():
     # sanity: the test-set normality check is not vacuous
-    assert not arrow_normal_on_test_set(check_arrow_square(build()))
+    for build in (point_into_iso, diagonal_of_cyclic_2):
+        assert not arrow_normal_on_test_set(check_arrow_square(build())), build.__name__
+
+
+def test_arrow_hom_category_of_terminal_object_is_hom_like():
+    two = builtin("arrow")
+    X = identity_functor(builtin("terminal"))
+    hom, _ = arrow_hom_reference(X, to_terminal_functor(two))
+    validate_category(hom)
+    # squares 1 → (arrow → 1) are just objects of the arrow category, and
+    # their morphisms its morphisms
+    assert hom.n_objects == 2 and len(hom.morphisms) == len(two.morphisms)
 
 
 def test_arrow_sections_of_identity():

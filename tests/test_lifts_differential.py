@@ -40,7 +40,7 @@ from fincat.counterexamples import (
 )
 from fincat.equivalence import find_retractions, find_sections
 from fincat.funcat import evaluation_functor, functor_category
-from fincat.limits import _pullback_cones, default_vertices
+from fincat.limits import _pullback_cones, default_vertices, pullback_strict
 from fincat.wfs import LiftingProblem, canonical_test_square, exhaustive_fillers
 
 FY_CASES = [(k, alpha) for k in range(5) for alpha in (2, 3, 4)]
@@ -74,6 +74,24 @@ def test_arrow_sections_keep_the_s0_major_order():
     ours = [(s.level0, s.level1) for s in arrow_sections(f)]
     assert [(s0.omap["*"], s1.omap["*"]) for s0, s1 in ours] == [("0", "1"), ("1", "0")]
     assert pair_tables(ours) == pair_tables(filter_arrow_sections(f))
+
+
+@pytest.mark.parametrize("k,alpha", FY_CASES)
+def test_arrow_hom_squares_match_the_filter(k, alpha):
+    """The squares out of the test objects are what the closed form of
+    ``arrow_normal_on_test_set`` reads them as, in the filter's order: out
+    of 1 → 1, the objects of A_0; out of 2 → 1, the objects of the kernel
+    pair A_0 ×_{A_1} A_0."""
+    f = build_fy(k, alpha)
+    point, pair = default_arrow_test_objects()
+    for A in (f.source, f.target):
+        squares = filter_arrow_squares(point, A)
+        assert tuple(s0.omap["*"] for s0, _ in squares) == A.source.objects
+        kernel = pullback_strict(A, A).apex
+        squares = filter_arrow_squares(pair, A)
+        assert [(s0.omap["0"], s0.omap["1"]) for s0, _ in squares] == [
+            kernel.obj_parts[c] for c in kernel.objects
+        ]
 
 
 def test_sections_and_retractions_match_the_choice_tables():

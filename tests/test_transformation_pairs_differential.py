@@ -2,13 +2,32 @@
 product, against the reference in ``helpers`` that runs one transformation
 search per ordered pair: the same morphisms (name, domain, codomain, parts)
 in the same order, and the same refusal message when the budget is
-exceeded."""
+exceeded.  The reference hom-categories of commuting squares in
+``helpers``, which pair every t0 with every t1 whose whiskers agree, against
+what the library reads them as: A_0 and the kernel pair for the two test
+objects of ``arrow_normal_on_test_set``, and the power of A_0 for an
+identity."""
 import pytest
-from helpers import power_morphisms_reference
+from helpers import (
+    arrow_hom_reference,
+    default_arrow_test_objects,
+    name_of_functor,
+    power_morphisms_reference,
+)
 
-from fincat.core import EnumerationBudgetExceeded, builtin, discrete_category
-from fincat.corpus import corpus_categories
+from fincat.core import EnumerationBudgetExceeded, builtin, discrete_category, identity_functor
+from fincat.corpus import (
+    chaotic_collapse,
+    corpus_categories,
+    corpus_category,
+    iso_inclusion_into_chaotic,
+    to_terminal_functor,
+)
+from fincat.counterexamples import build_fy
 from fincat.funcat import functor_category
+from fincat.limits import pullback_strict
+
+FY_CASES = [(k, alpha) for k in range(5) for alpha in (2, 3, 4)]
 
 
 def morphism_table(cat):
@@ -44,3 +63,67 @@ def test_refused_power_gives_the_reference_message(exponent, base, budget, requi
         power_morphisms_reference(C, D, budget)
     assert str(ours.value) == str(reference.value)
     assert f"needs {required} candidates, budget is {budget}" in str(ours.value)
+
+
+def level_0_table(X, hom):
+    """The morphisms of [X, A] by their level-0 parts: the components of t0
+    at the objects of X's source, with those of their domain and codomain."""
+    n = X.source.n_objects
+    return [
+        (hom.obj_parts[m.dom][:n], hom.obj_parts[m.cod][:n], hom.mor_parts[m.name][:n])
+        for m in hom.morphisms
+    ]
+
+
+@pytest.mark.parametrize("k,alpha", FY_CASES)
+def test_fy_arrow_homs_match_the_pairing_filter(k, alpha):
+    """Out of 1 → 1, [X, A] is A_0; out of 2 → 1, the kernel pair: the
+    level-0 parts of the reference's morphisms are those of A_0 and of
+    pullback_strict(A, A), each once."""
+    f = build_fy(k, alpha)
+    point, pair = default_arrow_test_objects()
+    for A in (f.source, f.target):
+        kernel = pullback_strict(A, A).apex
+        parts = kernel.obj_parts
+        closed_forms = (
+            (point, [((m.dom,), (m.cod,), (m.name,)) for m in A.source.morphisms]),
+            (pair, [(parts[m.dom], parts[m.cod], kernel.mor_parts[m.name]) for m in kernel.morphisms]),
+        )
+        for X, closed in closed_forms:
+            ours = level_0_table(X, arrow_hom_reference(X, A)[0])
+            assert sorted(ours) == sorted(closed), (X.label, A.label)
+            assert len(set(ours)) == len(ours)
+
+
+def test_arrow_homs_with_naturality_squares_match_the_pairing_filter():
+    """Out of an identity 1_C, [1_C, A] is the power A_0^C: a square is a
+    functor s0 with s1 = A·s0, and t1 = A·t0.  With C and A thin and not
+    (the parallel pair and the group of order 2), t0 is filtered by
+    naturality, and the reference must list the power's morphisms in the
+    power's order."""
+    pair, group = builtin("parallel_pair"), corpus_category("cyclic(2)")
+    arrows = default_arrow_test_objects() + (
+        chaotic_collapse(),
+        iso_inclusion_into_chaotic(),
+        to_terminal_functor(builtin("arrow")),
+        identity_functor(pair),
+        to_terminal_functor(pair),
+        identity_functor(group),
+    )
+    morphisms = 0
+    for C in (builtin("terminal"), builtin("arrow"), builtin("free_iso"), pair, group):
+        X = identity_functor(C)
+        for A in arrows:
+            hom, squares = arrow_hom_reference(X, A)
+            power = functor_category(C, A.source)
+            name = {f"q{i}": name_of_functor(power, s0) for i, (s0, _) in enumerate(squares)}
+            assert list(name.values()) == list(power.objects), (C.label, A.label)
+            ours = [
+                (name[m.dom], name[m.cod], parts)
+                for m, (_, _, parts) in zip(hom.morphisms, level_0_table(X, hom))
+            ]
+            assert ours == [
+                (m.dom, m.cod, power.mor_parts[m.name]) for m in power.morphisms
+            ], (C.label, A.label)
+            morphisms += len(ours)
+    assert morphisms > 100

@@ -1,6 +1,7 @@
 """Tuple categories compose on first use; the eager componentwise table in
 ``helpers`` is the reference.  For every tuple category the corpus builds,
-``compose`` must agree with it on every composable pair while the table is
+and for the reference hom-categories of squares in ``helpers``, ``compose``
+must agree with it on every composable pair while the table is
 still unfilled, and the table filled by the first read of ``comp`` must
 equal it, in the same order.
 
@@ -8,7 +9,7 @@ Tuple categories also find their inverses by parts; the generic scan of
 ``FinCat._inverse``, which composes every candidate in hom(cod m, dom m),
 is the reference for those."""
 import pytest
-from helpers import componentwise_composites
+from helpers import arrow_hom_reference, componentwise_composites, default_arrow_test_objects
 
 from fincat import funcat
 from fincat.core import EnumerationBudgetExceeded, FinCat, StructureError, TupleCat, builtin
@@ -18,6 +19,7 @@ from fincat.corpus import (
     corpus_functors,
     corpus_towers,
 )
+from fincat.counterexamples import build_fy
 from fincat.funcat import DEFAULT_BUDGET, functor_category, product_category
 from fincat.limits import isocomma, pseudolimit_of_arrow, pullback_strict, tower_limit
 
@@ -53,6 +55,16 @@ def pseudolimit_apexes():
         yield [pseudolimit_of_arrow(f).apex]
 
 
+def arrow_homs():
+    """The reference hom-categories of squares out of the two test objects."""
+    for k in range(5):
+        for alpha in (2, 3, 4):
+            f = build_fy(k, alpha)
+            for X in default_arrow_test_objects():
+                for A in (f.source, f.target):
+                    yield [arrow_hom_reference(X, A)[0]]
+
+
 def tower_stages():
     """Each tower's stages, from its pseudolimit down: stage k is the
     first factor of stage k + 1."""
@@ -70,6 +82,7 @@ CONSTRUCTIONS = {
     "functor_category": (powers, 193),
     "pullback_strict": (lambda: limits(pullback_strict), 48),
     "isocomma": (lambda: limits(isocomma), 48),
+    "arrow_hom_category": (arrow_homs, 60),
     "tower_stages": (tower_stages, 12),
 }
 
@@ -105,6 +118,7 @@ INVERSES = {
     "isocomma": (lambda: limits(isocomma), 48),
     "pseudolimit_of_arrow": (pseudolimit_apexes, 502),
     "tower_stages": (tower_stages, 12),
+    "arrow_hom_category": (arrow_homs, 60),
 }
 
 

@@ -1,15 +1,20 @@
 """The library's componentwise-composed categories — strict pullbacks,
-isocommas, binary products and powers — and the functors out of them, against SHA-256 digests of ``label + key``
-recorded when each builder wrote its own identity, composition and lookup
-tables: the shared tuple builder must reproduce them exactly.  The functor
-a power builds from an object's parts must also be the one its enumeration
-yielded there, and be named by that object."""
+isocommas, binary products and powers — and the functors out of them,
+against SHA-256 digests of ``label + key`` recorded when each builder wrote
+its own identity, composition and lookup tables: the shared tuple builder
+must reproduce them exactly.  The hom-categories of squares out of the two
+test objects, and postcomposition with the ``fy`` squares, are built on the
+same tuple builder by the reference in ``helpers`` and must reproduce the
+digest recorded when the library built them.  The functor a power builds
+from an object's parts must also be the one its enumeration yielded there,
+and be named by that object."""
 import hashlib
 
 import pytest
 
 from fincat.core import EnumerationBudgetExceeded, enumerate_functors
 from fincat.corpus import corpus_categories, corpus_cospans_normal_left
+from fincat.counterexamples import build_fy
 from fincat.funcat import (
     evaluation_functor,
     functor_category,
@@ -17,13 +22,19 @@ from fincat.funcat import (
     product_projections,
 )
 from fincat.limits import isocomma, pullback_strict
-from helpers import name_of_functor
+from helpers import (
+    arrow_hom_postcompose_reference,
+    arrow_hom_reference,
+    default_arrow_test_objects,
+    name_of_functor,
+)
 
 GOLDEN = {
     "pullback_strict": "cf5756c9b5549acfd7e776978189c2a0d2cbf04911cb9a21e9a5816a893f1620",
     "isocomma": "d8fa5747b06b9a95330b1c84ebb0712d4464f35350a8b742fe1da8e073d48372",
     "product_category": "92f63d44ee434ca7ab7b2109e983df75ed251e027b272b16d43dda309cb52fb0",
     "functor_category": "dc75fe8db490b7c191346c45749782de42fc08882e9ed087582f382f962920bf",
+    "arrow_hom_category": "9a7a32ed9c1c8d3e53685b4210f9ebceadc0f20c773090c9e8fc4c37c03d459c",
 }
 
 
@@ -74,11 +85,22 @@ def power_values():
             yield evaluation_functor(power, a)
 
 
+def arrow_homs():
+    for k in range(5):
+        for alpha in (2, 3, 4):
+            f = build_fy(k, alpha)
+            for X in default_arrow_test_objects():
+                for A in (f.source, f.target):
+                    yield arrow_hom_reference(X, A)[0]
+                yield arrow_hom_postcompose_reference(X, f)
+
+
 CONSTRUCTIONS = {
     "pullback_strict": lambda: limit_values(pullback_strict),
     "isocomma": lambda: limit_values(isocomma),
     "product_category": products,
     "functor_category": power_values,
+    "arrow_hom_category": arrow_homs,
 }
 
 
