@@ -9,7 +9,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .core import builtin, enumerate_functors, find_isomorphism, identity_functor
+from .core import (
+    builtin,
+    enumerate_functors,
+    enumerate_lifts,
+    find_isomorphism,
+    identity_functor,
+)
 from .corpus import (
     corpus_categories,
     corpus_cospans_normal_left,
@@ -104,8 +110,11 @@ def criterion_1_wfs_roundtrip() -> CriterionResult:
 
 
 def _generated_squares(minimum: int = 100):
-    """Commuting squares with an injective equivalence on the left and a
-    normal isofibration on the right, generated deterministically."""
+    """Commuting squares with an injective equivalence i on the left and a
+    normal isofibration p on the right, generated deterministically: for
+    each top, the first two bottoms with bottom∘i = p∘top.  Bottoms other
+    than p∘top∘r, for the retraction r, make bottom·η a non-identity cell,
+    so the filler's conjugation by the lifted components acts."""
     injectives = [
         f for f in corpus_injective_equivalences() if not f.is_identity()
     ][:6] + [identity_functor(builtin("free_iso"))]
@@ -117,15 +126,16 @@ def _generated_squares(minimum: int = 100):
     squares = []
     for i in injectives:
         wit = injective_witness(i)
-        r = wit.inverse
         for p in normals:
             for top in enumerate_functors(i.source, p.source, limit=3):
-                bottom = r.then(top).then(p)
-                squares.append(
-                    (LiftingProblem(left=i, right=p, top=top, bottom=bottom), wit)
-                )
-                if len(squares) >= minimum * 2:
-                    return squares
+                for bottom in enumerate_lifts(
+                    i.target, p.target, under=[(i, top.then(p))], limit=2
+                ):
+                    squares.append(
+                        (LiftingProblem(left=i, right=p, top=top, bottom=bottom), wit)
+                    )
+                    if len(squares) >= minimum * 2:
+                        return squares
     return squares
 
 

@@ -13,10 +13,15 @@ a split monomorphism against a split epimorphism has a diagonal filler:
 true in finite sets, false in arrows of finite sets, where the smallest
 counterexample is returned.  In finite sets only commuting squares are
 enumerated: the bottom map is solved from ``bottom∘i = p∘top`` (fixed on
-the image of i, free elsewhere).  In arrows each pair (i, p) is decided at
-once from the fibres of u_B, where u_X is the map of an arrow X (see
-``_decide_pair``).  A filler h : B → C is forced on the images of i0 and
-i1, and chosen independently on each fibre u_B⁻¹(y) elsewhere.  So every
+the image of i, free elsewhere).  Each is filled by the greedy h, top∘i⁻¹
+on the image of i and s∘bottom elsewhere for the least section s of p:
+h∘i = top as i is injective, and p∘h = bottom on the image of i as
+bottom∘i = p∘top, and elsewhere as p∘s = 1.  So the check of h never
+fails, and a failure raises ``AssertionError``.  In arrows each pair
+(i, p) is decided at once from the fibres of u_B, where u_X is the map of
+an arrow X (see ``_decide_pair``).  A filler h : B → C is forced on the
+images of i0 and i1, and chosen independently on each fibre u_B⁻¹(y)
+elsewhere.  So every
 square of the pair fills iff, for every top and every a whose fibre
 u_B⁻¹(i1 a) has points outside the image of i0, the c = top1(a) is full:
 p0 maps u_C⁻¹(c) onto u_D⁻¹(p1 c).  Fibres outside the image of i1 always
@@ -492,7 +497,6 @@ def _nip_finset(size_bound: int) -> NipResult:
         # least section s of p
         sides = [
             (
-                p,
                 maps.after(a, c, d)[p],
                 maps.after(b, c, d)[p],
                 maps.after(b, d, c)[sections[0]],
@@ -504,7 +508,7 @@ def _nip_finset(size_bound: int) -> NipResult:
             over_i = maps.extensions(a, b, d)[i]
             on_i = maps.before(a, b, c)[i]
             spread = _spread(maps.values(i, a, b), b, c)
-            for p, p_top, p_h, least in sides:
+            for p_top, p_h, least in sides:
                 for top in tops:
                     for bottom in over_i.get(p_top[top], ()):
                         checked += 1
@@ -512,27 +516,8 @@ def _nip_finset(size_bound: int) -> NipResult:
                         # least p-preimage of bottom elsewhere
                         g = least[bottom]
                         h = spread[top] + g - spread[on_i[g]]
-                        if on_i[h] == top and p_h[h] == bottom:
-                            continue
-                        # greedy construction failed: fall back to search
-                        found = any(
-                            on_i[hh] == top and p_h[hh] == bottom
-                            for hh in range(c**b)
-                        )
-                        if not found:
-                            return NipResult(
-                                "finset",
-                                size_bound,
-                                False,
-                                checked,
-                                {
-                                    "i": list(_functions(a, b)[i]),
-                                    "p": list(_functions(c, d)[p]),
-                                    "top": list(_functions(a, c)[top]),
-                                    "bottom": list(_functions(b, d)[bottom]),
-                                    "sizes": [a, b, c, d],
-                                },
-                            )
+                        if on_i[h] != top or p_h[h] != bottom:
+                            raise AssertionError("the greedy filler fills every square")
     return NipResult("finset", size_bound, True, checked, None)
 
 

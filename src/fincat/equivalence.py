@@ -1,14 +1,18 @@
 """Equivalence classification for functors between finite categories.
 
 A functor is an equivalence exactly when it is fully faithful and
-essentially surjective; from that data an adjoint equivalence witness is
-constructed deterministically.  Witnesses come in three normalizations:
+essentially surjective.  Its kinds are then read off its object map: it
+has a retraction iff it is injective on objects, and a section iff it is
+onto.  The witness is an adjoint equivalence built by one builder from an
+inverse and a counit, in one of three normalizations:
 
-* plain      — unit and counit chosen to satisfy the triangle equations;
-* retract    — a section exists and the counit is an identity;
-* injective  — a retraction exists and the unit is an identity.
+* injective  — the inverse is the first retraction and the unit is an identity;
+* retract    — the inverse is the first section and the counit is an identity;
+* plain      — the inverse is conjugated through the first isomorphisms of
+  essential surjectivity, which form the counit.
 
-All searches walk candidates in index order, so witnesses are reproducible.
+Only one inverse search runs per functor, and it walks candidates in index
+order, so witnesses are reproducible.
 """
 from __future__ import annotations
 
@@ -42,9 +46,10 @@ class EquivalenceWitness:
     """An adjoint equivalence (forward ⊣ inverse) with verified triangles.
 
     ``kind`` names the normalization the stored unit/counit satisfy;
-    ``has_section`` / ``has_retraction`` report the exhaustive searches
-    independently (both can hold at once only for an isomorphism, whose
-    stored structure then realizes both normalizations).
+    ``has_section`` / ``has_retraction`` say whether a section or a
+    retraction exists, read off the forward functor's object map (onto,
+    injective).  Both hold at once only for an isomorphism, whose stored
+    structure then realizes both normalizations.
     """
 
     forward: FinFunctor
@@ -114,87 +119,52 @@ def find_retractions(F: FinFunctor, limit: int | None = None) -> Iterator[FinFun
     yield from enumerate_lifts(F.target, A, under=[(F, identity_functor(A))], limit=limit)
 
 
-def _witness_from_section(F: FinFunctor, G: FinFunctor) -> tuple[NatTrans, NatTrans]:
-    """Adjoint equivalence data with identity counit, given F∘G = 1 and F
-    fully faithful.  Unit at a is the unique preimage of id_{F a}."""
-    A, B = F.source, F.target
-    GF = F.then(G)
-    unit_parts = {}
-    for a in A.objects:
-        target = GF.ob(a)
-        pick = None
-        for m in A.hom(a, target):
-            if F.mor(m) == B.id_of(F.ob(a)):
-                pick = m
-                break
-        if pick is None:
-            raise WitnessInvalid(f"no unit component at {a}")
-        unit_parts[a] = pick
-    unit = NatTrans(identity_functor(A), GF, unit_parts, label="unit")
-    counit = NatTrans(
-        G.then(F), identity_functor(B), {b: B.id_of(b) for b in B.objects}, label="counit"
-    )
-    return unit, counit
+def _preimage(F: FinFunctor, a: str, a2: str, m: str) -> str:
+    """The morphism a → a2 that F sends to m, unique as F is faithful."""
+    for n in F.source.hom(a, a2):
+        if F.mor(n) == m:
+            return n
+    raise WitnessInvalid(f"{m} has no preimage under {F.label}")
 
 
-def _witness_from_retraction(F: FinFunctor, R: FinFunctor) -> tuple[NatTrans, NatTrans]:
-    """Adjoint equivalence data with identity unit, given R∘F = 1.
-
-    Built by normalizing the reverse direction: R is an equivalence with
-    section F, and inverting its unit gives the counit for F."""
-    A, B = F.source, F.target
-    rev_unit, _ = _witness_from_section(R, F)  # 1_B ≅ F∘R with R-image identity
-    counit = NatTrans(
-        R.then(F),
-        identity_functor(B),
-        rev_unit.inverse().components,
-        label="counit",
-    )
-    unit = NatTrans(
-        identity_functor(A), F.then(R), {a: A.id_of(a) for a in A.objects}, label="unit"
-    )
-    return unit, counit
-
-
-def _plain_witness(F: FinFunctor) -> tuple[FinFunctor, NatTrans, NatTrans]:
-    """The standard adjoint-equivalence construction from fully-faithful +
-    essentially-surjective data, with all choices taken first-in-index-order."""
-    A, B = F.source, F.target
-    choices, _ = _eso_choices(F)
-    omap = {}
-    eps = {}
-    for b in B.objects:
-        a, iso = choices[b]
-        omap[b] = a
-        eps[b] = iso
+def _conjugate(F: FinFunctor, choices) -> FinFunctor:
+    """The inverse read off essential surjectivity: b goes to the chosen a
+    with ε_b : F a ≅ b, and m : b → b2 to the preimage of ε_b2⁻¹ ∘ m ∘ ε_b."""
+    B = F.target
+    omap = {b: a for b, (a, _) in choices.items()}
     mmap = {}
     for m in B.morphisms:
-        b, b2 = m.dom, m.cod
-        # G(m) is the unique preimage of eps_{b2}^{-1} ∘ m ∘ eps_b
-        conj = B.compose(B.inverse(eps[b2]), B.compose(m.name, eps[b]))
-        pick = None
-        for n in A.hom(omap[b], omap[b2]):
-            if F.mor(n) == conj:
-                pick = n
-                break
-        if pick is None:
-            raise WitnessInvalid(f"no inverse image for {m.name}")
-        mmap[m.name] = pick
-    G = FinFunctor(B, A, omap, mmap, label=f"{F.label}~inv")
-    counit = NatTrans(G.then(F), identity_functor(B), eps, label="counit")
-    unit_parts = {}
-    for a in A.objects:
-        want = B.inverse(eps[F.ob(a)])
-        pick = None
-        for n in A.hom(a, G.ob(F.ob(a))):
-            if F.mor(n) == want:
-                pick = n
-                break
-        if pick is None:
-            raise WitnessInvalid(f"no unit component at {a}")
-        unit_parts[a] = pick
-    unit = NatTrans(identity_functor(A), F.then(G), unit_parts, label="unit")
-    return G, unit, counit
+        (a, eps), (a2, eps2) = choices[m.dom], choices[m.cod]
+        conj = B.compose(B.inverse(eps2), B.compose(m.name, eps))
+        mmap[m.name] = _preimage(F, a, a2, conj)
+    return FinFunctor(B, F.source, omap, mmap, label=f"{F.label}~inv")
+
+
+def _retraction_counit(F: FinFunctor, R: FinFunctor) -> dict[str, str]:
+    """For a retraction R of F, ε_b : F R b → b over id_{R b}; the unit
+    it gives is an identity."""
+    A = F.source
+    return {b: _preimage(R, F.ob(R.ob(b)), b, A.id_of(R.ob(b))) for b in F.target.objects}
+
+
+def adjoint_equivalence(F: FinFunctor, G: FinFunctor, counit, kind: str) -> EquivalenceWitness:
+    """The adjoint equivalence F ⊣ G with counit components ``counit``
+    (ε_b : F G b ≅ b) for a fully faithful F: the unit at a is the preimage
+    of ε⁻¹ at F a, the only unit that satisfies the triangle equations.
+    The section and retraction flags are read off F's object map."""
+    A, B = F.source, F.target
+    GF = F.then(G)
+    unit = {a: _preimage(F, a, GF.ob(a), B.inverse(counit[F.ob(a)])) for a in A.objects}
+    images = set(F.omap.values())
+    return EquivalenceWitness(
+        forward=F,
+        inverse=G,
+        unit=NatTrans(identity_functor(A), GF, unit, label="unit"),
+        counit=NatTrans(G.then(F), identity_functor(B), counit, label="counit"),
+        kind=kind,
+        has_section=len(images) == B.n_objects,
+        has_retraction=len(images) == A.n_objects,
+    )
 
 
 def validate_witness(w: EquivalenceWitness) -> EquivalenceWitness:
@@ -230,38 +200,33 @@ def classify_equivalence(F: FinFunctor):
     """Classify a functor as an equivalence, returning a witness, or report
     :class:`NotEquivalence`.
 
-    The witness normalization prefers injective (identity unit) over retract
-    (identity counit) over plain, and all searches are exhaustive and in
-    index order, so the result is deterministic.
+    For a fully faithful, essentially surjective F the kinds are read off
+    its object map.  A retraction R∘F = 1 forces F injective on objects,
+    and a section F∘G = 1 forces it onto.  Conversely, for an injective F
+    the conjugation through the chosen isomorphisms, taking identities on
+    the image, is a retraction; for an onto F, a choice of preimages with
+    full faithfulness gives a section.  So one search runs: the first
+    retraction if F is injective, else the first section if F is onto,
+    else the conjugation.  Given (F, G, ε), the unit of an adjoint
+    equivalence is unique, so :func:`adjoint_equivalence` builds all three
+    kinds with one formula.  Searches walk candidates in index order, so
+    the result is deterministic.
     """
     failure = _not_ff(F)
     if failure is not None:
         return failure
-    _, missing = _eso_choices(F)
+    choices, missing = _eso_choices(F)
     if missing is not None:
         return NotEquivalence(F, "not essentially surjective", (missing,))
-
-    section = next(find_sections(F, limit=1), None)
-    retraction = next(find_retractions(F, limit=1), None)
-
-    if retraction is not None:
-        unit, counit = _witness_from_retraction(F, retraction)
-        inverse, kind = retraction, "injective"
-    elif section is not None:
-        unit, counit = _witness_from_section(F, section)
-        inverse, kind = section, "retract"
-    else:
-        inverse, unit, counit = _plain_witness(F)
-        kind = "plain"
-    return EquivalenceWitness(
-        forward=F,
-        inverse=inverse,
-        unit=unit,
-        counit=counit,
-        kind=kind,
-        has_section=section is not None,
-        has_retraction=retraction is not None,
-    )
+    B = F.target
+    if F.injective_on_objects():
+        R = next(find_retractions(F, limit=1))
+        return adjoint_equivalence(F, R, _retraction_counit(F, R), "injective")
+    if len(set(F.omap.values())) == B.n_objects:
+        G = next(find_sections(F, limit=1))
+        return adjoint_equivalence(F, G, {b: B.id_of(b) for b in B.objects}, "retract")
+    counit = {b: iso for b, (_, iso) in choices.items()}
+    return adjoint_equivalence(F, _conjugate(F, choices), counit, "plain")
 
 
 def injective_witness(F: FinFunctor) -> EquivalenceWitness:

@@ -41,7 +41,7 @@ from .core import (
     identity_functor,
     identity_nat,
 )
-from .equivalence import EquivalenceWitness
+from .equivalence import EquivalenceWitness, adjoint_equivalence
 from .fibrations import Cleavage, build_normal_cleavage, classify_fibration, lift_iso_2cell
 from .funcat import (
     DEFAULT_BUDGET,
@@ -361,30 +361,10 @@ def pseudolimit_of_arrow(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> Pseudol
 
 
 def pseudolimit_injective_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
-    """Adjoint equivalence for the diagonal: identity unit, counit the
-    inverse diagonal cell."""
-    A = pl.arrow.source
-    unit = NatTrans(
-        identity_functor(A),
-        pl.diagonal.then(pl.to_source),
-        {a: A.id_of(a) for a in A.objects},
-        label="unit",
-    )
-    counit = NatTrans(
-        pl.to_source.then(pl.diagonal),
-        identity_functor(pl.apex),
-        pl.diagonal_cell.inverse().components,
-        label="counit",
-    )
-    return EquivalenceWitness(
-        forward=pl.diagonal,
-        inverse=pl.to_source,
-        unit=unit,
-        counit=counit,
-        kind="injective",
-        has_section=pl.diagonal.is_isomorphism(),
-        has_retraction=True,
-    )
+    """Adjoint equivalence for the diagonal, with counit the inverse
+    diagonal cell; its unit is an identity."""
+    counit = pl.diagonal_cell.inverse().components
+    return adjoint_equivalence(pl.diagonal, pl.to_source, counit, "injective")
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ from fincat.counterexamples import ArrowMorphism
 from fincat.equivalence import (
     EquivalenceWitness,
     NotEquivalence,
-    _witness_from_retraction,
-    _witness_from_section,
+    _retraction_counit,
+    adjoint_equivalence,
     classify_equivalence,
     find_sections,
     validate_witness,
@@ -141,6 +141,15 @@ def relabeled(cat: FinCat, rng) -> FinCat:
         {(names[g], names[f]): names[gf] for (g, f), gf in cat.comp.items()},
         label=f"{cat.label}-relabeled",
     )
+
+
+def shuffled(cat: FinCat, rng) -> FinCat:
+    """``cat`` with its object and morphism lists in a random order."""
+    objects = list(cat.objects)
+    morphisms = [(m.name, m.dom, m.cod) for m in cat.morphisms]
+    rng.shuffle(objects)
+    rng.shuffle(morphisms)
+    return FinCat(objects, morphisms, dict(cat.identity), dict(cat.comp), label=cat.label)
 
 
 def componentwise_composites(cat: TupleCat, tables=None) -> dict:
@@ -1319,8 +1328,9 @@ def recursive_functor_estimate(C: FinCat, D: FinCat, budget: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Constructions only the tests use, on the library's own types: a retract
-# witness of the pseudolimit's source projection, retract witnesses and
-# witnesses assembled from a known inverse, a deliberately non-normal
+# witness of the pseudolimit's source projection, whose unit is the diagonal
+# cell itself (labelled ``delta``), retract witnesses and witnesses assembled
+# by ``adjoint_equivalence`` from a known inverse, a deliberately non-normal
 # cleavage, the coskeletality check of a 3-truncated nerve, and the functor
 # between classifying categories induced by a simplicial map
 
@@ -1348,7 +1358,8 @@ def pseudolimit_retract_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
     )
 
 def retract_witness(F: FinFunctor) -> EquivalenceWitness:
-    """Witness with identity counit; requires a section."""
+    """Witness with identity counit, built on the first section; requires
+    a section."""
     w = classify_equivalence(F)
     if isinstance(w, NotEquivalence):
         raise WitnessInvalid(f"{F.label} is not an equivalence: {w.reason}")
@@ -1357,23 +1368,22 @@ def retract_witness(F: FinFunctor) -> EquivalenceWitness:
     if w.counit.is_identity():
         return w
     section = next(find_sections(F, limit=1))
-    unit, counit = _witness_from_section(F, section)
-    return validate_witness(
-        EquivalenceWitness(F, section, unit, counit, "retract", w.has_section, w.has_retraction)
-    )
+    return witness_from_parts(F, section, "retract", w.has_section, w.has_retraction)
 
 def witness_from_parts(F, inverse, kind, has_section, has_retraction) -> EquivalenceWitness:
-    """Assemble and verify a witness from a known inverse of the given kind.
-    Used where the inverse is available by construction."""
+    """Assemble and verify a witness from a known section (``retract``) or
+    retraction (``injective``), and check the section and retraction flags
+    the builder reads off F's object map against the expected ones.  Used
+    where the inverse is available by construction."""
     if kind == "retract":
-        unit, counit = _witness_from_section(F, inverse)
+        counit = {b: F.target.id_of(b) for b in F.target.objects}
     elif kind == "injective":
-        unit, counit = _witness_from_retraction(F, inverse)
+        counit = _retraction_counit(F, inverse)
     else:
         raise WitnessInvalid(f"unknown kind {kind}")
-    return validate_witness(
-        EquivalenceWitness(F, inverse, unit, counit, kind, has_section, has_retraction)
-    )
+    w = validate_witness(adjoint_equivalence(F, inverse, counit, kind))
+    assert (w.has_section, w.has_retraction) == (has_section, has_retraction)
+    return w
 
 def perturbed_cleavage(p: FinFunctor) -> Cleavage | None:
     """A deliberately non-normal cleavage: every identity downstairs whose

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from fincat.core import (
-    FinCat,
     FinFunctor,
     WitnessInvalid,
     builtin,
@@ -29,6 +28,7 @@ from helpers import (
     filter_find_sections,
     is_equivalence_bf,
     retract_witness,
+    shuffled,
     witness_from_parts,
 )
 
@@ -141,15 +141,6 @@ def test_every_section_yields_valid_retract_witness():
         w = witness_from_parts(F, G, "retract", True, False)
         validate_witness(w)
         assert w.counit.is_identity()
-
-
-def shuffled(cat: FinCat, rng) -> FinCat:
-    """``cat`` with its object and morphism lists in a random order."""
-    objects = list(cat.objects)
-    morphisms = [(m.name, m.dom, m.cod) for m in cat.morphisms]
-    rng.shuffle(objects)
-    rng.shuffle(morphisms)
-    return FinCat(objects, morphisms, dict(cat.identity), dict(cat.comp), label=cat.label)
 
 
 @pytest.mark.parametrize("seed", range(3))
