@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core import (
+    UnknownName,
     builtin,
     enumerate_functors,
     enumerate_lifts,
@@ -334,5 +335,10 @@ CRITERIA = {
 
 
 def run_acceptance(numbers=None) -> list[CriterionResult]:
+    """Run the numbered criteria, or all of them; an unknown number is
+    refused before any criterion runs."""
     picked = sorted(numbers) if numbers else sorted(CRITERIA)
+    for n in picked:
+        if n not in CRITERIA:
+            raise UnknownName(f"no criterion numbered {n}")
     return [CRITERIA[n]() for n in picked]

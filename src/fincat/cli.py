@@ -19,6 +19,7 @@ import click
 from .core import (
     AssociativityViolation,
     BoundaryViolation,
+    Bounds,
     BudgetExceeded,
     FinCatError,
     IdentityViolation,
@@ -26,12 +27,14 @@ from .core import (
     NotInvertible,
     NotNatural,
     StructureError,
+    UnknownName,
+    bounded,
+    bounds,
 )
 from .cosmos import CosmosFragment, check_fragment, nip_square_filler
 from .counterexamples import run_counterexample
 from .equivalence import EquivalenceWitness, classify_equivalence
 from .fibrations import classify_fibration
-from .funcat import DEFAULT_BUDGET
 from .limits import (
     build_normal_pullback,
     equifier,
@@ -44,7 +47,7 @@ from .limits import (
     tower_limit,
     find_isomorphism_over,
 )
-from .nerve import DEFAULT_WORD_BOUND, check_powers_iso, classifying_category, nerve_truncated
+from .nerve import check_powers_iso, classifying_category, nerve_truncated
 from .serialize import (
     category_from_node,
     category_summary,
@@ -73,21 +76,21 @@ _LAW_ERRORS = (
 @click.option(
     "--budget",
     type=click.IntRange(min=0),
-    default=DEFAULT_BUDGET,
+    default=Bounds().budget,
     show_default=True,
     help="Functor enumeration budget.",
 )
 @click.option(
     "--tower-bound",
     type=click.IntRange(min=0),
-    default=4,
+    default=Bounds().tower,
     show_default=True,
     help="Maximal tower length.",
 )
 @click.option(
     "--word-bound",
     type=click.IntRange(min=0),
-    default=DEFAULT_WORD_BOUND,
+    default=Bounds().word,
     show_default=True,
     help="Word length bound for classifying categories.",
 )
@@ -96,34 +99,46 @@ _LAW_ERRORS = (
 def main(ctx, budget, tower_bound, word_bound, pretty):
     """Finite-category toolkit: validation, classification, limits,
     factorization, nerves, and the counterexample catalog."""
-    ctx.obj = {
-        "budget": budget,
-        "tower_bound": tower_bound,
-        "word_bound": word_bound,
-        "pretty": pretty,
-    }
+    ctx.obj = {"pretty": pretty}
+    # every subcommand runs under the flags; the scope closes with the
+    # command, also on sys.exit
+    ctx.with_resource(bounded(budget=budget, tower=tower_bound, word=word_bound))
 
 
 def _inputs_entry(path):
     return {"path": str(path), "sha256": digest_file(path)}
 
 
-def _emit(ctx, command, inputs, result, passed, started) -> int:
+def _emit(ctx, command, inputs, result, passed, seconds) -> int:
+    settings = bounds()
     envelope = {
         "command": command,
         "inputs": {k: _inputs_entry(v) for k, v in inputs.items()},
         "settings": {
-            "budget": ctx.obj["budget"],
-            "tower_bound": ctx.obj["tower_bound"],
-            "word_bound": ctx.obj["word_bound"],
+            "budget": settings.budget,
+            "tower_bound": settings.tower,
+            "word_bound": settings.word,
         },
         "result": result,
         "pass": passed,
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
+        "timing_ms": round(seconds * 1000, 3),
     }
     indent = 2 if ctx.obj["pretty"] else None
     click.echo(json.dumps(envelope, sort_keys=True, ensure_ascii=False, indent=indent))
     return 0 if passed else 1
+
+
+def _refuse(command, exc: FinCatError):
+    """Report an error that refutes no claim on standard error; exit 2."""
+    click.echo(
+        json.dumps(
+            {"command": command, "error": type(exc).__name__, "detail": str(exc)},
+            sort_keys=True,
+            ensure_ascii=False,
+        ),
+        err=True,
+    )
+    sys.exit(2)
 
 
 def _run(ctx, command, inputs, worker):
@@ -132,26 +147,10 @@ def _run(ctx, command, inputs, worker):
     try:
         result, passed = worker()
     except _LAW_ERRORS as exc:
-        code = _emit(
-            ctx,
-            command,
-            inputs,
-            {"error": type(exc).__name__, "detail": str(exc)},
-            False,
-            started,
-        )
-        sys.exit(1)
+        result, passed = {"error": type(exc).__name__, "detail": str(exc)}, False
     except FinCatError as exc:
-        click.echo(
-            json.dumps(
-                {"command": command, "error": type(exc).__name__, "detail": str(exc)},
-                sort_keys=True,
-                ensure_ascii=False,
-            ),
-            err=True,
-        )
-        sys.exit(2)
-    sys.exit(_emit(ctx, command, inputs, result, passed, started))
+        _refuse(command, exc)
+    sys.exit(_emit(ctx, command, inputs, result, passed, time.perf_counter() - started))
 
 
 @main.command()
@@ -196,7 +195,7 @@ def factorize(ctx, functor_path):
 
     def worker():
         F = load_functor(functor_path)
-        fac = factorize_wfs(F, ctx.obj["budget"])
+        fac = factorize_wfs(F)
         left_w = classify_equivalence(fac.left)
         ok = (
             fac.left.then(fac.right) == F
@@ -287,7 +286,7 @@ def limit_isocomma(ctx, f_path, g_path):
 @click.pass_context
 def limit_pseudolimit(ctx, f_path):
     def worker():
-        pl = pseudolimit_of_arrow(load_functor(f_path), ctx.obj["budget"])
+        pl = pseudolimit_of_arrow(load_functor(f_path))
         return {
             "apex": pl.apex.to_dict(),
             "apex_summary": category_summary(pl.apex),
@@ -307,9 +306,7 @@ def limit_pseudolimit(ctx, f_path):
 @click.pass_context
 def limit_inserter(ctx, f_path, g_path):
     def worker():
-        return _limit_worker(
-            ctx, inserter(load_functor(f_path), load_functor(g_path), ctx.obj["budget"])
-        )
+        return _limit_worker(ctx, inserter(load_functor(f_path), load_functor(g_path)))
 
     _run(ctx, "limit inserter", {"f": f_path, "g": g_path}, worker)
 
@@ -321,12 +318,7 @@ def limit_inserter(ctx, f_path, g_path):
 def limit_equifier(ctx, t1_path, t2_path):
     def worker():
         return _limit_worker(
-            ctx,
-            equifier(
-                load_transformation(t1_path),
-                load_transformation(t2_path),
-                ctx.obj["budget"],
-            ),
+            ctx, equifier(load_transformation(t1_path), load_transformation(t2_path))
         )
 
     _run(ctx, "limit equifier", {"t1": t1_path, "t2": t2_path}, worker)
@@ -381,10 +373,6 @@ def limit_tower(ctx, tower_path):
             raise StructureError("tower: maps: expected a list")
         base = category_from_node(data["base"], base_dir)
         maps = [functor_from_node(node, base_dir) for node in nodes]
-        if len(maps) > ctx.obj["tower_bound"]:
-            raise StructureError(
-                f"tower length {len(maps)} exceeds the bound {ctx.obj['tower_bound']}"
-            )
         tl = tower_limit(base, maps)
         strict = strict_tower_limit(base, maps)
         agrees = find_isomorphism_over(tl.witness, strict) is not None
@@ -403,7 +391,7 @@ def leibniz(ctx, j_path, p_path):
     """Leibniz power of an isofibration by an injective-on-objects functor."""
 
     def worker():
-        res = leibniz_power(load_functor(j_path), load_functor(p_path), ctx.obj["budget"])
+        res = leibniz_power(load_functor(j_path), load_functor(p_path))
         return {
             "induced": functor_summary(res.induced),
             "report": res.report.to_dict(),
@@ -419,7 +407,7 @@ def wf(ctx, functor_path):
     """Compare a functor with its induced iso-power comparison map."""
 
     def worker():
-        res = compute_wf(load_functor(functor_path), ctx.obj["budget"])
+        res = compute_wf(load_functor(functor_path))
         return {
             "comparison": functor_summary(res.comparison),
             "arrow_flags": res.arrow_report.to_dict()["flags"],
@@ -455,11 +443,13 @@ def cosmos_check(ctx, fragment_path):
         frag = CosmosFragment(
             objects=tuple(category_from_node(n, base) for n in data["objects"]),
             chosen=data.get("chosen", "normal"),
-            power_budget=data.get("power_budget", ctx.obj["budget"]),
-            tower_bound=data.get("tower_bound", ctx.obj["tower_bound"]),
             label=data.get("label", Path(fragment_path).stem),
         )
-        report = check_fragment(frag)
+        with bounded(
+            budget=data.get("power_budget", bounds().budget),
+            tower=data.get("tower_bound", bounds().tower),
+        ):
+            report = check_fragment(frag)
         skipped = sum(clause.budget_errors for clause in report.clauses.values())
         if skipped:
             first = next(
@@ -512,7 +502,7 @@ def classify_sset(ctx, sset_path):
 
     def worker():
         X = load_sset(sset_path)
-        cat = classifying_category(X, ctx.obj["word_bound"])
+        cat = classifying_category(X)
         return cat.to_dict() | {"summary": category_summary(cat)}, True
 
     _run(ctx, "classify-sset", {"sset": sset_path}, worker)
@@ -530,7 +520,7 @@ def powers_check(ctx, sset_path, category_path, dim):
     def worker():
         X = load_sset(sset_path)
         Y = load_category(category_path)
-        rep = check_powers_iso(X, Y, dim, ctx.obj["word_bound"], ctx.obj["budget"])
+        rep = check_powers_iso(X, Y, dim)
         return rep.to_dict(), rep.ok
 
     _run(ctx, "powers-check", {"sset": sset_path, "category": category_path}, worker)
@@ -555,41 +545,24 @@ def counterexample(ctx, name):
 @click.pass_context
 def suite(ctx, suite_name, only):
     """Run a named suite; ``acceptance`` emits one envelope per criterion."""
-    if suite_name != "acceptance":
-        click.echo(
-            json.dumps({"error": "UnknownName", "detail": f"no suite named {suite_name}"}),
-            err=True,
-        )
-        sys.exit(2)
-    from .acceptance import run_acceptance
-
-    numbers = None
-    if only:
+    command = f"suite {suite_name}"
+    try:
+        if suite_name != "acceptance":
+            raise UnknownName(f"no suite named {suite_name}")
         try:
             numbers = [int(tok) for tok in only.split(",") if tok.strip()]
         except ValueError:
-            click.echo(json.dumps({"error": "UnknownName", "detail": "bad --only list"}), err=True)
-            sys.exit(2)
-    started = time.perf_counter()
-    results = run_acceptance(numbers)
-    indent = 2 if ctx.obj["pretty"] else None
-    all_ok = True
-    for r in results:
-        envelope = {
-            "command": f"suite acceptance #{r.number}",
-            "inputs": {},
-            "settings": {
-                "budget": ctx.obj["budget"],
-                "tower_bound": ctx.obj["tower_bound"],
-                "word_bound": ctx.obj["word_bound"],
-            },
-            "result": r.to_dict(),
-            "pass": r.passed,
-            "timing_ms": round(r.duration * 1000, 3),
-        }
-        click.echo(json.dumps(envelope, sort_keys=True, ensure_ascii=False, indent=indent))
-        all_ok = all_ok and r.passed
-    sys.exit(0 if all_ok else 1)
+            raise UnknownName("bad --only list") from None
+        from .acceptance import run_acceptance
+
+        results = run_acceptance(numbers)
+    except FinCatError as exc:
+        _refuse(command, exc)
+    codes = [
+        _emit(ctx, f"{command} #{r.number}", {}, r.to_dict(), r.passed, r.duration)
+        for r in results
+    ]
+    sys.exit(max(codes))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ import copy
 import hashlib
 import json
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii
@@ -107,6 +110,48 @@ class EnumerationBudgetExceeded(BudgetExceeded):
     def __init__(self, bound: int, required: int, what: str = "enumeration"):
         self.bound, self.required = bound, required
         super().__init__(f"{what} needs {required} candidates, budget is {bound}")
+
+
+# ---------------------------------------------------------------------------
+# Bounds
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """The caps that keep finite constructions finite.
+
+    ``budget`` caps the candidates a power enumerates
+    (``funcat.functor_category``), ``tower`` the length of a tower
+    (``limits.tower_limit``, and the towers ``cosmos.check_fragment``
+    samples), and ``word`` the length of the words a classifying category
+    is computed over (``nerve.rewrite_system``).  Each is read where it is
+    spent, from the innermost :func:`bounded` scope; outside every scope
+    the bounds are these defaults.  The CLI opens one scope per command from
+    its global flags, and a fragment's ``power_budget`` and ``tower_bound``
+    open a nested one."""
+
+    budget: int = 20_000
+    tower: int = 4
+    word: int = 4
+
+
+_BOUNDS: ContextVar[Bounds] = ContextVar("bounds", default=Bounds())
+
+
+def bounds() -> Bounds:
+    """The bounds of the innermost open scope."""
+    return _BOUNDS.get()
+
+
+@contextmanager
+def bounded(**changes):
+    """Open a scope with the enclosing bounds but for ``changes``; the
+    enclosing bounds come back when it closes, also on an exception."""
+    token = _BOUNDS.set(replace(_BOUNDS.get(), **changes))
+    try:
+        yield _BOUNDS.get()
+    finally:
+        _BOUNDS.reset(token)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ from .core import (
     EnumerationBudgetExceeded,
     FinCat,
     StructureError,
+    bounds,
     builtin,
     builtin_functor,
     enumerate_functors,
@@ -80,7 +81,6 @@ from .core import (
 from .equivalence import EquivalenceWitness, classify_equivalence
 from .fibrations import classify_fibration
 from .funcat import (
-    DEFAULT_BUDGET,
     functor_category,
     postcompose_functor,
     product_category,
@@ -103,8 +103,6 @@ from .wfs import leibniz_power
 class CosmosFragment:
     objects: tuple[FinCat, ...]
     chosen: str = "normal"  # normal | representable | discrete | equivalences
-    power_budget: int = DEFAULT_BUDGET
-    tower_bound: int = 4
     label: str = "fragment"
 
 
@@ -125,6 +123,16 @@ class ClauseReport:
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
+
+    def check(self, description: str, decide) -> None:
+        """Add the entry ``decide() -> (passed, witness)`` gives; when the
+        budget refuses a power on the way, the entry passes as skipped."""
+        try:
+            passed, witness = decide()
+        except EnumerationBudgetExceeded as exc:
+            self.budget_errors += 1
+            passed, witness = True, f"skipped: {exc}"
+        self.entries.append(ClauseEntry(description, passed, witness))
 
     def to_dict(self) -> dict:
         return {
@@ -184,132 +192,115 @@ def _chosen_maps(frag: CosmosFragment, cap: int = 24):
     return out
 
 
+def _verdict(ok: bool, failure: str) -> tuple[bool, str]:
+    return ok, "" if ok else failure
+
+
+def _built(construct, *args) -> tuple[bool, str]:
+    """The verdict of a clause that holds once its construction is built."""
+    construct(*args)
+    return True, ""
+
+
+def _pullback_verdict(p, g) -> tuple[bool, str]:
+    if classify_fibration(p).representable:
+        iso = find_isomorphism_over(build_normal_pullback(p, g).witness, pullback_strict(p, g))
+        return _verdict(iso is not None, "oracle mismatch")
+    pullback_strict(p, g)
+    return True, "strict construction"
+
+
+def _tower_verdict(base, maps) -> tuple[bool, str]:
+    if all(classify_fibration(m).normal for m in maps):
+        tl = tower_limit(base, maps)
+        iso = find_isomorphism_over(tl.witness, strict_tower_limit(base, maps))
+        return _verdict(iso is not None, "oracle mismatch")
+    strict_tower_limit(base, maps)
+    return True, "strict construction"
+
+
 def check_fragment(frag: CosmosFragment) -> AxiomReport:
     """Replay the axiom clauses over the fragment; failures carry concrete
     witnesses and budget blowups leave a partial report."""
     pred = _predicate(frag.chosen)
     chosen = _chosen_maps(frag)
-    clauses: dict[str, ClauseReport] = {}
+    cospans, towers = _cospans(frag, chosen), _towers(chosen)
 
     # (a) postcomposition between hom-categories lifts isomorphisms
-    rep = ClauseReport("hom_isofibration")
+    homs = ClauseReport("hom_isofibration")
     for p in chosen:
         for A in frag.objects:
-            desc = f"[{A.label},-] applied to {p.label}"
-            try:
-                hom_map = postcompose_functor(p, A, frag.power_budget)
-                flag = classify_fibration(hom_map).representable
-                rep.entries.append(
-                    ClauseEntry(desc, flag, "" if flag else "iso-lifting failed")
-                )
-            except EnumerationBudgetExceeded as exc:
-                rep.budget_errors += 1
-                rep.entries.append(ClauseEntry(desc, True, f"skipped: {exc}"))
-    clauses["hom_isofibration"] = rep
+            homs.check(
+                f"[{A.label},-] applied to {p.label}",
+                lambda: _verdict(
+                    classify_fibration(postcompose_functor(p, A)).representable,
+                    "iso-lifting failed",
+                ),
+            )
 
     # (b) limits exist: products, powers, pullbacks along chosen, towers
     limits = ClauseReport("limits_exist", note="powers witnessed on fragment only")
     for A in frag.objects:
         for B in frag.objects:
-            desc = f"product {A.label}×{B.label}"
-            product_category(A, B)
-            limits.entries.append(ClauseEntry(desc, True))
-            desc = f"power [{A.label},{B.label}]"
-            try:
-                functor_category(A, B, frag.power_budget)
-                limits.entries.append(ClauseEntry(desc, True))
-            except EnumerationBudgetExceeded as exc:
-                limits.budget_errors += 1
-                limits.entries.append(ClauseEntry(desc, True, f"skipped: {exc}"))
-    for p, g in _cospans(frag, chosen):
-        desc = f"pullback of {p.label} along {g.label}"
-        try:
-            if classify_fibration(p).representable:
-                np = build_normal_pullback(p, g)
-                strict = pullback_strict(p, g)
-                iso = find_isomorphism_over(np.witness, strict)
-                limits.entries.append(
-                    ClauseEntry(desc, iso is not None, "" if iso else "oracle mismatch")
-                )
-            else:
-                pullback_strict(p, g)
-                limits.entries.append(ClauseEntry(desc, True, "strict construction"))
-        except EnumerationBudgetExceeded as exc:
-            limits.budget_errors += 1
-            limits.entries.append(ClauseEntry(desc, True, f"skipped: {exc}"))
-    for base, maps in _towers(frag, chosen):
-        desc = f"tower over {base.label} of length {len(maps)}"
-        try:
-            if all(classify_fibration(m).normal for m in maps):
-                tl = tower_limit(base, maps)
-                strict = strict_tower_limit(base, maps)
-                iso = find_isomorphism_over(tl.witness, strict)
-                limits.entries.append(
-                    ClauseEntry(desc, iso is not None, "" if iso else "oracle mismatch")
-                )
-            else:
-                strict_tower_limit(base, maps)
-                limits.entries.append(ClauseEntry(desc, True, "strict construction"))
-        except EnumerationBudgetExceeded as exc:
-            limits.budget_errors += 1
-            limits.entries.append(ClauseEntry(desc, True, f"skipped: {exc}"))
-    clauses["limits_exist"] = limits
-
-    # (c) stability
-    stab = ClauseReport("stability")
-    for p, g in _cospans(frag, chosen):
-        desc = f"pullback of {p.label} along {g.label} stays chosen"
-        leg = pullback_strict(p, g).projections[1]
-        ok = pred(leg)
-        stab.entries.append(
-            ClauseEntry(desc, ok, "" if ok else f"projection out of pb({p.label},{g.label})")
+            limits.check(f"product {A.label}×{B.label}", lambda: _built(product_category, A, B))
+            limits.check(f"power [{A.label},{B.label}]", lambda: _built(functor_category, A, B))
+    for p, g in cospans:
+        limits.check(f"pullback of {p.label} along {g.label}", lambda: _pullback_verdict(p, g))
+    for base, maps in towers:
+        limits.check(
+            f"tower over {base.label} of length {len(maps)}", lambda: _tower_verdict(base, maps)
         )
-    for idx, p in enumerate(chosen[:4]):
+
+    # (c) stability: each map built from chosen ones is chosen
+    stab = ClauseReport("stability")
+
+    def stays(description, build, failure):
+        stab.check(description, lambda: _verdict(pred(build()), failure))
+
+    for p, g in cospans:
+        stays(
+            f"pullback of {p.label} along {g.label} stays chosen",
+            lambda: pullback_strict(p, g).projections[1],
+            f"projection out of pb({p.label},{g.label})",
+        )
+    for p in chosen[:4]:
         for q in chosen[:4]:
-            desc = f"product map {p.label}×{q.label} stays chosen"
-            prod_src = product_category(p.source, q.source)
-            prod_dst = product_category(p.target, q.target)
-            pq = product_functor(p, q, prod_src, prod_dst)
-            ok = pred(pq)
-            stab.entries.append(ClauseEntry(desc, ok, "" if ok else "product map fails"))
-    for base, maps in _towers(frag, chosen):
-        if not maps:
-            continue
-        desc = f"tower projection over {base.label} (length {len(maps)}) stays chosen"
-        leg = strict_tower_limit(base, maps).projections[0]
-        ok = pred(leg)
-        stab.entries.append(ClauseEntry(desc, ok, "" if ok else "tower projection fails"))
+            src, dst = product_category(p.source, q.source), product_category(p.target, q.target)
+            stays(
+                f"product map {p.label}×{q.label} stays chosen",
+                lambda: product_functor(p, q, src, dst),
+                "product map fails",
+            )
+    for base, maps in towers:
+        stays(
+            f"tower projection over {base.label} (length {len(maps)}) stays chosen",
+            lambda: strict_tower_limit(base, maps).projections[0],
+            "tower projection fails",
+        )
     for name in LEIBNIZ_GENERATORS:
         j = builtin_functor(name)
         for p in chosen[:6]:
-            desc = f"Leibniz power by {name} of {p.label} stays chosen"
-            try:
-                res = leibniz_power(j, p, frag.power_budget)
-                ok = pred(res.induced)
-                stab.entries.append(
-                    ClauseEntry(desc, ok, "" if ok else "induced map fails")
-                )
-            except EnumerationBudgetExceeded as exc:
-                stab.budget_errors += 1
-                stab.entries.append(ClauseEntry(desc, True, f"skipped: {exc}"))
+            stays(
+                f"Leibniz power by {name} of {p.label} stays chosen",
+                lambda: leibniz_power(j, p).induced,
+                "induced map fails",
+            )
     one = builtin("terminal")
     for A in frag.objects:
-        desc = f"{A.label} → terminal is chosen"
-        ok = pred(thin_functor(A, one, {a: "*" for a in A.objects}, "functor"))
-        stab.entries.append(ClauseEntry(desc, ok, "" if ok else "terminal map fails"))
+        stays(
+            f"{A.label} → terminal is chosen",
+            lambda: thin_functor(A, one, {a: "*" for a in A.objects}, "functor"),
+            "terminal map fails",
+        )
     for p in chosen[:6]:
         for q in chosen[:6]:
-            if p.target != q.source:
-                continue
-            desc = f"composite {q.label}∘{p.label} stays chosen"
-            ok = pred(p.then(q))
-            stab.entries.append(ClauseEntry(desc, ok, "" if ok else "composite fails"))
+            if p.target == q.source:
+                desc = f"composite {q.label}∘{p.label} stays chosen"
+                stays(desc, lambda: p.then(q), "composite fails")
     for A in frag.objects:
-        desc = f"identity of {A.label} is chosen"
-        ok = pred(identity_functor(A))
-        stab.entries.append(ClauseEntry(desc, ok, "" if ok else "identity fails"))
-    clauses["stability"] = stab
+        stays(f"identity of {A.label} is chosen", lambda: identity_functor(A), "identity fails")
 
+    clauses = {"hom_isofibration": homs, "limits_exist": limits, "stability": stab}
     return AxiomReport(fragment=frag.label, chosen=frag.chosen, clauses=clauses)
 
 
@@ -325,16 +316,17 @@ def _cospans(frag: CosmosFragment, chosen, cap: int = 18):
     return out
 
 
-def _towers(frag: CosmosFragment, chosen, cap: int = 8):
+def _towers(chosen, cap: int = 8):
     """Composable chains of chosen maps, extended one level at a time up to
-    the fragment's tower bound."""
+    the tower bound of :func:`~fincat.core.bounds`."""
+    bound = bounds().tower
     out: list = []
-    frontier = [(m.target, (m,)) for m in chosen if not m.is_identity()][:3]
+    frontier = [(m.target, (m,)) for m in chosen if not m.is_identity()][:3] if bound else []
     out.extend(frontier)
     while frontier and len(out) < cap:
         nxt = []
         for base, maps in frontier:
-            if len(maps) >= frag.tower_bound:
+            if len(maps) >= bound:
                 continue
             top = maps[-1].source
             for m in chosen:

@@ -7,10 +7,11 @@ whose objects are named by their image tuples and whose morphisms are
 tuples of components.  A power keeps only these names and parts, builds
 the functor of an object on demand, and maps to other powers part by part.
 Binary products are tuple categories too, so every name maps back to its
-parts by lookup, never by parsing.  Enumeration is guarded by an explicit
-budget: the number of raw candidates is counted up front (the object and
-morphism images of the functors, then for each ordered pair of functors
-the product of its component homs), and ``EnumerationBudgetExceeded``
+parts by lookup, never by parsing.  Enumeration is guarded by the budget
+of the innermost bounds scope (``core.bounded``): the number of raw
+candidates is counted up front (the object and morphism images of the
+functors, then for each ordered pair of functors the product of its
+component homs), and ``EnumerationBudgetExceeded``
 reports both the bound and the requirement, so blowups are loud rather
 than slow.  The transformations of a pair are the tuples of that counted
 product that pass C's naturality squares, so the candidates checked are
@@ -30,10 +31,9 @@ from .core import (
     StructureError,
     TupleCat,
     _natural_parts,
+    bounds,
     enumerate_functors,
 )
-
-DEFAULT_BUDGET = 20_000
 
 
 class FunctorCat(TupleCat):
@@ -103,11 +103,13 @@ def _estimate_functor_candidates(C: FinCat, D: FinCat, budget: int) -> int:
 _CACHE: dict[tuple[str, str], FunctorCat] = {}
 
 
-def functor_category(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> FunctorCat:
+def functor_category(C: FinCat, D: FinCat) -> FunctorCat:
     """The category of functors C → D and natural transformations, with
-    vertical composition, labelled ``[C.label,D.label]``.  Results are
-    cached by content; a power cached for content-equal categories under
-    other labels comes back relabelled."""
+    vertical composition, labelled ``[C.label,D.label]``, within the budget
+    of :func:`~fincat.core.bounds`.  Results are cached by content; a power
+    cached for content-equal categories under other labels comes back
+    relabelled."""
+    budget = bounds().budget
     cache_key = (C.digest, D.digest)
     label = f"[{C.label},{D.label}]"
     # a cached power that the budget refuses is counted afresh, so the
@@ -176,12 +178,12 @@ def evaluation_functor(fc: FunctorCat, at: str) -> FinFunctor:
     return fc.projection(fc.source_category.obj_index[at], f"ev_{at}")
 
 
-def precompose_functor(j: FinFunctor, D: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
+def precompose_functor(j: FinFunctor, D: FinCat) -> FinFunctor:
     """Restriction D^Y → D^X induced by j : X → Y: the parts of F∘j, and the
     components of t·j, are F's parts and t's components gathered at j's
     images."""
     X, Y = j.source, j.target
-    power_y, power_x = functor_category(Y, D, budget), functor_category(X, D, budget)
+    power_y, power_x = functor_category(Y, D), functor_category(X, D)
     at_objects = [Y.obj_index[j.ob(x)] for x in X.objects]
     at_parts = at_objects + [power_y._mor_slot[j.mor(m.name)] for m in X.morphisms]
     omap = {
@@ -197,11 +199,11 @@ def precompose_functor(j: FinFunctor, D: FinCat, budget: int = DEFAULT_BUDGET) -
     return FinFunctor(power_y, power_x, omap, mmap, label=f"{D.label}^{j.label}")
 
 
-def postcompose_functor(p: FinFunctor, X: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
+def postcompose_functor(p: FinFunctor, X: FinCat) -> FinFunctor:
     """The map A^X → B^X induced by p : A → B: p's object map on the object
     parts, its morphism map on the morphism parts and on each component."""
-    power_a = functor_category(X, p.source, budget)
-    power_b = functor_category(X, p.target, budget)
+    power_a = functor_category(X, p.source)
+    power_b = functor_category(X, p.target)
     n, p_omap, p_mmap = X.n_objects, p.omap, p.mmap
     omap = {
         name: power_b.obj_named([p_omap[x] for x in parts[:n]] + [p_mmap[x] for x in parts[n:]])
@@ -278,20 +280,6 @@ def product_category(A: FinCat, B: FinCat) -> TupleCat:
         ],
         label=f"{A.label}×{B.label}",
     )
-
-
-def split_pair_name(name: str) -> tuple[str, str]:
-    """The two halves of a name assembled as "(left,right)", where each half
-    has balanced parentheses and brackets."""
-    depth = 0
-    for i, ch in enumerate(name):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return name[1:i], name[i + 1 : -1]
-    raise StructureError(f"not a pair name: {name}")
 
 
 def product_projections(prod: TupleCat) -> tuple[FinFunctor, FinFunctor]:

@@ -32,6 +32,7 @@ from .core import (
     StructureError,
     TupleCat,
     builtin,
+    bounds,
     builtin_functor,
     composable_morphisms,
     enumerate_functors,
@@ -42,9 +43,8 @@ from .core import (
     identity_nat,
 )
 from .equivalence import EquivalenceWitness, adjoint_equivalence
-from .fibrations import Cleavage, build_normal_cleavage, classify_fibration, lift_iso_2cell
+from .fibrations import build_normal_cleavage, classify_fibration, lift_iso_2cell
 from .funcat import (
-    DEFAULT_BUDGET,
     FunctorCat,
     cells_into_power,
     evaluation_functor,
@@ -296,11 +296,11 @@ def constant_iso_object(power: FunctorCat, b: str) -> str:
     )
 
 
-def pseudolimit_of_arrow(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> PseudolimitOfArrow:
+def pseudolimit_of_arrow(f: FinFunctor) -> PseudolimitOfArrow:
     A, B = f.source, f.target
     free_iso = builtin("free_iso")
-    power_b = functor_category(free_iso, B, budget)
-    power_a = functor_category(free_iso, A, budget)
+    power_b = functor_category(free_iso, B)
+    power_a = functor_category(free_iso, A)
     cod_b = evaluation_functor(power_b, "1")
     dom_b = evaluation_functor(power_b, "0")
     pb = pullback_strict(f, cod_b)
@@ -340,7 +340,7 @@ def pseudolimit_of_arrow(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> Pseudol
     # comparison out of the source iso-power: an iso of A lands on
     # (its codomain, its image iso)
     pairing = pair_functor(
-        evaluation_functor(power_a, "1"), postcompose_functor(f, free_iso, budget), L
+        evaluation_functor(power_a, "1"), postcompose_functor(f, free_iso), L
     )
     w = FinFunctor(power_a, L, pairing.omap, pairing.mmap, label="w")
 
@@ -371,22 +371,22 @@ def pseudolimit_injective_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
 # Inserter and equifier
 
 
-def inserter(f: FinFunctor, g: FinFunctor, budget: int = DEFAULT_BUDGET) -> LimitWitness:
+def inserter(f: FinFunctor, g: FinFunctor) -> LimitWitness:
     """Universal object inserting a 2-cell f∘P ⇒ g∘P, built as a pullback of
     the endpoint restriction out of the arrow power."""
     if f.source != g.source or f.target != g.target:
         raise StructureError("inserter needs a parallel pair")
     B = f.target
     j = builtin_functor("discrete_to_arrow")
-    restriction = precompose_functor(j, B, budget)
+    restriction = precompose_functor(j, B)
     if not classify_fibration(restriction).discrete:
         raise StructureError("endpoint restriction failed the discrete isofibration check")
-    power2 = functor_category(builtin("two_discrete"), B, budget)
+    power2 = functor_category(builtin("two_discrete"), B)
     pairing = functor_into_power([f, g], power2)
     pb = pullback_strict(pairing, restriction)
     apex: TupleCat = pb.apex
     to_a = pb.projections[0]
-    power_arrow = functor_category(builtin("arrow"), B, budget)
+    power_arrow = functor_category(builtin("arrow"), B)
     arrow_at = pb.projections[1].omap
     cell = NatTrans(
         to_a.then(f),
@@ -399,17 +399,17 @@ def inserter(f: FinFunctor, g: FinFunctor, budget: int = DEFAULT_BUDGET) -> Limi
     )
 
 
-def equifier(t1: NatTrans, t2: NatTrans, budget: int = DEFAULT_BUDGET) -> LimitWitness:
+def equifier(t1: NatTrans, t2: NatTrans) -> LimitWitness:
     """Universal object over which two parallel 2-cells agree, built as a
     pullback of the fold restriction out of the arrow power."""
     if t1.source != t2.source or t1.target != t2.target:
         raise StructureError("equifier needs parallel 2-cells")
     B = t1.category
     fold = builtin_functor("collapse_parallel")
-    restriction = precompose_functor(fold, B, budget)
+    restriction = precompose_functor(fold, B)
     if not classify_fibration(restriction).discrete:
         raise StructureError("fold restriction failed the discrete isofibration check")
-    power_pp = functor_category(builtin("parallel_pair"), B, budget)
+    power_pp = functor_category(builtin("parallel_pair"), B)
     pairing = cells_into_power([t1, t2], power_pp)
     pb = pullback_strict(pairing, restriction)
     to_a = pb.projections[0]
@@ -472,7 +472,6 @@ class NormalPullback:
 
     left: FinFunctor
     right: FinFunctor
-    cleavage: Cleavage
     isocomma: LimitWitness
     comparison: FinFunctor
     comparison_cell: NatTrans
@@ -516,7 +515,6 @@ def build_normal_pullback(f: FinFunctor, g: FinFunctor) -> NormalPullback:
     return NormalPullback(
         left=f,
         right=g,
-        cleavage=cleavage,
         isocomma=ic,
         comparison=x,
         comparison_cell=xi,
@@ -537,7 +535,6 @@ class TowerLimit:
 
     base: FinCat
     maps: tuple[FinFunctor, ...]
-    cleavages: tuple[Cleavage, ...]
     pseudolimit: FinCat
     projections: tuple[FinFunctor, ...]  # p_n : P → A_n
     structure_cells: dict                # (m, n) -> π^m_n : p_n ≅ f^m_n ∘ p_m
@@ -572,7 +569,8 @@ def strict_tower_limit(base: FinCat, maps) -> LimitWitness:
 
 
 def tower_limit(base: FinCat, maps) -> TowerLimit:
-    """Limit of a finite tower of normal isofibrations.
+    """Limit of a finite tower of normal isofibrations, no longer than the
+    tower bound of :func:`~fincat.core.bounds`.
 
     The tower's pseudolimit is realized as an iterated isocomma; a strict
     cone is lifted through the cleavages level by level, the induced
@@ -580,6 +578,9 @@ def tower_limit(base: FinCat, maps) -> TowerLimit:
     strict cone is certified as a limit against the test vertices.
     """
     maps = tuple(maps)
+    bound = bounds().tower
+    if len(maps) > bound:
+        raise StructureError(f"tower length {len(maps)} exceeds the bound {bound}")
     cats = _tower_cats(base, maps)
     n = len(maps)
     cleavages = tuple(build_normal_cleavage(f) for f in maps)
@@ -646,7 +647,6 @@ def tower_limit(base: FinCat, maps) -> TowerLimit:
     return TowerLimit(
         base=base,
         maps=maps,
-        cleavages=cleavages,
         pseudolimit=P,
         projections=tuple(projections),
         structure_cells=pis,

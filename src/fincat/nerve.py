@@ -20,11 +20,11 @@ from .core import (
     Morphism,
     StructureError,
     _backtrack,
+    bounds,
     composable_morphisms,
 )
-from .funcat import DEFAULT_BUDGET, functor_category, split_pair_name
+from .funcat import functor_category
 
-DEFAULT_WORD_BOUND = 4
 TOP_DIM = 3
 
 
@@ -282,8 +282,9 @@ class RewriteSystem:
     endpoints: dict
 
 
-def rewrite_system(X: TruncSSet, bound: int = DEFAULT_WORD_BOUND) -> RewriteSystem:
-    """The presentation the classifying category is computed from."""
+def rewrite_system(X: TruncSSet) -> RewriteSystem:
+    """The presentation the classifying category is computed from, with
+    words capped at the word bound of :func:`~fincat.core.bounds`."""
     generators = tuple(X.nondegenerate(1))
     gen_set = set(generators)
     endpoints = {e: (X.face(1, 1, e), X.face(1, 0, e)) for e in generators}
@@ -299,7 +300,7 @@ def rewrite_system(X: TruncSSet, bound: int = DEFAULT_WORD_BOUND) -> RewriteSyst
     return RewriteSystem(
         generators=generators,
         relations=tuple(relations),
-        bound=bound,
+        bound=bounds().word,
         endpoints=endpoints,
     )
 
@@ -329,22 +330,23 @@ def _edge_to_word(X: TruncSSet, edge: str, generators: set[str]):
     return ()
 
 
-def classifying_category(X: TruncSSet, bound: int = DEFAULT_WORD_BOUND) -> FinCat:
+def classifying_category(X: TruncSSet) -> FinCat:
     """The category presented by the nondegenerate 1-simplices modulo the
     triangle relations of the 2-simplices, computed by congruence closure
-    over words of length at most ``bound``.
+    over words no longer than the rewrite system's bound.
 
     Raises :class:`BoundExceeded` when some maximal-length word has no
     shorter representative or when class composition escapes the bound.
     """
-    cat, _ = _classifying_data(X, bound)
+    cat, _ = _classifying_data(X)
     return cat
 
 
-def _classifying_data(X: TruncSSet, bound: int = DEFAULT_WORD_BOUND):
+def _classifying_data(X: TruncSSet):
     """(quotient category, word → morphism-name map)."""
     vertices = list(X.simplices[0])
-    system = rewrite_system(X, bound)
+    system = rewrite_system(X)
+    bound = system.bound
     generators = list(system.generators)
     # the representative check below sees only words of length bound > 0
     if bound == 0 and generators:
@@ -497,65 +499,45 @@ def truncated_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
 def _hom_sset_leveled(X: TruncSSet, NY: TruncSSet, dim: int):
     """The hom simplicial set [X, NY] up to the given dimension: level k is
     the set of maps Δ[k]×X → NY; faces/degeneracies act by precomposition
-    with the (co)face maps of the simplex factor."""
+    with the (co)face maps of the simplex factor.
+
+    A map of level k is keyed by its values at the simplices (α, x) of
+    Δ[k]×X, dimension by dimension in the order ``sset_product`` lists
+    them, so (α, x) sits at α's index in Δ[k] times |X_d| plus x's index."""
     deltas = [standard_simplex(k) for k in range(dim + 1)]
-    products = [sset_product(deltas[k], X) for k in range(dim + 1)]
-    level_maps = [truncated_sset_maps(products[k], NY) for k in range(dim + 1)]
+    sizes = [len(level) for level in X.simplices]
+    keys = []
+    for delta in deltas:
+        Z = sset_product(delta, X)
+        slots = [(d, s) for d in range(TOP_DIM + 1) for s in Z.simplices[d]]
+        keys.append([tuple(m[slot] for slot in slots) for m in truncated_sset_maps(Z, NY)])
+    names = [[f"T{k}_{j}" for j in range(len(level))] for k, level in enumerate(keys)]
+    lookup = [dict(zip(level, nms)) for level, nms in zip(keys, names)]
 
-    def key_of(mapping):
-        return tuple(sorted((f"{d}:{s}", v) for (d, s), v in mapping.items()))
-
-    names: list[list[str]] = []
-    lookup: list[dict] = []
-    for k in range(dim + 1):
-        lvl_names, lvl_lookup = [], {}
-        for j, mapping in enumerate(level_maps[k]):
-            nm = f"T{k}_{j}"
-            lvl_names.append(nm)
-            lvl_lookup[key_of(mapping)] = nm
-        names.append(lvl_names)
-        lookup.append(lvl_lookup)
-
-    def monotone_precompose(mapping, k_from, word_map):
-        """Precompose a map Δ[k]×X → NY with (word-induced)×1 where
-        word_map sends each digit-string simplex of Δ[k_from] to one of
-        Δ[k]."""
-        Zfrom = products[k_from]
-        out = {}
+    def table(k: int, k_to: int, move) -> dict[str, str]:
+        """Each name at level k ↦ the name at level k_to of its map
+        precomposed with move×1, where ``move`` sends the simplices of
+        Δ[k_to] to those of Δ[k]."""
+        gather, base = [], 0
         for d in range(TOP_DIM + 1):
-            for s in Zfrom.simplices[d]:
-                alpha, x = split_pair_name(s)
-                out[(d, s)] = mapping[(d, f"({word_map(alpha)},{x})")]
-        return out
+            at = {alpha: i for i, alpha in enumerate(deltas[k].simplices[d])}
+            for alpha in deltas[k_to].simplices[d]:
+                start = base + at[move(alpha)] * sizes[d]
+                gather.extend(range(start, start + sizes[d]))
+            base += len(at) * sizes[d]
+        return {
+            name: lookup[k_to][tuple(key[p] for p in gather)]
+            for name, key in zip(names[k], keys[k])
+        }
 
-    faces = {}
-    degens = {}
-    for k in range(1, dim + 1):
-        for i in range(k + 1):
-            table = {}
-            for j, mapping in enumerate(level_maps[k]):
+    def coface(i):
+        return lambda alpha: "".join(str(int(c) + 1) if int(c) >= i else c for c in alpha)
 
-                def coface(alpha, i=i):
-                    return "".join(
-                        str(int(ch) + 1) if int(ch) >= i else ch for ch in alpha
-                    )
+    def codegeneracy(i):
+        return lambda alpha: "".join(str(int(c) - 1) if int(c) > i else c for c in alpha)
 
-                moved = monotone_precompose(mapping, k - 1, coface)
-                table[f"T{k}_{j}"] = lookup[k - 1][key_of(moved)]
-            faces[(k, i)] = table
-    for k in range(0, dim):
-        for i in range(k + 1):
-            table = {}
-            for j, mapping in enumerate(level_maps[k]):
-
-                def codegen(alpha, i=i):
-                    return "".join(
-                        str(int(ch) - 1) if int(ch) > i else ch for ch in alpha
-                    )
-
-                moved = monotone_precompose(mapping, k + 1, codegen)
-                table[f"T{k}_{j}"] = lookup[k + 1][key_of(moved)]
-            degens[(k, i)] = table
+    faces = {(k, i): table(k, k - 1, coface(i)) for k in range(1, dim + 1) for i in range(k + 1)}
+    degens = {(k, i): table(k, k + 1, codegeneracy(i)) for k in range(dim) for i in range(k + 1)}
     return names, faces, degens
 
 
@@ -624,13 +606,7 @@ class PowersReport:
         }
 
 
-def check_powers_iso(
-    X: TruncSSet,
-    Y: FinCat,
-    dim: int = 2,
-    word_bound: int = DEFAULT_WORD_BOUND,
-    budget: int = DEFAULT_BUDGET,
-) -> PowersReport:
+def check_powers_iso(X: TruncSSet, Y: FinCat, dim: int = 2) -> PowersReport:
     """Compare [X, N Y] with N [Π X, Y] up to the given dimension (≤ 2),
     looking for a bijection compatible with all faces and degeneracies."""
     if dim < 0:
@@ -639,8 +615,8 @@ def check_powers_iso(
         raise StructureError("comparison is supported up to dimension 2")
     NY = nerve_truncated(Y)
     left_levels, left_faces, left_degens = _hom_sset_leveled(X, NY, dim)
-    PX = classifying_category(X, word_bound)
-    fc = functor_category(PX, Y, budget)
+    PX = classifying_category(X)
+    fc = functor_category(PX, Y)
     right = nerve_truncated(fc)
     right_levels = right.simplices[: dim + 1]
     iso = _leveled_iso(

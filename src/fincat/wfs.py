@@ -30,7 +30,7 @@ from .fibrations import (
     classify_fibration,
     lift_iso_2cell,
 )
-from .funcat import DEFAULT_BUDGET, postcompose_functor, precompose_functor
+from .funcat import postcompose_functor, precompose_functor
 from .limits import (
     LimitWitness,
     PseudolimitOfArrow,
@@ -72,29 +72,24 @@ class LiftingProblem:
 @dataclass
 class Factorization:
     """f = right ∘ left with left an injective equivalence (witnessed) and
-    right a normal isofibration (with cleavage)."""
+    right a normal isofibration."""
 
     arrow: FinFunctor
     left: FinFunctor
     right: FinFunctor
     left_witness: EquivalenceWitness
-    right_cleavage: Cleavage
     pseudolimit: PseudolimitOfArrow
 
 
-def factorize_wfs(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> Factorization:
+def factorize_wfs(f: FinFunctor) -> Factorization:
     """Factor f through the pseudolimit of the arrow: the diagonal followed
     by the target projection."""
-    pl = pseudolimit_of_arrow(f, budget)
-    d, v = pl.diagonal, pl.to_target
-    witness = pseudolimit_injective_witness(pl)
-    cleavage = build_normal_cleavage(v)
+    pl = pseudolimit_of_arrow(f)
     return Factorization(
         arrow=f,
-        left=d,
-        right=v,
-        left_witness=witness,
-        right_cleavage=cleavage,
+        left=pl.diagonal,
+        right=pl.to_target,
+        left_witness=pseudolimit_injective_witness(pl),
         pseudolimit=pl,
     )
 
@@ -181,19 +176,19 @@ class LeibnizPower:
     report: FibrationReport
 
 
-def leibniz_power(j: FinFunctor, p: FinFunctor, budget: int = DEFAULT_BUDGET) -> LeibnizPower:
+def leibniz_power(j: FinFunctor, p: FinFunctor) -> LeibnizPower:
     """For j : X → Y and p : A → B, the induced map A^Y → B^Y ×_{B^X} A^X
     together with its isofibration report."""
     if not j.injective_on_objects():
         raise StructureError(f"{j.label} must be injective on objects")
     X, Y = j.source, j.target
     A, B = p.source, p.target
-    p_x = postcompose_functor(p, X, budget)
-    b_j = precompose_functor(j, B, budget)
+    p_x = postcompose_functor(p, X)
+    b_j = precompose_functor(j, B)
     pb = pullback_strict(p_x, b_j)
     apex: TupleCat = pb.apex
-    a_j = precompose_functor(j, A, budget)
-    p_y = postcompose_functor(p, Y, budget)
+    a_j = precompose_functor(j, A)
+    p_y = postcompose_functor(p, Y)
     power_ay = a_j.source
     omap = {
         F: apex.obj_named((a_j.ob(F), p_y.ob(F))) for F in power_ay.objects
@@ -236,11 +231,11 @@ class WfComparison:
         return all(self.biconditionals.values())
 
 
-def compute_wf(f: FinFunctor, budget: int = DEFAULT_BUDGET) -> WfComparison:
+def compute_wf(f: FinFunctor) -> WfComparison:
     """Compute the induced map out of the iso-power and check that it is an
     isofibration (resp. normal) exactly when f is; when either holds it
     must moreover be a retract equivalence."""
-    pl = pseudolimit_of_arrow(f, budget)
+    pl = pseudolimit_of_arrow(f)
     w = pl.power_comparison
     # only the iso-lifting flags enter the biconditionals
     rf = classify_fibration(f, grothendieck=False)
@@ -274,7 +269,6 @@ class RetractCertificate:
     of its factorization's right leg."""
 
     arrow: FinFunctor
-    factorization: Factorization
     filler: FinFunctor
     equations: dict
 
@@ -303,7 +297,7 @@ def minimal_retract_witness(f: FinFunctor) -> RetractCertificate:
         "filler_over_right_leg": w.then(f) == fac.right,
         "section_square_commutes": fac.left.then(fac.right) == f,
     }
-    return RetractCertificate(arrow=f, factorization=fac, filler=w, equations=equations)
+    return RetractCertificate(arrow=f, filler=w, equations=equations)
 
 
 # ---------------------------------------------------------------------------

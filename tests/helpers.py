@@ -48,6 +48,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from fincat.core import (
+    Bounds,
     CleavageNotNormal,
     EnumerationBudgetExceeded,
     FinCat,
@@ -88,14 +89,13 @@ from fincat.equivalence import (
 )
 from fincat.fibrations import Cleavage, _iso_lifts, classify_fibration
 from fincat.funcat import (
-    DEFAULT_BUDGET,
     FunctorCat,
     _estimate_functor_candidates,
     _object_name,
     functor_category,
 )
 from fincat.limits import PseudolimitOfArrow
-from fincat.nerve import DEFAULT_WORD_BOUND, TOP_DIM, RewriteSystem, TruncSSet, _classifying_data
+from fincat.nerve import TOP_DIM, RewriteSystem, TruncSSet, _classifying_data
 
 
 def canonical_key(cat: FinCat) -> str:
@@ -862,7 +862,7 @@ def name_of_transformation(power: FunctorCat, t: NatTrans) -> str:
     )
 
 
-def power_morphisms_reference(C: FinCat, D: FinCat, budget: int = DEFAULT_BUDGET) -> list:
+def power_morphisms_reference(C: FinCat, D: FinCat, budget: int = Bounds().budget) -> list:
     """The morphisms ``(name, dom, cod, parts)`` of the power D^C, one
     transformation search per ordered pair of functors, after the budget
     has counted every pair's candidates; raises the same
@@ -962,9 +962,9 @@ def arrow_normal_reference(f: ArrowMorphism) -> bool:
     )
 
 
-def precompose_reference(j: FinFunctor, D: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
-    power_y = functor_category(j.target, D, budget)
-    power_x = functor_category(j.source, D, budget)
+def precompose_reference(j: FinFunctor, D: FinCat) -> FinFunctor:
+    power_y = functor_category(j.target, D)
+    power_x = functor_category(j.source, D)
     omap = {
         name: name_of_functor(power_x, j.then(F)) for name, F in power_functors(power_y).items()
     }
@@ -975,9 +975,9 @@ def precompose_reference(j: FinFunctor, D: FinCat, budget: int = DEFAULT_BUDGET)
     return FinFunctor(power_y, power_x, omap, mmap, label=f"{D.label}^{j.label}")
 
 
-def postcompose_reference(p: FinFunctor, X: FinCat, budget: int = DEFAULT_BUDGET) -> FinFunctor:
-    power_a = functor_category(X, p.source, budget)
-    power_b = functor_category(X, p.target, budget)
+def postcompose_reference(p: FinFunctor, X: FinCat) -> FinFunctor:
+    power_a = functor_category(X, p.source)
+    power_b = functor_category(X, p.target)
     omap = {
         name: name_of_functor(power_b, F.then(p)) for name, F in power_functors(power_a).items()
     }
@@ -1450,13 +1450,11 @@ def coskeletal_filler_check(X: TruncSSet) -> bool:
                         return False
     return True
 
-def classifying_functor(
-    smap: dict, X: TruncSSet, Y: TruncSSet, bound: int = DEFAULT_WORD_BOUND
-) -> FinFunctor:
+def classifying_functor(smap: dict, X: TruncSSet, Y: TruncSSet) -> FinFunctor:
     """The functor between classifying categories induced by a truncated
     simplicial map (given as {(dim, name): name})."""
-    PX, x_classes = _classifying_data(X, bound)
-    PY, y_classes = _classifying_data(Y, bound)
+    PX, x_classes = _classifying_data(X)
+    PY, y_classes = _classifying_data(Y)
     ygens = set(Y.nondegenerate(1))
     # words come shortest first, so a class's first word is its representative
     rep = {name: word for word, name in reversed(x_classes.items())}

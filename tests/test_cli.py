@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from fincat.cli import main
-from fincat.core import FinCat, Morphism, builtin
+from fincat.core import Bounds, FinCat, Morphism, bounds, builtin
 from fincat.funcat import evaluation_functor, functor_category
 from fincat.nerve import standard_simplex
 from helpers import functor_to_dict
@@ -626,3 +626,84 @@ def test_word_bound_zero_refuses_the_first_generator(argv):
         "error": "BoundExceeded",
         "detail": "generator (a) is a word longer than the bound 0",
     }
+
+
+def test_tower_longer_than_the_tower_bound_exits_two(workdir):
+    res = invoke(["--tower-bound", "0", "limit", "tower", "--tower", "tower.json"], workdir)
+    assert res.exit_code == 2
+    assert payload(res) == {
+        "command": "limit tower",
+        "error": "StructureError",
+        "detail": "tower length 1 exceeds the bound 0",
+    }
+
+
+def _refused(argv, error, detail):
+    return pytest.param(argv, error, detail, id=" ".join(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, error, detail",
+    [
+        _refused(
+            ["--budget", "1", "counterexample", "groth_leibniz"],
+            "EnumerationBudgetExceeded",
+            "power arrow^arrow needs 4 candidates, budget is 1",
+        ),
+        *[
+            _refused(
+                ["--budget", "1", "suite", "acceptance", "--only", str(n)],
+                "EnumerationBudgetExceeded",
+                f"power {power} needs {needs} candidates, budget is 1",
+            )
+            for n, power, needs in [
+                (1, "terminal^free_iso", 2),
+                (2, "free_iso^free_iso", 4),
+                (8, "arrow^Π(Δ[1])", 4),
+                (9, "terminal^free_iso", 2),
+                (10, "terminal^free_iso", 2),
+            ]
+        ],
+        _refused(
+            ["--word-bound", "1", "suite", "acceptance", "--only", "8"],
+            "BoundExceeded",
+            "word (a) has no representative shorter than the bound 1",
+        ),
+        _refused(
+            ["--tower-bound", "2", "suite", "acceptance", "--only", "4"],
+            "StructureError",
+            "tower length 3 exceeds the bound 2",
+        ),
+    ],
+)
+def test_global_bounds_reach_counterexample_and_suite(workdir, argv, error, detail):
+    res = invoke(argv, workdir)
+    assert res.exit_code == 2
+    # the refusal is the only output: no criterion's envelope precedes it
+    assert len(res.output.strip().splitlines()) == 1
+    command = "suite acceptance" if "suite" in argv else "counterexample"
+    assert payload(res) == {"command": command, "error": error, "detail": detail}
+
+
+def test_unknown_criterion_exits_two_before_any_criterion_runs(workdir, monkeypatch):
+    from fincat import acceptance
+
+    ran = []
+    monkeypatch.setitem(acceptance.CRITERIA, 5, lambda: ran.append(5))
+    res = invoke(["suite", "acceptance", "--only", "5,99"], workdir)
+    assert res.exit_code == 2
+    assert payload(res) == {
+        "command": "suite acceptance",
+        "error": "UnknownName",
+        "detail": "no criterion numbered 99",
+    }
+    assert ran == []
+
+
+def test_no_bounds_scope_outlives_its_command(workdir):
+    res = invoke(["--budget", "0", "cosmos-check", "--fragment", "fragment.json"], workdir)
+    assert res.exit_code == 2
+    assert bounds() == Bounds()
+    res = invoke(["limit", "pseudolimit", "--f", "bang.json"], workdir)
+    assert res.exit_code == 0
+    assert payload(res)["settings"] == {"budget": 20_000, "tower_bound": 4, "word_bound": 4}

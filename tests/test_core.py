@@ -4,6 +4,7 @@ import pytest
 
 from fincat.core import (
     AssociativityViolation,
+    Bounds,
     BudgetExceeded,
     FinCat,
     FinFunctor,
@@ -15,6 +16,8 @@ from fincat.core import (
     StructureError,
     TupleCat,
     UnknownBuiltin,
+    bounded,
+    bounds,
     builtin,
     builtin_functor,
     enumerate_functors,
@@ -439,3 +442,14 @@ def test_builtin_size_is_checked_before_construction(monkeypatch):
     for name in [f"chaotic({side})", f"discrete({limit})", "chaotic(0003)"]:
         with pytest.raises(Built):
             builtin(name)
+
+
+def test_bounded_scopes_nest_and_the_enclosing_bounds_come_back():
+    assert bounds() == Bounds()
+    with bounded(budget=7) as outer:
+        assert bounds() == outer == Bounds(budget=7)
+        with pytest.raises(KeyError), bounded(tower=1):
+            assert bounds() == Bounds(budget=7, tower=1)
+            raise KeyError("leaves the scope")
+        assert bounds() == Bounds(budget=7)
+    assert bounds() == Bounds()

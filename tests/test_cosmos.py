@@ -1,7 +1,7 @@
 import pytest
 from helpers import FilterArrowSpace, arrow_compose
 
-from fincat.core import StructureError, builtin
+from fincat.core import StructureError, bounded, builtin
 from fincat.cosmos import (
     CosmosFragment,
     _SetMaps,
@@ -135,3 +135,20 @@ def test_fragment_wrong_class_fails_with_witness():
 def test_empty_fragment_vacuously_passes():
     rep = check_fragment(CosmosFragment(objects=(), chosen="normal", label="empty"))
     assert rep.passed
+
+
+def test_fragment_towers_stay_within_the_tower_bound():
+    """The tower bound caps every level, the first included: at 0 the
+    fragment has no tower to check."""
+    frag = CosmosFragment(
+        objects=(builtin("terminal"), builtin("arrow"), builtin("free_iso")), chosen="normal"
+    )
+
+    def tower_lengths(bound):
+        with bounded(tower=bound):
+            entries = check_fragment(frag).clauses["limits_exist"].entries
+        return {int(e.description.rsplit(" ", 1)[1]) for e in entries if "tower" in e.description}
+
+    assert tower_lengths(0) == set()
+    assert tower_lengths(1) == {1}
+    assert tower_lengths(2) == {1, 2}

@@ -3,6 +3,7 @@ import pytest
 import fincat.funcat as funcat
 from fincat.core import (
     EnumerationBudgetExceeded,
+    bounded,
     builtin,
     builtin_functor,
     find_isomorphism,
@@ -69,15 +70,16 @@ def test_functor_category_counts_against_brute_force():
 
 def test_budget_exceeded_reports_requirement():
     with pytest.raises(EnumerationBudgetExceeded) as err:
-        functor_category(builtin("chaotic(3)"), builtin("chaotic(3)"), budget=5)
+        with bounded(budget=5):
+            functor_category(builtin("chaotic(3)"), builtin("chaotic(3)"))
     assert err.value.required > 5
     assert err.value.bound == 5
 
 
 def test_budget_check_applies_to_cached_results():
     functor_category(builtin("free_iso"), builtin("arrow"))
-    with pytest.raises(EnumerationBudgetExceeded):
-        functor_category(builtin("free_iso"), builtin("arrow"), budget=1)
+    with pytest.raises(EnumerationBudgetExceeded), bounded(budget=1):
+        functor_category(builtin("free_iso"), builtin("arrow"))
 
 
 def test_refusal_names_the_same_count_before_and_after_the_power_is_cached(monkeypatch):
@@ -86,12 +88,12 @@ def test_refusal_names_the_same_count_before_and_after_the_power_is_cached(monke
     monkeypatch.setattr(funcat, "_CACHE", {})
     C, D = builtin("arrow"), builtin("chaotic(3)")
     message = "needs 21 candidates, budget is 20"
-    with pytest.raises(EnumerationBudgetExceeded, match=message):
-        functor_category(C, D, 20)
+    with pytest.raises(EnumerationBudgetExceeded, match=message), bounded(budget=20):
+        functor_category(C, D)
     functor_category(C, D)
     assert (C.digest, D.digest) in funcat._CACHE
-    with pytest.raises(EnumerationBudgetExceeded, match=message):
-        functor_category(C, D, 20)
+    with pytest.raises(EnumerationBudgetExceeded, match=message), bounded(budget=20):
+        functor_category(C, D)
 
 
 def test_cached_power_takes_the_labels_of_its_arguments():

@@ -4,6 +4,8 @@ from fincat import limits
 from fincat.core import (
     FinFunctor,
     NotIdempotent,
+    StructureError,
+    bounded,
     builtin,
     builtin_functor,
     enumerate_functors,
@@ -553,3 +555,12 @@ def test_tower_limit_builds_its_strict_oracle_only_when_certifying(monkeypatch):
     assert tl.witness.certificate.ok
     assert tl.witness.certificate is tl.witness.certificate
     assert built == [1]
+
+
+def test_tower_limit_refuses_a_tower_longer_than_the_tower_bound():
+    base, maps = corpus_towers()[-1]
+    with bounded(tower=3), pytest.raises(StructureError) as info:
+        tower_limit(base, maps)
+    assert str(info.value) == "tower length 4 exceeds the bound 3"
+    with bounded(tower=4):
+        assert tower_limit(base, maps).witness.certificate.ok

@@ -1,6 +1,6 @@
 import pytest
 
-from fincat.core import BoundExceeded, FinCat, builtin, find_isomorphism
+from fincat.core import BoundExceeded, FinCat, bounded, builtin, find_isomorphism
 from fincat.corpus import corpus_categories
 from fincat.funcat import product_category
 from fincat.nerve import (
@@ -130,8 +130,8 @@ def test_classifying_nerve_roundtrip_samples():
 
 def test_free_loop_raises_bound_exceeded():
     X = validate_sset(free_loop_sset())
-    with pytest.raises(BoundExceeded):
-        classifying_category(X, bound=4)
+    with pytest.raises(BoundExceeded), bounded(word=4):
+        classifying_category(X)
 
 
 def test_classifying_preserves_binary_products():
@@ -275,18 +275,20 @@ def retract_without_its_idempotent() -> TruncSSet:
 def test_classifying_category_reports_a_composite_escaping_the_bound():
     X = validate_sset(retract_without_its_idempotent())
     assert [len(level) for level in X.simplices] == [2, 4, 7, 11]
-    with pytest.raises(BoundExceeded) as info:
-        classifying_category(X, 3)
+    with pytest.raises(BoundExceeded) as info, bounded(word=3):
+        classifying_category(X)
     assert str(info.value) == "composite of [(g)·(f)] and [(g)·(f)] escapes the bound 3"
-    cat = classifying_category(X, 4)
+    with bounded(word=4):
+        cat = classifying_category(X)
     assert [m.name for m in cat.morphisms] == ["id@a", "id@b", "[(f)]", "[(g)]", "[(g)·(f)]"]
 
 
 def test_word_bound_zero_refuses_the_first_generator():
-    with pytest.raises(BoundExceeded) as info:
-        classifying_category(standard_simplex(1), 0)
+    with pytest.raises(BoundExceeded) as info, bounded(word=0):
+        classifying_category(standard_simplex(1))
     assert str(info.value) == "generator 01 is a word longer than the bound 0"
     # with no nondegenerate edge there is no generator to refuse
     for X in (standard_simplex(0), sset_product(standard_simplex(0), standard_simplex(0))):
-        P = classifying_category(X, 0)
+        with bounded(word=0):
+            P = classifying_category(X)
         assert P.n_objects == P.n_morphisms == 1

@@ -15,7 +15,13 @@ from helpers import (
     power_morphisms_reference,
 )
 
-from fincat.core import EnumerationBudgetExceeded, builtin, discrete_category, identity_functor
+from fincat.core import (
+    EnumerationBudgetExceeded,
+    bounded,
+    builtin,
+    discrete_category,
+    identity_functor,
+)
 from fincat.corpus import (
     chaotic_collapse,
     corpus_categories,
@@ -57,8 +63,8 @@ REFUSED = [
 @pytest.mark.parametrize("exponent,base,budget,required", REFUSED)
 def test_refused_power_gives_the_reference_message(exponent, base, budget, required):
     C, D = builtin(exponent), builtin(base)
-    with pytest.raises(EnumerationBudgetExceeded) as ours:
-        functor_category(C, D, budget)
+    with pytest.raises(EnumerationBudgetExceeded) as ours, bounded(budget=budget):
+        functor_category(C, D)
     with pytest.raises(EnumerationBudgetExceeded) as reference:
         power_morphisms_reference(C, D, budget)
     assert str(ours.value) == str(reference.value)

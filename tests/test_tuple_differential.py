@@ -12,7 +12,15 @@ import pytest
 from helpers import arrow_hom_reference, componentwise_composites, default_arrow_test_objects
 
 from fincat import funcat
-from fincat.core import EnumerationBudgetExceeded, FinCat, StructureError, TupleCat, builtin
+from fincat.core import (
+    Bounds,
+    EnumerationBudgetExceeded,
+    FinCat,
+    StructureError,
+    TupleCat,
+    bounded,
+    builtin,
+)
 from fincat.corpus import (
     corpus_categories,
     corpus_cospans_normal_left,
@@ -20,7 +28,7 @@ from fincat.corpus import (
     corpus_towers,
 )
 from fincat.counterexamples import build_fy
-from fincat.funcat import DEFAULT_BUDGET, functor_category, product_category
+from fincat.funcat import functor_category, product_category
 from fincat.limits import isocomma, pseudolimit_of_arrow, pullback_strict, tower_limit
 
 # the powers of tests/test_tuple_golden.py: all corpus powers but the three
@@ -40,9 +48,11 @@ def powers(budget=BUDGET):
     for C in cats:
         for D in cats:
             try:
-                yield [functor_category(C, D, budget)]
+                with bounded(budget=budget):
+                    power = functor_category(C, D)
             except EnumerationBudgetExceeded:
                 continue
+            yield [power]
 
 
 def limits(construct):
@@ -113,7 +123,7 @@ def test_composites_match_the_eager_reference(name, monkeypatch):
 
 INVERSES = {
     "product_category": (products, 196),
-    "functor_category": (lambda: powers(DEFAULT_BUDGET), 196),
+    "functor_category": (lambda: powers(Bounds().budget), 196),
     "pullback_strict": (lambda: limits(pullback_strict), 48),
     "isocomma": (lambda: limits(isocomma), 48),
     "pseudolimit_of_arrow": (pseudolimit_apexes, 502),

@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from fincat.core import EnumerationBudgetExceeded, enumerate_functors
+from fincat.core import EnumerationBudgetExceeded, bounded, enumerate_functors
 from fincat.corpus import corpus_categories, corpus_cospans_normal_left
 from fincat.counterexamples import build_fy
 from fincat.funcat import (
@@ -73,9 +73,11 @@ def powers():
     for C in cats:
         for D in cats:
             try:
-                yield functor_category(C, D, GOLDEN_BUDGET)
+                with bounded(budget=GOLDEN_BUDGET):
+                    power = functor_category(C, D)
             except EnumerationBudgetExceeded:
                 continue
+            yield power
 
 
 def power_values():
