@@ -7,6 +7,7 @@ explicit isomorphism (or on-the-nose equality) or the criterion fails.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .core import (
@@ -334,11 +335,12 @@ CRITERIA = {
 }
 
 
-def run_acceptance(numbers=None) -> list[CriterionResult]:
-    """Run the numbered criteria, or all of them; an unknown number is
-    refused before any criterion runs."""
+def run_acceptance(numbers=None) -> Iterator[CriterionResult]:
+    """Run the numbered criteria, or all of them, yielding each result as
+    its criterion ends; an unknown number is refused at the call, before
+    any criterion runs."""
     picked = sorted(numbers) if numbers else sorted(CRITERIA)
     for n in picked:
         if n not in CRITERIA:
             raise UnknownName(f"no criterion numbered {n}")
-    return [CRITERIA[n]() for n in picked]
+    return (CRITERIA[n]() for n in picked)

@@ -544,8 +544,10 @@ def counterexample(ctx, name):
 @click.option("--only", default="", help="Comma-separated criterion numbers.")
 @click.pass_context
 def suite(ctx, suite_name, only):
-    """Run a named suite; ``acceptance`` emits one envelope per criterion."""
+    """Run a named suite; ``acceptance`` emits one envelope per criterion,
+    each as soon as its criterion ends."""
     command = f"suite {suite_name}"
+    codes = []
     try:
         if suite_name != "acceptance":
             raise UnknownName(f"no suite named {suite_name}")
@@ -555,13 +557,12 @@ def suite(ctx, suite_name, only):
             raise UnknownName("bad --only list") from None
         from .acceptance import run_acceptance
 
-        results = run_acceptance(numbers)
+        for r in run_acceptance(numbers):
+            codes.append(
+                _emit(ctx, f"{command} #{r.number}", {}, r.to_dict(), r.passed, r.duration)
+            )
     except FinCatError as exc:
         _refuse(command, exc)
-    codes = [
-        _emit(ctx, f"{command} #{r.number}", {}, r.to_dict(), r.passed, r.duration)
-        for r in results
-    ]
     sys.exit(max(codes))
 
 

@@ -11,37 +11,39 @@ fragment*, never proved for all categories; the report says so.
 ``nip_square_filler`` decides, up to a size bound, whether every square of
 a split monomorphism against a split epimorphism has a diagonal filler:
 true in finite sets, false in arrows of finite sets, where the smallest
-counterexample is returned.  In finite sets only commuting squares are
-enumerated: the bottom map is solved from ``bottom∘i = p∘top`` (fixed on
-the image of i, free elsewhere).  Each is filled by the greedy h, top∘i⁻¹
-on the image of i and s∘bottom elsewhere for the least section s of p:
-h∘i = top as i is injective, and p∘h = bottom on the image of i as
-bottom∘i = p∘top, and elsewhere as p∘s = 1.  So the check of h never
-fails, and a failure raises ``AssertionError``.  In arrows each pair
-(i, p) is decided at once from the fibres of u_B, where u_X is the map of
-an arrow X (see ``_decide_pair``).  A filler h : B → C is forced on the
-images of i0 and i1, and chosen independently on each fibre u_B⁻¹(y)
-elsewhere.  So every
-square of the pair fills iff, for every top and every a whose fibre
-u_B⁻¹(i1 a) has points outside the image of i0, the c = top1(a) is full:
-p0 maps u_C⁻¹(c) onto u_D⁻¹(p1 c).  Fibres outside the image of i1 always
-fill through a section of p, and a product over the fibres counts the
-squares.  The verdict reads only the mono's source and fibre summary and
-the epi's source, fibre summary and the fibre sizes of its target as a
-multiset.  An isomorphism of targets keeps all of these, and one of
-sources carries the split maps out of the source onto those out of an
-isomorphic one with the same verdicts and counts.  So the split maps are
-listed once per pair of isomorphism classes of source and target,
-between the classes' first objects, and filed as runs: a run is a map,
-standing for the maps of its bucket between the same classes whose
-verdicts it shares, and their number.  Each pass of the sweep (one
-combined size, one mono size) decides each distinct (source, mono
-summary) once against the epi runs and weighs each count by the runs'
-multiplicities (``_decide_pass``).  Only a pass that some run refuses is listed again
-map by map, for its exact objects in sweep order, and walked up to its
-first refused pair (``_walk_pass``), whose squares are replayed one by
-one to find the first unfilled square.  ``squares_checked`` counts the
-squares of every pair decided, and those replayed of the refused pair.
+counterexample is returned.  One sweep decides both: on every arrow
+(x0, x1, u) up to the bound, or on the arrows x → 1.  These span a full
+subcategory: a hom (x, 1) → (y, 1) is (f0, id) for any f0, so its homs,
+composites, split maps, squares and fillers are those of finite sets.
+
+Each pair (i, p) is decided at once from the fibres of u_B, where u_X is
+the map of an arrow X (see ``_decide_pair``).  A filler h : B → C is forced
+on the images of i0 and i1, and chosen independently on each fibre
+u_B⁻¹(y) elsewhere.  So every square of the pair fills iff, for every top
+and every a whose fibre u_B⁻¹(i1 a) has points outside the image of i0,
+the c = top1(a) is full: p0 maps u_C⁻¹(c) onto u_D⁻¹(p1 c).  Fibres
+outside the image of i1 always fill through a section of p, and a product
+over the fibres counts the squares.  Over 1, i1 = id, so a pair fills iff
+p0 is onto whenever B0 has points outside the image of i0, and every split
+epi is onto.  A pair of sets has c0^a0 · d0^(b0 - a0) squares, and as every
+pair fills, ``squares_checked`` sums them in any sweep order.
+
+The verdict reads only the mono's source and fibre summary and the epi's
+source, fibre summary and the fibre sizes of its target as a multiset.  An
+isomorphism of targets keeps all of these, and one of sources carries the
+split maps out of the source onto those out of an isomorphic one with the
+same verdicts and counts.  So the split maps are listed once per pair of
+isomorphism classes of source and target, between the classes' first
+objects, and filed as runs: a run is a map, standing for the maps of its
+bucket between the same classes whose verdicts it shares, and their number.
+Each pass of the sweep (one combined size, one mono size) decides each
+distinct (source, mono summary) once against the epi runs and weighs each
+count by the runs' multiplicities (``_decide_pass``).  Only a pass that
+some run refuses is listed again map by map, for its exact objects in sweep
+order, and walked up to its first refused pair (``_walk_pass``), whose
+squares are replayed one by one to find the first unfilled square.
+``squares_checked`` counts the squares of every pair decided, and those
+replayed of the refused pair.
 
 The split maps themselves come from shared masks: a hom f : X → Y has a
 hom back iff the set of u∘m0 over the level-0 retractions (or sections)
@@ -49,7 +51,7 @@ m0 of f0 meets the set of m1∘v over those m1 of f1.  The first set
 depends only on (X, y0) and the second only on (Y, x1), so each is one
 bitmask in a table shared by every object pair with those parts.
 
-Both sweeps work on integers.  A map a → b is its index in
+The sweep works on integers.  A map a → b is its index in
 ``_functions(a, b)``, the lexicographic order of image tuples, so f has
 index Σ f(x)·b^(a-1-x).  Composition reads ``after(a, b, c)[g][f]``, a table
 built on first use for each size triple the sweep touches; the maps g with
@@ -361,7 +363,8 @@ def _identity(n: int) -> int:
 class _SetMaps:
     """Index-encoded maps between finite sets, composed through tables that
     are built on first use, one per size triple a sweep touches.  Each sweep
-    call owns one instance, so the tables are freed when it returns."""
+    call owns one instance, through its arrow space, so the tables are freed
+    when it returns."""
 
     def __init__(self):
         self._after: dict[tuple, list] = {}
@@ -444,17 +447,6 @@ def _bits(values) -> int:
     return mask
 
 
-def _spread(image, b: int, c: int) -> list:
-    """``_spread(image, b, c)[t]``, for an injection i with the given values
-    and any t : a → c, is the map b → c that is t∘i⁻¹ on the image of i and
-    0 elsewhere."""
-    row = [0]
-    for y in image:
-        weight = c ** (b - 1 - y)
-        row = [x + v * weight for x in row for v in range(c)]
-    return row
-
-
 @dataclass
 class NipResult:
     space: str
@@ -473,48 +465,9 @@ class NipResult:
         }
 
 
-def _nip_finset(size_bound: int) -> NipResult:
-    maps = _SetMaps()
-    checked = 0
-    sizes = range(size_bound + 1)
-    quads = sorted(
-        iproduct(sizes, sizes, sizes, sizes), key=lambda q: (sum(q), q)
-    )
-    for a, b, c, d in quads:
-        monos = maps.retractions(a, b)
-        epis = maps.sections(c, d)
-        if not monos or not epis:
-            continue
-        # per p: p∘top by top, p∘h by h, and s∘bottom by bottom for the
-        # least section s of p
-        sides = [
-            (
-                maps.after(a, c, d)[p],
-                maps.after(b, c, d)[p],
-                maps.after(b, d, c)[sections[0]],
-            )
-            for p, sections in epis.items()
-        ]
-        tops = range(c**a)
-        for i in monos:
-            over_i = maps.extensions(a, b, d)[i]
-            on_i = maps.before(a, b, c)[i]
-            spread = _spread(maps.values(i, a, b), b, c)
-            for p_top, p_h, least in sides:
-                for top in tops:
-                    for bottom in over_i.get(p_top[top], ()):
-                        checked += 1
-                        # greedy filler: top through i on the image of i, the
-                        # least p-preimage of bottom elsewhere
-                        g = least[bottom]
-                        h = spread[top] + g - spread[on_i[g]]
-                        if on_i[h] != top or p_h[h] != bottom:
-                            raise AssertionError("the greedy filler fills every square")
-    return NipResult("finset", size_bound, True, checked, None)
-
-
 def _arrow_objects(size_bound: int):
-    """Objects of the arrow space: (x0, x1, u) with u : x0 → x1."""
+    """Every arrow (x0, x1, u) with u : x0 → x1 and x0, x1 up to the bound,
+    by size and then in tuple order."""
     out = []
     for x0 in range(size_bound + 1):
         for x1 in range(size_bound + 1):
@@ -538,13 +491,13 @@ def _decode_hom(f, X, Y):
 
 
 class _ArrowSpace:
-    """Homs, split maps and fibre data for arrows of finite sets up to a
-    bound, memoized in the space's own tables.  An object is (x0, x1, u)
-    with u : x0 → x1 and a hom is a pair (f0, f1) with f1∘u = v∘f0, all
-    maps index-encoded."""
+    """Homs, split maps and fibre data for a full subcategory of arrows of
+    finite sets, given by its objects in sweep order, memoized in the
+    space's own tables.  An object is (x0, x1, u) with u : x0 → x1 and a
+    hom is a pair (f0, f1) with f1∘u = v∘f0, all maps index-encoded."""
 
-    def __init__(self, size_bound: int):
-        self.objects = _arrow_objects(size_bound)
+    def __init__(self, objects):
+        self.objects = objects
         self.maps = _SetMaps()
         self._tops: dict[tuple, list] = {}
         self._fibre_sizes: dict[tuple, list] = {}
@@ -553,9 +506,10 @@ class _ArrowSpace:
         self._source_masks: tuple = (None, {})
         # Arrows are isomorphic iff they share x0, x1 and the sorted sizes
         # of the nonempty fibres of u; each class is represented by its
-        # first member in object order (at bound 3, 18 for 60 objects, and
-        # at bound 4, 38 for 499), and the sweep lists split maps between
-        # representatives only.
+        # first member in object order (of all arrows at bound 3, 18 for
+        # 60 objects, and at bound 4, 38 for 499; each arrow x → 1 is its
+        # own class), and the sweep lists split maps between representatives
+        # only.
         self.representatives: dict[tuple, tuple] = {}
         firsts: dict[tuple, tuple] = {}
         for X in self.objects:
@@ -599,10 +553,10 @@ class _ArrowSpace:
         f1 ↦ the set of m1∘v over the m1 in ``backs(x1, y1)[f1]``, each a
         bitmask over the maps y0 → x1.  The first table depends only on
         (X, y0) and the second only on (Y, x1), so each serves every object
-        pair that shares it: a bound-3 sweep builds 224 tables for the 347
-        object pairs whose split maps it lists and whose sizes allow any.
-        The sweep visits the pairs source by source, so the first kind is
-        kept for the latest X only."""
+        pair that shares it: a bound-3 arrow sweep builds 224 tables for
+        the 347 object pairs whose split maps it lists and whose sizes
+        allow any.  The sweep visits the pairs source by source, so the
+        first kind is kept for the latest X only."""
         x0, x1, u = X
         y0, y1, v = Y
         source, masks0 = self._source_masks
@@ -729,7 +683,7 @@ class _ArrowSpace:
         return self._shared(full, width)
 
     def _shared(self, *summary) -> tuple:
-        """One tuple for all equal summaries: a bound-3 sweep lists 565
+        """One tuple for all equal summaries: a bound-3 arrow sweep lists 565
         split maps with 61 distinct ones."""
         return self._summaries.setdefault(summary, summary)
 
@@ -788,9 +742,9 @@ def _split_buckets(space):
     on the other side i∘ψ gets the verdict and the count of i.  The maps
     out of A are never derived from those out of S: the runs are listed
     from S alone, and a run of n maps S → R stands for n × |class of S| ×
-    |class of R| maps.  At bound 3 that lists the maps of 324 pairs
-    (S, R) for the 3,600 pairs (A, B).  The mask tables behind the split
-    maps are freed once the buckets are built."""
+    |class of R| maps.  In arrows at bound 3 that lists the maps of 324
+    pairs (S, R) for the 3,600 pairs (A, B).  The mask tables behind the
+    split maps are freed once the buckets are built."""
     members = Counter(space.representatives.values())
     mono_buckets: dict[int, list] = {}
     epi_buckets: dict[int, list] = {}
@@ -882,16 +836,19 @@ def _walk_pass(space, monos, epis, classes):
     raise AssertionError("a mono refused by a run is refused by an epi of the run")
 
 
-def _nip_finset_arrow(size_bound: int) -> NipResult:
-    """Decide the pairs (i, p) in ascending combined size, each pass by
-    its runs (``_decide_pass``).  Only a pass that some run refuses is
-    listed again map by map for its exact objects and walked in sweep
-    order (``_walk_pass``), and the squares of its first refused pair are
-    replayed, so the counterexample found is a smallest one in the
-    documented order and ``squares_checked`` the squares up to it."""
-    space = _ArrowSpace(size_bound)
+def _sweep(name: str, size_bound: int, objects) -> NipResult:
+    """Decide the pairs (i, p) between the objects in ascending combined
+    size, each pass by its runs (``_decide_pass``).  Only a pass that some
+    run refuses is listed again map by map for its exact objects and
+    walked in sweep order (``_walk_pass``), and the squares of its first
+    refused pair are replayed, so the counterexample found is a smallest
+    one in the documented order and ``squares_checked`` the squares up to
+    it.  The passes end at 4 × the largest object size, as a pair spans
+    four objects."""
+    space = _ArrowSpace(objects)
     checked = 0
-    for mono_runs, epi_runs in _passes(space, 8 * size_bound):
+    max_size = 4 * max(_arrow_size(X) for X in objects)
+    for mono_runs, epi_runs in _passes(space, max_size):
         squares, refused = _decide_pass(space, mono_runs, epi_runs)
         if refused is None:
             checked += squares
@@ -904,7 +861,7 @@ def _nip_finset_arrow(size_bound: int) -> NipResult:
         checked += squares
         (A, B, i, _), (C, D, p, _) = mono, epi
         return NipResult(
-            "finset_arrow",
+            name,
             size_bound,
             False,
             checked,
@@ -921,7 +878,7 @@ def _nip_finset_arrow(size_bound: int) -> NipResult:
                 "section_of_p": _ser_sq(_decode_hom(space.section(p, C, D), D, C)),
             },
         )
-    return NipResult("finset_arrow", size_bound, True, checked, None)
+    return NipResult(name, size_bound, True, checked, None)
 
 
 def _decide_pair(space, mono, epi) -> tuple[bool, int]:
@@ -1018,7 +975,9 @@ def nip_square_filler(space: str, size_bound: int) -> NipResult:
 
     ``space`` is ``finset`` or ``finset_arrow``.  Returns AllFill (as a
     result object) or the smallest counterexample in the enumeration order.
-    The bound must lie in ``0..NIP_MAX_BOUNDS[space]``.
+    The bound must lie in ``0..NIP_MAX_BOUNDS[space]``.  Both spaces run
+    one sweep: ``finset`` on the arrows x → 1, ``finset_arrow`` on every
+    arrow up to the bound.
     """
     if size_bound < 0:
         raise StructureError(f"size bound {size_bound} is negative")
@@ -1029,5 +988,5 @@ def nip_square_filler(space: str, size_bound: int) -> NipResult:
             f"size bound {size_bound} exceeds the maximum {NIP_MAX_BOUNDS[space]}"
         )
     if space == "finset":
-        return _nip_finset(size_bound)
-    return _nip_finset_arrow(size_bound)
+        return _sweep(space, size_bound, [(x, 1, 0) for x in range(size_bound + 1)])
+    return _sweep(space, size_bound, _arrow_objects(size_bound))

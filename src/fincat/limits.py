@@ -339,10 +339,8 @@ def pseudolimit_of_arrow(f: FinFunctor) -> PseudolimitOfArrow:
 
     # comparison out of the source iso-power: an iso of A lands on
     # (its codomain, its image iso)
-    pairing = pair_functor(
-        evaluation_functor(power_a, "1"), postcompose_functor(f, free_iso), L
-    )
-    w = FinFunctor(power_a, L, pairing.omap, pairing.mmap, label="w")
+    w = pair_functor(evaluation_functor(power_a, "1"), postcompose_functor(f, free_iso), L)
+    w.label = "w"
 
     return PseudolimitOfArrow(
         arrow=f,

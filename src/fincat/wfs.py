@@ -11,7 +11,6 @@ from .core import (
     CleavageNotNormal,
     FinFunctor,
     StructureError,
-    TupleCat,
     WitnessInvalid,
     enumerate_isomorphisms,
     enumerate_lifts,
@@ -30,7 +29,7 @@ from .fibrations import (
     classify_fibration,
     lift_iso_2cell,
 )
-from .funcat import postcompose_functor, precompose_functor
+from .funcat import pair_functor, postcompose_functor, precompose_functor
 from .limits import (
     LimitWitness,
     PseudolimitOfArrow,
@@ -186,20 +185,8 @@ def leibniz_power(j: FinFunctor, p: FinFunctor) -> LeibnizPower:
     p_x = postcompose_functor(p, X)
     b_j = precompose_functor(j, B)
     pb = pullback_strict(p_x, b_j)
-    apex: TupleCat = pb.apex
-    a_j = precompose_functor(j, A)
-    p_y = postcompose_functor(p, Y)
-    power_ay = a_j.source
-    omap = {
-        F: apex.obj_named((a_j.ob(F), p_y.ob(F))) for F in power_ay.objects
-    }
-    mmap = {
-        m.name: apex.mor_named(
-            omap[m.dom], omap[m.cod], (a_j.mor(m.name), p_y.mor(m.name))
-        )
-        for m in power_ay.morphisms
-    }
-    induced = FinFunctor(power_ay, apex, omap, mmap, label=f"leibniz({j.label},{p.label})")
+    induced = pair_functor(precompose_functor(j, A), postcompose_functor(p, Y), pb.apex)
+    induced.label = f"leibniz({j.label},{p.label})"
     report = classify_fibration(induced)
     return LeibnizPower(
         injective_on_objects=j,

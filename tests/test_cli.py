@@ -700,6 +700,18 @@ def test_unknown_criterion_exits_two_before_any_criterion_runs(workdir, monkeypa
     assert ran == []
 
 
+def test_suite_emits_each_criterion_as_it_ends_before_a_later_one_is_refused(workdir):
+    res = invoke(["--word-bound", "1", "suite", "acceptance", "--only", "6,8"], workdir)
+    assert res.exit_code == 2
+    envelopes = [json.loads(line) for line in res.stdout.strip().splitlines()]
+    assert [(e["command"], e["pass"]) for e in envelopes] == [("suite acceptance #6", True)]
+    assert json.loads(res.stderr) == {
+        "command": "suite acceptance",
+        "error": "BoundExceeded",
+        "detail": "word (a) has no representative shorter than the bound 1",
+    }
+
+
 def test_no_bounds_scope_outlives_its_command(workdir):
     res = invoke(["--budget", "0", "cosmos-check", "--fragment", "fragment.json"], workdir)
     assert res.exit_code == 2

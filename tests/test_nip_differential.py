@@ -1,17 +1,18 @@
-"""The lifting sweeps in ``fincat.cosmos``, which solve each square for its
-bottom map and decide each arrow pair by its fibres, against the sweeps
-that filter every candidate square, kept in ``helpers`` as the reference:
-results, counts and counterexamples must be identical, and the arrow
-space's hom sets, decoded from their indices, equal in order.  Each arrow
-pair's verdict and square count are compared with the filled-set reference,
-which looks every square of the pair up among the (h∘i, p∘h) over the
-fillers h, as the arrow sweep did before.  Each pass decided by runs,
-the split maps listed once per pair of isomorphism classes of source and
-target, is compared with its maps listed pair by pair; the runs of every
-object pair with those of its target's representative; and the verdicts
-of the maps out of every source with those out of its representative.
-Every sweep up to its largest bound is compared with a recorded digest of
-its result, the finset sweep at bound 4 with the reference's."""
+"""The lifting sweep in ``fincat.cosmos``, which decides each pair by the
+fibres of its arrows, on every arrow up to a bound and on the arrows into 1
+(the finite sets), against the sweeps that filter every candidate square,
+kept in ``helpers`` as the reference: results, counts and counterexamples
+must be identical, and the arrow space's hom sets, decoded from their
+indices, equal in order.  Each pair's verdict and square count are compared
+with the filled-set reference, which looks every square of the pair up
+among the (h∘i, p∘h) over the fillers h, as the arrow sweep did before.
+Each pass decided by runs, the split maps listed once per pair of
+isomorphism classes of source and target, is compared with its maps listed
+pair by pair; the runs of every object pair with those of its target's
+representative; and the verdicts of the maps out of every source with those
+out of its representative.  Every sweep up to its largest bound is compared
+with a recorded digest of its result, the finset sweep at bound 4 with the
+reference's."""
 import hashlib
 import json
 from collections import Counter
@@ -27,6 +28,7 @@ from helpers import (
 )
 
 from fincat.cosmos import (
+    _arrow_objects,
     _ArrowSpace,
     _decide_pair,
     _decide_pass,
@@ -55,24 +57,38 @@ def test_finset_arrow_sweep_matches_the_filter(bound):
     assert res.to_dict() == filter_nip_finset_arrow(bound).to_dict()
 
 
-# Every pair at bound 2 (the largest combined size is 16), and at bound 3
-# every pair up to combined size 13, the size of the sweep's counterexample;
-# 48 of the latter are refused.
-@pytest.mark.parametrize("bound, max_size", [(2, 16), (3, 13)])
-def test_each_arrow_pair_is_decided_as_the_filled_set_reference_decides_it(bound, max_size):
-    space = _ArrowSpace(bound)
-    refused = 0
+# The finite sets at bound 3, as the sweep decides them: the arrows x → 1.
+SETS_3 = [(x, 1, 0) for x in range(4)]
+
+
+# Every pair of arrows at bound 2 (the largest combined size is 16), and at
+# bound 3 every pair up to combined size 13, the size of the sweep's
+# counterexample; 48 of the latter are refused.  Every pair of finite sets
+# at bound 3 fills, and their squares are those the sweep counts.
+@pytest.mark.parametrize(
+    "objects, max_size, pairs, squares, refused",
+    [
+        pytest.param(_arrow_objects(2), 16, 2_279, 7_905, 0, id="2-16"),
+        pytest.param(_arrow_objects(3), 13, 28_428, 80_811, 48, id="3-13"),
+        pytest.param(SETS_3, 16, 378, 5_356, 0, id="finset-3-16"),
+    ],
+)
+def test_each_arrow_pair_is_decided_as_the_filled_set_reference_decides_it(
+    objects, max_size, pairs, squares, refused
+):
+    space = _ArrowSpace(objects)
+    counts = Counter()
     for mono, epi in split_pairs(space, max_size):
         (A, B, i, _), (C, D, p, _) = mono, epi
-        squares = list(filled_pair_squares(space, i, p, A, B, C, D))
-        fills = all(filled for _, _, filled in squares)
-        assert _decide_pair(space, mono, epi) == (fills, len(squares)), (mono, epi)
+        filled = list(filled_pair_squares(space, i, p, A, B, C, D))
+        fills = all(f for _, _, f in filled)
+        assert _decide_pair(space, mono, epi) == (fills, len(filled)), (mono, epi)
+        counts.update(pairs=1, squares=len(filled), refused=not fills)
         if not fills:
-            refused += 1
-            k = next(k for k, (_, _, filled) in enumerate(squares) if not filled)
-            replay = (k + 1, *squares[k][:2])
+            k = next(k for k, (_, _, f) in enumerate(filled) if not f)
+            replay = (k + 1, *filled[k][:2])
             assert _first_unfilled(space, mono, epi) == replay, (mono, epi)
-    assert refused == (0 if bound == 2 else 48)
+    assert counts == Counter(pairs=pairs, squares=squares, refused=refused)
 
 
 def _pass_of(pair):
@@ -97,11 +113,18 @@ def _ordered_walk(space, pairs):
 # ``split_pairs`` order, and the walk of its exact maps with the walk of
 # its pairs in that order; where a mono is refused, the pass is walked
 # again from the mono after it, so every refused mono up to the sizes of
-# the pair test above ends one comparison: at bound 3, two monos hold the
-# 48 refused pairs.
-@pytest.mark.parametrize("bound, max_size", [(2, 16), (3, 13)])
-def test_each_pass_decided_by_class_equals_its_ordered_walk(bound, max_size):
-    space = _ArrowSpace(bound)
+# the pair test above ends one comparison: in arrows at bound 3, two monos
+# hold the 48 refused pairs.
+@pytest.mark.parametrize(
+    "objects, max_size, refused_monos",
+    [
+        pytest.param(_arrow_objects(2), 16, 0, id="2-16"),
+        pytest.param(_arrow_objects(3), 13, 2, id="3-13"),
+        pytest.param(SETS_3, 16, 0, id="finset-3-16"),
+    ],
+)
+def test_each_pass_decided_by_class_equals_its_ordered_walk(objects, max_size, refused_monos):
+    space = _ArrowSpace(objects)
     walks = groupby(split_pairs(space, max_size), key=_pass_of)
     refused = []
     for (mono_runs, epi_runs), (_, pairs) in zip(_passes(space, max_size), walks, strict=True):
@@ -125,11 +148,11 @@ def test_each_pass_decided_by_class_equals_its_ordered_walk(bound, max_size):
             refused.append(decided[1])
             monos = monos[monos.index(decided[1][0]) + 1 :]
             pairs = [(mono, epi) for mono in monos for epi in epis]
-    assert len(refused) == (0 if bound == 2 else 2)
+    assert len(refused) == refused_monos
 
 
 def test_monos_that_share_their_ends_and_level_1_map_share_one_summary():
-    space = _ArrowSpace(3)
+    space = _ArrowSpace(_arrow_objects(3))
     mono_buckets, _ = _split_buckets(space)
     for (A, R, i, summary), _ in chain.from_iterable(mono_buckets.values()):
         assert summary == space.mono_fibres(i, A, R), (A, R, i)
@@ -157,7 +180,7 @@ def _isomorphic(space, X, Y):
 # once per class of target and count each run once per member.
 @pytest.mark.parametrize("bound, classes", [(2, 8), (3, 18)])
 def test_split_maps_to_isomorphic_targets_have_equal_runs(bound, classes):
-    space = _ArrowSpace(bound)
+    space = _ArrowSpace(_arrow_objects(bound))
     reps = space.representatives
     distinct = list(dict.fromkeys(reps.values()))
     assert len(distinct) == classes
@@ -184,7 +207,7 @@ def test_split_maps_to_isomorphic_targets_have_equal_runs(bound, classes):
 # member; the summaries themselves differ, as ψ re-indexes A1.
 @pytest.mark.parametrize("bound", [2, 3])
 def test_split_maps_from_isomorphic_sources_decide_alike(bound):
-    space = _ArrowSpace(bound)
+    space = _ArrowSpace(_arrow_objects(bound))
     reps = space.representatives
     mono_buckets, epi_buckets = _split_buckets(space)
     mono_runs = list(chain.from_iterable(mono_buckets.values()))
@@ -216,7 +239,7 @@ def test_split_maps_from_isomorphic_sources_decide_alike(bound):
 def test_every_fibre_of_a_split_epi_has_a_full_point_over_it(bound):
     """For a section s of p, S(s1 e) = F(e): the reason ``_decide_pair``
     needs no check over the fibres of u_B outside the image of i1."""
-    space = _ArrowSpace(bound)
+    space = _ArrowSpace(_arrow_objects(bound))
     for C in space.objects:
         for D in space.objects:
             for p in space.split_epis(C, D):
@@ -227,7 +250,7 @@ def test_every_fibre_of_a_split_epi_has_a_full_point_over_it(bound):
 
 @pytest.mark.parametrize("bound", [2, 3])
 def test_arrow_homs_match_the_filter_in_order(bound):
-    space = _ArrowSpace(bound)
+    space = _ArrowSpace(_arrow_objects(bound))
     for X in space.objects:
         for Y in space.objects:
             decoded = [_decode_hom(f, X, Y) for f in space.homs(X, Y)]

@@ -1,4 +1,4 @@
-"""The index encoding of set maps behind the lifting sweeps in
+"""The index encoding of set maps behind the lifting sweep in
 ``fincat.cosmos``, checked exhaustively for set sizes up to 4 against the
 image-tuple maps in ``helpers``: indices round-trip, every compose-table
 entry is the composite, every extension list is the tuple extensions in
@@ -15,6 +15,7 @@ from helpers import FilterArrowSpace, extensions
 
 import fincat.cosmos as cosmos
 from fincat.cosmos import (
+    _arrow_objects,
     _ArrowSpace,
     _decode_arrow,
     _decode_hom,
@@ -74,12 +75,12 @@ def test_extension_lists_are_the_tuple_extensions_in_order():
 
 
 def test_arrow_objects_decode_to_the_reference_in_order():
-    assert [_decode_arrow(X) for X in _ArrowSpace(3).objects] == FilterArrowSpace(3).objects
+    assert [_decode_arrow(X) for X in _arrow_objects(3)] == FilterArrowSpace(3).objects
 
 
 @pytest.mark.parametrize("bound", [2, 3])
 def test_split_maps_decode_to_the_tuple_reference_in_order(bound):
-    space, ref = _ArrowSpace(bound), FilterArrowSpace(bound)
+    space, ref = _ArrowSpace(_arrow_objects(bound)), FilterArrowSpace(bound)
     for X in space.objects:
         for Y in space.objects:
             dX, dY = _decode_arrow(X), _decode_arrow(Y)
@@ -107,8 +108,8 @@ def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeyp
         pass
 
     class RecordedArrowSpace(_ArrowSpace):
-        def __init__(self, size_bound):
-            super().__init__(size_bound)
+        def __init__(self, objects):
+            super().__init__(objects)
             self._masks = Tables()
             self.representatives = Tables(self.representatives)
             spaces.append(weakref.ref(self))
@@ -141,7 +142,7 @@ def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeyp
         gc.collect()
         assert built[-1]() is None
         assert first.to_dict() == second.to_dict()
-    assert len(built) == 4 and len(spaces) == len(masks) == len(classes) == 2
-    assert len(runs) == 4
+    assert len(built) == len(spaces) == len(masks) == len(classes) == 4
+    assert len(runs) == 8
     assert all(ref() is None for ref in built + spaces + masks + classes + runs)
     assert module_state() == state
