@@ -197,8 +197,9 @@ def factorize(ctx, functor_path):
         F = load_functor(functor_path)
         fac = factorize_wfs(F)
         left_w = classify_equivalence(fac.left)
+        composite_ok = fac.left.then(fac.right) == F
         ok = (
-            fac.left.then(fac.right) == F
+            composite_ok
             and isinstance(left_w, EquivalenceWitness)
             and left_w.has_retraction
             and classify_fibration(fac.right, grothendieck=False).normal
@@ -207,7 +208,7 @@ def factorize(ctx, functor_path):
             "left": functor_summary(fac.left),
             "right": functor_summary(fac.right),
             "apex": category_summary(fac.pseudolimit.apex),
-            "composite_equals_input": fac.left.then(fac.right) == F,
+            "composite_equals_input": composite_ok,
         }, ok
 
     _run(ctx, "factorize", {"functor": functor_path}, worker)

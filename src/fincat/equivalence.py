@@ -11,13 +11,15 @@ inverse and a counit, in one of three normalizations:
 * plain      — the inverse is conjugated through the first isomorphisms of
   essential surjectivity, which form the counit.
 
-Only one inverse search runs per functor, and it walks candidates in index
-order, so witnesses are reproducible.
+The inverse, unit and counit are built on first read, so a caller that reads
+only the kinds runs no search; at most one inverse search runs per functor,
+and it walks candidates in index order, so witnesses are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterator
 
 from .core import (
     FinFunctor,
@@ -43,22 +45,36 @@ class NotEquivalence:
 
 @dataclass(frozen=True)
 class EquivalenceWitness:
-    """An adjoint equivalence (forward ⊣ inverse) with verified triangles.
+    """An adjoint equivalence (forward ⊣ inverse).
 
-    ``kind`` names the normalization the stored unit/counit satisfy;
+    ``kind`` names the normalization the unit/counit satisfy;
     ``has_section`` / ``has_retraction`` say whether a section or a
     retraction exists, read off the forward functor's object map (onto,
-    injective).  Both hold at once only for an isomorphism, whose stored
-    structure then realizes both normalizations.
+    injective).  Both hold at once only for an isomorphism, whose structure
+    then realizes both normalizations.  ``build`` returns the inverse and
+    the counit components; it runs on the first read of the structure,
+    reads no bounds, and takes no part in comparison.
     """
 
     forward: FinFunctor
-    inverse: FinFunctor
-    unit: NatTrans
-    counit: NatTrans
     kind: str
     has_section: bool
     has_retraction: bool
+    build: Callable[[], tuple[FinFunctor, dict]] = field(repr=False, compare=False)
+
+    @cached_property
+    def _structure(self) -> tuple[FinFunctor, NatTrans, NatTrans]:
+        # the unit at a is the preimage of ε⁻¹ at F a, the only unit that
+        # satisfies the triangle equations
+        (G, counit), F = self.build(), self.forward
+        A, B, GF = F.source, F.target, F.then(G)
+        unit = {a: _preimage(F, a, GF.ob(a), B.inverse(counit[F.ob(a)])) for a in A.objects}
+        unit_cell = NatTrans(identity_functor(A), GF, unit, label="unit")
+        return G, unit_cell, NatTrans(G.then(F), identity_functor(B), counit, label="counit")
+
+    inverse = property(lambda self: self._structure[0])
+    unit = property(lambda self: self._structure[1])
+    counit = property(lambda self: self._structure[2])
 
     @property
     def kinds(self) -> frozenset[str]:
@@ -68,9 +84,6 @@ class EquivalenceWitness:
         if self.has_retraction:
             out.add("injective")
         return frozenset(out)
-
-    def __bool__(self):
-        return True
 
 
 def _not_ff(F: FinFunctor):
@@ -88,19 +101,13 @@ def _not_ff(F: FinFunctor):
 
 
 def _eso_choices(F: FinFunctor):
-    """For each target object, the first (a, iso F(a) → b); None if some b
-    has no object of A mapped isomorphically onto it."""
+    """``(choices, None)``, choosing the first (a, iso F(a) → b) for each
+    target object b, or ``(None, b)`` for the first b that has none."""
     A, B = F.source, F.target
     choices = {}
     for b in B.objects:
-        found = None
-        for a in A.objects:
-            for iso in B.hom(F.ob(a), b):
-                if B.is_iso(iso):
-                    found = (a, iso)
-                    break
-            if found:
-                break
+        isos = ((a, iso) for a in A.objects for iso in B.hom(F.ob(a), b) if B.is_iso(iso))
+        found = next(isos, None)
         if found is None:
             return None, b
         choices[b] = found
@@ -140,30 +147,20 @@ def _conjugate(F: FinFunctor, choices) -> FinFunctor:
     return FinFunctor(B, F.source, omap, mmap, label=f"{F.label}~inv")
 
 
-def _retraction_counit(F: FinFunctor, R: FinFunctor) -> dict[str, str]:
-    """For a retraction R of F, ε_b : F R b → b over id_{R b}; the unit
-    it gives is an identity."""
-    A = F.source
-    return {b: _preimage(R, F.ob(R.ob(b)), b, A.id_of(R.ob(b))) for b in F.target.objects}
+def _first_retraction(F: FinFunctor) -> tuple[FinFunctor, dict[str, str]]:
+    """The first retraction R of F, with the counit ε_b : F R b → b over
+    id_{R b}; the unit it gives is an identity."""
+    R, A = next(find_retractions(F, limit=1)), F.source
+    return R, {b: _preimage(R, F.ob(R.ob(b)), b, A.id_of(R.ob(b))) for b in F.target.objects}
 
 
-def adjoint_equivalence(F: FinFunctor, G: FinFunctor, counit, kind: str) -> EquivalenceWitness:
-    """The adjoint equivalence F ⊣ G with counit components ``counit``
-    (ε_b : F G b ≅ b) for a fully faithful F: the unit at a is the preimage
-    of ε⁻¹ at F a, the only unit that satisfies the triangle equations.
-    The section and retraction flags are read off F's object map."""
-    A, B = F.source, F.target
-    GF = F.then(G)
-    unit = {a: _preimage(F, a, GF.ob(a), B.inverse(counit[F.ob(a)])) for a in A.objects}
+def adjoint_equivalence(F: FinFunctor, build, kind: str) -> EquivalenceWitness:
+    """The adjoint equivalence F ⊣ G for a fully faithful F, where ``build``
+    returns G and the counit (ε_b : F G b ≅ b) on first read.  The section
+    and retraction flags are read off F's object map."""
     images = set(F.omap.values())
     return EquivalenceWitness(
-        forward=F,
-        inverse=G,
-        unit=NatTrans(identity_functor(A), GF, unit, label="unit"),
-        counit=NatTrans(G.then(F), identity_functor(B), counit, label="counit"),
-        kind=kind,
-        has_section=len(images) == B.n_objects,
-        has_retraction=len(images) == A.n_objects,
+        F, kind, len(images) == F.target.n_objects, len(images) == F.source.n_objects, build
     )
 
 
@@ -207,10 +204,10 @@ def classify_equivalence(F: FinFunctor):
     the image, is a retraction; for an onto F, a choice of preimages with
     full faithfulness gives a section.  So one search runs: the first
     retraction if F is injective, else the first section if F is onto,
-    else the conjugation.  Given (F, G, ε), the unit of an adjoint
-    equivalence is unique, so :func:`adjoint_equivalence` builds all three
-    kinds with one formula.  Searches walk candidates in index order, so
-    the result is deterministic.
+    else the conjugation, on first read of the witness's structure.  Given
+    (F, G, ε), the unit of an adjoint equivalence is unique, so
+    :func:`adjoint_equivalence` builds all three kinds with one formula.
+    Searches walk candidates in index order, so the result is deterministic.
     """
     failure = _not_ff(F)
     if failure is not None:
@@ -220,13 +217,12 @@ def classify_equivalence(F: FinFunctor):
         return NotEquivalence(F, "not essentially surjective", (missing,))
     B = F.target
     if F.injective_on_objects():
-        R = next(find_retractions(F, limit=1))
-        return adjoint_equivalence(F, R, _retraction_counit(F, R), "injective")
+        return adjoint_equivalence(F, lambda: _first_retraction(F), "injective")
     if len(set(F.omap.values())) == B.n_objects:
-        G = next(find_sections(F, limit=1))
-        return adjoint_equivalence(F, G, {b: B.id_of(b) for b in B.objects}, "retract")
+        counit = {b: B.id_of(b) for b in B.objects}
+        return adjoint_equivalence(F, lambda: (next(find_sections(F, limit=1)), counit), "retract")
     counit = {b: iso for b, (_, iso) in choices.items()}
-    return adjoint_equivalence(F, _conjugate(F, choices), counit, "plain")
+    return adjoint_equivalence(F, lambda: (_conjugate(F, choices), counit), "plain")
 
 
 def injective_witness(F: FinFunctor) -> EquivalenceWitness:
@@ -236,5 +232,5 @@ def injective_witness(F: FinFunctor) -> EquivalenceWitness:
         raise WitnessInvalid(f"{F.label} is not an equivalence: {w.reason}")
     if not w.has_retraction:
         raise WitnessInvalid(f"{F.label} has no retraction")
-    # injective is the preferred normalization, so the stored unit is identity
+    # injective is the preferred normalization, so the unit is an identity
     return w

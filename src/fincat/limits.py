@@ -359,10 +359,11 @@ def pseudolimit_of_arrow(f: FinFunctor) -> PseudolimitOfArrow:
 
 
 def pseudolimit_injective_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
-    """Adjoint equivalence for the diagonal, with counit the inverse
-    diagonal cell; its unit is an identity."""
-    counit = pl.diagonal_cell.inverse().components
-    return adjoint_equivalence(pl.diagonal, pl.to_source, counit, "injective")
+    """Adjoint equivalence for the diagonal: inverse the source projection,
+    counit the inverse diagonal cell, and unit an identity."""
+    return adjoint_equivalence(
+        pl.diagonal, lambda: (pl.to_source, pl.diagonal_cell.inverse().components), "injective"
+    )
 
 
 # ---------------------------------------------------------------------------

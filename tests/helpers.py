@@ -81,7 +81,6 @@ from fincat.counterexamples import ArrowMorphism
 from fincat.equivalence import (
     EquivalenceWitness,
     NotEquivalence,
-    _retraction_counit,
     adjoint_equivalence,
     classify_equivalence,
     find_sections,
@@ -1328,34 +1327,31 @@ def recursive_functor_estimate(C: FinCat, D: FinCat, budget: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Constructions only the tests use, on the library's own types: a retract
-# witness of the pseudolimit's source projection, whose unit is the diagonal
-# cell itself (labelled ``delta``), retract witnesses and witnesses assembled
+# witness of the pseudolimit's source projection, whose unit is checked to be
+# the diagonal cell, retract witnesses and witnesses assembled
 # by ``adjoint_equivalence`` from a known inverse, a deliberately non-normal
 # cleavage, the coskeletality check of a 3-truncated nerve, and the functor
 # between classifying categories induced by a simplicial map
 
 
 def pseudolimit_retract_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
-    """Adjoint equivalence for the source projection: unit is the diagonal
-    cell, counit an identity."""
+    """Adjoint equivalence for the source projection: inverse the diagonal,
+    counit an identity, and unit the diagonal cell, which is checked to be
+    the one the builder's formula gives."""
     A = pl.arrow.source
-    counit = NatTrans(
-        pl.diagonal.then(pl.to_source),
-        identity_functor(A),
-        {a: A.id_of(a) for a in A.objects},
-        label="counit",
-    )
-    return validate_witness(
-        EquivalenceWitness(
-            forward=pl.to_source,
-            inverse=pl.diagonal,
-            unit=pl.diagonal_cell,
-            counit=counit,
-            kind="retract",
-            has_section=True,
-            has_retraction=pl.to_source.is_isomorphism(),
+    w = validate_witness(
+        adjoint_equivalence(
+            pl.to_source, lambda: (pl.diagonal, {a: A.id_of(a) for a in A.objects}), "retract"
         )
     )
+    delta = pl.diagonal_cell
+    assert (w.unit.source, w.unit.target, w.unit.components) == (
+        delta.source,
+        delta.target,
+        delta.components,
+    )
+    assert (w.has_section, w.has_retraction) == (True, pl.to_source.is_isomorphism())
+    return w
 
 def retract_witness(F: FinFunctor) -> EquivalenceWitness:
     """Witness with identity counit, built on the first section; requires
@@ -1378,10 +1374,15 @@ def witness_from_parts(F, inverse, kind, has_section, has_retraction) -> Equival
     if kind == "retract":
         counit = {b: F.target.id_of(b) for b in F.target.objects}
     elif kind == "injective":
-        counit = _retraction_counit(F, inverse)
+        # ε_b : F R b → b is the morphism that R sends to the identity of R b
+        A, B, R = F.source, F.target, inverse
+        counit = {
+            b: next(m for m in B.hom(F.ob(R.ob(b)), b) if R.mor(m) == A.id_of(R.ob(b)))
+            for b in B.objects
+        }
     else:
         raise WitnessInvalid(f"unknown kind {kind}")
-    w = validate_witness(adjoint_equivalence(F, inverse, counit, kind))
+    w = validate_witness(adjoint_equivalence(F, lambda: (inverse, counit), kind))
     assert (w.has_section, w.has_retraction) == (has_section, has_retraction)
     return w
 

@@ -566,9 +566,11 @@ def test_malformed_functor_cell_or_sset_exits_two_with_a_located_error(
 
 
 def test_classify_runs_the_identity_of_chaotic_32_without_a_recursion_limit(tmp_path):
-    """The functor searches behind ``classify`` assign one position per
-    object and per non-identity morphism, here 32 + 992, on an explicit
-    stack: the run ends with exit 0 and no traceback."""
+    """``classify`` reads only the kinds of an equivalence, so on the
+    identity of chaotic(32) it runs the fibration checks and the full
+    faithfulness and essential surjectivity checks over 1,024 morphisms and
+    no inverse search (the next test forces that search): the run ends with
+    exit 0 and no traceback."""
     cat = builtin("chaotic(32)")
     identity = {
         "source": "builtin:chaotic(32)",
@@ -582,6 +584,30 @@ def test_classify_runs_the_identity_of_chaotic_32_without_a_recursion_limit(tmp_
     assert "Traceback" not in res.stderr
     result = json.loads(res.stdout.strip().splitlines()[-1])["result"]
     assert result["equivalence"]["is_equivalence"] is True
+
+
+def test_the_witness_of_the_identity_of_chaotic_32_builds_without_a_recursion_limit(tmp_path):
+    """The retraction search behind the witness's structure assigns one
+    position per object and per non-identity morphism, here 32 + 992, on an
+    explicit stack: in a fresh process, under the default recursion limit,
+    reading the inverse, unit and counit builds a witness that validates."""
+    script = (
+        "from fincat.core import builtin, identity_functor\n"
+        "from fincat.equivalence import classify_equivalence, validate_witness\n"
+        "w = classify_equivalence(identity_functor(builtin('chaotic(32)')))\n"
+        "w.inverse, w.unit, w.counit\n"
+        "validate_witness(w)\n"
+        "print(w.kind, w.inverse.is_identity(), w.unit.is_identity(), w.counit.is_identity())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout.split() == ["injective", "True", "True", "True"]
 
 
 def test_powers_check_of_the_interval_into_chaotic_4_finds_the_bijection(tmp_path):

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from fincat import equivalence
 from fincat.core import (
     FinFunctor,
     WitnessInvalid,
@@ -10,7 +12,7 @@ from fincat.core import (
     chaotic_category,
     identity_functor,
 )
-from fincat.corpus import cyclic_group_category
+from fincat.corpus import corpus_functors, corpus_injective_equivalences, cyclic_group_category
 from fincat.equivalence import (
     EquivalenceWitness,
     NotEquivalence,
@@ -21,6 +23,7 @@ from fincat.equivalence import (
     validate_witness,
 )
 from fincat.funcat import pair_functor, product_category
+from fincat.wfs import compute_wf, factorize_wfs
 from helpers import (
     brute_force_functors,
     constant_functor,
@@ -173,3 +176,87 @@ def test_witness_inverse_is_the_first_retraction_or_section(seed):
                 search = filter_find_retractions if injective else filter_find_sections
                 first = next(search(F))
                 assert (w.inverse.omap, w.inverse.mmap) == (first.omap, first.mmap)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Count the inverse constructions a witness can run: the section and
+    retraction searches (``enumerate_lifts``) and the conjugation."""
+    counts = {"enumerate_lifts": 0, "_conjugate": 0}
+    for name in counts:
+        original = getattr(equivalence, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(equivalence, name, counting)
+    return lambda: sum(counts.values())
+
+
+KINDS = {"injective": {"plain", "injective"}, "retract": {"plain", "retract"}, "plain": {"plain"}}
+
+
+def _one_of_each_kind():
+    """An injective, an onto and a plain (neither) equivalence."""
+    chaos = builtin("chaotic(2)")
+    iso = builtin("free_iso")
+    one = builtin("terminal")
+    return {
+        "injective": builtin_functor("point_to_iso"),
+        "retract": FinFunctor(iso, one, {"0": "*", "1": "*"}, {m.name: "id_*" for m in iso.morphisms}),
+        "plain": constant_functor(chaos, chaos, "0"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["injective", "retract", "plain"])
+def test_reading_the_kinds_runs_no_construction(kind, constructions):
+    w = classify_equivalence(_one_of_each_kind()[kind])
+    assert w.kind == kind
+    assert (w.kinds, w.has_section, w.has_retraction) == (
+        KINDS[kind],
+        kind == "retract",
+        kind == "injective",
+    )
+    assert constructions() == 0
+
+
+@pytest.mark.parametrize("kind", ["injective", "retract", "plain"])
+@pytest.mark.parametrize("order", list(itertools.permutations(["inverse", "unit", "counit"])))
+def test_the_first_read_of_the_structure_runs_one_construction(kind, order, constructions):
+    """Whichever of the inverse, unit and counit is read first runs the one
+    construction; later reads, of any of them, run none, and the structure
+    is the one a witness built from the same functor reads."""
+    F = _one_of_each_kind()[kind]
+    w = classify_equivalence(F)
+    getattr(w, order[0])
+    assert constructions() == 1
+    for name in order + order:
+        getattr(w, name)
+    assert constructions() == 1
+    validate_witness(w)
+    fresh = classify_equivalence(F)
+    assert (fresh.inverse, fresh.unit.components, fresh.counit.components) == (
+        w.inverse,
+        w.unit.components,
+        w.counit.components,
+    )
+
+
+def test_factorizations_and_wf_comparisons_of_the_corpus_run_no_construction(constructions):
+    witnesses = 0
+    for f in corpus_functors():
+        assert factorize_wfs(f).left_witness.has_retraction
+        witnesses += compute_wf(f).comparison_witness is not None
+    assert witnesses > 0
+    assert corpus_injective_equivalences.__wrapped__()
+    assert constructions() == 0
+
+
+def test_two_witnesses_of_one_functor_compare_and_hash_equal():
+    for F in _one_of_each_kind().values():
+        w, w2 = classify_equivalence(F), classify_equivalence(F)
+        assert w.build is not w2.build
+        assert w == w2 and hash(w) == hash(w2)
+        w.inverse  # a built structure is not compared either
+        assert w == w2 and hash(w) == hash(w2)

@@ -197,7 +197,7 @@ def test_pseudolimit_projection_kinds():
     assert "injective" in wd.kinds
     # the direct witnesses also check out
     pseudolimit_retract_witness(pl)
-    pseudolimit_injective_witness(pl)
+    validate_witness(pseudolimit_injective_witness(pl))
 
 
 def test_pseudolimit_validates_and_section_equation():
