@@ -68,6 +68,8 @@ class EquivalenceWitness:
         # satisfies the triangle equations
         (G, counit), F = self.build(), self.forward
         A, B, GF = F.source, F.target, F.then(G)
+        if not all(B.is_iso(counit.get(F.ob(a))) for a in A.objects):
+            raise WitnessInvalid(f"counit is not invertible on the image of {F.label}")
         unit = {a: _preimage(F, a, GF.ob(a), B.inverse(counit[F.ob(a)])) for a in A.objects}
         unit_cell = NatTrans(identity_functor(A), GF, unit, label="unit")
         return G, unit_cell, NatTrans(G.then(F), identity_functor(B), counit, label="counit")

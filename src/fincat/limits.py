@@ -16,6 +16,10 @@ only for its apex or projections (the pullback inside a pseudolimit of an
 arrow, a tower's stage isocommas) replays nothing.  Every certificate the
 program reports is read, and so still replayed: the CLI ``limit *``
 envelopes and the acceptance tower criterion.
+
+A pseudolimit of an arrow builds only its pullback eagerly, and its other
+parts on first read: a factorization never builds the source's iso-power,
+and the iso-power comparison never builds the diagonal or the cells.
 """
 from __future__ import annotations
 
@@ -264,27 +268,78 @@ def isocomma(F: FinFunctor, G: FinFunctor) -> LimitWitness:
 
 @dataclass
 class PseudolimitOfArrow:
-    """The pseudolimit of f : A → B, realized as the strict pullback of
-    cod : B^I → B along f, where I is the free isomorphism.
+    """The pseudolimit of f : A → B, realized as the strict pullback
+    ``witness`` of cod : B^I → B along f, where I is the free isomorphism.
 
-    ``to_source`` (a retract equivalence) and ``to_target`` are the two
-    projections, ``cell`` the invertible 2-cell to_target ≅ f∘to_source,
-    ``diagonal`` the injective-equivalence section of ``to_source``, and
-    ``power_comparison`` the induced map out of the source's iso-power.
+    Only f, the target's iso-power B^I and the pullback are built eagerly;
+    ``apex``, ``to_source`` (a retract equivalence) and ``power_projection``
+    are read off the pullback.  The other parts are built on first read and
+    kept: ``to_target``, ``cell`` (the invertible 2-cell to_target ≅
+    f∘to_source), ``diagonal`` (the injective-equivalence section of
+    ``to_source``), ``diagonal_cell`` (1 ≅ diagonal∘to_source),
+    ``source_power`` (A^I, within the budget in force when it is first
+    read) and ``power_comparison`` (the induced map out of A^I).
     """
 
     arrow: FinFunctor
-    apex: FinCat
-    to_source: FinFunctor
-    to_target: FinFunctor
-    cell: NatTrans
-    diagonal: FinFunctor
-    diagonal_cell: NatTrans
-    power_comparison: FinFunctor
-    power_projection: FinFunctor
-    source_power: FunctorCat
     target_power: FunctorCat
     witness: LimitWitness
+
+    apex = property(lambda self: self.witness.apex)
+    to_source = property(lambda self: self.witness.projections[0])
+    power_projection = property(lambda self: self.witness.projections[1])
+
+    # an object of the apex is a pair (a, ω) of an object of A and an iso ω of B
+    # ending at f a; a morphism of B^I is named by its components at 0 and 1
+
+    @cached_property
+    def to_target(self) -> FinFunctor:
+        return self.power_projection.then(evaluation_functor(self.target_power, "0"))
+
+    @cached_property
+    def cell(self) -> NatTrans:
+        iso_at, power_b = self.power_projection.omap, self.target_power
+        parts = {o: power_b.mor_image(iso_at[o], "to") for o in self.apex.objects}
+        return NatTrans(self.to_target, self.to_source.then(self.arrow), parts, label="lambda")
+
+    @cached_property
+    def diagonal(self) -> FinFunctor:
+        """a ↦ (a, the identity iso at f a)."""
+        f, A, L, power_b = self.arrow, self.arrow.source, self.apex, self.target_power
+        iso_at = self.power_projection.omap
+        omap = {a: L.obj_named((a, constant_iso_object(power_b, f.ob(a)))) for a in A.objects}
+        mmap = {}
+        for m in A.morphisms:
+            fm, src, dst = f.mor(m.name), omap[m.dom], omap[m.cod]
+            mmap[m.name] = L.mor_named(
+                src, dst, (m.name, power_b.mor_named(iso_at[src], iso_at[dst], (fm, fm)))
+            )
+        return FinFunctor(A, L, omap, mmap, label="diagonal")
+
+    @cached_property
+    def diagonal_cell(self) -> NatTrans:
+        """1 ≅ diagonal∘to_source, with components (id_a, [ω, id])."""
+        f, L, power_b = self.arrow, self.apex, self.target_power
+        u, d, iso_at = self.to_source, self.diagonal, self.power_projection.omap
+        parts = {}
+        for o in L.objects:
+            a, omega = u.omap[o], iso_at[o]
+            to_id = (power_b.mor_image(omega, "to"), f.target.id_of(f.ob(a)))
+            t = power_b.mor_named(omega, iso_at[d.omap[a]], to_id)
+            parts[o] = L.mor_named(o, d.omap[a], (f.source.id_of(a), t))
+        return NatTrans(identity_functor(L), u.then(d), parts, label="delta")
+
+    @cached_property
+    def source_power(self) -> FunctorCat:
+        return functor_category(builtin("free_iso"), self.arrow.source)
+
+    @cached_property
+    def power_comparison(self) -> FinFunctor:
+        """w : A^I → L, sending an iso of A to (its codomain, its image iso)."""
+        f_iso = postcompose_functor(self.arrow, builtin("free_iso"))
+        w = pair_functor(evaluation_functor(self.source_power, "1"), f_iso, self.apex)
+        w.label = "w"
+        return w
 
 
 def constant_iso_object(power: FunctorCat, b: str) -> str:
@@ -297,65 +352,8 @@ def constant_iso_object(power: FunctorCat, b: str) -> str:
 
 
 def pseudolimit_of_arrow(f: FinFunctor) -> PseudolimitOfArrow:
-    A, B = f.source, f.target
-    free_iso = builtin("free_iso")
-    power_b = functor_category(free_iso, B)
-    power_a = functor_category(free_iso, A)
-    cod_b = evaluation_functor(power_b, "1")
-    dom_b = evaluation_functor(power_b, "0")
-    pb = pullback_strict(f, cod_b)
-    L: TupleCat = pb.apex
-    u, p = pb.projections
-    v = p.then(dom_b)
-    # an object of L is a pair (a, ω) of an object of A and an iso ω of B
-    # ending at f a; a transformation of B^I is named by its components at
-    # 0 and at 1
-    iso_at = p.omap
-    lam_parts = {o: power_b.mor_image(iso_at[o], "to") for o in L.objects}
-    lam = NatTrans(v, u.then(f), lam_parts, label="lambda")
-
-    # diagonal: a ↦ (a, identity iso at f a)
-    d_omap, d_mmap = {}, {}
-    for a in A.objects:
-        d_omap[a] = L.obj_named((a, constant_iso_object(power_b, f.ob(a))))
-    for m in A.morphisms:
-        fm = f.mor(m.name)
-        src, dst = d_omap[m.dom], d_omap[m.cod]
-        d_mmap[m.name] = L.mor_named(
-            src, dst, (m.name, power_b.mor_named(iso_at[src], iso_at[dst], (fm, fm)))
-        )
-    d = FinFunctor(A, L, d_omap, d_mmap, label="diagonal")
-
-    # diagonal cell 1 ≅ d∘u with components (id_a, [iso, id])
-    delta_parts = {}
-    for o in L.objects:
-        a, omega = u.omap[o], iso_at[o]
-        target_obj = d_omap[a]
-        t = power_b.mor_named(
-            omega, iso_at[target_obj], (power_b.mor_image(omega, "to"), B.id_of(f.ob(a)))
-        )
-        delta_parts[o] = L.mor_named(o, target_obj, (A.id_of(a), t))
-    delta = NatTrans(identity_functor(L), u.then(d), delta_parts, label="delta")
-
-    # comparison out of the source iso-power: an iso of A lands on
-    # (its codomain, its image iso)
-    w = pair_functor(evaluation_functor(power_a, "1"), postcompose_functor(f, free_iso), L)
-    w.label = "w"
-
-    return PseudolimitOfArrow(
-        arrow=f,
-        apex=L,
-        to_source=u,
-        to_target=v,
-        cell=lam,
-        diagonal=d,
-        diagonal_cell=delta,
-        power_comparison=w,
-        power_projection=p,
-        source_power=power_a,
-        target_power=power_b,
-        witness=pb,
-    )
+    power_b = functor_category(builtin("free_iso"), f.target)
+    return PseudolimitOfArrow(f, power_b, pullback_strict(f, evaluation_functor(power_b, "1")))
 
 
 def pseudolimit_injective_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:

@@ -169,6 +169,25 @@ def test_budget_propagates(workdir):
     assert res.exit_code == 2
 
 
+def test_the_budget_refuses_only_the_powers_a_command_builds(workdir):
+    """chaotic(3)^I needs 21 candidates and 1^I fewer, so under a budget of
+    20 the pseudolimit and the factorization of chaotic(3) → 1, which never
+    build the source's iso-power, pass, and the wf comparison out of it is
+    refused."""
+    from fincat.corpus import to_terminal_functor
+
+    bang = to_terminal_functor(builtin("chaotic(3)"))
+    (workdir / "chaotic3_bang.json").write_text(json.dumps(functor_to_dict(bang)))
+    for command, exit_code in (
+        (["limit", "pseudolimit", "--f"], 0),
+        (["factorize", "--functor"], 0),
+        (["wf", "--functor"], 2),
+    ):
+        res = invoke(["--budget", "20", *command, "chaotic3_bang.json"], workdir)
+        assert res.exit_code == exit_code, (command, res.output)
+    assert "needs 21 candidates, budget is 20" in res.output
+
+
 def test_suite_envelopes_are_deterministic(workdir):
     def run():
         res = invoke(["suite", "acceptance", "--only", "5"], workdir)

@@ -1,6 +1,6 @@
 import pytest
 
-from fincat import limits
+from fincat import limits, wfs
 from fincat.core import (
     FinFunctor,
     NotIdempotent,
@@ -217,6 +217,65 @@ def test_pseudolimit_validates_and_section_equation():
     validate_transformation(pl.cell, invertible=True)
     validate_transformation(pl.diagonal_cell, invertible=True)
     assert pl.diagonal.then(pl.to_source) == identity_functor(f.source)
+
+
+LAZY_PARTS = ("to_target", "cell", "diagonal", "diagonal_cell", "source_power", "power_comparison")
+
+
+def test_a_pseudolimit_builds_only_its_pullback_eagerly():
+    """A fresh pseudolimit holds f, B^I and the pullback; its apex and both
+    projections are the pullback's, and no other part is built."""
+    for f in corpus_functors():
+        pl = pseudolimit_of_arrow(f)
+        assert not set(LAZY_PARTS) & set(vars(pl)), f.label
+        assert pl.apex is pl.witness.apex, f.label
+        assert (pl.to_source, pl.power_projection) == pl.witness.projections, f.label
+
+
+def test_factorize_wfs_leaves_the_source_power_and_comparison_unbuilt():
+    """The factorization reads the diagonal and the target projection; the
+    left witness reads δ only on first read of its structure."""
+    for f in corpus_functors():
+        fac = factorize_wfs(f)
+        built = set(vars(fac.pseudolimit))
+        assert {"diagonal", "to_target"} <= built, f.label
+        assert not {"source_power", "power_comparison", "diagonal_cell", "cell"} & built, f.label
+        fac.left_witness.inverse
+        assert "diagonal_cell" in vars(fac.pseudolimit), f.label
+        assert "power_comparison" not in vars(fac.pseudolimit), f.label
+
+
+def test_compute_wf_leaves_the_diagonal_cells_and_target_projection_unbuilt(monkeypatch):
+    built = []
+
+    def recording(f):
+        built.append(pseudolimit_of_arrow(f))
+        return built[-1]
+
+    monkeypatch.setattr(wfs, "pseudolimit_of_arrow", recording)
+    for f in corpus_functors():
+        compute_wf(f)
+        parts = set(vars(built[-1])) & set(LAZY_PARTS)
+        assert parts == {"source_power", "power_comparison"}, f.label
+
+
+def test_a_second_read_of_each_lazy_part_returns_the_same_object():
+    for f in corpus_functors()[:12]:
+        pl = pseudolimit_of_arrow(f)
+        for name in LAZY_PARTS:
+            assert getattr(pl, name) is getattr(pl, name), (f.label, name)
+
+
+def test_two_pseudolimits_of_one_arrow_compare_equal():
+    """Equality reads f, B^I and the pullback only, so it holds whatever was
+    built, and the lazy parts of the two agree."""
+    for f in corpus_functors()[:12]:
+        pl, pl2 = pseudolimit_of_arrow(f), pseudolimit_of_arrow(f)
+        assert pl == pl2, f.label
+        pl.diagonal_cell, pl.power_comparison
+        assert pl == pl2, f.label
+        for name in LAZY_PARTS:
+            assert getattr(pl, name) == getattr(pl2, name), (f.label, name)
 
 
 # -- inserter / equifier -----------------------------------------------------

@@ -3,17 +3,20 @@ import pytest
 from fincat.core import (
     CleavageNotNormal,
     FinFunctor,
+    WitnessInvalid,
     builtin,
     builtin_functor,
     identity_functor,
     validate_transformation,
 )
 from fincat.equivalence import (
+    adjoint_equivalence,
     classify_equivalence,
     find_retractions,
+    validate_witness,
 )
 from fincat.fibrations import classify_fibration
-from fincat.corpus import corpus_functors
+from fincat.corpus import corpus_functors, cyclic_group_category
 from fincat.funcat import (
     evaluation_functor,
     functor_category,
@@ -162,6 +165,142 @@ def test_filler_valid_for_every_retraction_witness():
         w = witness_from_parts(i, r, "injective", False, True)
         h = solve_lifting(square, witness=w)
         assert square.is_filler(h)
+
+
+# -- wrong witnesses for the left edge ------------------------------------------
+
+
+def _counit_of(pl, G):
+    """The first morphism F G b → b of the apex at each b, for F the
+    diagonal."""
+    L, d = pl.apex, pl.diagonal
+    return {b: L.hom(d.ob(G.ob(b)), b)[0] for b in L.objects}
+
+
+def _swapped_retraction(pl):
+    """The source projection followed by the swap of chaotic(2)."""
+    A, flip = pl.arrow.source, {"0": "1", "1": "0"}
+    mmap = {m.name: A.hom(flip[m.dom], flip[m.cod])[0] for m in A.morphisms}
+    return pl.to_source.then(FinFunctor(A, A, flip, mmap, label="swap"))
+
+
+def _off_image(pl):
+    image = set(pl.diagonal.omap.values())
+    return next(b for b in pl.apex.objects if b not in image)
+
+
+def _counit_changed_off_image(pl):
+    """δ⁻¹ with its component at one object off the diagonal's image
+    replaced by another isomorphism with the same ends."""
+    counit, b = dict(pl.diagonal_cell.inverse().components), _off_image(pl)
+    L = pl.apex
+    counit[b] = next(m for m in L.hom(L.mor(counit[b]).dom, b) if m != counit[b])
+    return counit
+
+
+def _counit_missing_off_image(pl):
+    counit = dict(pl.diagonal_cell.inverse().components)
+    del counit[_off_image(pl)]
+    return counit
+
+
+_ARROW = to_terminal(builtin("arrow"))
+_CHAOTIC = identity_functor(builtin("chaotic(2)"))
+_CYCLIC = identity_functor(cyclic_group_category(3))
+
+
+def _constant_0(pl):
+    return constant_functor(pl.apex, pl.arrow.source, "0")
+
+
+WRONG_WITNESSES = {
+    # (f, the thunk's inverse and counit, kind): the messages of
+    # validate_witness and of solve_lifting on f's canonical square
+    "constant inverse": (
+        _ARROW,
+        lambda pl: (_constant_0(pl), {b: pl.apex.id_of(b) for b in pl.apex.objects}),
+        "injective",
+        r"^\(id_1\|\[id_\*,id_\*\]0>0\) has no preimage under diagonal$",
+        None,
+    ),
+    "projection claimed a strict inverse": (
+        _CHAOTIC,
+        lambda pl: (pl.to_source, {b: pl.apex.id_of(b) for b in pl.apex.objects}),
+        "injective",
+        r"^unit/counit invalid: naturality fails at .*: component has wrong boundary$",
+        None,
+    ),
+    "non-invertible counit": (
+        _ARROW,
+        lambda pl: (_constant_0(pl), _counit_of(pl, _constant_0(pl))),
+        "injective",
+        r"^counit is not invertible on the image of diagonal$",
+        None,
+    ),
+    "non-natural counit": (
+        _CYCLIC,
+        lambda pl: (pl.to_source, _counit_changed_off_image(pl)),
+        "injective",
+        r"^unit/counit invalid: naturality fails at .* != ",
+        None,
+    ),
+    "counit missing a component": (
+        _CYCLIC,
+        lambda pl: (pl.to_source, _counit_missing_off_image(pl)),
+        "injective",
+        r"^unit/counit invalid: counit: components must cover exactly the source objects$",
+        None,
+    ),
+    "injective kind with a non-identity unit": (
+        _CHAOTIC,
+        lambda pl: (_swapped_retraction(pl), _counit_of(pl, _swapped_retraction(pl))),
+        "injective",
+        r"^injective witness must have identity unit$",
+        r"^witness must be injective-normalized \(identity unit\)$",
+    ),
+    "retract kind with a non-identity counit": (
+        _CHAOTIC,
+        lambda pl: (pl.to_source, pl.diagonal_cell.inverse().components),
+        "retract",
+        r"^retract witness must have identity counit$",
+        r"^witness must be injective-normalized \(identity unit\)$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_WITNESSES))
+def test_a_wrong_witness_for_the_diagonal_is_refused(case):
+    """A witness built by ``adjoint_equivalence`` for a factorization's
+    diagonal from a wrong inverse or counit, or under the wrong kind, is
+    refused by ``validate_witness`` and by ``solve_lifting``, each with its
+    message (``solve_lifting``'s is ``validate_witness``'s unless given)."""
+    f, build, kind, message, lifting_message = WRONG_WITNESSES[case]
+
+    def witness():
+        pl = factorize_wfs(f).pseudolimit
+        return adjoint_equivalence(pl.diagonal, lambda: build(pl), kind)
+
+    with pytest.raises(WitnessInvalid, match=message):
+        validate_witness(witness())
+    with pytest.raises(WitnessInvalid, match=lifting_message or message):
+        solve_lifting(canonical_test_square(f), witness=witness())
+
+
+def test_the_right_witness_passes_and_another_edges_is_refused():
+    """The diagonal's own (source projection, δ⁻¹) witness passes both
+    checks; a valid witness of another diagonal is refused by
+    ``solve_lifting``."""
+    pl = factorize_wfs(_CYCLIC).pseudolimit
+    right = adjoint_equivalence(
+        pl.diagonal, lambda: (pl.to_source, pl.diagonal_cell.inverse().components), "injective"
+    )
+    validate_witness(right)
+    square = canonical_test_square(_CYCLIC)
+    assert square.is_filler(solve_lifting(square, witness=right))
+    other = factorize_wfs(_CHAOTIC).left_witness
+    validate_witness(other)
+    with pytest.raises(WitnessInvalid, match="^witness does not belong to the left edge$"):
+        solve_lifting(square, witness=other)
 
 
 # -- Leibniz powers --------------------------------------------------------------
