@@ -403,8 +403,14 @@ class FinCat:
             and self.comp == other.comp
         )
 
+    @cached_property
+    def _hash(self) -> int:
+        # equal categories have equal names, so this agrees with ``==``
+        # without the digest's serialization
+        return hash((self.objects, self.morphisms))
+
     def __hash__(self):
-        return hash(self.digest)
+        return self._hash
 
     def __repr__(self):
         return f"FinCat({self.label!r}, {self.n_objects} objects, {self.n_morphisms} morphisms)"

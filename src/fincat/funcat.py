@@ -15,7 +15,10 @@ component homs), and ``EnumerationBudgetExceeded``
 reports both the bound and the requirement, so blowups are loud rather
 than slow.  The transformations of a pair are the tuples of that counted
 product that pass C's naturality squares, so the candidates checked are
-the ones the budget counted.
+the ones the budget counted.  The iso-power D^I, with I the free
+isomorphism, is listed in closed form from D's isomorphisms instead, in the
+same order and under the same count.  Powers are cached by ``(C, D)``
+themselves, so a build serializes neither category.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from .core import (
     TupleCat,
     _natural_parts,
     bounds,
+    builtin,
     enumerate_functors,
 )
 
@@ -100,17 +104,20 @@ def _estimate_functor_candidates(C: FinCat, D: FinCat, budget: int) -> int:
     return total
 
 
-_CACHE: dict[tuple[str, str], FunctorCat] = {}
+_CACHE: dict[tuple[FinCat, FinCat], FunctorCat] = {}
 
 
 def functor_category(C: FinCat, D: FinCat) -> FunctorCat:
     """The category of functors C → D and natural transformations, with
     vertical composition, labelled ``[C.label,D.label]``, within the budget
-    of :func:`~fincat.core.bounds`.  Results are cached by content; a power
-    cached for content-equal categories under other labels comes back
-    relabelled."""
+    of :func:`~fincat.core.bounds`.  Results are cached by content, keyed by
+    ``(C, D)`` themselves (categories hash by their names and compare by
+    their tables); a power cached for content-equal categories under other
+    labels comes back relabelled.  The iso-power D^I, with I the free
+    isomorphism, is built from D's isomorphisms (:func:`_iso_power`); every
+    other power runs the functor search."""
     budget = bounds().budget
-    cache_key = (C.digest, D.digest)
+    cache_key = (C, D)
     label = f"[{C.label},{D.label}]"
     # a cached power that the budget refuses is counted afresh, so the
     # refusal names the count at which it first passes the budget, as on
@@ -119,10 +126,29 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCat:
     if cached is not None and cached._budget_required <= budget:
         return cached if cached.label == label else cached.relabel(label)
 
+    what = f"power {D.label}^{C.label}"
     required = _estimate_functor_candidates(C, D, budget)
     if required > budget:
-        raise EnumerationBudgetExceeded(budget, required, f"power {D.label}^{C.label}")
+        raise EnumerationBudgetExceeded(budget, required, what)
+    build = _iso_power if C == builtin("free_iso") else _power
+    names, parts, morphisms, required = build(C, D, required, budget, what)
 
+    fc = FunctorCat(
+        [D] * C.n_objects,
+        list(zip(names, parts)),
+        morphisms,
+        label=label,
+        source_category=C,
+        target_category=D,
+    )
+    fc._budget_required = required
+    _CACHE[cache_key] = fc
+    return fc
+
+
+def _power(C: FinCat, D: FinCat, required: int, budget: int, what: str):
+    """The objects and morphisms of D^C by the functor search, and the
+    candidates counted, starting from ``required``."""
     functor_list = list(enumerate_functors(C, D))
     names = [_object_name(C, F) for F in functor_list]
     parts = [_functor_parts(C, F.omap, F.mmap) for F in functor_list]
@@ -137,9 +163,7 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCat:
             candidates = math.prod(map(len, homs))
             required += max(candidates, 1)
             if required > budget:
-                raise EnumerationBudgetExceeded(
-                    budget, required, f"power {D.label}^{C.label}"
-                )
+                raise EnumerationBudgetExceeded(budget, required, what)
             if candidates:
                 kept.append((i, j, homs))
 
@@ -159,18 +183,41 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCat:
         natural = _natural_parts(comp, homs, [(d, e, G[s], F[s]) for d, e, s in squares])
         for comps in natural:
             morphisms.append((f"[{','.join(comps)}]{i}>{j}", names[i], names[j], comps))
+    return names, parts, morphisms, required
 
-    fc = FunctorCat(
-        [D] * C.n_objects,
-        list(zip(names, parts)),
-        morphisms,
-        label=label,
-        source_category=C,
-        target_category=D,
-    )
-    fc._budget_required = required
-    _CACHE[cache_key] = fc
-    return fc
+
+def _iso_power(C: FinCat, D: FinCat, required: int, budget: int, what: str):
+    """:func:`_power` for C the free isomorphism 0 ⇄ 1 (to, fro), in closed
+    form and in the search's order.
+
+    A functor is an isomorphism ``to : x0 → x1`` of D with ``fro`` its
+    inverse, listed by x0, then x1, in D's object order, then ``to`` in hom
+    order.  A transformation F ⇒ G is its component t0 : F0 → G0 with
+    t1 = G.to∘t0∘F.fro, which naturality at ``to`` forces (and at ``fro``
+    then holds); so each t0 of hom(F0, G0) gives one, in hom order.  Each
+    pair is counted against the budget as :func:`_power` counts it, by the
+    product of its two component homs."""
+    index = D.obj_index
+    # stable, so the isomorphisms between two objects keep their hom order
+    isos = sorted(D.isos, key=lambda m: (index[D.dom(m)], index[D.cod(m)]))
+    parts, names = [], []
+    for to in isos:
+        x0, x1, fro = D.dom(to), D.cod(to), D.inverse(to)
+        parts.append((x0, x1, D.id_of(x0), D.id_of(x1), to, fro))
+        names.append(f"({x0},{x1};{to},{fro})")
+
+    comp = D.comp
+    morphisms = []
+    for i, (f0, f1, _, _, _, f_fro) in enumerate(parts):
+        for j, (g0, g1, _, _, g_to, _) in enumerate(parts):
+            hom0 = D.hom(f0, g0)
+            required += max(len(hom0) * len(D.hom(f1, g1)), 1)
+            if required > budget:
+                raise EnumerationBudgetExceeded(budget, required, what)
+            for t0 in hom0:
+                t1 = comp[g_to, comp[t0, f_fro]]
+                morphisms.append((f"[{t0},{t1}]{i}>{j}", names[i], names[j], (t0, t1)))
+    return names, parts, morphisms, required
 
 
 def evaluation_functor(fc: FunctorCat, at: str) -> FinFunctor:

@@ -6,10 +6,13 @@ import pytest
 from fincat import equivalence
 from fincat.core import (
     FinFunctor,
+    NatTrans,
     WitnessInvalid,
     builtin,
     builtin_functor,
     chaotic_category,
+    enumerate_isomorphisms,
+    enumerate_transformations,
     identity_functor,
 )
 from fincat.corpus import corpus_functors, corpus_injective_equivalences, cyclic_group_category
@@ -260,3 +263,85 @@ def test_two_witnesses_of_one_functor_compare_and_hash_equal():
         assert w == w2 and hash(w) == hash(w2)
         w.inverse  # a built structure is not compared either
         assert w == w2 and hash(w) == hash(w2)
+
+
+def _hand_built(F, G, unit, counit):
+    """A plain witness with the inverse, unit and counit given, not built by
+    ``adjoint_equivalence``'s unit formula (which types both cells and
+    forces the triangles)."""
+    w = EquivalenceWitness(F, "plain", True, True, build=None)
+    vars(w)["_structure"] = (G, unit, counit)
+    return w
+
+
+def _identity_cell(F):
+    return NatTrans(F, F, {a: F.target.id_of(F.ob(a)) for a in F.source.objects})
+
+
+def _swap_of_chaotic_2():
+    c = builtin("chaotic(2)")
+    flip = {"0": "1", "1": "0"}
+    mmap = {m.name: f"u{flip[m.dom]}_{flip[m.cod]}" for m in c.morphisms}
+    return FinFunctor(c, c, flip, mmap, label="swap")
+
+
+def _wrong_boundary_witnesses():
+    """The identity of chaotic(2), with a unit or a counit that is a natural
+    isomorphism between the swap and the identity."""
+    swap = _swap_of_chaotic_2()
+    one = identity_functor(swap.source)
+    into_swap = NatTrans(one, swap, {"0": "u0_1", "1": "u1_0"})
+    out_of_swap = NatTrans(swap, one, {"0": "u1_0", "1": "u0_1"})
+    return {
+        "unit has wrong boundary": _hand_built(one, one, into_swap, _identity_cell(one)),
+        "counit has wrong boundary": _hand_built(one, one, _identity_cell(one), out_of_swap),
+    }
+
+
+@pytest.mark.parametrize("message", ["unit has wrong boundary", "counit has wrong boundary"])
+def test_a_natural_unit_or_counit_with_the_wrong_boundary_is_refused(message):
+    with pytest.raises(WitnessInvalid, match=f"^{message}$"):
+        validate_witness(_wrong_boundary_witnesses()[message])
+
+
+def test_a_unit_and_counit_that_break_the_first_triangle_are_refused():
+    """On the identity of cyclic(3), unit and counit both g1 are natural
+    (the group is abelian) and invertible, but ε∘η = g2."""
+    one = identity_functor(cyclic_group_category(3))
+    g1 = NatTrans(one, one, {"*": "g1"})
+    with pytest.raises(WitnessInvalid, match=r"^triangle \(counit·F\)\(F·unit\) fails at \*$"):
+        validate_witness(_hand_built(one, one, g1, g1))
+
+
+def test_the_second_triangle_follows_from_the_first():
+    """With η and ε natural isomorphisms of the right boundaries, the first
+    triangle forces the second: for θ = Gε·ηG, naturality of ε at ε_b gives
+    ε_b∘FG(ε_b) = ε_b∘ε_(FGb), so ε_b∘F(θ_b) = ε_b∘(εF·Fη)_(Gb) = ε_b; ε_b is
+    invertible and F faithful, so θ_b = 1.  So ``validate_witness``'s second
+    triangle check never fails on its own: over every invertible unit and
+    counit of these equivalences, a witness is refused exactly when the
+    first triangle fails, and never by the second."""
+    c3, c4 = cyclic_group_category(3), cyclic_group_category(4)
+    mixed = product_category(cyclic_group_category(2), builtin("chaotic(2)"))
+    equivalences = [F for C in (c3, c4, mixed) for F in enumerate_isomorphisms(C, C)]
+    equivalences.append(constant_functor(builtin("chaotic(2)"), builtin("terminal"), "*"))
+    refused = passed = 0
+    for F in equivalences:
+        A, B = F.source, F.target
+        G = classify_equivalence(F).inverse
+        units = list(enumerate_transformations(identity_functor(A), F.then(G), invertible_only=True))
+        counits = list(enumerate_transformations(G.then(F), identity_functor(B), invertible_only=True))
+        for unit, counit in itertools.product(units, counits):
+            first = all(
+                B.compose(counit.component(F.ob(a)), F.mor(unit.component(a))) == B.id_of(F.ob(a))
+                for a in A.objects
+            )
+            try:
+                validate_witness(_hand_built(F, G, unit, counit))
+            except WitnessInvalid as exc:
+                assert not first and str(exc).startswith("triangle (counit·F)(F·unit)"), exc
+                refused += 1
+            else:
+                assert first
+                passed += 1
+    assert (refused, passed) == (44, 23)

@@ -90,10 +90,22 @@ def test_refusal_names_the_same_count_before_and_after_the_power_is_cached(monke
     message = "needs 21 candidates, budget is 20"
     with pytest.raises(EnumerationBudgetExceeded, match=message), bounded(budget=20):
         functor_category(C, D)
-    functor_category(C, D)
-    assert (C.digest, D.digest) in funcat._CACHE
+    power = functor_category(C, D)
+    assert funcat._CACHE[C, D] is power and functor_category(C, D) is power
     with pytest.raises(EnumerationBudgetExceeded, match=message), bounded(budget=20):
         functor_category(C, D)
+
+
+def test_building_a_power_computes_no_digest(monkeypatch):
+    """Powers are cached by their categories themselves, so a first build
+    of a fresh D's iso-power serializes neither category."""
+    monkeypatch.setattr(funcat, "_CACHE", {})
+    C, D = builtin("free_iso"), builtin("chaotic(3)")
+    power = functor_category(C, D)
+    assert "digest" not in vars(D) and "digest" not in vars(power)
+    same = builtin("chaotic(3)")
+    assert same is not D and functor_category(C, same) is power
+    assert "digest" not in vars(same)
 
 
 def test_cached_power_takes_the_labels_of_its_arguments():

@@ -10,14 +10,29 @@ search under test and reaches much further.
 * cyclic(n) → cyclic(m): the group maps Z/n → Z/m, gcd(n, m);
 * free_iso → chaotic(n): the isomorphisms of chaotic(n), n²;
 * arrow → chain(n): the morphisms of chain(n), n(n + 1)/2;
-* automorphisms: n! for chaotic(n), Euler's φ(n) for cyclic(n).
+* automorphisms: n! for chaotic(n), Euler's φ(n) for cyclic(n);
+* the iso-power D^I, I the free isomorphism: an object is an isomorphism of
+  D and a morphism F ⇒ G its component at 0, any morphism F0 → G0; so
+  chaotic(n)^I has n² objects and n⁴ morphisms, and cyclic(n)^I has n
+  objects and n³ morphisms;
+* the sections of a split epi of finite sets, discrete(n) → discrete(m):
+  one preimage chosen in each fibre, the product of the fibre sizes.
 """
-from math import comb, factorial, gcd
+import random
+from math import comb, factorial, gcd, prod
 
 import pytest
 
-from fincat.core import builtin, enumerate_functors, enumerate_isomorphisms
+from fincat.core import (
+    FinFunctor,
+    builtin,
+    discrete_category,
+    enumerate_functors,
+    enumerate_isomorphisms,
+)
 from fincat.corpus import chain_poset, cyclic_group_category
+from fincat.equivalence import find_sections
+from fincat.funcat import functor_category
 
 
 def _count(items) -> int:
@@ -73,3 +88,38 @@ def test_enumerate_functors_lists_the_closed_form_count(name, pair, expected):
 def test_enumerate_isomorphisms_lists_the_closed_form_automorphism_count(name, cat, expected):
     C = cat()
     assert _count(enumerate_isomorphisms(C, C)) == expected
+
+
+# n = 11 is the largest the default budget admits for both bases: each
+# counts n² object candidates and then n⁴ transformation candidates
+ISO_POWER_SIZES = [1, 2, 3, 5, 8, 11]
+
+
+@pytest.mark.parametrize("n", ISO_POWER_SIZES)
+def test_the_iso_power_of_chaotic_n_has_n_squared_objects_and_n_to_the_fourth_morphisms(n):
+    power = functor_category(builtin("free_iso"), builtin(f"chaotic({n})"))
+    assert (power.n_objects, power.n_morphisms) == (n**2, n**4)
+
+
+@pytest.mark.parametrize("n", ISO_POWER_SIZES)
+def test_the_iso_power_of_cyclic_n_has_n_objects_and_n_cubed_morphisms(n):
+    power = functor_category(builtin("free_iso"), cyclic_group_category(n))
+    assert (power.n_objects, power.n_morphisms) == (n, n**3)
+
+
+def _split_epi(fibres: tuple[int, ...]) -> FinFunctor:
+    """discrete(sum fibres) → discrete(len fibres), onto, with the fibre of b
+    of size ``fibres[b]``, its points scattered over the source."""
+    images = [str(b) for b, size in enumerate(fibres) for _ in range(size)]
+    random.Random(len(images)).shuffle(images)
+    source, target = discrete_category(len(images)), discrete_category(len(fibres))
+    omap = dict(zip(source.objects, images))
+    return FinFunctor(source, target, omap, {f"id_{a}": f"id_{b}" for a, b in omap.items()})
+
+
+SPLIT_EPI_FIBRES = [(1,), (1,) * 12, (3, 1, 2, 4), (5, 4, 3, 2, 1), (2,) * 8, (7, 6, 5, 4, 3), (3,) * 8]
+
+
+@pytest.mark.parametrize("fibres", SPLIT_EPI_FIBRES, ids=str)
+def test_find_sections_lists_one_section_per_choice_of_preimages(fibres):
+    assert _count(find_sections(_split_epi(fibres))) == prod(fibres)

@@ -6,31 +6,40 @@ exceeded.  The reference hom-categories of commuting squares in
 ``helpers``, which pair every t0 with every t1 whose whiskers agree, against
 what the library reads them as: A_0 and the kernel pair for the two test
 objects of ``arrow_normal_on_test_set``, and the power of A_0 for an
-identity."""
+identity.  The iso-power D^I, which the library lists in closed form from
+D's isomorphisms, against the functor search and the reference, beyond the
+corpus."""
+import random
+
 import pytest
 from helpers import (
     arrow_hom_reference,
     default_arrow_test_objects,
     name_of_functor,
     power_morphisms_reference,
+    relabeled,
+    shuffled,
 )
 
+import fincat.funcat as funcat
 from fincat.core import (
     EnumerationBudgetExceeded,
     bounded,
     builtin,
     discrete_category,
+    enumerate_functors,
     identity_functor,
 )
 from fincat.corpus import (
     chaotic_collapse,
     corpus_categories,
     corpus_category,
+    cyclic_group_category,
     iso_inclusion_into_chaotic,
     to_terminal_functor,
 )
 from fincat.counterexamples import build_fy
-from fincat.funcat import functor_category
+from fincat.funcat import _functor_parts, _object_name, functor_category, product_category
 from fincat.limits import pullback_strict
 
 FY_CASES = [(k, alpha) for k in range(5) for alpha in (2, 3, 4)]
@@ -69,6 +78,62 @@ def test_refused_power_gives_the_reference_message(exponent, base, budget, requi
         power_morphisms_reference(C, D, budget)
     assert str(ours.value) == str(reference.value)
     assert f"needs {required} candidates, budget is {budget}" in str(ours.value)
+
+
+def _iso_power_bases():
+    """Bases beyond the corpus, with a shuffled and a relabelled copy of each."""
+    bases = [
+        cyclic_group_category(3),
+        cyclic_group_category(4),
+        product_category(cyclic_group_category(2), builtin("chaotic(2)")),
+        corpus_category("iso_arrow"),
+        builtin("chaotic(4)"),
+    ]
+    rng = random.Random(37)
+    return [copy for D in bases for copy in (D, shuffled(D, rng), relabeled(D, rng))]
+
+
+@pytest.mark.parametrize("D", _iso_power_bases(), ids=lambda D: D.label)
+def test_iso_power_matches_the_functor_search_and_the_reference(D, monkeypatch):
+    """Objects (names and parts) in the order ``enumerate_functors`` lists the
+    functors, morphisms in the reference's order, and the candidates counted:
+    the reference passes at that count and is refused one below it."""
+    monkeypatch.setattr(funcat, "_CACHE", {})
+    iso = builtin("free_iso")
+    power = functor_category(iso, D)
+    functors = list(enumerate_functors(iso, D))
+    assert list(power.objects) == [_object_name(iso, F) for F in functors]
+    assert [power.obj_parts[name] for name in power.objects] == [
+        _functor_parts(iso, F.omap, F.mmap) for F in functors
+    ]
+    assert [power.functor_named(name) for name in power.objects] == functors
+    required = power._budget_required
+    assert morphism_table(power) == power_morphisms_reference(iso, D, required)
+    with pytest.raises(EnumerationBudgetExceeded, match=f"needs {required} candidates"):
+        power_morphisms_reference(iso, D, required - 1)
+
+
+@pytest.mark.parametrize("base", ["chaotic(3)", "cyclic(3)"])
+def test_iso_power_refusals_match_the_reference_at_every_budget(base, monkeypatch):
+    """Every budget below the power's count is refused with the reference's
+    message, before the power is built and after a larger budget cached it."""
+    monkeypatch.setattr(funcat, "_CACHE", {})
+    iso = builtin("free_iso")
+    D = builtin(base) if base.startswith("chaotic") else cyclic_group_category(3)
+    required = 90  # 9 object candidates, then 81 transformation candidates
+
+    def refusals():
+        for budget in range(required):
+            with pytest.raises(EnumerationBudgetExceeded) as ours, bounded(budget=budget):
+                functor_category(iso, D)
+            with pytest.raises(EnumerationBudgetExceeded) as reference:
+                power_morphisms_reference(iso, D, budget)
+            assert str(ours.value) == str(reference.value), budget
+
+    refusals()
+    with bounded(budget=required):
+        assert functor_category(iso, D)._budget_required == required
+    refusals()
 
 
 def level_0_table(X, hom):
