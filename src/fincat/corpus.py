@@ -57,8 +57,8 @@ def cospan_category() -> FinCat:
 def cyclic_group_category(n: int) -> FinCat:
     objs = ["*"]
     morphisms = [Morphism(f"g{k}", "*", "*") for k in range(n)]
-    comp = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
-    return FinCat(objs, morphisms, {"*": "g0"}, comp, label=f"cyclic({n})")
+    rows = {f"g{i}": {f"g{j}": f"g{(i + j) % n}" for j in range(n)} for i in range(n)}
+    return FinCat(objs, morphisms, {"*": "g0"}, label=f"cyclic({n})", rows=rows)
 
 
 @lru_cache(maxsize=1)

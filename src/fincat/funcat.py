@@ -176,11 +176,11 @@ def _power(C: FinCat, D: FinCat, required: int, budget: int, what: str):
         for k, m in enumerate(C.morphisms)
         if not C.is_identity(m.name)
     ]
-    comp = D.comp if squares and kept else None
+    rows = D.rows if squares and kept else None
     morphisms = []
     for i, j, homs in kept:
         F, G = parts[i], parts[j]
-        natural = _natural_parts(comp, homs, [(d, e, G[s], F[s]) for d, e, s in squares])
+        natural = _natural_parts(rows, homs, [(d, e, rows[G[s]], F[s]) for d, e, s in squares])
         for comps in natural:
             morphisms.append((f"[{','.join(comps)}]{i}>{j}", names[i], names[j], comps))
     return names, parts, morphisms, required
@@ -206,7 +206,7 @@ def _iso_power(C: FinCat, D: FinCat, required: int, budget: int, what: str):
         parts.append((x0, x1, D.id_of(x0), D.id_of(x1), to, fro))
         names.append(f"({x0},{x1};{to},{fro})")
 
-    comp = D.comp
+    rows = D.rows
     morphisms = []
     for i, (f0, f1, _, _, _, f_fro) in enumerate(parts):
         for j, (g0, g1, _, _, g_to, _) in enumerate(parts):
@@ -215,7 +215,7 @@ def _iso_power(C: FinCat, D: FinCat, required: int, budget: int, what: str):
             if required > budget:
                 raise EnumerationBudgetExceeded(budget, required, what)
             for t0 in hom0:
-                t1 = comp[g_to, comp[t0, f_fro]]
+                t1 = rows[g_to][rows[t0][f_fro]]
                 morphisms.append((f"[{t0},{t1}]{i}>{j}", names[i], names[j], (t0, t1)))
     return names, parts, morphisms, required
 

@@ -38,7 +38,7 @@ from .core import (
     builtin,
     bounds,
     builtin_functor,
-    composable_morphisms,
+    composable_rows,
     enumerate_functors,
     enumerate_lifts,
     enumerate_transformations,
@@ -439,11 +439,11 @@ def split_idempotent(e: FinFunctor) -> IdempotentSplitting:
     kept = {m.name for m in C.morphisms if e.mor(m.name) == m.name}
     morphisms = [m for m in C.morphisms if m.name in kept]
     identity = {a: C.id_of(a) for a in objects}
-    comp = {
-        (g.name, f.name): C.compose(g.name, f.name)
-        for g, f in composable_morphisms(morphisms)
+    rows = {
+        g.name: {f.name: C.compose(g.name, f.name) for f in fs}
+        for g, fs in composable_rows(morphisms)
     }
-    apex = FinCat(objects, morphisms, identity, comp, label=f"split({e.label})")
+    apex = FinCat(objects, morphisms, identity, label=f"split({e.label})", rows=rows)
     inclusion = FinFunctor(
         apex, C, {a: a for a in objects}, {m: m for m in kept}, label="inclusion"
     )

@@ -21,7 +21,7 @@ from .core import (
     StructureError,
     _backtrack,
     bounds,
-    composable_morphisms,
+    composable_rows,
 )
 from .funcat import functor_category
 
@@ -433,22 +433,19 @@ def _classifying_data(X: TruncSSet):
     identity = {}
     for v in vertices:
         identity[v] = names[uf.find(index[(v, ())])]
-    comp = {}
-    for g, f in composable_morphisms(morphisms):
-        w1, w2 = word_of[g.name], word_of[f.name]
-        glued = (w2[0], w2[1] + w1[1])
-        if len(glued[1]) > bound:
-            raise BoundExceeded(
-                f"composite of {f.name} and {g.name} escapes the bound {bound}"
-            )
-        comp[(g.name, f.name)] = names[uf.find(index[glued])]
-    cat = FinCat(
-        vertices,
-        morphisms,
-        identity,
-        comp,
-        label=label,
-    )
+    rows = {}
+    for g, fs in composable_rows(morphisms):
+        row = rows[g.name] = {}
+        w1 = word_of[g.name]
+        for f in fs:
+            w2 = word_of[f.name]
+            glued = (w2[0], w2[1] + w1[1])
+            if len(glued[1]) > bound:
+                raise BoundExceeded(
+                    f"composite of {f.name} and {g.name} escapes the bound {bound}"
+                )
+            row[f.name] = names[uf.find(index[glued])]
+    cat = FinCat(vertices, morphisms, identity, label=label, rows=rows)
     class_of_word = {w: names[uf.find(i)] for w, i in index.items()}
     return cat, class_of_word
 

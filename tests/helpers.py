@@ -23,7 +23,9 @@ The associativity reference scans every composable triple, as
 ``validate_category`` did before it checked only at a generating set.
 The tuple-category reference composes every composable pair from the
 factors' tables, as ``TupleCat`` did in its constructor before it composed
-on first use.  The key reference dumps ``to_dict()`` as canonical JSON, as
+on first use; the table reference derives every other corpus and builtin
+table from its definition, keyed by (g, f) as ``FinCat`` stored it before
+it stored rows.  The key reference dumps ``to_dict()`` as canonical JSON, as
 ``FinCat.key`` did before it wrote its text directly.
 The power-map references build every image in a power as a functor or a
 transformation and name it from its parts, as the library did when each
@@ -178,6 +180,51 @@ def componentwise_composites(cat: TupleCat, tables=None) -> dict:
             comp[g.name, f.name] = named[f.dom, g.cod, parts]
     tables[id(cat)] = comp
     return comp
+
+
+def reference_table(cat: FinCat) -> dict:
+    """The composition table ``(g, f) ↦ g∘f`` of a corpus, builtin or tuple
+    category, from its definition: a tuple category's by
+    :func:`componentwise_composites`; otherwise a composite with an identity
+    is the other factor, one in a hom of exactly one morphism is that
+    morphism, and in the cyclic group on g0, …, g(n-1), g_i∘g_j is
+    g_(i+j mod n)."""
+    if isinstance(cat, TupleCat):
+        return componentwise_composites(cat)
+    identities = set(cat.identity.values())
+    table = {}
+    for g in cat.morphisms:
+        for f in cat.morphisms:
+            if g.dom != f.cod:
+                continue
+            hom = [m.name for m in cat.morphisms if (m.dom, m.cod) == (f.dom, g.cod)]
+            if g.name in identities or f.name in identities:
+                gf = f.name if g.name in identities else g.name
+            elif len(hom) == 1:
+                gf = hom[0]
+            else:
+                gf = f"g{(int(g.name[1:]) + int(f.name[1:])) % cat.n_morphisms}"
+            table[g.name, f.name] = gf
+    return table
+
+
+def pair_keyed_dicts(cat: FinCat) -> list[dict]:
+    """The dicts held in ``cat``'s attributes, directly or inside dicts,
+    lists and tuples, with a composable pair (g, f) of ``cat`` as a key."""
+    pairs = set(cat.composable_pairs())
+    found, seen, todo = [], set(), list(vars(cat).values())
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, dict):
+            if not pairs.isdisjoint(value):
+                found.append(value)
+            todo.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+    return found
 
 
 def composition_closure(cat: FinCat, generators) -> set[str]:
@@ -1509,6 +1556,29 @@ def lift_from(cl: Cleavage, e: str, beta: str) -> str:
 
 def dim_count(X: TruncSSet, dim: int) -> int:
     return len(X.simplices[dim])
+
+
+def interleaved_chain_table(changes: dict) -> dict:
+    """The thin chain 0 < 1 < 2 (identities i0, i1, i2; a: 0 → 1, b: 1 → 2,
+    c: 0 → 2) in the file format, its ``comp`` list written with the rows of
+    b and i2 interleaved with the others, and the composites of ``changes``
+    ((g, f) ↦ value) replaced: the first entry in file order is then not the
+    first of its row order."""
+    morphisms = [
+        ("i0", "0", "0"), ("i1", "1", "1"), ("i2", "2", "2"),
+        ("a", "0", "1"), ("b", "1", "2"), ("c", "0", "2"),
+    ]
+    comp = [
+        ("b", "i1", "b"), ("i2", "c", "c"), ("i0", "i0", "i0"), ("i1", "i1", "i1"),
+        ("i2", "i2", "i2"), ("a", "i0", "a"), ("i1", "a", "a"), ("i2", "b", "b"),
+        ("c", "i0", "c"), ("b", "a", "c"),
+    ]
+    return {
+        "objects": ["0", "1", "2"],
+        "morphisms": [{"name": n, "dom": d, "cod": c} for n, d, c in morphisms],
+        "identity": {"0": "i0", "1": "i1", "2": "i2"},
+        "comp": [{"g": g, "f": f, "gf": changes.get((g, f), gf)} for g, f, gf in comp],
+    }
 
 
 def functor_to_dict(F: FinFunctor) -> dict:

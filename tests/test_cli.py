@@ -11,7 +11,7 @@ from fincat.cli import main
 from fincat.core import Bounds, FinCat, Morphism, bounds, builtin
 from fincat.funcat import evaluation_functor, functor_category
 from fincat.nerve import standard_simplex
-from helpers import functor_to_dict
+from helpers import functor_to_dict, interleaved_chain_table
 
 
 @pytest.fixture()
@@ -582,6 +582,40 @@ def test_malformed_functor_cell_or_sset_exits_two_with_a_located_error(
     tmp_path, sample, mutate, argv, detail
 ):
     _exit_two_with(tmp_path, sample, mutate, argv, detail)
+
+
+@pytest.mark.parametrize(
+    "changes, code, error, detail",
+    [
+        (
+            {("i2", "c"): "a", ("b", "a"): "b"},
+            1,
+            "BoundaryViolation",
+            "comp(i2,c) = a: cod is 1, expected 2",
+        ),
+        (
+            {("i2", "c"): "yy", ("b", "a"): "zz"},
+            2,
+            "StructureError",
+            "cat: comp('i2', 'c') = yy is not a morphism",
+        ),
+    ],
+    ids=["boundary-exits-one", "not-a-morphism-exits-two"],
+)
+def test_an_interleaved_table_reports_its_first_failure_in_file_order(
+    tmp_path, changes, code, error, detail
+):
+    """The envelope (exit 1) or the refusal (exit 2) names the first failing
+    entry of the file, not the first of the table's rows."""
+    (tmp_path / "chain.json").write_text(json.dumps(interleaved_chain_table(changes)))
+    res = _run_fresh(tmp_path, ["validate", "chain.json"])
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    if code == 1:
+        reported = json.loads(res.stdout.strip().splitlines()[-1])["result"]
+    else:
+        reported = json.loads(res.stderr.strip().splitlines()[-1])
+    assert (reported["error"], reported["detail"]) == (error, detail)
 
 
 def test_classify_runs_the_identity_of_chaotic_32_without_a_recursion_limit(tmp_path):

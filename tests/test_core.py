@@ -4,6 +4,7 @@ import pytest
 
 from fincat.core import (
     AssociativityViolation,
+    BoundaryViolation,
     Bounds,
     BudgetExceeded,
     FinCat,
@@ -34,7 +35,13 @@ from fincat.core import (
     validate_transformation,
 )
 from fincat.corpus import chaotic_collapse, corpus_categories, corpus_functors
-from helpers import brute_force_functors, constant_functor, is_invertible, scan_associativity
+from helpers import (
+    brute_force_functors,
+    constant_functor,
+    interleaved_chain_table,
+    is_invertible,
+    scan_associativity,
+)
 
 
 def cyclic_monoid(n, label):
@@ -97,6 +104,51 @@ def test_comp_must_be_total():
     del partial[("g1", "g1")]
     with pytest.raises(StructureError, match="z2: comp must be defined on exactly the composable"):
         validate_category(FinCat(z2.objects, z2.morphisms, z2.identity, partial, label="z2"))
+
+
+# Both messages were recorded before tables were stored by rows.  The first
+# failing entry in file order, (i2, c), is reported, although (b, a) comes
+# first in row order: the row of b begins with the file's first entry.
+INTERLEAVED_FAILURES = [
+    (
+        {("i2", "c"): "a", ("b", "a"): "b"},
+        BoundaryViolation,
+        "comp(i2,c) = a: cod is 1, expected 2",
+    ),
+    (
+        {("i2", "c"): "yy", ("b", "a"): "zz"},
+        StructureError,
+        "cat: comp('i2', 'c') = yy is not a morphism",
+    ),
+]
+
+
+@pytest.mark.parametrize("changes, error, message", INTERLEAVED_FAILURES)
+def test_a_raw_table_reports_its_first_failure_in_file_order(changes, error, message):
+    with pytest.raises(error) as info:
+        validate_category(interleaved_chain_table(changes))
+    assert str(info.value) == message
+
+
+def test_a_repeated_pair_keeps_its_last_value_and_its_first_place():
+    lawful = validate_category(interleaved_chain_table({}))
+    raw = interleaved_chain_table({})
+    raw["comp"].append(dict(raw["comp"][1]))  # the same entry twice
+    assert validate_category(raw) == lawful
+    raw = interleaved_chain_table({("i2", "c"): "a"})
+    raw["comp"].append({"g": "i2", "f": "c", "gf": "c"})
+    assert validate_category(raw) == lawful
+    raw = interleaved_chain_table({("b", "a"): "b"})
+    raw["comp"].append({"g": "i2", "f": "c", "gf": "a"})
+    with pytest.raises(BoundaryViolation) as info:
+        validate_category(raw)
+    assert str(info.value) == "comp(i2,c) = a: cod is 1, expected 2"
+
+
+def test_a_table_key_that_is_not_a_pair_is_refused_with_its_place():
+    with pytest.raises(StructureError) as info:
+        FinCat(["*"], [("e", "*", "*")], {"*": "e"}, {("e", "e", "e"): "e"}, label="z")
+    assert str(info.value) == "z: comp key ('e', 'e', 'e') is not a pair"
 
 
 def test_thin_category_refuses_two_morphisms_in_one_hom():

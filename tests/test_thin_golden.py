@@ -1,6 +1,6 @@
 """The library's thin categories and the functors into them, built by
 ``thin_category`` and ``thin_functor``, and two composition tables built
-from ``composable_morphisms`` (``parallel_pair`` and a power), against
+from ``composable_rows`` (``parallel_pair`` and a power), against
 SHA-256 digests of ``label + key`` recorded when each table was written out
 by hand: the shared builders must reproduce them exactly."""
 import hashlib
