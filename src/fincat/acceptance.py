@@ -111,7 +111,12 @@ def criterion_1_wfs_roundtrip() -> CriterionResult:
     )
 
 
-def _generated_squares(minimum: int = 100):
+# The squares criterion 2 must solve; it generates twice as many and
+# solves the first 120.
+SQUARES_NEEDED = 100
+
+
+def _generated_squares():
     """Commuting squares with an injective equivalence i on the left and a
     normal isofibration p on the right, generated deterministically: for
     each top, the first two bottoms with bottom∘i = p∘top.  Bottoms other
@@ -136,7 +141,7 @@ def _generated_squares(minimum: int = 100):
                     squares.append(
                         (LiftingProblem(left=i, right=p, top=top, bottom=bottom), wit)
                     )
-                    if len(squares) >= minimum * 2:
+                    if len(squares) >= 2 * SQUARES_NEEDED:
                         return squares
     return squares
 
@@ -161,7 +166,7 @@ def criterion_2_lifting_completeness() -> CriterionResult:
     return CriterionResult(
         2,
         "lifting completeness and converse failure",
-        passed=solved >= 100 and not failures and len(bad_ps) >= 10 and unfillable >= 1,
+        passed=solved >= SQUARES_NEEDED and not failures and len(bad_ps) >= 10 and unfillable >= 1,
         details={
             "squares_solved": solved,
             "negative_batch": len(bad_ps),

@@ -1082,6 +1082,19 @@ class TupleCat(FinCat):
     def mor_named(self, dom: str, cod: str, parts: tuple) -> str:
         return self._mor_lookup[(dom, cod, tuple(parts))]
 
+    def functor_from(self, source: FinCat, obj_parts, mor_parts, label: str) -> FinFunctor:
+        """The functor ``source`` → self sending each object x to the object
+        whose parts are ``obj_parts[x]``, and each morphism m to the
+        morphism between the images of its endpoints whose parts are
+        ``mor_parts[m]``: the functor into a limit given by its components."""
+        obj_lookup, mor_lookup = self._obj_lookup, self._mor_lookup
+        omap = {x: obj_lookup[tuple(obj_parts[x])] for x in source.objects}
+        mmap = {
+            m.name: mor_lookup[omap[m.dom], omap[m.cod], tuple(mor_parts[m.name])]
+            for m in source.morphisms
+        }
+        return FinFunctor(source, self, omap, mmap, label)
+
     def projection(self, k: int, label: str) -> FinFunctor:
         """The functor to factor k taking each object and morphism to its
         k-th part."""

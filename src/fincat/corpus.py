@@ -94,14 +94,19 @@ def iso_inclusion_into_chaotic() -> FinFunctor:
     return thin_functor(iso, c2, {"0": "0", "1": "1"}, "iso_into_chaotic")
 
 
-def _sample_pair_functors(src: FinCat, dst: FinCat, per_pair: int = 2):
+# The most functors sampled per ordered pair of categories; the cospans kept.
+SAMPLES_PER_PAIR = 3
+COSPANS_NORMAL_LEFT = 48
+
+
+def _sample_pair_functors(src: FinCat, dst: FinCat):
     """A deterministic spread of functors src → dst: first, middle, last of
     a bounded enumeration."""
     found = list(enumerate_functors(src, dst, limit=96))
     if not found:
         return []
     picks = sorted({0, len(found) // 2, len(found) - 1})
-    sample = [found[i] for i in picks][:per_pair + 1]
+    sample = [found[i] for i in picks][:SAMPLES_PER_PAIR]
     for k, F in enumerate(sample):
         F.label = f"{src.label}->{dst.label}#{k}"
     return sample
@@ -144,12 +149,14 @@ def corpus_functors() -> tuple[FinFunctor, ...]:
 
 @lru_cache(maxsize=1)
 def corpus_normal_isofibrations() -> tuple[FinFunctor, ...]:
-    return tuple(F for F in corpus_functors() if classify_fibration(F).normal)
+    return tuple(F for F in corpus_functors() if classify_fibration(F, grothendieck=False).normal)
 
 
 @lru_cache(maxsize=1)
 def corpus_non_isofibrations() -> tuple[FinFunctor, ...]:
-    return tuple(F for F in corpus_functors() if not classify_fibration(F).normal)
+    return tuple(
+        F for F in corpus_functors() if not classify_fibration(F, grothendieck=False).normal
+    )
 
 
 @lru_cache(maxsize=1)
@@ -193,8 +200,9 @@ def corpus_towers() -> tuple[tuple[FinCat, tuple[FinFunctor, ...]], ...]:
 
 
 @lru_cache(maxsize=1)
-def corpus_cospans_normal_left(max_count: int = 48) -> tuple[tuple[FinFunctor, FinFunctor], ...]:
-    """Cospans (f, g) with f a normal isofibration and cod f = cod g."""
+def corpus_cospans_normal_left() -> tuple[tuple[FinFunctor, FinFunctor], ...]:
+    """The first ``COSPANS_NORMAL_LEFT`` cospans (f, g) with f a normal
+    isofibration and cod f = cod g."""
     normals = corpus_normal_isofibrations()
     everything = corpus_functors()
     out = []
@@ -202,6 +210,6 @@ def corpus_cospans_normal_left(max_count: int = 48) -> tuple[tuple[FinFunctor, F
         for g in everything:
             if g.target == f.target:
                 out.append((f, g))
-                if len(out) >= max_count:
+                if len(out) >= COSPANS_NORMAL_LEFT:
                     return tuple(out)
     return tuple(out)

@@ -100,6 +100,12 @@ from .wfs import leibniz_power
 # ---------------------------------------------------------------------------
 # Fragment axiom checking
 
+# Caps on the fragment's quantifiers; the report does not say when one cuts.
+FRAGMENT_FUNCTORS_PER_PAIR = 64
+CHOSEN_MAPS_CAP = 24
+COSPANS_CAP = 18
+TOWERS_CAP = 8
+
 
 @dataclass
 class CosmosFragment:
@@ -170,26 +176,26 @@ class AxiomReport:
 
 def _predicate(chosen: str):
     if chosen in ("normal", "representable", "discrete"):
-        return lambda f: getattr(classify_fibration(f), chosen)
+        return lambda f: getattr(classify_fibration(f, grothendieck=False), chosen)
     if chosen == "equivalences":
         return lambda f: isinstance(classify_equivalence(f), EquivalenceWitness)
     raise StructureError(f"unknown class of maps: {chosen}")
 
 
-def _fragment_functors(frag: CosmosFragment, cap_per_pair: int = 64):
+def _fragment_functors(frag: CosmosFragment):
     for src in frag.objects:
         for dst in frag.objects:
-            yield from enumerate_functors(src, dst, limit=cap_per_pair)
+            yield from enumerate_functors(src, dst, limit=FRAGMENT_FUNCTORS_PER_PAIR)
 
 
-def _chosen_maps(frag: CosmosFragment, cap: int = 24):
+def _chosen_maps(frag: CosmosFragment):
     pred = _predicate(frag.chosen)
     out = []
     for F in _fragment_functors(frag):
         if pred(F):
             F.label = f"{F.source.label}->{F.target.label}@{len(out)}"
             out.append(F)
-            if len(out) >= cap:
+            if len(out) >= CHOSEN_MAPS_CAP:
                 return out
     return out
 
@@ -205,7 +211,7 @@ def _built(construct, *args) -> tuple[bool, str]:
 
 
 def _pullback_verdict(p, g) -> tuple[bool, str]:
-    if classify_fibration(p).representable:
+    if classify_fibration(p, grothendieck=False).representable:
         iso = find_isomorphism_over(build_normal_pullback(p, g).witness, pullback_strict(p, g))
         return _verdict(iso is not None, "oracle mismatch")
     pullback_strict(p, g)
@@ -213,7 +219,7 @@ def _pullback_verdict(p, g) -> tuple[bool, str]:
 
 
 def _tower_verdict(base, maps) -> tuple[bool, str]:
-    if all(classify_fibration(m).normal for m in maps):
+    if all(classify_fibration(m, grothendieck=False).normal for m in maps):
         tl = tower_limit(base, maps)
         iso = find_isomorphism_over(tl.witness, strict_tower_limit(base, maps))
         return _verdict(iso is not None, "oracle mismatch")
@@ -235,7 +241,9 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
             homs.check(
                 f"[{A.label},-] applied to {p.label}",
                 lambda: _verdict(
-                    classify_fibration(postcompose_functor(p, A)).representable,
+                    classify_fibration(
+                        postcompose_functor(p, A), grothendieck=False
+                    ).representable,
                     "iso-lifting failed",
                 ),
             )
@@ -306,26 +314,26 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
     return AxiomReport(fragment=frag.label, chosen=frag.chosen, clauses=clauses)
 
 
-def _cospans(frag: CosmosFragment, chosen, cap: int = 18):
+def _cospans(frag: CosmosFragment, chosen):
     out = []
     for p in chosen:
         for g in _fragment_functors(frag):
             if g.target == p.target:
                 g.label = g.label if g.label != "functor" else f"{g.source.label}->{g.target.label}"
                 out.append((p, g))
-                if len(out) >= cap:
+                if len(out) >= COSPANS_CAP:
                     return out
     return out
 
 
-def _towers(chosen, cap: int = 8):
+def _towers(chosen):
     """Composable chains of chosen maps, extended one level at a time up to
     the tower bound of :func:`~fincat.core.bounds`."""
     bound = bounds().tower
     out: list = []
     frontier = [(m.target, (m,)) for m in chosen if not m.is_identity()][:3] if bound else []
     out.extend(frontier)
-    while frontier and len(out) < cap:
+    while frontier and len(out) < TOWERS_CAP:
         nxt = []
         for base, maps in frontier:
             if len(maps) >= bound:
@@ -335,9 +343,9 @@ def _towers(chosen, cap: int = 8):
                 if m.target == top:
                     nxt.append((base, maps + (m,)))
                     break
-        out.extend(nxt[: cap - len(out)])
+        out.extend(nxt[: TOWERS_CAP - len(out)])
         frontier = nxt
-    return out[:cap]
+    return out[:TOWERS_CAP]
 
 
 # ---------------------------------------------------------------------------

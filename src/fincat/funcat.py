@@ -4,8 +4,10 @@ between them.
 ``functor_category(C, D)`` enumerates every functor C → D and every natural
 transformation between them, producing a :class:`~fincat.core.TupleCat`
 whose objects are named by their image tuples and whose morphisms are
-tuples of components.  A power keeps only these names and parts, builds
-the functor of an object on demand, and maps to other powers part by part.
+tuples of components.  A power keeps only these names and parts, and builds
+the functor of an object on demand.  Every map into a power or a product
+(restriction, postcomposition, pairing) is given by its images' parts, and
+:meth:`~fincat.core.TupleCat.functor_from` looks up their names.
 Binary products are tuple categories too, so every name maps back to its
 parts by lookup, never by parsing.  Enumeration is guarded by the budget
 of the innermost bounds scope (``core.bounded``): the number of raw
@@ -67,10 +69,6 @@ class FunctorCat(TupleCat):
     def mor_image(self, name: str, m: str) -> str:
         """The image of the morphism m of C under the functor named ``name``."""
         return self.obj_parts[name][self._mor_slot[m]]
-
-    def name_of_images(self, omap, mmap) -> str:
-        """The name of the functor with these object and morphism images."""
-        return self.obj_named(_functor_parts(self.source_category, omap, mmap))
 
 
 def _functor_parts(C: FinCat, omap, mmap) -> tuple[str, ...]:
@@ -233,17 +231,12 @@ def precompose_functor(j: FinFunctor, D: FinCat) -> FinFunctor:
     power_y, power_x = functor_category(Y, D), functor_category(X, D)
     at_objects = [Y.obj_index[j.ob(x)] for x in X.objects]
     at_parts = at_objects + [power_y._mor_slot[j.mor(m.name)] for m in X.morphisms]
-    omap = {
-        name: power_x.obj_named([parts[k] for k in at_parts])
-        for name, parts in power_y.obj_parts.items()
-    }
-    mmap = {
-        m.name: power_x.mor_named(
-            omap[m.dom], omap[m.cod], [power_y.mor_parts[m.name][k] for k in at_objects]
-        )
-        for m in power_y.morphisms
-    }
-    return FinFunctor(power_y, power_x, omap, mmap, label=f"{D.label}^{j.label}")
+    return power_x.functor_from(
+        power_y,
+        {name: [parts[k] for k in at_parts] for name, parts in power_y.obj_parts.items()},
+        {name: [parts[k] for k in at_objects] for name, parts in power_y.mor_parts.items()},
+        f"{D.label}^{j.label}",
+    )
 
 
 def postcompose_functor(p: FinFunctor, X: FinCat) -> FinFunctor:
@@ -252,17 +245,15 @@ def postcompose_functor(p: FinFunctor, X: FinCat) -> FinFunctor:
     power_a = functor_category(X, p.source)
     power_b = functor_category(X, p.target)
     n, p_omap, p_mmap = X.n_objects, p.omap, p.mmap
-    omap = {
-        name: power_b.obj_named([p_omap[x] for x in parts[:n]] + [p_mmap[x] for x in parts[n:]])
-        for name, parts in power_a.obj_parts.items()
-    }
-    mmap = {
-        m.name: power_b.mor_named(
-            omap[m.dom], omap[m.cod], [p_mmap[c] for c in power_a.mor_parts[m.name]]
-        )
-        for m in power_a.morphisms
-    }
-    return FinFunctor(power_a, power_b, omap, mmap, label=f"{p.label}^{X.label}")
+    return power_b.functor_from(
+        power_a,
+        {
+            name: [p_omap[x] for x in parts[:n]] + [p_mmap[x] for x in parts[n:]]
+            for name, parts in power_a.obj_parts.items()
+        },
+        {name: [p_mmap[c] for c in parts] for name, parts in power_a.mor_parts.items()},
+        f"{p.label}^{X.label}",
+    )
 
 
 def functor_into_power(fs: list[FinFunctor], power: FunctorCat) -> FinFunctor:
@@ -275,16 +266,13 @@ def functor_into_power(fs: list[FinFunctor], power: FunctorCat) -> FinFunctor:
         raise StructureError("pairing target must be a power by a discrete category")
     D = power.target_category
 
-    omap = {}
+    obj_parts = {}
     for x in X.objects:
         images = {c: F.ob(x) for c, F in zip(C.objects, fs)}
         identities = {i: D.id_of(images[c]) for c, i in C.identity.items()}
-        omap[x] = power.name_of_images(images, identities)
-    mmap = {
-        m.name: power.mor_named(omap[m.dom], omap[m.cod], tuple(F.mor(m.name) for F in fs))
-        for m in X.morphisms
-    }
-    return FinFunctor(X, power, omap, mmap, label="pairing")
+        obj_parts[x] = _functor_parts(C, images, identities)
+    mor_parts = {m.name: [F.mor(m.name) for F in fs] for m in X.morphisms}
+    return power.functor_from(X, obj_parts, mor_parts, "pairing")
 
 
 def cells_into_power(cells: list[NatTrans], power: FunctorCat) -> FinFunctor:
@@ -297,18 +285,15 @@ def cells_into_power(cells: list[NatTrans], power: FunctorCat) -> FinFunctor:
         raise StructureError("2-cells must be parallel")
     h, k = t0.source, t0.target
     X = h.source
-    D = power.target_category  # the power by the generic parallel pair 0 ⇉ 1
-    omap = {}
+    C, D = power.source_category, power.target_category  # C is 0 ⇉ 1
+    obj_parts = {}
     for x in X.objects:
         hx, kx, a0, a1 = h.ob(x), k.ob(x), t0.component(x), t1.component(x)
         arrows = {"id_0": D.id_of(hx), "id_1": D.id_of(kx), "a0": a0, "a1": a1}
-        omap[x] = power.name_of_images({"0": hx, "1": kx}, arrows)
+        obj_parts[x] = _functor_parts(C, {"0": hx, "1": kx}, arrows)
     # components at 0 and at 1
-    mmap = {
-        m.name: power.mor_named(omap[m.dom], omap[m.cod], (h.mor(m.name), k.mor(m.name)))
-        for m in X.morphisms
-    }
-    return FinFunctor(X, power, omap, mmap, label="cell-pairing")
+    mor_parts = {m.name: (h.mor(m.name), k.mor(m.name)) for m in X.morphisms}
+    return power.functor_from(X, obj_parts, mor_parts, "cell-pairing")
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +322,14 @@ def product_projections(prod: TupleCat) -> tuple[FinFunctor, FinFunctor]:
 def product_functor(
     F: FinFunctor, G: FinFunctor, prod_src: TupleCat, prod_dst: TupleCat
 ) -> FinFunctor:
-    """F×G : A×B → C×D acting componentwise."""
-    p1, p2 = product_projections(prod_src)
-    return pair_functor(p1.then(F), p2.then(G), prod_dst)
+    """F×G : A×B → C×D acting componentwise, labelled as the pairing of
+    F and G after the projections."""
+    return prod_dst.functor_from(
+        prod_src,
+        {o: (F.ob(a), G.ob(b)) for o, (a, b) in prod_src.obj_parts.items()},
+        {m: (F.mor(f), G.mor(g)) for m, (f, g) in prod_src.mor_parts.items()},
+        f"⟨{F.label}∘proj1,{G.label}∘proj2⟩",
+    )
 
 
 def pair_functor(F: FinFunctor, G: FinFunctor, prod: TupleCat) -> FinFunctor:
@@ -347,9 +337,9 @@ def pair_functor(F: FinFunctor, G: FinFunctor, prod: TupleCat) -> FinFunctor:
     if F.source != G.source:
         raise StructureError("pairing needs a common source")
     X = F.source
-    omap = {x: prod.obj_named((F.ob(x), G.ob(x))) for x in X.objects}
-    mmap = {
-        m.name: prod.mor_named(omap[m.dom], omap[m.cod], (F.mor(m.name), G.mor(m.name)))
-        for m in X.morphisms
-    }
-    return FinFunctor(X, prod, omap, mmap, label=f"⟨{F.label},{G.label}⟩")
+    return prod.functor_from(
+        X,
+        {x: (F.ob(x), G.ob(x)) for x in X.objects},
+        {m.name: (F.mor(m.name), G.mor(m.name)) for m in X.morphisms},
+        f"⟨{F.label},{G.label}⟩",
+    )

@@ -50,6 +50,7 @@ from .equivalence import EquivalenceWitness, adjoint_equivalence
 from .fibrations import build_normal_cleavage, classify_fibration, lift_iso_2cell
 from .funcat import (
     FunctorCat,
+    _functor_parts,
     cells_into_power,
     evaluation_functor,
     functor_category,
@@ -304,17 +305,16 @@ class PseudolimitOfArrow:
 
     @cached_property
     def diagonal(self) -> FinFunctor:
-        """a ↦ (a, the identity iso at f a)."""
-        f, A, L, power_b = self.arrow, self.arrow.source, self.apex, self.target_power
-        iso_at = self.power_projection.omap
-        omap = {a: L.obj_named((a, constant_iso_object(power_b, f.ob(a)))) for a in A.objects}
-        mmap = {}
+        """a ↦ (a, the identity iso at f a), and m ↦ (m, f m at both ends)."""
+        f, A, power_b = self.arrow, self.arrow.source, self.target_power
+        iso_at = {a: constant_iso_object(power_b, f.ob(a)) for a in A.objects}
+        mor_parts = {}
         for m in A.morphisms:
-            fm, src, dst = f.mor(m.name), omap[m.dom], omap[m.cod]
-            mmap[m.name] = L.mor_named(
-                src, dst, (m.name, power_b.mor_named(iso_at[src], iso_at[dst], (fm, fm)))
-            )
-        return FinFunctor(A, L, omap, mmap, label="diagonal")
+            fm = f.mor(m.name)
+            mor_parts[m.name] = (m.name, power_b.mor_named(iso_at[m.dom], iso_at[m.cod], (fm, fm)))
+        return self.apex.functor_from(
+            A, {a: (a, iso) for a, iso in iso_at.items()}, mor_parts, "diagonal"
+        )
 
     @cached_property
     def diagonal_cell(self) -> NatTrans:
@@ -346,8 +346,8 @@ def constant_iso_object(power: FunctorCat, b: str) -> str:
     """Name, in a power by the free isomorphism, of the constant functor at
     b (the generator maps to the identity)."""
     C, ident = power.source_category, power.target_category.id_of(b)
-    return power.name_of_images(
-        {a: b for a in C.objects}, {m.name: ident for m in C.morphisms}
+    return power.obj_named(
+        _functor_parts(C, {a: b for a in C.objects}, {m.name: ident for m in C.morphisms})
     )
 
 
@@ -376,7 +376,7 @@ def inserter(f: FinFunctor, g: FinFunctor) -> LimitWitness:
     B = f.target
     j = builtin_functor("discrete_to_arrow")
     restriction = precompose_functor(j, B)
-    if not classify_fibration(restriction).discrete:
+    if not classify_fibration(restriction, grothendieck=False).discrete:
         raise StructureError("endpoint restriction failed the discrete isofibration check")
     power2 = functor_category(builtin("two_discrete"), B)
     pairing = functor_into_power([f, g], power2)
@@ -404,7 +404,7 @@ def equifier(t1: NatTrans, t2: NatTrans) -> LimitWitness:
     B = t1.category
     fold = builtin_functor("collapse_parallel")
     restriction = precompose_functor(fold, B)
-    if not classify_fibration(restriction).discrete:
+    if not classify_fibration(restriction, grothendieck=False).discrete:
         raise StructureError("fold restriction failed the discrete isofibration check")
     power_pp = functor_category(builtin("parallel_pair"), B)
     pairing = cells_into_power([t1, t2], power_pp)
@@ -490,14 +490,12 @@ def build_normal_pullback(f: FinFunctor, g: FinFunctor) -> NormalPullback:
 
     x, xi = lift_iso_2cell(cleavage, p, phi, label="straightened")
 
-    e_omap, e_mmap = {}, {}
-    for o in P.objects:
-        _, b, _ = P.obj_parts[o]
-        e_omap[o] = P.obj_named((x.ob(o), b, C.id_of(g.ob(b))))
-    for m in P.morphisms:
-        _, n = P.mor_parts[m.name]
-        e_mmap[m.name] = P.mor_named(e_omap[m.dom], e_omap[m.cod], (x.mor(m.name), n))
-    e = FinFunctor(P, P, e_omap, e_mmap, label="idempotent")
+    e = P.functor_from(
+        P,
+        {o: (x.ob(o), b, C.id_of(g.ob(b))) for o, (_, b, _) in P.obj_parts.items()},
+        {m: (x.mor(m), n) for m, (_, n) in P.mor_parts.items()},
+        "idempotent",
+    )
 
     splitting = split_idempotent(e)
     i = splitting.inclusion
@@ -620,8 +618,19 @@ def tower_limit(base: FinCat, maps) -> TowerLimit:
         cone.append(q_next)
         cone_cells.append(alpha_next)
 
-    # Step 3: induced idempotent with identity structure data
-    e = _tower_idempotent(P, stages, cats, cone) if n else identity_functor(P)
+    # Step 3: the induced idempotent, sending a pseudo-cone to its strict
+    # replacement with identity structure isos, built stage by stage: the map
+    # into stage k has as parts the map into stage k − 1, q_k and the
+    # identity at q_{k−1} (with no stages it is q_0, the identity)
+    e = cone[0]
+    for k in range(1, n + 1):
+        q, below = cone[k], cats[k - 1]
+        e = stages[k].functor_from(
+            P,
+            {z: (e.omap[z], q.omap[z], below.id_of(cone[k - 1].omap[z])) for z in P.objects},
+            {m: (e.mmap[m], q.mmap[m]) for m in e.mmap},
+            "tower_idempotent",
+        )
 
     # Step 4: split; the split cone is strict over the whole tower
     splitting = split_idempotent(e)
@@ -653,38 +662,6 @@ def tower_limit(base: FinCat, maps) -> TowerLimit:
         splitting=splitting,
         witness=witness,
     )
-
-
-def _tower_idempotent(P, stages, cats, cone) -> FinFunctor:
-    """e : P → P sending a pseudo-cone tuple to its strict replacement:
-    components are the lifted-cone images and all structure isos become
-    identities."""
-    n = len(stages) - 1
-
-    def chain(images):
-        """The object of each stage that the cone images pack into."""
-        objs = [images[0]]
-        for k in range(1, n + 1):
-            stage: TupleCat = stages[k]
-            cell = cats[k - 1].id_of(images[k - 1])
-            objs.append(stage.obj_named((objs[-1], images[k], cell)))
-        return objs
-
-    chains = {z: chain([q.ob(z) for q in cone]) for z in P.objects}
-
-    def pack_mor(dom_chain, cod_chain, mors):
-        m = mors[0]
-        for k in range(1, n + 1):
-            stage: TupleCat = stages[k]
-            m = stage.mor_named(dom_chain[k], cod_chain[k], (m, mors[k]))
-        return m
-
-    omap = {z: objs[-1] for z, objs in chains.items()}
-    mmap = {
-        m.name: pack_mor(chains[m.dom], chains[m.cod], [q.mor(m.name) for q in cone])
-        for m in P.morphisms
-    }
-    return FinFunctor(P, P, omap, mmap, label="tower_idempotent")
 
 
 def tower_alignment_check(tl: TowerLimit) -> bool:

@@ -338,12 +338,6 @@ def classifying_category(X: TruncSSet) -> FinCat:
     Raises :class:`BoundExceeded` when some maximal-length word has no
     shorter representative or when class composition escapes the bound.
     """
-    cat, _ = _classifying_data(X)
-    return cat
-
-
-def _classifying_data(X: TruncSSet):
-    """(quotient category, word → morphism-name map)."""
     vertices = list(X.simplices[0])
     system = rewrite_system(X)
     bound = system.bound
@@ -445,9 +439,7 @@ def _classifying_data(X: TruncSSet):
                     f"composite of {f.name} and {g.name} escapes the bound {bound}"
                 )
             row[f.name] = names[uf.find(index[glued])]
-    cat = FinCat(vertices, morphisms, identity, label=label, rows=rows)
-    class_of_word = {w: names[uf.find(i)] for w, i in index.items()}
-    return cat, class_of_word
+    return FinCat(vertices, morphisms, identity, label=label, rows=rows)
 
 
 # ---------------------------------------------------------------------------

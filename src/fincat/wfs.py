@@ -267,7 +267,7 @@ class RetractCertificate:
 def minimal_retract_witness(f: FinFunctor) -> RetractCertificate:
     """For a normal isofibration f, solve the square (diagonal, f, 1,
     right leg) and package the retract diagram through the factorization."""
-    if not classify_fibration(f).normal:
+    if not classify_fibration(f, grothendieck=False).normal:
         raise CleavageNotNormal(f"{f.label} is not a normal isofibration")
     cleavage = build_normal_cleavage(f)
     fac = factorize_wfs(f)

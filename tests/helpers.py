@@ -40,6 +40,9 @@ whiskers agree.
 The search references recurse one frame per position, as the functor,
 isomorphism, transformation, simplicial-map and leveled-bijection searches
 and the power's size estimate did before they ran on one explicit stack.
+The word-class reference closes the words of a simplicial set under its
+rewrite relations, as ``classifying_category`` does without returning them,
+so that a simplicial map can be pushed along words.
 The last two sections hold constructions that only the tests use, built
 from the library's own parts, and the checks of built values that the
 library dropped once the corpus tests ran them.
@@ -96,7 +99,7 @@ from fincat.funcat import (
     functor_category,
 )
 from fincat.limits import PseudolimitOfArrow
-from fincat.nerve import TOP_DIM, RewriteSystem, TruncSSet, _classifying_data
+from fincat.nerve import TOP_DIM, RewriteSystem, TruncSSet, classifying_category, rewrite_system
 
 
 def canonical_key(cat: FinCat) -> str:
@@ -1498,11 +1501,56 @@ def coskeletal_filler_check(X: TruncSSet) -> bool:
                         return False
     return True
 
+def word_classes(X: TruncSSet, P: FinCat) -> dict:
+    """Each word (anchor, letters) over the generators of X, no longer than
+    the word bound, mapped to its morphism of X's classifying category P.
+    Words are listed shortest first, merged by every rewrite relation in both
+    directions at every position, and each class is the morphism named by
+    its first word."""
+    system = rewrite_system(X)
+    ends = system.endpoints
+    words = [(v, ()) for v in X.simplices[0]]
+    frontier = list(words)
+    for _ in range(system.bound):
+        frontier = [
+            (a, w + (e,))
+            for a, w in frontier
+            for e in system.generators
+            if ends[e][0] == (ends[w[-1]][1] if w else a)
+        ]
+        words += frontier
+    index = {w: i for i, w in enumerate(words)}
+    first = list(range(len(words)))
+
+    def find(i: int) -> int:
+        while first[i] != i:
+            i = first[i]
+        return i
+
+    for i, (a, w) in enumerate(words):
+        for anchor, lhs, rhs in system.relations:
+            for old, new in ((lhs, rhs), (rhs, lhs)):
+                for pos in range(len(w) - len(old) + 1):
+                    at = ends[w[pos - 1]][1] if pos else a
+                    other = (a, w[:pos] + new + w[pos + len(old) :])
+                    if w[pos : pos + len(old)] == old and at == anchor and other in index:
+                        x, y = sorted((find(i), find(index[other])))
+                        first[y] = x
+    names = {m.name for m in P.morphisms}
+    classes = {}
+    for i, word in enumerate(words):
+        a, w = words[find(i)]
+        name = f"[{'·'.join(w)}]" if w else f"id@{a}"
+        assert name in names, name
+        classes[word] = name
+    return classes
+
+
 def classifying_functor(smap: dict, X: TruncSSet, Y: TruncSSet) -> FinFunctor:
     """The functor between classifying categories induced by a truncated
     simplicial map (given as {(dim, name): name})."""
-    PX, x_classes = _classifying_data(X)
-    PY, y_classes = _classifying_data(Y)
+    PX, PY = classifying_category(X), classifying_category(Y)
+    x_classes, y_classes = word_classes(X, PX), word_classes(Y, PY)
     ygens = set(Y.nondegenerate(1))
     # words come shortest first, so a class's first word is its representative
     rep = {name: word for word, name in reversed(x_classes.items())}
