@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from operator import getitem, itemgetter
@@ -157,6 +157,26 @@ def bounded(**changes):
 
 # ---------------------------------------------------------------------------
 # Categories
+
+
+class cached_property:
+    """``functools.cached_property`` without the lock that it takes on every
+    first read before Python 3.12, which a search pays thousands of times:
+    the value is computed on first read and kept in the instance's
+    ``__dict__``, where later reads find it first.  A read that raises keeps
+    nothing; two threads reading a value first at once may each compute it."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class Morphism(NamedTuple):

@@ -18,13 +18,13 @@ and it walks candidates in index order, so witnesses are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterator
 
 from .core import (
     FinFunctor,
     NatTrans,
     WitnessInvalid,
+    cached_property,
     enumerate_lifts,
     identity_functor,
     validate_transformation,
@@ -89,15 +89,18 @@ class EquivalenceWitness:
 
 
 def _not_ff(F: FinFunctor):
-    """Return a NotEquivalence if F fails full faithfulness, else None."""
-    A, B = F.source, F.target
+    """A NotEquivalence at the first pair (a, a2) of objects where F is not
+    faithful or not full, else None.  F must be a functor: the images of
+    hom(a, a2) then lie in hom(F a, F a2), so counting them decides both."""
+    A, omap, mmap = F.source, F.omap, F.mmap
+    homs, target_homs = A._hom_table, F.target._hom_table
     for a in A.objects:
         for a2 in A.objects:
-            images = [F.mor(m) for m in A.hom(a, a2)]
-            target = B.hom(F.ob(a), F.ob(a2))
-            if len(set(images)) != len(images):
+            hom = homs.get((a, a2), ())
+            n_images = len(set(map(mmap.__getitem__, hom)))
+            if n_images != len(hom):
                 return NotEquivalence(F, "not faithful", (a, a2))
-            if set(images) != set(target):
+            if n_images != len(target_homs.get((omap[a], omap[a2]), ())):
                 return NotEquivalence(F, "not full", (a, a2))
     return None
 

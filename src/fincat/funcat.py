@@ -25,7 +25,6 @@ themselves, so a build serializes neither category.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import product
 
 from .core import (
@@ -38,6 +37,7 @@ from .core import (
     _natural_parts,
     bounds,
     builtin,
+    cached_property,
     enumerate_functors,
 )
 

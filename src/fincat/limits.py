@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .core import (
     FinCat,
@@ -38,6 +37,7 @@ from .core import (
     builtin,
     bounds,
     builtin_functor,
+    cached_property,
     composable_rows,
     enumerate_functors,
     enumerate_lifts,
@@ -55,8 +55,6 @@ from .funcat import (
     evaluation_functor,
     functor_category,
     functor_into_power,
-    pair_functor,
-    postcompose_functor,
     precompose_functor,
 )
 
@@ -335,11 +333,24 @@ class PseudolimitOfArrow:
 
     @cached_property
     def power_comparison(self) -> FinFunctor:
-        """w : A^I → L, sending an iso of A to (its codomain, its image iso)."""
-        f_iso = postcompose_functor(self.arrow, builtin("free_iso"))
-        w = pair_functor(evaluation_functor(self.source_power, "1"), f_iso, self.apex)
-        w.label = "w"
-        return w
+        """w : A^I → L, sending an iso of A to (its codomain, its image iso),
+        in one pass over A^I.  It reads A^I, then B^I, within the budget in
+        force, as the postcomposite f^I does, even after ``source_power``."""
+        f, I = self.arrow, builtin("free_iso")
+        functor_category(I, f.source)
+        power_a, power_b = self.source_power, functor_category(I, f.target)
+        n, f_mmap = I.n_objects, f.mmap
+        image = {
+            o: power_b.obj_named([f.omap[x] for x in parts[:n]] + [f_mmap[x] for x in parts[n:]])
+            for o, parts in power_a.obj_parts.items()
+        }
+        obj_parts = {o: (parts[1], image[o]) for o, parts in power_a.obj_parts.items()}
+        mor_parts = {}
+        for m in power_a.morphisms:
+            t = power_a.mor_parts[m.name]
+            f_t = power_b.mor_named(image[m.dom], image[m.cod], [f_mmap[c] for c in t])
+            mor_parts[m.name] = (t[1], f_t)
+        return self.apex.functor_from(power_a, obj_parts, mor_parts, "w")
 
 
 def constant_iso_object(power: FunctorCat, b: str) -> str:

@@ -30,6 +30,11 @@ it stored rows.  The key reference dumps ``to_dict()`` as canonical JSON, as
 The power-map references build every image in a power as a functor or a
 transformation and name it from its parts, as the library did when each
 power kept a functor per object and a transformation per morphism.
+The full-faithfulness reference compares the images of each hom with the
+target hom as sets, as ``equivalence._not_ff`` did before it compared hom
+sizes; the comparison reference pairs evaluation at 1 with the postcomposite
+f^I, as ``PseudolimitOfArrow.power_comparison`` did before it built w in
+one pass.
 The transformation-pair references run one transformation search per
 ordered pair, as ``functor_category`` did before it filtered each pair's
 candidate product by naturality.  The hom-category [X, A] of commuting
@@ -65,6 +70,7 @@ from fincat.core import (
     TupleCat,
     WitnessInvalid,
     _hom_profile,
+    builtin,
     discrete_category,
     enumerate_functors,
     enumerate_transformations,
@@ -96,7 +102,10 @@ from fincat.funcat import (
     FunctorCat,
     _estimate_functor_candidates,
     _object_name,
+    evaluation_functor,
     functor_category,
+    pair_functor,
+    postcompose_functor,
 )
 from fincat.limits import PseudolimitOfArrow
 from fincat.nerve import TOP_DIM, RewriteSystem, TruncSSet, classifying_category, rewrite_system
@@ -1090,6 +1099,33 @@ def cells_into_power_reference(cells: list[NatTrans], power: FunctorCat) -> FinF
         )
         mmap[m.name] = name_of_transformation(power, t)
     return FinFunctor(X, power, omap, mmap, label="cell-pairing")
+
+
+# ---------------------------------------------------------------------------
+# Full faithfulness by the images of each hom as a list and two sets, and the
+# comparison w : A^I → L as the pairing of evaluation at 1 with the
+# postcomposite f^I (the library's code before it read fullness off hom
+# sizes and built w in one pass)
+
+
+def not_ff_reference(F: FinFunctor) -> NotEquivalence | None:
+    A, B = F.source, F.target
+    for a in A.objects:
+        for a2 in A.objects:
+            images = [F.mor(m) for m in A.hom(a, a2)]
+            target = B.hom(F.ob(a), F.ob(a2))
+            if len(set(images)) != len(images):
+                return NotEquivalence(F, "not faithful", (a, a2))
+            if set(images) != set(target):
+                return NotEquivalence(F, "not full", (a, a2))
+    return None
+
+
+def power_comparison_reference(pl: PseudolimitOfArrow) -> FinFunctor:
+    f_iso = postcompose_functor(pl.arrow, builtin("free_iso"))
+    w = pair_functor(evaluation_functor(pl.source_power, "1"), f_iso, pl.apex)
+    w.label = "w"
+    return w
 
 
 # ---------------------------------------------------------------------------

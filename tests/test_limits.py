@@ -2,6 +2,7 @@ import pytest
 
 from fincat import limits, wfs
 from fincat.core import (
+    EnumerationBudgetExceeded,
     FinFunctor,
     NotIdempotent,
     StructureError,
@@ -276,6 +277,32 @@ def test_two_pseudolimits_of_one_arrow_compare_equal():
         assert pl == pl2, f.label
         for name in LAZY_PARTS:
             assert getattr(pl, name) == getattr(pl2, name), (f.label, name)
+
+
+def test_the_comparison_reads_the_source_power_then_the_target_power_under_the_budget_in_force():
+    """w reads A^I and then B^I within the budget in force at its first
+    read, as the postcomposite f^I does: a budget that refuses A^I refuses
+    w with A^I's message, also once ``source_power`` has been read, and one
+    that admits A^I but refuses B^I refuses w with B^I's message, though
+    B^I was built with the pseudolimit under the default budget.  A refused
+    read keeps nothing, so a later read under a larger budget builds w."""
+    A, B, free_iso = builtin("terminal"), builtin("chaotic(3)"), builtin("free_iso")
+    pl = pseudolimit_of_arrow(FinFunctor(A, B, {"*": "0"}, {"id_*": "u0_0"}, label="point_0"))
+    with bounded(budget=1), pytest.raises(EnumerationBudgetExceeded) as source_refusal:
+        functor_category(free_iso, A)
+    assert str(source_refusal.value) == "power terminal^free_iso needs 2 candidates, budget is 1"
+    for read_source_power_first in (False, True):
+        if read_source_power_first:
+            pl.source_power
+        with bounded(budget=1), pytest.raises(EnumerationBudgetExceeded) as info:
+            pl.power_comparison
+        assert str(info.value) == str(source_refusal.value)
+    with bounded(budget=50), pytest.raises(EnumerationBudgetExceeded) as info:
+        pl.power_comparison
+    assert str(info.value) == "power chaotic(3)^free_iso needs 51 candidates, budget is 50"
+    assert "power_comparison" not in vars(pl)
+    validate_functor(pl.power_comparison)
+    assert pl.power_comparison.source == functor_category(free_iso, A)
 
 
 # -- inserter / equifier -----------------------------------------------------
