@@ -32,24 +32,32 @@ The verdict reads only the mono's source and fibre summary and the epi's
 source, fibre summary and the fibre sizes of its target as a multiset.  An
 isomorphism of targets keeps all of these, and one of sources carries the
 split maps out of the source onto those out of an isomorphic one with the
-same verdicts and counts.  So the split maps are listed once per pair of
+same verdicts and counts.  So the split maps are counted once per pair of
 isomorphism classes of source and target, between the classes' first
-objects, and filed as runs: a run is a map, standing for the maps of its
-bucket between the same classes whose verdicts it shares, and their number.
+objects, and filed as runs: a run is a fibre summary with a level-1 map
+that carries it, standing for the maps of its bucket between the same
+classes that share it, and their number.
 Each pass of the sweep (one combined size, one mono size) decides each
 distinct (source, mono summary) once against the epi runs and weighs each
 count by the runs' multiplicities (``_decide_pass``).  Only a pass that
-some run refuses is listed again map by map, for its exact objects in sweep
+some run refuses is listed map by map, for its exact objects in sweep
 order, and walked up to its first refused pair (``_walk_pass``), whose
 squares are replayed one by one to find the first unfilled square.
 ``squares_checked`` counts the squares of every pair decided, and those
 replayed of the refused pair.
 
-The split maps themselves come from shared masks: a hom f : X → Y has a
-hom back iff the set of u∘m0 over the level-0 retractions (or sections)
-m0 of f0 meets the set of m1∘v over those m1 of f1.  The first set
-depends only on (X, y0) and the second only on (Y, x1), so each is one
-bitmask in a table shared by every object pair with those parts.
+The runs are counted from fibre sizes, not listed.  A hom i : A → B with
+i0 and i1 injective is a split mono iff every a whose fibre u_B⁻¹(i1 a)
+is nonempty has u_A⁻¹(a) nonempty, and A0 is nonempty if some fibre
+outside the image of i1 is: a test on i1 alone, and the i0 over a split
+i1 number Π_a P(|u_B⁻¹(i1 a)|, |u_A⁻¹ a|), where P(n, k) counts the
+injections of a k-set into an n-set.  A hom p : C → D with p0 and p1
+onto is a split epi iff every e ∈ D1 has a full c over it, and over an
+onto p1 the p0 with a given set of full c number the product over c of
+the maps of u_C⁻¹(c) onto u_D⁻¹(p1 c) where c is full and of the other
+maps into it where c is not.  Likewise the homs A → C with level-1 map
+t1 number Π_a |u_C⁻¹(t1 a)|^|u_A⁻¹ a|.  A refused pass lists its split
+maps by the same tests.
 
 The sweep works on integers.  A map a → b is its index in
 ``_functions(a, b)``, the lexicographic order of image tuples, so f has
@@ -67,6 +75,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from math import comb, perm, prod
+from operator import getitem
 
 from .core import (
     LEIBNIZ_GENERATORS,
@@ -380,6 +390,7 @@ class _SetMaps:
         self._extensions: dict[tuple, list] = {}
         self._retractions: dict[tuple, dict] = {}
         self._sections: dict[tuple, dict] = {}
+        self._fullness: dict[tuple, tuple] = {}
 
     def after(self, a: int, b: int, c: int) -> list:
         """``after(a, b, c)[g][f]`` is g∘f, for f : a → b and g : b → c."""
@@ -446,13 +457,16 @@ class _SetMaps:
                     out[p] = fibre
         return out
 
-
-def _bits(values) -> int:
-    """The bitmask with a bit set at each of the values."""
-    mask = 0
-    for v in values:
-        mask |= 1 << v
-    return mask
+    def fullness(self, n: int, m: int) -> tuple:
+        """(False, the maps of an n-set into an m-set not onto it) and (True,
+        those onto it), each where there are any; m!·S(n, m) maps are onto,
+        by inclusion and exclusion over the points missed."""
+        out = self._fullness.get((n, m))
+        if out is None:
+            onto = sum((-1) ** k * comb(m, k) * (m - k) ** n for k in range(m + 1))
+            counts = ((False, m**n - onto), (True, onto))
+            out = self._fullness[n, m] = tuple((f, k) for f, k in counts if k)
+        return out
 
 
 @dataclass
@@ -502,7 +516,11 @@ class _ArrowSpace:
     """Homs, split maps and fibre data for a full subcategory of arrows of
     finite sets, given by its objects in sweep order, memoized in the
     space's own tables.  An object is (x0, x1, u) with u : x0 → x1 and a
-    hom is a pair (f0, f1) with f1∘u = v∘f0, all maps index-encoded."""
+    hom is a pair (f0, f1) with f1∘u = v∘f0, all maps index-encoded.  The
+    split maps between two objects are counted per level-1 map from fibre
+    sizes (``mono_counts``, ``epi_counts``) and listed by the same tests
+    (``split_monos``, ``split_epis``); no hom back is searched for but the
+    retraction and section of a counterexample."""
 
     def __init__(self, objects):
         self.objects = objects
@@ -510,14 +528,12 @@ class _ArrowSpace:
         self._tops: dict[tuple, list] = {}
         self._fibre_sizes: dict[tuple, list] = {}
         self._summaries: dict[tuple, tuple] = {}
-        self._masks: dict[tuple, dict] = {}
-        self._source_masks: tuple = (None, {})
         # Arrows are isomorphic iff they share x0, x1 and the sorted sizes
         # of the nonempty fibres of u; each class is represented by its
         # first member in object order (of all arrows at bound 3, 18 for
         # 60 objects, and at bound 4, 38 for 499; each arrow x → 1 is its
-        # own class), and the sweep lists split maps between representatives
-        # only.
+        # own class), and the sweep counts split maps between
+        # representatives only.
         self.representatives: dict[tuple, tuple] = {}
         firsts: dict[tuple, tuple] = {}
         for X in self.objects:
@@ -534,8 +550,7 @@ class _ArrowSpace:
 
     def homs(self, X, Y):
         """The homs X → Y in order, built afresh on each call: the sweep
-        reads them only through ``top_levels`` and the replay of a refused
-        pair."""
+        reads them only in the replay of a refused pair."""
         completions = self._completions(X, Y)
         return [(f0, f1) for f0 in range(Y[0] ** X[0]) for f1 in completions(f0)]
 
@@ -556,72 +571,45 @@ class _ArrowSpace:
                     return (m0, m1)
         return None
 
-    def _back_masks(self, X, Y, backs):
-        """f0 ↦ the set of u∘m0 over the m0 in ``backs(x0, y0)[f0]``, and
-        f1 ↦ the set of m1∘v over the m1 in ``backs(x1, y1)[f1]``, each a
-        bitmask over the maps y0 → x1.  The first table depends only on
-        (X, y0) and the second only on (Y, x1), so each serves every object
-        pair that shares it: a bound-3 arrow sweep builds 224 tables for
-        the 347 object pairs whose split maps it lists and whose sizes
-        allow any.  The sweep visits the pairs source by source, so the
-        first kind is kept for the latest X only."""
-        x0, x1, u = X
-        y0, y1, v = Y
-        source, masks0 = self._source_masks
-        if source != X:
-            masks0 = {}
-            self._source_masks = (X, masks0)
-        via0 = masks0.get((backs, y0))
-        if via0 is None:
-            u_after = self.maps.after(y0, x0, x1)[u]
-            via0 = masks0[backs, y0] = {
-                f0: _bits(u_after[m0] for m0 in m0s) for f0, m0s in backs(x0, y0).items()
-            }
-        via1 = self._masks.get((backs, x1, Y))
-        if via1 is None:
-            before_v = self.maps.before(y0, y1, x1)[v]
-            via1 = self._masks[backs, x1, Y] = {
-                f1: _bits(before_v[m1] for m1 in m1s) for f1, m1s in backs(x1, y1).items()
-            }
-        return via0, via1
-
-    def _with_back(self, X, Y, backs):
-        """The homs f : X → Y, in order, for which ``_first_back`` finds a
-        hom back: those whose sets of u∘m0 and m1∘v meet."""
-        via0, via1 = self._back_masks(X, Y, backs)
-        completions = self._completions(X, Y)
-        return [
-            (f0, f1)
-            for f0, mask in via0.items()
-            for f1 in completions(f0)
-            if mask & via1.get(f1, 0)
-        ]
-
-    def drop_masks(self):
-        """Free the mask tables of ``_with_back``; they are built again on
-        demand."""
-        self._masks.clear()
-        self._source_masks = (None, {})
-
     def retraction(self, i, X, Y):
         """The first commuting retraction pair of i : X → Y, or None."""
         return self._first_back(i, X, Y, self.maps.retractions)
 
     def split_monos(self, X, Y):
-        """Monos with a commuting retraction; a retraction forces
-        componentwise injectivity, so larger sources are skipped at once."""
-        if X[0] > Y[0] or X[1] > Y[1]:
+        """The split monos X → Y in hom order, each with its
+        ``mono_fibres``: the homs with i0 injective whose i1 passes the
+        test of ``mono_counts``."""
+        summaries = {i1: summary for i1, summary, _ in self.mono_counts(X, Y)}
+        if not summaries:
             return []
-        return self._with_back(X, Y, self.maps.retractions)
+        completions = self._completions(X, Y)
+        return [
+            ((f0, f1), summaries[f1])
+            for f0 in self.maps.retractions(X[0], Y[0])
+            for f1 in completions(f0)
+            if f1 in summaries
+        ]
 
     def section(self, p, X, Y):
         """The first commuting section pair of p : X → Y, or None."""
         return self._first_back(p, X, Y, self.maps.sections)
 
     def split_epis(self, X, Y):
+        """The split epis X → Y in hom order, each with its ``epi_fibres``:
+        the homs with p0 and p1 onto and a full c over every e ∈ Y1."""
         if X[0] < Y[0] or X[1] < Y[1]:
             return []
-        return self._with_back(X, Y, self.maps.sections)
+        onto1 = self.maps.sections(X[1], Y[1])
+        completions = self._completions(X, Y)
+        out = []
+        for f0 in self.maps.sections(X[0], Y[0]):
+            for f1 in completions(f0):
+                if f1 in onto1:
+                    summary = self.epi_fibres((f0, f1), X, Y)
+                    p1 = self.maps.values(f1, X[1], Y[1])
+                    if len({e for e, f in zip(p1, summary[0]) if f}) == Y[1]:
+                        out.append(((f0, f1), summary))
+        return out
 
     # Fibre data of the lifting decision.  For i : A → B and p : C → D
     # write N(y) = u_B⁻¹(y) \ im i0, F(e) = u_D⁻¹(e) and S(c) = p0(u_C⁻¹ c),
@@ -637,27 +625,70 @@ class _ArrowSpace:
         return out
 
     def top_levels(self, A, C):
-        """The distinct level-1 maps of the homs A → C, as value lists, each
-        with the number of homs that have it."""
+        """The distinct level-1 maps t1 of the homs A → C, as value lists,
+        each with the number of homs that have it: t0 maps each u_A⁻¹(a)
+        into u_C⁻¹(t1 a), so Π_a |u_C⁻¹(t1 a)|^|u_A⁻¹ a|."""
         key = (A, C)
         out = self._tops.get(key)
         if out is None:
-            repeats: dict[int, int] = {}
-            for _, t1 in self.homs(A, C):
-                repeats[t1] = repeats.get(t1, 0) + 1
-            out = self._tops[key] = [
-                (self.maps.values(t1, A[1], C[1]), n) for t1, n in repeats.items()
-            ]
+            over_a, over_c = self.fibre_sizes(A), self.fibre_sizes(C)
+            out = self._tops[key] = []
+            for t1 in range(C[1] ** A[1]):
+                values = self.maps.values(t1, A[1], C[1])
+                n = prod(over_c[c] ** k for c, k in zip(values, over_a))
+                if n:
+                    out.append((values, n))
         return out
 
-    def mono_fibres(self, i, A, B):
-        """For a split mono i : A → B, the pairs (a, |N(i1 a)|) with N(i1 a)
-        nonempty, and the sizes |u_B⁻¹ y| over the y outside the image of
-        i1, sorted.  Inside u_B⁻¹(i1 a) the image of i0 is i0(u_A⁻¹ a), as
-        i0 and i1 are injective, so |N(i1 a)| = |u_B⁻¹(i1 a)| - |u_A⁻¹ a|.
-        Sorting makes the summary invariant under isomorphisms of B."""
+    def mono_counts(self, A, B):
+        """Each i1 : A1 → B1 of a split mono A → B, in ascending order, with
+        its ``mono_fibres`` and the number of split monos over it.  Given
+        i0 and i1 injective, a retraction (r0, r1) is forced on their
+        images, and a point y of B0 outside the image of i0 needs r0(y) in
+        u_A⁻¹(r1 v y): over y = i1(a) that asks u_A⁻¹(a) nonempty, and
+        outside the image of i1, where r1 is free, A0 nonempty.  The i0
+        over i1 map each u_A⁻¹(a) injectively into u_B⁻¹(i1 a)."""
+        if A[0] > B[0] or A[1] > B[1] or (B[0] and not A[0]):
+            return
         over_a, over_b = self.fibre_sizes(A), self.fibre_sizes(B)
-        i1 = self.maps.values(i[1], A[1], B[1])
+        # ways[a][y]: the injections u_A⁻¹(a) → u_B⁻¹(y), or 0 if i1 a = y fails
+        ways = [[perm(n, k) if k or not n else 0 for n in over_b] for k in over_a]
+        values = self.maps.after(1, A[1], B[1])
+        for i1 in self.maps.retractions(A[1], B[1]):
+            count = prod(map(getitem, ways, values[i1]))
+            if count:
+                yield i1, self.mono_fibres(i1, A, B), count
+
+    def epi_counts(self, C, D):
+        """Each onto p1 : C1 → D1 and each choice of the full c that puts
+        one over every e ∈ D1, with the ``epi_fibres`` it gives and the
+        number of split epis over p1 that have it.  The p0 over p1 map
+        each u_C⁻¹(c) into F(p1 c), independently, and c is full iff it
+        maps onto F(p1 c); every e covered makes p0 onto and, by a section
+        chosen through the full c, p split."""
+        if C[0] < D[0] or C[1] < D[1]:
+            return
+        over_c, over_d = self.fibre_sizes(C), self.fibre_sizes(D)
+        # ways[c][e]: each fullness c can have over e, with its p0 on u_C⁻¹(c)
+        ways = [[self.maps.fullness(n, m) for m in over_d] for n in over_c]
+        values = self.maps.after(1, C[1], D[1])
+        for p1 in self.maps.sections(C[1], D[1]):
+            p1_values = values[p1]
+            for picks in iproduct(*map(getitem, ways, p1_values)):
+                full = tuple(f for f, _ in picks)
+                if len({e for e, f in zip(p1_values, full) if f}) == D[1]:
+                    width = tuple(over_d[e] for e in p1_values)
+                    yield p1, self._shared(full, width), prod(k for _, k in picks)
+
+    def mono_fibres(self, i1, A, B):
+        """For a split mono i : A → B with level-1 map i1, the pairs
+        (a, |N(i1 a)|) with N(i1 a) nonempty, and the sizes |u_B⁻¹ y| over
+        the y outside the image of i1, sorted.  Inside u_B⁻¹(i1 a) the image
+        of i0 is i0(u_A⁻¹ a), as i0 and i1 are injective, so |N(i1 a)| =
+        |u_B⁻¹(i1 a)| - |u_A⁻¹ a|.  Sorting makes the summary invariant
+        under isomorphisms of B."""
+        over_a, over_b = self.fibre_sizes(A), self.fibre_sizes(B)
+        i1 = self.maps.values(i1, A[1], B[1])
         needs = tuple(
             (a, over_b[y] - over_a[a]) for a, y in enumerate(i1) if over_b[y] > over_a[a]
         )
@@ -691,50 +722,45 @@ class _ArrowSpace:
         return self._shared(full, width)
 
     def _shared(self, *summary) -> tuple:
-        """One tuple for all equal summaries: a bound-3 arrow sweep lists 565
-        split maps with 61 distinct ones."""
+        """One tuple for all equal summaries."""
         return self._summaries.setdefault(summary, summary)
 
 
 def _split_monos(space, A, B):
     """The split monos i : A → B in order, each as (A, B, i, its
-    ``mono_fibres``).  A summary reads i only through i1, so it is
-    computed once per i1."""
-    out = []
-    summaries: dict[int, tuple] = {}
-    for i in space.split_monos(A, B):
-        summary = summaries.get(i[1])
-        if summary is None:
-            summary = summaries[i[1]] = space.mono_fibres(i, A, B)
-        out.append((A, B, i, summary))
-    return out
+    ``mono_fibres``)."""
+    return [(A, B, i, summary) for i, summary in space.split_monos(A, B)]
 
 
 def _split_epis(space, C, D):
     """The split epis p : C → D in order, each as (C, D, p, its
     ``epi_fibres``)."""
-    return [(C, D, p, space.epi_fibres(p, C, D)) for p in space.split_epis(C, D)]
+    return [(C, D, p, summary) for p, summary in space.split_epis(C, D)]
 
 
-def _runs(maps) -> list:
-    """For each distinct summary of a list of split maps of one object
-    pair, in first-seen order, its first map and the number of maps that
-    share it: the pair's runs."""
+def _runs(counted) -> list:
+    """For each distinct summary among the counted heads (f, n) of one
+    object pair, in first-seen order, its first head and the sum of the
+    counts that share it: the pair's runs."""
     runs: dict[tuple, list] = {}
-    for f in maps:
-        runs.setdefault(f[3], [f, 0])[1] += 1
+    for f, n in counted:
+        runs.setdefault(f[3], [f, 0])[1] += n
     return list(runs.values())
 
 
 def _split_buckets(space):
     """The runs of split monos and split epis of the space, bucketed by
-    combined size.  A run is [(S, R, f, summary), multiplicity]: S and R
-    represent classes of sources and of targets, f is the first split map
-    S → R with that summary, and the multiplicity counts the maps A → B
-    that the run's maps stand for, over every A in the class of S and
-    every B in the class of R.
+    combined size.  A run is [(S, R, f1, summary), multiplicity]: S and R
+    represent classes of sources and of targets, f1 is the first level-1
+    map of a split map S → R with that summary, and the multiplicity
+    counts the maps A → B that the run stands for, over every A in the
+    class of S and every B in the class of R.
 
-    The maps are listed once per pair of classes, between their
+    The maps are counted, not listed: once per pair of classes, between
+    their representatives, and per level-1 map from fibre sizes
+    (``_ArrowSpace.mono_counts`` and ``epi_counts``).  In arrows at bound
+    3 that reads 114 level-1 maps of split monos and 114 choices (p1, full
+    c) of split epis, for 70 and 77 runs of 241 and 226 split maps between
     representatives.  An isomorphism φ : R ≅ B carries the split monos
     S → R bijectively onto those S → B by i ↦ φ∘i, and the split epis
     likewise.  It keeps each a's |N(i1 a)|, and each c's fullness and
@@ -748,22 +774,23 @@ def _split_buckets(space):
     ``top_levels(S, C)``, and composing with ψ⁻¹ carries
     ``top_levels(M, A)`` onto ``top_levels(M, S)``, so against every map
     on the other side i∘ψ gets the verdict and the count of i.  The maps
-    out of A are never derived from those out of S: the runs are listed
+    out of A are never derived from those out of S: the runs are counted
     from S alone, and a run of n maps S → R stands for n × |class of S| ×
-    |class of R| maps.  In arrows at bound 3 that lists the maps of 324
-    pairs (S, R) for the 3,600 pairs (A, B).  The mask tables behind the
-    split maps are freed once the buckets are built."""
+    |class of R| maps.  In arrows at bound 3 that counts the maps of 324
+    pairs (S, R) for the 3,600 pairs (A, B)."""
     members = Counter(space.representatives.values())
     mono_buckets: dict[int, list] = {}
     epi_buckets: dict[int, list] = {}
     for S, j in members.items():
         for R, k in members.items():
             s = _arrow_size(S) + _arrow_size(R)
-            for split, buckets in ((_split_monos, mono_buckets), (_split_epis, epi_buckets)):
-                runs = _runs(split(space, S, R))
+            for counts, buckets in (
+                (space.mono_counts, mono_buckets),
+                (space.epi_counts, epi_buckets),
+            ):
+                runs = _runs(((S, R, f1, summary), n) for f1, summary, n in counts(S, R))
                 if runs:
                     buckets.setdefault(s, []).extend([f, n * j * k] for f, n in runs)
-    space.drop_masks()
     return mono_buckets, epi_buckets
 
 
@@ -772,7 +799,7 @@ def _passes(space, max_size: int):
     combined size ascending and then the monos' size, each pass pairing a
     mono bucket of ``_split_buckets`` with an epi bucket.  A pass is
     decided by its runs (``_decide_pass``); only a pass that some run
-    refuses has its maps listed again one by one (``_listed``) and walked
+    refuses has its maps listed one by one (``_listed``) and walked
     (``_walk_pass``)."""
     mono_buckets, epi_buckets = _split_buckets(space)
     for total in range(max_size + 1):
@@ -788,12 +815,14 @@ def _listed(space, runs, split):
     lists them.  Only the pairs whose (representative of A,
     representative of B) has runs are listed, as no other pair of the
     bucket has a split map."""
-    sources = {(f[0], f[1]) for f, _ in runs}
     reps = space.representatives
+    targets: dict[tuple, set] = {}
+    for f, _ in runs:
+        targets.setdefault(f[0], set()).add(f[1])
+    paired = {S: [B for B in space.objects if reps[B] in R] for S, R in targets.items()}
     for A in space.objects:
-        for B in space.objects:
-            if (reps[A], reps[B]) in sources:
-                yield from split(space, A, B)
+        for B in paired.get(reps[A], ()):
+            yield from split(space, A, B)
 
 
 def _decide_pass(space, monos, epis):
@@ -847,7 +876,7 @@ def _walk_pass(space, monos, epis, classes):
 def _sweep(name: str, size_bound: int, objects) -> NipResult:
     """Decide the pairs (i, p) between the objects in ascending combined
     size, each pass by its runs (``_decide_pass``).  Only a pass that some
-    run refuses is listed again map by map for its exact objects and
+    run refuses is listed map by map for its exact objects and
     walked in sweep order (``_walk_pass``), and the squares of its first
     refused pair are replayed, so the counterexample found is a smallest
     one in the documented order and ``squares_checked`` the squares up to
@@ -971,10 +1000,10 @@ def _ser_sq(f):
 # The largest size bound each space accepts, checked before anything is
 # built: the bounds at which the tests compare each sweep with its filtering
 # reference.  At bound 4 the arrow space has 499 objects in 38 classes
-# against 60 in 18 at bound 3.  Its sweep would list the split maps of
-# 1,444 pairs of classes against 324 (about 0.1 s on a 2-core x86 host),
-# but the reference lists those of every pair of objects, 249,001 against
-# 3,600.
+# against 60 in 18 at bound 3.  Its sweep would count the split maps of
+# 1,444 pairs of classes against 324 from fibre sizes (about 0.04 s on a
+# 2-core x86 host), but the reference searches those of every pair of
+# objects, 249,001 against 3,600.
 NIP_MAX_BOUNDS = {"finset": 4, "finset_arrow": 3}
 
 

@@ -78,6 +78,7 @@ from fincat.core import (
     identity_functor,
     terminal_category,
     thin_functor,
+    validate_category,
     validate_functor,
 )
 from fincat.cosmos import (
@@ -109,6 +110,32 @@ from fincat.funcat import (
 )
 from fincat.limits import PseudolimitOfArrow
 from fincat.nerve import TOP_DIM, RewriteSystem, TruncSSet, classifying_category, rewrite_system
+
+
+def walking_split_idempotent() -> FinCat:
+    """The walking split idempotent: objects A and B, s : A → B and
+    r : B → A with r∘s = 1_A, and the idempotent e = s∘r of B; 5
+    morphisms.  s and r are one-sided inverses of each other and not
+    isomorphisms, and e is an endomorphism that is not invertible, which no
+    corpus category has."""
+    homs = {"1A": ("A", "A"), "1B": ("B", "B"), "s": ("A", "B"), "r": ("B", "A"), "e": ("B", "B")}
+    # (g, f, g∘f) for every composable pair
+    comp = [
+        ("1A", "1A", "1A"), ("s", "1A", "s"), ("1B", "s", "s"), ("r", "s", "1A"),
+        ("e", "s", "s"), ("1A", "r", "r"), ("s", "r", "e"), ("1B", "1B", "1B"),
+        ("r", "1B", "r"), ("e", "1B", "e"), ("1B", "e", "e"), ("r", "e", "r"),
+        ("e", "e", "e"),
+    ]
+    cat = validate_category(
+        {
+            "objects": ["A", "B"],
+            "morphisms": [{"name": m, "dom": d, "cod": c} for m, (d, c) in homs.items()],
+            "identity": {"A": "1A", "B": "1B"},
+            "comp": [{"g": g, "f": f, "gf": gf} for g, f, gf in comp],
+        }
+    )
+    cat.label = "walking_split_idempotent"
+    return cat
 
 
 def canonical_key(cat: FinCat) -> str:

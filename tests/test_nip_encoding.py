@@ -8,6 +8,7 @@ among them its isomorphism classes of arrows and its runs of split maps,
 and frees them when it returns."""
 import gc
 import weakref
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -78,26 +79,42 @@ def test_arrow_objects_decode_to_the_reference_in_order():
     assert [_decode_arrow(X) for X in _arrow_objects(3)] == FilterArrowSpace(3).objects
 
 
-@pytest.mark.parametrize("bound", [2, 3])
-def test_split_maps_decode_to_the_tuple_reference_in_order(bound):
+# The split maps are listed by closed-form tests on fibre sizes, the
+# reference by searching each hom's retraction or section candidates.
+@pytest.mark.parametrize("bound, maps", [(2, 96), (3, 6_209)])
+def test_split_maps_decode_to_the_tuple_reference_in_order(bound, maps):
     space, ref = _ArrowSpace(_arrow_objects(bound)), FilterArrowSpace(bound)
+    listed = 0
     for X in space.objects:
         for Y in space.objects:
             dX, dY = _decode_arrow(X), _decode_arrow(Y)
-            monos = space.split_monos(X, Y)
+            monos = [i for i, _ in space.split_monos(X, Y)]
             assert [_decode_hom(i, X, Y) for i in monos] == ref.split_monos(dX, dY)
             for i in monos:
                 r = _decode_hom(space.retraction(i, X, Y), Y, X)
                 assert r == ref.retraction_of(_decode_hom(i, X, Y), dX, dY)
-            epis = space.split_epis(X, Y)
+            epis = [p for p, _ in space.split_epis(X, Y)]
             assert [_decode_hom(p, X, Y) for p in epis] == ref.split_epis(dX, dY)
             for p in epis:
                 s = _decode_hom(space.section(p, X, Y), Y, X)
                 assert s == ref.section_of(_decode_hom(p, X, Y), dX, dY)
+            listed += len(monos) + len(epis)
+    assert listed == maps
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_top_levels_are_the_tally_of_the_homs(bound):
+    space = _ArrowSpace(_arrow_objects(bound))
+    for A in space.objects:
+        for C in space.objects:
+            tally = Counter(tuple(space.maps.values(t1, A[1], C[1])) for _, t1 in space.homs(A, C))
+            tops = space.top_levels(A, C)
+            assert len(tops) == len(tally), (A, C)
+            assert {tuple(t1): n for t1, n in tops} == tally, (A, C)
 
 
 def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeypatch):
-    built, spaces, masks, classes, runs = [], [], [], [], []
+    built, spaces, classes, runs = [], [], [], []
 
     class RecordedSetMaps(_SetMaps):
         def __init__(self):
@@ -110,10 +127,8 @@ def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeyp
     class RecordedArrowSpace(_ArrowSpace):
         def __init__(self, objects):
             super().__init__(objects)
-            self._masks = Tables()
             self.representatives = Tables(self.representatives)
             spaces.append(weakref.ref(self))
-            masks.append(weakref.ref(self._masks))
             classes.append(weakref.ref(self.representatives))
 
     split_buckets = cosmos._split_buckets
@@ -142,7 +157,7 @@ def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeyp
         gc.collect()
         assert built[-1]() is None
         assert first.to_dict() == second.to_dict()
-    assert len(built) == len(spaces) == len(masks) == len(classes) == 4
+    assert len(built) == len(spaces) == len(classes) == 4
     assert len(runs) == 8
-    assert all(ref() is None for ref in built + spaces + masks + classes + runs)
+    assert all(ref() is None for ref in built + spaces + classes + runs)
     assert module_state() == state

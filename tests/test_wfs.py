@@ -35,7 +35,7 @@ from fincat.wfs import (
     minimal_retract_witness,
     solve_lifting,
 )
-from helpers import constant_functor, witness_from_parts
+from helpers import constant_functor, walking_split_idempotent, witness_from_parts
 
 
 def to_terminal(cat):
@@ -364,6 +364,17 @@ def test_wf_of_collapse_is_normal_retract_equivalence():
     assert res.comparison_report.normal
     assert res.ok
     assert "retract" in res.comparison_witness.kinds
+
+
+def test_walking_split_idempotent_has_only_identities_as_isos_and_a_lawful_wf():
+    """r∘s = 1_A but s∘r = e: s and r are one-sided inverses only, so a
+    check of one composite would call them isomorphisms."""
+    C = walking_split_idempotent()
+    assert C.isos == ("1A", "1B")
+    res = compute_wf(to_terminal(C))
+    assert res.ok
+    assert set(res.biconditionals) == {"representable_iff", "normal_iff", "retract_kind"}
+    assert all(res.biconditionals.values())
 
 
 def test_wf_of_non_isofibration_is_not_one():
