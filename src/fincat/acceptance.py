@@ -59,10 +59,6 @@ class CriterionResult:
     details: dict = field(default_factory=dict)
     duration: float = 0.0
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] criterion {self.number}: {self.name} ({self.duration:.1f}s)"
-
     def to_dict(self) -> dict:
         return {
             "number": self.number,

@@ -710,12 +710,6 @@ class FinFunctor:
             and all(m == n for m, n in self.mmap.items())
         )
 
-    def is_isomorphism(self) -> bool:
-        return (
-            len(set(self.omap.values())) == self.source.n_objects == self.target.n_objects
-            and len(set(self.mmap.values())) == self.source.n_morphisms == self.target.n_morphisms
-        )
-
     def injective_on_objects(self) -> bool:
         return len(set(self.omap.values())) == self.source.n_objects
 

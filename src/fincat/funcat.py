@@ -4,10 +4,10 @@ between them.
 ``functor_category(C, D)`` enumerates every functor C → D and every natural
 transformation between them, producing a :class:`~fincat.core.TupleCat`
 whose objects are named by their image tuples and whose morphisms are
-tuples of components.  A power keeps only these names and parts, and builds
-the functor of an object on demand.  Every map into a power or a product
-(restriction, postcomposition, pairing) is given by its images' parts, and
-:meth:`~fincat.core.TupleCat.functor_from` looks up their names.
+tuples of components.  A power keeps only these names and parts, and
+never builds the functor an object stands for.  Every map into a power or
+a product (restriction, postcomposition, pairing) is given by its images'
+parts, and :meth:`~fincat.core.TupleCat.functor_from` looks up their names.
 Binary products are tuple categories too, so every name maps back to its
 parts by lookup, never by parsing.  Enumeration is guarded by the budget
 of the innermost bounds scope (``core.bounded``): the number of raw
@@ -47,8 +47,8 @@ class FunctorCat(TupleCat):
     their object images, then their morphism images, and its morphisms the
     natural transformations, each the tuple of its components at the
     objects of C, composed one component at a time.  Only this module
-    reads that layout; :meth:`functor_named` builds the functor of an
-    object when asked, and :meth:`mor_image` reads one morphism image."""
+    reads that layout: ``obj_parts`` holds an object's images of the
+    objects of C first, and :meth:`mor_image` reads one morphism image."""
 
     def __init__(self, *args, source_category=None, target_category=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -60,11 +60,6 @@ class FunctorCat(TupleCat):
         """Where the image of each morphism of C sits in an object's parts."""
         C = self.source_category
         return {m.name: C.n_objects + k for k, m in enumerate(C.morphisms)}
-
-    def functor_named(self, name: str) -> FinFunctor:
-        C, parts = self.source_category, self.obj_parts[name]
-        mmap = dict(zip(self._mor_slot, parts[C.n_objects :]))
-        return FinFunctor(C, self.target_category, dict(zip(C.objects, parts)), mmap)
 
     def mor_image(self, name: str, m: str) -> str:
         """The image of the morphism m of C under the functor named ``name``."""

@@ -30,6 +30,9 @@ it stored rows.  The key reference dumps ``to_dict()`` as canonical JSON, as
 The power-map references build every image in a power as a functor or a
 transformation and name it from its parts, as the library did when each
 power kept a functor per object and a transformation per morphism.
+The isomorphism reference reads each two-sided inverse off the rows of
+the table, so the equivalence, transformation and cleavage references
+share no inverse search with ``FinCat``.
 The full-faithfulness reference compares the images of each hom with the
 target hom as sets, as ``equivalence._not_ff`` did before it compared hom
 sizes; the comparison reference pairs evaluation at 1 with the postcomposite
@@ -57,6 +60,7 @@ from functools import cache
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
+from fincat.acceptance import CriterionResult
 from fincat.core import (
     Bounds,
     CleavageNotNormal,
@@ -136,6 +140,38 @@ def walking_split_idempotent() -> FinCat:
     )
     cat.label = "walking_split_idempotent"
     return cat
+
+
+def _one_object_monoid(elements: Sequence[str], table: dict, label: str) -> FinCat:
+    """The monoid on ``elements`` (the first is the unit), with g∘f =
+    ``table[g, f]``, as a category with one object *."""
+    cat = validate_category(
+        {
+            "objects": ["*"],
+            "morphisms": [{"name": m, "dom": "*", "cod": "*"} for m in elements],
+            "identity": {"*": elements[0]},
+            "comp": [{"g": g, "f": f, "gf": table[g, f]} for g in elements for f in elements],
+        }
+    )
+    cat.label = label
+    return cat
+
+
+def walking_idempotent() -> FinCat:
+    """The walking idempotent: one object, morphisms 1 and e, e∘e = e.  Its
+    only isomorphism is 1."""
+    table = {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"}
+    return _one_object_monoid(["1", "e"], table, "walking_idempotent")
+
+
+def transformation_monoid_2() -> FinCat:
+    """The full transformation monoid on {0, 1}: one object, morphisms id,
+    swap, const0 and const1 composed as maps.  Its isomorphisms are id and
+    swap."""
+    maps = {"id": (0, 1), "swap": (1, 0), "const0": (0, 0), "const1": (1, 1)}
+    named = {images: name for name, images in maps.items()}
+    table = {(g, f): named[tuple(maps[g][x] for x in maps[f])] for g in maps for f in maps}
+    return _one_object_monoid(list(maps), table, "transformation_monoid_2")
 
 
 def canonical_key(cat: FinCat) -> str:
@@ -325,8 +361,25 @@ def is_fully_faithful_bf(F: FinFunctor) -> bool:
     return True
 
 
+def isos_bf(cat: FinCat) -> dict[str, str]:
+    """{m: n} for every isomorphism m of ``cat``: n is the morphism of
+    hom(cod m, dom m) with n∘m = 1 and m∘n = 1, read off the rows of the
+    table (a two-sided inverse is unique)."""
+    inverses = {}
+    for m in cat.morphisms:
+        for n in cat.hom(m.cod, m.dom):
+            if (
+                cat.rows[n][m.name] == cat.identity[m.dom]
+                and cat.rows[m.name][n] == cat.identity[m.cod]
+            ):
+                inverses[m.name] = n
+                break
+    return inverses
+
+
 def is_essentially_surjective_bf(F: FinFunctor) -> bool:
     A, B = F.source, F.target
+    isos = isos_bf(B)
     image_classes = set()
     for a in A.objects:
         image_classes.add(F.omap[a])
@@ -334,7 +387,7 @@ def is_essentially_surjective_bf(F: FinFunctor) -> bool:
         hit = False
         for x in image_classes:
             for m in B.hom(x, b):
-                if B.is_iso(m):
+                if m in isos:
                     hit = True
                     break
             if hit:
@@ -1267,12 +1320,13 @@ def recursive_transformations(
     cat = F.target
     objs = F.source.objects
     mors = [m for m in F.source.morphisms if not F.source.is_identity(m.name)]
+    isos = isos_bf(cat) if invertible_only else None
     count = 0
 
     def candidates(a):
         base = cat.hom(F.ob(a), G.ob(a))
         if invertible_only:
-            base = [c for c in base if cat.is_iso(c)]
+            base = [c for c in base if c in isos]
         return base
 
     def natural_so_far(parts, m: Morphism):
@@ -1463,7 +1517,7 @@ def pseudolimit_retract_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
         delta.target,
         delta.components,
     )
-    assert (w.has_section, w.has_retraction) == (True, pl.to_source.is_isomorphism())
+    assert (w.has_section, w.has_retraction) == (True, is_isomorphism(pl.to_source))
     return w
 
 def retract_witness(F: FinFunctor) -> EquivalenceWitness:
@@ -1506,9 +1560,10 @@ def perturbed_cleavage(p: FinFunctor) -> Cleavage | None:
     E, B = p.source, p.target
     table: dict[tuple[str, str], str] = {}
     perturbed = False
+    downstairs = isos_bf(B)
     for e in E.objects:
         pe = p.ob(e)
-        for beta in B.isos:
+        for beta in downstairs:
             if B.dom(beta) != pe:
                 continue
             lifts = _iso_lifts(p, e, beta)
@@ -1656,8 +1711,30 @@ def constant_functor(source: FinCat, target: FinCat, obj: str, label=None) -> Fi
 
 
 def is_invertible(t: NatTrans) -> bool:
-    cat = t.category
-    return all(cat.is_iso(c) for c in t.components.values())
+    isos = isos_bf(t.category)
+    return all(c in isos for c in t.components.values())
+
+
+def is_isomorphism(F: FinFunctor) -> bool:
+    """F is bijective on objects and on morphisms."""
+    return (
+        len(set(F.omap.values())) == F.source.n_objects == F.target.n_objects
+        and len(set(F.mmap.values())) == F.source.n_morphisms == F.target.n_morphisms
+    )
+
+
+def functor_named(power: FunctorCat, name: str) -> FinFunctor:
+    """The functor C → D that the object ``name`` of the power D^C stands for."""
+    C = power.source_category
+    omap = dict(zip(C.objects, power.obj_parts[name]))
+    mmap = {m.name: power.mor_image(name, m.name) for m in C.morphisms}
+    return FinFunctor(C, power.target_category, omap, mmap)
+
+
+def criterion_line(result: CriterionResult) -> str:
+    """The one PASS/FAIL line printed for an acceptance criterion."""
+    status = "PASS" if result.passed else "FAIL"
+    return f"[{status}] criterion {result.number}: {result.name} ({result.duration:.1f}s)"
 
 
 def lift_from(cl: Cleavage, e: str, beta: str) -> str:
@@ -1707,14 +1784,15 @@ def check_cleavage(cl: Cleavage) -> Cleavage:
     and, if the cleavage is flagged normal, every identity to an identity."""
     p = cl.fibration
     E, B = p.source, p.target
+    upstairs, downstairs = isos_bf(E), isos_bf(B)
     for e in E.objects:
-        for beta in B.isos:
+        for beta in downstairs:
             if B.dom(beta) != p.ob(e):
                 continue
             got = cl.lift.get((e, beta))
             if got is None:
                 raise StructureError(f"cleavage missing a lift at ({e}, {beta})")
-            if E.dom(got) != e or not E.is_iso(got) or p.mor(got) != beta:
+            if E.dom(got) != e or got not in upstairs or p.mor(got) != beta:
                 raise StructureError(f"cleavage entry ({e}, {beta}) -> {got} is not a lift")
             if cl.normal and B.is_identity(beta) and not E.is_identity(got):
                 raise CleavageNotNormal(f"identity at {e} lifts to {got}")

@@ -17,10 +17,11 @@ from fincat.acceptance import (
     criterion_9_minimality,
     criterion_10_wf_biconditionals,
 )
+from helpers import criterion_line
 
 
 def _report(result):
-    print(result.line())
+    print(criterion_line(result))
     assert result.passed, result.details
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -798,3 +799,107 @@ def test_no_bounds_scope_outlives_its_command(workdir):
     res = invoke(["limit", "pseudolimit", "--f", "bang.json"], workdir)
     assert res.exit_code == 0
     assert payload(res)["settings"] == {"budget": 20_000, "tower_bound": 4, "word_bound": 4}
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_data"
+
+
+def _header(command, args, inputs):
+    return pytest.param(command, args, inputs, id=command)
+
+
+@pytest.mark.parametrize(
+    "command, args, inputs",
+    [
+        _header("validate", ["arrow.json"], {"category": "arrow.json"}),
+        _header("classify", ["--functor", "cod_iso_power.json"], {"functor": "cod_iso_power.json"}),
+        _header(
+            "factorize", ["--functor", "arrow_to_terminal.json"], {"functor": "arrow_to_terminal.json"}
+        ),
+        _header("lift", ["--square", "square.json"], {"square": "square.json"}),
+        *[
+            _header(
+                f"limit {name}",
+                ["--f", "arrow_to_terminal.json", "--g", "arrow_to_terminal.json"],
+                {"f": "arrow_to_terminal.json", "g": "arrow_to_terminal.json"},
+            )
+            for name in ("pullback", "isocomma", "pullback-nif")
+        ],
+        _header(
+            "limit pseudolimit", ["--f", "arrow_to_terminal.json"], {"f": "arrow_to_terminal.json"}
+        ),
+        _header(
+            "limit inserter",
+            ["--f", "arrow_identity.json", "--g", "arrow_identity.json"],
+            {"f": "arrow_identity.json", "g": "arrow_identity.json"},
+        ),
+        _header(
+            "limit equifier",
+            ["--t1", "identity_cell.json", "--t2", "identity_cell.json"],
+            {"t1": "identity_cell.json", "t2": "identity_cell.json"},
+        ),
+        _header("limit split", ["--e", "arrow_identity.json"], {"e": "arrow_identity.json"}),
+        _header("limit tower", ["--tower", "tower.json"], {"tower": "tower.json"}),
+        _header(
+            "leibniz",
+            ["--j", "endpoint_inclusion.json", "--p", "arrow_to_terminal.json"],
+            {"j": "endpoint_inclusion.json", "p": "arrow_to_terminal.json"},
+        ),
+        _header("wf", ["--functor", "arrow_to_terminal.json"], {"functor": "arrow_to_terminal.json"}),
+        _header("cosmos-check", ["--fragment", "fragment.json"], {"fragment": "fragment.json"}),
+        _header("nip", ["--space", "finset", "--size-bound", "2"], {}),
+        _header("nerve", ["--category", "arrow.json"], {"category": "arrow.json"}),
+        _header("classify-sset", ["--sset", "interval_sset.json"], {"sset": "interval_sset.json"}),
+        _header(
+            "powers-check",
+            ["--sset", "interval_sset.json", "--category", "arrow.json", "--dim", "1"],
+            {"sset": "interval_sset.json", "category": "arrow.json"},
+        ),
+        _header("counterexample", ["groth_leibniz"], {}),
+    ],
+)
+def test_every_command_reports_its_path_and_digests_its_files(command, args, inputs):
+    res = invoke([*command.split(), *args], SAMPLES)
+    assert res.exit_code == 0
+    body = payload(res)
+    assert body["command"] == command
+    assert body["inputs"] == {
+        key: {"path": name, "sha256": hashlib.sha256((SAMPLES / name).read_bytes()).hexdigest()}
+        for key, name in inputs.items()
+    }
+
+
+def test_a_nested_command_run_as_a_module_reports_its_path():
+    res = _run_fresh(
+        SAMPLES, ["limit", "pullback", "--f", "arrow_to_terminal.json", "--g", "arrow_to_terminal.json"]
+    )
+    assert res.returncode == 0
+    body = json.loads(res.stdout)
+    assert body["command"] == "limit pullback"
+    assert sorted(body["inputs"]) == ["f", "g"]
+
+
+def test_a_law_error_run_as_a_module_reports_its_command():
+    res = _run_fresh(SAMPLES, ["validate", "nonassociative.json"])
+    assert res.returncode == 1
+    body = json.loads(res.stdout)
+    assert body["command"] == "validate"
+    assert sorted(body["inputs"]) == ["category"]
+    assert body["result"]["error"] == "AssociativityViolation"
+
+
+def test_a_refusal_run_as_a_module_names_its_command_on_stderr():
+    res = _run_fresh(SAMPLES, ["limit", "tower", "--tower", "arrow.json"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "command": "limit tower",
+        "error": "StructureError",
+        "detail": "tower: missing 'base'",
+    }
+
+
+def test_help_shows_the_command_docstring():
+    res = invoke(["classify", "--help"], SAMPLES)
+    assert res.exit_code == 0
+    assert "Classify a functor: isofibration flags and equivalence kinds." in res.output

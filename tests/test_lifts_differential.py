@@ -15,6 +15,7 @@ from helpers import (
     filter_find_retractions,
     filter_find_sections,
     filter_pullback_cones,
+    functor_named,
 )
 
 from fincat.core import (
@@ -109,7 +110,7 @@ def wfs_squares():
     to_one = to_terminal_functor(chaos)
     point = builtin_functor("point_to_iso")
     power = functor_category(iso, builtin("arrow"))
-    c0 = next(o for o in power.objects if power.functor_named(o).ob("1") == "0")
+    c0 = next(o for o in power.objects if functor_named(power, o).ob("1") == "0")
     return [
         LiftingProblem(identity_functor(chaos), to_one, identity_functor(chaos), to_one),
         LiftingProblem(

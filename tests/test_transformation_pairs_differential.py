@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     arrow_hom_reference,
     default_arrow_test_objects,
+    functor_named,
     name_of_functor,
     power_morphisms_reference,
     relabeled,
@@ -106,7 +107,7 @@ def test_iso_power_matches_the_functor_search_and_the_reference(D, monkeypatch):
     assert [power.obj_parts[name] for name in power.objects] == [
         _functor_parts(iso, F.omap, F.mmap) for F in functors
     ]
-    assert [power.functor_named(name) for name in power.objects] == functors
+    assert [functor_named(power, name) for name in power.objects] == functors
     required = power._budget_required
     assert morphism_table(power) == power_morphisms_reference(iso, D, required)
     with pytest.raises(EnumerationBudgetExceeded, match=f"needs {required} candidates"):

@@ -26,6 +26,7 @@ from helpers import (
     arrow_hom_postcompose_reference,
     arrow_hom_reference,
     default_arrow_test_objects,
+    functor_named,
     name_of_functor,
 )
 
@@ -120,7 +121,7 @@ def test_power_name_lookups_invert_the_enumeration():
         n_powers += 1
         enumerated = enumerate_functors(power.source_category, power.target_category)
         for name, F in zip(power.objects, enumerated, strict=True):
-            built = power.functor_named(name)
+            built = functor_named(power, name)
             assert built == F
             assert name_of_functor(power, built) == name
     assert n_powers > 100

@@ -35,7 +35,13 @@ from fincat.wfs import (
     minimal_retract_witness,
     solve_lifting,
 )
-from helpers import constant_functor, walking_split_idempotent, witness_from_parts
+from helpers import (
+    constant_functor,
+    functor_named,
+    is_isomorphism,
+    walking_split_idempotent,
+    witness_from_parts,
+)
 
 
 def to_terminal(cat):
@@ -129,7 +135,7 @@ def test_solve_lifting_point_into_iso_against_cod():
     i = builtin_functor("point_to_iso")
     iso = builtin("free_iso")
     # top picks the constant at 0, bottom is then forced to be constant
-    c0 = next(o for o in power.objects if power.functor_named(o).ob("1") == "0")
+    c0 = next(o for o in power.objects if functor_named(power, o).ob("1") == "0")
     top = constant_functor(builtin("terminal"), power, c0)
     bottom = constant_functor(iso, two, "0")
     square = LiftingProblem(left=i, right=cod, top=top, bottom=bottom).validate()
@@ -354,7 +360,7 @@ def test_leibniz_by_point_into_iso_matches_comparison_map():
 
 def test_wf_of_identity_is_isomorphism():
     res = compute_wf(identity_functor(builtin("terminal")))
-    assert res.comparison.is_isomorphism()
+    assert is_isomorphism(res.comparison)
     assert res.ok
 
 
