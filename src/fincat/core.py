@@ -210,35 +210,19 @@ class _JsonStrings(dict):
         return text
 
 
-class _PairTable(Mapping):
-    """A table by rows read as a mapping ``(g, f) ↦ g∘f``, in row order."""
-
-    def __init__(self, rows: dict[str, dict[str, str]]):
-        self.rows = rows
-
-    def __getitem__(self, pair: tuple[str, str]) -> str:
-        return self.rows[pair[0]][pair[1]]
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return ((g, f) for g, row in self.rows.items() for f in row)
-
-    def __len__(self) -> int:
-        return sum(map(len, self.rows.values()))
-
-
 class FinCat:
     """A finite category: objects, morphisms, identities, and a composition
     table on exactly the composable pairs, stored by rows, ``rows[g][f] =
-    g∘f``, in the order given; ``comp`` is a read-only view ``(g, f) ↦ g∘f``
-    of them, shared by relabelled copies, for readers outside the package.
+    g∘f``, in the order given; ``comp`` is a dict ``(g, f) ↦ g∘f`` built
+    from them on first read, for readers outside the package.
 
-    The constructor stores ``rows``, or groups ``comp`` (a mapping or list
-    of ``((g, f), g∘f)``) into rows, and checks nothing: the builders of
-    this package make lawful tables by construction.  :func:`validate_category`
-    checks a table read from outside, its shape first and then the laws.
+    The constructor stores ``rows``, or groups ``comp`` (a mapping ``(g, f)
+    ↦ g∘f``) into rows, and checks nothing: the builders of this package
+    make lawful tables by construction.  :func:`validate_category` checks a
+    table read from outside, its shape first and then the laws.
     """
 
-    def __init__(self, objects, morphisms, identity, comp=(), label: str = "cat", rows=None):
+    def __init__(self, objects, morphisms, identity, comp=None, label: str = "cat", rows=None):
         self.objects: tuple[str, ...] = tuple(objects)
         self.morphisms: tuple[Morphism, ...] = tuple(
             m if isinstance(m, Morphism) else Morphism(*m) for m in morphisms
@@ -246,14 +230,13 @@ class FinCat:
         self.identity: dict[str, str] = dict(identity)
         if rows is None:
             rows = {}
-            for key, gf in comp.items() if isinstance(comp, Mapping) else comp:
+            for key, gf in (comp or {}).items():
                 try:
                     g, f = key
                 except (TypeError, ValueError):
                     raise StructureError(f"{label}: comp key {key!r} is not a pair") from None
                 rows.setdefault(g, {})[f] = gf
         self.rows: dict[str, dict[str, str]] = rows
-        self.comp: Mapping[tuple[str, str], str] = _PairTable(rows)
         self.label = label
 
     # -- lookups ------------------------------------------------------------
@@ -284,6 +267,11 @@ class FinCat:
     def compose(self, g: str, f: str) -> str:
         """g∘f: first f, then g."""
         return self.rows[g][f]
+
+    @cached_property
+    def comp(self) -> dict[tuple[str, str], str]:
+        """The table as a dict ``(g, f) ↦ g∘f``, in row order."""
+        return {(g, f): gf for g, row in self.rows.items() for f, gf in row.items()}
 
     @cached_property
     def _hom_table(self) -> dict[tuple[str, str], tuple[str, ...]]:
@@ -988,10 +976,10 @@ class TupleCat(FinCat):
     the first read of ``rows`` (a digest, ``==``, :func:`validate_category`,
     a search) fills the whole table once, row by row from the factors'
     rows; after that ``compose`` reads the table.  Relabelled copies share
-    the filled rows and their ``comp`` view.  The constructor raises
-    :class:`StructureError` when two morphisms share endpoints and parts or
-    an identity is missing; a missing composite raises it from the first
-    ``compose`` of that pair or the first read of ``rows``."""
+    the filled rows.  The constructor raises :class:`StructureError` when
+    two morphisms share endpoints and parts or an identity is missing; a
+    missing composite raises it from the first ``compose`` of that pair or
+    the first read of ``rows``."""
 
     def __init__(self, factors, objects, morphisms, label: str):
         self.factors: tuple[FinCat, ...] = tuple(factors)
@@ -1026,8 +1014,8 @@ class TupleCat(FinCat):
         self.identity = identity
         # g∘f by rows: the composites found so far, then the whole table
         self._known: dict[str, dict[str, str]] = {}
-        # the table and its ``comp`` view once filled, shared by relabelled
-        # copies, so that the first of them to read ``rows`` fills it for all
+        # the table once filled, shared by relabelled copies, so that the
+        # first of them to read ``rows`` fills it for all
         self._filled: list = []
 
     def _missing(self, exc: KeyError) -> StructureError:
@@ -1067,14 +1055,9 @@ class TupleCat(FinCat):
                     }
             except KeyError as exc:
                 raise self._missing(exc) from None
-            self._filled += rows, _PairTable(rows)
+            self._filled.append(rows)
         self._known = self._filled[0]
         return self._known
-
-    @cached_property
-    def comp(self) -> Mapping[tuple[str, str], str]:
-        self.rows
-        return self._filled[1]
 
     @cached_property
     def _inverse(self) -> dict[str, str]:

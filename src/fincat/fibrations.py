@@ -36,7 +36,6 @@ class Cleavage:
 
     fibration: FinFunctor
     lift: dict[tuple[str, str], str]
-    normal: bool
 
     def lift_into(self, e: str, beta: str) -> str:
         """Lift of an iso with codomain p(e), as an iso with codomain e."""
@@ -184,7 +183,7 @@ def build_normal_cleavage(p: FinFunctor) -> Cleavage:
             if not lifts:
                 raise NotIsofibration(e, beta)
             table[(e, beta)] = lifts[0]
-    return Cleavage(fibration=p, lift=table, normal=True)
+    return Cleavage(fibration=p, lift=table)
 
 
 def lift_iso_2cell(

@@ -97,7 +97,6 @@ class LimitWitness:
     projections: tuple[FinFunctor, ...]
     structure_cells: tuple[NatTrans, ...]
     certify: Callable[[], Certificate] = field(repr=False, compare=False)
-    label: str = "limit"
 
     @cached_property
     def certificate(self) -> Certificate:
@@ -196,7 +195,6 @@ def pullback_strict(F: FinFunctor, G: FinFunctor) -> LimitWitness:
         (p, q),
         (),
         lambda: _certify("pullback", "cone", apex, (p, q), (), cones),
-        label=apex.label,
     )
 
 
@@ -257,7 +255,6 @@ def isocomma(F: FinFunctor, G: FinFunctor) -> LimitWitness:
         (p, q),
         (phi,),
         lambda: _certify("isocomma", "isocone", apex, (p, q), (phi,), isocones),
-        label=apex.label,
     )
 
 
@@ -402,9 +399,7 @@ def inserter(f: FinFunctor, g: FinFunctor) -> LimitWitness:
         {o: power_arrow.mor_image(arrow_at[o], "a") for o in apex.objects},
         label="insertion",
     )
-    return LimitWitness(
-        apex, (to_a,), (cell,), lambda: pb.certificate, label=f"ins({f.label},{g.label})"
-    )
+    return LimitWitness(apex, (to_a,), (cell,), lambda: pb.certificate)
 
 
 def equifier(t1: NatTrans, t2: NatTrans) -> LimitWitness:
@@ -421,7 +416,7 @@ def equifier(t1: NatTrans, t2: NatTrans) -> LimitWitness:
     pairing = cells_into_power([t1, t2], power_pp)
     pb = pullback_strict(pairing, restriction)
     to_a = pb.projections[0]
-    return LimitWitness(pb.apex, (to_a,), (), lambda: pb.certificate, label="equifier")
+    return LimitWitness(pb.apex, (to_a,), (), lambda: pb.certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +507,7 @@ def build_normal_pullback(f: FinFunctor, g: FinFunctor) -> NormalPullback:
     i = splitting.inclusion
     apex, legs, cones = splitting.apex, (i.then(p), i.then(q)), _pullback_cones(f, g)
     witness = LimitWitness(
-        apex,
-        legs,
-        (),
-        lambda: _certify("pullback", "cone", apex, legs, (), cones),
-        label=f"pb_nif({f.label},{g.label})",
+        apex, legs, (), lambda: _certify("pullback", "cone", apex, legs, (), cones)
     )
     return NormalPullback(
         left=f,
@@ -571,7 +562,7 @@ def strict_tower_limit(base: FinCat, maps) -> LimitWitness:
         projections.append(pb.projections[1])
         apex = pb.apex
     cert = Certificate(kind="strict-tower", vertices=(), cones_checked=0, ok=True)
-    return LimitWitness(apex, tuple(projections), (), lambda: cert, label="strict_tower")
+    return LimitWitness(apex, tuple(projections), (), lambda: cert)
 
 
 def tower_limit(base: FinCat, maps) -> TowerLimit:
@@ -660,7 +651,7 @@ def tower_limit(base: FinCat, maps) -> TowerLimit:
 
         return _certify("tower", "strict cone", splitting.apex, limit_projs, (), strict_cones)
 
-    witness = LimitWitness(splitting.apex, limit_projs, (), certify, label="tower_limit")
+    witness = LimitWitness(splitting.apex, limit_projs, (), certify)
     return TowerLimit(
         base=base,
         maps=maps,

@@ -290,10 +290,10 @@ def rewrite_system(X: TruncSSet) -> RewriteSystem:
     endpoints = {e: (X.face(1, 1, e), X.face(1, 0, e)) for e in generators}
     relations = []
     for sigma in X.simplices[2]:
-        lhs = _edge_to_word(X, X.face(2, 2, sigma), gen_set) + _edge_to_word(
-            X, X.face(2, 0, sigma), gen_set
+        lhs = _edge_to_word(X.face(2, 2, sigma), gen_set) + _edge_to_word(
+            X.face(2, 0, sigma), gen_set
         )
-        rhs = _edge_to_word(X, X.face(2, 1, sigma), gen_set)
+        rhs = _edge_to_word(X.face(2, 1, sigma), gen_set)
         anchor = X.face(1, 1, X.face(2, 2, sigma))
         if lhs != rhs:
             relations.append((anchor, lhs, rhs))
@@ -323,7 +323,7 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def _edge_to_word(X: TruncSSet, edge: str, generators: set[str]):
+def _edge_to_word(edge: str, generators: set[str]):
     """A 1-simplex as a path: a generator, or the empty path at its vertex."""
     if edge in generators:
         return (edge,)

@@ -1580,7 +1580,7 @@ def perturbed_cleavage(p: FinFunctor) -> Cleavage | None:
             table[(e, beta)] = pick
     if not perturbed:
         return None
-    return Cleavage(fibration=p, lift=table, normal=False)
+    return Cleavage(fibration=p, lift=table)
 
 def coskeletal_filler_check(X: TruncSSet) -> bool:
     """Every boundary-compatible quadruple of 2-simplices has exactly one
@@ -1779,9 +1779,9 @@ def functor_to_dict(F: FinFunctor) -> dict:
     }
 
 
-def check_cleavage(cl: Cleavage) -> Cleavage:
+def check_cleavage(cl: Cleavage, normal: bool = True) -> Cleavage:
     """Every iso out of the image of every object lifts to an iso over it,
-    and, if the cleavage is flagged normal, every identity to an identity."""
+    and, when ``normal`` is asked for, every identity to an identity."""
     p = cl.fibration
     E, B = p.source, p.target
     upstairs, downstairs = isos_bf(E), isos_bf(B)
@@ -1794,7 +1794,7 @@ def check_cleavage(cl: Cleavage) -> Cleavage:
                 raise StructureError(f"cleavage missing a lift at ({e}, {beta})")
             if E.dom(got) != e or got not in upstairs or p.mor(got) != beta:
                 raise StructureError(f"cleavage entry ({e}, {beta}) -> {got} is not a lift")
-            if cl.normal and B.is_identity(beta) and not E.is_identity(got):
+            if normal and B.is_identity(beta) and not E.is_identity(got):
                 raise CleavageNotNormal(f"identity at {e} lifts to {got}")
     return cl
 

@@ -13,6 +13,7 @@ from fincat.core import Bounds, FinCat, Morphism, bounds, builtin
 from fincat.funcat import evaluation_functor, functor_category
 from fincat.nerve import standard_simplex
 from helpers import functor_to_dict, interleaved_chain_table
+from test_core import chaotic_onto_cyclic
 
 
 @pytest.fixture()
@@ -617,6 +618,92 @@ def test_an_interleaved_table_reports_its_first_failure_in_file_order(
     else:
         reported = json.loads(res.stderr.strip().splitlines()[-1])
     assert (reported["error"], reported["detail"]) == (error, detail)
+
+
+@pytest.mark.parametrize(
+    "functor, code, error, detail",
+    [
+        (
+            chaotic_onto_cyclic(),
+            1,
+            "NotFunctorial",
+            "functor: composition not preserved at (u0_1,u1_0)",
+        ),
+        (
+            chaotic_onto_cyclic(mmap={"u0_0": "g1"}),
+            1,
+            "NotFunctorial",
+            "functor: identity of 0 not preserved",
+        ),
+        (
+            chaotic_onto_cyclic(omap={"0": "x"}),
+            2,
+            "StructureError",
+            "functor: 0 maps to unknown object x",
+        ),
+        (
+            chaotic_onto_cyclic(mmap={"u0_0": "g2"}),
+            2,
+            "StructureError",
+            "functor: u0_0 maps to unknown morphism g2",
+        ),
+    ],
+    ids=["composition", "identity", "unknown-object", "unknown-morphism"],
+)
+def test_classify_reports_a_law_error_and_refuses_a_shape_error(
+    tmp_path, functor, code, error, detail
+):
+    """A functor that breaks a law is a failing result (exit 1); one whose
+    maps leave the target is refused (exit 2)."""
+    (tmp_path / "functor.json").write_text(json.dumps(functor_to_dict(functor)))
+    res = invoke(["classify", "--functor", "functor.json"], tmp_path)
+    assert res.exit_code == code
+    body = payload(res)
+    if code == 1:
+        assert body["pass"] is False
+        body = body["result"]
+    else:
+        assert body["command"] == "classify" and "result" not in body
+    assert (body["error"], body["detail"]) == (error, detail)
+
+
+def _set_entry(kind, key, simplex, value):
+    def mutate(sset):
+        sset[kind][key][simplex] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, detail",
+    [
+        (lambda sset: sset["simplices"].pop(), "expected simplex lists for dimensions 0..3"),
+        (lambda sset: sset["simplices"][0].append("0"), "simplices 0: 0 is listed twice"),
+        (lambda sset: sset["faces"].pop("1,0"), "face table (1,0) must cover dimension 1"),
+        (_set_entry("faces", "1,0", "01", "01"), "face (1,0) lands outside dimension 0"),
+        (_set_entry("faces", "2,1", "011", "00"), "d0 d1 fails at 011 (dim 2)"),
+        (_set_entry("degeneracies", "2,0", "001", "0011"), "s0 s0 fails at 01 (dim 1)"),
+        (_set_entry("degeneracies", "0,0", "0", "11"), "d0 s0 fails at 0 (dim 0)"),
+    ],
+    ids=[
+        "three-simplex-lists",
+        "vertex-twice",
+        "no-face-table-1-0",
+        "face-outside-its-dimension",
+        "face-face-identity",
+        "degeneracy-degeneracy-identity",
+        "face-degeneracy-identity",
+    ],
+)
+def test_classify_sset_refuses_a_broken_interval(tmp_path, mutate, detail):
+    """Δ[1] with one table entry or list broken is refused (exit 2) with
+    the first simplicial law or shape it breaks."""
+    sset = standard_simplex(1).to_dict()
+    mutate(sset)
+    (tmp_path / "interval.json").write_text(json.dumps(sset))
+    res = invoke(["classify-sset", "--sset", "interval.json"], tmp_path)
+    assert res.exit_code == 2
+    assert payload(res) == {"command": "classify-sset", "error": "StructureError", "detail": detail}
 
 
 def test_classify_runs_the_identity_of_chaotic_32_without_a_recursion_limit(tmp_path):

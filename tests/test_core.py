@@ -13,6 +13,7 @@ from fincat.core import (
     Morphism,
     NatTrans,
     NotFunctorial,
+    NotInvertible,
     NotNatural,
     StructureError,
     TupleCat,
@@ -34,7 +35,12 @@ from fincat.core import (
     validate_functor,
     validate_transformation,
 )
-from fincat.corpus import chaotic_collapse, corpus_categories, corpus_functors
+from fincat.corpus import (
+    chaotic_collapse,
+    corpus_categories,
+    corpus_functors,
+    cyclic_group_category,
+)
 from helpers import (
     brute_force_functors,
     constant_functor,
@@ -104,6 +110,54 @@ def test_comp_must_be_total():
     del partial[("g1", "g1")]
     with pytest.raises(StructureError, match="z2: comp must be defined on exactly the composable"):
         validate_category(FinCat(z2.objects, z2.morphisms, z2.identity, partial, label="z2"))
+
+
+def _set_comp(g, f, gf):
+    def mutate(raw):
+        next(e for e in raw["comp"] if (e["g"], e["f"]) == (g, f))["gf"] = gf
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, error, message",
+    [
+        (lambda raw: raw["objects"].append("0"), StructureError, "cat: duplicate object names"),
+        (
+            lambda raw: raw["morphisms"].append(dict(raw["morphisms"][0])),
+            StructureError,
+            "cat: duplicate morphism names",
+        ),
+        (
+            lambda raw: raw["morphisms"].append({"name": "b", "dom": "0", "cod": "2"}),
+            StructureError,
+            "cat: morphism b has unknown endpoint",
+        ),
+        (
+            lambda raw: raw["morphisms"][0].update(dom=0),
+            StructureError,
+            "morphisms[0].dom: expected a string",
+        ),
+        (
+            _set_comp("id_1", "a", "id_1"),
+            BoundaryViolation,
+            "comp(id_1,a) = id_1: dom is 1, expected 0",
+        ),
+    ],
+    ids=[
+        "duplicate-object",
+        "duplicate-morphism",
+        "unknown-endpoint",
+        "dom-not-a-string",
+        "composite-with-the-wrong-dom",
+    ],
+)
+def test_a_misshapen_arrow_table_is_refused_with_its_message(mutate, error, message):
+    raw = builtin("arrow").to_dict()
+    mutate(raw)
+    with pytest.raises(error) as info:
+        validate_category(raw)
+    assert str(info.value) == message
 
 
 # Both messages were recorded before tables were stored by rows.  The first
@@ -288,6 +342,72 @@ def test_perturbed_component_not_natural():
     bad = NatTrans(F, swap, {"0": "u0_1", "1": "u1_1"})
     with pytest.raises(NotNatural):
         validate_transformation(bad)
+
+
+def chaotic_onto_cyclic(omap=(), mmap=()) -> FinFunctor:
+    """chaotic(2) → cyclic(2) sending u0_1 to g1 and every other morphism
+    to g0, then ``omap`` and ``mmap``: not functorial, since u0_1∘u1_0 =
+    u1_1 goes to g0 but g1∘g0 = g1."""
+    chaos = builtin("chaotic(2)")
+    return FinFunctor(
+        chaos,
+        cyclic_group_category(2),
+        {"0": "*", "1": "*", **dict(omap)},
+        {m.name: "g1" if m.name == "u0_1" else "g0" for m in chaos.morphisms} | dict(mmap),
+    )
+
+
+@pytest.mark.parametrize(
+    "F, error, message, locus",
+    [
+        (
+            chaotic_onto_cyclic(omap={"0": "x"}),
+            StructureError,
+            "functor: 0 maps to unknown object x",
+            None,
+        ),
+        (
+            chaotic_onto_cyclic(mmap={"u0_0": "g2"}),
+            StructureError,
+            "functor: u0_0 maps to unknown morphism g2",
+            None,
+        ),
+        (
+            chaotic_onto_cyclic(mmap={"u0_0": "g1"}),
+            NotFunctorial,
+            "functor: identity of 0 not preserved",
+            "0",
+        ),
+        (
+            chaotic_onto_cyclic(),
+            NotFunctorial,
+            "functor: composition not preserved at (u0_1,u1_0)",
+            ("u0_1", "u1_0"),
+        ),
+    ],
+    ids=["unknown-object", "unknown-morphism", "identity", "composition"],
+)
+def test_a_functor_is_refused_with_its_message(F, error, message, locus):
+    with pytest.raises(error) as info:
+        validate_functor(F)
+    assert str(info.value) == message
+    assert getattr(info.value, "locus", None) == locus
+
+
+def test_a_component_that_is_no_morphism_is_refused():
+    same = identity_functor(builtin("arrow"))
+    with pytest.raises(StructureError) as info:
+        validate_transformation(NatTrans(same, same, {"0": "id_0", "1": "zz"}))
+    assert str(info.value) == "nat: component at 1 is not a morphism"
+
+
+def test_a_natural_non_invertible_transformation_is_refused_only_when_invertible():
+    one, two = builtin("terminal"), builtin("arrow")
+    t = NatTrans(constant_functor(one, two, "0"), constant_functor(one, two, "1"), {"*": "a"})
+    assert validate_transformation(t) is t
+    with pytest.raises(NotInvertible) as info:
+        validate_transformation(t, invertible=True)
+    assert (str(info.value), info.value.obj) == ("component at * is not an isomorphism", "*")
 
 
 def test_enumerate_functors_matches_brute_force():

@@ -22,7 +22,12 @@ from fincat.funcat import (
     product_category,
     product_projections,
 )
-from helpers import brute_force_functors, brute_force_nat_transformations, constant_functor
+from helpers import (
+    brute_force_functors,
+    brute_force_nat_transformations,
+    constant_functor,
+    reference_table,
+)
 
 
 def test_power_by_terminal_is_the_category_itself():
@@ -194,7 +199,8 @@ def test_relabelled_tuple_category_shares_its_table():
     prod = product_category(builtin("arrow"), builtin("arrow"))
     square = prod.relabel("square")
     assert square == prod and "comp" not in vars(prod) and "comp" not in vars(square)
-    assert prod.comp is square.comp
+    assert prod.rows is square.rows
+    assert square.comp == prod.comp == reference_table(prod)
 
 
 def test_power_object_names_for_discrete_source_are_tuples():

@@ -1,11 +1,14 @@
 """Composition tables are stored by rows, ``rows[g][f] = g∘f``, and
-``comp`` is a read-only ``(g, f)`` view of them.  These tests check that
-no category keeps a table keyed by (g, f) once it is validated, keyed and
-filled, that relabelled copies share their rows, and that on the corpus,
-the builtins and every tuple category of the golden tests the view, the
-serialization and ``==`` agree with ``helpers.reference_table``, a table
-keyed by (g, f) as categories stored it before."""
+``comp`` is a dict ``(g, f) ↦ g∘f`` built from them on first read, for
+readers outside the package; nothing in the package reads it.  These tests
+check that no category keeps a table keyed by (g, f) once it is validated,
+keyed and filled, that relabelled copies share their rows, and that on the
+corpus, the builtins and every tuple category of the golden tests ``comp``,
+the serialization and ``==`` agree with ``helpers.reference_table``, a
+table keyed by (g, f) as categories stored it before."""
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +27,8 @@ def test_a_validated_and_keyed_raw_table_holds_no_pair_keyed_dict():
     cat.digest
     assert cat.rows and pair_keyed_dicts(cat) == []
     copy = cat.relabel("copy")
-    assert copy.rows is cat.rows and copy.comp is cat.comp
+    assert copy.rows is cat.rows and "comp" not in vars(cat) and "comp" not in vars(copy)
+    assert copy.comp == cat.comp == {(e["g"], e["f"]): e["gf"] for e in raw["comp"]}
 
 
 @pytest.mark.parametrize(
@@ -46,13 +50,13 @@ def test_a_filled_tuple_category_holds_no_pair_keyed_dict(build, monkeypatch):
     cat.digest
     assert pair_keyed_dicts(cat) == []
     late = cat.relabel("late")
-    assert early.rows is cat.rows is late.rows
-    assert early.comp is cat.comp is late.comp
+    assert early.rows is cat.rows is late.rows and "comp" not in vars(cat)
+    assert early.comp == cat.comp == late.comp == reference_table(cat)
 
 
 def agrees_with_reference(cat: FinCat) -> None:
     ref = reference_table(cat)
-    assert dict(cat.comp) == ref and len(cat.comp) == len(ref)
+    assert cat.comp == ref
     assert cat.to_dict() == {
         "objects": list(cat.objects),
         "morphisms": [{"name": m.name, "dom": m.dom, "cod": m.cod} for m in cat.morphisms],
@@ -87,3 +91,24 @@ def test_tuple_tables_agree_with_the_reference(name):
     assert cats
     for cat in cats:
         agrees_with_reference(cat)
+
+
+def comp_reads(source: str) -> list[int]:
+    """The lines of ``source`` that read an attribute named ``comp``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "comp"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_the_scan_sees_a_comp_read():
+    assert comp_reads("def comp(self):\n    pass\n\nx = cat.comp[g, f]\ncat.comp = {}\n") == [4]
+
+
+def test_nothing_in_the_package_reads_comp():
+    package = Path(__file__).resolve().parent.parent / "src" / "fincat"
+    found = {p.name: comp_reads(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
