@@ -39,12 +39,13 @@ that carries it, standing for the maps of its bucket between the same
 classes that share it, and their number.
 Each pass of the sweep (one combined size, one mono size) decides each
 distinct (source, mono summary) once against the epi runs and weighs each
-count by the runs' multiplicities (``_decide_pass``).  Only a pass that
-some run refuses is listed map by map, for its exact objects in sweep
-order, and walked up to its first refused pair (``_walk_pass``), whose
-squares are replayed one by one to find the first unfilled square.
-``squares_checked`` counts the squares of every pair decided, and those
-replayed of the refused pair.
+count by the runs' multiplicities (``_decide_pass``).  A pass that some
+run refuses is walked one object pair at a time, in sweep order, each
+pair decided by the runs of its classes; only the first pair with a
+refused mono, and then the first with an epi that refuses it, are listed
+map by map (``_walk_pass``).  The refused pair's squares are replayed one
+by one to find the first unfilled square.  ``squares_checked`` counts the
+squares of every pair decided, and those replayed of the refused pair.
 
 The runs are counted from fibre sizes, not listed.  A hom i : A → B with
 i0 and i1 injective is a split mono iff every a whose fibre u_B⁻¹(i1 a)
@@ -56,8 +57,8 @@ onto is a split epi iff every e ∈ D1 has a full c over it, and over an
 onto p1 the p0 with a given set of full c number the product over c of
 the maps of u_C⁻¹(c) onto u_D⁻¹(p1 c) where c is full and of the other
 maps into it where c is not.  Likewise the homs A → C with level-1 map
-t1 number Π_a |u_C⁻¹(t1 a)|^|u_A⁻¹ a|.  A refused pass lists its split
-maps by the same tests.
+t1 number Π_a |u_C⁻¹(t1 a)|^|u_A⁻¹ a|.  The walk lists the split maps of
+a refused object pair by the same tests.
 
 The sweep works on integers.  A map a → b is its index in
 ``_functions(a, b)``, the lexicographic order of image tuples, so f has
@@ -528,6 +529,7 @@ class _ArrowSpace:
         self._tops: dict[tuple, list] = {}
         self._fibre_sizes: dict[tuple, list] = {}
         self._summaries: dict[tuple, tuple] = {}
+        self._outside: dict[tuple, int] = {}
         # Arrows are isomorphic iff they share x0, x1 and the sorted sizes
         # of the nonempty fibres of u; each class is represented by its
         # first member in object order (of all arrows at bound 3, 18 for
@@ -674,10 +676,10 @@ class _ArrowSpace:
         values = self.maps.after(1, C[1], D[1])
         for p1 in self.maps.sections(C[1], D[1]):
             p1_values = values[p1]
+            width = tuple(over_d[e] for e in p1_values)
             for picks in iproduct(*map(getitem, ways, p1_values)):
                 full = tuple(f for f, _ in picks)
                 if len({e for e, f in zip(p1_values, full) if f}) == D[1]:
-                    width = tuple(over_d[e] for e in p1_values)
                     yield p1, self._shared(full, width), prod(k for _, k in picks)
 
     def mono_fibres(self, i1, A, B):
@@ -721,6 +723,14 @@ class _ArrowSpace:
         full = tuple(s.bit_count() == n for s, n in zip(self.reach(p, C, D), width))
         return self._shared(full, width)
 
+    def outside_factor(self, D, outside):
+        """Π_n Σ_e |F(e)|^n over the n in a mono summary's ``outside``."""
+        out = self._outside.get((D, outside))
+        if out is None:
+            sizes = self.fibre_sizes(D)
+            out = self._outside[D, outside] = prod(sum(k**n for k in sizes) for n in outside)
+        return out
+
     def _shared(self, *summary) -> tuple:
         """One tuple for all equal summaries."""
         return self._summaries.setdefault(summary, summary)
@@ -738,13 +748,13 @@ def _split_epis(space, C, D):
     return [(C, D, p, summary) for p, summary in space.split_epis(C, D)]
 
 
-def _runs(counted) -> list:
-    """For each distinct summary among the counted heads (f, n) of one
-    object pair, in first-seen order, its first head and the sum of the
-    counts that share it: the pair's runs."""
+def _runs(S, R, counted, weight) -> list:
+    """The runs of S → R from its counted level-1 maps (f1, summary, n):
+    for each distinct summary, in first-seen order, [(S, R, f1, summary),
+    weight × the sum of the n that share it], f1 the first that has it."""
     runs: dict[tuple, list] = {}
-    for f, n in counted:
-        runs.setdefault(f[3], [f, 0])[1] += n
+    for f1, summary, n in counted:
+        runs.setdefault(summary, [(S, R, f1, summary), 0])[1] += n * weight
     return list(runs.values())
 
 
@@ -784,13 +794,10 @@ def _split_buckets(space):
     for S, j in members.items():
         for R, k in members.items():
             s = _arrow_size(S) + _arrow_size(R)
-            for counts, buckets in (
-                (space.mono_counts, mono_buckets),
-                (space.epi_counts, epi_buckets),
-            ):
-                runs = _runs(((S, R, f1, summary), n) for f1, summary, n in counts(S, R))
-                if runs:
-                    buckets.setdefault(s, []).extend([f, n * j * k] for f, n in runs)
+            if S[0] <= R[0] and S[1] <= R[1]:
+                mono_buckets.setdefault(s, []).extend(_runs(S, R, space.mono_counts(S, R), j * k))
+            if S[0] >= R[0] and S[1] >= R[1]:
+                epi_buckets.setdefault(s, []).extend(_runs(S, R, space.epi_counts(S, R), j * k))
     return mono_buckets, epi_buckets
 
 
@@ -799,8 +806,7 @@ def _passes(space, max_size: int):
     combined size ascending and then the monos' size, each pass pairing a
     mono bucket of ``_split_buckets`` with an epi bucket.  A pass is
     decided by its runs (``_decide_pass``); only a pass that some run
-    refuses has its maps listed one by one (``_listed``) and walked
-    (``_walk_pass``)."""
+    refuses is walked one object pair at a time (``_walk_pass``)."""
     mono_buckets, epi_buckets = _split_buckets(space)
     for total in range(max_size + 1):
         for ms in range(total + 1):
@@ -809,45 +815,21 @@ def _passes(space, max_size: int):
                 yield monos, epis
 
 
-def _listed(space, runs, split):
-    """The split maps behind a bucket's runs, map by map and in sweep
-    order: the object pairs (A, B) in order, each pair's maps as ``split``
-    lists them.  Only the pairs whose (representative of A,
-    representative of B) has runs are listed, as no other pair of the
-    bucket has a split map."""
-    reps = space.representatives
-    targets: dict[tuple, set] = {}
-    for f, _ in runs:
-        targets.setdefault(f[0], set()).add(f[1])
-    paired = {S: [B for B in space.objects if reps[B] in R] for S, R in targets.items()}
-    for A in space.objects:
-        for B in paired.get(reps[A], ()):
-            yield from split(space, A, B)
-
-
 def _decide_pass(space, monos, epis):
     """Decide one pass run by run: the squares of the mono runs before the
     first that some epi run refuses, and that run's map, or None.
     ``_decide_pair`` reads only the source and the summary of a mono, so
     each distinct (source, mono summary) is decided once against the epi
-    runs from their first maps (from a bucket, every source is a class's
-    representative); when every epi run fills, a mono run of
-    multiplicity m adds m × Σ count × n over the epi runs of
-    multiplicity n.  On a refused pass ``_walk_pass`` runs it again with
-    each of the pass's monos a run of one, in sweep order."""
+    runs from their first maps (``_against``); when every epi run fills, a
+    mono run of multiplicity m adds m × Σ count × n over the epi runs of
+    multiplicity n."""
     squares = 0
     decided: dict[tuple, int | None] = {}
     for mono, m in monos:
         key = (mono[0], mono[3])
         if key not in decided:
-            total = 0
-            for epi, n in epis:
-                fills, count = _decide_pair(space, mono, epi)
-                if not fills:
-                    total = None
-                    break
-                total += count * n
-            decided[key] = total
+            total, refused = _against(space, mono, epis)
+            decided[key] = total if refused is None else None
         total = decided[key]
         if total is None:
             return squares, mono
@@ -855,33 +837,71 @@ def _decide_pass(space, monos, epis):
     return squares, None
 
 
-def _walk_pass(space, monos, epis, classes):
-    """Walk the pairs of a pass map by map, in sweep order, monos outer,
-    epis inner: the squares of the pairs that fill before the first
-    refused pair, and that pair, or None.  ``classes`` are the pass's epi
-    runs.  Each mono is a run of one for ``_decide_pass``, and only the
-    first mono whose key some epi run refuses is walked epi by epi, so
-    ``monos`` and ``epis`` are read only up to the refused pair."""
-    squares, mono = _decide_pass(space, ([m, 1] for m in monos), classes)
-    if mono is None:
-        return squares, None
-    for epi in epis:
+def _against(space, mono, epis):
+    """The squares of a mono against the epi runs, each weighed by its
+    multiplicity, before the first that refuses it, and that run's map."""
+    squares = 0
+    for epi, n in epis:
         fills, count = _decide_pair(space, mono, epi)
         if not fills:
-            return squares, (mono, epi)
-        squares += count
-    raise AssertionError("a mono refused by a run is refused by an epi of the run")
+            return squares, epi
+        squares += count * n
+    return squares, None
+
+
+def _walk(space, runs, split, decide):
+    """Walk the object pairs (A, B) of a bucket in sweep order up to the
+    first that a run refuses: the squares before that pair's first refused
+    map, and the map; or the squares of every pair and None.  ``decide``
+    decides a pair, once per pair of classes, from the runs of its
+    representatives (S, R), each multiplicity divided by |class of S|·|class
+    of R| to count the maps A → B alone.  Only the refused pair's maps are
+    listed (``split``) and decided one by one, as runs of one."""
+    reps = space.representatives
+    members = Counter(reps.values())
+    by_target: dict[tuple, dict] = {}
+    for f, m in runs:
+        S, R = f[0], f[1]
+        by_target.setdefault(R, {}).setdefault(S, []).append([f, m // (members[S] * members[R])])
+    decided = {(S, R): decide(pair) for R, by in by_target.items() for S, pair in by.items()}
+    paired: dict[tuple, list] = {}
+    for B in space.objects:
+        for S in by_target.get(reps[B], ()):
+            paired.setdefault(S, []).append(B)
+    squares = 0
+    for A in space.objects:
+        for B in paired.get(reps[A], ()):
+            count, refused = decided[reps[A], reps[B]]
+            if refused is not None:
+                count, refused = decide([[f, 1] for f in split(space, A, B)])
+                return squares + count, refused
+            squares += count
+    return squares, None
+
+
+def _walk_pass(space, mono_runs, epi_runs):
+    """Walk a pass that some run refuses in sweep order to its first
+    refused pair: the squares of the pairs before it, and that pair.  The
+    mono half decides each (A, B) against the epi runs, the epi half each
+    (C, D) against the refused mono."""
+    squares, mono = _walk(
+        space, mono_runs, _split_monos, lambda runs: _decide_pass(space, runs, epi_runs)
+    )
+    if mono is not None:
+        count, epi = _walk(space, epi_runs, _split_epis, lambda runs: _against(space, mono, runs))
+        if epi is not None:
+            return squares + count, (mono, epi)
+    raise AssertionError("a pass that a run refuses has a refused pair")
 
 
 def _sweep(name: str, size_bound: int, objects) -> NipResult:
     """Decide the pairs (i, p) between the objects in ascending combined
     size, each pass by its runs (``_decide_pass``).  Only a pass that some
-    run refuses is listed map by map for its exact objects and
-    walked in sweep order (``_walk_pass``), and the squares of its first
-    refused pair are replayed, so the counterexample found is a smallest
-    one in the documented order and ``squares_checked`` the squares up to
-    it.  The passes end at 4 × the largest object size, as a pair spans
-    four objects."""
+    run refuses is walked in sweep order (``_walk_pass``), one object pair
+    at a time, and the squares of its first refused pair are replayed, so
+    the counterexample found is a smallest one in the documented order and
+    ``squares_checked`` the squares up to it.  The passes end at 4 × the
+    largest object size, as a pair spans four objects."""
     space = _ArrowSpace(objects)
     checked = 0
     max_size = 4 * max(_arrow_size(X) for X in objects)
@@ -890,9 +910,7 @@ def _sweep(name: str, size_bound: int, objects) -> NipResult:
         if refused is None:
             checked += squares
             continue
-        monos = _listed(space, mono_runs, _split_monos)
-        epis = _listed(space, epi_runs, _split_epis)
-        squares, (mono, epi) = _walk_pass(space, monos, epis, epi_runs)
+        squares, (mono, epi) = _walk_pass(space, mono_runs, epi_runs)
         checked += squares
         squares, top, bottom = _first_unfilled(space, mono, epi)
         checked += squares
@@ -943,10 +961,7 @@ def _decide_pair(space, mono, epi) -> tuple[bool, int]:
             fills = fills and full[c]
             repeats *= width[c] ** n
         count += repeats
-    sizes = space.fibre_sizes(D)
-    for n in outside:
-        count *= sum(size**n for size in sizes)
-    return fills, count
+    return fills, count * space.outside_factor(D, outside)
 
 
 def _first_unfilled(space, mono, epi):
@@ -1001,9 +1016,9 @@ def _ser_sq(f):
 # built: the bounds at which the tests compare each sweep with its filtering
 # reference.  At bound 4 the arrow space has 499 objects in 38 classes
 # against 60 in 18 at bound 3.  Its sweep would count the split maps of
-# 1,444 pairs of classes against 324 from fibre sizes (about 0.04 s on a
-# 2-core x86 host), but the reference searches those of every pair of
-# objects, 249,001 against 3,600.
+# 1,444 pairs of classes against 324 from fibre sizes (45–62 ms called
+# directly, best of 15, on a shared 2-core x86 host), but the reference
+# searches those of every pair of objects, 249,001 against 3,600.
 NIP_MAX_BOUNDS = {"finset": 4, "finset_arrow": 3}
 
 

@@ -16,7 +16,9 @@ fillers h.  It reads the hom sets of the library's index-encoded arrow
 space, which ``test_nip_encoding`` checks against the tuple reference.
 The split-pair reference lists the split maps of every object pair, as
 the arrow sweep did before it listed them once per isomorphism class of
-target.
+target.  The pass-walk reference lists every split map of a refused pass
+and walks them map by map, as the arrow sweep did before it walked a
+refused pass one object pair at a time.
 The lifting-problem references build their own choice tables or filter
 every candidate functor, as the library did before ``enumerate_lifts``.
 The associativity reference scans every composable triple, as
@@ -88,6 +90,8 @@ from fincat.core import (
 from fincat.cosmos import (
     NipResult,
     _arrow_size,
+    _decide_pair,
+    _decide_pass,
     _ser_arrow,
     _ser_sq,
     _split_epis,
@@ -850,6 +854,39 @@ def split_pairs(space, max_size):
             for mono in buckets.get(ms, ([], []))[0]:
                 for epi in buckets.get(total - ms, ([], []))[1]:
                     yield mono, epi
+
+
+def listed_maps(space, runs, split):
+    """The split maps behind a bucket's runs, map by map and in sweep
+    order: the object pairs (A, B) in order, each pair's maps as ``split``
+    lists them.  Only the pairs whose (representative of A,
+    representative of B) has runs are listed, as no other pair of the
+    bucket has a split map."""
+    reps = space.representatives
+    targets = {}
+    for f, _ in runs:
+        targets.setdefault(f[0], set()).add(f[1])
+    paired = {S: [B for B in space.objects if reps[B] in R] for S, R in targets.items()}
+    for A in space.objects:
+        for B in paired.get(reps[A], ()):
+            yield from split(space, A, B)
+
+
+def walk_maps(space, monos, epis, classes):
+    """Walk the pairs of a pass map by map, in sweep order, monos outer,
+    epis inner: the squares of the pairs that fill before the first
+    refused pair, and that pair, or None.  ``classes`` are the pass's epi
+    runs.  Each mono is a run of one for ``_decide_pass``, and only the
+    first mono whose key some epi run refuses is walked epi by epi."""
+    squares, mono = _decide_pass(space, ([m, 1] for m in monos), classes)
+    if mono is None:
+        return squares, None
+    for epi in epis:
+        fills, count = _decide_pair(space, mono, epi)
+        if not fills:
+            return squares, (mono, epi)
+        squares += count
+    raise AssertionError("a mono refused by a run is refused by an epi of the run")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ with the filled-set reference, which looks every square of the pair up
 among the (h∘i, p∘h) over the fillers h, as the arrow sweep did before.
 Each pass decided by runs, the split maps counted once per pair of
 isomorphism classes of source and target, is compared with its maps listed
-pair by pair; the counted runs of every pair of classes with its maps
+pair by pair, and its walk one object pair at a time with the walk of
+those maps one by one; the counted runs of every pair of classes with its maps
 listed one by one; the runs of every object pair with those of its target's
 representative; and the verdicts of the maps out of every source with those
 out of its representative.  Every sweep up to its largest bound is compared
@@ -25,10 +26,13 @@ from helpers import (
     filter_arrow_homs,
     filter_nip_finset,
     filter_nip_finset_arrow,
+    listed_maps,
     split_pairs,
+    walk_maps,
 )
 
 from fincat.cosmos import (
+    _against,
     _arrow_objects,
     _ArrowSpace,
     _decide_pair,
@@ -36,12 +40,12 @@ from fincat.cosmos import (
     _decode_arrow,
     _decode_hom,
     _first_unfilled,
-    _listed,
     _passes,
     _runs,
     _split_buckets,
     _split_epis,
     _split_monos,
+    _walk,
     _walk_pass,
     nip_square_filler,
 )
@@ -111,11 +115,15 @@ def _ordered_walk(space, pairs):
 
 
 # Each pass's runs are compared with its maps listed pair by pair in
-# ``split_pairs`` order, and the walk of its exact maps with the walk of
-# its pairs in that order; where a mono is refused, the pass is walked
-# again from the mono after it, so every refused mono up to the sizes of
-# the pair test above ends one comparison: in arrows at bound 3, two monos
-# hold the 48 refused pairs.
+# ``split_pairs`` order.  The mono half of the sweep's walk, which decides
+# one object pair at a time against the epi runs, is compared on every
+# pass with the pass's monos decided one by one, and on a refused pass the
+# whole walk with the walk of its exact maps and with the walk of its
+# pairs in order.  Where a mono is refused, the epi half of the walk from
+# that mono is compared with the walk of its pairs in order, and the pass
+# is walked again from the mono after it, so every refused mono up to the
+# sizes of the pair test above ends one comparison: in arrows at bound 3,
+# two monos hold the 48 refused pairs.
 @pytest.mark.parametrize(
     "objects, max_size, refused_monos",
     [
@@ -130,25 +138,34 @@ def test_each_pass_decided_by_class_equals_its_ordered_walk(objects, max_size, r
     refused = []
     for (mono_runs, epi_runs), (_, pairs) in zip(_passes(space, max_size), walks, strict=True):
         pairs = list(pairs)
-        monos = list(_listed(space, mono_runs, _split_monos))
-        epis = list(_listed(space, epi_runs, _split_epis))
+        monos = list(listed_maps(space, mono_runs, _split_monos))
+        epis = list(listed_maps(space, epi_runs, _split_epis))
         assert pairs == [(mono, epi) for mono in monos for epi in epis]
         assert sum(m for _, m in mono_runs) == len(monos)
         assert sum(n for _, n in epi_runs) == len(epis)
         walk = _ordered_walk(space, pairs)
         by_runs = _decide_pass(space, mono_runs, epi_runs)
+        mono_half = _walk(
+            space, mono_runs, _split_monos, lambda runs: _decide_pass(space, runs, epi_runs)
+        )
+        assert mono_half == _decide_pass(space, ([m, 1] for m in monos), epi_runs)
         if walk[1] is None:
-            assert by_runs == walk, _pass_of(pairs[0])
+            assert by_runs == mono_half == walk, _pass_of(pairs[0])
         else:
             assert by_runs[1] is not None, _pass_of(pairs[0])
-        while True:
-            decided = _walk_pass(space, monos, epis, epi_runs)
-            assert decided == _ordered_walk(space, pairs), _pass_of(pairs[0])
-            if decided[1] is None:
-                break
-            refused.append(decided[1])
-            monos = monos[monos.index(decided[1][0]) + 1 :]
-            pairs = [(mono, epi) for mono in monos for epi in epis]
+            assert _walk_pass(space, mono_runs, epi_runs) == walk, _pass_of(pairs[0])
+        while walk[1] is not None:
+            assert walk_maps(space, monos, epis, epi_runs) == walk, _pass_of(pairs[0])
+            mono = walk[1][0]
+            refused.append(mono)
+            epi_half = _walk(
+                space, epi_runs, _split_epis, lambda runs: _against(space, mono, runs)
+            )
+            squares, pair = _ordered_walk(space, [(mono, epi) for epi in epis])
+            assert epi_half == (squares, pair[1]), mono
+            monos = monos[monos.index(mono) + 1 :]
+            walk = _ordered_walk(space, [(mono, epi) for mono in monos for epi in epis])
+        assert walk_maps(space, monos, epis, epi_runs) == walk, _pass_of(pairs[0])
     assert len(refused) == refused_monos
 
 
@@ -165,16 +182,18 @@ def test_monos_that_share_their_ends_and_level_1_map_share_one_summary():
                 assert shared.setdefault((A, B, i[1]), summary) is summary, (A, B, i)
 
 
+# The arrows up to bound 4 (1,444 pairs of classes, of 38 classes of 499
+# arrows) and the finite sets up to bound 4.
+CLASS_SPACES = [pytest.param(_arrow_objects(n), id=f"arrow-{n}") for n in range(5)] + [
+    pytest.param([(x, 1, 0) for x in range(n + 1)], id=f"finset-{n}") for n in range(5)
+]
+
+
 # Each pair of classes' runs, counted per level-1 map from fibre sizes, are
 # the runs of its maps listed one by one: for every pair of class
 # representatives (S, R), each summary's multiplicity is the number of
-# split maps S → R with it times the sizes of the two classes.  At arrow
-# bound 4 that is 1,444 pairs of classes, of 38 classes of 499 arrows.
-@pytest.mark.parametrize(
-    "objects",
-    [pytest.param(_arrow_objects(n), id=f"arrow-{n}") for n in range(5)]
-    + [pytest.param([(x, 1, 0) for x in range(n + 1)], id=f"finset-{n}") for n in range(5)],
-)
+# split maps S → R with it times the sizes of the two classes.
+@pytest.mark.parametrize("objects", CLASS_SPACES)
 def test_counted_runs_equal_the_listed_runs(objects):
     space = _ArrowSpace(objects)
     members = Counter(space.representatives.values())
@@ -191,6 +210,22 @@ def test_counted_runs_equal_the_listed_runs(objects):
                 for f in split(space, S, R):
                     listed[size, S, R, f[3]] += j * k
         assert counted == listed
+
+
+# The walk of a refused pass reads each object pair (A, B) from the runs of
+# its representatives (S, R), each multiplicity divided by |class of
+# S|·|class of R|: so every multiplicity is a positive multiple of it.
+@pytest.mark.parametrize("objects", CLASS_SPACES)
+def test_each_run_divides_evenly_among_the_object_pairs_of_its_classes(objects):
+    space = _ArrowSpace(objects)
+    members = Counter(space.representatives.values())
+    runs = 0
+    for buckets in _split_buckets(space):
+        for (S, R, _, _), m in chain.from_iterable(buckets.values()):
+            per_pair, rest = divmod(m, members[S] * members[R])
+            assert per_pair > 0 and rest == 0, (S, R, m)
+            runs += 1
+    assert runs > 0
 
 
 def _isomorphic(space, X, Y):
@@ -222,7 +257,7 @@ def test_split_maps_to_isomorphic_targets_have_equal_runs(bound, classes):
             for split, counts in ((_split_monos, space.mono_counts), (_split_epis, space.epi_counts)):
                 maps, at_rep = split(space, A, B), split(space, A, reps[B])
                 assert Counter(f[3] for f in maps) == Counter(f[3] for f in at_rep), (A, B)
-                runs = _runs(((A, B, f1, s), n) for f1, s, n in counts(A, reps[B]))
+                runs = _runs(A, B, counts(A, reps[B]), 1)
                 assert sum(n for _, n in runs) == len(maps), (A, B)
                 assert {f[3]: n for f, n in runs} == Counter(f[3] for f in maps), (A, B)
 

@@ -4,8 +4,8 @@ image-tuple maps in ``helpers``: indices round-trip, every compose-table
 entry is the composite, every extension list is the tuple extensions in
 order, and the arrow space's split monos, split epis, retractions and
 sections decode to the tuple reference's.  A sweep builds its own tables,
-among them its isomorphism classes of arrows and its runs of split maps,
-and frees them when it returns."""
+among them its isomorphism classes of arrows, its runs of split maps and
+its memo of outside factors, and frees them when it returns."""
 import gc
 import weakref
 from collections import Counter
@@ -114,7 +114,7 @@ def test_top_levels_are_the_tally_of_the_homs(bound):
 
 
 def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeypatch):
-    built, spaces, classes, runs = [], [], [], []
+    built, spaces, classes, runs, outside = [], [], [], [], []
 
     class RecordedSetMaps(_SetMaps):
         def __init__(self):
@@ -128,8 +128,15 @@ def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeyp
         def __init__(self, objects):
             super().__init__(objects)
             self.representatives = Tables(self.representatives)
+            self._outside = Tables(self._outside)
             spaces.append(weakref.ref(self))
             classes.append(weakref.ref(self.representatives))
+            outside.append(weakref.ref(self._outside))
+
+        def outside_factor(self, D, sizes):
+            factor = super().outside_factor(D, sizes)
+            assert self._outside[D, sizes] == factor
+            return factor
 
     split_buckets = cosmos._split_buckets
 
@@ -157,7 +164,7 @@ def test_each_sweep_at_the_maximum_bound_builds_and_frees_its_own_tables(monkeyp
         gc.collect()
         assert built[-1]() is None
         assert first.to_dict() == second.to_dict()
-    assert len(built) == len(spaces) == len(classes) == 4
+    assert len(built) == len(spaces) == len(classes) == len(outside) == 4
     assert len(runs) == 8
-    assert all(ref() is None for ref in built + spaces + classes + runs)
+    assert all(ref() is None for ref in built + spaces + classes + runs + outside)
     assert module_state() == state
