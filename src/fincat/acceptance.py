@@ -1,13 +1,18 @@
-"""The acceptance battery: each criterion is a function returning a
-structured result, shared by the pytest suite and the CLI.
+"""The acceptance battery, shared by the pytest suite and the CLI.
+
+Each criterion is a body returning ``(passed, details)``, registered by
+number and name with ``_criterion``: the registered ``criterion_N_*``
+function times the body, reports it as a ``CriterionResult`` and is filed
+in ``CRITERIA``, which ``run_acceptance`` reads.
 
 All tolerances are exact: constructions either reproduce the oracle up to
 explicit isomorphism (or on-the-nose equality) or the criterion fails.
 """
 from __future__ import annotations
 
+import functools
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .core import (
@@ -29,7 +34,7 @@ from .corpus import (
 )
 from .cosmos import nip_square_filler
 from .counterexamples import run_counterexample
-from .equivalence import EquivalenceWitness, classify_equivalence, injective_witness
+from .equivalence import classify_equivalence, injective_witness
 from .fibrations import classify_fibration
 from .limits import (
     build_normal_pullback,
@@ -68,43 +73,56 @@ class CriterionResult:
         }
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CriterionResult:
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.duration = time.perf_counter() - start
-        return result
-
-    return wrapper
+# criterion number -> the registered function that runs it
+CRITERIA: dict[int, Callable[[], CriterionResult]] = {}
 
 
-@_timed
-def criterion_1_wfs_roundtrip() -> CriterionResult:
+def _criterion(number: int, name: str):
+    """Register the decorated body as criterion ``number``.  The body
+    returns ``(passed, details)``; the registered function times it and
+    reports both as a ``CriterionResult``."""
+
+    def register(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            passed, details = body()
+            return CriterionResult(number, name, passed, details, time.perf_counter() - start)
+
+        CRITERIA[number] = run
+        return run
+
+    return register
+
+
+def _check_each(items, check) -> tuple[int, list[str]]:
+    """The number of items and, in item order, the failure messages that
+    ``check`` returns for each."""
+    return len(items), [message for item in items for message in check(item)]
+
+
+def _roundtrip_failures(f):
+    fac = factorize_wfs(f)
+    if fac.left.then(fac.right) != f:
+        yield f"{f.label}: not a factorization"
+        return
+    if not classify_equivalence(fac.left).has_retraction:
+        yield f"{f.label}: left leg not injective equivalence"
+    if not classify_fibration(fac.right, grothendieck=False).normal:
+        yield f"{f.label}: right leg not normal isofibration"
+
+
+@_criterion(1, "weak factorization round-trip over the corpus")
+def criterion_1_wfs_roundtrip():
     """Factorization succeeds on every corpus morphism, with the left leg an
     injective equivalence and the right leg a normal isofibration."""
     cats = corpus_categories()
-    morphisms = corpus_functors()
-    failures = []
-    for f in morphisms:
-        fac = factorize_wfs(f)
-        if fac.left.then(fac.right) != f:
-            failures.append(f"{f.label}: not a factorization")
-            continue
-        w = classify_equivalence(fac.left)
-        if not (isinstance(w, EquivalenceWitness) and w.has_retraction):
-            failures.append(f"{f.label}: left leg not injective equivalence")
-        if not classify_fibration(fac.right, grothendieck=False).normal:
-            failures.append(f"{f.label}: right leg not normal isofibration")
-    return CriterionResult(
-        1,
-        "weak factorization round-trip over the corpus",
-        passed=len(cats) >= 12 and not failures,
-        details={
-            "categories": len(cats),
-            "morphisms": len(morphisms),
-            "failures": failures[:5],
-        },
-    )
+    morphisms, failures = _check_each(corpus_functors(), _roundtrip_failures)
+    return len(cats) >= 12 and not failures, {
+        "categories": len(cats),
+        "morphisms": morphisms,
+        "failures": failures[:5],
+    }
 
 
 # The squares criterion 2 must solve; it generates twice as many and
@@ -142,134 +160,94 @@ def _generated_squares():
     return squares
 
 
-@_timed
-def criterion_2_lifting_completeness() -> CriterionResult:
-    squares = _generated_squares()
-    solved = 0
-    failures = []
-    for problem, wit in squares[:120]:
-        h = solve_lifting(problem, witness=wit)
-        if problem.is_filler(h):
-            solved += 1
-        else:
-            failures.append("invalid filler")
-    bad_ps = [f for f in corpus_non_isofibrations()][:12]
-    unfillable = 0
-    for f in bad_ps:
-        sq = canonical_test_square(f)
-        if not has_filler(sq):
-            unfillable += 1
-    return CriterionResult(
-        2,
-        "lifting completeness and converse failure",
-        passed=solved >= SQUARES_NEEDED and not failures and len(bad_ps) >= 10 and unfillable >= 1,
-        details={
-            "squares_solved": solved,
-            "negative_batch": len(bad_ps),
-            "unfillable_found": unfillable,
-            "failures": failures[:5],
-        },
+@_criterion(2, "lifting completeness and converse failure")
+def criterion_2_lifting_completeness():
+    attempted, failures = _check_each(
+        _generated_squares()[:120],
+        lambda square: () if square[0].is_filler(solve_lifting(*square)) else ("invalid filler",),
     )
+    solved = attempted - len(failures)
+    bad_ps = corpus_non_isofibrations()[:12]
+    unfillable = sum(not has_filler(canonical_test_square(f)) for f in bad_ps)
+    return solved >= SQUARES_NEEDED and not failures and len(bad_ps) >= 10 and unfillable >= 1, {
+        "squares_solved": solved,
+        "negative_batch": len(bad_ps),
+        "unfillable_found": unfillable,
+        "failures": failures[:5],
+    }
 
 
-@_timed
-def criterion_3_pullback_oracle() -> CriterionResult:
-    failures = []
-    checked = 0
-    for f, g in corpus_cospans_normal_left():
-        np = build_normal_pullback(f, g)
-        strict = pullback_strict(f, g)
-        if find_isomorphism_over(np.witness, strict) is None:
-            failures.append(f"{f.label} vs {g.label}")
-        checked += 1
-    return CriterionResult(
-        3,
-        "cleavage-based pullback matches the strict oracle",
-        passed=checked > 0 and not failures,
-        details={"cospans": checked, "failures": failures[:5]},
-    )
+def _pullback_failures(cospan):
+    f, g = cospan
+    if find_isomorphism_over(build_normal_pullback(f, g).witness, pullback_strict(f, g)) is None:
+        yield f"{f.label} vs {g.label}"
 
 
-@_timed
-def criterion_4_tower_oracle() -> CriterionResult:
-    failures = []
-    checked = 0
-    for base, maps in corpus_towers():
-        tl = tower_limit(base, maps)
-        strict = strict_tower_limit(base, maps)
-        if find_isomorphism_over(tl.witness, strict) is None:
-            failures.append(f"tower over {base.label} (length {len(maps)}): oracle mismatch")
-        if not tower_alignment_check(tl):
-            failures.append(f"tower over {base.label}: alignment biconditional fails")
-        if not tl.witness.certificate.ok:
-            failures.append(f"tower over {base.label}: certificate fails")
-        checked += 1
-    return CriterionResult(
-        4,
-        "tower limit matches the strict oracle",
-        passed=checked > 0 and not failures,
-        details={"towers": checked, "failures": failures[:5]},
-    )
+@_criterion(3, "cleavage-based pullback matches the strict oracle")
+def criterion_3_pullback_oracle():
+    checked, failures = _check_each(corpus_cospans_normal_left(), _pullback_failures)
+    return checked > 0 and not failures, {"cospans": checked, "failures": failures[:5]}
 
 
-@_timed
-def criterion_5_remark_reproduction() -> CriterionResult:
+def _tower_failures(tower):
+    base, maps = tower
+    tl = tower_limit(base, maps)
+    if find_isomorphism_over(tl.witness, strict_tower_limit(base, maps)) is None:
+        yield f"tower over {base.label} (length {len(maps)}): oracle mismatch"
+    if not tower_alignment_check(tl):
+        yield f"tower over {base.label}: alignment biconditional fails"
+    if not tl.witness.certificate.ok:
+        yield f"tower over {base.label}: certificate fails"
+
+
+@_criterion(4, "tower limit matches the strict oracle")
+def criterion_4_tower_oracle():
+    checked, failures = _check_each(corpus_towers(), _tower_failures)
+    return checked > 0 and not failures, {"towers": checked, "failures": failures[:5]}
+
+
+@_criterion(5, "endpoint-restriction counterexample reproduced exactly")
+def criterion_5_remark_reproduction():
     w = run_counterexample("groth_leibniz")
     by_name = {c.predicate: c for c in w.claims}
     exact = (
         by_name["failing arrow domain"].actual == "(1,0)"
         and by_name["failing arrow codomain"].actual == "(1,1)"
     )
-    return CriterionResult(
-        5,
-        "endpoint-restriction counterexample reproduced exactly",
-        passed=w.passed and exact,
-        details=w.to_dict(),
-    )
+    return w.passed and exact, w.to_dict()
 
 
-@_timed
-def criterion_6_nip_dichotomy() -> CriterionResult:
+@_criterion(6, "split-lifting dichotomy between finite sets and their arrows")
+def criterion_6_nip_dichotomy():
     sets_result = nip_square_filler("finset", 3)
     arrows_result = nip_square_filler("finset_arrow", 3)
     again = nip_square_filler("finset_arrow", 3)
     deterministic = arrows_result.to_dict() == again.to_dict()
-    return CriterionResult(
-        6,
-        "split-lifting dichotomy between finite sets and their arrows",
-        passed=sets_result.all_fill and not arrows_result.all_fill and deterministic,
-        details={
-            "finset_all_fill": sets_result.all_fill,
-            "finset_squares": sets_result.squares_checked,
-            "arrow_counterexample": arrows_result.counterexample,
-            "deterministic": deterministic,
-        },
+    return sets_result.all_fill and not arrows_result.all_fill and deterministic, {
+        "finset_all_fill": sets_result.all_fill,
+        "finset_squares": sets_result.squares_checked,
+        "arrow_counterexample": arrows_result.counterexample,
+        "deterministic": deterministic,
+    }
+
+
+@_criterion(7, "section dichotomy of the subset family")
+def criterion_7_fy_dichotomy():
+    cases, failures = _check_each(
+        [f"fy_family({k},{alpha})" for k in range(5) for alpha in (2, 3, 4)],
+        lambda name: () if run_counterexample(name).passed else (name,),
     )
+    return not failures, {"cases": cases, "failures": failures}
 
 
-@_timed
-def criterion_7_fy_dichotomy() -> CriterionResult:
-    failures = []
-    for k in range(5):
-        for alpha in (2, 3, 4):
-            w = run_counterexample(f"fy_family({k},{alpha})")
-            if not w.passed:
-                failures.append(f"fy_family({k},{alpha})")
-    return CriterionResult(
-        7,
-        "section dichotomy of the subset family",
-        passed=not failures,
-        details={"cases": 15, "failures": failures},
-    )
+def _nerve_failures(C):
+    if find_isomorphism(classifying_category(nerve_truncated(C)), C) is None:
+        yield f"classifying(nerve({C.label})) not isomorphic"
 
 
-@_timed
-def criterion_8_nerve_roundtrip() -> CriterionResult:
-    failures = []
-    for C in corpus_categories():
-        P = classifying_category(nerve_truncated(C))
-        if find_isomorphism(P, C) is None:
-            failures.append(f"classifying(nerve({C.label})) not isomorphic")
+@_criterion(8, "classifying category round-trip and powers comparison")
+def criterion_8_nerve_roundtrip():
+    categories, failures = _check_each(corpus_categories(), _nerve_failures)
     pairs = [
         (standard_simplex(1), builtin("arrow")),
         (nerve_truncated(builtin("free_iso")), builtin("arrow")),
@@ -277,70 +255,33 @@ def criterion_8_nerve_roundtrip() -> CriterionResult:
         (standard_simplex(0), builtin("free_iso")),
     ]
     for X, Y in pairs:
-        rep = check_powers_iso(X, Y, dim=2)
-        if not rep.ok:
+        if not check_powers_iso(X, Y, dim=2).ok:
             failures.append(f"powers comparison fails for ({X.label},{Y.label})")
-    return CriterionResult(
-        8,
-        "classifying category round-trip and powers comparison",
-        passed=not failures,
-        details={"categories": len(corpus_categories()), "failures": failures[:5]},
+    return not failures, {"categories": categories, "failures": failures[:5]}
+
+
+@_criterion(9, "retract presentation of every corpus normal isofibration")
+def criterion_9_minimality():
+    checked, failures = _check_each(
+        corpus_normal_isofibrations(),
+        lambda f: () if minimal_retract_witness(f).ok else (f.label,),
     )
+    return checked > 0 and not failures, {"checked": checked, "failures": failures[:5]}
 
 
-@_timed
-def criterion_9_minimality() -> CriterionResult:
-    failures = []
-    checked = 0
-    for f in corpus_normal_isofibrations():
-        cert = minimal_retract_witness(f)
-        if not cert.ok:
-            failures.append(f.label)
-        checked += 1
-    return CriterionResult(
-        9,
-        "retract presentation of every corpus normal isofibration",
-        passed=checked > 0 and not failures,
-        details={"checked": checked, "failures": failures[:5]},
+@_criterion(10, "iso-power comparison biconditionals on every corpus morphism")
+def criterion_10_wf_biconditionals():
+    checked, failures = _check_each(
+        corpus_functors(), lambda f: () if compute_wf(f).ok else (f.label,)
     )
-
-
-@_timed
-def criterion_10_wf_biconditionals() -> CriterionResult:
-    failures = []
-    checked = 0
-    for f in corpus_functors():
-        res = compute_wf(f)
-        if not res.ok:
-            failures.append(f.label)
-        checked += 1
-    return CriterionResult(
-        10,
-        "iso-power comparison biconditionals on every corpus morphism",
-        passed=checked > 0 and not failures,
-        details={"checked": checked, "failures": failures[:5]},
-    )
-
-
-CRITERIA = {
-    1: criterion_1_wfs_roundtrip,
-    2: criterion_2_lifting_completeness,
-    3: criterion_3_pullback_oracle,
-    4: criterion_4_tower_oracle,
-    5: criterion_5_remark_reproduction,
-    6: criterion_6_nip_dichotomy,
-    7: criterion_7_fy_dichotomy,
-    8: criterion_8_nerve_roundtrip,
-    9: criterion_9_minimality,
-    10: criterion_10_wf_biconditionals,
-}
+    return checked > 0 and not failures, {"checked": checked, "failures": failures[:5]}
 
 
 def run_acceptance(numbers=None) -> Iterator[CriterionResult]:
-    """Run the numbered criteria, or all of them, yielding each result as
-    its criterion ends; an unknown number is refused at the call, before
-    any criterion runs."""
-    picked = sorted(numbers) if numbers else sorted(CRITERIA)
+    """Run the numbered criteria, or all of them, each once and in numeric
+    order, yielding each result as its criterion ends; an unknown number is
+    refused at the call, before any criterion runs."""
+    picked = sorted(set(numbers)) if numbers else sorted(CRITERIA)
     for n in picked:
         if n not in CRITERIA:
             raise UnknownName(f"no criterion numbered {n}")

@@ -146,6 +146,15 @@ def _refuse(command, exc: FinCatError):
     sys.exit(2)
 
 
+def _located(key, load, node, base):
+    """``load(node, base)`` for the input under ``key`` of a file, with
+    ``key: `` put before the message of any ``StructureError``."""
+    try:
+        return load(node, base)
+    except StructureError as exc:
+        raise StructureError(f"{key}: {exc}") from exc
+
+
 def _reported(body):
     """Make ``body`` a command that prints one envelope.
 
@@ -218,7 +227,6 @@ def factorize(functor_path):
     composite_ok = fac.left.then(fac.right) == F
     ok = (
         composite_ok
-        and isinstance(left_w, EquivalenceWitness)
         and left_w.has_retraction
         and classify_fibration(fac.right, grothendieck=False).normal
     )
@@ -243,10 +251,7 @@ def lift(square_path):
     for key in ("i", "p", "top", "bottom"):
         if key not in data:
             raise StructureError(f"square: missing {key!r}")
-        try:
-            edges.append(functor_from_node(data[key], base))
-        except StructureError as exc:
-            raise StructureError(f"{key}: {exc}") from exc
+        edges.append(_located(key, functor_from_node, data[key], base))
     problem = LiftingProblem(*edges)
     filler = solve_lifting(problem)
     verified = problem.is_filler(filler)
@@ -358,8 +363,11 @@ def limit_tower(tower_path):
     nodes = data.get("maps", [])
     if not isinstance(nodes, list):
         raise StructureError("tower: maps: expected a list")
-    base = category_from_node(data["base"], base_dir)
-    maps = [functor_from_node(node, base_dir) for node in nodes]
+    base = _located("base", category_from_node, data["base"], base_dir)
+    maps = [
+        _located(f"maps[{k}]", functor_from_node, node, base_dir)
+        for k, node in enumerate(nodes)
+    ]
     tl = tower_limit(base, maps)
     strict = strict_tower_limit(base, maps)
     agrees = find_isomorphism_over(tl.witness, strict) is not None
@@ -413,7 +421,10 @@ def cosmos_check(fragment_path):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise StructureError(f"fragment: {key}: expected a non-negative integer")
     frag = CosmosFragment(
-        objects=tuple(category_from_node(n, base) for n in data["objects"]),
+        objects=tuple(
+            _located(f"objects[{k}]", category_from_node, node, base)
+            for k, node in enumerate(data["objects"])
+        ),
         chosen=data.get("chosen", "normal"),
         label=data.get("label", Path(fragment_path).stem),
     )

@@ -161,14 +161,9 @@ def corpus_non_isofibrations() -> tuple[FinFunctor, ...]:
 
 @lru_cache(maxsize=1)
 def corpus_injective_equivalences() -> tuple[FinFunctor, ...]:
-    from .equivalence import EquivalenceWitness, classify_equivalence
+    from .equivalence import classify_equivalence
 
-    out = []
-    for F in corpus_functors():
-        w = classify_equivalence(F)
-        if isinstance(w, EquivalenceWitness) and w.has_retraction:
-            out.append(F)
-    return tuple(out)
+    return tuple(F for F in corpus_functors() if classify_equivalence(F).has_retraction)
 
 
 @lru_cache(maxsize=1)

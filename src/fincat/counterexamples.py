@@ -39,7 +39,7 @@ from .core import (
     thin_functor,
 )
 from .cosmos import nip_square_filler
-from .equivalence import EquivalenceWitness, classify_equivalence, find_sections
+from .equivalence import classify_equivalence, find_sections
 from .fibrations import classify_fibration
 from .funcat import pair_functor, precompose_functor
 from .limits import pullback_strict
@@ -234,20 +234,14 @@ def nip_cat2() -> Witness:
             Claim(
                 "chaotic left edge components are injective equivalences",
                 (True, True),
-                (
-                    isinstance(wi0, EquivalenceWitness) and wi0.has_retraction,
-                    isinstance(wi1, EquivalenceWitness) and wi1.has_retraction,
-                ),
+                (wi0.has_retraction, wi1.has_retraction),
             )
         )
         claims.append(
             Claim(
                 "chaotic right edge components are retract equivalences",
                 (True, True),
-                (
-                    isinstance(wp0, EquivalenceWitness) and wp0.has_section,
-                    isinstance(wp1, EquivalenceWitness) and wp1.has_section,
-                ),
+                (wp0.has_section, wp1.has_section),
             )
         )
         claims.append(
@@ -350,13 +344,13 @@ def fy_family(k: int, alpha: int) -> Witness:
         Claim(
             "level-0 component is a retract equivalence",
             True,
-            isinstance(w_pi, EquivalenceWitness) and w_pi.has_section,
+            w_pi.has_section,
             locus=locus,
         ),
         Claim(
             "level-1 component is a retract equivalence",
             True,
-            isinstance(w_sigma, EquivalenceWitness) and w_sigma.has_section,
+            w_sigma.has_section,
             locus=locus,
         ),
         Claim(

@@ -33,11 +33,18 @@ from .core import (
 
 @dataclass(frozen=True)
 class NotEquivalence:
-    """Normal (non-error) result: why the functor is not an equivalence."""
+    """Normal (non-error) result: why the functor is not an equivalence.
+
+    It answers ``has_section``, ``has_retraction`` and ``kinds`` as an
+    ``EquivalenceWitness`` does: no section, no retraction, no kind."""
 
     functor: FinFunctor
     reason: str
     locus: tuple = ()
+
+    has_section = False
+    has_retraction = False
+    kinds = frozenset()
 
     def __bool__(self):
         return False

@@ -107,7 +107,7 @@ def solve_lifting(problem: LiftingProblem, witness: EquivalenceWitness | None = 
     i, p = problem.left, problem.right
     if witness is None:
         witness = classify_equivalence(i)
-        if not isinstance(witness, EquivalenceWitness) or not witness.has_retraction:
+        if not witness.has_retraction:
             raise WitnessInvalid(f"{i.label} is not an injective equivalence")
     else:
         if witness.forward != i:
@@ -233,9 +233,7 @@ def compute_wf(f: FinFunctor) -> WfComparison:
         "normal_iff": rf.normal == rw.normal,
     }
     if rf.representable or rw.representable:
-        checks["retract_kind"] = (
-            isinstance(witness, EquivalenceWitness) and "retract" in witness.kinds
-        )
+        checks["retract_kind"] = "retract" in witness.kinds
     return WfComparison(
         arrow=f,
         comparison=w,

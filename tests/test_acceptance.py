@@ -5,6 +5,9 @@ failure) and asserts the criterion at its exact tolerance: isomorphism,
 on-the-nose equality, or exact boolean agreement.  The same checks back the
 ``fincat suite acceptance`` command.
 """
+import hashlib
+import json
+
 from fincat.acceptance import (
     criterion_1_wfs_roundtrip,
     criterion_2_lifting_completeness,
@@ -16,6 +19,7 @@ from fincat.acceptance import (
     criterion_8_nerve_roundtrip,
     criterion_9_minimality,
     criterion_10_wf_biconditionals,
+    run_acceptance,
 )
 from helpers import criterion_line
 
@@ -89,3 +93,15 @@ def test_criterion_10_wf_biconditionals():
     result = criterion_10_wf_biconditionals()
     _report(result)
     assert result.details["checked"] > 0
+
+
+# SHA-256 of the ten results' ``to_dict()``s, dumped with sorted keys; the
+# CI step that runs ``fincat suite acceptance`` checks the same digest
+BATTERY_DIGEST = "4ef16e5858d5d62a6f80930d7652ac0d2b024b5c90588b6493b952c7bd2eb3e3"
+
+
+def test_battery_reproduces_its_recorded_digest():
+    results = [r.to_dict() for r in run_acceptance()]
+    assert [r["number"] for r in results] == list(range(1, 11))
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == BATTERY_DIGEST

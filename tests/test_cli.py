@@ -245,6 +245,14 @@ def _top_into_the_base(square):
     square["top"] = square["p"]
 
 
+def _map_with_mmap_as_list(tower):
+    """Inline the tower's one map, with its mmap a list."""
+    samples = Path(__file__).resolve().parent.parent / "sample_data"
+    inline = json.loads((samples / tower["maps"][0]).read_text())
+    inline["mmap"] = list(inline["mmap"])
+    tower["maps"] = [inline]
+
+
 def _run_fresh(cwd, argv):
     """Run the CLI with ``argv`` in a fresh process."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -305,8 +313,33 @@ def test_malformed_square_exits_two_with_a_located_error(tmp_path, mutate, detai
             ["cosmos-check", "--fragment"],
             "fragment: missing 'objects'",
         ),
+        (
+            "tower.json",
+            _map_with_mmap_as_list,
+            ["limit", "tower", "--tower"],
+            "maps[0]: mmap: expected an object of strings",
+        ),
+        (
+            "tower.json",
+            lambda tower: tower.update(base={"objects": "*"}),
+            ["limit", "tower", "--tower"],
+            "base: objects: expected a list of object names",
+        ),
+        (
+            "fragment.json",
+            lambda fragment: fragment["objects"].append({"objects": "*"}),
+            ["cosmos-check", "--fragment"],
+            "objects[3]: objects: expected a list of object names",
+        ),
     ],
-    ids=["tower-without-base", "tower-maps-as-int", "fragment-without-objects"],
+    ids=[
+        "tower-without-base",
+        "tower-maps-as-int",
+        "fragment-without-objects",
+        "tower-map-mmap-as-list",
+        "tower-base-objects-as-string",
+        "fragment-object-objects-as-string",
+    ],
 )
 def test_malformed_tower_or_fragment_exits_two_with_a_located_error(
     tmp_path, sample, mutate, argv, detail
@@ -865,6 +898,14 @@ def test_unknown_criterion_exits_two_before_any_criterion_runs(workdir, monkeypa
         "detail": "no criterion numbered 99",
     }
     assert ran == []
+
+
+@pytest.mark.parametrize("only, ran", [("5,5", [5]), ("5,3,5", [3, 5])])
+def test_each_chosen_criterion_runs_once_in_numeric_order(workdir, only, ran):
+    res = invoke(["suite", "acceptance", "--only", only], workdir)
+    assert res.exit_code == 0
+    envelopes = [json.loads(line) for line in res.stdout.strip().splitlines()]
+    assert [e["command"] for e in envelopes] == [f"suite acceptance #{n}" for n in ran]
 
 
 def test_suite_emits_each_criterion_as_it_ends_before_a_later_one_is_refused(workdir):
