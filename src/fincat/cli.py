@@ -31,10 +31,11 @@ from .core import (
     NotFunctorial,
     NotInvertible,
     NotNatural,
-    StructureError,
     UnknownName,
     bounded,
     bounds,
+    field,
+    refused,
 )
 from .cosmos import CosmosFragment, check_fragment, nip_square_filler
 from .counterexamples import run_counterexample
@@ -146,15 +147,6 @@ def _refuse(command, exc: FinCatError):
     sys.exit(2)
 
 
-def _located(key, load, node, base):
-    """``load(node, base)`` for the input under ``key`` of a file, with
-    ``key: `` put before the message of any ``StructureError``."""
-    try:
-        return load(node, base)
-    except StructureError as exc:
-        raise StructureError(f"{key}: {exc}") from exc
-
-
 def _reported(body):
     """Make ``body`` a command that prints one envelope.
 
@@ -245,14 +237,8 @@ def lift(square_path):
     """Solve a lifting square {i, p, top, bottom} of functor nodes."""
     data = load_json(square_path)
     base = Path(square_path).parent
-    if not isinstance(data, dict):
-        raise StructureError("square: expected a JSON object")
-    edges = []  # left, right, top, bottom
-    for key in ("i", "p", "top", "bottom"):
-        if key not in data:
-            raise StructureError(f"square: missing {key!r}")
-        edges.append(_located(key, functor_from_node, data[key], base))
-    problem = LiftingProblem(*edges)
+    keys = ("i", "p", "top", "bottom")  # left, right, top, bottom
+    problem = LiftingProblem(*(functor_from_node(field(data, k, ""), base, k) for k in keys))
     filler = solve_lifting(problem)
     verified = problem.is_filler(filler)
     return {"filler": functor_summary(filler), "verified": verified}, verified
@@ -356,18 +342,10 @@ def limit_pullback_nif(f_path, g_path):
 def limit_tower(tower_path):
     data = load_json(tower_path)
     base_dir = Path(tower_path).parent
-    if not isinstance(data, dict):
-        raise StructureError("tower: expected a JSON object")
-    if "base" not in data:
-        raise StructureError("tower: missing 'base'")
-    nodes = data.get("maps", [])
-    if not isinstance(nodes, list):
-        raise StructureError("tower: maps: expected a list")
-    base = _located("base", category_from_node, data["base"], base_dir)
-    maps = [
-        _located(f"maps[{k}]", functor_from_node, node, base_dir)
-        for k, node in enumerate(nodes)
-    ]
+    base_node = field(data, "base", "")
+    nodes = field(data, "maps", "", list, "a list", default=[])
+    base = category_from_node(base_node, base_dir, "base")
+    maps = [functor_from_node(node, base_dir, f"maps[{k}]") for k, node in enumerate(nodes)]
     tl = tower_limit(base, maps)
     strict = strict_tower_limit(base, maps)
     agrees = find_isomorphism_over(tl.witness, strict) is not None
@@ -407,31 +385,17 @@ def cosmos_check(fragment_path):
     """Check the axiom clauses over a declared fragment."""
     data = load_json(fragment_path)
     base = Path(fragment_path).parent
-    if not isinstance(data, dict):
-        raise StructureError("fragment: expected a JSON object")
-    if "objects" not in data:
-        raise StructureError("fragment: missing 'objects'")
-    if not isinstance(data["objects"], list):
-        raise StructureError("fragment: objects: expected a list")
-    for key in ("chosen", "label"):
-        if key in data and not isinstance(data[key], str):
-            raise StructureError(f"fragment: {key}: expected a string")
-    for key in ("power_budget", "tower_bound"):
-        value = data.get(key, 0)
+    nodes = field(data, "objects", "", list, "a list")
+    chosen = field(data, "chosen", "", str, "a string", default="normal")
+    label = field(data, "label", "", str, "a string", default=Path(fragment_path).stem)
+    caps = {}
+    for key, name in (("power_budget", "budget"), ("tower_bound", "tower")):
+        value = caps[name] = data.get(key, getattr(bounds(), name))
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise StructureError(f"fragment: {key}: expected a non-negative integer")
-    frag = CosmosFragment(
-        objects=tuple(
-            _located(f"objects[{k}]", category_from_node, node, base)
-            for k, node in enumerate(data["objects"])
-        ),
-        chosen=data.get("chosen", "normal"),
-        label=data.get("label", Path(fragment_path).stem),
-    )
-    with bounded(
-        budget=data.get("power_budget", bounds().budget),
-        tower=data.get("tower_bound", bounds().tower),
-    ):
+            raise refused(key, "expected a non-negative integer")
+    objects = (category_from_node(node, base, f"objects[{k}]") for k, node in enumerate(nodes))
+    frag = CosmosFragment(tuple(objects), chosen, label)
+    with bounded(**caps):
         report = check_fragment(frag)
     skipped = sum(clause.budget_errors for clause in report.clauses.values())
     if skipped:

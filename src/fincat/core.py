@@ -114,6 +114,38 @@ class EnumerationBudgetExceeded(BudgetExceeded):
 
 
 # ---------------------------------------------------------------------------
+# Locating input errors: each loader of a JSON node takes the node's path
+# ``at`` ("" at the root of a file), and each StructureError it raises
+# starts with the path of the node at fault (``i.source.comp: missing``).
+
+
+def at_key(at: str, key) -> str:
+    """The path of entry ``key`` of the node at ``at``: ``comp[3]``, ``i.source``."""
+    return f"{at}[{key}]" if isinstance(key, int) else f"{at}.{key}" if at else key
+
+
+def refused(at: str, message: str) -> StructureError:
+    return StructureError(f"{at}: {message}" if at else message)
+
+
+def field(node, key: str, at: str, kind=object, what="", of=None, default=...):
+    """``node[key]`` of the JSON object at ``at``, or ``default`` when it is
+    absent; refused at the field's path when it is absent with no default,
+    or is not a ``kind`` whose items (values, of a mapping) are ``of``s."""
+    if not isinstance(node, Mapping):
+        raise refused(at, "expected a JSON object")
+    if key not in node:
+        if default is ...:
+            raise refused(at_key(at, key), "missing")
+        return default
+    value = node[key]
+    items = value.values() if isinstance(value, Mapping) else value
+    if not isinstance(value, kind) or of and not all(isinstance(v, of) for v in items):
+        raise refused(at_key(at, key), f"expected {what}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Bounds
 
 
@@ -443,26 +475,26 @@ def _report_order(cat: FinCat, entries) -> Iterator[tuple[str, str]]:
     return cat.composable_pairs() if entries is None else ((e["g"], e["f"]) for e in entries)
 
 
-def _check_structure(cat: FinCat, entries) -> None:
+def _check_structure(cat: FinCat, entries, where: str) -> None:
     """Raise :class:`StructureError` unless the tables are shaped like a
-    category: distinct names, known endpoints, total ``identity`` and rows."""
-    label = cat.label
+    category: distinct names, known endpoints, total ``identity`` and rows.
+    Each message starts with ``where``."""
     if len(set(cat.objects)) != len(cat.objects):
-        raise StructureError(f"{label}: duplicate object names")
+        raise StructureError(f"{where}: duplicate object names")
     names = [m.name for m in cat.morphisms]
     if len(set(names)) != len(names):
-        raise StructureError(f"{label}: duplicate morphism names")
+        raise StructureError(f"{where}: duplicate morphism names")
     by_name = {m.name: m for m in cat.morphisms}
     objs = set(cat.objects)
     for m in cat.morphisms:
         if m.dom not in objs or m.cod not in objs:
-            raise StructureError(f"{label}: morphism {m.name} has unknown endpoint")
+            raise StructureError(f"{where}: morphism {m.name} has unknown endpoint")
     if set(cat.identity) != objs:
-        raise StructureError(f"{label}: identity map must cover exactly the objects")
+        raise StructureError(f"{where}: identity map must cover exactly the objects")
     for a, i in cat.identity.items():
         m = by_name.get(i)
         if m is None or m.dom != a or m.cod != a:
-            raise StructureError(f"{label}: identity of {a} is not an endomorphism of {a}")
+            raise StructureError(f"{where}: identity of {a} is not an endomorphism of {a}")
 
     # each object has its identity, so each morphism g has a row, whose
     # keys are the morphisms into dom g
@@ -476,14 +508,14 @@ def _check_structure(cat: FinCat, entries) -> None:
         missing = composable_set - table
         extra = table - composable_set
         raise StructureError(
-            f"{label}: comp must be defined on exactly the composable pairs"
+            f"{where}: comp must be defined on exactly the composable pairs"
             f" (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
         )
     if not set(by_name).issuperset(chain.from_iterable(map(dict.values, rows.values()))):
         for g, f in _report_order(cat, entries):
             value = rows[g][f]
             if value not in by_name:
-                raise StructureError(f"{label}: comp{(g, f)} = {value} is not a morphism")
+                raise StructureError(f"{where}: comp{(g, f)} = {value} is not a morphism")
 
 
 def _generators(cat: FinCat) -> list[str]:
@@ -566,70 +598,70 @@ def _associative_at_generators(cat: FinCat) -> bool:
     return True
 
 
-def _refuse_non_strings(where: str, entries, fields: tuple[str, ...]) -> None:
-    """Raise :class:`StructureError` at the first value of ``fields`` in the
-    entries of a raw list that is not a string, such as ``morphisms[2].name``."""
+def _refuse_entries(at: str, entries, fields: tuple[str, ...], pairs: bool = False) -> None:
+    """Raise at the first entry of the raw list at ``at`` that is not an
+    object of strings under ``fields`` or, with ``pairs``, repeats the first
+    two of an earlier one: ``comp[4]: (a, id_0) is listed twice``."""
+    seen = set()
     for k, entry in enumerate(entries):
-        for field in fields:
-            if not isinstance(entry[field], str):
-                raise StructureError(f"{where}[{k}].{field}: expected a string")
+        g, f, _ = (field(entry, name, at_key(at, k), str, "a string") for name in fields)
+        if pairs and (g, f) in seen:
+            raise refused(at_key(at, k), f"({g}, {f}) is listed twice")
+        seen.add((g, f))
 
 
-def validate_category(raw) -> FinCat:
+def validate_category(raw, at: str = "") -> FinCat:
     """Check a category's shape and laws and return the verified category.
 
     Accepts either a :class:`FinCat` or a raw dict in the file format
     (``objects`` / ``morphisms`` / ``identity`` / ``comp``), whose names
-    must all be strings.  Raises :class:`StructureError` on a malformed
-    table, located where it can be (``comp[3].gf: expected a string``), then
-    :class:`BoundaryViolation`, :class:`IdentityViolation` or
+    must all be strings and whose ``comp`` lists each pair once; ``at`` is
+    the JSON path of a raw table.  Raises :class:`StructureError` on a
+    malformed table, located by its path (``comp[3].gf: expected a
+    string``, ``bottom.source.objects: expected a list of object names``),
+    then :class:`BoundaryViolation`, :class:`IdentityViolation` or
     :class:`AssociativityViolation` with the offending entry; a ``comp``
     entry is the first at fault in the file's order, though the table is
     checked a row at a time.  Associativity is checked at a generating set only
     (:func:`_associative_at_generators`); when that check fails, the scan
     of every composable triple finds the first violating triple to report.
     """
-    try:
-        if isinstance(raw, FinCat):
-            cat, entries = raw, None
-        else:
-            # a string or an object would be taken as its characters or keys
-            objects = raw["objects"]
-            if not isinstance(objects, list) or not all(isinstance(a, str) for a in objects):
-                raise StructureError("objects: expected a list of object names")
-            identity = raw["identity"]
-            # dict() would also take a list of pairs, or fail on a string
-            # with a ValueError
-            if not isinstance(identity, Mapping) or not all(
-                isinstance(i, str) for i in identity.values()
-            ):
-                raise StructureError("identity: expected an object of morphism names")
-            label = raw.get("label", "cat")
-            if not isinstance(label, str):
-                raise StructureError("label: expected a string")
-            # a name of another type would reach the key's string encoder,
-            # and a list would fail unlocated as an unhashable comp key
+    if isinstance(raw, FinCat):
+        cat, entries = raw, None
+    else:
+        # a string or an object would be taken as its characters or keys,
+        # and dict() would also take a list of pairs
+        objects = field(raw, "objects", at, list, "a list of object names", of=str)
+        identity = field(raw, "identity", at, Mapping, "an object of morphism names", of=str)
+        label = field(raw, "label", at, str, "a string", default="cat")
+        listed = field(raw, "morphisms", at, list, "a list of morphisms")
+        entries = field(raw, "comp", at, list, "a list of composition entries")
+        # the lists are read on a fast path that a malformed entry cuts
+        # short; a count shows it and a walk locates it (a name of another
+        # type would reach the key's string encoder)
+        try:
+            morphisms = list(map(itemgetter("name", "dom", "cod"), listed))
+        except (KeyError, TypeError):  # an entry that is not an object of the three
             morphisms = []
-            for m in raw["morphisms"]:
-                name, dom, cod = m["name"], m["dom"], m["cod"]
-                if not (isinstance(name, str) and isinstance(dom, str) and isinstance(cod, str)):
-                    _refuse_non_strings("morphisms", raw["morphisms"], ("name", "dom", "cod"))
-                morphisms.append((name, dom, cod))
-            # parsed straight into rows; a repeated pair keeps its last value
-            rows: dict[str, dict[str, str]] = {}
-            entries = raw["comp"]
+        if len(morphisms) != len(listed) or {*map(type, chain.from_iterable(morphisms))} - {str}:
+            _refuse_entries(at_key(at, "morphisms"), listed, ("name", "dom", "cod"))
+        # comp is parsed straight into rows, where a repeated pair counts once
+        rows: dict[str, dict[str, str]] = {}
+        try:
             for e in entries:
                 g, f, gf = e["g"], e["f"], e["gf"]
                 if not (isinstance(g, str) and isinstance(f, str) and isinstance(gf, str)):
-                    _refuse_non_strings("comp", entries, ("g", "f", "gf"))
+                    break
                 try:
                     rows[g][f] = gf
                 except KeyError:
                     rows[g] = {f: gf}
-            cat = FinCat(objects, morphisms, identity, label=label, rows=rows)
-        _check_structure(cat, entries)
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"malformed category data: {exc}") from exc
+        except (KeyError, TypeError):
+            pass
+        if sum(map(len, rows.values())) != len(entries):
+            _refuse_entries(at_key(at, "comp"), entries, ("g", "f", "gf"), pairs=True)
+        cat = FinCat(objects, morphisms, identity, label=label, rows=rows)
+    _check_structure(cat, entries, at or cat.label)
 
     # dom(g∘f) = dom f and cod(g∘f) = cod g, a row at a time, then located
     dom = {m.name: m.dom for m in cat.morphisms}.__getitem__
@@ -749,20 +781,22 @@ def identity_functor(cat: FinCat) -> FinFunctor:
     )
 
 
-def validate_functor(F: FinFunctor) -> FinFunctor:
+def validate_functor(F: FinFunctor, at: str = "") -> FinFunctor:
     """Check that the tables are total and land in the target
-    (:class:`StructureError`), then the laws (:class:`NotFunctorial`)."""
-    src, dst, label = F.source, F.target, F.label
+    (:class:`StructureError`, starting with the JSON path ``at`` of a
+    functor read from a file, else with its label), then the laws
+    (:class:`NotFunctorial`)."""
+    src, dst, where = F.source, F.target, at or F.label
     if set(F.omap) != set(src.objects):
-        raise StructureError(f"{label}: object map must cover exactly the source objects")
+        raise StructureError(f"{where}: object map must cover exactly the source objects")
     if set(F.mmap) != {m.name for m in src.morphisms}:
-        raise StructureError(f"{label}: morphism map must cover exactly the source morphisms")
+        raise StructureError(f"{where}: morphism map must cover exactly the source morphisms")
     for a, x in F.omap.items():
         if x not in dst.obj_index:
-            raise StructureError(f"{label}: {a} maps to unknown object {x}")
+            raise StructureError(f"{where}: {a} maps to unknown object {x}")
     for m, n in F.mmap.items():
         if not dst.has_mor(n):
-            raise StructureError(f"{label}: {m} maps to unknown morphism {n}")
+            raise StructureError(f"{where}: {m} maps to unknown morphism {n}")
     for m in src.morphisms:
         n = dst.mor(F.mor(m.name))
         if n.dom != F.ob(m.dom) or n.cod != F.ob(m.cod):
@@ -875,18 +909,20 @@ def identity_nat(F: FinFunctor) -> NatTrans:
     )
 
 
-def validate_transformation(t: NatTrans, invertible: bool = False) -> NatTrans:
-    """Check parallelism and total components (:class:`StructureError`),
-    then boundaries and naturality; optionally require invertibility."""
-    F, G, label = t.source, t.target, t.label
+def validate_transformation(t: NatTrans, invertible: bool = False, at: str = "") -> NatTrans:
+    """Check parallelism and total components (:class:`StructureError`,
+    starting with the JSON path ``at`` of a transformation read from a
+    file, else with its label), then boundaries and naturality; optionally
+    require invertibility."""
+    F, G, where = t.source, t.target, at or t.label
     if F.source != G.source or F.target != G.target:
-        raise StructureError(f"{label}: functors are not parallel")
+        raise StructureError(f"{where}: functors are not parallel")
     if set(t.components) != set(F.source.objects):
-        raise StructureError(f"{label}: components must cover exactly the source objects")
+        raise StructureError(f"{where}: components must cover exactly the source objects")
     cat = t.category
     for a, c in t.components.items():
         if not cat.has_mor(c):
-            raise StructureError(f"{label}: component at {a} is not a morphism")
+            raise StructureError(f"{where}: component at {a} is not a morphism")
     for a in F.source.objects:
         c = cat.mor(t.component(a))
         if c.dom != F.ob(a) or c.cod != G.ob(a):

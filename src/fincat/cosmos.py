@@ -190,7 +190,7 @@ def _predicate(chosen: str):
         return lambda f: getattr(classify_fibration(f, grothendieck=False), chosen)
     if chosen == "equivalences":
         return lambda f: isinstance(classify_equivalence(f), EquivalenceWitness)
-    raise StructureError(f"unknown class of maps: {chosen}")
+    raise StructureError(f"chosen: unknown class of maps: {chosen}")
 
 
 def _fragment_functors(frag: CosmosFragment):

@@ -20,8 +20,11 @@ from .core import (
     Morphism,
     StructureError,
     _backtrack,
+    at_key,
     bounds,
     composable_rows,
+    field,
+    refused,
 )
 from .funcat import functor_category
 
@@ -77,23 +80,22 @@ class TruncSSet:
         }
 
 
-def sset_from_dict(data: dict, label: str = "sset") -> TruncSSet:
-    try:
-        simplices = tuple(tuple(level) for level in data["simplices"])
-        for dim, level in enumerate(simplices):
-            if not all(isinstance(s, str) for s in level):
-                raise StructureError(f"simplices {dim}: expected a list of strings")
-        tables = []
-        for kind in ("faces", "degeneracies"):
-            if not isinstance(data[kind], dict):
-                raise StructureError(f"{kind}: expected an object of tables")
-            tables.append({})
-            for key, table in data[kind].items():
-                d, i = (int(part) for part in key.split(","))
-                tables[-1][(d, i)] = dict(table)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise StructureError(f"malformed simplicial data: {exc}") from exc
-    return TruncSSet(simplices, *tables, label=label)
+def sset_from_dict(data, label: str = "sset", at: str = "") -> TruncSSet:
+    """The simplicial set of the ``to_dict`` form at the JSON path ``at``."""
+    levels = field(data, "simplices", at, list, "a list of simplex lists")
+    for dim, level in enumerate(levels):
+        if not isinstance(level, list) or not all(isinstance(s, str) for s in level):
+            raise refused(at, f"simplices {dim}: expected a list of strings")
+    tables = []
+    for kind in ("faces", "degeneracies"):
+        node, where = field(data, kind, at, dict, "an object of tables"), at_key(at, kind)
+        tables.append({})
+        for key in node:
+            d, _, i = key.partition(",")
+            if not (d.isdecimal() and i.isdecimal()):
+                raise refused(at_key(where, key), "expected a key dim,i")
+            tables[-1][int(d), int(i)] = field(node, key, where, dict, "simplex names", of=str)
+    return TruncSSet(tuple(map(tuple, levels)), *tables, label=label)
 
 
 def validate_sset(X: TruncSSet) -> TruncSSet:

@@ -2,10 +2,14 @@
 
 Categories: {"objects": [str], "morphisms": [{"name","dom","cod"}],
 "identity": {object: morphism}, "comp": [{"g","f","gf"}]} — the comp list
-must cover exactly the composable pairs.  Functors: {"source": path-or-
-inline, "target": path-or-inline, "omap": {...}, "mmap": {...}}.
+must cover exactly the composable pairs, each once.  Functors: {"source":
+path-or-inline, "target": path-or-inline, "omap": {...}, "mmap": {...}}.
 Transformations: {"source": functor, "target": functor, "components":
 {object: morphism}}.  Simplicial sets follow ``TruncSSet.to_dict``.
+
+Each loader takes its node's JSON path ``at`` (``maps[0]``, also when the
+node names another file) and hands each child the child's path, so every
+:class:`StructureError` starts with the path of the node at fault.
 """
 from __future__ import annotations
 
@@ -17,8 +21,10 @@ from .core import (
     FinCat,
     FinFunctor,
     NatTrans,
-    StructureError,
+    at_key,
     builtin,
+    field,
+    refused,
     validate_category,
     validate_functor,
     validate_transformation,
@@ -34,22 +40,24 @@ def digest_file(path) -> str:
     return digest_bytes(Path(path).read_bytes())
 
 
-def load_json(path) -> dict:
+def load_json(path, at: str = ""):
+    """The JSON value in the file ``path``, read for the node at ``at``."""
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"{path}: malformed JSON: {exc}") from exc
+    # undecodable bytes raise a ValueError too, and deep nesting a RecursionError
+    except (ValueError, RecursionError) as exc:
+        raise refused(at, f"{path}: malformed JSON: {exc}") from exc
     except OSError as exc:
-        raise StructureError(f"{path}: {exc}") from exc
+        raise refused(at, f"{path}: {exc}") from exc
 
 
-def _resolve(node, base: Path):
+def _resolve(node, base: Path, at: str):
     """A node is either inline data or a relative path to another file."""
     if isinstance(node, str):
-        return load_json(base / node), (base / node)
+        return load_json(base / node, at), (base / node)
     if isinstance(node, dict):
         return node, None
-    raise StructureError("expected a JSON object or a path string")
+    raise refused(at, "expected a JSON object or a path string")
 
 
 def load_category(path) -> FinCat:
@@ -60,40 +68,28 @@ def load_category(path) -> FinCat:
     return cat
 
 
-def category_from_node(node, base: Path) -> FinCat:
+def category_from_node(node, base: Path, at: str = "") -> FinCat:
     # "builtin:<name>" references the builtin library directly
     if isinstance(node, str) and node.startswith("builtin:"):
         return builtin(node.split(":", 1)[1])
-    data, src = _resolve(node, base)
-    cat = validate_category(data)
+    data, src = _resolve(node, base, at)
+    cat = validate_category(data, at)
     cat.label = data.get("label", src.stem if src else "cat")
     return cat
 
 
-def _name_table(data: dict, key: str) -> dict:
-    table = data[key]
-    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
-        raise StructureError(f"{key}: expected an object of strings")
-    return table
+def _names(data: dict, key: str, at: str) -> dict:
+    return field(data, key, at, dict, "an object of strings", of=str)
 
 
-def _label(data: dict, default: str) -> str:
-    label = data.get("label", default)
-    if not isinstance(label, str):
-        raise StructureError("label: expected a string")
-    return label
-
-
-def functor_from_node(node, base: Path) -> FinFunctor:
-    data, _ = _resolve(node, base)
-    try:
-        source = category_from_node(data["source"], base)
-        target = category_from_node(data["target"], base)
-        omap, mmap = _name_table(data, "omap"), _name_table(data, "mmap")
-        F = FinFunctor(source, target, omap, mmap, label=_label(data, "functor"))
-    except KeyError as exc:
-        raise StructureError(f"malformed functor data: missing {exc}") from exc
-    return validate_functor(F)
+def functor_from_node(node, base: Path, at: str = "") -> FinFunctor:
+    data, _ = _resolve(node, base, at)
+    source, target = (
+        category_from_node(field(data, k, at), base, at_key(at, k)) for k in ("source", "target")
+    )
+    omap, mmap = _names(data, "omap", at), _names(data, "mmap", at)
+    label = field(data, "label", at, str, "a string", default="functor")
+    return validate_functor(FinFunctor(source, target, omap, mmap, label=label), at)
 
 
 def load_functor(path) -> FinFunctor:
@@ -104,16 +100,14 @@ def load_functor(path) -> FinFunctor:
     return F
 
 
-def transformation_from_node(node, base: Path) -> NatTrans:
-    data, _ = _resolve(node, base)
-    try:
-        source = functor_from_node(data["source"], base)
-        target = functor_from_node(data["target"], base)
-        components = _name_table(data, "components")
-        t = NatTrans(source, target, components, label=_label(data, "nat"))
-    except KeyError as exc:
-        raise StructureError(f"malformed transformation data: missing {exc}") from exc
-    return validate_transformation(t)
+def transformation_from_node(node, base: Path, at: str = "") -> NatTrans:
+    data, _ = _resolve(node, base, at)
+    source, target = (
+        functor_from_node(field(data, k, at), base, at_key(at, k)) for k in ("source", "target")
+    )
+    components = _names(data, "components", at)
+    label = field(data, "label", at, str, "a string", default="nat")
+    return validate_transformation(NatTrans(source, target, components, label=label), at=at)
 
 
 def load_transformation(path) -> NatTrans:

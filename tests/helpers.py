@@ -82,6 +82,7 @@ from fincat.core import (
     enumerate_transformations,
     find_isomorphism,
     identity_functor,
+    identity_nat,
     terminal_category,
     thin_functor,
     validate_category,
@@ -115,8 +116,10 @@ from fincat.funcat import (
     functor_category,
     pair_functor,
     postcompose_functor,
+    product_category,
+    product_projections,
 )
-from fincat.limits import PseudolimitOfArrow
+from fincat.limits import LimitWitness, PseudolimitOfArrow, equifier, inserter
 from fincat.nerve import TOP_DIM, RewriteSystem, TruncSSet, classifying_category, rewrite_system
 
 
@@ -1859,3 +1862,23 @@ def check_arrow_square(f: ArrowMorphism) -> ArrowMorphism:
     if f.level0.then(f.target) != f.source.then(f.level1):
         raise StructureError("arrow-category square does not commute")
     return f
+
+
+def pie_isocomma(F: FinFunctor, G: FinFunctor) -> LimitWitness:
+    """The isocomma of F : A → C and G : B → C from its PIE presentation
+    (products, inserters, equifiers; Bird, Kelly, Power and Street 1989):
+    on A × B, insert α : F p₁ ⇒ G p₂, then β : G p₂ ⇒ F p₁, then equify
+    β·α with the identity, then α·β.  Its legs are those to A and to B, and
+    it certifies nothing."""
+    p1, p2 = product_projections(product_category(F.source, G.source))
+    i1 = inserter(p1.then(F), p2.then(G))
+    alpha = i1.structure_cells[0]
+    i2 = inserter(alpha.target, alpha.source)
+    beta, leg = i2.structure_cells[0], i2.projections[0]
+    beta_alpha = alpha.whisker_pre(leg).then(beta)
+    e1 = equifier(beta_alpha, identity_nat(beta_alpha.source)).projections[0]
+    alpha_beta = beta.whisker_pre(e1).then(alpha.whisker_pre(e1.then(leg)))
+    e2 = equifier(alpha_beta, identity_nat(alpha_beta.source)).projections[0]
+    into_product = e2.then(e1).then(leg).then(i1.projections[0])
+    legs = (into_product.then(p1), into_product.then(p2))
+    return LimitWitness(e2.source, legs, (), lambda: None)

@@ -228,6 +228,14 @@ def _mmap_entry_as_list(square):
     mmap[first] = [mmap[first]]
 
 
+def _bottom_source_comp_as_int(square):
+    square["bottom"]["source"]["comp"] = 17
+
+
+def _top_source_objects_as_string(square):
+    square["top"]["source"]["objects"] = "01"
+
+
 def _not_commuting(square):
     """p : arrow → arrow constant at 0 and bottom the identity: p∘top is
     constant and bottom∘i is not."""
@@ -281,9 +289,11 @@ def _exit_two_with(tmp_path, sample, mutate, argv, detail, error="StructureError
 @pytest.mark.parametrize(
     "mutate, detail",
     [
-        (_without_p, "square: missing 'p'"),
-        (_mmap_as_list, "i: mmap: expected an object of strings"),
-        (_mmap_entry_as_list, "i: mmap: expected an object of strings"),
+        (_without_p, "p: missing"),
+        (_mmap_as_list, "i.mmap: expected an object of strings"),
+        (_mmap_entry_as_list, "i.mmap: expected an object of strings"),
+        (_bottom_source_comp_as_int, "bottom.source.comp: expected a list of composition entries"),
+        (_top_source_objects_as_string, "top.source.objects: expected a list of object names"),
         (_not_commuting, "square does not commute"),
         (_top_into_the_base, "top edge has wrong endpoints"),
     ],
@@ -299,37 +309,37 @@ def test_malformed_square_exits_two_with_a_located_error(tmp_path, mutate, detai
             "tower.json",
             lambda tower: tower.pop("base"),
             ["limit", "tower", "--tower"],
-            "tower: missing 'base'",
+            "base: missing",
         ),
         (
             "tower.json",
             lambda tower: tower.update(maps=3),
             ["limit", "tower", "--tower"],
-            "tower: maps: expected a list",
+            "maps: expected a list",
         ),
         (
             "fragment.json",
             lambda fragment: fragment.pop("objects"),
             ["cosmos-check", "--fragment"],
-            "fragment: missing 'objects'",
+            "objects: missing",
         ),
         (
             "tower.json",
             _map_with_mmap_as_list,
             ["limit", "tower", "--tower"],
-            "maps[0]: mmap: expected an object of strings",
+            "maps[0].mmap: expected an object of strings",
         ),
         (
             "tower.json",
             lambda tower: tower.update(base={"objects": "*"}),
             ["limit", "tower", "--tower"],
-            "base: objects: expected a list of object names",
+            "base.objects: expected a list of object names",
         ),
         (
             "fragment.json",
             lambda fragment: fragment["objects"].append({"objects": "*"}),
             ["cosmos-check", "--fragment"],
-            "objects[3]: objects: expected a list of object names",
+            "objects[3].objects: expected a list of object names",
         ),
     ],
     ids=[
@@ -350,12 +360,17 @@ def test_malformed_tower_or_fragment_exits_two_with_a_located_error(
 @pytest.mark.parametrize(
     "field, value, detail",
     [
-        ("power_budget", "x", "fragment: power_budget: expected a non-negative integer"),
-        ("power_budget", True, "fragment: power_budget: expected a non-negative integer"),
-        ("tower_bound", None, "fragment: tower_bound: expected a non-negative integer"),
-        ("tower_bound", -1, "fragment: tower_bound: expected a non-negative integer"),
-        ("label", [1], "fragment: label: expected a string"),
-        ("chosen", 3, "fragment: chosen: expected a string"),
+        ("power_budget", "x", "power_budget: expected a non-negative integer"),
+        ("power_budget", True, "power_budget: expected a non-negative integer"),
+        ("tower_bound", None, "tower_bound: expected a non-negative integer"),
+        ("tower_bound", -1, "tower_bound: expected a non-negative integer"),
+        ("label", [1], "label: expected a string"),
+        ("chosen", 3, "chosen: expected a string"),
+        (
+            "chosen",
+            "fibrations",
+            "chosen: unknown class of maps: fibrations",
+        ),
     ],
     ids=[
         "power-budget-as-string",
@@ -364,6 +379,7 @@ def test_malformed_tower_or_fragment_exits_two_with_a_located_error(
         "tower-bound-negative",
         "label-as-list",
         "chosen-as-int",
+        "chosen-unknown",
     ],
 )
 def test_mistyped_fragment_field_exits_two_with_a_located_error(tmp_path, field, value, detail):
@@ -500,6 +516,18 @@ _CATEGORY_SHAPE_CASES = [
     [
         *_CATEGORY_SHAPE_CASES,
         (
+            "arrow.json",
+            lambda cat: cat["comp"].insert(0, {"g": "a", "f": "id_0", "gf": "id_0"}),
+            ["validate"],
+            "comp[1]: (a, id_0) is listed twice",
+        ),
+        (
+            "arrow.json",
+            lambda cat: cat["comp"].append({"g": "a", "f": "id_0", "gf": "id_0"}),
+            ["validate"],
+            "comp[4]: (a, id_0) is listed twice",
+        ),
+        (
             "arrow_identity.json",
             lambda functor: functor["omap"].pop("1"),
             ["classify", "--functor"],
@@ -598,6 +626,8 @@ _CATEGORY_SHAPE_CASES = [
             )
             for command in ("validate", "nerve")
         ),
+        "pair-repeated-before-its-entry",
+        "pair-repeated-after-its-entry",
         "omap-misses-an-object",
         "mmap-names-an-unknown-morphism",
         "functor-label-as-list",
@@ -1023,7 +1053,7 @@ def test_a_refusal_run_as_a_module_names_its_command_on_stderr():
     assert json.loads(res.stderr) == {
         "command": "limit tower",
         "error": "StructureError",
-        "detail": "tower: missing 'base'",
+        "detail": "base: missing",
     }
 
 
