@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import getitem, itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -132,15 +132,16 @@ def field(node, key: str, at: str, kind=object, what="", of=None, default=...):
     """``node[key]`` of the JSON object at ``at``, or ``default`` when it is
     absent; refused at the field's path when it is absent with no default,
     or is not a ``kind`` whose items (values, of a mapping) are ``of``s."""
-    if not isinstance(node, Mapping):
+    if type(node) is not dict and not isinstance(node, Mapping):
         raise refused(at, "expected a JSON object")
     if key not in node:
         if default is ...:
             raise refused(at_key(at, key), "missing")
         return default
     value = node[key]
-    items = value.values() if isinstance(value, Mapping) else value
-    if not isinstance(value, kind) or of and not all(isinstance(v, of) for v in items):
+    if not isinstance(value, kind) or of and not all(
+        map(isinstance, value if kind is list else value.values(), repeat(of))
+    ):
         raise refused(at_key(at, key), f"expected {what}")
     return value
 
@@ -638,16 +639,15 @@ def validate_category(raw, at: str = "") -> FinCat:
         entries = field(raw, "comp", at, list, "a list of composition entries")
         # the lists are read on a fast path that a malformed entry cuts
         # short; a count shows it and a walk locates it (a name of another
-        # type would reach the key's string encoder)
+        # type would reach the key's string encoder); comp goes straight
+        # into rows, where a repeated pair counts once
+        morphisms, rows = [], {}
         try:
-            morphisms = list(map(itemgetter("name", "dom", "cod"), listed))
-        except (KeyError, TypeError):  # an entry that is not an object of the three
-            morphisms = []
-        if len(morphisms) != len(listed) or {*map(type, chain.from_iterable(morphisms))} - {str}:
-            _refuse_entries(at_key(at, "morphisms"), listed, ("name", "dom", "cod"))
-        # comp is parsed straight into rows, where a repeated pair counts once
-        rows: dict[str, dict[str, str]] = {}
-        try:
+            for m in listed:
+                name, dom, cod = m["name"], m["dom"], m["cod"]
+                if not (isinstance(name, str) and isinstance(dom, str) and isinstance(cod, str)):
+                    break
+                morphisms.append((name, dom, cod))
             for e in entries:
                 g, f, gf = e["g"], e["f"], e["gf"]
                 if not (isinstance(g, str) and isinstance(f, str) and isinstance(gf, str)):
@@ -656,8 +656,10 @@ def validate_category(raw, at: str = "") -> FinCat:
                     rows[g][f] = gf
                 except KeyError:
                     rows[g] = {f: gf}
-        except (KeyError, TypeError):
+        except (KeyError, TypeError):  # an entry that is not an object of its three names
             pass
+        if len(morphisms) != len(listed):
+            _refuse_entries(at_key(at, "morphisms"), listed, ("name", "dom", "cod"))
         if sum(map(len, rows.values())) != len(entries):
             _refuse_entries(at_key(at, "comp"), entries, ("g", "f", "gf"), pairs=True)
         cat = FinCat(objects, morphisms, identity, label=label, rows=rows)

@@ -80,52 +80,51 @@ class TruncSSet:
         }
 
 
-def sset_from_dict(data, label: str = "sset", at: str = "") -> TruncSSet:
-    """The simplicial set of the ``to_dict`` form at the JSON path ``at``."""
-    levels = field(data, "simplices", at, list, "a list of simplex lists")
+def sset_from_dict(data, label: str = "sset") -> TruncSSet:
+    """The simplicial set of the ``to_dict`` form, refused at a node's path."""
+    levels = field(data, "simplices", "", list, "a list of simplex lists")
     for dim, level in enumerate(levels):
         if not isinstance(level, list) or not all(isinstance(s, str) for s in level):
-            raise refused(at, f"simplices {dim}: expected a list of strings")
+            raise refused(at_key("simplices", dim), "expected a list of strings")
     tables = []
     for kind in ("faces", "degeneracies"):
-        node, where = field(data, kind, at, dict, "an object of tables"), at_key(at, kind)
+        node = field(data, kind, "", dict, "an object of tables")
         tables.append({})
         for key in node:
             d, _, i = key.partition(",")
             if not (d.isdecimal() and i.isdecimal()):
-                raise refused(at_key(where, key), "expected a key dim,i")
-            tables[-1][int(d), int(i)] = field(node, key, where, dict, "simplex names", of=str)
+                raise refused(at_key(kind, key), "expected a key dim,i")
+            tables[-1][int(d), int(i)] = field(node, key, kind, dict, "simplex names", of=str)
     return TruncSSet(tuple(map(tuple, levels)), *tables, label=label)
 
 
 def validate_sset(X: TruncSSet) -> TruncSSet:
     """Check that names are distinct in each dimension, totality of the
-    tables and all simplicial identities that fit inside the truncation."""
+    tables and all simplicial identities that fit inside the truncation;
+    each refusal starts with the label of ``X``."""
     if len(X.simplices) != TOP_DIM + 1:
-        raise StructureError("expected simplex lists for dimensions 0..3")
+        raise refused(X.label, "expected simplex lists for dimensions 0..3")
     for dim, level in enumerate(X.simplices):
         if len(set(level)) != len(level):
             twice = next(s for k, s in enumerate(level) if s in level[:k])
-            raise StructureError(f"simplices {dim}: {twice} is listed twice")
+            raise refused(X.label, f"simplices {dim}: {twice} is listed twice")
     for dim in range(1, TOP_DIM + 1):
         for i in range(dim + 1):
             table = X.faces.get((dim, i))
             if table is None or set(table) != set(X.simplices[dim]):
-                raise StructureError(f"face table ({dim},{i}) must cover dimension {dim}")
+                raise refused(X.label, f"face table ({dim},{i}) must cover dimension {dim}")
             for v in table.values():
                 if v not in X.simplices[dim - 1]:
-                    raise StructureError(f"face ({dim},{i}) lands outside dimension {dim-1}")
+                    raise refused(X.label, f"face ({dim},{i}) lands outside dimension {dim-1}")
     for dim in range(0, TOP_DIM):
         for i in range(dim + 1):
             table = X.degeneracies.get((dim, i))
             if table is None or set(table) != set(X.simplices[dim]):
-                raise StructureError(
-                    f"degeneracy table ({dim},{i}) must cover dimension {dim}"
-                )
+                raise refused(X.label, f"degeneracy table ({dim},{i}) must cover dimension {dim}")
             for v in table.values():
                 if v not in X.simplices[dim + 1]:
-                    raise StructureError(
-                        f"degeneracy ({dim},{i}) lands outside dimension {dim+1}"
+                    raise refused(
+                        X.label, f"degeneracy ({dim},{i}) lands outside dimension {dim+1}"
                     )
     # d_i d_j = d_{j-1} d_i for i < j
     for dim in range(2, TOP_DIM + 1):
@@ -135,7 +134,7 @@ def validate_sset(X: TruncSSet) -> TruncSSet:
                     left = X.face(dim - 1, i, X.face(dim, j, s))
                     right = X.face(dim - 1, j - 1, X.face(dim, i, s))
                     if left != right:
-                        raise StructureError(f"d{i} d{j} fails at {s} (dim {dim})")
+                        raise refused(X.label, f"d{i} d{j} fails at {s} (dim {dim})")
     # s_i s_j = s_{j+1} s_i for i <= j
     for dim in range(0, TOP_DIM - 1):
         for j in range(dim + 1):
@@ -144,7 +143,7 @@ def validate_sset(X: TruncSSet) -> TruncSSet:
                     left = X.degeneracy(dim + 1, i, X.degeneracy(dim, j, s))
                     right = X.degeneracy(dim + 1, j + 1, X.degeneracy(dim, i, s))
                     if left != right:
-                        raise StructureError(f"s{i} s{j} fails at {s} (dim {dim})")
+                        raise refused(X.label, f"s{i} s{j} fails at {s} (dim {dim})")
     # d_i s_j relations
     for dim in range(0, TOP_DIM):
         for j in range(dim + 1):
@@ -158,7 +157,7 @@ def validate_sset(X: TruncSSet) -> TruncSSet:
                     else:
                         want = X.degeneracy(dim - 1, j, X.face(dim, i - 1, s))
                     if got != want:
-                        raise StructureError(f"d{i} s{j} fails at {s} (dim {dim})")
+                        raise refused(X.label, f"d{i} s{j} fails at {s} (dim {dim})")
     return X
 
 

@@ -44,10 +44,10 @@ def load_json(path, at: str = ""):
     """The JSON value in the file ``path``, read for the node at ``at``."""
     try:
         return json.loads(Path(path).read_text())
-    # undecodable bytes raise a ValueError too, and deep nesting a RecursionError
-    except (ValueError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise refused(at, f"{path}: malformed JSON: {exc}") from exc
-    except OSError as exc:
+    # a path with a NUL byte raises a ValueError
+    except (OSError, ValueError) as exc:
         raise refused(at, f"{path}: {exc}") from exc
 
 
@@ -84,9 +84,8 @@ def _names(data: dict, key: str, at: str) -> dict:
 
 def functor_from_node(node, base: Path, at: str = "") -> FinFunctor:
     data, _ = _resolve(node, base, at)
-    source, target = (
-        category_from_node(field(data, k, at), base, at_key(at, k)) for k in ("source", "target")
-    )
+    source = category_from_node(field(data, "source", at), base, at_key(at, "source"))
+    target = category_from_node(field(data, "target", at), base, at_key(at, "target"))
     omap, mmap = _names(data, "omap", at), _names(data, "mmap", at)
     label = field(data, "label", at, str, "a string", default="functor")
     return validate_functor(FinFunctor(source, target, omap, mmap, label=label), at)
@@ -102,9 +101,8 @@ def load_functor(path) -> FinFunctor:
 
 def transformation_from_node(node, base: Path, at: str = "") -> NatTrans:
     data, _ = _resolve(node, base, at)
-    source, target = (
-        functor_from_node(field(data, k, at), base, at_key(at, k)) for k in ("source", "target")
-    )
+    source = functor_from_node(field(data, "source", at), base, at_key(at, "source"))
+    target = functor_from_node(field(data, "target", at), base, at_key(at, "target"))
     components = _names(data, "components", at)
     label = field(data, "label", at, str, "a string", default="nat")
     return validate_transformation(NatTrans(source, target, components, label=label), at=at)

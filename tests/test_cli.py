@@ -567,13 +567,19 @@ _CATEGORY_SHAPE_CASES = [
             "interval_sset.json",
             _first_simplex_as_list(1),
             ["classify-sset", "--sset"],
-            "simplices 1: expected a list of strings",
+            "simplices[1]: expected a list of strings",
         ),
         (
             "interval_sset.json",
             _first_simplex_as_list(2),
             ["classify-sset", "--sset"],
-            "simplices 2: expected a list of strings",
+            "simplices[2]: expected a list of strings",
+        ),
+        (
+            "interval_sset.json",
+            lambda sset: sset["simplices"].__setitem__(0, 17),
+            ["classify-sset", "--sset"],
+            "simplices[0]: expected a list of strings",
         ),
         (
             "interval_sset.json",
@@ -585,7 +591,7 @@ _CATEGORY_SHAPE_CASES = [
             "interval_sset.json",
             _first_simplex_twice(0),
             ["classify-sset", "--sset"],
-            "simplices 0: 0 is listed twice",
+            "interval_sset: simplices 0: 0 is listed twice",
         ),
         (
             "interval_sset.json",
@@ -596,13 +602,13 @@ _CATEGORY_SHAPE_CASES = [
                 str(Path(__file__).resolve().parent.parent / "sample_data" / "arrow.json"),
                 "--sset",
             ],
-            "simplices 0: 0 is listed twice",
+            "interval_sset: simplices 0: 0 is listed twice",
         ),
         (
             "interval_sset.json",
             _first_simplex_twice(1),
             ["classify-sset", "--sset"],
-            "simplices 1: (id_0) is listed twice",
+            "interval_sset: simplices 1: (id_0) is listed twice",
         ),
         (
             "interval_sset.json",
@@ -636,6 +642,7 @@ _CATEGORY_SHAPE_CASES = [
         "component-as-list",
         "sset-list-named-edge",
         "sset-list-named-triangle",
+        "sset-vertex-level-as-integer",
         "sset-faces-as-list",
         "sset-vertex-twice",
         "powers-sset-vertex-twice",
@@ -740,13 +747,13 @@ def _set_entry(kind, key, simplex, value):
 @pytest.mark.parametrize(
     "mutate, detail",
     [
-        (lambda sset: sset["simplices"].pop(), "expected simplex lists for dimensions 0..3"),
-        (lambda sset: sset["simplices"][0].append("0"), "simplices 0: 0 is listed twice"),
-        (lambda sset: sset["faces"].pop("1,0"), "face table (1,0) must cover dimension 1"),
-        (_set_entry("faces", "1,0", "01", "01"), "face (1,0) lands outside dimension 0"),
-        (_set_entry("faces", "2,1", "011", "00"), "d0 d1 fails at 011 (dim 2)"),
-        (_set_entry("degeneracies", "2,0", "001", "0011"), "s0 s0 fails at 01 (dim 1)"),
-        (_set_entry("degeneracies", "0,0", "0", "11"), "d0 s0 fails at 0 (dim 0)"),
+        (lambda sset: sset["simplices"].pop(), "interval: expected simplex lists for dimensions 0..3"),
+        (lambda sset: sset["simplices"][0].append("0"), "interval: simplices 0: 0 is listed twice"),
+        (lambda sset: sset["faces"].pop("1,0"), "interval: face table (1,0) must cover dimension 1"),
+        (_set_entry("faces", "1,0", "01", "01"), "interval: face (1,0) lands outside dimension 0"),
+        (_set_entry("faces", "2,1", "011", "00"), "interval: d0 d1 fails at 011 (dim 2)"),
+        (_set_entry("degeneracies", "2,0", "001", "0011"), "interval: s0 s0 fails at 01 (dim 1)"),
+        (_set_entry("degeneracies", "0,0", "0", "11"), "interval: d0 s0 fails at 0 (dim 0)"),
     ],
     ids=[
         "three-simplex-lists",

@@ -222,29 +222,28 @@ def _is_input(value) -> bool:
     return isinstance(value, dict) and any(k in value for k in keys)
 
 
-def _allowed_prefixes(doc, at, path):
-    """The paths a refusal of a mutation at ``path`` may start with: the
-    path of the innermost input node that holds it, of the mutated node, or
-    of a node between.  At the root of a file named on the command line, a
-    whole input's check may start with its label instead (``None``)."""
+def _allowed_prefixes(name, doc, at, path):
+    """The paths a refusal of a mutation at ``path`` of the file ``name``
+    may start with: the path of the innermost input node that holds it, of
+    the mutated node, or of a node between.  The root of a file named on the
+    command line has no path; there a whole input's check starts with the
+    input's label (a simplicial set's is its file's stem)."""
     inner, node = 0, doc
     for depth, key in enumerate(path):
         node = node[key]
         if _is_input(node):
             inner = depth + 1
+    prefixes = [_text(at, path[:k]) for k in range(inner if inner or at else 1, len(path) + 1)]
     if inner == 0 and not at and _is_input(doc):
-        return None
-    # the root of a file named on the command line has no path
-    start = inner if inner or at else 1
-    return [_text(at, path[:k]) for k in range(start, len(path) + 1)]
+        prefixes.append(doc.get("label", Path(name).stem))
+    return prefixes
 
 
 def _check_refusal(detail, prefixes):
     assert not any(word in detail for word in PYTHON_WORDS), detail
-    if prefixes is not None:
-        assert any(
-            detail.startswith(prefix) and detail[len(prefix)] in ":.[ " for prefix in prefixes
-        ), (detail, prefixes)
+    assert any(
+        detail.startswith(prefix) and detail[len(prefix)] in ":.[ " for prefix in prefixes
+    ), (detail, prefixes)
 
 
 def test_every_node_mutation_is_refused_at_its_path_or_valid_by_accident():
@@ -270,7 +269,7 @@ def test_every_node_mutation_is_refused_at_its_path_or_valid_by_accident():
                         continue
                     assert res.exit_code == 2, (where, res.output)
                     detail = json.loads(res.output.strip().splitlines()[-1])["detail"]
-                    _check_refusal(detail, _allowed_prefixes(doc, at, path))
+                    _check_refusal(detail, _allowed_prefixes(name, doc, at, path))
             (tmp / name).write_text(original)
         assert seen_valid == VALID_BY_ACCIDENT
 
