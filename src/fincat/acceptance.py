@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .cosmos import nip_square_filler
 from .counterexamples import run_counterexample
-from .equivalence import classify_equivalence, injective_witness
+from .equivalence import classify_equivalence
 from .fibrations import classify_fibration
 from .limits import (
     build_normal_pullback,
@@ -146,15 +146,12 @@ def _generated_squares():
     ][:10]
     squares = []
     for i in injectives:
-        wit = injective_witness(i)
         for p in normals:
             for top in enumerate_functors(i.source, p.source, limit=3):
                 for bottom in enumerate_lifts(
                     i.target, p.target, under=[(i, top.then(p))], limit=2
                 ):
-                    squares.append(
-                        (LiftingProblem(left=i, right=p, top=top, bottom=bottom), wit)
-                    )
+                    squares.append(LiftingProblem(left=i, right=p, top=top, bottom=bottom))
                     if len(squares) >= 2 * SQUARES_NEEDED:
                         return squares
     return squares
@@ -164,7 +161,7 @@ def _generated_squares():
 def criterion_2_lifting_completeness():
     attempted, failures = _check_each(
         _generated_squares()[:120],
-        lambda square: () if square[0].is_filler(solve_lifting(*square)) else ("invalid filler",),
+        lambda square: () if square.is_filler(solve_lifting(square)) else ("invalid filler",),
     )
     solved = attempted - len(failures)
     bad_ps = corpus_non_isofibrations()[:12]

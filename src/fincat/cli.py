@@ -387,7 +387,7 @@ def cosmos_check(fragment_path):
     base = Path(fragment_path).parent
     nodes = field(data, "objects", "", list, "a list")
     chosen = field(data, "chosen", "", str, "a string", default="normal")
-    label = field(data, "label", "", str, "a string", default=Path(fragment_path).stem)
+    label = field(data, "label", "", str, "a string")
     caps = {}
     for key, name in (("power_budget", "budget"), ("tower_bound", "tower")):
         value = caps[name] = data.get(key, getattr(bounds(), name))

@@ -235,14 +235,3 @@ def classify_equivalence(F: FinFunctor):
         return adjoint_equivalence(F, lambda: (next(find_sections(F, limit=1)), counit), "retract")
     counit = {b: iso for b, (_, iso) in choices.items()}
     return adjoint_equivalence(F, lambda: (_conjugate(F, choices), counit), "plain")
-
-
-def injective_witness(F: FinFunctor) -> EquivalenceWitness:
-    """Witness with identity unit; requires a retraction."""
-    w = classify_equivalence(F)
-    if isinstance(w, NotEquivalence):
-        raise WitnessInvalid(f"{F.label} is not an equivalence: {w.reason}")
-    if not w.has_retraction:
-        raise WitnessInvalid(f"{F.label} has no retraction")
-    # injective is the preferred normalization, so the unit is an identity
-    return w

@@ -47,7 +47,7 @@ from .core import (
     identity_nat,
 )
 from .equivalence import EquivalenceWitness, adjoint_equivalence
-from .fibrations import build_normal_cleavage, classify_fibration, lift_iso_2cell
+from .fibrations import build_normal_cleavage, lift_iso_2cell
 from .funcat import (
     FunctorCat,
     _functor_parts,
@@ -384,8 +384,6 @@ def inserter(f: FinFunctor, g: FinFunctor) -> LimitWitness:
     B = f.target
     j = builtin_functor("discrete_to_arrow")
     restriction = precompose_functor(j, B)
-    if not classify_fibration(restriction, grothendieck=False).discrete:
-        raise StructureError("endpoint restriction failed the discrete isofibration check")
     power2 = functor_category(builtin("two_discrete"), B)
     pairing = functor_into_power([f, g], power2)
     pb = pullback_strict(pairing, restriction)
@@ -410,8 +408,6 @@ def equifier(t1: NatTrans, t2: NatTrans) -> LimitWitness:
     B = t1.category
     fold = builtin_functor("collapse_parallel")
     restriction = precompose_functor(fold, B)
-    if not classify_fibration(restriction, grothendieck=False).discrete:
-        raise StructureError("fold restriction failed the discrete isofibration check")
     power_pp = functor_category(builtin("parallel_pair"), B)
     pairing = cells_into_power([t1, t2], power_pp)
     pb = pullback_strict(pairing, restriction)

@@ -9,7 +9,11 @@ Transformations: {"source": functor, "target": functor, "components":
 
 Each loader takes its node's JSON path ``at`` (``maps[0]``, also when the
 node names another file) and hands each child the child's path, so every
-:class:`StructureError` starts with the path of the node at fault.
+:class:`StructureError` starts with the path of the node at fault.  A JSON
+object read from a file is labelled with the file's stem unless it names
+its own ``label``, before anything checks it, so a whole-input check of a
+file names it by the same label the value keeps; an inline node without a
+label takes its kind's default (``cat``, ``functor``, ``nat``).
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from pathlib import Path
 
 from .core import (
     FinCat,
+    FinCatError,
     FinFunctor,
     NatTrans,
     at_key,
@@ -41,41 +46,43 @@ def digest_file(path) -> str:
 
 
 def load_json(path, at: str = ""):
-    """The JSON value in the file ``path``, read for the node at ``at``."""
+    """The JSON value in the file ``path``, read for the node at ``at``; a
+    JSON object without a ``label`` gets the file's stem as its label."""
+    file = Path(path)
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(file.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise refused(at, f"{path}: malformed JSON: {exc}") from exc
     # a path with a NUL byte raises a ValueError
     except (OSError, ValueError) as exc:
         raise refused(at, f"{path}: {exc}") from exc
+    if type(data) is dict:
+        data.setdefault("label", file.stem)
+    return data
 
 
 def _resolve(node, base: Path, at: str):
     """A node is either inline data or a relative path to another file."""
     if isinstance(node, str):
-        return load_json(base / node, at), (base / node)
+        return load_json(base / node, at)
     if isinstance(node, dict):
-        return node, None
+        return node
     raise refused(at, "expected a JSON object or a path string")
 
 
 def load_category(path) -> FinCat:
-    path = Path(path)
-    data = load_json(path)
-    cat = validate_category(data)
-    cat.label = data.get("label", path.stem)
-    return cat
+    return validate_category(load_json(path))
 
 
 def category_from_node(node, base: Path, at: str = "") -> FinCat:
     # "builtin:<name>" references the builtin library directly
     if isinstance(node, str) and node.startswith("builtin:"):
-        return builtin(node.split(":", 1)[1])
-    data, src = _resolve(node, base, at)
-    cat = validate_category(data, at)
-    cat.label = data.get("label", src.stem if src else "cat")
-    return cat
+        try:
+            return builtin(node.split(":", 1)[1])
+        except FinCatError as exc:  # an unknown name or one over the size limit
+            exc.args = refused(at, str(exc)).args
+            raise
+    return validate_category(_resolve(node, base, at), at)
 
 
 def _names(data: dict, key: str, at: str) -> dict:
@@ -83,7 +90,7 @@ def _names(data: dict, key: str, at: str) -> dict:
 
 
 def functor_from_node(node, base: Path, at: str = "") -> FinFunctor:
-    data, _ = _resolve(node, base, at)
+    data = _resolve(node, base, at)
     source = category_from_node(field(data, "source", at), base, at_key(at, "source"))
     target = category_from_node(field(data, "target", at), base, at_key(at, "target"))
     omap, mmap = _names(data, "omap", at), _names(data, "mmap", at)
@@ -92,15 +99,11 @@ def functor_from_node(node, base: Path, at: str = "") -> FinFunctor:
 
 
 def load_functor(path) -> FinFunctor:
-    path = Path(path)
-    F = functor_from_node(load_json(path), path.parent)
-    if F.label == "functor":
-        F.label = path.stem
-    return F
+    return functor_from_node(load_json(path), Path(path).parent)
 
 
 def transformation_from_node(node, base: Path, at: str = "") -> NatTrans:
-    data, _ = _resolve(node, base, at)
+    data = _resolve(node, base, at)
     source = functor_from_node(field(data, "source", at), base, at_key(at, "source"))
     target = functor_from_node(field(data, "target", at), base, at_key(at, "target"))
     components = _names(data, "components", at)
@@ -109,8 +112,7 @@ def transformation_from_node(node, base: Path, at: str = "") -> NatTrans:
 
 
 def load_transformation(path) -> NatTrans:
-    path = Path(path)
-    return transformation_from_node(load_json(path), path.parent)
+    return transformation_from_node(load_json(path), Path(path).parent)
 
 
 def load_sset(path) -> TruncSSet:

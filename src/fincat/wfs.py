@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    CleavageNotNormal,
     FinFunctor,
     StructureError,
     WitnessInvalid,
@@ -17,11 +16,7 @@ from .core import (
     find_isomorphism,
     identity_functor,
 )
-from .equivalence import (
-    EquivalenceWitness,
-    classify_equivalence,
-    validate_witness,
-)
+from .equivalence import EquivalenceWitness, classify_equivalence
 from .fibrations import (
     Cleavage,
     FibrationReport,
@@ -93,29 +88,20 @@ def factorize_wfs(f: FinFunctor) -> Factorization:
     )
 
 
-def solve_lifting(problem: LiftingProblem, witness: EquivalenceWitness | None = None) -> FinFunctor:
+def solve_lifting(problem: LiftingProblem) -> FinFunctor:
     """Diagonal filler for a square with an injective equivalence on the
     left and a normal isofibration on the right.
 
-    The square is checked, and so is a witness the caller passes; the
-    witness and the right edge's normal cleavage built here are lawful by
-    construction.  The filler is built by lifting the whiskered
-    counit-inverse through the cleavage; normality then forces agreement
-    with the top edge.
+    The square is checked; the left edge's witness and the right edge's
+    normal cleavage are built here, lawful by construction.  The filler is
+    built by lifting the whiskered counit-inverse through the cleavage;
+    normality then forces agreement with the top edge.
     """
     problem.validate()
-    i, p = problem.left, problem.right
-    if witness is None:
-        witness = classify_equivalence(i)
-        if not witness.has_retraction:
-            raise WitnessInvalid(f"{i.label} is not an injective equivalence")
-    else:
-        if witness.forward != i:
-            raise WitnessInvalid("witness does not belong to the left edge")
-        if witness.kind != "injective" or not witness.unit.is_identity():
-            raise WitnessInvalid("witness must be injective-normalized (identity unit)")
-        validate_witness(witness)
-    return _filler(problem, witness, build_normal_cleavage(p))
+    witness = classify_equivalence(problem.left)
+    if not witness.has_retraction:
+        raise WitnessInvalid(f"{problem.left.label} is not an injective equivalence")
+    return _filler(problem, witness, build_normal_cleavage(problem.right))
 
 
 def _filler(
@@ -264,9 +250,8 @@ class RetractCertificate:
 
 def minimal_retract_witness(f: FinFunctor) -> RetractCertificate:
     """For a normal isofibration f, solve the square (diagonal, f, 1,
-    right leg) and package the retract diagram through the factorization."""
-    if not classify_fibration(f, grothendieck=False).normal:
-        raise CleavageNotNormal(f"{f.label} is not a normal isofibration")
+    right leg) and package the retract diagram through the factorization;
+    raises :class:`NotIsofibration` when f is not one."""
     cleavage = build_normal_cleavage(f)
     fac = factorize_wfs(f)
     problem = LiftingProblem(

@@ -303,43 +303,63 @@ def test_malformed_square_exits_two_with_a_located_error(tmp_path, mutate, detai
 
 
 @pytest.mark.parametrize(
-    "sample, mutate, argv, detail",
+    "sample, mutate, argv, detail, error",
     [
         (
             "tower.json",
             lambda tower: tower.pop("base"),
             ["limit", "tower", "--tower"],
             "base: missing",
+            "StructureError",
         ),
         (
             "tower.json",
             lambda tower: tower.update(maps=3),
             ["limit", "tower", "--tower"],
             "maps: expected a list",
+            "StructureError",
         ),
         (
             "fragment.json",
             lambda fragment: fragment.pop("objects"),
             ["cosmos-check", "--fragment"],
             "objects: missing",
+            "StructureError",
         ),
         (
             "tower.json",
             _map_with_mmap_as_list,
             ["limit", "tower", "--tower"],
             "maps[0].mmap: expected an object of strings",
+            "StructureError",
         ),
         (
             "tower.json",
             lambda tower: tower.update(base={"objects": "*"}),
             ["limit", "tower", "--tower"],
             "base.objects: expected a list of object names",
+            "StructureError",
         ),
         (
             "fragment.json",
             lambda fragment: fragment["objects"].append({"objects": "*"}),
             ["cosmos-check", "--fragment"],
             "objects[3].objects: expected a list of object names",
+            "StructureError",
+        ),
+        (
+            "fragment.json",
+            lambda fragment: fragment["objects"].__setitem__(1, "builtin:nowhere"),
+            ["cosmos-check", "--fragment"],
+            "objects[1]: no builtin category named 'nowhere'",
+            "UnknownBuiltin",
+        ),
+        (
+            "fragment.json",
+            lambda fragment: fragment["objects"].__setitem__(1, "builtin:chaotic(60)"),
+            ["cosmos-check", "--fragment"],
+            "objects[1]: builtin chaotic(60) needs 216000 composition entries, limit is 125000",
+            "BudgetExceeded",
         ),
     ],
     ids=[
@@ -349,12 +369,35 @@ def test_malformed_square_exits_two_with_a_located_error(tmp_path, mutate, detai
         "tower-map-mmap-as-list",
         "tower-base-objects-as-string",
         "fragment-object-objects-as-string",
+        "fragment-unknown-builtin",
+        "fragment-builtin-over-the-limit",
     ],
 )
 def test_malformed_tower_or_fragment_exits_two_with_a_located_error(
-    tmp_path, sample, mutate, argv, detail
+    tmp_path, sample, mutate, argv, detail, error
 ):
-    _exit_two_with(tmp_path, sample, mutate, argv, detail)
+    _exit_two_with(tmp_path, sample, mutate, argv, detail, error)
+
+
+def test_a_functor_file_that_a_node_names_breaks_a_law_under_its_stem(tmp_path):
+    """A label-less functor file named by a tower's ``maps[0]`` is reported
+    under its file's stem, as it is when named on the command line."""
+    samples = Path(__file__).resolve().parent.parent / "sample_data"
+    (tmp_path / "tower.json").write_text((samples / "tower.json").read_text())
+    functor = json.loads((samples / "arrow_to_terminal.json").read_text())
+    del functor["label"]
+    functor.update(
+        target="builtin:arrow",
+        omap={"0": "0", "1": "0"},
+        mmap={"id_0": "id_0", "id_1": "id_0", "a": "a"},
+    )
+    (tmp_path / "arrow_to_terminal.json").write_text(json.dumps(functor))
+    res = invoke(["limit", "tower", "--tower", "tower.json"], tmp_path)
+    assert res.exit_code == 1
+    assert payload(res)["result"] == {
+        "error": "NotFunctorial",
+        "detail": "arrow_to_terminal: image of a has wrong boundary",
+    }
 
 
 @pytest.mark.parametrize(
@@ -495,6 +538,16 @@ def _composite_as_list(cat):
     cat["comp"][0]["gf"] = [cat["comp"][0]["gf"]]
 
 
+def _unlabelled(mutate):
+    """``mutate`` after deleting the node's ``label``."""
+
+    def run(data):
+        del data["label"]
+        mutate(data)
+
+    return run
+
+
 _CATEGORY_SHAPE_CASES = [
     ("arrow.json", mutate, argv, detail)
     for mutate, detail in (
@@ -616,6 +669,25 @@ _CATEGORY_SHAPE_CASES = [
             ["classify-sset", "--sset"],
             "Π(interval_sset): duplicate morphism names",
         ),
+        # a file without a label is checked under its stem
+        (
+            "arrow.json",
+            _unlabelled(lambda cat: cat["identity"].pop("1")),
+            ["validate"],
+            "arrow: identity map must cover exactly the objects",
+        ),
+        (
+            "arrow_to_terminal.json",
+            _unlabelled(lambda functor: functor["omap"].pop("1")),
+            ["classify", "--functor"],
+            "arrow_to_terminal: object map must cover exactly the source objects",
+        ),
+        (
+            "identity_cell.json",
+            _unlabelled(lambda cell: cell["components"].pop("1")),
+            ["limit", "equifier", "--t1", "identity_cell.json", "--t2"],
+            "identity_cell: components must cover exactly the source objects",
+        ),
     ],
     ids=[
         *(
@@ -648,6 +720,9 @@ _CATEGORY_SHAPE_CASES = [
         "powers-sset-vertex-twice",
         "sset-edge-twice",
         "sset-edge-named-as-a-path",
+        "unlabelled-category",
+        "unlabelled-functor",
+        "unlabelled-transformation",
     ],
 )
 def test_malformed_functor_cell_or_sset_exits_two_with_a_located_error(
@@ -669,7 +744,7 @@ def test_malformed_functor_cell_or_sset_exits_two_with_a_located_error(
             {("i2", "c"): "yy", ("b", "a"): "zz"},
             2,
             "StructureError",
-            "cat: comp('i2', 'c') = yy is not a morphism",
+            "chain: comp('i2', 'c') = yy is not a morphism",
         ),
     ],
     ids=["boundary-exits-one", "not-a-morphism-exits-two"],

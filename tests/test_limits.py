@@ -27,7 +27,12 @@ from fincat.corpus import (
     corpus_towers,
 )
 from fincat.fibrations import classify_fibration
-from fincat.funcat import evaluation_functor, functor_category, postcompose_functor
+from fincat.funcat import (
+    evaluation_functor,
+    functor_category,
+    postcompose_functor,
+    precompose_functor,
+)
 from fincat.limits import (
     _certify,
     _pullback_cones,
@@ -306,6 +311,17 @@ def test_the_comparison_reads_the_source_power_then_the_target_power_under_the_b
 
 
 # -- inserter / equifier -----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["discrete_to_arrow", "collapse_parallel"])
+def test_the_restrictions_inserter_and_equifier_pull_back_are_discrete_isofibrations(name):
+    """Restriction B^arrow → B^2 and B^arrow → B^parallel_pair, along the
+    bijective-on-objects builtins that ``inserter`` and ``equifier`` pull
+    back along, is a discrete isofibration for every corpus category B, so
+    neither of them checks it again."""
+    j = builtin_functor(name)
+    for B in corpus_categories():
+        assert classify_fibration(precompose_functor(j, B), grothendieck=False).discrete, B.label
 
 
 def test_inserter_of_identity_on_poset_is_the_poset():

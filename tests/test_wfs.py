@@ -1,8 +1,8 @@
 import pytest
 
 from fincat.core import (
-    CleavageNotNormal,
     FinFunctor,
+    NotIsofibration,
     WitnessInvalid,
     builtin,
     builtin_functor,
@@ -15,7 +15,7 @@ from fincat.equivalence import (
     find_retractions,
     validate_witness,
 )
-from fincat.fibrations import classify_fibration
+from fincat.fibrations import build_normal_cleavage, classify_fibration
 from fincat.corpus import corpus_functors, cyclic_group_category
 from fincat.funcat import (
     evaluation_functor,
@@ -32,6 +32,7 @@ from fincat.wfs import (
     find_arrow_isomorphism,
     has_filler,
     leibniz_power,
+    _filler,
     minimal_retract_witness,
     solve_lifting,
 )
@@ -77,7 +78,7 @@ def test_factorization_legs_compose_to_the_arrow_on_the_corpus():
     its canonical square commutes.  The cell right·η that a filler of that
     square lifts, for η : 1 ≅ left∘r of the left leg's witness, is an
     invertible transformation, and when f is a normal isofibration the
-    filler that ``solve_lifting`` builds fills the square."""
+    filler that ``_filler`` builds from that witness fills the square."""
     for f in corpus_functors():
         fac = factorize_wfs(f)
         assert fac.left.then(fac.right) == f, f.label
@@ -86,7 +87,8 @@ def test_factorization_legs_compose_to_the_arrow_on_the_corpus():
         eta = fac.left_witness.counit.inverse()
         validate_transformation(eta.whisker_post(fac.right), invertible=True)
         if classify_fibration(f, grothendieck=False).normal:
-            assert square.is_filler(solve_lifting(square, witness=fac.left_witness)), f.label
+            filler = _filler(square, fac.left_witness, build_normal_cleavage(f))
+            assert square.is_filler(filler), f.label
 
 
 def test_factorize_non_isofibration_still_splits():
@@ -169,7 +171,7 @@ def test_filler_valid_for_every_retraction_witness():
     assert retractions
     for r in retractions:
         w = witness_from_parts(i, r, "injective", False, True)
-        h = solve_lifting(square, witness=w)
+        h = _filler(square, w, build_normal_cleavage(p))
         assert square.is_filler(h)
 
 
@@ -220,56 +222,48 @@ def _constant_0(pl):
 
 
 WRONG_WITNESSES = {
-    # (f, the thunk's inverse and counit, kind): the messages of
-    # validate_witness and of solve_lifting on f's canonical square
+    # (f, the thunk's inverse and counit, kind): validate_witness's message
     "constant inverse": (
         _ARROW,
         lambda pl: (_constant_0(pl), {b: pl.apex.id_of(b) for b in pl.apex.objects}),
         "injective",
         r"^\(id_1\|\[id_\*,id_\*\]0>0\) has no preimage under diagonal$",
-        None,
     ),
     "projection claimed a strict inverse": (
         _CHAOTIC,
         lambda pl: (pl.to_source, {b: pl.apex.id_of(b) for b in pl.apex.objects}),
         "injective",
         r"^unit/counit invalid: naturality fails at .*: component has wrong boundary$",
-        None,
     ),
     "non-invertible counit": (
         _ARROW,
         lambda pl: (_constant_0(pl), _counit_of(pl, _constant_0(pl))),
         "injective",
         r"^counit is not invertible on the image of diagonal$",
-        None,
     ),
     "non-natural counit": (
         _CYCLIC,
         lambda pl: (pl.to_source, _counit_changed_off_image(pl)),
         "injective",
         r"^unit/counit invalid: naturality fails at .* != ",
-        None,
     ),
     "counit missing a component": (
         _CYCLIC,
         lambda pl: (pl.to_source, _counit_missing_off_image(pl)),
         "injective",
         r"^unit/counit invalid: counit: components must cover exactly the source objects$",
-        None,
     ),
     "injective kind with a non-identity unit": (
         _CHAOTIC,
         lambda pl: (_swapped_retraction(pl), _counit_of(pl, _swapped_retraction(pl))),
         "injective",
         r"^injective witness must have identity unit$",
-        r"^witness must be injective-normalized \(identity unit\)$",
     ),
     "retract kind with a non-identity counit": (
         _CHAOTIC,
         lambda pl: (pl.to_source, pl.diagonal_cell.inverse().components),
         "retract",
         r"^retract witness must have identity counit$",
-        r"^witness must be injective-normalized \(identity unit\)$",
     ),
 }
 
@@ -278,35 +272,23 @@ WRONG_WITNESSES = {
 def test_a_wrong_witness_for_the_diagonal_is_refused(case):
     """A witness built by ``adjoint_equivalence`` for a factorization's
     diagonal from a wrong inverse or counit, or under the wrong kind, is
-    refused by ``validate_witness`` and by ``solve_lifting``, each with its
-    message (``solve_lifting``'s is ``validate_witness``'s unless given)."""
-    f, build, kind, message, lifting_message = WRONG_WITNESSES[case]
-
-    def witness():
-        pl = factorize_wfs(f).pseudolimit
-        return adjoint_equivalence(pl.diagonal, lambda: build(pl), kind)
-
+    refused by ``validate_witness`` with its message."""
+    f, build, kind, message = WRONG_WITNESSES[case]
+    pl = factorize_wfs(f).pseudolimit
     with pytest.raises(WitnessInvalid, match=message):
-        validate_witness(witness())
-    with pytest.raises(WitnessInvalid, match=lifting_message or message):
-        solve_lifting(canonical_test_square(f), witness=witness())
+        validate_witness(adjoint_equivalence(pl.diagonal, lambda: build(pl), kind))
 
 
-def test_the_right_witness_passes_and_another_edges_is_refused():
-    """The diagonal's own (source projection, δ⁻¹) witness passes both
-    checks; a valid witness of another diagonal is refused by
-    ``solve_lifting``."""
+def test_the_right_witness_passes_and_fills_the_canonical_square():
+    """The diagonal's own (source projection, δ⁻¹) witness passes
+    ``validate_witness``, and the filler built from it fills the square."""
     pl = factorize_wfs(_CYCLIC).pseudolimit
     right = adjoint_equivalence(
         pl.diagonal, lambda: (pl.to_source, pl.diagonal_cell.inverse().components), "injective"
     )
     validate_witness(right)
     square = canonical_test_square(_CYCLIC)
-    assert square.is_filler(solve_lifting(square, witness=right))
-    other = factorize_wfs(_CHAOTIC).left_witness
-    validate_witness(other)
-    with pytest.raises(WitnessInvalid, match="^witness does not belong to the left edge$"):
-        solve_lifting(square, witness=other)
+    assert square.is_filler(_filler(square, right, build_normal_cleavage(_CYCLIC)))
 
 
 # -- Leibniz powers --------------------------------------------------------------
@@ -412,5 +394,5 @@ def test_minimal_retract_for_chaotic_over_terminal():
 
 
 def test_minimal_retract_rejects_non_isofibration():
-    with pytest.raises(CleavageNotNormal):
+    with pytest.raises(NotIsofibration):
         minimal_retract_witness(builtin_functor("point_to_iso"))
