@@ -91,10 +91,6 @@ class NotIsofibration(FinCatError):
         super().__init__(f"no lift of {iso} at {obj}")
 
 
-class CleavageNotNormal(FinCatError):
-    pass
-
-
 class WitnessInvalid(FinCatError):
     pass
 
@@ -735,14 +731,6 @@ class FinFunctor:
     def injective_on_objects(self) -> bool:
         return len(set(self.omap.values())) == self.source.n_objects
 
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-            "omap": dict(self.omap),
-            "mmap": dict(self.mmap),
-        }
-
     @cached_property
     def key(self) -> str:
         return _canon_json(
@@ -883,13 +871,6 @@ class NatTrans:
             {x: self.components[W.ob(x)] for x in W.source.objects},
             label=f"{self.label}·{W.label}",
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-            "components": dict(self.components),
-        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NatTrans):
@@ -1510,7 +1491,6 @@ def enumerate_transformations(
     F: FinFunctor,
     G: FinFunctor,
     invertible_only: bool = False,
-    limit: int | None = None,
 ) -> Iterator[NatTrans]:
     """Yield natural transformations F ⇒ G in deterministic order."""
     if F.source != G.source or F.target != G.target:
@@ -1538,7 +1518,7 @@ def enumerate_transformations(
             if all(row[parts[d]] == rows[parts[e]][fm] for d, e, row, fm in squares[k]):
                 yield
 
-    for _ in _backtrack(len(objs), candidates, limit):
+    for _ in _backtrack(len(objs), candidates, None):
         yield NatTrans(F, G, parts)
 
 

@@ -59,15 +59,22 @@ class EquivalenceWitness:
     retraction exists, read off the forward functor's object map (onto,
     injective).  Both hold at once only for an isomorphism, whose structure
     then realizes both normalizations.  ``build`` returns the inverse and
-    the counit components; it runs on the first read of the structure,
-    reads no bounds, and takes no part in comparison.
+    the counit components (ε_b : F G b ≅ b) of a fully faithful forward
+    functor; it runs on the first read of the structure, reads no bounds,
+    and takes no part in comparison.
     """
 
     forward: FinFunctor
     kind: str
-    has_section: bool
-    has_retraction: bool
     build: Callable[[], tuple[FinFunctor, dict]] = field(repr=False, compare=False)
+
+    @cached_property
+    def has_section(self) -> bool:
+        return len(set(self.forward.omap.values())) == self.forward.target.n_objects
+
+    @cached_property
+    def has_retraction(self) -> bool:
+        return self.forward.injective_on_objects()
 
     @cached_property
     def _structure(self) -> tuple[FinFunctor, NatTrans, NatTrans]:
@@ -166,16 +173,6 @@ def _first_retraction(F: FinFunctor) -> tuple[FinFunctor, dict[str, str]]:
     return R, {b: _preimage(R, F.ob(R.ob(b)), b, A.id_of(R.ob(b))) for b in F.target.objects}
 
 
-def adjoint_equivalence(F: FinFunctor, build, kind: str) -> EquivalenceWitness:
-    """The adjoint equivalence F ⊣ G for a fully faithful F, where ``build``
-    returns G and the counit (ε_b : F G b ≅ b) on first read.  The section
-    and retraction flags are read off F's object map."""
-    images = set(F.omap.values())
-    return EquivalenceWitness(
-        F, kind, len(images) == F.target.n_objects, len(images) == F.source.n_objects, build
-    )
-
-
 def validate_witness(w: EquivalenceWitness) -> EquivalenceWitness:
     """Check invertibility, naturality, triangle equations, and the
     normalization promised by ``kind``.  Raises :class:`WitnessInvalid`."""
@@ -218,7 +215,7 @@ def classify_equivalence(F: FinFunctor):
     retraction if F is injective, else the first section if F is onto,
     else the conjugation, on first read of the witness's structure.  Given
     (F, G, ε), the unit of an adjoint equivalence is unique, so
-    :func:`adjoint_equivalence` builds all three kinds with one formula.
+    :class:`EquivalenceWitness` builds all three kinds with one formula.
     Searches walk candidates in index order, so the result is deterministic.
     """
     failure = _not_ff(F)
@@ -229,9 +226,11 @@ def classify_equivalence(F: FinFunctor):
         return NotEquivalence(F, "not essentially surjective", (missing,))
     B = F.target
     if F.injective_on_objects():
-        return adjoint_equivalence(F, lambda: _first_retraction(F), "injective")
+        return EquivalenceWitness(F, "injective", lambda: _first_retraction(F))
     if len(set(F.omap.values())) == B.n_objects:
         counit = {b: B.id_of(b) for b in B.objects}
-        return adjoint_equivalence(F, lambda: (next(find_sections(F, limit=1)), counit), "retract")
+        return EquivalenceWitness(
+            F, "retract", lambda: (next(find_sections(F, limit=1)), counit)
+        )
     counit = {b: iso for b, (_, iso) in choices.items()}
-    return adjoint_equivalence(F, lambda: (_conjugate(F, choices), counit), "plain")
+    return EquivalenceWitness(F, "plain", lambda: (_conjugate(F, choices), counit))

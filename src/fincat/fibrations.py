@@ -48,12 +48,16 @@ class Cleavage:
 class FibrationReport:
     """Classification flags with concrete failing instances where false."""
 
-    functor: FinFunctor
     representable: bool
     discrete: bool
     grothendieck: bool
-    normal: bool
     failures: dict = field(default_factory=dict)
+
+    @property
+    def normal(self) -> bool:
+        """A normal cleavage exists exactly when every iso lifts (see
+        :func:`classify_fibration`)."""
+        return self.representable
 
     @property
     def flags(self) -> dict[str, bool]:
@@ -156,11 +160,9 @@ def classify_fibration(p: FinFunctor, grothendieck: bool = True) -> FibrationRep
         failures.setdefault("normal", failures.get("representable"))
 
     return FibrationReport(
-        functor=p,
         representable=representable,
         discrete=discrete,
         grothendieck=grothendieck,
-        normal=representable,
         failures=failures,
     )
 

@@ -27,6 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .core import (
+    BoundExceeded,
     FinCat,
     FinFunctor,
     Morphism,
@@ -46,7 +47,7 @@ from .core import (
     identity_functor,
     identity_nat,
 )
-from .equivalence import EquivalenceWitness, adjoint_equivalence
+from .equivalence import EquivalenceWitness
 from .fibrations import build_normal_cleavage, lift_iso_2cell
 from .funcat import (
     FunctorCat,
@@ -367,8 +368,8 @@ def pseudolimit_of_arrow(f: FinFunctor) -> PseudolimitOfArrow:
 def pseudolimit_injective_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
     """Adjoint equivalence for the diagonal: inverse the source projection,
     counit the inverse diagonal cell, and unit an identity."""
-    return adjoint_equivalence(
-        pl.diagonal, lambda: (pl.to_source, pl.diagonal_cell.inverse().components), "injective"
+    return EquivalenceWitness(
+        pl.diagonal, "injective", lambda: (pl.to_source, pl.diagonal_cell.inverse().components)
     )
 
 
@@ -469,8 +470,6 @@ class NormalPullback:
     strict comparison (x, ξ), the induced idempotent, its splitting, and the
     resulting limit witness."""
 
-    left: FinFunctor
-    right: FinFunctor
     isocomma: LimitWitness
     comparison: FinFunctor
     comparison_cell: NatTrans
@@ -506,8 +505,6 @@ def build_normal_pullback(f: FinFunctor, g: FinFunctor) -> NormalPullback:
         apex, legs, (), lambda: _certify("pullback", "cone", apex, legs, (), cones)
     )
     return NormalPullback(
-        left=f,
-        right=g,
         isocomma=ic,
         comparison=x,
         comparison_cell=xi,
@@ -530,7 +527,7 @@ class TowerLimit:
     maps: tuple[FinFunctor, ...]
     pseudolimit: FinCat
     projections: tuple[FinFunctor, ...]  # p_n : P → A_n
-    structure_cells: dict                # (m, n) -> π^m_n : p_n ≅ f^m_n ∘ p_m
+    structure_cells: dict                # (k + 1, k) -> π^{k+1}_k : p_k ≅ f_k ∘ p_{k+1}
     cone: tuple[FinFunctor, ...]         # q_n : P → A_n, strict over the tower
     cone_cells: tuple[NatTrans, ...]     # α_n : q_n ≅ p_n
     idempotent: FinFunctor
@@ -573,7 +570,7 @@ def tower_limit(base: FinCat, maps) -> TowerLimit:
     maps = tuple(maps)
     bound = bounds().tower
     if len(maps) > bound:
-        raise StructureError(f"tower length {len(maps)} exceeds the bound {bound}")
+        raise BoundExceeded(f"tower length {len(maps)} exceeds the bound {bound}")
     cats = _tower_cats(base, maps)
     n = len(maps)
     cleavages = tuple(build_normal_cleavage(f) for f in maps)
@@ -595,21 +592,11 @@ def tower_limit(base: FinCat, maps) -> TowerLimit:
         stages.append(stage)
         P = stage
 
-    pis: dict[tuple[int, int], NatTrans] = {}
-    for k, cell in enumerate(consecutive):
-        pis[(k + 1, k)] = cell
-    for span in range(2, n + 1):
-        for lo in range(0, n + 1 - span):
-            hi = lo + span
-            pis[(hi, lo)] = pis[(lo + 1, lo)].then(
-                pis[(hi, lo + 1)].whisker_post(maps[lo])
-            )
-
     # Step 1: inductively lift a strict cone (q_k, α_k)
     cone: list[FinFunctor] = [projections[0]]
     cone_cells: list[NatTrans] = [identity_nat(projections[0])]
     for k in range(n):
-        beta = cone_cells[k].then(pis[(k + 1, k)])
+        beta = cone_cells[k].then(consecutive[k])
         q_next, alpha_next = lift_iso_2cell(
             cleavages[k], projections[k + 1], beta, label=f"q{k + 1}"
         )
@@ -653,7 +640,7 @@ def tower_limit(base: FinCat, maps) -> TowerLimit:
         maps=maps,
         pseudolimit=P,
         projections=tuple(projections),
-        structure_cells=pis,
+        structure_cells={(k + 1, k): cell for k, cell in enumerate(consecutive)},
         cone=tuple(cone),
         cone_cells=tuple(cone_cells),
         idempotent=e,
@@ -666,7 +653,10 @@ def tower_alignment_check(tl: TowerLimit) -> bool:
     """For every object of the pseudolimit (a cone from the terminal
     category): the lifted-cone cells are all identities exactly when the
     structure cells are all identities.  A morphism's alignment is that of
-    its endpoints, so objects are all there is to check."""
+    its endpoints, so objects are all there is to check.  The consecutive
+    cells π^{k+1}_k decide every π^m_n: each composite is a vertical
+    composite of whiskered consecutive cells, so it is an identity at z
+    whenever they all are."""
     P = tl.pseudolimit
     cats = [tl.base] + [f.source for f in tl.maps]
     for z in P.objects:
@@ -676,7 +666,7 @@ def tower_alignment_check(tl: TowerLimit) -> bool:
         )
         pis_id = all(
             cats[n].is_identity(cell.component(z))
-            for (m, n), cell in tl.structure_cells.items()
+            for (_, n), cell in tl.structure_cells.items()
         )
         if alphas_id != pis_id:
             return False

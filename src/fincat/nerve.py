@@ -447,7 +447,7 @@ def classifying_category(X: TruncSSet) -> FinCat:
 # Truncated simplicial maps and the powers comparison
 
 
-def truncated_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
+def truncated_sset_maps(Z: TruncSSet, W: TruncSSet):
     """All maps of truncated simplicial sets Z → W, as dicts
     {(dim, simplex): simplex}.  Degenerate simplices are forced; the rest
     backtrack over face-compatible candidates."""
@@ -483,7 +483,7 @@ def truncated_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
             assigned[slot] = w
             yield
 
-    return [dict(assigned) for _ in _backtrack(len(slots), candidates, limit)]
+    return [dict(assigned) for _ in _backtrack(len(slots), candidates, None)]
 
 
 def _hom_sset_leveled(X: TruncSSet, NY: TruncSSet, dim: int):

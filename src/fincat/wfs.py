@@ -68,7 +68,6 @@ class Factorization:
     """f = right ∘ left with left an injective equivalence (witnessed) and
     right a normal isofibration."""
 
-    arrow: FinFunctor
     left: FinFunctor
     right: FinFunctor
     left_witness: EquivalenceWitness
@@ -80,7 +79,6 @@ def factorize_wfs(f: FinFunctor) -> Factorization:
     by the target projection."""
     pl = pseudolimit_of_arrow(f)
     return Factorization(
-        arrow=f,
         left=pl.diagonal,
         right=pl.to_target,
         left_witness=pseudolimit_injective_witness(pl),
@@ -154,8 +152,6 @@ class LeibnizPower:
     """The induced map from a power into the pullback of powers, plus its
     classification."""
 
-    injective_on_objects: FinFunctor
-    fibration: FinFunctor
     induced: FinFunctor
     pullback: LimitWitness
     report: FibrationReport
@@ -174,13 +170,7 @@ def leibniz_power(j: FinFunctor, p: FinFunctor) -> LeibnizPower:
     induced = pair_functor(precompose_functor(j, A), postcompose_functor(p, Y), pb.apex)
     induced.label = f"leibniz({j.label},{p.label})"
     report = classify_fibration(induced)
-    return LeibnizPower(
-        injective_on_objects=j,
-        fibration=p,
-        induced=induced,
-        pullback=pb,
-        report=report,
-    )
+    return LeibnizPower(induced=induced, pullback=pb, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +182,6 @@ class WfComparison:
     """The comparison w : A^I → L_f and the biconditional report between
     the classification of f and of w."""
 
-    arrow: FinFunctor
     comparison: FinFunctor
     arrow_report: FibrationReport
     comparison_report: FibrationReport
@@ -221,7 +210,6 @@ def compute_wf(f: FinFunctor) -> WfComparison:
     if rf.representable or rw.representable:
         checks["retract_kind"] = "retract" in witness.kinds
     return WfComparison(
-        arrow=f,
         comparison=w,
         arrow_report=rf,
         comparison_report=rw,
@@ -239,7 +227,6 @@ class RetractCertificate:
     """Equations exhibiting an arrow as a retract, in the arrow category,
     of its factorization's right leg."""
 
-    arrow: FinFunctor
     filler: FinFunctor
     equations: dict
 
@@ -267,7 +254,7 @@ def minimal_retract_witness(f: FinFunctor) -> RetractCertificate:
         "filler_over_right_leg": w.then(f) == fac.right,
         "section_square_commutes": fac.left.then(fac.right) == f,
     }
-    return RetractCertificate(arrow=f, filler=w, equations=equations)
+    return RetractCertificate(filler=w, equations=equations)
 
 
 # ---------------------------------------------------------------------------

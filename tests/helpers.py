@@ -65,9 +65,9 @@ from typing import Iterator, Mapping, Sequence
 from fincat.acceptance import CriterionResult
 from fincat.core import (
     Bounds,
-    CleavageNotNormal,
     EnumerationBudgetExceeded,
     FinCat,
+    FinCatError,
     FinFunctor,
     Morphism,
     NatTrans,
@@ -102,7 +102,6 @@ from fincat.counterexamples import ArrowMorphism
 from fincat.equivalence import (
     EquivalenceWitness,
     NotEquivalence,
-    adjoint_equivalence,
     classify_equivalence,
     find_sections,
     validate_witness,
@@ -119,7 +118,7 @@ from fincat.funcat import (
     product_category,
     product_projections,
 )
-from fincat.limits import LimitWitness, PseudolimitOfArrow, equifier, inserter
+from fincat.limits import LimitWitness, PseudolimitOfArrow, TowerLimit, equifier, inserter
 from fincat.nerve import TOP_DIM, RewriteSystem, TruncSSet, classifying_category, rewrite_system
 
 
@@ -1352,7 +1351,6 @@ def recursive_transformations(
     F: FinFunctor,
     G: FinFunctor,
     invertible_only: bool = False,
-    limit: int | None = None,
 ) -> Iterator[NatTrans]:
     """Yield natural transformations F ⇒ G in deterministic order."""
     if F.source != G.source or F.target != G.target:
@@ -1361,7 +1359,6 @@ def recursive_transformations(
     objs = F.source.objects
     mors = [m for m in F.source.morphisms if not F.source.is_identity(m.name)]
     isos = isos_bf(cat) if invertible_only else None
-    count = 0
 
     def candidates(a):
         base = cat.hom(F.ob(a), G.ob(a))
@@ -1376,11 +1373,7 @@ def recursive_transformations(
         return cat.compose(G.mor(m.name), ca) == cat.compose(cb, F.mor(m.name))
 
     def assign(idx, parts):
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
         if idx == len(objs):
-            count += 1
             yield NatTrans(F, G, dict(parts))
             return
         a = objs[idx]
@@ -1389,8 +1382,6 @@ def recursive_transformations(
             if all(natural_so_far(parts, m) for m in mors if a in (m.dom, m.cod)):
                 yield from assign(idx + 1, parts)
             del parts[a]
-            if limit is not None and count >= limit:
-                return
 
     try:
         yield from assign(0, {})
@@ -1398,7 +1389,7 @@ def recursive_transformations(
         del assign  # a self-referring closure (see recursive_search)
 
 
-def recursive_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
+def recursive_sset_maps(Z: TruncSSet, W: TruncSSet):
     """All maps of truncated simplicial sets Z → W, as dicts
     {(dim, simplex): simplex}.  Degenerate simplices are forced; the rest
     backtrack over face-compatible candidates."""
@@ -1430,8 +1421,6 @@ def recursive_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
         return w_index[dim].get(wanted, [])
 
     def rec(k, assigned):
-        if limit is not None and len(results) >= limit:
-            return
         if k == len(slots):
             results.append(dict(assigned))
             return
@@ -1440,8 +1429,6 @@ def recursive_sset_maps(Z: TruncSSet, W: TruncSSet, limit=None):
             assigned[(dim, s)] = w
             rec(k + 1, assigned)
             del assigned[(dim, s)]
-            if limit is not None and len(results) >= limit:
-                return
 
     try:
         rec(0, {})
@@ -1533,12 +1520,44 @@ def recursive_functor_estimate(C: FinCat, D: FinCat, budget: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# A tower's structure cells π^m_n for every m > n, composed from the
+# consecutive cells π^{k+1}_k, and the alignment check over all of them (the
+# library's table and check before it kept only the consecutive cells)
+
+
+def all_pairs_structure_cells(tl: TowerLimit) -> dict[tuple[int, int], NatTrans]:
+    """π^hi_lo : p_lo ≅ f^hi_lo ∘ p_hi as π^{lo+1}_lo followed by π^hi_{lo+1}
+    whiskered by f_lo, by increasing span."""
+    pis = dict(tl.structure_cells)
+    n = len(tl.maps)
+    for span in range(2, n + 1):
+        for lo in range(0, n + 1 - span):
+            hi = lo + span
+            pis[(hi, lo)] = pis[(lo + 1, lo)].then(pis[(hi, lo + 1)].whisker_post(tl.maps[lo]))
+    return pis
+
+
+def all_pairs_alignment_check(tl: TowerLimit) -> bool:
+    """``limits.tower_alignment_check`` over every π^m_n."""
+    cats = [tl.base] + [f.source for f in tl.maps]
+    pis = all_pairs_structure_cells(tl)
+    for z in tl.pseudolimit.objects:
+        alphas_id = all(
+            cats[k].is_identity(tl.cone_cells[k].component(z)) for k in range(len(cats))
+        )
+        pis_id = all(cats[n].is_identity(cell.component(z)) for (_, n), cell in pis.items())
+        if alphas_id != pis_id:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Constructions only the tests use, on the library's own types: a retract
 # witness of the pseudolimit's source projection, whose unit is checked to be
-# the diagonal cell, retract witnesses and witnesses assembled
-# by ``adjoint_equivalence`` from a known inverse, a deliberately non-normal
-# cleavage, the coskeletality check of a 3-truncated nerve, and the functor
-# between classifying categories induced by a simplicial map
+# the diagonal cell, retract witnesses and ``EquivalenceWitness``es assembled
+# from a known inverse, a deliberately non-normal cleavage, the coskeletality
+# check of a 3-truncated nerve, and the functor between classifying
+# categories induced by a simplicial map
 
 
 def pseudolimit_retract_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
@@ -1547,8 +1566,8 @@ def pseudolimit_retract_witness(pl: PseudolimitOfArrow) -> EquivalenceWitness:
     the one the builder's formula gives."""
     A = pl.arrow.source
     w = validate_witness(
-        adjoint_equivalence(
-            pl.to_source, lambda: (pl.diagonal, {a: A.id_of(a) for a in A.objects}), "retract"
+        EquivalenceWitness(
+            pl.to_source, "retract", lambda: (pl.diagonal, {a: A.id_of(a) for a in A.objects})
         )
     )
     delta = pl.diagonal_cell
@@ -1589,7 +1608,7 @@ def witness_from_parts(F, inverse, kind, has_section, has_retraction) -> Equival
         }
     else:
         raise WitnessInvalid(f"unknown kind {kind}")
-    w = validate_witness(adjoint_equivalence(F, lambda: (inverse, counit), kind))
+    w = validate_witness(EquivalenceWitness(F, kind, lambda: (inverse, counit)))
     assert (w.has_section, w.has_retraction) == (has_section, has_retraction)
     return w
 
@@ -1817,6 +1836,10 @@ def functor_to_dict(F: FinFunctor) -> dict:
         "mmap": dict(F.mmap),
         "label": F.label,
     }
+
+
+class CleavageNotNormal(FinCatError):
+    """A cleavage lifts an identity to a non-identity."""
 
 
 def check_cleavage(cl: Cleavage, normal: bool = True) -> Cleavage:

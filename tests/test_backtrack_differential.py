@@ -1,7 +1,7 @@
 """Every backtracking search of the library, run on ``core._backtrack``'s
 explicit stack, against the recursion it replaced, kept in ``helpers`` as
-the reference: functors, isomorphisms and transformations, with choice
-tables and limits, truncated simplicial maps, the leveled bijection of the
+the reference: functors and isomorphisms, with choice tables and limits,
+transformations, truncated simplicial maps, the leveled bijection of the
 powers comparison and a power's size estimate.  Each search must yield the
 same values in the same order, each table with the same key order."""
 from itertools import groupby
@@ -93,11 +93,10 @@ def parallel_pairs():
 
 
 @pytest.mark.parametrize("invertible_only", [False, True])
-@pytest.mark.parametrize("limit", LIMITS)
-def test_transformation_search_matches_the_recursion(invertible_only, limit):
+def test_transformation_search_matches_the_recursion(invertible_only):
     for F, G in parallel_pairs():
-        ours = enumerate_transformations(F, G, invertible_only, limit)
-        reference = recursive_transformations(F, G, invertible_only, limit)
+        ours = enumerate_transformations(F, G, invertible_only)
+        reference = recursive_transformations(F, G, invertible_only)
         assert [list(t.components.items()) for t in ours] == [
             list(t.components.items()) for t in reference
         ], (F.label, G.label)
@@ -116,17 +115,16 @@ def empty_hom_pairs():
 
 
 @pytest.mark.parametrize("invertible_only", [False, True])
-@pytest.mark.parametrize("limit", LIMITS)
-def test_transformation_search_with_empty_homs_matches_the_recursion(invertible_only, limit):
+def test_transformation_search_with_empty_homs_matches_the_recursion(invertible_only):
     found = 0
     for F, G in empty_hom_pairs():
-        ours = enumerate_transformations(F, G, invertible_only, limit)
+        ours = enumerate_transformations(F, G, invertible_only)
         ours = [list(t.components.items()) for t in ours]
-        reference = recursive_transformations(F, G, invertible_only, limit)
+        reference = recursive_transformations(F, G, invertible_only)
         assert ours == [list(t.components.items()) for t in reference], (F.label, G.label)
         found += len(ours)
     # only the non-invertible pair 0 → 1 has a transformation, one per source
-    assert found == (0 if invertible_only or limit == 0 else 3)
+    assert found == (0 if invertible_only else 3)
 
 
 def test_transformation_search_refuses_a_non_parallel_pair_before_reading_homs():
@@ -147,15 +145,14 @@ SSET_SOURCES = [
 ]
 
 
-@pytest.mark.parametrize("limit", LIMITS)
-def test_simplicial_maps_match_the_recursion(limit):
+def test_simplicial_maps_match_the_recursion():
     for C in corpus_categories():
         if C.n_morphisms > 5:
             continue
         W = nerve_truncated(C)
         for Z in SSET_SOURCES:
-            ours = truncated_sset_maps(Z, W, limit)
-            reference = recursive_sset_maps(Z, W, limit)
+            ours = truncated_sset_maps(Z, W)
+            reference = recursive_sset_maps(Z, W)
             assert [list(f.items()) for f in ours] == [list(f.items()) for f in reference]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fincat.core import builtin, cached_property, chaotic_category, identity_functor
-from fincat.equivalence import adjoint_equivalence
+from fincat.equivalence import EquivalenceWitness
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fincat"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -54,7 +54,7 @@ def test_a_frozen_witness_builds_its_structure_once():
         builds.append(1)
         return F, {b: F.target.id_of(b) for b in F.target.objects}
 
-    w = adjoint_equivalence(F, build, "injective")
+    w = EquivalenceWitness(F, "injective", build)
     assert "_structure" not in vars(w)
     inverse, unit, counit = w.inverse, w.unit, w.counit
     assert vars(w)["_structure"] == (inverse, unit, counit) and len(builds) == 1

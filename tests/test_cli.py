@@ -945,7 +945,7 @@ def test_tower_longer_than_the_tower_bound_exits_two(workdir):
     assert res.exit_code == 2
     assert payload(res) == {
         "command": "limit tower",
-        "error": "StructureError",
+        "error": "BoundExceeded",
         "detail": "tower length 1 exceeds the bound 0",
     }
 
@@ -983,7 +983,7 @@ def _refused(argv, error, detail):
         ),
         _refused(
             ["--tower-bound", "2", "suite", "acceptance", "--only", "4"],
-            "StructureError",
+            "BoundExceeded",
             "tower length 3 exceeds the bound 2",
         ),
     ],

@@ -264,9 +264,9 @@ def test_two_witnesses_of_one_functor_compare_and_hash_equal():
 
 def _hand_built(F, G, unit, counit):
     """A plain witness with the inverse, unit and counit given, not built by
-    ``adjoint_equivalence``'s unit formula (which types both cells and
+    ``EquivalenceWitness``'s unit formula (which types both cells and
     forces the triangles)."""
-    w = EquivalenceWitness(F, "plain", True, True, build=None)
+    w = EquivalenceWitness(F, "plain", build=None)
     vars(w)["_structure"] = (G, unit, counit)
     return w
 

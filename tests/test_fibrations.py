@@ -1,7 +1,6 @@
 import pytest
 
 from fincat.core import (
-    CleavageNotNormal,
     FinFunctor,
     NatTrans,
     NotIsofibration,
@@ -11,7 +10,13 @@ from fincat.core import (
 )
 from fincat.corpus import corpus_functors
 from fincat.fibrations import build_normal_cleavage, classify_fibration, lift_iso_2cell
-from helpers import check_cleavage, constant_functor, lift_from, perturbed_cleavage
+from helpers import (
+    CleavageNotNormal,
+    check_cleavage,
+    constant_functor,
+    lift_from,
+    perturbed_cleavage,
+)
 
 
 def to_terminal(cat):

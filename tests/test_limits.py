@@ -2,10 +2,10 @@ import pytest
 
 from fincat import limits, wfs
 from fincat.core import (
+    BoundExceeded,
     EnumerationBudgetExceeded,
     FinFunctor,
     NotIdempotent,
-    StructureError,
     bounded,
     builtin,
     builtin_functor,
@@ -50,7 +50,12 @@ from fincat.limits import (
     tower_limit,
 )
 from fincat.wfs import compute_wf, factorize_wfs
-from helpers import constant_functor, pseudolimit_retract_witness
+from helpers import (
+    all_pairs_alignment_check,
+    all_pairs_structure_cells,
+    constant_functor,
+    pseudolimit_retract_witness,
+)
 
 
 def to_terminal(cat):
@@ -520,10 +525,27 @@ def test_normal_pullback_matches_strict_oracle():
 # -- tower limits --------------------------------------------------------------
 
 
-def test_tower_of_identities_is_base():
+def identity_tower():
     A = builtin("free_iso")
-    tl = tower_limit(A, [identity_functor(A), identity_functor(A)])
-    strict = strict_tower_limit(A, [identity_functor(A), identity_functor(A)])
+    return A, [identity_functor(A), identity_functor(A)]
+
+
+def chaotic_pair_tower():
+    return builtin("terminal"), [to_terminal(builtin("chaotic(2)"))]
+
+
+def chaotic_tower():
+    """chaotic(3) → chaotic(2) → 1, the first map collapsing 2 ↦ 0."""
+    c2, c3 = builtin("chaotic(2)"), builtin("chaotic(3)")
+    omap = {"0": "0", "1": "1", "2": "0"}
+    mmap = {m.name: f"u{omap[m.dom]}_{omap[m.cod]}" for m in c3.morphisms}
+    return builtin("terminal"), [to_terminal(c2), FinFunctor(c3, c2, omap, mmap)]
+
+
+def test_tower_of_identities_is_base():
+    A, maps = identity_tower()
+    tl = tower_limit(A, maps)
+    strict = strict_tower_limit(A, maps)
     assert find_isomorphism_over(tl.witness, strict) is not None
     assert find_isomorphism(tl.witness.apex, A) is not None
     assert tl.witness.certificate.ok
@@ -531,36 +553,50 @@ def test_tower_of_identities_is_base():
 
 
 def test_tower_of_length_one():
-    chaos = builtin("chaotic(2)")
-    f = to_terminal(chaos)
-    tl = tower_limit(builtin("terminal"), [f])
-    assert find_isomorphism(tl.witness.apex, chaos) is not None
+    one, [f] = chaotic_pair_tower()
+    tl = tower_limit(one, [f])
+    assert find_isomorphism(tl.witness.apex, f.source) is not None
     assert tl.witness.projections[1].then(f) == tl.witness.projections[0]
     assert tower_alignment_check(tl)
 
 
 def test_chaotic_tower_matches_strict_limit():
-    one = builtin("terminal")
-    c2, c3 = builtin("chaotic(2)"), builtin("chaotic(3)")
-    f1 = to_terminal(c2)
-    f2 = FinFunctor(
-        c3,
-        c2,
-        {"0": "0", "1": "1", "2": "0"},
-        {m.name: f"u{min(int(m.dom), 1) if m.dom != '2' else 0}_{0 if m.cod == '2' else min(int(m.cod), 1)}" for m in c3.morphisms},
-    )
-    # explicit collapse 2 ↦ 0 of the chaotic triple onto the chaotic pair
-    omap = {"0": "0", "1": "1", "2": "0"}
-    mmap = {m.name: f"u{omap[m.dom]}_{omap[m.cod]}" for m in c3.morphisms}
-    f2 = FinFunctor(c3, c2, omap, mmap)
-    validate_functor(f2)
-    assert classify_fibration(f2).normal
-    tl = tower_limit(one, [f1, f2])
-    strict = strict_tower_limit(one, [f1, f2])
+    one, maps = chaotic_tower()
+    validate_functor(maps[1])
+    assert classify_fibration(maps[1]).normal
+    tl = tower_limit(one, maps)
+    strict = strict_tower_limit(one, maps)
     assert find_isomorphism_over(tl.witness, strict) is not None
-    assert find_isomorphism(tl.witness.apex, c3) is not None
+    assert find_isomorphism(tl.witness.apex, builtin("chaotic(3)")) is not None
     assert tl.witness.certificate.ok
     assert tower_alignment_check(tl)
+
+
+TOWERS = {
+    "identities": identity_tower,
+    "chaotic pair": chaotic_pair_tower,
+    "chaotic": chaotic_tower,
+    **{f"corpus {k}": lambda k=k: corpus_towers()[k] for k in range(len(corpus_towers()))},
+}
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_the_consecutive_structure_cells_decide_alignment(name):
+    """``tower_alignment_check`` reads only the cells π^{k+1}_k, and agrees
+    with ``helpers.all_pairs_alignment_check``, which reads every composite
+    π^m_n: at each object of the pseudolimit the consecutive cells are all
+    identities exactly when every π^m_n is."""
+    tl = tower_limit(*TOWERS[name]())
+    assert set(tl.structure_cells) == {(k + 1, k) for k in range(len(tl.maps))}
+    cats = [tl.base] + [f.source for f in tl.maps]
+
+    def aligned(cells, z):
+        return all(cats[n].is_identity(cell.component(z)) for (_, n), cell in cells.items())
+
+    pis = all_pairs_structure_cells(tl)
+    for z in tl.pseudolimit.objects:
+        assert aligned(tl.structure_cells, z) == aligned(pis, z), z
+    assert tower_alignment_check(tl) == all_pairs_alignment_check(tl)
 
 
 def test_tower_limit_equations_hold_on_the_corpus():
@@ -661,7 +697,7 @@ def test_tower_limit_builds_its_strict_oracle_only_when_certifying(monkeypatch):
 
 def test_tower_limit_refuses_a_tower_longer_than_the_tower_bound():
     base, maps = corpus_towers()[-1]
-    with bounded(tower=3), pytest.raises(StructureError) as info:
+    with bounded(tower=3), pytest.raises(BoundExceeded) as info:
         tower_limit(base, maps)
     assert str(info.value) == "tower length 4 exceeds the bound 3"
     with bounded(tower=4):

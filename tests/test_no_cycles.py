@@ -75,10 +75,6 @@ def run_truncated_sset_maps(sset):
     assert truncated_sset_maps(standard_simplex(1), sset)
 
 
-def run_truncated_sset_maps_to_limit(sset):
-    assert len(truncated_sset_maps(standard_simplex(1), sset, limit=1)) == 1
-
-
 def run_leveled_iso(faces):
     X = standard_simplex(2)
     levels, degens = X.simplices, X.degeneracies
@@ -98,9 +94,6 @@ SEARCHES = {
     ),
     "functor_category estimate": (lambda: builtin("chaotic(3)"), run_functor_estimate),
     "truncated_sset_maps": (lambda: nerve_truncated(builtin("chaotic(2)")), run_truncated_sset_maps),
-    "truncated_sset_maps to its limit": (
-        lambda: nerve_truncated(builtin("chaotic(2)")), run_truncated_sset_maps_to_limit
-    ),
     "_leveled_iso": (lambda: Faces(standard_simplex(2).faces), run_leveled_iso),
 }
 

@@ -10,7 +10,7 @@ from fincat.core import (
     validate_transformation,
 )
 from fincat.equivalence import (
-    adjoint_equivalence,
+    EquivalenceWitness,
     classify_equivalence,
     find_retractions,
     validate_witness,
@@ -270,21 +270,21 @@ WRONG_WITNESSES = {
 
 @pytest.mark.parametrize("case", list(WRONG_WITNESSES))
 def test_a_wrong_witness_for_the_diagonal_is_refused(case):
-    """A witness built by ``adjoint_equivalence`` for a factorization's
+    """An ``EquivalenceWitness`` built for a factorization's
     diagonal from a wrong inverse or counit, or under the wrong kind, is
     refused by ``validate_witness`` with its message."""
     f, build, kind, message = WRONG_WITNESSES[case]
     pl = factorize_wfs(f).pseudolimit
     with pytest.raises(WitnessInvalid, match=message):
-        validate_witness(adjoint_equivalence(pl.diagonal, lambda: build(pl), kind))
+        validate_witness(EquivalenceWitness(pl.diagonal, kind, lambda: build(pl)))
 
 
 def test_the_right_witness_passes_and_fills_the_canonical_square():
     """The diagonal's own (source projection, δ⁻¹) witness passes
     ``validate_witness``, and the filler built from it fills the square."""
     pl = factorize_wfs(_CYCLIC).pseudolimit
-    right = adjoint_equivalence(
-        pl.diagonal, lambda: (pl.to_source, pl.diagonal_cell.inverse().components), "injective"
+    right = EquivalenceWitness(
+        pl.diagonal, "injective", lambda: (pl.to_source, pl.diagonal_cell.inverse().components)
     )
     validate_witness(right)
     square = canonical_test_square(_CYCLIC)
