@@ -14,6 +14,7 @@ import functools
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .core import (
     UnknownName,
@@ -147,10 +148,9 @@ def _generated_squares():
     squares = []
     for i in injectives:
         for p in normals:
-            for top in enumerate_functors(i.source, p.source, limit=3):
-                for bottom in enumerate_lifts(
-                    i.target, p.target, under=[(i, top.then(p))], limit=2
-                ):
+            for top in islice(enumerate_functors(i.source, p.source), 3):
+                lifts = enumerate_lifts(i.target, p.target, under=[(i, top.then(p))])
+                for bottom in islice(lifts, 2):
                     squares.append(LiftingProblem(left=i, right=p, top=top, bottom=bottom))
                     if len(squares) >= 2 * SQUARES_NEEDED:
                         return squares

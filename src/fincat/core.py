@@ -45,13 +45,12 @@ class AssociativityViolation(FinCatError):
 
 class IdentityViolation(FinCatError):
     def __init__(self, morphism: str, side: str, got: str):
-        self.morphism, self.side, self.got = morphism, side, got
+        self.morphism = morphism
         super().__init__(f"identity law fails at {morphism} ({side}): got {got}")
 
 
 class BoundaryViolation(FinCatError):
     def __init__(self, g: str, f: str, composite: str, reason: str):
-        self.pair, self.composite, self.reason = (g, f), composite, reason
         super().__init__(f"comp({g},{f}) = {composite}: {reason}")
 
 
@@ -63,7 +62,6 @@ class NotFunctorial(FinCatError):
 
 class NotNatural(FinCatError):
     def __init__(self, morphism: str, detail: str = ""):
-        self.morphism = morphism
         super().__init__(f"naturality fails at {morphism}" + (f": {detail}" if detail else ""))
 
 
@@ -87,7 +85,6 @@ class NotIdempotent(FinCatError):
 
 class NotIsofibration(FinCatError):
     def __init__(self, obj: str, iso: str):
-        self.obj, self.iso = obj, iso
         super().__init__(f"no lift of {iso} at {obj}")
 
 
@@ -1254,14 +1251,20 @@ LEIBNIZ_GENERATORS = (
 # ---------------------------------------------------------------------------
 # Constrained enumeration: one backtracking driver
 #
-# Every search of the package (functors, isomorphisms, transformations,
+# Every backtracking search of the package (functors, isomorphisms,
 # simplicial maps, leveled bijections) assigns positions 0..n-1 in a fixed
 # order and runs on :func:`_backtrack`, which keeps one candidate generator
 # per assigned position on an explicit stack, so no search deepens Python's
 # call stack.  A search supplies ``candidates(k)``, a generator over the
 # values of position k: before each of its yields it writes that value into
 # the search's own state, after the yield it undoes what the next candidate
-# would not overwrite, and it reads no state past position k.
+# would not overwrite, and it reads no state past position k.  Every search
+# is a lazy generator and takes no cap: a caller that wants k results takes
+# them with ``next`` or ``itertools.islice``, and the search goes no further.
+# Natural transformations are not searched position by position: their
+# component tuples are filtered from a product of homs by
+# :func:`_natural_parts`, for :func:`enumerate_transformations` and for the
+# morphisms of a power alike.
 #
 # In the functor search, objects are assigned first, then the non-identity
 # morphisms, each in source order; an identity's image follows from its
@@ -1275,16 +1278,12 @@ LEIBNIZ_GENERATORS = (
 _EXHAUSTED = object()
 
 
-def _backtrack(n: int, candidates, limit: int | None) -> Iterator[None]:
+def _backtrack(n: int, candidates) -> Iterator[None]:
     """Walk positions 0..n-1 depth first on a stack of ``candidates(k)``
-    generators, yielding once per complete assignment and at most ``limit``
-    times (never when ``limit <= 0``)."""
-    if limit is not None and limit <= 0:
-        return
+    generators, yielding once per complete assignment."""
     if n == 0:
         yield
         return
-    count = 0
     stack = [candidates(0)]
     while stack:
         if next(stack[-1], _EXHAUSTED) is _EXHAUSTED:
@@ -1293,9 +1292,6 @@ def _backtrack(n: int, candidates, limit: int | None) -> Iterator[None]:
             stack.append(candidates(len(stack)))
         else:
             yield
-            count += 1
-            if count == limit:
-                return
 
 
 def _hom_profile(cat: FinCat, a: str):
@@ -1309,10 +1305,9 @@ def _search(
     dst: FinCat,
     omap_choices: Mapping[str, Sequence[str]] | None,
     mmap_choices: Mapping[str, Sequence[str]] | None,
-    limit: int | None,
     injective: bool,
 ) -> Iterator[FinFunctor]:
-    """Yield functors src → dst in index order, at most ``limit`` of them.
+    """Yield functors src → dst in index order.
 
     With ``injective``, only functors injective on objects and on morphisms
     are kept (labelled ``iso``), and an object may only go to one with the
@@ -1375,7 +1370,7 @@ def _search(
                 yield
                 used.discard(cand)
 
-    for _ in _backtrack(n_objs + len(nonid), candidates, limit):
+    for _ in _backtrack(n_objs + len(nonid), candidates):
         yield FinFunctor(src, dst, omap, {m.name: img[m.name] for m in src.morphisms}, label)
 
 
@@ -1384,7 +1379,6 @@ def enumerate_functors(
     dst: FinCat,
     omap_choices: Mapping[str, Sequence[str]] | None = None,
     mmap_choices: Mapping[str, Sequence[str]] | None = None,
-    limit: int | None = None,
 ) -> Iterator[FinFunctor]:
     """Yield functors src → dst in deterministic index order.
 
@@ -1393,7 +1387,7 @@ def enumerate_functors(
     constraint is checked once, as soon as its images are assigned, so the
     search prunes early.
     """
-    yield from _search(src, dst, omap_choices, mmap_choices, limit, False)
+    yield from _search(src, dst, omap_choices, mmap_choices, False)
 
 
 def functor_position(F: FinFunctor) -> tuple[int, ...]:
@@ -1414,7 +1408,6 @@ def enumerate_lifts(
     dst: FinCat,
     under: Sequence[tuple[FinFunctor, FinFunctor]] = (),
     over: Sequence[tuple[FinFunctor, FinFunctor]] = (),
-    limit: int | None = None,
 ) -> Iterator[FinFunctor]:
     """Yield the functors G : src → dst with G∘i = top for every ``(i, top)``
     in ``under`` and p∘G = bottom for every ``(p, bottom)`` in ``over``, in
@@ -1457,7 +1450,7 @@ def enumerate_lifts(
         for m, n in i.mmap.items():
             narrow(mmap_choices, n, (top.mmap[m],))
     if all(omap_choices.values()) and all(mmap_choices.values()):
-        yield from enumerate_functors(src, dst, omap_choices, mmap_choices, limit)
+        yield from enumerate_functors(src, dst, omap_choices, mmap_choices)
 
 
 def enumerate_isomorphisms(
@@ -1465,7 +1458,6 @@ def enumerate_isomorphisms(
     B: FinCat,
     omap_choices: Mapping[str, Sequence[str]] | None = None,
     mmap_choices: Mapping[str, Sequence[str]] | None = None,
-    limit: int | None = None,
 ) -> Iterator[FinFunctor]:
     """Yield isomorphisms of categories A ≅ B, optionally constrained.
 
@@ -1474,7 +1466,7 @@ def enumerate_isomorphisms(
     """
     if A.n_objects != B.n_objects or A.n_morphisms != B.n_morphisms:
         return
-    yield from _search(A, B, omap_choices, mmap_choices, limit, True)
+    yield from _search(A, B, omap_choices, mmap_choices, True)
 
 
 def find_isomorphism(
@@ -1484,7 +1476,7 @@ def find_isomorphism(
     mmap_choices: Mapping[str, Sequence[str]] | None = None,
 ) -> FinFunctor | None:
     """First isomorphism A ≅ B in index order, or None."""
-    return next(enumerate_isomorphisms(A, B, omap_choices, mmap_choices, limit=1), None)
+    return next(enumerate_isomorphisms(A, B, omap_choices, mmap_choices), None)
 
 
 def enumerate_transformations(
@@ -1492,43 +1484,32 @@ def enumerate_transformations(
     G: FinFunctor,
     invertible_only: bool = False,
 ) -> Iterator[NatTrans]:
-    """Yield natural transformations F ⇒ G in deterministic order."""
+    """Yield natural transformations F ⇒ G: the component tuples of the
+    product of the component homs hom(F a, G a), position 0 outermost, that
+    :func:`_natural_parts` keeps."""
     if F.source != G.source or F.target != G.target:
         raise StructureError("transformations need a parallel pair")
     cat, src = F.target, F.source
-    objs, at, rows = src.objects, src.obj_index, cat.rows
-    bases = [cat.hom(F.ob(a), G.ob(a)) for a in objs]
+    at, rows = src.obj_index, cat.rows
+    homs = [cat.hom(F.ob(a), G.ob(a)) for a in src.objects]
     if invertible_only:
-        bases = [[c for c in base if cat.is_iso(c)] for base in bases]
-    if not all(bases):
-        return
-    # the naturality square of m : a → b is checked once, when the later of
-    # its components is assigned, with the row of G m at hand
-    squares: list[list[tuple[str, str, dict[str, str], str]]] = [[] for _ in objs]
-    for m in src.morphisms:
-        if not src.is_identity(m.name):
-            square = (m.dom, m.cod, rows[G.mor(m.name)], F.mor(m.name))
-            squares[max(at[m.dom], at[m.cod])].append(square)
-    parts: dict[str, str] = {}
-
-    def candidates(k):
-        a = objs[k]
-        for c in bases[k]:
-            parts[a] = c
-            if all(row[parts[d]] == rows[parts[e]][fm] for d, e, row, fm in squares[k]):
-                yield
-
-    for _ in _backtrack(len(objs), candidates, None):
-        yield NatTrans(F, G, parts)
+        homs = [[c for c in hom if cat.is_iso(c)] for hom in homs]
+    squares = [
+        (at[m.dom], at[m.cod], rows[G.mor(m.name)], F.mor(m.name))
+        for m in src.morphisms
+        if not src.is_identity(m.name)
+    ]
+    for parts in _natural_parts(rows, homs, squares):
+        yield NatTrans(F, G, zip(src.objects, parts))
 
 
-def _natural_parts(rows, homs, squares) -> list[tuple[str, ...]]:
-    """The component tuples of ``product(*homs)``, position 0 outermost as
-    in :func:`enumerate_transformations`, that make every naturality square
-    ``(d, e, row of g, f)`` commute: g∘t[d] == t[e]∘f in the table ``rows``."""
+def _natural_parts(rows, homs, squares) -> Iterator[tuple[str, ...]]:
+    """The component tuples of ``product(*homs)``, position 0 outermost,
+    that make every naturality square ``(d, e, row of g, f)`` commute:
+    g∘t[d] == t[e]∘f in the table ``rows``."""
     candidates = product(*homs)
     if not squares:
-        return list(candidates)
-    return [
+        return candidates
+    return (
         t for t in candidates if all(row[t[d]] == rows[t[e]][f] for d, e, row, f in squares)
-    ]
+    )

@@ -7,6 +7,7 @@ and acceptance runs are reproducible bit for bit.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from .core import (
     FinCat,
@@ -102,7 +103,7 @@ COSPANS_NORMAL_LEFT = 48
 def _sample_pair_functors(src: FinCat, dst: FinCat):
     """A deterministic spread of functors src → dst: first, middle, last of
     a bounded enumeration."""
-    found = list(enumerate_functors(src, dst, limit=96))
+    found = list(islice(enumerate_functors(src, dst), 96))
     if not found:
         return []
     picks = sorted({0, len(found) // 2, len(found) - 1})

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from itertools import product as iproduct
 from math import comb, perm, prod
 from operator import getitem
@@ -196,7 +197,7 @@ def _predicate(chosen: str):
 def _fragment_functors(frag: CosmosFragment):
     for src in frag.objects:
         for dst in frag.objects:
-            yield from enumerate_functors(src, dst, limit=FRAGMENT_FUNCTORS_PER_PAIR)
+            yield from islice(enumerate_functors(src, dst), FRAGMENT_FUNCTORS_PER_PAIR)
 
 
 def _chosen_maps(frag: CosmosFragment):

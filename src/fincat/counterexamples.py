@@ -383,6 +383,11 @@ def run_counterexample(name: str) -> Witness:
         return nip_cat2()
     m = _FY_RE.match(name.replace(" ", ""))
     if m:
+        digits = max(len(d.lstrip("0")) for d in m.groups())
+        if digits > 9:  # far outside the ranges, and int() refuses 4300+ digits
+            raise BudgetExceeded(
+                f"fy_family with a {digits}-digit argument is outside the supported finite ranges"
+            )
         return fy_family(int(m.group(1)), int(m.group(2)))
     raise UnknownName(f"no counterexample named {name!r}")
 

@@ -133,16 +133,16 @@ def _eso_choices(F: FinFunctor):
     return choices, None
 
 
-def find_sections(F: FinFunctor, limit: int | None = None) -> Iterator[FinFunctor]:
+def find_sections(F: FinFunctor) -> Iterator[FinFunctor]:
     """All G with F∘G equal (on the nose) to the identity of the target."""
     B = F.target
-    yield from enumerate_lifts(B, F.source, over=[(F, identity_functor(B))], limit=limit)
+    yield from enumerate_lifts(B, F.source, over=[(F, identity_functor(B))])
 
 
-def find_retractions(F: FinFunctor, limit: int | None = None) -> Iterator[FinFunctor]:
+def find_retractions(F: FinFunctor) -> Iterator[FinFunctor]:
     """All R with R∘F equal (on the nose) to the identity of the source."""
     A = F.source
-    yield from enumerate_lifts(F.target, A, under=[(F, identity_functor(A))], limit=limit)
+    yield from enumerate_lifts(F.target, A, under=[(F, identity_functor(A))])
 
 
 def _preimage(F: FinFunctor, a: str, a2: str, m: str) -> str:
@@ -169,7 +169,7 @@ def _conjugate(F: FinFunctor, choices) -> FinFunctor:
 def _first_retraction(F: FinFunctor) -> tuple[FinFunctor, dict[str, str]]:
     """The first retraction R of F, with the counit ε_b : F R b → b over
     id_{R b}; the unit it gives is an identity."""
-    R, A = next(find_retractions(F, limit=1)), F.source
+    R, A = next(find_retractions(F)), F.source
     return R, {b: _preimage(R, F.ob(R.ob(b)), b, A.id_of(R.ob(b))) for b in F.target.objects}
 
 
@@ -230,7 +230,7 @@ def classify_equivalence(F: FinFunctor):
     if len(set(F.omap.values())) == B.n_objects:
         counit = {b: B.id_of(b) for b in B.objects}
         return EquivalenceWitness(
-            F, "retract", lambda: (next(find_sections(F, limit=1)), counit)
+            F, "retract", lambda: (next(find_sections(F)), counit)
         )
     counit = {b: iso for b, (_, iso) in choices.items()}
     return EquivalenceWitness(F, "plain", lambda: (_conjugate(F, choices), counit))

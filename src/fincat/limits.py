@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .core import (
     BoundExceeded,
@@ -150,7 +151,7 @@ def _certify(kind, noun, apex, legs, cells, cones) -> Certificate:
         for cone_legs, cone_cells in cones(X):
             checked += 1
             omap_choices, mmap_choices = choices(X, cone_legs, cone_cells)
-            hits = len(list(enumerate_functors(X, apex, omap_choices, mmap_choices, limit=2)))
+            hits = len(list(islice(enumerate_functors(X, apex, omap_choices, mmap_choices), 2)))
             if hits != 1:
                 failures.append(f"vertex {X.label}: {noun} has {hits} factorizations")
     return Certificate(

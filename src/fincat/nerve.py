@@ -483,7 +483,7 @@ def truncated_sset_maps(Z: TruncSSet, W: TruncSSet):
             assigned[slot] = w
             yield
 
-    return [dict(assigned) for _ in _backtrack(len(slots), candidates, None)]
+    return [dict(assigned) for _ in _backtrack(len(slots), candidates)]
 
 
 def _hom_sset_leveled(X: TruncSSet, NY: TruncSSet, dim: int):
@@ -552,7 +552,7 @@ def _leveled_iso(levels1, faces1, degens1, levels2, faces2, degens2, dim: int):
             yield
             used.discard((d, b))
 
-    for _ in _backtrack(len(slots), candidates, None):
+    for _ in _backtrack(len(slots), candidates):
         # degeneracy tables must also match
         if all(
             assign[(dd + 1, v)] == degens2[(dd, i)][assign[(dd, s)]]

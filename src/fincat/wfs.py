@@ -113,7 +113,7 @@ def _filler(
     return lift_iso_2cell(cleavage, t, beta, label="filler")[0]
 
 
-def exhaustive_fillers(problem: LiftingProblem, limit=None):
+def exhaustive_fillers(problem: LiftingProblem):
     """All diagonal fillers, by constrained enumeration: functors fixed on
     the image of the left edge and lying over the bottom edge.  When the left
     edge identifies points with conflicting top images there is none."""
@@ -123,12 +123,11 @@ def exhaustive_fillers(problem: LiftingProblem, limit=None):
         problem.right.source,
         under=[(problem.left, problem.top)],
         over=[(problem.right, problem.bottom)],
-        limit=limit,
     )
 
 
 def has_filler(problem: LiftingProblem) -> bool:
-    return next(exhaustive_fillers(problem, limit=1), None) is not None
+    return next(exhaustive_fillers(problem), None) is not None
 
 
 def canonical_test_square(f: FinFunctor) -> LiftingProblem:

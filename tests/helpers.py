@@ -59,7 +59,7 @@ library dropped once the corpus tests ran them.
 """
 import json
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Mapping, Sequence
 
 from fincat.acceptance import CriterionResult
@@ -443,7 +443,7 @@ def _certificate(kind, vertices, cones, failures):
 
 
 def _factorization_count(apex, vertex, omap_choices, mmap_choices) -> int:
-    return len(list(enumerate_functors(vertex, apex, omap_choices, mmap_choices, limit=2)))
+    return len(list(islice(enumerate_functors(vertex, apex, omap_choices, mmap_choices), 2)))
 
 
 def scan_certify_pullback(apex, p, q, F, G, vertices):
@@ -896,7 +896,7 @@ def walk_maps(space, monos, epis, classes):
 # functors (the library's code before it had one lifting enumerator)
 
 
-def filter_exhaustive_fillers(problem, limit=None):
+def filter_exhaustive_fillers(problem):
     problem.validate()
     i, p = problem.left, problem.right
     B, C = problem.left.target, problem.right.source
@@ -915,10 +915,10 @@ def filter_exhaustive_fillers(problem, limit=None):
         mmap_choices[i.mor(m.name)] = [
             n for n in mmap_choices[i.mor(m.name)] if n == forced
         ]
-    yield from enumerate_functors(B, C, omap_choices, mmap_choices, limit=limit)
+    yield from enumerate_functors(B, C, omap_choices, mmap_choices)
 
 
-def filter_find_sections(F, limit=None):
+def filter_find_sections(F):
     A, B = F.source, F.target
     omap_choices = {
         b: [a for a in A.objects if F.ob(a) == b] for b in B.objects
@@ -927,10 +927,10 @@ def filter_find_sections(F, limit=None):
         m.name: [n.name for n in A.morphisms if F.mor(n.name) == m.name]
         for m in B.morphisms
     }
-    yield from enumerate_functors(B, A, omap_choices, mmap_choices, limit=limit)
+    yield from enumerate_functors(B, A, omap_choices, mmap_choices)
 
 
-def filter_find_retractions(F, limit=None):
+def filter_find_retractions(F):
     A, B = F.source, F.target
     omap_choices = {}
     for b in B.objects:
@@ -946,7 +946,7 @@ def filter_find_retractions(F, limit=None):
             return
         if pre:
             mmap_choices[m.name] = sorted(pre)
-    yield from enumerate_functors(B, A, omap_choices, mmap_choices, limit=limit)
+    yield from enumerate_functors(B, A, omap_choices, mmap_choices)
 
 
 def filter_arrow_sections(f):
@@ -1258,17 +1258,14 @@ def recursive_search(
     dst: FinCat,
     omap_choices: Mapping[str, Sequence[str]] | None,
     mmap_choices: Mapping[str, Sequence[str]] | None,
-    limit: int | None,
     injective: bool,
 ) -> Iterator[FinFunctor]:
-    """Yield functors src → dst in index order, at most ``limit`` of them.
+    """Yield functors src → dst in index order.
 
     With ``injective``, only functors injective on objects and on morphisms
     are kept (labelled ``iso``), and an object may only go to one with the
     same hom profile.
     """
-    if limit is not None and limit <= 0:
-        return
     objs = src.objects
     nonid = [m for m in src.morphisms if not src.is_identity(m.name)]
     position = {m.name: i for i, m in enumerate(nonid)}
@@ -1298,12 +1295,9 @@ def recursive_search(
     # images in use on the current path; read only when injective
     taken: set[str] = set()
     used: set[str] = set()
-    count = 0
 
     def assign_mors(idx):
-        nonlocal count
         if idx == len(nonid):
-            count += 1
             yield FinFunctor(src, dst, omap, {m.name: img[m.name] for m in src.morphisms}, label)
             return
         m = nonid[idx]
@@ -1316,8 +1310,6 @@ def recursive_search(
                 used.add(cand)
                 yield from assign_mors(idx + 1)
                 used.discard(cand)
-                if count == limit:
-                    return
 
     def assign_objs(idx):
         if idx == len(objs):
@@ -1335,8 +1327,6 @@ def recursive_search(
             taken.add(x)
             yield from assign_objs(idx + 1)
             taken.discard(x)
-            if count == limit:
-                return
 
     # each closure holds itself through its cell; emptying the cells lets
     # reference counting free the search state when the search ends or is
@@ -1589,7 +1579,7 @@ def retract_witness(F: FinFunctor) -> EquivalenceWitness:
         raise WitnessInvalid(f"{F.label} has no section")
     if w.counit.is_identity():
         return w
-    section = next(find_sections(F, limit=1))
+    section = next(find_sections(F))
     return witness_from_parts(F, section, "retract", w.has_section, w.has_retraction)
 
 def witness_from_parts(F, inverse, kind, has_section, has_retraction) -> EquivalenceWitness:

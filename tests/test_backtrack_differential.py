@@ -1,10 +1,12 @@
-"""Every backtracking search of the library, run on ``core._backtrack``'s
-explicit stack, against the recursion it replaced, kept in ``helpers`` as
-the reference: functors and isomorphisms, with choice tables and limits,
-transformations, truncated simplicial maps, the leveled bijection of the
-powers comparison and a power's size estimate.  Each search must yield the
-same values in the same order, each table with the same key order."""
-from itertools import groupby
+"""Every search of the library against the recursion it replaced, kept in
+``helpers`` as the reference: functors and isomorphisms, with choice tables,
+whole and cut after their first k results, and truncated simplicial maps and
+the leveled bijection of the powers comparison, all run on
+``core._backtrack``'s explicit stack; transformations, filtered from the
+product of their component homs; and a power's size estimate.  Each search
+must yield the same values in the same order, each table with the same key
+order."""
+from itertools import groupby, islice
 
 import pytest
 from helpers import (
@@ -36,6 +38,7 @@ from fincat.nerve import (
     truncated_sset_maps,
 )
 
+# how many results each search is cut to (None: all of them)
 LIMITS = [0, 1, None]
 
 
@@ -47,7 +50,7 @@ def choice_tables(src, dst):
     """No choices, and choices that reverse the first object's candidates
     and pin the first non-identity morphism to its image under the first
     functor src → dst."""
-    first = next(enumerate_functors(src, dst, limit=1), None)
+    first = next(enumerate_functors(src, dst), None)
     nonid = [m.name for m in src.morphisms if not src.is_identity(m.name)]
     omap_choices = {src.objects[0]: dst.objects[::-1]} if src.objects else None
     mmap_choices = {nonid[0]: [first.mmap[nonid[0]]]} if first and nonid else None
@@ -63,8 +66,8 @@ CATEGORY_PAIRS = [(A, B) for A in CATEGORIES for B in CATEGORIES]
 def test_functor_search_matches_the_recursion(limit):
     for A, B in CATEGORY_PAIRS:
         for omap_choices, mmap_choices in choice_tables(A, B):
-            ours = enumerate_functors(A, B, omap_choices, mmap_choices, limit)
-            reference = recursive_search(A, B, omap_choices, mmap_choices, limit, False)
+            ours = islice(enumerate_functors(A, B, omap_choices, mmap_choices), limit)
+            reference = islice(recursive_search(A, B, omap_choices, mmap_choices, False), limit)
             assert functor_tables(ours) == functor_tables(reference), (A.label, B.label)
 
 
@@ -74,8 +77,8 @@ def test_isomorphism_search_matches_the_recursion(limit):
         if A.n_objects != B.n_objects or A.n_morphisms != B.n_morphisms:
             continue
         for omap_choices, mmap_choices in choice_tables(A, B):
-            ours = enumerate_isomorphisms(A, B, omap_choices, mmap_choices, limit)
-            reference = recursive_search(A, B, omap_choices, mmap_choices, limit, True)
+            ours = islice(enumerate_isomorphisms(A, B, omap_choices, mmap_choices), limit)
+            reference = islice(recursive_search(A, B, omap_choices, mmap_choices, True), limit)
             assert functor_tables(ours) == functor_tables(reference), (A.label, B.label)
 
 

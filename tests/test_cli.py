@@ -130,6 +130,27 @@ def test_counterexample_and_unknown_name(workdir):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        ("fy_family(7,2)", "fy_family(7,2) is outside the supported finite ranges"),
+        (
+            f"fy_family({'1' * 5000},2)",
+            "fy_family with a 5000-digit argument is outside the supported finite ranges",
+        ),
+    ],
+    ids=["k-out-of-range", "k-of-5000-digits"],
+)
+def test_counterexample_outside_the_ranges_exits_two(workdir, name, detail):
+    res = invoke(["counterexample", name], workdir)
+    assert res.exit_code == 2
+    assert payload(res) == {
+        "command": "counterexample",
+        "error": "BudgetExceeded",
+        "detail": detail,
+    }
+
+
 def test_cosmos_check(workdir):
     res = invoke(["cosmos-check", "--fragment", "fragment.json"], workdir)
     assert res.exit_code == 0

@@ -1,9 +1,13 @@
+from itertools import product
+
 import pytest
 from helpers import FilterArrowSpace, arrow_compose
 
 from fincat.core import StructureError, bounded, builtin
 from fincat.cosmos import (
+    FRAGMENT_FUNCTORS_PER_PAIR,
     CosmosFragment,
+    _fragment_functors,
     _SetMaps,
     check_fragment,
     nip_square_filler,
@@ -135,6 +139,17 @@ def test_fragment_wrong_class_fails_with_witness():
 def test_empty_fragment_vacuously_passes():
     rep = check_fragment(CosmosFragment(objects=(), chosen="normal", label="empty"))
     assert rep.passed
+
+
+def test_fragment_functors_keep_the_first_64_of_a_pair_in_search_order():
+    """chaotic(4) has 4**4 = 256 endofunctors, one per object map, and the
+    search lists them by the images of objects 0, 1, 2, 3 in turn; the
+    fragment samples the first 64, those sending 0 to 0."""
+    C = builtin("chaotic(4)")
+    kept = list(_fragment_functors(CosmosFragment(objects=(C,))))
+    every = [dict(zip(C.objects, images)) for images in product(C.objects, repeat=4)]
+    assert FRAGMENT_FUNCTORS_PER_PAIR == 64 and len(every) == 256
+    assert [F.omap for F in kept] == every[:64]
 
 
 def test_fragment_towers_stay_within_the_tower_bound():

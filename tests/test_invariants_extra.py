@@ -1,4 +1,6 @@
 """Exhaustive invariant sweeps that go beyond the sampled property tests."""
+from itertools import islice
+
 from fincat.core import builtin, enumerate_functors, identity_functor, find_isomorphism
 from fincat.corpus import corpus_categories, corpus_functors
 from fincat.cosmos import nip_square_filler
@@ -29,7 +31,7 @@ def test_all_idempotents_on_small_corpus_categories_split():
     small = [c for c in corpus_categories() if c.n_morphisms <= 9]
     found = 0
     for C in small:
-        for e in enumerate_functors(C, C, limit=128):
+        for e in islice(enumerate_functors(C, C), 128):
             if e.then(e) != e:
                 continue
             s = split_idempotent(e)

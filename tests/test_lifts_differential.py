@@ -3,6 +3,8 @@
 as the reference: hand-built choice tables, or every candidate functor
 generated and filtered by the square equation.  The ordered outputs must be
 identical."""
+from itertools import islice
+
 import pytest
 from helpers import (
     check_arrow_square,
@@ -139,7 +141,7 @@ def test_exhaustive_fillers_match_the_choice_tables():
     for square in wfs_squares():
         ours = tables(exhaustive_fillers(square))
         assert ours == tables(filter_exhaustive_fillers(square))
-        assert tables(exhaustive_fillers(square, limit=1)) == ours[:1]
+        assert tables(islice(exhaustive_fillers(square), 1)) == ours[:1]
         counts.append(len(ours))
     assert 0 in counts and max(counts) > 1
 

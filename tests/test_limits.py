@@ -89,9 +89,12 @@ def test_pullback_certificate_counts_cones():
     assert w.certificate.cones_checked > 0
 
 
-@pytest.mark.parametrize("apex, hits", [("two_discrete", 2), ("discrete(0)", 0)])
+@pytest.mark.parametrize(
+    "apex, hits", [("two_discrete", 2), ("discrete(0)", 0), ("discrete(3)", 2)]
+)
 def test_certificate_reports_cones_that_do_not_factor_once(apex, hits):
-    # the pullback of 1 → 1 ← 1 is 1; two points over it, or none, are not
+    # the pullback of 1 → 1 ← 1 is 1; two points over it, or none, are not,
+    # and three are reported as two: the count stops at the second
     one = identity_functor(builtin("terminal"))
     P = builtin(apex)
     leg = to_terminal(P)

@@ -1,4 +1,6 @@
 """Property tests for the structural invariants, driven by the corpus."""
+from itertools import islice
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -175,19 +177,19 @@ def test_retract_closure_of_normal_isofibrations():
     for p in normals:
         C, D = p.source, p.target
         for A in smalls:
-            for s0 in enumerate_functors(A, C, limit=8):
+            for s0 in islice(enumerate_functors(A, C), 8):
                 retr0 = [
                     r0
-                    for r0 in enumerate_functors(C, A, limit=32)
+                    for r0 in islice(enumerate_functors(C, A), 32)
                     if s0.then(r0) == identity_functor(A)
                 ]
                 if not retr0:
                     continue
                 for B in smalls:
-                    for s1 in enumerate_functors(B, D, limit=8):
+                    for s1 in islice(enumerate_functors(B, D), 8):
                         retr1 = [
                             r1
-                            for r1 in enumerate_functors(D, B, limit=32)
+                            for r1 in islice(enumerate_functors(D, B), 32)
                             if s1.then(r1) == identity_functor(B)
                         ]
                         for r0 in retr0[:2]:

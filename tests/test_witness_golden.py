@@ -15,6 +15,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -82,7 +83,7 @@ def small_functors():
     ]
     for A in small:
         for B in small:
-            yield from enumerate_functors(A, B, limit=40)
+            yield from islice(enumerate_functors(A, B), 40)
 
 
 def product_legs():
