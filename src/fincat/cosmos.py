@@ -6,7 +6,11 @@ arrows of finite sets.
 class of isofibrations must satisfy: hom-wise iso-lifting, existence of the
 limits (products, powers, pullbacks along chosen maps, finite towers), and
 the stability clauses.  Powers can only ever be *witnessed on the
-fragment*, never proved for all categories; the report says so.
+fragment*, never proved for all categories; the report says so.  The
+fragment's maps are listed once: the chosen maps are the first of the list
+in the class, and the cospans pair each with the maps of the list into its
+target.  Each pullback and tower limit is built once, for its limit entry
+and its stability entry both.
 
 ``nip_square_filler`` decides, up to a size bound, whether every square of
 a split monomorphism against a split epimorphism has a diagonal filler:
@@ -75,6 +79,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import islice
 from itertools import product as iproduct
 from math import comb, perm, prod
@@ -200,51 +205,21 @@ def _fragment_functors(frag: CosmosFragment):
             yield from islice(enumerate_functors(src, dst), FRAGMENT_FUNCTORS_PER_PAIR)
 
 
-def _chosen_maps(frag: CosmosFragment):
-    pred = _predicate(frag.chosen)
-    out = []
-    for F in _fragment_functors(frag):
-        if pred(F):
-            F.label = f"{F.source.label}->{F.target.label}@{len(out)}"
-            out.append(F)
-            if len(out) >= CHOSEN_MAPS_CAP:
-                return out
-    return out
-
-
 def _verdict(ok: bool, failure: str) -> tuple[bool, str]:
     return ok, "" if ok else failure
-
-
-def _built(construct, *args) -> tuple[bool, str]:
-    """The verdict of a clause that holds once its construction is built."""
-    construct(*args)
-    return True, ""
-
-
-def _pullback_verdict(p, g) -> tuple[bool, str]:
-    if classify_fibration(p, grothendieck=False).representable:
-        iso = find_isomorphism_over(build_normal_pullback(p, g).witness, pullback_strict(p, g))
-        return _verdict(iso is not None, "oracle mismatch")
-    pullback_strict(p, g)
-    return True, "strict construction"
-
-
-def _tower_verdict(base, maps) -> tuple[bool, str]:
-    if all(classify_fibration(m, grothendieck=False).normal for m in maps):
-        tl = tower_limit(base, maps)
-        iso = find_isomorphism_over(tl.witness, strict_tower_limit(base, maps))
-        return _verdict(iso is not None, "oracle mismatch")
-    strict_tower_limit(base, maps)
-    return True, "strict construction"
 
 
 def check_fragment(frag: CosmosFragment) -> AxiomReport:
     """Replay the axiom clauses over the fragment; failures carry concrete
     witnesses and budget blowups leave a partial report."""
     pred = _predicate(frag.chosen)
-    chosen = _chosen_maps(frag)
-    cospans, towers = _cospans(frag, chosen), _towers(chosen)
+    functors = list(_fragment_functors(frag))
+    chosen = list(islice(filter(pred, functors), CHOSEN_MAPS_CAP))
+    for k, p in enumerate(chosen):
+        p.label = f"{p.source.label}->{p.target.label}@{k}"
+    cospans = islice(
+        ((p, g) for p in chosen for g in functors if g.target == p.target), COSPANS_CAP
+    )
 
     # (a) postcomposition between hom-categories lifts isomorphisms
     homs = ClauseReport("hom_isofibration")
@@ -260,30 +235,44 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
                 ),
             )
 
-    # (b) limits exist: products, powers, pullbacks along chosen, towers
+    # (b) limits exist: products, powers, pullbacks along chosen, towers;
+    # (c) stability: each map built from chosen ones is chosen.  A limit
+    # and the maps out of it are filed in turn, each clause in its order.
     limits = ClauseReport("limits_exist", note="powers witnessed on fragment only")
-    for A in frag.objects:
-        for B in frag.objects:
-            limits.check(f"product {A.label}×{B.label}", lambda: _built(product_category, A, B))
-            limits.check(f"power [{A.label},{B.label}]", lambda: _built(functor_category, A, B))
-    for p, g in cospans:
-        limits.check(f"pullback of {p.label} along {g.label}", lambda: _pullback_verdict(p, g))
-    for base, maps in towers:
-        limits.check(
-            f"tower over {base.label} of length {len(maps)}", lambda: _tower_verdict(base, maps)
-        )
-
-    # (c) stability: each map built from chosen ones is chosen
     stab = ClauseReport("stability")
+
+    def exists(description, build, oracle=None, witness=""):
+        """File the limit ``build()`` makes: built, or when an ``oracle``
+        builds it another way, isomorphic to that over the legs."""
+
+        def decide():
+            if oracle is None:
+                build()
+                return True, witness
+            iso = find_isomorphism_over(oracle().witness, build())
+            return _verdict(iso is not None, "oracle mismatch")
+
+        limits.check(description, decide)
 
     def stays(description, build, failure):
         stab.check(description, lambda: _verdict(pred(build()), failure))
 
+    for A in frag.objects:
+        for B in frag.objects:
+            exists(f"product {A.label}×{B.label}", partial(product_category, A, B))
+            exists(f"power [{A.label},{B.label}]", partial(functor_category, A, B))
     for p, g in cospans:
+        name = f"{g.source.label}->{g.target.label}"  # also when g is a chosen map
+        pb = cache(partial(pullback_strict, p, g))
+        description = f"pullback of {p.label} along {name}"
+        if classify_fibration(p, grothendieck=False).representable:
+            exists(description, pb, partial(build_normal_pullback, p, g))
+        else:
+            exists(description, pb, witness="strict construction")
         stays(
-            f"pullback of {p.label} along {g.label} stays chosen",
-            lambda: pullback_strict(p, g).projections[1],
-            f"projection out of pb({p.label},{g.label})",
+            f"{description} stays chosen",
+            lambda: pb().projections[1],
+            f"projection out of pb({p.label},{name})",
         )
     for p in chosen[:4]:
         for q in chosen[:4]:
@@ -293,10 +282,16 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
                 lambda: product_functor(p, q, src, dst),
                 "product map fails",
             )
-    for base, maps in towers:
+    for base, maps in _towers(chosen):
+        tower = cache(partial(strict_tower_limit, base, maps))
+        description = f"tower over {base.label} of length {len(maps)}"
+        if all(classify_fibration(m, grothendieck=False).normal for m in maps):
+            exists(description, tower, partial(tower_limit, base, maps))
+        else:
+            exists(description, tower, witness="strict construction")
         stays(
             f"tower projection over {base.label} (length {len(maps)}) stays chosen",
-            lambda: strict_tower_limit(base, maps).projections[0],
+            lambda: tower().projections[0],
             "tower projection fails",
         )
     for name in LEIBNIZ_GENERATORS:
@@ -324,18 +319,6 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
 
     clauses = {"hom_isofibration": homs, "limits_exist": limits, "stability": stab}
     return AxiomReport(fragment=frag.label, chosen=frag.chosen, clauses=clauses)
-
-
-def _cospans(frag: CosmosFragment, chosen):
-    out = []
-    for p in chosen:
-        for g in _fragment_functors(frag):
-            if g.target == p.target:
-                g.label = g.label if g.label != "functor" else f"{g.source.label}->{g.target.label}"
-                out.append((p, g))
-                if len(out) >= COSPANS_CAP:
-                    return out
-    return out
 
 
 def _towers(chosen):

@@ -92,7 +92,8 @@ def sset_from_dict(data, label: str = "sset") -> TruncSSet:
         tables.append({})
         for key in node:
             d, _, i = key.partition(",")
-            if not (d.isdecimal() and i.isdecimal()):
+            # int() reads 640 digits under the lowest digit limit Python allows
+            if not (d.isdecimal() and i.isdecimal()) or max(len(d), len(i)) > 640:
                 raise refused(at_key(kind, key), "expected a key dim,i")
             tables[-1][int(d), int(i)] = field(node, key, kind, dict, "simplex names", of=str)
     return TruncSSet(tuple(map(tuple, levels)), *tables, label=label)

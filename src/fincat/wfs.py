@@ -11,6 +11,7 @@ from .core import (
     FinFunctor,
     StructureError,
     WitnessInvalid,
+    cached_property,
     enumerate_isomorphisms,
     enumerate_lifts,
     find_isomorphism,
@@ -149,16 +150,21 @@ def canonical_test_square(f: FinFunctor) -> LiftingProblem:
 @dataclass
 class LeibnizPower:
     """The induced map from a power into the pullback of powers, plus its
-    classification."""
+    classification, built on first read: the full :func:`classify_fibration`
+    with its cubic Grothendieck scan, which a caller that only needs the
+    induced map does not pay."""
 
     induced: FinFunctor
     pullback: LimitWitness
-    report: FibrationReport
+
+    @cached_property
+    def report(self) -> FibrationReport:
+        return classify_fibration(self.induced)
 
 
 def leibniz_power(j: FinFunctor, p: FinFunctor) -> LeibnizPower:
     """For j : X → Y and p : A → B, the induced map A^Y → B^Y ×_{B^X} A^X
-    together with its isofibration report."""
+    together with its isofibration report, built on first read."""
     if not j.injective_on_objects():
         raise StructureError(f"{j.label} must be injective on objects")
     X, Y = j.source, j.target
@@ -168,8 +174,7 @@ def leibniz_power(j: FinFunctor, p: FinFunctor) -> LeibnizPower:
     pb = pullback_strict(p_x, b_j)
     induced = pair_functor(precompose_functor(j, A), postcompose_functor(p, Y), pb.apex)
     induced.label = f"leibniz({j.label},{p.label})"
-    report = classify_fibration(induced)
-    return LeibnizPower(induced=induced, pullback=pb, report=report)
+    return LeibnizPower(induced=induced, pullback=pb)
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,10 @@ def _first_simplex_as_list(dim):
     return mutate
 
 
+# a dimension of 5,000 digits, more than int() reads under its default limit
+_OVERLONG_KEY = "1" * 5000 + ",0"
+
+
 def _first_simplex_twice(dim):
     def mutate(sset):
         sset["simplices"][dim].append(sset["simplices"][dim][0])
@@ -663,6 +667,12 @@ _CATEGORY_SHAPE_CASES = [
         ),
         (
             "interval_sset.json",
+            lambda sset: sset["faces"].update({_OVERLONG_KEY: {}}),
+            ["classify-sset", "--sset"],
+            f"faces.{_OVERLONG_KEY}: expected a key dim,i",
+        ),
+        (
+            "interval_sset.json",
             _first_simplex_twice(0),
             ["classify-sset", "--sset"],
             "interval_sset: simplices 0: 0 is listed twice",
@@ -737,6 +747,7 @@ _CATEGORY_SHAPE_CASES = [
         "sset-list-named-triangle",
         "sset-vertex-level-as-integer",
         "sset-faces-as-list",
+        "sset-face-key-over-the-int-digit-limit",
         "sset-vertex-twice",
         "powers-sset-vertex-twice",
         "sset-edge-twice",

@@ -1,8 +1,13 @@
+import hashlib
+import json
+from collections import Counter
 from itertools import product
 
 import pytest
 from helpers import FilterArrowSpace, arrow_compose
 
+import fincat.cosmos as cosmos
+import fincat.wfs as wfs
 from fincat.core import StructureError, bounded, builtin
 from fincat.cosmos import (
     FRAGMENT_FUNCTORS_PER_PAIR,
@@ -167,3 +172,56 @@ def test_fragment_towers_stay_within_the_tower_bound():
     assert tower_lengths(0) == set()
     assert tower_lengths(1) == {1}
     assert tower_lengths(2) == {1, 2}
+
+
+SAMPLE_OBJECTS = ("terminal", "arrow", "free_iso")
+
+# sha256 of json.dumps(check_fragment(...).to_dict(), sort_keys=True) for the
+# sample objects, recorded before the fragment's maps were listed once
+FRAGMENT_DIGESTS = {
+    ("normal", 0): "dcf6db55d8d51f1380e35cd573afe6979a0bb8a16cb6f127212aedde6346c3af",
+    ("normal", 1): "844d25b02825c87e7c6a831368b96993ecedc62f20e9dfd48bfd27c9c7bc9aed",
+    ("normal", 2): "73c7c8ec4903c1f4f57e0b8411b5de47ab716dc27bb05563cca2e022b2c3880f",
+    ("representable", 0): "cafa0cfebda65f169081fa4ec0f0a978b50f3b6e8f4c2292e81d93de2d738eae",
+    ("representable", 1): "77ef94252dccf3df7323ca5cb12bc109c368ef273fb7e75a4df126f68c43632c",
+    ("representable", 2): "82508bba3b18050504697a3fabd9e18b52434a28c4d5f095e0a4b146372b2859",
+    ("discrete", 0): "202cb53b43687f6496ce130a9d1c084ae6d6527791be95cc6f6cc402b1070762",
+    ("discrete", 1): "df537376aafda4479dd9bca057d2effd6dcd126f4cd2733936cd7a5bb2f3144c",
+    ("discrete", 2): "5f2ada2d749566f2e0785f20568a9c6abc28be35027edb2d732a0cb9801a6918",
+    ("equivalences", 0): "a1ee41a93bc7365d31cb10aedab24490dca848b51af4b6fb0725415917e7e979",
+    ("equivalences", 1): "bdf1f7375c56dd265f81093b7791d261ba654401b63aeb698fe2523a38a6534f",
+    ("equivalences", 2): "f8376bd28f57b6cc865fa6df9be50a9d9c9b2e330ff2c612207eadb0cafc5272",
+}
+
+
+@pytest.mark.parametrize("chosen, tower", FRAGMENT_DIGESTS)
+def test_the_sample_fragment_reports_are_the_recorded_ones(chosen, tower):
+    frag = CosmosFragment(tuple(map(builtin, SAMPLE_OBJECTS)), chosen, "core-fragment")
+    with bounded(tower=tower):
+        report = check_fragment(frag).to_dict()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == FRAGMENT_DIGESTS[chosen, tower]
+
+
+def test_a_fragment_check_builds_each_construction_once(monkeypatch):
+    """The sample fragment's 9 ordered pairs are enumerated once each, its
+    18 cospans and 8 towers are built once each for both clauses, and no
+    Leibniz power is classified: the stability entries read only its
+    induced map."""
+    calls = Counter()
+
+    def counted(module, name):
+        run = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    names = ("enumerate_functors", "pullback_strict", "strict_tower_limit")
+    for name in names:
+        counted(cosmos, name)
+    counted(wfs, "classify_fibration")
+    assert check_fragment(CosmosFragment(tuple(map(builtin, SAMPLE_OBJECTS)))).passed
+    assert [calls[name] for name in (*names, "classify_fibration")] == [9, 18, 8, 0]
