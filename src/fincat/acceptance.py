@@ -35,8 +35,6 @@ from .corpus import (
 )
 from .cosmos import nip_square_filler
 from .counterexamples import run_counterexample
-from .equivalence import classify_equivalence
-from .fibrations import classify_fibration
 from .limits import (
     build_normal_pullback,
     find_isomorphism_over,
@@ -107,9 +105,9 @@ def _roundtrip_failures(f):
     if fac.left.then(fac.right) != f:
         yield f"{f.label}: not a factorization"
         return
-    if not classify_equivalence(fac.left).has_retraction:
+    if not fac.left.equivalence.has_retraction:
         yield f"{f.label}: left leg not injective equivalence"
-    if not classify_fibration(fac.right, grothendieck=False).normal:
+    if not fac.right.fibration.normal:
         yield f"{f.label}: right leg not normal isofibration"
 
 

@@ -39,7 +39,7 @@ from .core import (
 )
 from .cosmos import CosmosFragment, check_fragment, nip_square_filler
 from .counterexamples import run_counterexample
-from .equivalence import EquivalenceWitness, classify_equivalence
+from .equivalence import EquivalenceWitness
 from .fibrations import classify_fibration
 from .limits import (
     build_normal_pullback,
@@ -198,7 +198,7 @@ def classify(functor_path):
     """Classify a functor: isofibration flags and equivalence kinds."""
     F = load_functor(functor_path)
     report = classify_fibration(F)
-    w = classify_equivalence(F)
+    w = F.equivalence
     equivalence = (
         {"is_equivalence": True, "kinds": sorted(w.kinds)}
         if isinstance(w, EquivalenceWitness)
@@ -215,13 +215,8 @@ def factorize(functor_path):
     isofibration."""
     F = load_functor(functor_path)
     fac = factorize_wfs(F)
-    left_w = classify_equivalence(fac.left)
     composite_ok = fac.left.then(fac.right) == F
-    ok = (
-        composite_ok
-        and left_w.has_retraction
-        and classify_fibration(fac.right, grothendieck=False).normal
-    )
+    ok = composite_ok and fac.left.equivalence.has_retraction and fac.right.fibration.normal
     return {
         "left": functor_summary(fac.left),
         "right": functor_summary(fac.right),
@@ -369,11 +364,12 @@ def leibniz(j_path, p_path):
 @_reported
 def wf(functor_path):
     """Compare a functor with its induced iso-power comparison map."""
-    res = compute_wf(load_functor(functor_path))
+    F = load_functor(functor_path)
+    res = compute_wf(F)
     return {
         "comparison": functor_summary(res.comparison),
-        "arrow_flags": res.arrow_report.to_dict()["flags"],
-        "comparison_flags": res.comparison_report.to_dict()["flags"],
+        "arrow_flags": F.fibration.flags,
+        "comparison_flags": res.comparison.fibration.flags,
         "biconditionals": res.biconditionals,
     }, res.ok
 

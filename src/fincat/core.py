@@ -690,7 +690,11 @@ def validate_category(raw, at: str = "") -> FinCat:
 
 class FinFunctor:
     """A map of finite categories, given by object and morphism tables.  The
-    constructor copies them and checks nothing (see :func:`validate_functor`)."""
+    constructor copies them and checks nothing (see :func:`validate_functor`).
+
+    ``fibration`` and ``equivalence`` classify the functor on first read and
+    keep the result: nothing writes the tables after construction, and the
+    ``label``, the one field set later, enters neither classification."""
 
     def __init__(self, source: FinCat, target: FinCat, omap, mmap, label: str = "functor"):
         self.source = source
@@ -727,6 +731,21 @@ class FinFunctor:
 
     def injective_on_objects(self) -> bool:
         return len(set(self.omap.values())) == self.source.n_objects
+
+    @cached_property
+    def fibration(self):
+        """The iso-lifting flags: ``classify_fibration`` without its cubic
+        Grothendieck scan, so the ``grothendieck`` flag is None."""
+        from .fibrations import classify_fibration
+
+        return classify_fibration(self, False)
+
+    @cached_property
+    def equivalence(self):
+        """``classify_equivalence(self)``: a witness, or why there is none."""
+        from .equivalence import classify_equivalence
+
+        return classify_equivalence(self)
 
     @cached_property
     def key(self) -> str:

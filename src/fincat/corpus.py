@@ -20,7 +20,6 @@ from .core import (
     thin_category,
     thin_functor,
 )
-from .fibrations import classify_fibration
 from .funcat import product_category, product_projections
 
 BUILTIN_NAMES = (
@@ -150,21 +149,17 @@ def corpus_functors() -> tuple[FinFunctor, ...]:
 
 @lru_cache(maxsize=1)
 def corpus_normal_isofibrations() -> tuple[FinFunctor, ...]:
-    return tuple(F for F in corpus_functors() if classify_fibration(F, grothendieck=False).normal)
+    return tuple(F for F in corpus_functors() if F.fibration.normal)
 
 
 @lru_cache(maxsize=1)
 def corpus_non_isofibrations() -> tuple[FinFunctor, ...]:
-    return tuple(
-        F for F in corpus_functors() if not classify_fibration(F, grothendieck=False).normal
-    )
+    return tuple(F for F in corpus_functors() if not F.fibration.normal)
 
 
 @lru_cache(maxsize=1)
 def corpus_injective_equivalences() -> tuple[FinFunctor, ...]:
-    from .equivalence import classify_equivalence
-
-    return tuple(F for F in corpus_functors() if classify_equivalence(F).has_retraction)
+    return tuple(F for F in corpus_functors() if F.equivalence.has_retraction)
 
 
 @lru_cache(maxsize=1)

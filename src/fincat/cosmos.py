@@ -97,8 +97,7 @@ from .core import (
     identity_functor,
     thin_functor,
 )
-from .equivalence import EquivalenceWitness, classify_equivalence
-from .fibrations import classify_fibration
+from .equivalence import EquivalenceWitness
 from .funcat import (
     functor_category,
     postcompose_functor,
@@ -193,9 +192,9 @@ class AxiomReport:
 
 def _predicate(chosen: str):
     if chosen in ("normal", "representable", "discrete"):
-        return lambda f: getattr(classify_fibration(f, grothendieck=False), chosen)
+        return lambda f: getattr(f.fibration, chosen)
     if chosen == "equivalences":
-        return lambda f: isinstance(classify_equivalence(f), EquivalenceWitness)
+        return lambda f: isinstance(f.equivalence, EquivalenceWitness)
     raise StructureError(f"chosen: unknown class of maps: {chosen}")
 
 
@@ -228,10 +227,7 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
             homs.check(
                 f"[{A.label},-] applied to {p.label}",
                 lambda: _verdict(
-                    classify_fibration(
-                        postcompose_functor(p, A), grothendieck=False
-                    ).representable,
-                    "iso-lifting failed",
+                    postcompose_functor(p, A).fibration.representable, "iso-lifting failed"
                 ),
             )
 
@@ -265,7 +261,7 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
         name = f"{g.source.label}->{g.target.label}"  # also when g is a chosen map
         pb = cache(partial(pullback_strict, p, g))
         description = f"pullback of {p.label} along {name}"
-        if classify_fibration(p, grothendieck=False).representable:
+        if p.fibration.representable:
             exists(description, pb, partial(build_normal_pullback, p, g))
         else:
             exists(description, pb, witness="strict construction")
@@ -285,7 +281,7 @@ def check_fragment(frag: CosmosFragment) -> AxiomReport:
     for base, maps in _towers(chosen):
         tower = cache(partial(strict_tower_limit, base, maps))
         description = f"tower over {base.label} of length {len(maps)}"
-        if all(classify_fibration(m, grothendieck=False).normal for m in maps):
+        if all(m.fibration.normal for m in maps):
             exists(description, tower, partial(tower_limit, base, maps))
         else:
             exists(description, tower, witness="strict construction")

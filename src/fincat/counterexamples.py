@@ -39,7 +39,7 @@ from .core import (
     thin_functor,
 )
 from .cosmos import nip_square_filler
-from .equivalence import classify_equivalence, find_sections
+from .equivalence import find_sections
 from .fibrations import classify_fibration
 from .funcat import pair_functor, precompose_functor
 from .limits import pullback_strict
@@ -147,7 +147,7 @@ def arrow_normal_on_test_set(f: ArrowMorphism) -> bool:
     kernel = pair_functor(
         p.then(f.level0), q.then(f.level0), pullback_strict(f.target, f.target).apex
     )
-    return all(classify_fibration(g, grothendieck=False).normal for g in (f.level0, kernel))
+    return all(g.fibration.normal for g in (f.level0, kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +226,8 @@ def nip_cat2() -> Witness:
     if ce is not None:
         # lift the square to chaotic categories and replay it there
         i, p, top, bottom = _chaotic_square(ce)
-        wi0 = classify_equivalence(i.level0)
-        wi1 = classify_equivalence(i.level1)
-        wp0 = classify_equivalence(p.level0)
-        wp1 = classify_equivalence(p.level1)
+        wi0, wi1 = i.level0.equivalence, i.level1.equivalence
+        wp0, wp1 = p.level0.equivalence, p.level1.equivalence
         claims.append(
             Claim(
                 "chaotic left edge components are injective equivalences",
@@ -336,8 +334,7 @@ def fy_family(k: int, alpha: int) -> Witness:
             f"fy_family({k},{alpha}) is outside the supported finite ranges"
         )
     f = build_fy(k, alpha)
-    w_pi = classify_equivalence(f.level0)
-    w_sigma = classify_equivalence(f.level1)
+    w_pi, w_sigma = f.level0.equivalence, f.level1.equivalence
     sections = arrow_sections(f)
     locus = f"points={k}, threshold={alpha}"
     claims = [

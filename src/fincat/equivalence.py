@@ -11,9 +11,11 @@ inverse and a counit, in one of three normalizations:
 * plain      — the inverse is conjugated through the first isomorphisms of
   essential surjectivity, which form the counit.
 
-The inverse, unit and counit are built on first read, so a caller that reads
-only the kinds runs no search; at most one inverse search runs per functor,
-and it walks candidates in index order, so witnesses are reproducible.
+A functor's ``equivalence`` attribute is its classification, built on first
+read and kept.  The inverse, unit and counit are built on first read, so a
+caller that reads only the kinds runs no search; at most one inverse search
+runs per witness, and it walks candidates in index order, so witnesses are
+reproducible.
 """
 from __future__ import annotations
 

@@ -8,6 +8,9 @@ A functor p : E → B is classified by four flags:
 * grothendieck  — every morphism into p(e) has a cartesian lift;
 * normal        — a cleavage lifting identities to identities exists.
 
+A functor's ``fibration`` attribute is its report without the
+Grothendieck scan, built on first read and kept.
+
 Cleavages are stored objectwise: (object upstairs, isomorphism downstairs
 out of its image) ↦ chosen lift.  Lift choices are deterministic: the
 identity when the downstairs isomorphism is one, otherwise the first valid
@@ -110,9 +113,10 @@ def _cartesian_lift_exists(p: FinFunctor, e: str, beta: str) -> bool:
 def classify_fibration(p: FinFunctor, grothendieck: bool = True) -> FibrationReport:
     """Classify p by exhaustive lifting scans; failures carry witnesses.
 
-    The cartesian-lift scan is cubic in the morphism count and can be
-    switched off where only the iso-lifting flags matter; the flag is then
-    reported as None.
+    The cartesian-lift scan is cubic in the morphism count.  Without it the
+    flag is reported as None; ``p.fibration`` is that report, classified
+    once per functor, and what a caller that reads only the iso-lifting
+    flags reads.
 
     ``normal`` equals ``representable``.  A normal cleavage needs every iso
     lift, so it needs representability.  Conversely, once every iso out of

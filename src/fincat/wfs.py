@@ -17,7 +17,7 @@ from .core import (
     find_isomorphism,
     identity_functor,
 )
-from .equivalence import EquivalenceWitness, classify_equivalence
+from .equivalence import EquivalenceWitness
 from .fibrations import (
     Cleavage,
     FibrationReport,
@@ -91,13 +91,14 @@ def solve_lifting(problem: LiftingProblem) -> FinFunctor:
     """Diagonal filler for a square with an injective equivalence on the
     left and a normal isofibration on the right.
 
-    The square is checked; the left edge's witness and the right edge's
-    normal cleavage are built here, lawful by construction.  The filler is
-    built by lifting the whiskered counit-inverse through the cleavage;
-    normality then forces agreement with the top edge.
+    The square is checked; the left edge's witness is its cached
+    ``equivalence`` and the right edge's normal cleavage is built here, both
+    lawful by construction.  The filler is built by lifting the whiskered
+    counit-inverse through the cleavage; normality then forces agreement
+    with the top edge.
     """
     problem.validate()
-    witness = classify_equivalence(problem.left)
+    witness = problem.left.equivalence
     if not witness.has_retraction:
         raise WitnessInvalid(f"{problem.left.label} is not an injective equivalence")
     return _filler(problem, witness, build_normal_cleavage(problem.right))
@@ -184,12 +185,10 @@ def leibniz_power(j: FinFunctor, p: FinFunctor) -> LeibnizPower:
 @dataclass
 class WfComparison:
     """The comparison w : A^I → L_f and the biconditional report between
-    the classification of f and of w."""
+    the classification of f and of w, which both keep as their cached
+    ``fibration`` and ``equivalence``."""
 
     comparison: FinFunctor
-    arrow_report: FibrationReport
-    comparison_report: FibrationReport
-    comparison_witness: EquivalenceWitness | None
     biconditionals: dict
 
     @property
@@ -204,22 +203,14 @@ def compute_wf(f: FinFunctor) -> WfComparison:
     pl = pseudolimit_of_arrow(f)
     w = pl.power_comparison
     # only the iso-lifting flags enter the biconditionals
-    rf = classify_fibration(f, grothendieck=False)
-    rw = classify_fibration(w, grothendieck=False)
-    witness = classify_equivalence(w)
+    rf, rw = f.fibration, w.fibration
     checks = {
         "representable_iff": rf.representable == rw.representable,
         "normal_iff": rf.normal == rw.normal,
     }
     if rf.representable or rw.representable:
-        checks["retract_kind"] = "retract" in witness.kinds
-    return WfComparison(
-        comparison=w,
-        arrow_report=rf,
-        comparison_report=rw,
-        comparison_witness=witness if isinstance(witness, EquivalenceWitness) else None,
-        biconditionals=checks,
-    )
+        checks["retract_kind"] = "retract" in w.equivalence.kinds
+    return WfComparison(comparison=w, biconditionals=checks)
 
 
 # ---------------------------------------------------------------------------

@@ -244,10 +244,15 @@ def test_the_first_read_of_the_structure_runs_one_construction(kind, order, cons
 
 
 def test_factorizations_and_wf_comparisons_of_the_corpus_run_no_construction(constructions):
+    """Also: each corpus functor's cached ``equivalence`` is what a fresh
+    classification gives (the same type, kind, reason and locus, so the same
+    kinds), and a second read returns the same object."""
     witnesses = 0
     for f in corpus_functors():
+        w = f.equivalence
+        assert w is f.equivalence and w == classify_equivalence(f), f
         assert factorize_wfs(f).left_witness.has_retraction
-        witnesses += compute_wf(f).comparison_witness is not None
+        witnesses += isinstance(compute_wf(f).comparison.equivalence, EquivalenceWitness)
     assert witnesses > 0
     assert corpus_injective_equivalences.__wrapped__()
     assert constructions() == 0

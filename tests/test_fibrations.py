@@ -83,13 +83,17 @@ def test_discrete_implies_representable_on_samples():
 def test_normal_cleavage_exists_exactly_for_representable_functors():
     """A normal cleavage is built exactly for the representable corpus
     functors, and each one built lifts every iso out of the image of every
-    object to an iso over it, and every identity to an identity."""
+    object to an iso over it, and every identity to an identity.  Each
+    functor's cached ``fibration`` is the report a fresh classification
+    gives, and a second read returns the same object."""
     for F in corpus_functors():
         try:
             cl = build_normal_cleavage(F)
         except NotIsofibration:
             cl = None
-        assert (cl is not None) == classify_fibration(F, grothendieck=False).representable, F
+        report = F.fibration
+        assert report is F.fibration and report == classify_fibration(F, grothendieck=False), F
+        assert (cl is not None) == report.representable, F
         if cl is not None:
             check_cleavage(cl)
 

@@ -5,7 +5,10 @@ check that no category keeps a table keyed by (g, f) once it is validated,
 keyed and filled, that relabelled copies share their rows, and that on the
 corpus, the builtins and every tuple category of the golden tests ``comp``,
 the serialization and ``==`` agree with ``helpers.reference_table``, a
-table keyed by (g, f) as categories stored it before."""
+table keyed by (g, f) as categories stored it before.  A scan beside the one
+for ``comp`` reads keeps classification in one place: only ``FinFunctor``'s
+cached ``fibration`` and ``equivalence`` run the classifiers without the
+Grothendieck scan or at all."""
 import ast
 import random
 from pathlib import Path
@@ -112,3 +115,36 @@ def test_nothing_in_the_package_reads_comp():
     package = Path(__file__).resolve().parent.parent / "src" / "fincat"
     found = {p.name: comp_reads(p.read_text()) for p in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def classifier_calls(source: str) -> list[tuple[int, str]]:
+    """The lines of ``source`` that call ``classify_equivalence``, or
+    ``classify_fibration`` with more than the functor (which can only switch
+    the Grothendieck scan off), with the name called."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            flagged = len(node.args) > 1 or node.keywords
+            if name == "classify_equivalence" or (name == "classify_fibration" and flagged):
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+def test_the_scan_sees_a_classifier_call():
+    source = (
+        "classify_fibration(p)\nclassify_fibration(p, grothendieck=False)\n"
+        "fibrations.classify_fibration(p, False)\nw = classify_equivalence(F)\n"
+    )
+    assert classifier_calls(source) == [
+        (2, "classify_fibration"),
+        (3, "classify_fibration"),
+        (4, "classify_equivalence"),
+    ]
+
+
+def test_only_the_cached_attributes_classify_without_the_scan_or_an_equivalence():
+    package = Path(__file__).resolve().parent.parent / "src" / "fincat"
+    found = {p.name: classifier_calls(p.read_text()) for p in sorted(package.glob("*.py"))}
+    found = {name: [called for _, called in calls] for name, calls in found.items() if calls}
+    assert found == {"core.py": ["classify_fibration", "classify_equivalence"]}

@@ -347,11 +347,12 @@ def test_wf_of_identity_is_isomorphism():
 
 
 def test_wf_of_collapse_is_normal_retract_equivalence():
-    res = compute_wf(to_terminal(builtin("arrow")))
-    assert res.arrow_report.normal
-    assert res.comparison_report.normal
+    f = to_terminal(builtin("arrow"))
+    res = compute_wf(f)
+    assert f.fibration.normal
+    assert res.comparison.fibration.normal
     assert res.ok
-    assert "retract" in res.comparison_witness.kinds
+    assert "retract" in res.comparison.equivalence.kinds
 
 
 def test_walking_split_idempotent_has_only_identities_as_isos_and_a_lawful_wf():
@@ -366,9 +367,10 @@ def test_walking_split_idempotent_has_only_identities_as_isos_and_a_lawful_wf():
 
 
 def test_wf_of_non_isofibration_is_not_one():
-    res = compute_wf(builtin_functor("point_to_iso"))
-    assert not res.arrow_report.representable
-    assert not res.comparison_report.representable
+    f = builtin_functor("point_to_iso")
+    res = compute_wf(f)
+    assert not f.fibration.representable
+    assert not res.comparison.fibration.representable
     assert res.ok
 
 
