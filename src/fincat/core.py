@@ -736,16 +736,12 @@ class FinFunctor:
     def fibration(self):
         """The iso-lifting flags: ``classify_fibration`` without its cubic
         Grothendieck scan, so the ``grothendieck`` flag is None."""
-        from .fibrations import classify_fibration
-
-        return classify_fibration(self, False)
+        return fibrations.classify_fibration(self, False)
 
     @cached_property
     def equivalence(self):
         """``classify_equivalence(self)``: a witness, or why there is none."""
-        from .equivalence import classify_equivalence
-
-        return classify_equivalence(self)
+        return equivalence.classify_equivalence(self)
 
     @cached_property
     def key(self) -> str:
@@ -1532,3 +1528,8 @@ def _natural_parts(rows, homs, squares) -> Iterator[tuple[str, ...]]:
     return (
         t for t in candidates if all(row[t[d]] == rows[t[e]][f] for d, e, row, f in squares)
     )
+
+
+# the two classifiers behind ``FinFunctor.fibration`` and ``.equivalence``,
+# bound once; they import this module, so they are bound after its last name
+from . import equivalence, fibrations  # noqa: E402

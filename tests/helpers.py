@@ -57,9 +57,11 @@ The last two sections hold constructions that only the tests use, built
 from the library's own parts, and the checks of built values that the
 library dropped once the corpus tests ran them.
 """
+import hashlib
 import json
-from functools import cache
+from functools import cache, partial
 from itertools import islice, product
+from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from fincat.acceptance import CriterionResult
@@ -77,6 +79,7 @@ from fincat.core import (
     WitnessInvalid,
     _hom_profile,
     builtin,
+    chaotic_category,
     discrete_category,
     enumerate_functors,
     enumerate_transformations,
@@ -98,6 +101,7 @@ from fincat.cosmos import (
     _split_epis,
     _split_monos,
 )
+from fincat.corpus import corpus_towers, cyclic_group_category
 from fincat.counterexamples import ArrowMorphism
 from fincat.equivalence import (
     EquivalenceWitness,
@@ -1895,3 +1899,114 @@ def pie_isocomma(F: FinFunctor, G: FinFunctor) -> LimitWitness:
     into_product = e2.then(e1).then(leg).then(i1.projections[0])
     legs = (into_product.then(p1), into_product.then(p2))
     return LimitWitness(e2.source, legs, (), lambda: None)
+
+
+# ---------------------------------------------------------------------------
+# The recorded envelopes: the inputs of ``envelopes.json`` that are not
+# sample files, and the row that one run of ``fincat`` makes
+
+SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
+ENVELOPES = Path(__file__).resolve().parent / "envelopes.json"
+
+
+def _sample(name: str, mutate) -> dict:
+    data = json.loads((SAMPLE_DATA / name).read_text())
+    mutate(data)
+    return data
+
+
+def _functor_file(source, target, obj=str, mor=str) -> dict:
+    """The functor file from ``source`` to ``target``, each a builtin's name
+    (written by reference) or a category (written inline), sending each
+    object a to obj(a) and morphism m to mor(m): by default the identity."""
+    def node(cat):
+        return f"builtin:{cat}" if isinstance(cat, str) else cat.to_dict()
+
+    cat = builtin(source) if isinstance(source, str) else source
+    return {
+        "source": node(source),
+        "target": node(target),
+        "omap": {a: obj(a) for a in cat.objects},
+        "mmap": {m.name: mor(m.name) for m in cat.morphisms},
+    }
+
+
+def _odd_chaotic() -> dict:
+    """chaotic(12) with quoted, backslashed, non-ASCII names."""
+    cat = chaotic_category(12)
+    obj = {a: f'ö"{a}' for a in cat.objects}
+    mor = {m.name: f'μ"{m.name}\\' for m in cat.morphisms}
+    odd = FinCat(
+        [obj[a] for a in cat.objects],
+        [(mor[m.name], obj[m.dom], obj[m.cod]) for m in cat.morphisms],
+        {obj[a]: mor[i] for a, i in cat.identity.items()},
+        {(mor[g], mor[f]): mor[gf] for g, row in cat.rows.items() for f, gf in row.items()},
+    )
+    return {**odd.to_dict(), "label": "odd_chaotic"}
+
+
+def _longest_corpus_tower() -> dict:
+    base, maps = corpus_towers()[-1]
+    maps = [_functor_file(f.source, f.target, f.ob, f.mor) for f in maps]
+    return {"base": base.to_dict(), "maps": maps}
+
+
+def _chosen(kind: str):
+    return partial(_sample, "fragment.json", lambda d: d.update(chosen=kind, label=f"core-{kind}"))
+
+
+ENVELOPE_INPUTS = {
+    "partial_arrow": partial(_sample, "arrow.json", lambda d: d["comp"].pop()),
+    "interleaved_boundary": partial(interleaved_chain_table, {("i2", "c"): "a", ("b", "a"): "b"}),
+    "interleaved_not_a_morphism": partial(
+        interleaved_chain_table, {("i2", "c"): "yy", ("b", "a"): "zz"}
+    ),
+    "nowhere_fragment": partial(
+        _sample, "fragment.json", lambda d: d["objects"].__setitem__(1, "builtin:nowhere")
+    ),
+    "longest_tower": _longest_corpus_tower,
+    "odd_chaotic": _odd_chaotic,
+    **{f"{kind}_fragment": _chosen(kind) for kind in ("representable", "discrete", "equivalences")},
+    "id_chaotic2": partial(_functor_file, "chaotic(2)", "chaotic(2)"),
+    "id_cyclic3": lambda: _functor_file(cyclic_group_category(3), cyclic_group_category(3)),
+    "id_chaotic32": partial(_functor_file, "chaotic(32)", "chaotic(32)"),
+    **{
+        name: partial(_functor_file, source, target, lambda a, x=x: x, lambda m, y=y: y)
+        for name, source, target, x, y in [
+            ("point_into_chaotic2", "terminal", "chaotic(2)", "0", "u0_0"),
+            ("chaotic2_to_point", "chaotic(2)", "terminal", "*", "id_*"),
+            ("chaotic2_onto_0", "chaotic(2)", "chaotic(2)", "0", "u0_0"),
+        ]
+    },
+    "chaotic2_onto_cyclic2": lambda: _functor_file(
+        "chaotic(2)", cyclic_group_category(2), lambda a: "*",
+        lambda m: "g1" if m == "u0_1" else "g0",
+    ),
+}
+
+
+def write_envelope_inputs(directory: Path) -> None:
+    """Write each input of ``ENVELOPE_INPUTS`` to ``directory`` as
+    ``<name>.json`` and link ``sample_data`` there: the rows' argv name
+    their files relative to that directory."""
+    (directory / "sample_data").symlink_to(SAMPLE_DATA)
+    for name, make in ENVELOPE_INPUTS.items():
+        (directory / f"{name}.json").write_text(json.dumps(make()))
+
+
+def envelope_row(argv: list[str], code: int, stdout: str, stderr: str) -> dict:
+    """The row of ``envelopes.json`` that one run of ``fincat argv`` makes:
+    the argv, the exit code, and the refusal on stderr (exit 2), the result
+    of a law error exactly (exit 1), or else the sha256 of
+    ``json.dumps(result, sort_keys=True)``, of the list of results when the
+    run printed several envelopes."""
+    row = {"argv": argv, "exit": code}
+    if code == 2:
+        return row | {"refusal": json.loads(stderr.strip().splitlines()[-1])}
+    results = [json.loads(line)["result"] for line in stdout.splitlines()]
+    assert results, f"exit {code} and no envelope: {stderr}"
+    if code == 1 and len(results) == 1 and set(results[0]) == {"error", "detail"}:
+        return row | {"result": results[0]}
+    result = results[0] if len(results) == 1 else results
+    digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+    return row | {"sha256": digest}

@@ -4,7 +4,11 @@ checker, the lifting solver and the corpus read them instead of classifying
 again.  The counters patch the classifiers and the retraction search in the
 modules the attributes look them up in, and keep every object they count, so
 no id is reused while the counts are read."""
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from test_cosmos import SAMPLE_OBJECTS
@@ -73,3 +77,22 @@ def test_the_corpus_lists_classify_each_corpus_functor_once(counted, fresh_corpu
     non = corpus.corpus_non_isofibrations.__wrapped__()
     assert len(normal) + len(non) == len(fresh_corpus)
     assert counted["classify_fibration"] == Counter(id(F) for F in fresh_corpus)
+
+
+@pytest.mark.parametrize("first", ["fincat.fibrations", "fincat.equivalence"])
+def test_the_attributes_classify_whichever_classifier_a_process_imports_first(first):
+    """``core`` binds both classifier modules once, at its end; in a fresh
+    process that imports either of them first, both attributes classify."""
+    script = (
+        f"import {first}\n"
+        "from fincat.core import builtin, identity_functor\n"
+        "F = identity_functor(builtin('arrow'))\n"
+        "print(type(F.fibration).__name__, F.equivalence.kind)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["FibrationReport", "injective"]
